@@ -22,10 +22,9 @@ from .admissibility import (Certificate, AdmissibilityTable, TableError, TableVe
 from .nbody import (NBodyConfig, build as build_nbody, central_config_seeds,
                     pinning_conditions, split_gauge_spectrum)
 from .parsing import AlgebraicSetup, ParseError, load_problem, parse_problem
+from .pipeline import TOOL_VERSION as __version__
 from .pipeline import AnalysisOptions, analyze, report_json
 from .spectrum import EigenCluster, Spectrum, eigen, rationalize
 from .varode import HypergeomVE, MonodromyReport, build_ve, monodromy_report
 from .variety import (ValidationReport, VarietyNumerics, in_critical_set,
                       jacobian, validate)
-
-__version__ = "0.1.0"

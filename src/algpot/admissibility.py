@@ -247,7 +247,8 @@ class Certificate:
 
     @property
     def exit_code(self) -> int:
-        return 10 if self.status == "obstruction" else 0
+        from .pipeline import EXIT_OBSTRUCTION, EXIT_OK  # pipeline imports this module
+        return EXIT_OBSTRUCTION if self.status == "obstruction" else EXIT_OK
 
 
 def certify(k, point_summaries) -> Certificate:

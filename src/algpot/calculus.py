@@ -24,7 +24,8 @@ import numpy as np
 
 from .expr import PoleError, RatExpr
 from .parsing import AlgebraicSetup
-from .variety import JacobianData, VarietyNumerics, jacobian, sample_on_variety
+from .variety import (JacobianData, VarietyNumerics, fill, fill_symmetric,
+                      jacobian, sample_on_variety)
 
 
 class CalculusError(ValueError):
@@ -128,8 +129,22 @@ def hess_q(setup: AlgebraicSetup, jd: JacobianData | None = None,
 # numeric route
 # ---------------------------------------------------------------------------
 
-def _compile_or_none(e: RatExpr, order):
-    return None if e.is_zero else e.compile(order)
+def _vector_slots(exprs, order) -> list:
+    """(index, closure) for every non-zero expression of a vector."""
+    return [(i, e.compile(order)) for i, e in enumerate(exprs) if not e.is_zero]
+
+
+def _hessian_slots(grad, order) -> list:
+    """(a, b, closure) for every non-zero d grad[a] / d order[b], a <= b."""
+    slots = []
+    for a, ga in enumerate(grad):
+        if ga.is_zero:
+            continue
+        for b in range(a, len(order)):
+            e = ga.diff(order[b])
+            if not e.is_zero:
+                slots.append((a, b, e.compile(order)))
+    return slots
 
 
 class PointCalculus:
@@ -138,7 +153,9 @@ class PointCalculus:
     Plain first and second partials of the potential and the generators are
     prepared symbolically once; every point evaluation then reduces to dense
     (s x s) linear solves.  Works for any s, including setups where the
-    symbolic quotient forms would be bulky.
+    symbolic quotient forms would be bulky.  Each gradient and Hessian keeps
+    one list of closures for its non-zero partials (a Hessian's upper
+    triangle only); the zero partials are never evaluated.
     """
 
     def __init__(self, setup: AlgebraicSetup, jd: JacobianData | None = None):
@@ -153,27 +170,14 @@ class PointCalculus:
         V = setup.potential
         self._v = V.compile(order)
         vgrad = [V.diff(v) for v in order]
-        self._vgrad = [_compile_or_none(e, order) for e in vgrad]
-        self._vhess = [[None] * self.N for _ in range(self.N)]
-        for a in range(self.N):
-            for b in range(a, self.N):
-                f = _compile_or_none(vgrad[a].diff(order[b]), order)
-                self._vhess[a][b] = f
-                self._vhess[b][a] = f
-
+        self._vgrad = _vector_slots(vgrad, order)
+        self._vhess = _hessian_slots(vgrad, order)
+        self._ggrad = []
         self._ghess = []
         for g in setup.generators:
             ggrad = [g.diff(v) for v in order]
-            h = [[None] * self.N for _ in range(self.N)]
-            for a in range(self.N):
-                for b in range(a, self.N):
-                    f = _compile_or_none(ggrad[a].diff(order[b]), order)
-                    h[a][b] = f
-                    h[b][a] = f
-            self._ghess.append(h)
-        self._ggrad = []
-        for g in setup.generators:
-            self._ggrad.append([_compile_or_none(g.diff(v), order) for v in order])
+            self._ggrad.append(_vector_slots(ggrad, order))
+            self._ghess.append(_hessian_slots(ggrad, order))
 
         # lazily compiled probe data (critical set / potential poles)
         self._probe_det = None
@@ -183,17 +187,6 @@ class PointCalculus:
 
     def potential_value(self, x) -> complex:
         return complex(self._v(x))
-
-    def _eval_vec(self, funcs, x) -> np.ndarray:
-        return np.array([0j if f is None else f(x) for f in funcs], dtype=complex)
-
-    def _eval_mat(self, grid, x) -> np.ndarray:
-        out = np.zeros((len(grid), len(grid[0])), dtype=complex)
-        for a, row in enumerate(grid):
-            for b, f in enumerate(row):
-                if f is not None:
-                    out[a, b] = f(x)
-        return out
 
     def _core(self, x):
         """J, dGdq and W = dw/dq at the point; raises off the good set."""
@@ -219,7 +212,7 @@ class PointCalculus:
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         _, _, W = self._core(x)
-        vg = self._eval_vec(self._vgrad, x)
+        vg = fill(self.N, self._vgrad, x)
         return vg[: self.n] + W.T @ vg[self.n:]
 
     def _dg_blocks(self, x):
@@ -227,9 +220,9 @@ class PointCalculus:
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
         J, B, W = self._core(x)
-        vh = self._eval_mat(self._vhess, x)
-        vg = self._eval_vec(self._vgrad, x)
-        gh = [self._eval_mat(h, x) for h in self._ghess]
+        vh = fill_symmetric(N, self._vhess, x)
+        vg = fill(N, self._vgrad, x)
+        gh = [fill_symmetric(N, h, x) for h in self._ghess]
 
         if s:
             u = np.linalg.solve(J.T, vg[n:])
@@ -252,7 +245,7 @@ class PointCalculus:
     def grad_and_hess(self, x):
         x = np.asarray(x, dtype=complex)
         dgdq, dgdw, W, _, _ = self._dg_blocks(x)
-        vg = self._eval_vec(self._vgrad, x)
+        vg = fill(self.N, self._vgrad, x)
         g = vg[: self.n] + W.T @ vg[self.n:]
         return g, dgdq + dgdw @ W
 
@@ -269,7 +262,7 @@ class PointCalculus:
         x = np.asarray(x, dtype=complex)
         n, s = self.n, self.s
         dgdq, dgdw, W, J, B = self._dg_blocks(x)
-        vg = self._eval_vec(self._vgrad, x)
+        vg = fill(self.N, self._vgrad, x)
         g = vg[:n] + W.T @ vg[n:]
         F = np.concatenate([g - x[:n], self.numerics.g_values(x)])
         Jac = np.zeros((n + s, n + s), dtype=complex)
@@ -294,9 +287,9 @@ class PointCalculus:
             vals = []
             for a in range(s):
                 vals.append(self.numerics._g[a](y))
-                rows.append(self._eval_vec(self._ggrad[a], y))
+                rows.append(fill(N, self._ggrad[a], y))
             vals.append(compiled_f(y))
-            rows.append(self._eval_vec(compiled_fgrad, y))
+            rows.append(fill(N, compiled_fgrad, y))
             F = np.array(vals, dtype=complex)
             if np.max(np.abs(F)) <= tol:
                 return bool(np.linalg.norm(y - x0) <= radius)
@@ -319,7 +312,7 @@ class PointCalculus:
             else:
                 self._probe_det = (
                     det.compile(order),
-                    [_compile_or_none(det.diff(v), order) for v in order],
+                    _vector_slots([det.diff(v) for v in order], order),
                 )
         if self._probe_det[0] == "const":
             return self._probe_det[1] == 0
@@ -334,7 +327,7 @@ class PointCalculus:
             den = RatExpr(dict(V.den), {(): Fraction(1)})
             self._probe_den = (
                 den.compile(order),
-                [_compile_or_none(den.diff(v), order) for v in order],
+                _vector_slots([den.diff(v) for v in order], order),
             )
         return self._probe(self._probe_den[0], self._probe_den[1], x, radius)
 

@@ -136,7 +136,8 @@ def cmd_darboux(args) -> int:
     setup = _load(args.problem)
     seeds = _read_seeds(args.seeds) if args.seeds else ()
     res = solve_darboux(setup, seeds=seeds, n_random=args.n_random,
-                        seed=args.seed, sigma_radius=args.sigma_radius)
+                        seed=args.seed, sigma_radius=args.sigma_radius,
+                        accept_tol=_tol(args, "on_variety_tol", 1e-9))
     report = {
         "tool": {"name": "algpot", "version": TOOL_VERSION},
         "label": setup.label,

@@ -46,27 +46,31 @@ class DarbouxResult:
     rejected: list = field(default_factory=list)
     failed_starts: int = 0
 
-    @property
-    def all_reports(self):
-        return list(self.accepted) + list(self.rejected)
-
 
 def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
             conv_tol: float, max_iter: int):
     """Damped Gauss-Newton for the Darboux system plus linear conditions.
+
+    The line search only needs each trial's residual norm, so it evaluates
+    the residual alone; the Jacobian is built at the start point and at each
+    accepted trial.  Both calls compute F the same way, so the iterates are
+    those of a search that builds the full system at every trial.
 
     Returns the final iterate and residual, or None when the iteration left
     the domain (singular fiber, potential pole) or diverged.
     """
     x = np.asarray(x0, dtype=complex).copy()
 
+    def with_conditions(F, xv):
+        if extra_rows is None:
+            return F
+        return np.concatenate([F, extra_rows @ xv - extra_rhs])
+
     def system(xv):
         F, Jac = pc.darboux_system(xv)
         if extra_rows is not None:
-            lin = extra_rows @ xv - extra_rhs
-            F = np.concatenate([F, lin])
             Jac = np.vstack([Jac, extra_rows])
-        return F, Jac
+        return with_conditions(F, xv), Jac
 
     try:
         F, Jac = system(x)
@@ -84,15 +88,15 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
         for _halving in range(30):
             x_try = x + scale * step
             try:
-                F_try, Jac_try = system(x_try)
+                F_try = with_conditions(pc.darboux_residual(x_try), x_try)
+                r_try = float(np.max(np.abs(F_try)))
+                if r_try < res or r_try <= conv_tol:
+                    F, Jac = system(x_try)
+                    x, res = x_try, r_try
+                    improved = True
+                    break
             except (CriticalPointError, PoleError):
-                scale *= 0.5
-                continue
-            r_try = float(np.max(np.abs(F_try)))
-            if r_try < res or r_try <= conv_tol:
-                x, F, Jac, res = x_try, F_try, Jac_try, r_try
-                improved = True
-                break
+                pass
             scale *= 0.5
         if not improved:
             break

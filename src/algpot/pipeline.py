@@ -25,7 +25,7 @@ from .spectrum import eigen
 from .variety import validate
 
 TOOL_NAME = "algpot"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # the package version; pyproject.toml reads it from here
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -118,8 +118,12 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     }
 
     t0 = clock() if clock else None
+    pc = PointCalculus(setup)
+    tick("setup", t0)
+
+    t0 = clock() if clock else None
     val = validate(setup, trials=opt.validate_trials, seed=opt.seed,
-                   tol=opt.critical_tol)
+                   tol=opt.critical_tol, pc=pc)
     tick("validate", t0)
     report["validation"] = {
         "ok": val.ok,
@@ -137,8 +141,6 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         if opt.timings:
             report["timings"] = timings
         return report, EXIT_VALIDATION
-
-    pc = PointCalculus(setup)
 
     t0 = clock() if clock else None
     hom = None
@@ -179,7 +181,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
     t0 = clock() if clock else None
     dres = solve_darboux(setup, seeds=seeds, n_random=opt.n_random,
-                         seed=opt.seed, sigma_radius=opt.sigma_radius,
+                         seed=opt.seed, accept_tol=opt.on_variety_tol,
+                         sigma_radius=opt.sigma_radius,
                          pc=pc, linear_conditions=linear_conditions)
     tick("darboux", t0)
 
@@ -298,8 +301,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         "witnesses": cert.witnesses,
         "reasons": cert.reasons,
     }
-    code = EXIT_OBSTRUCTION if cert.status == "obstruction" else EXIT_OK
-    report["exit_code"] = code
+    report["exit_code"] = cert.exit_code
     if opt.timings:
         report["timings"] = timings
-    return report, code
+    return report, cert.exit_code

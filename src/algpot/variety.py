@@ -9,11 +9,15 @@ detJ vanishes are exactly where the implicit derivations break down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .expr import ONE, RatExpr
 from .parsing import AlgebraicSetup
+
+if TYPE_CHECKING:
+    from .calculus import PointCalculus
 
 DEFAULT_ON_VARIETY_TOL = 1e-9
 DEFAULT_CRITICAL_TOL = 1e-8
@@ -78,36 +82,55 @@ def jacobian(setup: AlgebraicSetup) -> JacobianData:
     return JacobianData(J=J, det=det, dGdq=dGdq)
 
 
+def fill(shape, slots, x) -> np.ndarray:
+    """Dense complex array from (index, closure) slots; other entries 0j."""
+    out = np.zeros(shape, dtype=complex)
+    for idx, f in slots:
+        out[idx] = f(x)
+    return out
+
+
+def fill_symmetric(size: int, slots, x) -> np.ndarray:
+    """Symmetric (size x size) array from (a, b, closure) slots with a <= b,
+    each evaluated once and written to both places; other entries 0j."""
+    out = np.zeros((size, size), dtype=complex)
+    for a, b, f in slots:
+        out[a, b] = out[b, a] = f(x)
+    return out
+
+
+def matrix_slots(rows, order) -> list:
+    """((i, j), closure) for every non-zero entry of an expression matrix."""
+    return [((i, j), e.compile(order))
+            for i, row in enumerate(rows) for j, e in enumerate(row)
+            if not e.is_zero]
+
+
 class VarietyNumerics:
-    """Compiled evaluators for G, J, detJ and dG/dq at numeric points."""
+    """Compiled evaluators for G, J, detJ and dG/dq at numeric points.
+
+    J and dG/dq keep closures for their non-zero entries only; the zero
+    entries are never evaluated and read as exact 0j.
+    """
 
     def __init__(self, setup: AlgebraicSetup, jd: JacobianData | None = None):
         self.setup = setup
         self.jd = jd if jd is not None else jacobian(setup)
         order = setup.var_names
         self._g = [g.compile(order) for g in setup.generators]
-        self._j = [[e.compile(order) for e in row] for row in self.jd.J]
+        self._j = matrix_slots(self.jd.J, order)
         self._det = self.jd.det.compile(order)
-        self._dgdq = [[e.compile(order) for e in row] for row in self.jd.dGdq]
+        self._dgdq = matrix_slots(self.jd.dGdq, order)
 
     def g_values(self, x) -> np.ndarray:
         return np.array([f(x) for f in self._g], dtype=complex)
 
     def j_matrix(self, x) -> np.ndarray:
         s = self.setup.s
-        out = np.empty((s, s), dtype=complex)
-        for i in range(s):
-            for j in range(s):
-                out[i, j] = self._j[i][j](x)
-        return out
+        return fill((s, s), self._j, x)
 
     def dgdq_matrix(self, x) -> np.ndarray:
-        s, n = self.setup.s, self.setup.n
-        out = np.empty((s, n), dtype=complex)
-        for i in range(s):
-            for j in range(n):
-                out[i, j] = self._dgdq[i][j](x)
-        return out
+        return fill((self.setup.s, self.setup.n), self._dgdq, x)
 
     def det_value(self, x) -> complex:
         return complex(self._det(x))
@@ -192,18 +215,21 @@ def sample_on_variety(setup: AlgebraicSetup, numerics: VarietyNumerics,
 
 def validate(setup: AlgebraicSetup, trials: int = 8, seed: int = 0,
              tol: float = DEFAULT_CRITICAL_TOL,
-             numerics: VarietyNumerics | None = None) -> ValidationReport:
+             pc: PointCalculus | None = None) -> ValidationReport:
     """Sample the variety and check detJ does not vanish identically.
 
     Primality/codimension of the generating ideal is NOT checked; the report
     says so via primality_assumed.  The test is one-sided: a setup passes as
-    soon as one sample has |detJ| > tol.
+    soon as one sample has |detJ| > tol.  pc, the setup's PointCalculus,
+    supplies the numerics and the critical-set probe; without it one is
+    built here.
     """
-    vn = numerics if numerics is not None else VarietyNumerics(setup)
-    # The proximity probe lives a layer up; imported lazily to keep the
-    # module dependency one-way everywhere else.
-    from .calculus import PointCalculus
-    pc = PointCalculus(setup)
+    if pc is None:
+        # The proximity probe lives a layer up; imported lazily to keep the
+        # module dependency one-way everywhere else.
+        from .calculus import PointCalculus
+        pc = PointCalculus(setup)
+    vn = pc.numerics
     rng = np.random.default_rng(seed)
     mags = []
     used = 0

@@ -1,0 +1,267 @@
+"""The Darboux Newton hot path does only the work whose result is used.
+
+The line search evaluates residuals only and builds the Jacobian at accepted
+steps; gradients and Hessians evaluate only their non-zero partials.  Both
+are held here, bit for bit, against the straightforward forms they replace.
+"""
+
+import numpy as np
+import pytest
+
+from algpot.calculus import CriticalPointError, PointCalculus
+from algpot.darboux import _newton
+from algpot.expr import PoleError
+from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
+from algpot.parsing import parse_problem
+
+from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
+
+CONV_TOL = 1e-12
+
+LINEAR_TEXT = """\
+vars q1 q2
+ext w1 : w1 - q1 - 2*q2
+potential q1 - 3*w1
+"""
+
+
+def newton_full_system(pc, x0, extra_rows, extra_rhs, conv_tol, max_iter):
+    """Backtracking that builds the full system at every trial.
+
+    Returns (result, accepted steps); result is what _newton returns.
+    """
+    x = np.asarray(x0, dtype=complex).copy()
+    accepted = 0
+
+    def system(xv):
+        F, Jac = pc.darboux_system(xv)
+        if extra_rows is not None:
+            lin = extra_rows @ xv - extra_rhs
+            F = np.concatenate([F, lin])
+            Jac = np.vstack([Jac, extra_rows])
+        return F, Jac
+
+    try:
+        F, Jac = system(x)
+    except (CriticalPointError, PoleError):
+        return None, accepted
+    res = float(np.max(np.abs(F)))
+    for _ in range(max_iter):
+        if res <= conv_tol:
+            return (x, res), accepted
+        step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None, accepted
+        scale = 1.0
+        improved = False
+        for _halving in range(30):
+            x_try = x + scale * step
+            try:
+                F_try, Jac_try = system(x_try)
+            except (CriticalPointError, PoleError):
+                scale *= 0.5
+                continue
+            r_try = float(np.max(np.abs(F_try)))
+            if r_try < res or r_try <= conv_tol:
+                x, F, Jac, res = x_try, F_try, Jac_try, r_try
+                accepted += 1
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break
+        if np.max(np.abs(x)) > 1e8:
+            return None, accepted
+    return ((x, res) if res < np.inf else None), accepted
+
+
+def random_starts(N, count, seed, radius=2.0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        re = rng.uniform(-radius, radius, N)
+        im = rng.uniform(-radius, radius, N) if i % 2 else np.zeros(N)
+        out.append(re + 1j * im)
+    return out
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+
+
+@pytest.fixture(scope="module")
+def three_body():
+    cfg = NBodyConfig(n=3, dim=2, masses=(1, 1, 1))
+    pc = PointCalculus(build(cfg))
+    seeds = [s for _, s in central_config_seeds(cfg)]
+    return cfg, pc, seeds
+
+
+def cone_cases():
+    pc = PointCalculus(parse_problem(CONE_TEXT))
+    return [(pc, x0, None, None, 200) for x0 in random_starts(3, 8, seed=5)]
+
+
+def three_body_cases(cfg, pc, seeds, pinned):
+    rows = rhs = None
+    if pinned:
+        rows, rhs = (np.asarray(a, dtype=complex)
+                     for a in pinning_conditions(cfg, np.asarray(seeds[0])))
+    rng = np.random.default_rng(11)
+    # near a central configuration the search converges; from random
+    # starts it mostly stalls, which a short max_iter samples cheaply
+    near = [s + 0.05 * rng.standard_normal(pc.N) for s in seeds]
+    cases = [(pc, x0, rows, rhs, 200) for x0 in near]
+    cases += [(pc, x0, rows, rhs, 40) for x0 in random_starts(pc.N, 6, seed=3)]
+    return cases
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_newton_matches_full_system_search(three_body, pinned):
+    cfg, pc, seeds = three_body
+    cases = three_body_cases(cfg, pc, seeds, pinned)
+    if not pinned:
+        cases += cone_cases()
+    converged = 0
+    for pc_, x0, rows, rhs, max_iter in cases:
+        expected, _ = newton_full_system(pc_, x0, rows, rhs, CONV_TOL, max_iter)
+        got = _newton(pc_, x0, rows, rhs, CONV_TOL, max_iter)
+        assert same_bits(got, expected)
+        converged += got is not None and got[1] <= CONV_TOL
+    assert converged >= 2  # the comparison covers converged starts too
+
+
+class Counting:
+    """Wraps a bound method and counts its calls."""
+
+    def __init__(self, method):
+        self.method = method
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.method(*args, **kwargs)
+
+
+def test_jacobian_only_at_start_and_accepted_steps(three_body):
+    cfg, pc, seeds = three_body
+    for pc_, x0, rows, rhs, max_iter in (three_body_cases(cfg, pc, seeds, True)
+                                         + cone_cases()):
+        _, accepted = newton_full_system(pc_, x0, rows, rhs, CONV_TOL, max_iter)
+        system = Counting(pc_.darboux_system)
+        residual = Counting(pc_.darboux_residual)
+        pc_.darboux_system, pc_.darboux_residual = system, residual
+        try:
+            _newton(pc_, x0, rows, rhs, CONV_TOL, max_iter)
+        finally:
+            del pc_.darboux_system, pc_.darboux_residual
+        assert system.calls == 1 + accepted
+        assert residual.calls >= accepted
+
+
+# ---------------------------------------------------------------------------
+# live partials against a dense per-entry evaluation
+# ---------------------------------------------------------------------------
+
+def dense(rows, shape, order, x):
+    out = np.zeros(shape, dtype=complex)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[i, j] = e.compile(order)(x)
+    return out
+
+
+def dense_hessian(f, order, x):
+    """Every entry evaluated, from the a <= b partial as the calculus takes it."""
+    grad = [f.diff(v) for v in order]
+    N = len(order)
+    return dense([[grad[min(a, b)].diff(order[max(a, b)]) for b in range(N)]
+                  for a in range(N)], (N, N), order, x)
+
+
+def dense_system(setup, x):
+    """darboux_system evaluated with dense grids of every partial."""
+    order = setup.var_names
+    n, s, N = setup.n, setup.s, len(order)
+    G = setup.generators
+    J = dense([[g.diff(w) for w in setup.w_names] for g in G], (s, s), order, x)
+    B = dense([[g.diff(q) for q in setup.q_names] for g in G], (s, n), order, x)
+    W = np.linalg.solve(J, -B) if s else np.zeros((0, n), complex)
+    V = setup.potential
+    vg = dense([[V.diff(v) for v in order]], (1, N), order, x)[0]
+    vh = dense_hessian(V, order, x)
+    gh = [dense_hessian(g, order, x) for g in G]
+    u = np.linalg.solve(J.T, vg[n:]) if s else np.zeros(0, complex)
+    dg = np.zeros((n, N), dtype=complex)
+    for v in range(N):
+        row = vh[v, :n] + W.T @ vh[v, n:]
+        if s:
+            Pv = np.array([gh[a][v, :n] + gh[a][v, n:] @ W for a in range(s)])
+            row = row - Pv.T @ u
+        dg[:, v] = row
+    g = vg[:n] + W.T @ vg[n:]
+    gvals = np.array([gg.compile(order)(x) for gg in G], dtype=complex)
+    F = np.concatenate([g - x[:n], gvals])
+    Jac = np.zeros((n + s, n + s), dtype=complex)
+    Jac[:n, :n] = dg[:, :n] - np.eye(n)
+    Jac[:n, n:] = dg[:, n:]
+    Jac[n:, :n] = B
+    Jac[n:, n:] = J
+    return J, B, g, F, Jac
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+def sample_points(setup, count, seed):
+    pts = [np.asarray(x, dtype=complex)
+           for x in random_starts(setup.n + setup.s, count, seed)]
+    return pts + [np.zeros(setup.n + setup.s, dtype=complex)]
+
+
+@pytest.mark.parametrize("text", [CONE_TEXT, TRAP_TEXT, PLAIN_TEXT, LINEAR_TEXT,
+                                  "nbody"])
+def test_live_partials_match_dense_evaluation(text):
+    if text == "nbody":
+        setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    else:
+        setup = parse_problem(text)
+    pc = PointCalculus(setup)
+    compared = 0
+    for x in sample_points(setup, 6, seed=2):
+        try:
+            J, B, g, F, Jac = dense_system(setup, x)
+        except (np.linalg.LinAlgError, PoleError):
+            continue  # off the good set (the origin of the cone, say)
+        if not np.all(np.isfinite(np.linalg.solve(J, -B))):
+            continue
+        assert bits(pc.numerics.j_matrix(x)) == bits(J)
+        assert bits(pc.numerics.dgdq_matrix(x)) == bits(B)
+        assert bits(pc.grad(x)) == bits(g)
+        F_live, Jac_live = pc.darboux_system(x)
+        assert bits(F_live) == bits(F)
+        assert bits(Jac_live) == bits(Jac)
+        assert bits(pc.darboux_residual(x)) == bits(F)
+        compared += 1
+    assert compared >= 5
+
+
+def test_slot_lists_hold_only_live_partials():
+    # the n-body Hessians are sparse: 3x2 has 3 live potential partials of
+    # 45 upper-triangle slots; each distance generator has seven
+    pc = PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    assert len(pc._vhess) == 3
+    assert [len(h) for h in pc._ghess] == [7, 7, 7]
+    lin = PointCalculus(parse_problem(LINEAR_TEXT))
+    assert lin._vhess == [] and lin._ghess == [[]]
+    x = np.array([0.3, -1.1, 0.0], dtype=complex)
+    x[2] = x[0] + 2 * x[1]
+    _, Jac = lin.darboux_system(x)
+    assert np.array_equal(Jac[:2, :2], -np.eye(2))
+    plain = PointCalculus(parse_problem(PLAIN_TEXT))
+    assert plain.numerics.j_matrix(np.zeros(2)).shape == (0, 0)
+    assert plain.numerics.dgdq_matrix(np.zeros(2)).shape == (0, 2)
+
