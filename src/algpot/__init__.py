@@ -11,8 +11,7 @@ the hypergeometric variational equation with its monodromy.
 """
 
 from .calculus import (CalculusError, CriticalPointError, Homogeneity,
-                       PointCalculus, derive_q, detect_homogeneity, grad_q,
-                       hess_q, in_sigma_v, w_derivative_exprs)
+                       PointCalculus, detect_homogeneity)
 from .darboux import DarbouxReport, DarbouxResult, solve_darboux
 from .dynamics import (CriticalSetError, Trajectory, TrajectoryState,
                        homothetic_orbit, integrate)
@@ -26,5 +25,4 @@ from .pipeline import TOOL_VERSION as __version__
 from .pipeline import AnalysisOptions, analyze, report_json
 from .spectrum import EigenCluster, Spectrum, eigen, rationalize
 from .varode import HypergeomVE, MonodromyReport, build_ve, monodromy_report
-from .variety import (ValidationReport, VarietyNumerics, in_critical_set,
-                      jacobian, validate)
+from .variety import ValidationReport, VarietyNumerics, jacobian, validate

@@ -6,12 +6,10 @@ variables:
 
     D_k f = d_k f - (d_w f) . J^(-1) . (d_k G)
 
-where J = dG/dw.  The symbolic route builds J^(-1) as adjugate/det and returns
-exact rational expressions; the numeric route (PointCalculus) evaluates plain
-partials of V and G once symbolically, then does small linear solves per
-point, which stays cheap at any number of extension variables.  Both routes
-implement the same derivation, and the tests hold them against each other and
-against finite differences of a locally solved branch.
+where J = dG/dw.  PointCalculus evaluates plain partials of V and G, prepared
+once symbolically, and does small linear solves per point, which stays cheap
+at any number of extension variables.  The tests hold it against finite
+differences of a locally solved branch.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ import numpy as np
 
 from .expr import PoleError, RatExpr
 from .parsing import AlgebraicSetup
-from .variety import (JacobianData, VarietyNumerics, fill, fill_symmetric,
-                      jacobian, sample_on_variety)
+from .variety import (DEFAULT_CRITICAL_TOL, JacobianData, VarietyNumerics,
+                      fill, fill_symmetric, jacobian, sample_on_variety)
 
 
 class CalculusError(ValueError):
@@ -35,99 +33,6 @@ class CalculusError(ValueError):
 class CriticalPointError(ArithmeticError):
     """The requested point (numerically) sits on the critical set."""
 
-
-# ---------------------------------------------------------------------------
-# symbolic route
-# ---------------------------------------------------------------------------
-
-def _adjugate(M: list) -> list:
-    from .variety import det_expr
-
-    m = len(M)
-    if m == 0:
-        return []
-    if m == 1:
-        from .expr import ONE
-        return [[ONE]]
-    adj = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [M[r][c] for c in range(m) if c != i]
-                for r in range(m) if r != j
-            ]
-            d = det_expr(minor)
-            adj[i][j] = d if (i + j) % 2 == 0 else -d
-    return adj
-
-
-def w_derivative_exprs(setup: AlgebraicSetup, jd: JacobianData | None = None):
-    """Symbolic s x n matrix of dw_j/dq_k on the variety (adjugate route)."""
-    if jd is None:
-        jd = jacobian(setup)
-    s, n = setup.s, setup.n
-    if s == 0:
-        return []
-    adj = _adjugate([list(r) for r in jd.J])
-    out = []
-    for j in range(s):
-        row = []
-        for k in range(n):
-            acc = None
-            for m in range(s):
-                if jd.dGdq[m][k].is_zero or adj[j][m].is_zero:
-                    continue
-                t = adj[j][m] * jd.dGdq[m][k]
-                acc = t if acc is None else acc + t
-            if acc is None:
-                row.append(RatExpr.const(0))
-            else:
-                row.append(-(acc / jd.det))
-        out.append(row)
-    return out
-
-
-def derive_q(f: RatExpr, setup: AlgebraicSetup, jd: JacobianData | None = None,
-             k: int = 0, w_exprs=None) -> RatExpr:
-    """Derivation of f along the k-th base coordinate, as an expression."""
-    if not 0 <= k < setup.n:
-        raise CalculusError(f"coordinate index {k} out of range")
-    if w_exprs is None:
-        w_exprs = w_derivative_exprs(setup, jd)
-    out = f.diff(setup.q_names[k])
-    for j, wname in enumerate(setup.w_names):
-        fw = f.diff(wname)
-        if fw.is_zero or w_exprs[j][k].is_zero:
-            continue
-        out = out + fw * w_exprs[j][k]
-    return out
-
-
-def grad_q(setup: AlgebraicSetup, jd: JacobianData | None = None,
-           f: RatExpr | None = None) -> tuple:
-    """Derivations of the potential (or f) along every base coordinate."""
-    if f is None:
-        f = setup.potential
-    w_exprs = w_derivative_exprs(setup, jd)
-    return tuple(
-        derive_q(f, setup, jd, k, w_exprs=w_exprs) for k in range(setup.n)
-    )
-
-
-def hess_q(setup: AlgebraicSetup, jd: JacobianData | None = None,
-           f: RatExpr | None = None) -> tuple:
-    """Matrix of second derivations; symmetric on the variety (only there)."""
-    w_exprs = w_derivative_exprs(setup, jd)
-    g = grad_q(setup, jd, f)
-    return tuple(
-        tuple(derive_q(g[k], setup, jd, i, w_exprs=w_exprs) for i in range(setup.n))
-        for k in range(setup.n)
-    )
-
-
-# ---------------------------------------------------------------------------
-# numeric route
-# ---------------------------------------------------------------------------
 
 def _vector_slots(exprs, order) -> list:
     """(index, closure) for every non-zero expression of a vector."""
@@ -179,9 +84,11 @@ class PointCalculus:
             self._ggrad.append(_vector_slots(ggrad, order))
             self._ghess.append(_hessian_slots(ggrad, order))
 
-        # lazily compiled probe data (critical set / potential poles)
+        # lazily compiled probe data (critical set / potential poles) and
+        # the potential's numerator for the pointwise test
         self._probe_det = None
         self._probe_den = None
+        self._num = None
 
     # -- raw evaluations ------------------------------------------------
 
@@ -241,13 +148,6 @@ class PointCalculus:
     def hess(self, x) -> np.ndarray:
         dgdq, dgdw, W, _, _ = self._dg_blocks(x)
         return dgdq + dgdw @ W
-
-    def grad_and_hess(self, x):
-        x = np.asarray(x, dtype=complex)
-        dgdq, dgdw, W, _, _ = self._dg_blocks(x)
-        vg = fill(self.N, self._vgrad, x)
-        g = vg[: self.n] + W.T @ vg[self.n:]
-        return g, dgdq + dgdw @ W
 
     # -- Darboux Newton system -------------------------------------------
 
@@ -318,45 +218,47 @@ class PointCalculus:
             return self._probe_det[1] == 0
         return self._probe(self._probe_det[0], self._probe_det[1], x, radius)
 
-    def near_potential_pole(self, x, radius: float = 1e-4) -> bool:
-        V = self.setup.potential
-        if V.is_polynomial:
-            return False
+    def _pole_probe(self):
+        """(closure, gradient slots) of the potential's denominator."""
         if self._probe_den is None:
             order = self.setup.var_names
-            den = RatExpr(dict(V.den), {(): Fraction(1)})
+            den = RatExpr(dict(self.setup.potential.den), {(): Fraction(1)})
             self._probe_den = (
                 den.compile(order),
                 _vector_slots([den.diff(v) for v in order], order),
             )
-        return self._probe(self._probe_den[0], self._probe_den[1], x, radius)
+        return self._probe_den
+
+    def near_potential_pole(self, x, radius: float = 1e-4) -> bool:
+        if self.setup.potential.is_polynomial:
+            return False
+        den, den_grad = self._pole_probe()
+        return self._probe(den, den_grad, x, radius)
 
     def near_sigma(self, x, radius: float = 1e-4) -> bool:
         return self.near_critical_set(x, radius) or self.near_potential_pole(x, radius)
 
+    def in_sigma(self, x, tol: float = DEFAULT_CRITICAL_TOL) -> bool:
+        """Pointwise membership of the bad set: critical set, or potential
+        undefined.
 
-def in_sigma_v(setup: AlgebraicSetup, point, tol: float = 1e-8,
-               calc: PointCalculus | None = None) -> bool:
-    """Pointwise bad-set membership: critical set, or potential undefined.
-
-    The potential side tests its denominator against tol scaled by the
-    numerator's size, so the verdict does not depend on the overall scale of
-    the point; an indeterminate 0/0 point counts as inside.
-    """
-    x = np.asarray(point, dtype=complex)
-    pc = calc if calc is not None else PointCalculus(setup)
-    if abs(pc.numerics.det_value(x)) <= tol:
-        return True
-    V = setup.potential
-    if V.is_polynomial:
-        return False
-    order = setup.var_names
-    from .expr import _poly_eval  # internal, stable
-
-    env = {name: x[i] for i, name in enumerate(order)}
-    den = _poly_eval(V.den, env)
-    num = _poly_eval(V.num, env)
-    return abs(den) <= tol * max(1.0, abs(num))
+        The potential side tests its denominator against tol scaled by the
+        numerator's size, so the verdict does not depend on the overall scale
+        of the point; an indeterminate 0/0 point counts as inside.  Unlike
+        near_sigma this reads values at x only, which a candidate that stalled
+        just off the critical set can pass.
+        """
+        x = np.asarray(x, dtype=complex)
+        if abs(self.numerics.det_value(x)) <= tol:
+            return True
+        V = self.setup.potential
+        if V.is_polynomial:
+            return False
+        if self._num is None:
+            self._num = RatExpr(dict(V.num), {(): Fraction(1)}).compile(
+                self.setup.var_names)
+        den = self._pole_probe()[0](x)
+        return abs(den) <= tol * max(1.0, abs(self._num(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +329,13 @@ def _rational_nullspace(rows, dim):
     return basis
 
 
-def detect_homogeneity(setup: AlgebraicSetup, verify: bool = True,
-                       samples: int = 5, seed: int = 1234,
-                       rel_tol: float = 1e-9,
-                       numerics: VarietyNumerics | None = None):
+# the numeric re-check of a detected weighting
+HOMOGENEITY_SAMPLES = 5
+HOMOGENEITY_SEED = 1234
+HOMOGENEITY_REL_TOL = 1e-9
+
+
+def detect_homogeneity(setup: AlgebraicSetup, pc: PointCalculus | None = None):
     """Weighted-homogeneity weights, or None when no weighting exists.
 
     All base coordinates share one weight d1; each extension variable gets
@@ -438,7 +343,9 @@ def detect_homogeneity(setup: AlgebraicSetup, verify: bool = True,
     and numerator/denominator of the potential separately) is isobaric; the
     solution ray is scaled to coprime integers with d1 > 0, the gcd taken
     over (d1, weights, d2).  When a weighting is found the scaling identity
-    is re-checked numerically on random variety points before reporting.
+    is re-checked numerically on random variety points before reporting;
+    pc, the setup's PointCalculus, supplies the evaluators, and without it
+    one is built here.
     """
     n, s = setup.n, setup.s
     q_set = set(setup.q_names)
@@ -501,19 +408,17 @@ def detect_homogeneity(setup: AlgebraicSetup, verify: bool = True,
         d2 //= g
     hom = Homogeneity(d1=ints[0], weights=tuple(ints[1:]), d2=d2)
 
-    if verify and not _verify_homogeneity(setup, hom, samples, seed, rel_tol, numerics):
+    if not _verify_homogeneity(setup, hom, pc or PointCalculus(setup)):
         raise CalculusError("homogeneity verification failed (detected weights are inconsistent)")
     return hom
 
 
-def _verify_homogeneity(setup, hom, samples, seed, rel_tol, numerics=None):
-    vn = numerics if numerics is not None else VarietyNumerics(setup)
-    rng = np.random.default_rng(seed)
-    order = setup.var_names
-    vfun = setup.potential.compile(order)
+def _verify_homogeneity(setup, hom, pc: PointCalculus):
+    vn = pc.numerics
+    rng = np.random.default_rng(HOMOGENEITY_SEED)
     checked = 0
     attempts = 0
-    while checked < samples and attempts < samples * 10:
+    while checked < HOMOGENEITY_SAMPLES and attempts < HOMOGENEITY_SAMPLES * 10:
         attempts += 1
         x = sample_on_variety(setup, vn, rng)
         if x is None:
@@ -525,13 +430,13 @@ def _verify_homogeneity(setup, hom, samples, seed, rel_tol, numerics=None):
         for j in range(setup.s):
             y[setup.n + j] = x[setup.n + j] * alpha ** hom.weights[j]
         try:
-            v0 = vfun(x)
-            v1 = vfun(y)
+            v0 = pc.potential_value(x)
+            v1 = pc.potential_value(y)
         except PoleError:
             continue
         expected = v0 * alpha ** hom.d2
         scale = max(1.0, abs(expected))
-        if abs(v1 - expected) > rel_tol * scale:
+        if abs(v1 - expected) > HOMOGENEITY_REL_TOL * scale:
             return False
         if vn.residual(y) > 1e-6:
             return False

@@ -24,11 +24,9 @@ from .dynamics import integrate
 from .admissibility import AdmissibilityTable, TableError
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
-from .pipeline import AnalysisOptions, TOOL_VERSION, analyze, report_json
+from .pipeline import (EXIT_ERROR, EXIT_USAGE, TOOL_NAME, TOOL_VERSION,
+                       AnalysisOptions, analyze, darboux_section, report_json)
 from .varode import build_ve, monodromy_report
-
-EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 
 def _parse_complex(text: str) -> complex:
@@ -88,8 +86,6 @@ def _add_common_solver_args(p):
     p.add_argument("--sigma-radius", type=float, default=1e-4,
                    help="rejection radius of the critical-set proximity probe")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON (already the default for analysis reports)")
 
 
 def _add_table_args(p):
@@ -139,18 +135,14 @@ def cmd_darboux(args) -> int:
                         seed=args.seed, sigma_radius=args.sigma_radius,
                         accept_tol=_tol(args, "on_variety_tol", 1e-9))
     report = {
-        "tool": {"name": "algpot", "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "label": setup.label,
+        **darboux_section(res),
         "accepted": [{
             "point": rep.point, "grad_residual": rep.grad_residual,
             "constraint_residual": rep.constraint_residual,
             "degenerate": rep.degenerate, "start": rep.start_label,
         } for rep in res.accepted],
-        "rejected": [{
-            "point": rep.point, "reason": rep.reason,
-            "in_critical_set": rep.sigma_flag,
-        } for rep in res.rejected],
-        "failed_starts": res.failed_starts,
     }
     _emit(report_json(report), args.out)
     return 0
@@ -324,6 +316,8 @@ def main(argv=None) -> int:
     p.add_argument("--analyze", action="store_true",
                    help="run the full pipeline instead of printing the problem")
     p.add_argument("--include-gauge-eigenvalues", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="wrap the emitted problem text in a JSON object")
     _add_common_solver_args(p)
     _add_table_args(p)
     p.add_argument("--timings", action="store_true")

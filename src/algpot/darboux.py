@@ -25,6 +25,10 @@ from .parsing import AlgebraicSetup
 
 ORIGIN_TOL = 1e-8
 BASE_PROJECTION_TOL = 1e-8
+CONV_TOL = 1e-12  # Newton stops once the residual is this small
+MAX_ITER = 200  # Newton steps per start
+DEDUP_TOL = 1e-6  # candidates closer than this (relative) are one point
+START_RADIUS = 2.0  # random starts are uniform in this box, per component
 
 
 @dataclass
@@ -109,12 +113,8 @@ def solve_darboux(setup: AlgebraicSetup,
                   seeds=(),
                   n_random: int = 24,
                   seed: int = 0,
-                  conv_tol: float = 1e-12,
                   accept_tol: float = 1e-9,
-                  dedup_tol: float = 1e-6,
-                  max_iter: int = 200,
                   sigma_radius: float = 1e-4,
-                  start_radius: float = 2.0,
                   pc: PointCalculus | None = None,
                   linear_conditions=None) -> DarbouxResult:
     """Hunt for Darboux points from the given seeds plus random starts.
@@ -135,8 +135,8 @@ def solve_darboux(setup: AlgebraicSetup,
     starts = [(np.asarray(s, dtype=complex), f"seed[{i}]")
               for i, s in enumerate(seeds)]
     for i in range(n_random):
-        re = rng.uniform(-start_radius, start_radius, N)
-        im = rng.uniform(-start_radius, start_radius, N)
+        re = rng.uniform(-START_RADIUS, START_RADIUS, N)
+        im = rng.uniform(-START_RADIUS, START_RADIUS, N)
         if i % 2 == 0:
             im = np.zeros(N)  # real starts find the real points first
         starts.append((re + 1j * im, f"random[{i}]"))
@@ -144,7 +144,7 @@ def solve_darboux(setup: AlgebraicSetup,
     candidates = []
     failed = 0
     for x0, label in starts:
-        out = _newton(pc, x0, extra_rows, extra_rhs, conv_tol, max_iter)
+        out = _newton(pc, x0, extra_rows, extra_rhs, CONV_TOL, MAX_ITER)
         if out is None:
             failed += 1
             continue
@@ -158,7 +158,7 @@ def solve_darboux(setup: AlgebraicSetup,
     distinct = []
     for x, label in candidates:
         norm = max(1.0, float(np.max(np.abs(x))))
-        if any(np.max(np.abs(x - y)) <= dedup_tol * norm for y, _ in distinct):
+        if any(np.max(np.abs(x - y)) <= DEDUP_TOL * norm for y, _ in distinct):
             continue
         distinct.append((x, label))
 

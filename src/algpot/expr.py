@@ -485,5 +485,4 @@ def _poly_eval(p: Poly, env: Mapping[str, complex]) -> complex:
     return acc
 
 
-ZERO = RatExpr.const(0)
 ONE = RatExpr.const(1)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import CalculusError, PointCalculus, detect_homogeneity
-from .darboux import solve_darboux
+from .darboux import DarbouxResult, solve_darboux
 from .admissibility import AdmissibilityTable, certify
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
@@ -29,6 +29,8 @@ TOOL_VERSION = "0.1.0"  # the package version; pyproject.toml reads it from here
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
+EXIT_ERROR = 1  # unreadable or malformed input
+EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 10
 
 
@@ -45,7 +47,6 @@ class AnalysisOptions:
     sigma_radius: float = 1e-4
     include_gauge: bool = False
     timings: bool = False
-    validate_trials: int = 8
     nbody: NBodyConfig | None = None
 
 
@@ -79,6 +80,22 @@ def report_json(report: dict) -> str:
 def _point_is_real(x: np.ndarray, tol: float = 1e-9) -> bool:
     scale = max(1.0, float(np.max(np.abs(x))))
     return float(np.max(np.abs(x.imag))) <= tol * scale
+
+
+def darboux_section(dres: DarbouxResult) -> dict:
+    """The report's summary of a Darboux hunt: counts and rejected points."""
+    return {
+        "n_accepted": len(dres.accepted),
+        "n_rejected": len(dres.rejected),
+        "failed_starts": dres.failed_starts,
+        "rejected": [{
+            "point": rep.point,
+            "grad_residual": rep.grad_residual,
+            "constraint_residual": rep.constraint_residual,
+            "reason": rep.reason,
+            "in_critical_set": rep.sigma_flag,
+        } for rep in dres.rejected],
+    }
 
 
 def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
@@ -122,8 +139,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     tick("setup", t0)
 
     t0 = clock() if clock else None
-    val = validate(setup, trials=opt.validate_trials, seed=opt.seed,
-                   tol=opt.critical_tol, pc=pc)
+    val = validate(setup, seed=opt.seed, tol=opt.critical_tol, pc=pc)
     tick("validate", t0)
     report["validation"] = {
         "ok": val.ok,
@@ -146,7 +162,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     hom = None
     hom_warning = ""
     try:
-        hom = detect_homogeneity(setup, numerics=pc.numerics)
+        hom = detect_homogeneity(setup, pc=pc)
     except CalculusError as exc:
         hom_warning = f"homogeneity detection inconsistent: {exc}"
     tick("homogeneity", t0)
@@ -186,18 +202,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                          pc=pc, linear_conditions=linear_conditions)
     tick("darboux", t0)
 
-    report["darboux"] = {
-        "n_accepted": len(dres.accepted),
-        "n_rejected": len(dres.rejected),
-        "failed_starts": dres.failed_starts,
-        "rejected": [{
-            "point": rep.point,
-            "grad_residual": rep.grad_residual,
-            "constraint_residual": rep.constraint_residual,
-            "reason": rep.reason,
-            "in_critical_set": rep.sigma_flag,
-        } for rep in dres.rejected],
-    }
+    report["darboux"] = darboux_section(dres)
 
     t0 = clock() if clock else None
     points_out = []

@@ -11,7 +11,7 @@ separated by less than 10*tol*||H||) marks the whole answer as uncertain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,10 +52,6 @@ class EigenCluster:
     rational: Fraction | None
     gauge: str = ""  # "", "translation" or "rotation"
 
-    @property
-    def is_gauge(self) -> bool:
-        return bool(self.gauge)
-
 
 @dataclass
 class Spectrum:
@@ -64,11 +60,6 @@ class Spectrum:
     uncertain: bool
     diag_margin: float  # min |log10(sigma/threshold)| over all rank decisions
     matrix_norm: float
-    notes: list = field(default_factory=list)
-
-    @property
-    def eigenvalues(self):
-        return [(c.value, c.multiplicity) for c in self.clusters]
 
     def total_multiplicity(self) -> int:
         return sum(c.multiplicity for c in self.clusters)
@@ -90,8 +81,7 @@ def _cluster(values, gap):
     return groups
 
 
-def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6,
-          rational_tol: float | None = None) -> Spectrum:
+def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6) -> Spectrum:
     """Spectrum of a (generally complex symmetric) matrix with multiplicity."""
     H = np.asarray(H, dtype=complex)
     m = H.shape[0]
@@ -107,7 +97,6 @@ def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6,
     margin = math.inf
     uncertain = False
     diag_all = True
-    rtol = tol if rational_tol is None else rational_tol
     for g in groups:
         rep = complex(np.mean([vals[i] for i in g]))
         mult = len(g)
@@ -133,7 +122,7 @@ def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6,
         diag_all = diag_all and diag
         clusters.append(EigenCluster(
             value=rep, multiplicity=mult, geometric_multiplicity=geo,
-            diagonalizable=diag, rational=rationalize(rep, rtol, max_den),
+            diagonalizable=diag, rational=rationalize(rep, tol, max_den),
         ))
 
     # clusters separated by barely more than the clustering gap are suspect

@@ -19,12 +19,7 @@ from .parsing import AlgebraicSetup
 if TYPE_CHECKING:
     from .calculus import PointCalculus
 
-DEFAULT_ON_VARIETY_TOL = 1e-9
 DEFAULT_CRITICAL_TOL = 1e-8
-
-
-class VarietyError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,13 +29,6 @@ class JacobianData:
     J: tuple
     det: RatExpr
     dGdq: tuple
-
-
-@dataclass
-class VarietyPoint:
-    values: np.ndarray  # complex, length n + s, q block first
-    residual: float  # max |G_i|
-    on_variety: bool
 
 
 def det_expr(M: list) -> RatExpr:
@@ -140,11 +128,6 @@ class VarietyNumerics:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
 
-    def point(self, x, tol: float = DEFAULT_ON_VARIETY_TOL) -> VarietyPoint:
-        x = np.asarray(x, dtype=complex)
-        r = self.residual(x)
-        return VarietyPoint(values=x, residual=r, on_variety=r <= tol)
-
     def solve_fiber(self, q, w0, max_iter: int = 60, tol: float = 1e-12):
         """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck."""
         n, s = self.setup.n, self.setup.s
@@ -169,19 +152,6 @@ class VarietyNumerics:
         if np.max(np.abs(self.g_values(x))) <= tol * 100:
             return w
         return None
-
-
-def on_variety(setup: AlgebraicSetup, point, tol: float = DEFAULT_ON_VARIETY_TOL,
-               numerics: VarietyNumerics | None = None) -> bool:
-    vn = numerics if numerics is not None else VarietyNumerics(setup)
-    return vn.residual(np.asarray(point, dtype=complex)) <= tol
-
-
-def in_critical_set(setup: AlgebraicSetup, point, tol: float = DEFAULT_CRITICAL_TOL,
-                    numerics: VarietyNumerics | None = None) -> bool:
-    """Membership test for the critical set: |detJ| <= tol at the point."""
-    vn = numerics if numerics is not None else VarietyNumerics(setup)
-    return abs(vn.det_value(np.asarray(point, dtype=complex))) <= tol
 
 
 @dataclass

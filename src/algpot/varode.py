@@ -184,11 +184,6 @@ class MonodromyReport:
     product_error: float = float("nan")
     skipped: dict = field(default_factory=dict)  # singularity -> reason
 
-    @property
-    def max_checked_error(self) -> float:
-        return max((v for v in self.eigen_errors.values() if v is not None),
-                   default=float("nan"))
-
 
 def _pair_error(eigs: np.ndarray, targets) -> float:
     """Best matching of two computed eigenvalues against two targets."""

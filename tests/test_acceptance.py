@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot.calculus import PointCalculus, detect_homogeneity, in_sigma_v
+from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
 from algpot.dynamics import homothetic_orbit, integrate
 from algpot.admissibility import DEFAULT_TABLE, check_pair_exact
@@ -164,14 +164,15 @@ def test_criterion_5_nbody_generator():
 
         _, seed_point = central_config_seeds(cfg)[0]
         point = np.asarray(seed_point, dtype=complex)
-        assert not in_sigma_v(setup, point)
+        pc = PointCalculus(setup)
+        assert not pc.in_sigma(point)
         for j in range(6, 9):
             collided = point.copy()
             collided[j] = 0.0
-            assert in_sigma_v(setup, collided), f"r index {j}"
+            assert pc.in_sigma(collided), f"r index {j}"
         grazing = point.copy()
         grazing[6] = 1e-9
-        assert in_sigma_v(setup, grazing)
+        assert pc.in_sigma(grazing)
 
 
 # --------------------------------------------------------------- criterion 6

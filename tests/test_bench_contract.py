@@ -1,0 +1,37 @@
+"""The benchmark wraps algpot from outside (bench/instrument.py).  A wrap
+point that no longer exists is only noted by the benchmark, and the layer it
+measured then reads zero, so every one of them is held here."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import algpot
+from algpot.pipeline import AnalysisOptions
+
+INSTRUMENT = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+
+
+def load_instrument():
+    spec = importlib.util.spec_from_file_location("bench_instrument", INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+instrument = load_instrument()
+
+
+def test_every_wrap_point_resolves():
+    missing = []
+    for module, owner, attr, name in instrument.SPAN_POINTS + instrument.COUNT_POINTS:
+        target = instrument._resolve(algpot, module, owner)
+        if target is None or attr not in vars(target):
+            missing.append(f"{module}.{owner or ''}.{attr} ({name})")
+    assert missing == []
+
+
+def test_newton_outcome_reads_the_acceptance_bound():
+    params = inspect.signature(algpot.darboux.solve_darboux).parameters
+    assert "accept_tol" in params
+    assert instrument.newton_accept_tol(algpot) == AnalysisOptions().on_variety_tol

@@ -95,6 +95,19 @@ def test_nbody_emit_round_trip(capsys, tmp_path):
     assert "accepted" in out and "rejected" in out
 
 
+def test_darboux_report_carries_the_pipeline_section(trap_file, capsys):
+    code = main(["darboux", str(trap_file), "--n-random", "16"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    code = main(["analyze", str(trap_file), "--n-random", "16"])
+    section = json.loads(capsys.readouterr().out)["darboux"]
+    assert code == 0
+    assert section["n_rejected"] > 0
+    assert {k: out[k] for k in section} == section
+    assert len(out["accepted"]) == section["n_accepted"]
+    assert set(out) == set(section) | {"tool", "label", "accepted"}
+
+
 def test_analyze_cone_exit_zero(cone_file, capsys):
     code = main(["analyze", str(cone_file), "--n-random", "12"])
     out = json.loads(capsys.readouterr().out)

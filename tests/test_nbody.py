@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot.calculus import PointCalculus, detect_homogeneity, in_sigma_v
+from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
                           pinning_conditions, split_gauge_spectrum)
@@ -108,6 +108,7 @@ def test_sigma_detects_collisions():
     cfg = NBodyConfig(n=2, dim=2, masses=(1, 1))
     setup = build(cfg)
     (_, point), = central_config_seeds(cfg)
-    assert not in_sigma_v(setup, np.asarray(point, dtype=complex))
+    pc = PointCalculus(setup)
+    assert not pc.in_sigma(np.asarray(point, dtype=complex))
     collided = np.zeros(5, dtype=complex)
-    assert in_sigma_v(setup, collided)
+    assert pc.in_sigma(collided)

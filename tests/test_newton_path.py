@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from algpot.calculus import CriticalPointError, PointCalculus
-from algpot.darboux import _newton
+from algpot.darboux import CONV_TOL, _newton
 from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 
 from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
-
-CONV_TOL = 1e-12
 
 LINEAR_TEXT = """\
 vars q1 q2

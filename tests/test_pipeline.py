@@ -8,7 +8,8 @@ import pytest
 import algpot
 from algpot import pipeline
 from algpot.admissibility import Certificate
-from algpot.calculus import PointCalculus
+from algpot.calculus import PointCalculus, detect_homogeneity
+from algpot.cli import main
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, analyze
 from algpot.variety import validate
@@ -54,10 +55,21 @@ def test_validate_with_a_shared_calculus_matches_default(text):
     assert own == shared
 
 
+@pytest.mark.parametrize("text", [CONE_TEXT, "vars q1\next w1 : w1^3 - q1^2\npotential w1 * q1\n"],
+                         ids=["cone", "fractional-degree"])
+def test_homogeneity_with_a_shared_calculus_matches_default(text):
+    setup = parse_problem(text)
+    own = detect_homogeneity(setup)
+    assert own is not None
+    assert detect_homogeneity(setup, pc=PointCalculus(setup)) == own
+
+
 def test_exit_codes_have_one_definition():
     assert Certificate(status="obstruction").exit_code == pipeline.EXIT_OBSTRUCTION
     for status in ("no_obstruction", "hypotheses_unverified", "not_applicable"):
         assert Certificate(status=status).exit_code == pipeline.EXIT_OK
+    assert main(["analyze", "/nonexistent/missing.prob"]) == pipeline.EXIT_ERROR
+    assert main(["nbody", "--n", "3", "--dim", "1"]) == pipeline.EXIT_USAGE
 
 
 def test_version_has_one_definition():
