@@ -11,7 +11,8 @@ the hypergeometric variational equation with its monodromy.
 """
 
 from .calculus import (CalculusError, CriticalPointError, Homogeneity,
-                       PointCalculus, detect_homogeneity)
+                       PointCalculus, ValidationReport, detect_homogeneity,
+                       validate)
 from .darboux import DarbouxReport, DarbouxResult, solve_darboux
 from .dynamics import (CriticalSetError, Trajectory, TrajectoryState,
                        homothetic_orbit, integrate)
@@ -25,4 +26,3 @@ from .pipeline import TOOL_VERSION as __version__
 from .pipeline import AnalysisOptions, analyze, report_json
 from .spectrum import EigenCluster, Spectrum, eigen, rationalize
 from .varode import HypergeomVE, MonodromyReport, build_ve, monodromy_report
-from .variety import ValidationReport, VarietyNumerics, jacobian, validate

@@ -6,24 +6,40 @@ variables:
 
     D_k f = d_k f - (d_w f) . J^(-1) . (d_k G)
 
-where J = dG/dw.  PointCalculus evaluates plain partials of V and G, prepared
-once symbolically, and does small linear solves per point, which stays cheap
-at any number of extension variables.  The tests hold it against finite
-differences of a locally solved branch.
+where J = dG/dw.  The generators G_1..G_s cut the variety out of C^(n+s);
+points where detJ vanishes form the critical set, exactly where these
+derivations break down.  PointCalculus is the one numeric view of a setup:
+it evaluates plain partials of V and G, prepared once symbolically, and
+does small linear solves per point, which stays cheap at any number of
+extension variables.  It also solves fibers, samples the variety for
+validation and probes the distance to the critical set.  The tests hold it
+against finite differences of a locally solved branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .expr import PoleError, RatExpr
+from .expr import ONE, PoleError, RatExpr
 from .parsing import AlgebraicSetup
-from .variety import (DEFAULT_CRITICAL_TOL, JacobianData, VarietyNumerics,
-                      fill, fill_symmetric, jacobian, sample_on_variety)
+
+DEFAULT_CRITICAL_TOL = 1e-8
+
+# Newton on a fiber G(q, .) = 0
+FIBER_MAX_ITER = 60
+FIBER_TOL = 1e-12
+# a random variety point: spread of the complex draws, fiber solves tried
+SAMPLE_RADIUS = 1.5
+SAMPLE_ATTEMPTS = 12
+# Gauss-Newton of the proximity probes
+PROBE_TOL = 1e-10
+PROBE_MAX_ITER = 25
+# variety samples drawn by validate
+VALIDATE_TRIALS = 8
 
 
 class CalculusError(ValueError):
@@ -32,6 +48,51 @@ class CalculusError(ValueError):
 
 class CriticalPointError(ArithmeticError):
     """The requested point (numerically) sits on the critical set."""
+
+
+def det_expr(M: list) -> RatExpr:
+    """Determinant by cofactor expansion with zero pruning.
+
+    Exponential in the worst case, but the matrices seen here are tiny or
+    sparse (the pairwise-distance Jacobian is diagonal), and zero entries
+    short-circuit whole branches.
+    """
+    m = len(M)
+    if m == 0:
+        return ONE
+    if m == 1:
+        return M[0][0]
+    acc = None
+    sign = 1
+    for j in range(m):
+        e = M[0][j]
+        if e.is_zero:
+            sign = -sign
+            continue
+        minor = [[row[jj] for jj in range(m) if jj != j] for row in M[1:]]
+        term = e * det_expr(minor)
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+        sign = -sign
+    return acc if acc is not None else RatExpr.const(0)
+
+
+def fill(shape, slots, x) -> np.ndarray:
+    """Dense complex array from (index, closure) slots; other entries 0j."""
+    out = np.zeros(shape, dtype=complex)
+    for idx, f in slots:
+        out[idx] = f(x)
+    return out
+
+
+def fill_symmetric(size: int, slots, x) -> np.ndarray:
+    """Symmetric (size x size) array from (a, b, closure) slots with a <= b,
+    each evaluated once and written to both places; other entries 0j."""
+    out = np.zeros((size, size), dtype=complex)
+    for a, b, f in slots:
+        out[a, b] = out[b, a] = f(x)
+    return out
 
 
 def _vector_slots(exprs, order) -> list:
@@ -60,13 +121,13 @@ class PointCalculus:
     (s x s) linear solves.  Works for any s, including setups where the
     symbolic quotient forms would be bulky.  Each gradient and Hessian keeps
     one list of closures for its non-zero partials (a Hessian's upper
-    triangle only); the zero partials are never evaluated.
+    triangle only); the zero partials are never evaluated.  The generators'
+    partials fill one s x N matrix: J = dG/dw is its columns n:, dG/dq its
+    columns :n.  det, the symbolic detJ, is compiled once.
     """
 
-    def __init__(self, setup: AlgebraicSetup, jd: JacobianData | None = None):
+    def __init__(self, setup: AlgebraicSetup):
         self.setup = setup
-        self.jd = jd if jd is not None else jacobian(setup)
-        self.numerics = VarietyNumerics(setup, self.jd)
         order = setup.var_names
         self.N = len(order)
         self.n = setup.n
@@ -77,12 +138,14 @@ class PointCalculus:
         vgrad = [V.diff(v) for v in order]
         self._vgrad = _vector_slots(vgrad, order)
         self._vhess = _hessian_slots(vgrad, order)
-        self._ggrad = []
-        self._ghess = []
-        for g in setup.generators:
-            ggrad = [g.diff(v) for v in order]
-            self._ggrad.append(_vector_slots(ggrad, order))
-            self._ghess.append(_hessian_slots(ggrad, order))
+        self._g = [g.compile(order) for g in setup.generators]
+        ggrads = [[g.diff(v) for v in order] for g in setup.generators]
+        self._ggrad = [((a, v), e.compile(order))
+                       for a, row in enumerate(ggrads)
+                       for v, e in enumerate(row) if not e.is_zero]
+        self._ghess = [_hessian_slots(row, order) for row in ggrads]
+        self.det = det_expr([row[self.n:] for row in ggrads])
+        self._det = self.det.compile(order)
 
         # lazily compiled probe data (critical set / potential poles) and
         # the potential's numerator for the pointwise test
@@ -95,6 +158,21 @@ class PointCalculus:
     def potential_value(self, x) -> complex:
         return complex(self._v(x))
 
+    def g_values(self, x) -> np.ndarray:
+        return np.array([f(x) for f in self._g], dtype=complex)
+
+    def det_value(self, x) -> complex:
+        return complex(self._det(x))
+
+    def constraint_residual(self, x) -> float:
+        if not self._g:
+            return 0.0
+        return float(np.max(np.abs(self.g_values(x))))
+
+    def _g_partials(self, x) -> np.ndarray:
+        """The s x N matrix of dG_a/dx_v at the point."""
+        return fill((self.s, self.N), self._ggrad, x)
+
     def _core(self, x):
         """J, dGdq and W = dw/dq at the point; raises off the good set."""
         x = np.asarray(x, dtype=complex)
@@ -102,8 +180,8 @@ class PointCalculus:
         if s == 0:
             return (np.zeros((0, 0), complex), np.zeros((0, n), complex),
                     np.zeros((0, n), complex))
-        J = self.numerics.j_matrix(x)
-        B = self.numerics.dgdq_matrix(x)
+        dG = self._g_partials(x)
+        J, B = dG[:, n:], dG[:, :n]
         try:
             W = np.linalg.solve(J, -B)
         except np.linalg.LinAlgError:
@@ -123,7 +201,8 @@ class PointCalculus:
         return vg[: self.n] + W.T @ vg[self.n:]
 
     def _dg_blocks(self, x):
-        """Plain partials of the derivation vector g: dg/dq, dg/dw and W."""
+        """Plain partials of the derivation vector g: dg/dq, dg/dw, W, J,
+        dG/dq and the potential's plain gradient."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
         J, B, W = self._core(x)
@@ -143,11 +222,36 @@ class PointCalculus:
                 Pv = np.array([gh[a][v, :n] + gh[a][v, n:] @ W for a in range(s)])
                 row = row - Pv.T @ u
             dg[:, v] = row
-        return dg[:, :n], dg[:, n:], W, J, B
+        return dg[:, :n], dg[:, n:], W, J, B, vg
 
     def hess(self, x) -> np.ndarray:
-        dgdq, dgdw, W, _, _ = self._dg_blocks(x)
+        dgdq, dgdw, W = self._dg_blocks(x)[:3]
         return dgdq + dgdw @ W
+
+    def solve_fiber(self, q, w0):
+        """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck."""
+        n, s = self.n, self.s
+        q = np.asarray(q, dtype=complex)
+        if s == 0:
+            return np.array([], dtype=complex)
+        w = np.asarray(w0, dtype=complex).copy()
+        for _ in range(FIBER_MAX_ITER):
+            x = np.concatenate([q, w])
+            gv = self.g_values(x)
+            if np.max(np.abs(gv)) <= FIBER_TOL:
+                return w
+            J = self._g_partials(x)[:, n:]
+            try:
+                step = np.linalg.solve(J, gv)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(step)):
+                return None
+            w = w - step
+        x = np.concatenate([q, w])
+        if np.max(np.abs(self.g_values(x))) <= FIBER_TOL * 100:
+            return w
+        return None
 
     # -- Darboux Newton system -------------------------------------------
 
@@ -155,16 +259,15 @@ class PointCalculus:
         """F(x) = (grad V - q, G); zero exactly at Darboux candidates."""
         x = np.asarray(x, dtype=complex)
         g = self.grad(x)
-        return np.concatenate([g - x[: self.n], self.numerics.g_values(x)])
+        return np.concatenate([g - x[: self.n], self.g_values(x)])
 
     def darboux_system(self, x):
         """(F, plain Jacobian of F) for Newton iterations."""
         x = np.asarray(x, dtype=complex)
         n, s = self.n, self.s
-        dgdq, dgdw, W, J, B = self._dg_blocks(x)
-        vg = fill(self.N, self._vgrad, x)
+        dgdq, dgdw, W, J, B, vg = self._dg_blocks(x)
         g = vg[:n] + W.T @ vg[n:]
-        F = np.concatenate([g - x[:n], self.numerics.g_values(x)])
+        F = np.concatenate([g - x[:n], self.g_values(x)])
         Jac = np.zeros((n + s, n + s), dtype=complex)
         Jac[:n, :n] = dgdq - np.eye(n)
         Jac[:n, n:] = dgdw
@@ -174,26 +277,17 @@ class PointCalculus:
 
     # -- proximity probes --------------------------------------------------
 
-    def _probe(self, compiled_f, compiled_fgrad, x, radius, tol=1e-10,
-               max_iter=25):
+    def _probe(self, compiled_f, compiled_fgrad, x, radius):
         """Gauss-Newton toward (G = 0, f = 0); True when a solution sits
         within `radius` of x.  Measures distance to a set rather than the
         value of f, which stays meaningful for barely-converged candidates."""
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
-        s, N = self.s, self.N
-        for _ in range(max_iter):
-            rows = []
-            vals = []
-            for a in range(s):
-                vals.append(self.numerics._g[a](y))
-                rows.append(fill(N, self._ggrad[a], y))
-            vals.append(compiled_f(y))
-            rows.append(fill(N, compiled_fgrad, y))
-            F = np.array(vals, dtype=complex)
-            if np.max(np.abs(F)) <= tol:
+        for _ in range(PROBE_MAX_ITER):
+            F = np.append(self.g_values(y), compiled_f(y))
+            if np.max(np.abs(F)) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= radius)
-            A = np.array(rows, dtype=complex)
+            A = np.vstack([self._g_partials(y), fill(self.N, compiled_fgrad, y)])
             step, *_ = np.linalg.lstsq(A, F, rcond=None)
             if not np.all(np.isfinite(step)):
                 return False
@@ -205,15 +299,9 @@ class PointCalculus:
     def near_critical_set(self, x, radius: float = 1e-4) -> bool:
         if self._probe_det is None:
             order = self.setup.var_names
-            det = self.jd.det
-            c = det.constant_value()
-            if c is not None:
-                self._probe_det = ("const", c)
-            else:
-                self._probe_det = (
-                    det.compile(order),
-                    _vector_slots([det.diff(v) for v in order], order),
-                )
+            c = self.det.constant_value()
+            self._probe_det = ("const", c) if c is not None else (
+                self._det, _vector_slots([self.det.diff(v) for v in order], order))
         if self._probe_det[0] == "const":
             return self._probe_det[1] == 0
         return self._probe(self._probe_det[0], self._probe_det[1], x, radius)
@@ -249,7 +337,7 @@ class PointCalculus:
         just off the critical set can pass.
         """
         x = np.asarray(x, dtype=complex)
-        if abs(self.numerics.det_value(x)) <= tol:
+        if abs(self.det_value(x)) <= tol:
             return True
         V = self.setup.potential
         if V.is_polynomial:
@@ -259,6 +347,79 @@ class PointCalculus:
                 self.setup.var_names)
         den = self._pole_probe()[0](x)
         return abs(den) <= tol * max(1.0, abs(self._num(x)))
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ValidationReport:
+    detj_nonzero: bool
+    primality_assumed: bool
+    samples_used: int
+    trials: int
+    seed: int
+    detj_magnitudes: list = field(default_factory=list)
+    message: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.detj_nonzero
+
+
+def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
+    """One random point of S: random complex q, Newton w from random starts."""
+    n, s = pc.n, pc.s
+    for _ in range(SAMPLE_ATTEMPTS):
+        q = SAMPLE_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        w0 = SAMPLE_RADIUS * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2)
+        w = pc.solve_fiber(q, w0)
+        if w is not None:
+            return np.concatenate([q, w])
+    return None
+
+
+def validate(setup: AlgebraicSetup, seed: int = 0,
+             tol: float = DEFAULT_CRITICAL_TOL,
+             pc: PointCalculus | None = None) -> ValidationReport:
+    """Sample the variety and check detJ does not vanish identically.
+
+    Primality/codimension of the generating ideal is NOT checked; the report
+    says so via primality_assumed.  The test is one-sided: a setup passes as
+    soon as one of VALIDATE_TRIALS samples has |detJ| > tol.  pc, the
+    setup's PointCalculus, supplies the numerics and the critical-set probe;
+    without it one is built here.
+    """
+    pc = pc or PointCalculus(setup)
+    rng = np.random.default_rng(seed)
+    mags = []
+    used = 0
+    clear = 0
+    for _ in range(VALIDATE_TRIALS):
+        x = sample_on_variety(pc, rng)
+        if x is None:
+            continue
+        used += 1
+        mag = abs(pc.det_value(x))
+        mags.append(mag)
+        # a fiber solve that stalls against a degenerate sheet leaves a
+        # sample whose determinant is small but not below tol; the probe
+        # measures distance to the critical set instead
+        if mag > tol and not pc.near_critical_set(x, radius=1e-4):
+            clear += 1
+    if used == 0:
+        return ValidationReport(
+            detj_nonzero=False, primality_assumed=True, samples_used=0,
+            trials=VALIDATE_TRIALS, seed=seed, detj_magnitudes=[],
+            message="could not place any sample on the variety",
+        )
+    ok = clear > 0
+    msg = "" if ok else "detJ vanishes (within tol) on all samples; setup rejected"
+    return ValidationReport(
+        detj_nonzero=ok, primality_assumed=True, samples_used=used,
+        trials=VALIDATE_TRIALS, seed=seed, detj_magnitudes=mags, message=msg,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +575,12 @@ def detect_homogeneity(setup: AlgebraicSetup, pc: PointCalculus | None = None):
 
 
 def _verify_homogeneity(setup, hom, pc: PointCalculus):
-    vn = pc.numerics
     rng = np.random.default_rng(HOMOGENEITY_SEED)
     checked = 0
     attempts = 0
     while checked < HOMOGENEITY_SAMPLES and attempts < HOMOGENEITY_SAMPLES * 10:
         attempts += 1
-        x = sample_on_variety(setup, vn, rng)
+        x = sample_on_variety(pc, rng)
         if x is None:
             continue
         alpha = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -438,7 +598,7 @@ def _verify_homogeneity(setup, hom, pc: PointCalculus):
         scale = max(1.0, abs(expected))
         if abs(v1 - expected) > HOMOGENEITY_REL_TOL * scale:
             return False
-        if vn.residual(y) > 1e-6:
+        if pc.constraint_residual(y) > 1e-6:
             return False
         checked += 1
     return checked > 0

@@ -20,13 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from .darboux import solve_darboux
-from .dynamics import integrate
+from .dynamics import DEFAULT_SIGMA_TOL, integrate
 from .admissibility import AdmissibilityTable, TableError
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
 from .pipeline import (EXIT_ERROR, EXIT_USAGE, TOOL_NAME, TOOL_VERSION,
                        AnalysisOptions, analyze, darboux_section, report_json)
 from .varode import build_ve, monodromy_report
+
+_DEFAULTS = AnalysisOptions()
 
 
 def _parse_complex(text: str) -> complex:
@@ -76,47 +78,59 @@ def _load(path: str):
 
 
 def _add_common_solver_args(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling and starts")
-    p.add_argument("--n-random", type=int, default=24, help="number of random Newton starts")
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                   help="RNG seed for sampling and starts")
+    p.add_argument("--n-random", type=int, default=_DEFAULTS.n_random,
+                   help="number of random Newton starts")
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
     p.add_argument("--tol", type=float, default=None,
                    help="base tolerance; the specific --*-tol flags override it")
     p.add_argument("--on-variety-tol", type=float, default=None)
-    p.add_argument("--critical-tol", type=float, default=None)
-    p.add_argument("--sigma-radius", type=float, default=1e-4,
+    p.add_argument("--sigma-radius", type=float, default=_DEFAULTS.sigma_radius,
                    help="rejection radius of the critical-set proximity probe")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
 def _add_table_args(p):
     p.add_argument("--rational-tol", type=float, default=None)
-    p.add_argument("--max-denominator", type=int, default=10 ** 6)
-    p.add_argument("--k4-coefficient", type=Fraction, default=Fraction(1, 4),
+    p.add_argument("--max-denominator", type=int, default=_DEFAULTS.max_denominator)
+    p.add_argument("--k4-coefficient", type=Fraction, default=_DEFAULTS.k4_coefficient,
                    metavar="Q", help="quadratic coefficient of the degree -4 table row")
 
 
-def _tol(args, name: str, fallback: float) -> float:
+def _add_analysis_args(p):
+    """Everything a full analysis reads: solver, validation and table."""
+    _add_common_solver_args(p)
+    p.add_argument("--critical-tol", type=float, default=None,
+                   help="|detJ| at or below which a validation sample counts as critical")
+    _add_table_args(p)
+    p.add_argument("--timings", action="store_true",
+                   help="include wall-clock timings (breaks byte determinism)")
+
+
+def _tol(args, name: str) -> float:
+    """--NAME, else --tol, else the AnalysisOptions default of NAME."""
     specific = getattr(args, name, None)
     if specific is not None:
         return specific
     base = getattr(args, "tol", None)
-    return base if base is not None else fallback
+    return base if base is not None else getattr(_DEFAULTS, name)
 
 
 def _options_from(args, nbody=None) -> AnalysisOptions:
-    seeds = tuple(_read_seeds(args.seeds)) if getattr(args, "seeds", None) else ()
+    seeds = tuple(_read_seeds(args.seeds)) if args.seeds else ()
     return AnalysisOptions(
         seed=args.seed,
         n_random=args.n_random,
         seeds=seeds,
-        on_variety_tol=_tol(args, "on_variety_tol", 1e-9),
-        critical_tol=_tol(args, "critical_tol", 1e-8),
-        rational_tol=_tol(args, "rational_tol", 1e-8),
-        max_denominator=getattr(args, "max_denominator", 10 ** 6),
-        k4_coefficient=getattr(args, "k4_coefficient", Fraction(1, 4)),
+        on_variety_tol=_tol(args, "on_variety_tol"),
+        critical_tol=_tol(args, "critical_tol"),
+        rational_tol=_tol(args, "rational_tol"),
+        max_denominator=args.max_denominator,
+        k4_coefficient=args.k4_coefficient,
         sigma_radius=args.sigma_radius,
-        include_gauge=getattr(args, "include_gauge_eigenvalues", False),
-        timings=getattr(args, "timings", False),
+        include_gauge=getattr(args, "include_gauge_eigenvalues", _DEFAULTS.include_gauge),
+        timings=args.timings,
         nbody=nbody,
     )
 
@@ -133,7 +147,7 @@ def cmd_darboux(args) -> int:
     seeds = _read_seeds(args.seeds) if args.seeds else ()
     res = solve_darboux(setup, seeds=seeds, n_random=args.n_random,
                         seed=args.seed, sigma_radius=args.sigma_radius,
-                        accept_tol=_tol(args, "on_variety_tol", 1e-9))
+                        accept_tol=_tol(args, "on_variety_tol"))
     report = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "label": setup.label,
@@ -156,7 +170,7 @@ def cmd_check_table(args) -> int:
             verdict = table.check_pair_exact(args.k, lam)
         else:
             verdict = table.check_pair_numeric(args.k, complex(lam),
-                                               tol=_tol(args, "rational_tol", 1e-8),
+                                               tol=_tol(args, "rational_tol"),
                                                max_den=args.max_denominator)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -266,10 +280,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="run the full pipeline on a problem file")
     p.add_argument("problem")
-    _add_common_solver_args(p)
-    _add_table_args(p)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte determinism)")
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("darboux", help="hunt Darboux points only")
@@ -303,7 +314,7 @@ def main(argv=None) -> int:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=33)
-    p.add_argument("--sigma-tol", type=float, default=1e-8)
+    p.add_argument("--sigma-tol", type=float, default=DEFAULT_SIGMA_TOL)
     p.add_argument("--project", action="store_true",
                    help="Newton-correct the fiber variables at each sample time")
     p.add_argument("--out", metavar="FILE")
@@ -318,9 +329,7 @@ def main(argv=None) -> int:
     p.add_argument("--include-gauge-eigenvalues", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="wrap the emitted problem text in a JSON object")
-    _add_common_solver_args(p)
-    _add_table_args(p)
-    p.add_argument("--timings", action="store_true")
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_nbody)
 
     args = parser.parse_args(argv)

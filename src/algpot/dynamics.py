@@ -25,7 +25,6 @@ from scipy.integrate import solve_ivp
 from .calculus import CriticalPointError, Homogeneity, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
-from .variety import VarietyNumerics
 
 DEFAULT_SIGMA_TOL = 1e-8
 
@@ -71,7 +70,6 @@ class ConstrainedSystem:
                  sigma_tol: float = DEFAULT_SIGMA_TOL):
         self.setup = setup
         self.pc = pc or PointCalculus(setup)
-        self.numerics = self.pc.numerics
         self.sigma_tol = float(sigma_tol)
         self.n = setup.n
         self.s = setup.s
@@ -87,7 +85,7 @@ class ConstrainedSystem:
     def det_at(self, y: np.ndarray) -> float:
         q, _, w = self.split(y)
         x = np.concatenate([q, w]).astype(complex)
-        return abs(self.numerics.det_value(x))
+        return abs(self.pc.det_value(x))
 
     def energy(self, y: np.ndarray) -> float:
         q, p, w = self.split(y)
@@ -97,7 +95,7 @@ class ConstrainedSystem:
     def constraint_residual(self, y: np.ndarray) -> float:
         q, _, w = self.split(y)
         x = np.concatenate([q, w]).astype(complex)
-        return float(np.max(np.abs(self.numerics.g_values(x)))) if self.s else 0.0
+        return self.pc.constraint_residual(x)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         q, p, w = self.split(y)
@@ -114,7 +112,7 @@ class ConstrainedSystem:
         q, p, w = self.split(y)
         if not self.s:
             return y
-        corrected = self.numerics.solve_fiber(q.astype(complex), w.astype(complex))
+        corrected = self.pc.solve_fiber(q.astype(complex), w.astype(complex))
         if corrected is None:
             return y
         return self.join(q, p, corrected.real)
@@ -163,7 +161,7 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     def det_sign_event(t, yv):
         q, _, w = sys.split(yv)
         x = np.concatenate([q, w]).astype(complex)
-        return sys.numerics.det_value(x).real
+        return sys.pc.det_value(x).real
 
     det_sign_event.terminal = True
     det_sign_event.direction = 0
@@ -288,8 +286,7 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
                 + d1f * ph ** (d1f - 1) * ddp) * cq
         grad = pc.grad(x)
         eq_res = max(eq_res, float(np.max(np.abs(pdot + grad))) if n else 0.0)
-        if s:
-            con_res = max(con_res, float(np.max(np.abs(pc.numerics.g_values(x)))))
+        con_res = max(con_res, pc.constraint_residual(x))
 
     vc = pc.potential_value(c)
     expected = complex(hom.degree) * vc * energy_const

@@ -28,7 +28,7 @@ Integer literals combined with '/' give exact rationals; '^' accepts only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import RatExpr

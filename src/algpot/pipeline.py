@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import CalculusError, PointCalculus, detect_homogeneity
+from .calculus import (DEFAULT_CRITICAL_TOL, CalculusError, PointCalculus,
+                       detect_homogeneity, validate)
 from .darboux import DarbouxResult, solve_darboux
 from .admissibility import AdmissibilityTable, certify
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
 from .spectrum import eigen
-from .variety import validate
 
 TOOL_NAME = "algpot"
 TOOL_VERSION = "0.1.0"  # the package version; pyproject.toml reads it from here
@@ -40,7 +40,7 @@ class AnalysisOptions:
     n_random: int = 24
     seeds: tuple = ()
     on_variety_tol: float = 1e-9
-    critical_tol: float = 1e-8
+    critical_tol: float = DEFAULT_CRITICAL_TOL
     rational_tol: float = 1e-8
     max_denominator: int = 10 ** 6
     k4_coefficient: Fraction = Fraction(1, 4)

@@ -207,8 +207,8 @@ def test_criterion_6_three_body_obstruction():
 # --------------------------------------------------------------- criterion 7
 
 def _branch_value(pc, q, w_guess):
-    w = pc.numerics.solve_fiber(np.asarray(q, dtype=complex),
-                                np.asarray(w_guess, dtype=complex))
+    w = pc.solve_fiber(np.asarray(q, dtype=complex),
+                       np.asarray(w_guess, dtype=complex))
     assert w is not None
     x = np.concatenate([np.asarray(q, dtype=complex), w])
     return x, pc.potential_value(x)
@@ -244,8 +244,8 @@ def _sample_points(setup, rng, count):
     while len(pts) < count:
         q = rng.uniform(0.3, 1.5, size=setup.n) * rng.choice([-1.0, 1.0],
                                                              size=setup.n)
-        w = pc.numerics.solve_fiber(q.astype(complex),
-                                    np.ones(setup.s, dtype=complex))
+        w = pc.solve_fiber(q.astype(complex),
+                           np.ones(setup.s, dtype=complex))
         if w is None:
             continue
         x = np.concatenate([q.astype(complex), w])

@@ -11,9 +11,9 @@ from algpot import PointCalculus, detect_homogeneity, parse_problem
 from conftest import on_cone
 
 
-def branch_value(numerics, setup, q, w_seed):
+def branch_value(pc, setup, q, w_seed):
     """Potential value on the branch through w_seed; None off the branch."""
-    w = numerics.solve_fiber(np.asarray(q, complex), np.asarray(w_seed, complex))
+    w = pc.solve_fiber(np.asarray(q, complex), np.asarray(w_seed, complex))
     if w is None:
         return None, None
     x = np.concatenate([np.asarray(q, complex), w])
@@ -30,7 +30,6 @@ def random_cone_points(rng, count):
 
 def fd_gradient(setup, pc, x, h=1e-6):
     """Central differences of V along the locally solved branch."""
-    num = pc.numerics
     n = setup.n
     q = x[:n].real.astype(float)
     w = x[n:]
@@ -39,8 +38,8 @@ def fd_gradient(setup, pc, x, h=1e-6):
         qp, qm = q.copy(), q.copy()
         qp[k] += h
         qm[k] -= h
-        xp, _ = branch_value(num, setup, qp, w)
-        xm, _ = branch_value(num, setup, qm, w)
+        xp, _ = branch_value(pc, setup, qp, w)
+        xm, _ = branch_value(pc, setup, qm, w)
         assert xp is not None and xm is not None
         grad[k] = (pc.potential_value(xp) - pc.potential_value(xm)) / (2 * h)
     return grad
@@ -73,7 +72,6 @@ def test_hessian_matches_gradient_differences(cone_setup):
     pc = PointCalculus(cone_setup)
     rng = np.random.default_rng(13)
     h = 1e-6
-    num = pc.numerics
     for x in random_cone_points(rng, 10):
         H = pc.hess(x)
         n = cone_setup.n
@@ -83,8 +81,8 @@ def test_hessian_matches_gradient_differences(cone_setup):
             qp, qm = q.copy(), q.copy()
             qp[k] += h
             qm[k] -= h
-            xp, _ = branch_value(num, cone_setup, qp, w)
-            xm, _ = branch_value(num, cone_setup, qm, w)
+            xp, _ = branch_value(pc, cone_setup, qp, w)
+            xm, _ = branch_value(pc, cone_setup, qm, w)
             col = (pc.grad(xp) - pc.grad(xm)) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(H))))
             assert np.max(np.abs(H[:, k] - col)) <= 1e-5 * scale

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from algpot.cli import main
+from algpot.pipeline import EXIT_USAGE, AnalysisOptions, analyze, report_json
 
 RUN = [sys.executable, "-m", "algpot.cli"]
 
@@ -106,6 +107,25 @@ def test_darboux_report_carries_the_pipeline_section(trap_file, capsys):
     assert {k: out[k] for k in section} == section
     assert len(out["accepted"]) == section["n_accepted"]
     assert set(out) == set(section) | {"tool", "label", "accepted"}
+
+
+def test_darboux_rejects_critical_tol(trap_file, capsys):
+    # the hunt reads no critical tolerance; only analyze's validation does
+    with pytest.raises(SystemExit) as exc:
+        main(["darboux", str(trap_file), "--critical-tol", "100"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--critical-tol" in capsys.readouterr().err
+
+
+def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, capsys):
+    code = main(["analyze", str(cone_file)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    report, _ = analyze(cone_setup, AnalysisOptions())
+    assert out["options"] == json.loads(report_json(report))["options"]
+    code = main(["analyze", str(cone_file), "--n-random", "4", "--tol", "1e-7"])
+    options = json.loads(capsys.readouterr().out)["options"]
+    assert options["critical_tol"] == options["rational_tol"] == 1e-7
 
 
 def test_analyze_cone_exit_zero(cone_file, capsys):

@@ -236,8 +236,9 @@ def test_live_partials_match_dense_evaluation(text):
             continue  # off the good set (the origin of the cone, say)
         if not np.all(np.isfinite(np.linalg.solve(J, -B))):
             continue
-        assert bits(pc.numerics.j_matrix(x)) == bits(J)
-        assert bits(pc.numerics.dgdq_matrix(x)) == bits(B)
+        J_live, B_live, _ = pc._core(x)
+        assert bits(J_live) == bits(J)
+        assert bits(B_live) == bits(B)
         assert bits(pc.grad(x)) == bits(g)
         F_live, Jac_live = pc.darboux_system(x)
         assert bits(F_live) == bits(F)
@@ -260,6 +261,6 @@ def test_slot_lists_hold_only_live_partials():
     _, Jac = lin.darboux_system(x)
     assert np.array_equal(Jac[:2, :2], -np.eye(2))
     plain = PointCalculus(parse_problem(PLAIN_TEXT))
-    assert plain.numerics.j_matrix(np.zeros(2)).shape == (0, 0)
-    assert plain.numerics.dgdq_matrix(np.zeros(2)).shape == (0, 2)
+    J, B, _ = plain._core(np.zeros(2))
+    assert J.shape == (0, 0) and B.shape == (0, 2)
 

@@ -8,11 +8,10 @@ import pytest
 import algpot
 from algpot import pipeline
 from algpot.admissibility import Certificate
-from algpot.calculus import PointCalculus, detect_homogeneity
+from algpot.calculus import PointCalculus, detect_homogeneity, validate
 from algpot.cli import main
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, analyze
-from algpot.variety import validate
 
 from conftest import CONE_TEXT
 
@@ -50,8 +49,8 @@ def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
 @pytest.mark.parametrize("text", [CONE_TEXT, "vars q1\next w1 : w1^2\npotential q1^2 + w1\n"])
 def test_validate_with_a_shared_calculus_matches_default(text):
     setup = parse_problem(text)
-    own = validate(setup, trials=8, seed=2)
-    shared = validate(setup, trials=8, seed=2, pc=PointCalculus(setup))
+    own = validate(setup, seed=2)
+    shared = validate(setup, seed=2, pc=PointCalculus(setup))
     assert own == shared
 
 

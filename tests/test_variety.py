@@ -1,24 +1,24 @@
 """Variety numerics: fiber Jacobian, critical sets, validation sampling."""
 
 import numpy as np
-import pytest
 
-from algpot import PointCalculus, RatExpr, jacobian, parse_problem, validate
-from algpot.variety import VarietyNumerics
+from algpot import PointCalculus, RatExpr, parse_problem, validate
+from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
 
 
 def test_cone_fiber_jacobian_is_2w(cone_setup):
-    jd = jacobian(cone_setup)
-    w1 = RatExpr.var("w1")
-    assert jd.det == RatExpr.const(2) * w1
-    assert jd.J[0][0] == RatExpr.const(2) * w1
+    pc = PointCalculus(cone_setup)
+    assert pc.det == RatExpr.const(2) * RatExpr.var("w1")
+    x = on_cone(0.3, 0.4)
+    J = pc._core(x)[0]
+    assert J.shape == (1, 1)
+    assert J[0, 0] == 2 * x[2]
 
 
 def test_trap_fiber_jacobian_is_2w(trap_setup):
-    jd = jacobian(trap_setup)
-    assert jd.det == RatExpr.const(2) * RatExpr.var("w1")
+    assert PointCalculus(trap_setup).det == RatExpr.const(2) * RatExpr.var("w1")
 
 
 def test_critical_set_membership(trap_setup, cone_setup):
@@ -33,16 +33,16 @@ def test_critical_set_membership(trap_setup, cone_setup):
 
 
 def test_fiber_solver_recovers_branch(cone_setup):
-    num = VarietyNumerics(cone_setup)
+    pc = PointCalculus(cone_setup)
     q = np.array([0.3, 0.4], dtype=complex)
-    w = num.solve_fiber(q, np.array([0.6], dtype=complex))
+    w = pc.solve_fiber(q, np.array([0.6], dtype=complex))
     assert w is not None
     assert abs(w[0] - 0.5) < 1e-10
 
 
 def test_validation_accepts_honest_setups(cone_setup, trap_setup):
     for setup in (cone_setup, trap_setup):
-        rep = validate(setup, trials=8, seed=0)
+        rep = validate(setup, seed=0)
         assert rep.ok
         assert rep.detj_nonzero
         assert rep.primality_assumed
@@ -55,7 +55,7 @@ vars q1
 ext w1 : w1^2
 potential q1^2 + w1
 """)
-    rep = validate(setup, trials=8, seed=0)
+    rep = validate(setup, seed=0)
     assert not rep.ok
     # same story on a non-radical double line w1 = q1: fiber solves stall
     # near the sheet, so the determinant never clears the probe
@@ -64,23 +64,53 @@ vars q1
 ext w1 : w1^2 - 2*w1*q1 + q1^2
 potential w1^3
 """)
-    rep2 = validate(double, trials=8, seed=0)
+    rep2 = validate(double, seed=0)
     assert not rep2.ok
 
 
 def test_validation_is_deterministic(cone_setup):
-    a = validate(cone_setup, trials=8, seed=3)
-    b = validate(cone_setup, trials=8, seed=3)
+    a = validate(cone_setup, seed=3)
+    b = validate(cone_setup, seed=3)
     assert a.detj_magnitudes == b.detj_magnitudes
 
 
 def test_setup_without_extensions(plain_setup):
-    rep = validate(plain_setup, trials=4, seed=0)
+    rep = validate(plain_setup, seed=0)
     assert rep.ok
     assert not PointCalculus(plain_setup).in_sigma(np.array([0.0, 0.0]))
 
 
 def test_on_variety_points(cone_setup):
-    num = VarietyNumerics(cone_setup)
-    assert num.residual(on_cone(1.2, -0.5)) <= 1e-9
-    assert num.residual(np.array([1.2, -0.5, 2.0])) > 1e-9
+    pc = PointCalculus(cone_setup)
+    assert pc.constraint_residual(on_cone(1.2, -0.5)) <= 1e-9
+    assert pc.constraint_residual(np.array([1.2, -0.5, 2.0])) > 1e-9
+
+
+def test_each_generator_partial_is_built_once(monkeypatch):
+    setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
+    generator = {id(g): a for a, g in enumerate(setup.generators)}
+    partial = {}  # id of a derivative -> (generator, variable)
+    kept = []  # holds the derivatives so their ids are not reused
+    diffed, compiled = [], []
+    diff, compile_ = RatExpr.diff, RatExpr.compile
+
+    def spy_diff(self, var):
+        out = diff(self, var)
+        if id(self) in generator:
+            key = (generator[id(self)], var)
+            diffed.append(key)
+            partial[id(out)] = key
+            kept.append(out)
+        return out
+
+    def spy_compile(self, order):
+        if id(self) in partial:
+            compiled.append(partial[id(self)])
+        return compile_(self, order)
+
+    monkeypatch.setattr(RatExpr, "diff", spy_diff)
+    monkeypatch.setattr(RatExpr, "compile", spy_compile)
+    PointCalculus(setup)
+    # 3 generators x 9 variables; 15 of the 27 partials are non-zero
+    assert len(diffed) == len(set(diffed)) == 27
+    assert len(compiled) == len(set(compiled)) == 15
