@@ -17,8 +17,9 @@ Membership shapes, one row per allowed lambda-family:
   special rows for k in {-5,-4,-3,3,4,5}: lambda = A + B(C + Dp)^2
 
 with p ranging over the integers.  The shipped k = -4 row uses B = -1/4 as
-printed in the classical table; the mirrored k = +4 row suggests -1/8, and
-the table object accepts an override for callers who want the mirror value.
+printed in the classical table (K4_COEFFICIENT); the mirrored k = +4 row
+suggests -1/8, and the table object accepts an override for callers who want
+the mirror value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, rationalize
+
 F = Fraction
+K4_COEFFICIENT = F(1, 4)  # B = -K4_COEFFICIENT in the k = -4 row
 
 
 class TableError(ValueError):
@@ -77,7 +81,7 @@ def _family_b_value(k: int, p: int) -> Fraction:
 class AdmissibilityTable:
     """The admissibility table; rows are data, checks are methods."""
 
-    def __init__(self, k4_coefficient: Fraction = F(1, 4)):
+    def __init__(self, k4_coefficient: Fraction = K4_COEFFICIENT):
         self.k4_coefficient = F(k4_coefficient)
         rows = [
             TableRow("family A", "family_A"),
@@ -129,7 +133,7 @@ class AdmissibilityTable:
             r = (lam - row.A) / row.B
             if r < 0:
                 continue
-            x = _rational_sqrt(r)
+            x = rational_sqrt(r)
             if x is None:
                 continue
             for signed in (x, -x):
@@ -145,10 +149,8 @@ class AdmissibilityTable:
 
     # -- numeric route ----------------------------------------------------
 
-    def check_pair_numeric(self, k: int, lam, tol: float = 1e-8,
-                           max_den: int = 10 ** 6) -> TableVerdict:
-        from .spectrum import rationalize
-
+    def check_pair_numeric(self, k: int, lam, tol: float = RATIONAL_TOL,
+                           max_den: int = MAX_DENOMINATOR) -> TableVerdict:
         if not isinstance(k, int) or k == 0:
             raise TableError("degree must be a nonzero integer")
         z = complex(lam)
@@ -213,7 +215,7 @@ def _integer_quadratic_roots(a: int, b: int, c: int):
     return sorted(set(roots))
 
 
-def _rational_sqrt(r: Fraction):
+def rational_sqrt(r: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     if r < 0:
         return None
@@ -230,7 +232,7 @@ def check_pair_exact(k: int, lam, table: AdmissibilityTable | None = None) -> Ta
     return (table or DEFAULT_TABLE).check_pair_exact(k, lam)
 
 
-def check_pair_numeric(k: int, lam, tol: float = 1e-8, max_den: int = 10 ** 6,
+def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR,
                        table: AdmissibilityTable | None = None) -> TableVerdict:
     return (table or DEFAULT_TABLE).check_pair_numeric(k, lam, tol, max_den)
 
@@ -251,53 +253,62 @@ class Certificate:
         return EXIT_OBSTRUCTION if self.status == "obstruction" else EXIT_OK
 
 
-def certify(k, point_summaries) -> Certificate:
-    """Combine per-point spectral verdicts into one certificate.
+def _complex(value) -> complex:
+    """A report eigenvalue as a complex: as built, or JSON-decoded [re, im]."""
+    return complex(*value) if isinstance(value, list) else complex(value)
 
-    point_summaries: iterable of dicts with keys
-      index, degenerate (bool), diagonalizable (bool), uncertain (bool),
-      verdicts: list of (eigenvalue complex, multiplicity, TableVerdict|None, gauge str)
-    A single exact-mode miss at a clean point certifies the obstruction; any
-    unresolved hypothesis elsewhere only matters when nothing was certified.
+
+def certify(k, points) -> Certificate:
+    """Combine the report's per-point verdicts into one certificate.
+
+    points: the report's `points` entries, as analyze builds them or as
+    decoded from its JSON, so a reader can recompute the certificate from
+    the report alone.  A point without a spectrum (no Hessian) or with a
+    vanishing base projection carries no verdict.  A single exact-mode miss
+    at a clean point certifies the obstruction; any unresolved hypothesis
+    elsewhere only matters when nothing was certified.
     """
     if k is None:
         return Certificate(status="not_applicable",
                            reasons=["no admissible integer degree"])
-    summaries = list(point_summaries)
-    if not summaries:
+    points = list(points)
+    if not points:
         return Certificate(status="not_applicable",
                            reasons=["no Darboux points available"])
 
     witnesses = []
     reasons = []
     checked_any = False
-    for ps in summaries:
-        idx = ps["index"]
-        if ps.get("degenerate"):
+    for point in points:
+        idx = point["index"]
+        spec = point["spectrum"]
+        if point["degenerate"] or spec is None:
             reasons.append(f"point #{idx}: degenerate (vanishing base projection), no verdict")
             continue
-        clean = ps["diagonalizable"] and not ps["uncertain"]
-        if not ps["diagonalizable"]:
+        clean = spec["diagonalizable"] and not spec["uncertain"]
+        if not spec["diagonalizable"]:
             reasons.append(f"point #{idx}: Hessian not diagonalizable; admissibility test not licensed")
-        elif ps["uncertain"]:
+        elif spec["uncertain"]:
             reasons.append(f"point #{idx}: diagonalizability decision within numeric margin")
-        for lam, mult, verdict, gauge in ps["verdicts"]:
-            if gauge or verdict is None:
+        for row in point["verdicts"]:
+            verdict = row["table"]
+            if row["gauge"] or verdict is None:
                 continue
             checked_any = True
-            if verdict.mode != "exact":
-                if not verdict.matched:
+            lam = _complex(row["eigenvalue"])
+            if verdict["mode"] != "exact":
+                if not verdict["matched"]:
                     reasons.append(
                         f"point #{idx}: eigenvalue {lam} not rationally reconstructed; numeric miss is not a certificate")
                 continue
-            if not verdict.matched and clean:
+            if not verdict["matched"] and clean:
                 witnesses.append({
                     "point": idx,
-                    "eigenvalue": verdict.lam,
-                    "multiplicity": mult,
+                    "eigenvalue": verdict["lambda"],
+                    "multiplicity": row["multiplicity"],
                     "k": k,
                 })
-            elif not verdict.matched:
+            elif not verdict["matched"]:
                 reasons.append(
                     f"point #{idx}: eigenvalue {lam} inadmissible but point hypotheses unverified")
 

@@ -27,7 +27,9 @@ import numpy as np
 from .expr import ONE, PoleError, RatExpr
 from .parsing import AlgebraicSetup
 
-DEFAULT_CRITICAL_TOL = 1e-8
+DEFAULT_CRITICAL_TOL = 1e-8  # |detJ| at or below this is critical
+# a critical point (or pole) this close to a point makes the point critical
+PROBE_RADIUS = 1e-4
 
 # Newton on a fiber G(q, .) = 0
 FIBER_MAX_ITER = 60
@@ -296,7 +298,7 @@ class PointCalculus:
                 return False
         return False
 
-    def near_critical_set(self, x, radius: float = 1e-4) -> bool:
+    def near_critical_set(self, x, radius: float = PROBE_RADIUS) -> bool:
         if self._probe_det is None:
             order = self.setup.var_names
             c = self.det.constant_value()
@@ -317,13 +319,13 @@ class PointCalculus:
             )
         return self._probe_den
 
-    def near_potential_pole(self, x, radius: float = 1e-4) -> bool:
+    def near_potential_pole(self, x, radius: float = PROBE_RADIUS) -> bool:
         if self.setup.potential.is_polynomial:
             return False
         den, den_grad = self._pole_probe()
         return self._probe(den, den_grad, x, radius)
 
-    def near_sigma(self, x, radius: float = 1e-4) -> bool:
+    def near_sigma(self, x, radius: float = PROBE_RADIUS) -> bool:
         return self.near_critical_set(x, radius) or self.near_potential_pole(x, radius)
 
     def in_sigma(self, x, tol: float = DEFAULT_CRITICAL_TOL) -> bool:
@@ -382,12 +384,14 @@ def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
 
 def validate(setup: AlgebraicSetup, seed: int = 0,
              tol: float = DEFAULT_CRITICAL_TOL,
+             radius: float = PROBE_RADIUS,
              pc: PointCalculus | None = None) -> ValidationReport:
     """Sample the variety and check detJ does not vanish identically.
 
     Primality/codimension of the generating ideal is NOT checked; the report
     says so via primality_assumed.  The test is one-sided: a setup passes as
-    soon as one of VALIDATE_TRIALS samples has |detJ| > tol.  pc, the
+    soon as one of VALIDATE_TRIALS samples has |detJ| > tol and no critical
+    point within radius (the proximity probe's radius).  pc, the
     setup's PointCalculus, supplies the numerics and the critical-set probe;
     without it one is built here.
     """
@@ -406,7 +410,7 @@ def validate(setup: AlgebraicSetup, seed: int = 0,
         # a fiber solve that stalls against a degenerate sheet leaves a
         # sample whose determinant is small but not below tol; the probe
         # measures distance to the critical set instead
-        if mag > tol and not pc.near_critical_set(x, radius=1e-4):
+        if mag > tol and not pc.near_critical_set(x, radius):
             clear += 1
     if used == 0:
         return ValidationReport(

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .calculus import DEFAULT_CRITICAL_TOL
 from .darboux import solve_darboux
-from .dynamics import DEFAULT_SIGMA_TOL, integrate
+from .dynamics import integrate
 from .admissibility import AdmissibilityTable, TableError
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
@@ -87,7 +88,8 @@ def _add_common_solver_args(p):
                    help="base tolerance; the specific --*-tol flags override it")
     p.add_argument("--on-variety-tol", type=float, default=None)
     p.add_argument("--sigma-radius", type=float, default=_DEFAULTS.sigma_radius,
-                   help="rejection radius of the critical-set proximity probe")
+                   help="probe radius for both validation and the hunt: a sample "
+                        "or candidate with a critical point this close is critical")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
@@ -314,7 +316,8 @@ def main(argv=None) -> int:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=33)
-    p.add_argument("--sigma-tol", type=float, default=DEFAULT_SIGMA_TOL)
+    p.add_argument("--sigma-tol", type=float, default=DEFAULT_CRITICAL_TOL,
+                   help="|detJ| at or below which the flow stops at the critical set")
     p.add_argument("--project", action="store_true",
                    help="Newton-correct the fiber variables at each sample time")
     p.add_argument("--out", metavar="FILE")

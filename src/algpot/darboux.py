@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import CriticalPointError, PointCalculus
+from .calculus import PROBE_RADIUS, CriticalPointError, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
@@ -29,6 +29,8 @@ CONV_TOL = 1e-12  # Newton stops once the residual is this small
 MAX_ITER = 200  # Newton steps per start
 DEDUP_TOL = 1e-6  # candidates closer than this (relative) are one point
 START_RADIUS = 2.0  # random starts are uniform in this box, per component
+N_RANDOM = 24  # random starts per hunt
+ACCEPT_TOL = 1e-9  # a start ending with a larger residual failed
 
 
 @dataclass
@@ -36,7 +38,6 @@ class DarbouxReport:
     point: np.ndarray
     grad_residual: float
     constraint_residual: float
-    status: str  # "accepted" | "rejected"
     reason: str = ""
     degenerate: bool = False  # accepted, but base projection vanishes
     sigma_flag: bool = False
@@ -111,10 +112,10 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
 
 def solve_darboux(setup: AlgebraicSetup,
                   seeds=(),
-                  n_random: int = 24,
+                  n_random: int = N_RANDOM,
                   seed: int = 0,
-                  accept_tol: float = 1e-9,
-                  sigma_radius: float = 1e-4,
+                  accept_tol: float = ACCEPT_TOL,
+                  sigma_radius: float = PROBE_RADIUS,
                   pc: PointCalculus | None = None,
                   linear_conditions=None) -> DarbouxResult:
     """Hunt for Darboux points from the given seeds plus random starts.
@@ -175,14 +176,14 @@ def solve_darboux(setup: AlgebraicSetup,
         if near:
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,
-                status="rejected", sigma_flag=True, start_label=label,
+                sigma_flag=True, start_label=label,
                 reason="within the critical set of the potential "
                        "(probe found a singular point nearby)"))
             continue
         if float(np.max(np.abs(x))) < ORIGIN_TOL:
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,
-                status="rejected", start_label=label,
+                start_label=label,
                 reason="the origin is excluded by definition"))
             continue
         degenerate = float(np.max(np.abs(x[:n]))) < BASE_PROJECTION_TOL if n else True
@@ -192,7 +193,7 @@ def solve_darboux(setup: AlgebraicSetup,
             hess = None
         result.accepted.append(DarbouxReport(
             point=x, grad_residual=grad_res, constraint_residual=con_res,
-            status="accepted", degenerate=degenerate, hessian=hess,
+            degenerate=degenerate, hessian=hess,
             start_label=label,
             reason="base projection vanishes; no spectral verdict" if degenerate else ""))
 

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import CriticalPointError, Homogeneity, PointCalculus
+from .calculus import DEFAULT_CRITICAL_TOL, CriticalPointError, Homogeneity, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
-
-DEFAULT_SIGMA_TOL = 1e-8
 
 
 class CriticalSetError(RuntimeError):
@@ -67,7 +65,7 @@ class ConstrainedSystem:
     """Evaluates the vector field and bookkeeping quantities at real states."""
 
     def __init__(self, setup: AlgebraicSetup, pc: PointCalculus | None = None,
-                 sigma_tol: float = DEFAULT_SIGMA_TOL):
+                 sigma_tol: float = DEFAULT_CRITICAL_TOL):
         self.setup = setup
         self.pc = pc or PointCalculus(setup)
         self.sigma_tol = float(sigma_tol)
@@ -120,7 +118,7 @@ class ConstrainedSystem:
 
 def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               pc: PointCalculus | None = None,
-              sigma_tol: float = DEFAULT_SIGMA_TOL,
+              sigma_tol: float = DEFAULT_CRITICAL_TOL,
               project: bool = False,
               rtol: float = 1e-12, atol: float = 1e-12) -> Trajectory:
     """Integrate the constrained flow, sampling at the times in t_grid.

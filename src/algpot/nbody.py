@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .expr import RatExpr
 from .parsing import AlgebraicSetup
-from .spectrum import EigenCluster, Spectrum, eigen
+from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, EigenCluster, Spectrum, eigen
 
 F = Fraction
 
@@ -197,7 +197,8 @@ class GaugeSplit:
 
 
 def split_gauge_spectrum(cfg: NBodyConfig, H: np.ndarray, point: np.ndarray,
-                         tol: float = 1e-8, max_den: int = 10 ** 6) -> GaugeSplit:
+                         tol: float = RATIONAL_TOL,
+                         max_den: int = MAX_DENOMINATOR) -> GaugeSplit:
     """Separate the symmetry eigenvalues from the physical ones.
 
     Translations are verified against eigenvalue 0 and rotations against

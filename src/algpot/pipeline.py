@@ -16,20 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (DEFAULT_CRITICAL_TOL, CalculusError, PointCalculus,
-                       detect_homogeneity, validate)
-from .darboux import DarbouxResult, solve_darboux
-from .admissibility import AdmissibilityTable, certify
+from .calculus import (DEFAULT_CRITICAL_TOL, PROBE_RADIUS, CalculusError,
+                       PointCalculus, detect_homogeneity, validate)
+from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxResult, solve_darboux
+from .admissibility import K4_COEFFICIENT, AdmissibilityTable, certify
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
-from .spectrum import eigen
+from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, eigen
 
 TOOL_NAME = "algpot"
 TOOL_VERSION = "0.1.0"  # the package version; pyproject.toml reads it from here
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_ERROR = 1  # unreadable or malformed input
+EXIT_ERROR = 3  # unreadable or malformed input
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 10
 
@@ -37,14 +37,14 @@ EXIT_OBSTRUCTION = 10
 @dataclass
 class AnalysisOptions:
     seed: int = 0
-    n_random: int = 24
+    n_random: int = N_RANDOM
     seeds: tuple = ()
-    on_variety_tol: float = 1e-9
+    on_variety_tol: float = ACCEPT_TOL
     critical_tol: float = DEFAULT_CRITICAL_TOL
-    rational_tol: float = 1e-8
-    max_denominator: int = 10 ** 6
-    k4_coefficient: Fraction = Fraction(1, 4)
-    sigma_radius: float = 1e-4
+    rational_tol: float = RATIONAL_TOL
+    max_denominator: int = MAX_DENOMINATOR
+    k4_coefficient: Fraction = K4_COEFFICIENT
+    sigma_radius: float = PROBE_RADIUS
     include_gauge: bool = False
     timings: bool = False
     nbody: NBodyConfig | None = None
@@ -139,7 +139,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     tick("setup", t0)
 
     t0 = clock() if clock else None
-    val = validate(setup, seed=opt.seed, tol=opt.critical_tol, pc=pc)
+    val = validate(setup, seed=opt.seed, tol=opt.critical_tol,
+                   radius=opt.sigma_radius, pc=pc)
     tick("validate", t0)
     report["validation"] = {
         "ok": val.ok,
@@ -206,7 +207,6 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
     t0 = clock() if clock else None
     points_out = []
-    summaries = []
     for idx, rep in enumerate(dres.accepted):
         entry = {
             "index": idx,
@@ -219,9 +219,6 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         if rep.hessian is None:
             entry["spectrum"] = None
             points_out.append(entry)
-            summaries.append({"index": idx, "degenerate": True,
-                              "diagonalizable": False, "uncertain": True,
-                              "verdicts": []})
             continue
 
         gauge_clusters = []
@@ -258,18 +255,12 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             "uncertain": spec.uncertain,
         }
 
-        verdict_rows = []
-        summary_verdicts = []
-        for cl in gauge_clusters:
-            if opt.include_gauge:
-                verdict_rows.append({"eigenvalue": cl.value,
-                                     "multiplicity": cl.multiplicity,
-                                     "gauge": cl.gauge, "table": None})
-            summary_verdicts.append((cl.value, cl.multiplicity, None, cl.gauge))
+        verdict_rows = [{"eigenvalue": cl.value, "multiplicity": cl.multiplicity,
+                         "gauge": cl.gauge, "table": None}
+                        for cl in gauge_clusters if opt.include_gauge]
         for cl in spec.clusters:
             vrow = {"eigenvalue": cl.value, "multiplicity": cl.multiplicity,
                     "gauge": "", "table": None}
-            verdict = None
             if k is not None and not rep.degenerate:
                 if cl.rational is not None:
                     verdict = table.check_pair_exact(k, cl.rational)
@@ -286,21 +277,13 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                     "note": verdict.note,
                 }
             verdict_rows.append(vrow)
-            summary_verdicts.append((cl.value, cl.multiplicity, verdict, ""))
 
         entry["verdicts"] = verdict_rows
         points_out.append(entry)
-        summaries.append({
-            "index": idx,
-            "degenerate": rep.degenerate,
-            "diagonalizable": spec.diagonalizable,
-            "uncertain": spec.uncertain,
-            "verdicts": summary_verdicts,
-        })
     tick("spectra", t0)
 
     report["points"] = points_out
-    cert = certify(k, summaries)
+    cert = certify(k, points_out)
     report["certificate"] = {
         "status": cert.status,
         "witnesses": cert.witnesses,

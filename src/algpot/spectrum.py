@@ -16,8 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
+# rationalize's error budget (eigen also clusters and decides ranks with it,
+# relative to max(1, |H|)), and the largest denominator it reconstructs
+RATIONAL_TOL = 1e-8
+MAX_DENOMINATOR = 10 ** 6
 
-def rationalize(x, tol: float = 1e-8, max_den: int = 10 ** 6):
+
+def rationalize(x, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR):
     """Nearest fraction with a bounded denominator, or None.
 
     Continued-fraction reconstruction via Fraction.limit_denominator; the
@@ -59,10 +64,6 @@ class Spectrum:
     diagonalizable: bool
     uncertain: bool
     diag_margin: float  # min |log10(sigma/threshold)| over all rank decisions
-    matrix_norm: float
-
-    def total_multiplicity(self) -> int:
-        return sum(c.multiplicity for c in self.clusters)
 
 
 def _cluster(values, gap):
@@ -81,15 +82,14 @@ def _cluster(values, gap):
     return groups
 
 
-def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6) -> Spectrum:
+def eigen(H, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR) -> Spectrum:
     """Spectrum of a (generally complex symmetric) matrix with multiplicity."""
     H = np.asarray(H, dtype=complex)
     m = H.shape[0]
     if m == 0:
         return Spectrum(clusters=[], diagonalizable=True, uncertain=False,
-                        diag_margin=math.inf, matrix_norm=0.0)
-    norm = float(np.linalg.norm(H, 2))
-    scale = max(1.0, norm)
+                        diag_margin=math.inf)
+    scale = max(1.0, float(np.linalg.norm(H, 2)))
     vals = np.linalg.eigvals(H)
     groups = _cluster(list(vals), tol * scale)
 
@@ -134,4 +134,4 @@ def eigen(H, tol: float = 1e-8, max_den: int = 10 ** 6) -> Spectrum:
 
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return Spectrum(clusters=clusters, diagonalizable=diag_all,
-                    uncertain=uncertain, diag_margin=margin, matrix_norm=norm)
+                    uncertain=uncertain, diag_margin=margin)

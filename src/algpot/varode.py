@@ -22,6 +22,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .admissibility import rational_sqrt
+
 F = Fraction
 
 LOOP_RTOL = 1e-13
@@ -81,7 +83,7 @@ def build_ve(k: int, lam) -> HypergeomVE:
     # indicial equation at infinity: mu^2 - (a1 - 1) mu + b0 = 0
     tr = a1 - 1  # = (k-2)/(2k)
     disc = tr * tr - 4 * b0
-    root = _exact_sqrt(disc)
+    root = rational_sqrt(disc)
     if root is not None:
         exps_inf = ((tr + root) / 2, (tr - root) / 2)
     else:
@@ -90,16 +92,6 @@ def build_ve(k: int, lam) -> HypergeomVE:
     return HypergeomVE(k=k, lam=lam, a1=a1, a0=a0, b0=b0,
                        exponents0=exps0, exponents1=exps1,
                        exponents_inf=exps_inf)
-
-
-def _exact_sqrt(r: Fraction):
-    if r < 0:
-        return None
-    n, d = r.numerator, r.denominator
-    sn, sd = math.isqrt(n), math.isqrt(d)
-    if sn * sn == n and sd * sd == d:
-        return F(sn, sd)
-    return None
 
 
 # ---------------------------------------------------------------------------

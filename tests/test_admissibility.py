@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algpot import AdmissibilityTable, TableError, check_pair_exact, check_pair_numeric
+from algpot import AdmissibilityTable, TableError, certify, check_pair_exact, check_pair_numeric
 from algpot.admissibility import _family_a_value, _family_b_value
 
 F = Fraction
@@ -149,3 +149,12 @@ def test_row_census():
         if row.kind == "special":
             specials[row.k] = specials.get(row.k, 0) + 1
     assert specials == {-5: 2, -4: 1, -3: 4, 3: 4, 4: 1, 5: 2}
+
+
+def test_point_without_a_hessian_carries_no_verdict():
+    # analyze writes spectrum None, and no verdicts, when the Hessian fails
+    no_hessian = {"index": 0, "point": [[0.5, 0.0]], "degenerate": False, "spectrum": None}
+    cert = certify(-1, [no_hessian])
+    assert cert.status == "not_applicable"
+    assert cert.witnesses == []
+    assert cert.reasons[0].startswith("point #0: degenerate")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from algpot.cli import main
-from algpot.pipeline import EXIT_USAGE, AnalysisOptions, analyze, report_json
+from algpot.pipeline import EXIT_ERROR, EXIT_USAGE, AnalysisOptions, analyze, report_json
 
 RUN = [sys.executable, "-m", "algpot.cli"]
 
@@ -148,14 +148,14 @@ def test_nbody_analyze_exit_ten(capsys):
 
 def test_missing_file_is_an_error(capsys):
     code = main(["analyze", "/nonexistent/missing.prob"])
-    assert code == 1
+    assert code == EXIT_ERROR
 
 
 def test_parse_error_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("vars q1\npotential q1 +\n")
     code = main(["analyze", str(bad)])
-    assert code == 1
+    assert code == EXIT_ERROR
 
 
 def test_analyze_deterministic_output(cone_file, tmp_path):

@@ -13,7 +13,6 @@ def test_cone_circle_points(cone_setup):
     assert res.accepted, "cone search found no Darboux points"
     for rep in res.accepted:
         x = np.asarray(rep.point)
-        assert rep.status == "accepted"
         assert not rep.degenerate
         assert rep.grad_residual <= 1e-9
         assert rep.constraint_residual <= 1e-9

@@ -24,3 +24,32 @@ def test_no_unused_top_level_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
     assert [name for p in modules for name in unused_imports(p)] == []
+
+
+def function_level_imports(path: Path) -> list:
+    """module.Qual.name -> imported for each algpot import inside a function."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], not isinstance(child, ast.ClassDef))
+                continue
+            where = f"{path.stem}.{'.'.join(scope)} -> "
+            if in_function and isinstance(child, ast.ImportFrom) and (
+                    child.level or (child.module or "").startswith("algpot")):
+                found.append(where + child.module)
+            elif in_function and isinstance(child, ast.Import):
+                found.extend(where + alias.name for alias in child.names
+                             if alias.name.startswith("algpot"))
+            visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [], False)
+    return found
+
+
+def test_algpot_modules_are_imported_at_the_top():
+    # a module that needs another inside a function hides a dependency;
+    # the one exception is a real cycle: pipeline imports admissibility
+    lazy = [entry for p in sorted(SRC.glob("*.py")) for entry in function_level_imports(p)]
+    assert lazy == ["admissibility.Certificate.exit_code -> pipeline"]

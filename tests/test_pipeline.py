@@ -1,17 +1,21 @@
 """Pipeline wiring: options reach the stages, one calculus per analysis,
-one definition of the version and the exit codes."""
+one definition of each setting, the version and the exit codes, and a
+certificate that the report's own points determine."""
 
+import dataclasses
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import algpot
-from algpot import pipeline
-from algpot.admissibility import Certificate
+from algpot import admissibility, calculus, darboux, dynamics, nbody, pipeline, spectrum
+from algpot.admissibility import Certificate, certify
 from algpot.calculus import PointCalculus, detect_homogeneity, validate
 from algpot.cli import main
 from algpot.parsing import parse_problem
-from algpot.pipeline import AnalysisOptions, analyze
+from algpot.pipeline import AnalysisOptions, analyze, report_json
 
 from conftest import CONE_TEXT
 
@@ -31,6 +35,82 @@ def test_on_variety_tol_reaches_the_hunt(cone_setup, monkeypatch):
     assert strict["options"]["on_variety_tol"] == 1e-30
     # converged starts stop near 1e-16, not at 1e-30, so most now fail
     assert strict["darboux"]["failed_starts"] > default["darboux"]["failed_starts"]
+
+
+def test_sigma_radius_reaches_validation_and_the_hunt(cone_setup, monkeypatch):
+    seen = []
+    probe = PointCalculus.near_critical_set
+
+    def spy(self, x, radius):
+        seen.append(radius)
+        return probe(self, x, radius)
+
+    monkeypatch.setattr(PointCalculus, "near_critical_set", spy)
+    report, _ = analyze(cone_setup, AnalysisOptions(n_random=4, sigma_radius=1e-2))
+    assert report["validation"]["ok"]
+    assert seen and set(seen) == {1e-2}
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_each_setting_has_one_definition():
+    # identity, not equality: a re-typed literal is a second definition
+    # (constant, its uses) pairs: equal constants would collide as dict keys
+    table = admissibility.AdmissibilityTable
+    defaults = [
+        (spectrum.RATIONAL_TOL, "tol", [spectrum.rationalize, spectrum.eigen,
+                                        table.check_pair_numeric,
+                                        admissibility.check_pair_numeric,
+                                        nbody.split_gauge_spectrum]),
+        (spectrum.MAX_DENOMINATOR, "max_den", [spectrum.rationalize, spectrum.eigen,
+                                               table.check_pair_numeric,
+                                               admissibility.check_pair_numeric,
+                                               nbody.split_gauge_spectrum]),
+        (calculus.PROBE_RADIUS, "radius", [PointCalculus.near_critical_set,
+                                           PointCalculus.near_potential_pole,
+                                           PointCalculus.near_sigma, calculus.validate]),
+        (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
+        (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
+        (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
+        (admissibility.K4_COEFFICIENT, "k4_coefficient", [table]),
+        (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate, PointCalculus.in_sigma]),
+        (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate,
+                                                      dynamics.ConstrainedSystem]),
+    ]
+    for constant, name, funcs in defaults:
+        for func in funcs:
+            assert _default(func, name) is constant, f"{func.__qualname__}({name})"
+    options = {f.name: f.default for f in dataclasses.fields(AnalysisOptions)}
+    assert options["n_random"] is darboux.N_RANDOM
+    assert options["on_variety_tol"] is darboux.ACCEPT_TOL
+    assert options["critical_tol"] is calculus.DEFAULT_CRITICAL_TOL
+    assert options["rational_tol"] is spectrum.RATIONAL_TOL
+    assert options["max_denominator"] is spectrum.MAX_DENOMINATOR
+    assert options["k4_coefficient"] is admissibility.K4_COEFFICIENT
+    assert options["sigma_radius"] is calculus.PROBE_RADIUS
+
+
+def test_certificate_is_computed_from_the_report_points():
+    cfg = nbody.NBodyConfig(n=3, dim=2, masses=(1, 1, 1))
+    report, _ = analyze(nbody.build(cfg), AnalysisOptions(nbody=cfg, n_random=0))
+    decoded = json.loads(report_json(report))
+    k = decoded["homogeneity"]["integer_degree"]
+    cert = certify(k, decoded["points"])
+    assert cert.status == decoded["certificate"]["status"] == "obstruction"
+    recomputed = json.loads(report_json({"status": cert.status, "witnesses": cert.witnesses,
+                                         "reasons": cert.reasons}))
+    assert recomputed == decoded["certificate"]
+    assert [(w["point"], w["multiplicity"]) for w in cert.witnesses] == [(0, 1), (0, 1), (1, 2)]
+
+    # a reader who disputes the table rows of the witnesses disputes the proof
+    for w in cert.witnesses:
+        point = decoded["points"][w["point"]]
+        for row in point["verdicts"]:
+            if row["table"] is not None and row["table"]["lambda"] == w["eigenvalue"]:
+                row["table"]["matched"] = True
+    assert certify(k, decoded["points"]).status == "no_obstruction"
 
 
 def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
@@ -69,6 +149,9 @@ def test_exit_codes_have_one_definition():
         assert Certificate(status=status).exit_code == pipeline.EXIT_OK
     assert main(["analyze", "/nonexistent/missing.prob"]) == pipeline.EXIT_ERROR
     assert main(["nbody", "--n", "3", "--dim", "1"]) == pipeline.EXIT_USAGE
+    codes = (pipeline.EXIT_OK, pipeline.EXIT_VALIDATION, pipeline.EXIT_ERROR,
+             pipeline.EXIT_USAGE, pipeline.EXIT_OBSTRUCTION)
+    assert len(set(codes)) == len(codes)
 
 
 def test_version_has_one_definition():

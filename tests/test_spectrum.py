@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot import eigen, rationalize
@@ -35,7 +35,7 @@ def test_multiplicity_clustering():
     spec = eigen(H + 1e-12 * np.eye(3))
     mults = sorted((str(c.rational), c.multiplicity) for c in spec.clusters)
     assert (("-2", 1) in mults) and (("1/2", 2) in mults)
-    assert spec.total_multiplicity() == 3
+    assert sum(c.multiplicity for c in spec.clusters) == 3
 
 
 def test_defective_matrix_flagged():
@@ -54,20 +54,37 @@ def symmetric_matrices(n=4):
     ).map(lambda vals: (lambda A: (A + A.T) / 2)(np.array(vals).reshape(n, n)))
 
 
+def rotated(H):
+    """H conjugated by a fixed random orthogonal matrix."""
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=H.shape))
+    return Q @ H @ Q.T
+
+
+# one eigenvalue at the clustering gap: H may group it with the zeros and
+# its rotation not; eigen abstains on both
+NEAR_GAP = np.diag([1e-8, 0.0, 0.0, 0.0])
+
+
 @given(symmetric_matrices())
+@example(NEAR_GAP)
 @settings(max_examples=40, deadline=None)
 def test_orthogonal_similarity_invariance(H):
-    rng = np.random.default_rng(5)
-    M = rng.normal(size=H.shape)
-    Q, _ = np.linalg.qr(M)
     a = eigen(H)
-    b = eigen(Q @ H @ Q.T)
+    b = eigen(rotated(H))
+    # clusterings near the threshold may differ; eigen then abstains
+    if a.uncertain or b.uncertain:
+        return
     va = sorted((round(c.value.real, 6), c.multiplicity) for c in a.clusters)
     vb = sorted((round(c.value.real, 6), c.multiplicity) for c in b.clusters)
     assert len(va) == len(vb)
     for (x, mx), (y, my) in zip(va, vb):
         assert abs(x - y) < 1e-5
         assert mx == my
+
+
+def test_near_gap_clustering_is_flagged_uncertain():
+    assert eigen(NEAR_GAP).uncertain
+    assert eigen(rotated(NEAR_GAP)).uncertain
 
 
 @given(symmetric_matrices())
@@ -85,4 +102,4 @@ def test_total_multiplicity_matches_dimension():
     for _ in range(5):
         A = rng.normal(size=(5, 5))
         spec = eigen(A)
-        assert spec.total_multiplicity() == 5
+        assert sum(c.multiplicity for c in spec.clusters) == 5
