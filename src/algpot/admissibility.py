@@ -247,11 +247,6 @@ class Certificate:
     witnesses: list = field(default_factory=list)  # dicts: point index, eigenvalue, k
     reasons: list = field(default_factory=list)
 
-    @property
-    def exit_code(self) -> int:
-        from .pipeline import EXIT_OBSTRUCTION, EXIT_OK  # pipeline imports this module
-        return EXIT_OBSTRUCTION if self.status == "obstruction" else EXIT_OK
-
 
 def _complex(value) -> complex:
     """A report eigenvalue as a complex: as built, or JSON-decoded [re, im]."""
@@ -282,8 +277,11 @@ def certify(k, points) -> Certificate:
     for point in points:
         idx = point["index"]
         spec = point["spectrum"]
-        if point["degenerate"] or spec is None:
+        if point["degenerate"]:
             reasons.append(f"point #{idx}: degenerate (vanishing base projection), no verdict")
+            continue
+        if spec is None:
+            reasons.append(f"point #{idx}: no Hessian at the point, no verdict")
             continue
         clean = spec["diagonalizable"] and not spec["uncertain"]
         if not spec["diagonalizable"]:

@@ -148,12 +148,8 @@ class PointCalculus:
         self._ghess = [_hessian_slots(row, order) for row in ggrads]
         self.det = det_expr([row[self.n:] for row in ggrads])
         self._det = self.det.compile(order)
-
-        # lazily compiled probe data (critical set / potential poles) and
-        # the potential's numerator for the pointwise test
-        self._probe_det = None
-        self._probe_den = None
-        self._num = None
+        self._den = RatExpr(dict(V.den), {(): Fraction(1)})
+        self._probes = {}  # polynomial -> (closure, gradient slots), on first use
 
     # -- raw evaluations ------------------------------------------------
 
@@ -279,17 +275,26 @@ class PointCalculus:
 
     # -- proximity probes --------------------------------------------------
 
-    def _probe(self, compiled_f, compiled_fgrad, x, radius):
-        """Gauss-Newton toward (G = 0, f = 0); True when a solution sits
-        within `radius` of x.  Measures distance to a set rather than the
-        value of f, which stays meaningful for barely-converged candidates."""
+    def _near_zero_set(self, f: RatExpr, x, radius) -> bool:
+        """Gauss-Newton toward (G = 0, f = 0) for a polynomial f; True when a
+        solution sits within `radius` of x.  Measures distance to a set
+        rather than the value of f, which stays meaningful for
+        barely-converged candidates.  A constant f is decided by its value."""
+        c = f.constant_value()
+        if c is not None:
+            return c == 0
+        if f not in self._probes:
+            order = self.setup.var_names
+            self._probes[f] = (self._det if f is self.det else f.compile(order),
+                               _vector_slots([f.diff(v) for v in order], order))
+        value, grad = self._probes[f]
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
         for _ in range(PROBE_MAX_ITER):
-            F = np.append(self.g_values(y), compiled_f(y))
+            F = np.append(self.g_values(y), value(y))
             if np.max(np.abs(F)) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= radius)
-            A = np.vstack([self._g_partials(y), fill(self.N, compiled_fgrad, y)])
+            A = np.vstack([self._g_partials(y), fill(self.N, grad, y)])
             step, *_ = np.linalg.lstsq(A, F, rcond=None)
             if not np.all(np.isfinite(step)):
                 return False
@@ -299,56 +304,12 @@ class PointCalculus:
         return False
 
     def near_critical_set(self, x, radius: float = PROBE_RADIUS) -> bool:
-        if self._probe_det is None:
-            order = self.setup.var_names
-            c = self.det.constant_value()
-            self._probe_det = ("const", c) if c is not None else (
-                self._det, _vector_slots([self.det.diff(v) for v in order], order))
-        if self._probe_det[0] == "const":
-            return self._probe_det[1] == 0
-        return self._probe(self._probe_det[0], self._probe_det[1], x, radius)
-
-    def _pole_probe(self):
-        """(closure, gradient slots) of the potential's denominator."""
-        if self._probe_den is None:
-            order = self.setup.var_names
-            den = RatExpr(dict(self.setup.potential.den), {(): Fraction(1)})
-            self._probe_den = (
-                den.compile(order),
-                _vector_slots([den.diff(v) for v in order], order),
-            )
-        return self._probe_den
-
-    def near_potential_pole(self, x, radius: float = PROBE_RADIUS) -> bool:
-        if self.setup.potential.is_polynomial:
-            return False
-        den, den_grad = self._pole_probe()
-        return self._probe(den, den_grad, x, radius)
+        return self._near_zero_set(self.det, x, radius)
 
     def near_sigma(self, x, radius: float = PROBE_RADIUS) -> bool:
-        return self.near_critical_set(x, radius) or self.near_potential_pole(x, radius)
-
-    def in_sigma(self, x, tol: float = DEFAULT_CRITICAL_TOL) -> bool:
-        """Pointwise membership of the bad set: critical set, or potential
-        undefined.
-
-        The potential side tests its denominator against tol scaled by the
-        numerator's size, so the verdict does not depend on the overall scale
-        of the point; an indeterminate 0/0 point counts as inside.  Unlike
-        near_sigma this reads values at x only, which a candidate that stalled
-        just off the critical set can pass.
-        """
-        x = np.asarray(x, dtype=complex)
-        if abs(self.det_value(x)) <= tol:
-            return True
-        V = self.setup.potential
-        if V.is_polynomial:
-            return False
-        if self._num is None:
-            self._num = RatExpr(dict(V.num), {(): Fraction(1)}).compile(
-                self.setup.var_names)
-        den = self._pole_probe()[0](x)
-        return abs(den) <= tol * max(1.0, abs(self._num(x)))
+        """The one test for Sigma: a critical point or a pole of the
+        potential within `radius` of x."""
+        return self.near_critical_set(x, radius) or self._near_zero_set(self._den, x, radius)
 
 
 # ---------------------------------------------------------------------------

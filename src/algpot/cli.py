@@ -84,9 +84,7 @@ def _add_common_solver_args(p):
     p.add_argument("--n-random", type=int, default=_DEFAULTS.n_random,
                    help="number of random Newton starts")
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
-    p.add_argument("--tol", type=float, default=None,
-                   help="base tolerance; the specific --*-tol flags override it")
-    p.add_argument("--on-variety-tol", type=float, default=None)
+    p.add_argument("--on-variety-tol", type=float, default=_DEFAULTS.on_variety_tol)
     p.add_argument("--sigma-radius", type=float, default=_DEFAULTS.sigma_radius,
                    help="probe radius for both validation and the hunt: a sample "
                         "or candidate with a critical point this close is critical")
@@ -94,7 +92,7 @@ def _add_common_solver_args(p):
 
 
 def _add_table_args(p):
-    p.add_argument("--rational-tol", type=float, default=None)
+    p.add_argument("--rational-tol", type=float, default=_DEFAULTS.rational_tol)
     p.add_argument("--max-denominator", type=int, default=_DEFAULTS.max_denominator)
     p.add_argument("--k4-coefficient", type=Fraction, default=_DEFAULTS.k4_coefficient,
                    metavar="Q", help="quadratic coefficient of the degree -4 table row")
@@ -103,20 +101,11 @@ def _add_table_args(p):
 def _add_analysis_args(p):
     """Everything a full analysis reads: solver, validation and table."""
     _add_common_solver_args(p)
-    p.add_argument("--critical-tol", type=float, default=None,
+    p.add_argument("--critical-tol", type=float, default=_DEFAULTS.critical_tol,
                    help="|detJ| at or below which a validation sample counts as critical")
     _add_table_args(p)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
-
-
-def _tol(args, name: str) -> float:
-    """--NAME, else --tol, else the AnalysisOptions default of NAME."""
-    specific = getattr(args, name, None)
-    if specific is not None:
-        return specific
-    base = getattr(args, "tol", None)
-    return base if base is not None else getattr(_DEFAULTS, name)
 
 
 def _options_from(args, nbody=None) -> AnalysisOptions:
@@ -125,9 +114,9 @@ def _options_from(args, nbody=None) -> AnalysisOptions:
         seed=args.seed,
         n_random=args.n_random,
         seeds=seeds,
-        on_variety_tol=_tol(args, "on_variety_tol"),
-        critical_tol=_tol(args, "critical_tol"),
-        rational_tol=_tol(args, "rational_tol"),
+        on_variety_tol=args.on_variety_tol,
+        critical_tol=args.critical_tol,
+        rational_tol=args.rational_tol,
         max_denominator=args.max_denominator,
         k4_coefficient=args.k4_coefficient,
         sigma_radius=args.sigma_radius,
@@ -149,7 +138,7 @@ def cmd_darboux(args) -> int:
     seeds = _read_seeds(args.seeds) if args.seeds else ()
     res = solve_darboux(setup, seeds=seeds, n_random=args.n_random,
                         seed=args.seed, sigma_radius=args.sigma_radius,
-                        accept_tol=_tol(args, "on_variety_tol"))
+                        accept_tol=args.on_variety_tol)
     report = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "label": setup.label,
@@ -172,7 +161,7 @@ def cmd_check_table(args) -> int:
             verdict = table.check_pair_exact(args.k, lam)
         else:
             verdict = table.check_pair_numeric(args.k, complex(lam),
-                                               tol=_tol(args, "rational_tol"),
+                                               tol=args.rational_tol,
                                                max_den=args.max_denominator)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ terms in general; structural equality compares the normal forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 # A monomial is a tuple of (variable name, exponent) pairs, sorted by name,
 # exponents >= 1.  The empty tuple is the constant monomial.
@@ -406,25 +406,12 @@ class RatExpr:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, env: Mapping[str, complex]) -> complex:
-        try:
-            dv = _poly_eval(self.den, env)
-        except KeyError as e:  # pragma: no cover - defensive
-            raise ExprError(f"unbound variable {e.args[0]!r}") from None
-        if dv == 0:
-            raise PoleError(_poly_str(self.den))
-        try:
-            nv = _poly_eval(self.num, env)
-        except KeyError as e:
-            raise ExprError(f"unbound variable {e.args[0]!r}") from None
-        return nv / dv
-
     def compile(self, var_order: Sequence[str]) -> Callable:
         """Fast evaluator bound to a fixed variable ordering.
 
         Returns a callable taking an indexable of complex values (same order
         as var_order) and returning a complex number.  Raises PoleError on a
-        zero denominator like eval().
+        zero denominator.  The package's one evaluator.
         """
         idx = {n: i for i, n in enumerate(var_order)}
         missing = self.variables() - set(var_order)
@@ -473,16 +460,6 @@ class RatExpr:
 
     def __repr__(self) -> str:
         return f"RatExpr({self})"
-
-
-def _poly_eval(p: Poly, env: Mapping[str, complex]) -> complex:
-    acc = 0j
-    for m, c in p.items():
-        v = complex(c)
-        for name, e in m:
-            v *= complex(env[name]) ** e
-        acc += v
-    return acc
 
 
 ONE = RatExpr.const(1)

@@ -289,7 +289,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         "witnesses": cert.witnesses,
         "reasons": cert.reasons,
     }
-    report["exit_code"] = cert.exit_code
+    code = EXIT_OBSTRUCTION if cert.status == "obstruction" else EXIT_OK
+    report["exit_code"] = code
     if opt.timings:
         report["timings"] = timings
-    return report, cert.exit_code
+    return report, code

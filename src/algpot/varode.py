@@ -101,25 +101,20 @@ def build_ve(k: int, lam) -> HypergeomVE:
 def _integrate_path(ve: HypergeomVE, path, t_span) -> np.ndarray:
     """Transport the 2x2 fundamental matrix along a parametrized path.
 
-    path(t) -> z, path.d(t) -> dz/dt.  The complex 2x2 matrix is stacked
-    into 8 reals for the integrator.
+    path(t) -> z, path.d(t) -> dz/dt.  The integrator carries the complex
+    matrix, flattened, as its complex state.
     """
     z_of_t, dz_of_t = path
 
     def rhs(t, y):
-        z = z_of_t(t)
-        dz = dz_of_t(t)
-        Y = (y[0:4] + 1j * y[4:8]).reshape(2, 2)
-        dY = dz * (ve.system_matrix(z) @ Y)
-        return np.concatenate([dY.real.ravel(), dY.imag.ravel()])
+        return dz_of_t(t) * (ve.system_matrix(z_of_t(t)) @ y.reshape(2, 2)).ravel()
 
-    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
+    y0 = np.eye(2, dtype=complex).ravel()
     sol = solve_ivp(rhs, t_span, y0, method="DOP853",
                     rtol=LOOP_RTOL, atol=LOOP_ATOL, max_step=LOOP_MAX_STEP)
     if not sol.success:
         raise RuntimeError(f"monodromy transport failed: {sol.message}")
-    yf = sol.y[:, -1]
-    return (yf[0:4] + 1j * yf[4:8]).reshape(2, 2)
+    return sol.y[:, -1].reshape(2, 2)
 
 
 def _circle(center: complex, radius: float, phase: float):

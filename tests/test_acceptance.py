@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot.calculus import PointCalculus, detect_homogeneity
+from algpot.calculus import DEFAULT_CRITICAL_TOL, PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
 from algpot.dynamics import homothetic_orbit, integrate
+from algpot.expr import RatExpr
 from algpot.admissibility import DEFAULT_TABLE, check_pair_exact
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
                           pinning_conditions)
@@ -165,14 +166,18 @@ def test_criterion_5_nbody_generator():
         _, seed_point = central_config_seeds(cfg)[0]
         point = np.asarray(seed_point, dtype=complex)
         pc = PointCalculus(setup)
-        assert not pc.in_sigma(point)
+        assert not pc.near_sigma(point)
+        assert abs(pc.det_value(point)) > DEFAULT_CRITICAL_TOL
+        # a vanishing distance is critical (detJ = 8 r12 r13 r23) and a pole
+        # of the potential (its denominator is r12 r13 r23)
+        pole = RatExpr(dict(setup.potential.den), {(): Fraction(1)}).compile(setup.var_names)
         for j in range(6, 9):
             collided = point.copy()
             collided[j] = 0.0
-            assert pc.in_sigma(collided), f"r index {j}"
+            assert abs(pc.det_value(collided)) <= DEFAULT_CRITICAL_TOL, f"r index {j}"
         grazing = point.copy()
         grazing[6] = 1e-9
-        assert pc.in_sigma(grazing)
+        assert abs(pole(grazing)) <= DEFAULT_CRITICAL_TOL
 
 
 # --------------------------------------------------------------- criterion 6

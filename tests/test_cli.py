@@ -123,9 +123,19 @@ def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, ca
     assert code == 0
     report, _ = analyze(cone_setup, AnalysisOptions())
     assert out["options"] == json.loads(report_json(report))["options"]
-    code = main(["analyze", str(cone_file), "--n-random", "4", "--tol", "1e-7"])
+    code = main(["analyze", str(cone_file), "--n-random", "4",
+                 "--critical-tol", "1e-7", "--rational-tol", "1e-7"])
     options = json.loads(capsys.readouterr().out)["options"]
     assert options["critical_tol"] == options["rational_tol"] == 1e-7
+
+
+@pytest.mark.parametrize("command", ["analyze", "darboux"])
+def test_tol_is_a_usage_error(command, cone_file, capsys):
+    # each tolerance has its own flag; no one flag sets several
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(cone_file), "--tol", "1e-7"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_analyze_cone_exit_zero(cone_file, capsys):

@@ -109,6 +109,6 @@ def test_sigma_detects_collisions():
     setup = build(cfg)
     (_, point), = central_config_seeds(cfg)
     pc = PointCalculus(setup)
-    assert not pc.in_sigma(np.asarray(point, dtype=complex))
+    assert not pc.near_sigma(np.asarray(point, dtype=complex))
     collided = np.zeros(5, dtype=complex)
-    assert pc.in_sigma(collided)
+    assert pc.near_sigma(collided)

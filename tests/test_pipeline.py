@@ -69,13 +69,12 @@ def test_each_setting_has_one_definition():
                                                admissibility.check_pair_numeric,
                                                nbody.split_gauge_spectrum]),
         (calculus.PROBE_RADIUS, "radius", [PointCalculus.near_critical_set,
-                                           PointCalculus.near_potential_pole,
                                            PointCalculus.near_sigma, calculus.validate]),
         (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
         (admissibility.K4_COEFFICIENT, "k4_coefficient", [table]),
-        (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate, PointCalculus.in_sigma]),
+        (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate]),
         (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate,
                                                       dynamics.ConstrainedSystem]),
     ]
@@ -143,10 +142,14 @@ def test_homogeneity_with_a_shared_calculus_matches_default(text):
     assert detect_homogeneity(setup, pc=PointCalculus(setup)) == own
 
 
-def test_exit_codes_have_one_definition():
-    assert Certificate(status="obstruction").exit_code == pipeline.EXIT_OBSTRUCTION
-    for status in ("no_obstruction", "hypotheses_unverified", "not_applicable"):
-        assert Certificate(status=status).exit_code == pipeline.EXIT_OK
+def test_exit_codes_have_one_definition(cone_setup, monkeypatch):
+    # analyze maps the certificate's status to the exit code
+    for status in ("obstruction", "no_obstruction", "hypotheses_unverified", "not_applicable"):
+        monkeypatch.setattr(pipeline, "certify",
+                            lambda k, points, status=status: Certificate(status=status))
+        report, code = analyze(cone_setup, AnalysisOptions(n_random=0))
+        expected = pipeline.EXIT_OBSTRUCTION if status == "obstruction" else pipeline.EXIT_OK
+        assert code == report["exit_code"] == expected
     assert main(["analyze", "/nonexistent/missing.prob"]) == pipeline.EXIT_ERROR
     assert main(["nbody", "--n", "3", "--dim", "1"]) == pipeline.EXIT_USAGE
     codes = (pipeline.EXIT_OK, pipeline.EXIT_VALIDATION, pipeline.EXIT_ERROR,

@@ -24,12 +24,40 @@ def test_trap_fiber_jacobian_is_2w(trap_setup):
 def test_critical_set_membership(trap_setup, cone_setup):
     # the trap's ramification line {w1 = q1 = 0} at q2 = 1
     trap = PointCalculus(trap_setup)
-    assert trap.in_sigma(np.array([0.0, 1.0, 0.0]))
-    assert not trap.in_sigma(np.array([0.25, 1.0, 0.5]))
+    assert trap.near_sigma(np.array([0.0, 1.0, 0.0]))
+    assert not trap.near_sigma(np.array([0.25, 1.0, 0.5]))
     # cone apex
     cone = PointCalculus(cone_setup)
-    assert cone.in_sigma(np.array([0.0, 0.0, 0.0]))
-    assert not cone.in_sigma(on_cone(0.3, 0.4))
+    assert cone.near_sigma(np.array([0.0, 0.0, 0.0]))
+    assert not cone.near_sigma(on_cone(0.3, 0.4))
+
+
+def test_sigma_probe_compiles_its_data_once(monkeypatch):
+    pc = PointCalculus(parse_problem("""
+vars q1 q2
+ext w1 : w1^2 - q1
+potential q2/(q2 + w1)
+"""))
+    calls = []
+    diff, compile_ = RatExpr.diff, RatExpr.compile
+    monkeypatch.setattr(RatExpr, "diff", lambda e, v: calls.append("diff") or diff(e, v))
+    monkeypatch.setattr(RatExpr, "compile", lambda e, o: calls.append("compile") or compile_(e, o))
+    x = np.array([1.0, 1.0, 1.0])  # on the variety, clear of detJ = 2 w1 and of q2 + w1
+    assert not pc.near_sigma(x)
+    # detJ's 3 partials and its one non-zero one (its value is det_value's
+    # closure), then the denominator, its 3 partials and 2 non-zero ones
+    assert calls.count("diff") == 6 and calls.count("compile") == 4
+    calls.clear()
+    assert not pc.near_sigma(x)
+    assert calls == []
+
+
+def test_constant_critical_polynomial_is_decided_by_its_value():
+    # G = q1 does not involve w1, so detJ is the constant 0: critical everywhere
+    pc = PointCalculus(parse_problem("vars q1\next w1 : q1\npotential w1\n"))
+    assert pc.det.constant_value() == 0
+    assert pc.near_sigma(np.array([0.0, 5.0]))
+    assert not PointCalculus(parse_problem("vars q1\npotential q1^3\n")).near_sigma(np.array([0.0]))
 
 
 def test_fiber_solver_recovers_branch(cone_setup):
@@ -77,7 +105,7 @@ def test_validation_is_deterministic(cone_setup):
 def test_setup_without_extensions(plain_setup):
     rep = validate(plain_setup, seed=0)
     assert rep.ok
-    assert not PointCalculus(plain_setup).in_sigma(np.array([0.0, 0.0]))
+    assert not PointCalculus(plain_setup).near_sigma(np.array([0.0, 0.0]))
 
 
 def test_on_variety_points(cone_setup):
