@@ -9,9 +9,9 @@ variables:
 where J = dG/dw.  The generators G_1..G_s cut the variety out of C^(n+s);
 points where detJ vanishes form the critical set, exactly where these
 derivations break down.  PointCalculus is the one numeric view of a setup:
-it evaluates plain partials of V and G, prepared once symbolically, and
-does small linear solves per point, which stays cheap at any number of
-extension variables.  It also solves fibers, samples the variety for
+it evaluates plain partials of V and G, prepared once symbolically and
+evaluated by kernels generated on first use, and does small linear solves
+per point, which stays cheap at any number of extension variables.  It also solves fibers, samples the variety for
 validation and probes the distance to the critical set.  The tests hold it
 against finite differences of a locally solved branch.
 """
@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .expr import ONE, PoleError, RatExpr
+from .expr import ONE, Array, PoleError, RatExpr, compile_arrays
 from .parsing import AlgebraicSetup
 
 DEFAULT_CRITICAL_TOL = 1e-8  # |detJ| at or below this is critical
@@ -80,39 +81,22 @@ def det_expr(M: list) -> RatExpr:
     return acc if acc is not None else RatExpr.const(0)
 
 
-def fill(shape, slots, x) -> np.ndarray:
-    """Dense complex array from (index, closure) slots; other entries 0j."""
-    out = np.zeros(shape, dtype=complex)
-    for idx, f in slots:
-        out[idx] = f(x)
-    return out
-
-
-def fill_symmetric(size: int, slots, x) -> np.ndarray:
-    """Symmetric (size x size) array from (a, b, closure) slots with a <= b,
-    each evaluated once and written to both places; other entries 0j."""
-    out = np.zeros((size, size), dtype=complex)
-    for a, b, f in slots:
-        out[a, b] = out[b, a] = f(x)
-    return out
-
-
-def _vector_slots(exprs, order) -> list:
-    """(index, closure) for every non-zero expression of a vector."""
-    return [(i, e.compile(order)) for i, e in enumerate(exprs) if not e.is_zero]
-
-
-def _hessian_slots(grad, order) -> list:
-    """(a, b, closure) for every non-zero d grad[a] / d order[b], a <= b."""
-    slots = []
+def _hessian_entries(grad, order) -> list:
+    """(a, b, d grad[a] / d order[b]) for every non-zero partial, a <= b."""
+    entries = []
     for a, ga in enumerate(grad):
         if ga.is_zero:
             continue
         for b in range(a, len(order)):
             e = ga.diff(order[b])
             if not e.is_zero:
-                slots.append((a, b, e.compile(order)))
-    return slots
+                entries.append((a, b, e))
+    return entries
+
+
+def _symmetric(entries, lead=()) -> list:
+    """Array entries writing each (a, b, e) at [lead..., a, b] and [lead..., b, a]."""
+    return [(e, [lead + (a, b), lead + (b, a)]) for a, b, e in entries]
 
 
 class PointCalculus:
@@ -121,11 +105,16 @@ class PointCalculus:
     Plain first and second partials of the potential and the generators are
     prepared symbolically once; every point evaluation then reduces to dense
     (s x s) linear solves.  Works for any s, including setups where the
-    symbolic quotient forms would be bulky.  Each gradient and Hessian keeps
-    one list of closures for its non-zero partials (a Hessian's upper
-    triangle only); the zero partials are never evaluated.  The generators'
-    partials fill one s x N matrix: J = dG/dw is its columns n:, dG/dq its
-    columns :n.  det, the symbolic detJ, is compiled once.
+    symbolic quotient forms would be bulky.  The partials are evaluated by
+    generated kernels (expr.compile_arrays), each compiled on first use and
+    kept: G; dG, the s x N matrix whose columns n: are J = dG/dw and whose
+    columns :n are dG/dq; the potential's value and gradient; both Hessians,
+    V's (N x N) and the generators' (s x N x N), in one kernel; detJ; and
+    one per polynomial the proximity probe walks toward.  A Hessian's
+    upper-triangle partial is evaluated once and written to both places,
+    zero partials are never evaluated and constant ones are filled in once,
+    at compile time.  G and dG stay apart from the potential's kernels, so
+    the fiber numerics never evaluate V and never meet its poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -136,40 +125,67 @@ class PointCalculus:
         self.s = setup.s
 
         V = setup.potential
-        self._v = V.compile(order)
-        vgrad = [V.diff(v) for v in order]
-        self._vgrad = _vector_slots(vgrad, order)
-        self._vhess = _hessian_slots(vgrad, order)
-        self._g = [g.compile(order) for g in setup.generators]
-        ggrads = [[g.diff(v) for v in order] for g in setup.generators]
-        self._ggrad = [((a, v), e.compile(order))
-                       for a, row in enumerate(ggrads)
-                       for v, e in enumerate(row) if not e.is_zero]
-        self._ghess = [_hessian_slots(row, order) for row in ggrads]
-        self.det = det_expr([row[self.n:] for row in ggrads])
-        self._det = self.det.compile(order)
+        self._vgrad = [V.diff(v) for v in order]
+        self._vhess = _hessian_entries(self._vgrad, order)
+        self._ggrad = [[g.diff(v) for v in order] for g in setup.generators]
+        self._ghess = [_hessian_entries(row, order) for row in self._ggrad]
+        # per variable v, the generators whose Hessian row v has a live entry
+        # in the w columns; _dg_blocks adds a w-correction for those only
+        n = self.n
+        self._w_rows = [[a for a, h in enumerate(self._ghess)
+                         if any((i == v and j >= n) or (j == v and i >= n) for i, j, _ in h)]
+                        for v in range(self.N)]
+        self.det = det_expr([row[n:] for row in self._ggrad])
         self._den = RatExpr(dict(V.den), {(): Fraction(1)})
-        self._probes = {}  # polynomial -> (closure, gradient slots), on first use
+        self._probes = {}  # polynomial -> (value, gradient) kernel, on first use
+
+    @cached_property
+    def _g_kernel(self):
+        return compile_arrays([Array((self.s,), [
+            (g, [(a,)]) for a, g in enumerate(self.setup.generators)])], self.setup.var_names)
+
+    @cached_property
+    def _dg_kernel(self):
+        return compile_arrays([Array((self.s, self.N), [
+            (e, [(a, v)]) for a, row in enumerate(self._ggrad) for v, e in enumerate(row)])],
+            self.setup.var_names)
+
+    @cached_property
+    def _v_kernel(self):
+        return self.setup.potential.compile(self.setup.var_names)
+
+    @cached_property
+    def _vgrad_kernel(self):
+        return compile_arrays([Array((self.N,), [(e, [(v,)]) for v, e in enumerate(self._vgrad)])],
+                              self.setup.var_names)
+
+    @cached_property
+    def _hessian_kernel(self):
+        N = self.N
+        return compile_arrays([
+            Array((N, N), _symmetric(self._vhess)),
+            Array((self.s, N, N), [entry for a, h in enumerate(self._ghess)
+                                   for entry in _symmetric(h, (a,))])], self.setup.var_names)
+
+    @cached_property
+    def _det_kernel(self):
+        return self.det.compile(self.setup.var_names)
 
     # -- raw evaluations ------------------------------------------------
 
     def potential_value(self, x) -> complex:
-        return complex(self._v(x))
+        return complex(self._v_kernel(x))
 
     def g_values(self, x) -> np.ndarray:
-        return np.array([f(x) for f in self._g], dtype=complex)
+        return self._g_kernel(x)
 
     def det_value(self, x) -> complex:
-        return complex(self._det(x))
+        return complex(self._det_kernel(x))
 
     def constraint_residual(self, x) -> float:
-        if not self._g:
+        if not self.s:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
-
-    def _g_partials(self, x) -> np.ndarray:
-        """The s x N matrix of dG_a/dx_v at the point."""
-        return fill((self.s, self.N), self._ggrad, x)
 
     def _core(self, x):
         """J, dGdq and W = dw/dq at the point; raises off the good set."""
@@ -178,7 +194,7 @@ class PointCalculus:
         if s == 0:
             return (np.zeros((0, 0), complex), np.zeros((0, n), complex),
                     np.zeros((0, n), complex))
-        dG = self._g_partials(x)
+        dG = self._dg_kernel(x)
         J, B = dG[:, n:], dG[:, :n]
         try:
             W = np.linalg.solve(J, -B)
@@ -195,7 +211,7 @@ class PointCalculus:
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         _, _, W = self._core(x)
-        vg = fill(self.N, self._vgrad, x)
+        vg = self._vgrad_kernel(x)
         return vg[: self.n] + W.T @ vg[self.n:]
 
     def _dg_blocks(self, x):
@@ -204,9 +220,8 @@ class PointCalculus:
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
         J, B, W = self._core(x)
-        vh = fill_symmetric(N, self._vhess, x)
-        vg = fill(N, self._vgrad, x)
-        gh = [fill_symmetric(N, h, x) for h in self._ghess]
+        vh, gh = self._hessian_kernel(x)
+        vg = self._vgrad_kernel(x)
 
         if s:
             u = np.linalg.solve(J.T, vg[n:])
@@ -217,7 +232,13 @@ class PointCalculus:
         for v in range(N):
             row = vh[v, :n] + W.T @ vh[v, n:]
             if s:
-                Pv = np.array([gh[a][v, :n] + gh[a][v, n:] @ W for a in range(s)])
+                # Pv[a] = gh[a][v, :n] + gh[a][v, n:] @ W.  A structurally
+                # zero w-row adds only signed zeros (W is finite), and a
+                # generator Hessian entry, a polynomial value summed onto
+                # 0j, is never -0, so skipping that row changes no bit.
+                Pv = gh[:, v, :n].copy()
+                for a in self._w_rows[v]:
+                    Pv[a] += gh[a][v, n:] @ W
                 row = row - Pv.T @ u
             dg[:, v] = row
         return dg[:, :n], dg[:, n:], W, J, B, vg
@@ -238,7 +259,7 @@ class PointCalculus:
             gv = self.g_values(x)
             if np.max(np.abs(gv)) <= FIBER_TOL:
                 return w
-            J = self._g_partials(x)[:, n:]
+            J = self._dg_kernel(x)[:, n:]
             try:
                 step = np.linalg.solve(J, gv)
             except np.linalg.LinAlgError:
@@ -285,16 +306,17 @@ class PointCalculus:
             return c == 0
         if f not in self._probes:
             order = self.setup.var_names
-            self._probes[f] = (self._det if f is self.det else f.compile(order),
-                               _vector_slots([f.diff(v) for v in order], order))
-        value, grad = self._probes[f]
+            self._probes[f] = compile_arrays(
+                [f, Array((self.N,), [(f.diff(v), [(i,)]) for i, v in enumerate(order)])], order)
+        probe = self._probes[f]
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
         for _ in range(PROBE_MAX_ITER):
-            F = np.append(self.g_values(y), value(y))
+            value, grad = probe(y)
+            F = np.append(self.g_values(y), value)
             if np.max(np.abs(F)) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= radius)
-            A = np.vstack([self._g_partials(y), fill(self.N, grad, y)])
+            A = np.vstack([self._dg_kernel(y), grad])
             step, *_ = np.linalg.lstsq(A, F, rcond=None)
             if not np.all(np.isfinite(step)):
                 return False

@@ -8,12 +8,20 @@ numerator and denominator, folds constant denominators and scales the
 denominator so its leading coefficient is 1.  No polynomial GCD beyond the
 monomial cancellation is attempted, so quotients are not reduced to lowest
 terms in general; structural equality compares the normal forms.
+
+Numeric evaluation has one implementation, compile_arrays: it generates and
+execs one straight-line function for a list of scalar and array outputs,
+doing for each value the complex arithmetic its normal form spells out,
+in a fixed order, so that every value is reproducible bit for bit.
+RatExpr.compile is its one-output case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 # A monomial is a tuple of (variable name, exponent) pairs, sorted by name,
 # exponents >= 1.  The empty tuple is the constant monomial.
@@ -396,7 +404,10 @@ class RatExpr:
     # -- calculus -----------------------------------------------------
 
     def diff(self, var: str) -> "RatExpr":
-        """Plain partial derivative with respect to the named variable."""
+        """Plain partial derivative with respect to the named variable; the
+        zero expression, at once, when the variable does not occur."""
+        if var not in self.variables():
+            return ZERO
         dn = _pdiff(self.num, var)
         if self.is_polynomial:
             return RatExpr(dn, dict(_PONE))
@@ -407,46 +418,14 @@ class RatExpr:
     # -- evaluation ---------------------------------------------------
 
     def compile(self, var_order: Sequence[str]) -> Callable:
-        """Fast evaluator bound to a fixed variable ordering.
+        """Evaluator bound to a fixed variable ordering: the one-output case
+        of compile_arrays.
 
         Returns a callable taking an indexable of complex values (same order
         as var_order) and returning a complex number.  Raises PoleError on a
-        zero denominator.  The package's one evaluator.
+        zero denominator.
         """
-        idx = {n: i for i, n in enumerate(var_order)}
-        missing = self.variables() - set(var_order)
-        if missing:
-            raise ExprError(f"unbound variables {sorted(missing)}")
-        nterms = [(complex(c), tuple((idx[n], e) for n, e in m)) for m, c in self.num.items()]
-        if self.is_polynomial:
-            def f_poly(x):
-                acc = 0j
-                for c, mono in nterms:
-                    v = c
-                    for i, e in mono:
-                        v *= x[i] ** e
-                    acc += v
-                return acc
-            return f_poly
-        dterms = [(complex(c), tuple((idx[n], e) for n, e in m)) for m, c in self.den.items()]
-        den_text = _poly_str(self.den)
-        def f_rat(x):
-            dv = 0j
-            for c, mono in dterms:
-                v = c
-                for i, e in mono:
-                    v *= x[i] ** e
-                dv += v
-            if dv == 0:
-                raise PoleError(den_text)
-            nv = 0j
-            for c, mono in nterms:
-                v = c
-                for i, e in mono:
-                    v *= x[i] ** e
-                nv += v
-            return nv / dv
-        return f_rat
+        return compile_arrays([self], var_order)
 
     # -- printing -----------------------------------------------------
 
@@ -463,3 +442,103 @@ class RatExpr:
 
 
 ONE = RatExpr.const(1)
+ZERO = RatExpr.const(0)
+
+
+class Array(NamedTuple):
+    """An array output of compile_arrays: its shape and its (expression,
+    indices) entries in evaluation order.  An entry's value is written at
+    every index listed with it; every other element is 0j."""
+
+    shape: tuple
+    entries: Sequence
+
+
+def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
+    """The package's one evaluator: a straight-line function computing every
+    target at a point.
+
+    A target is a RatExpr, whose value is returned as a complex scalar, or an
+    Array, returned as a fresh complex ndarray.  The function takes an
+    indexable of values in var_order and returns the targets' values as a
+    tuple, or the value itself when there is a single target.  Targets and
+    entries are evaluated in the order given; the first vanishing
+    denominator raises PoleError with its printed form.
+
+    Each value comes from the same operations in the same order whatever
+    the target: the normal form's terms, in dict order, summed left to
+    right onto 0j, each term its complex coefficient times x[i] ** e for
+    each factor in monomial order; a quotient computes its denominator
+    first and then divides the numerator by it.  Loads, powers and equal
+    denominators are computed once and shared, which changes no value.  A
+    constant entry is written into its array's template at compile time.
+    The generated source names variables by index only and is kept on the
+    function as `source`.
+    """
+    idx = {name: i for i, name in enumerate(var_order)}
+    exprs = [t for t in targets if isinstance(t, RatExpr)]
+    exprs += [e for t in targets if isinstance(t, Array) for e, _ in t.entries]
+    missing = set().union(*(e.variables() for e in exprs)) - set(idx)
+    if missing:
+        raise ExprError(f"unbound variables {sorted(missing)}")
+
+    namespace = {"PoleError": PoleError}
+    lines = []
+    loaded, powers, coefficients, denominators = set(), {}, {}, {}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            if i not in loaded:
+                loaded.add(i)
+                lines.append(f"x{i} = x[{i}]")
+            powers[i, e] = f"x{i}_{e}"
+            lines.append(f"x{i}_{e} = x{i} ** {e}")
+        return powers[i, e]
+
+    def coefficient(c):
+        if c not in coefficients:
+            coefficients[c] = f"c{len(coefficients)}"
+            namespace[coefficients[c]] = complex(c)
+        return coefficients[c]
+
+    def poly(p):
+        terms = [" * ".join([coefficient(c)] + [power(idx[name], e) for name, e in m])
+                 for m, c in p.items()]
+        return " + ".join(["0j"] + terms)
+
+    def value(e):
+        if e.is_polynomial:
+            return poly(e.num)
+        key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
+        if key not in denominators:
+            d = denominators[key] = f"d{len(denominators)}"
+            namespace[f"{d}_text"] = _poly_str(e.den)
+            lines.append(f"{d} = {poly(e.den)}")
+            lines.append(f"if {d} == 0: raise PoleError({d}_text)")
+        return f"({poly(e.num)}) / {denominators[key]}"
+
+    outputs = []
+    for k, t in enumerate(targets):
+        if isinstance(t, RatExpr):
+            lines.append(f"v{k} = {value(t)}")
+            outputs.append(f"v{k}")
+            continue
+        template = np.zeros(t.shape, dtype=complex)
+        namespace[f"t{k}"] = template
+        lines.append(f"a{k} = t{k}.copy()")
+        for e, places in t.entries:
+            c = e.constant_value()
+            if c is not None:
+                for p in places:
+                    template[p] = 0j + complex(c)
+                continue
+            slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
+            lines.append(f"{slots} = {value(e)}")
+        outputs.append(f"a{k}")
+    result = outputs[0] if len(outputs) == 1 else "(" + ", ".join(outputs) + ",)"
+    source = "def kernel(x):\n" + "".join(f"    {line}\n" for line in lines)
+    source += f"    return {result}\n"
+    exec(source, namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel

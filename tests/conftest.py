@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from algpot import parse_problem
+from algpot import calculus, expr, parse_problem
 
 CONE_TEXT = """\
 vars q1 q2
@@ -34,6 +34,22 @@ def trap_setup():
 @pytest.fixture(scope="session")
 def plain_setup():
     return parse_problem(PLAIN_TEXT, label="plain")
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """(targets, kernel) for each kernel compiled while the test runs, by
+    PointCalculus or by RatExpr.compile."""
+    kernels = []
+    emit = expr.compile_arrays
+
+    def spy(targets, order):
+        kernels.append((targets, emit(targets, order)))
+        return kernels[-1][1]
+
+    monkeypatch.setattr(expr, "compile_arrays", spy)
+    monkeypatch.setattr(calculus, "compile_arrays", spy)
+    return kernels
 
 
 @pytest.fixture()

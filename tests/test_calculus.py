@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot import PointCalculus, detect_homogeneity, parse_problem
+from algpot import PointCalculus, detect_homogeneity, parse_problem, pipeline
 from algpot.calculus import DEFAULT_CRITICAL_TOL
+from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
 
@@ -235,3 +236,33 @@ def test_gradient_raises_on_critical_fiber(trap_setup):
     pc = PointCalculus(trap_setup)
     with pytest.raises(CriticalPointError):
         pc.grad(np.array([0.0, 1.0, 0.0], dtype=complex))
+
+
+def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
+    cfg = NBodyConfig(n=3, dim=2, masses=(1, 2, 3))
+    setup = build(cfg)
+    pc = PointCalculus(setup)
+    assert compiled == []  # building generates no code
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
+    pc.darboux_system(x)
+    kernels = [pc._dg_kernel, pc._hessian_kernel, pc._vgrad_kernel, pc._g_kernel]
+    assert [k for _, k in compiled] == kernels
+    pc.darboux_system(x + 0.1)
+    pc.darboux_residual(x)
+    pc.hess(x)
+    assert len(compiled) == 4
+    # a full analyze builds one PointCalculus and compiles each of its
+    # kernels once: the six cached ones and the probes of detJ and of the
+    # potential's denominator
+    built = []
+    monkeypatch.setattr(pipeline, "PointCalculus",
+                        lambda s: built.append(PointCalculus(s)) or built[-1])
+    compiled.clear()
+    report, _ = pipeline.analyze(setup, pipeline.AnalysisOptions(nbody=cfg, n_random=8))
+    assert report["darboux"]["n_accepted"] > 0  # so near_sigma probed both polynomials
+    (used,) = built
+    held = [v for k, v in vars(used).items() if k.endswith("_kernel")]
+    held += list(used._probes.values())
+    assert len(held) == 8
+    assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))

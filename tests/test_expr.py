@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot import PoleError, RatExpr
+from algpot.expr import _PONE, _padd, _pdiff, _pmul, _pneg
 from algpot.parsing import parse_expression
 
 X = RatExpr.var("x")
@@ -113,6 +114,31 @@ def test_diff_matches_finite_difference(a, env):
         return
     scale = max(1.0, abs(base), abs(dv))
     assert abs(dv - fd) <= 1e-4 * scale
+
+
+def quotient_rule(e, var):
+    """The derivative through the full quotient rule, for any variable."""
+    dn = _pdiff(e.num, var)
+    if e.is_polynomial:
+        return RatExpr(dn, dict(_PONE))
+    dd = _pdiff(e.den, var)
+    return RatExpr(_padd(_pmul(dn, e.den), _pneg(_pmul(e.num, dd))), _pmul(e.den, e.den))
+
+
+@given(expressions())
+@settings(max_examples=60, deadline=None)
+def test_diff_matches_the_full_quotient_rule(a):
+    # "z" never occurs, so diff returns the zero expression at once
+    for var in ("x", "y", "z"):
+        d, full = a.diff(var), quotient_rule(a, var)
+        assert (d.num, d.den) == (full.num, full.den)
+    assert a.diff("z").is_zero and a.diff("z").is_polynomial
+
+
+def test_diff_by_an_absent_variable_is_the_zero_normal_form():
+    for e in (X ** 3 * Y - 2, (X * Y + 1) / (X ** 2 + 3 * Y)):
+        assert e.diff("z") == quotient_rule(e, "z") == RatExpr.const(0)
+        assert e.diff("z").den == {(): 1}
 
 
 @given(expressions())

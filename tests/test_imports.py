@@ -1,8 +1,14 @@
-"""Import hygiene of the package, and no uncalled code, checked with the
-standard library's ast."""
+"""Import hygiene of the package, no uncalled code and one place that
+generates code, checked with the standard library's ast."""
 
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
+
+from algpot.calculus import PointCalculus
+from algpot.nbody import NBodyConfig, build
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "algpot"
@@ -97,3 +103,47 @@ def test_every_definition_is_used_outside_the_tests():
     read = names_read(modules + sorted(BENCH.glob("*.py")))
     uncalled = [qual for p in modules for qual, name in definitions(p) if name not in read]
     assert uncalled == []
+
+
+DYNAMIC_CODE = ("exec", "eval", "compile")
+
+
+def dynamic_code_uses(path: Path) -> list:
+    """module.Qual -> name for each reference to the builtins exec, eval and
+    compile; a method such as RatExpr.compile is an attribute, not a name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Name) and child.id in DYNAMIC_CODE:
+                found.append(f"{'.'.join(scope)} -> {child.id}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [path.stem])
+    return found
+
+
+def test_generated_code_runs_only_through_the_emitter():
+    # expr.compile_arrays is the one place that turns text into code
+    programs = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    programs += sorted((ROOT / "scripts").glob("*.py"))
+    uses = [use for p in programs for use in dynamic_code_uses(p)]
+    assert uses == ["expr.compile_arrays -> exec"]
+
+
+def test_generated_source_names_no_variable():
+    setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    pc = PointCalculus(setup)
+    q = np.arange(1.0, 7.0) + 0j
+    x = np.concatenate([q, pc.solve_fiber(q, np.full(3, 5.0))])
+    pc.darboux_system(x)
+    pc.near_sigma(x)
+    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._vgrad_kernel.source,
+               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+    sources += [k.source for k in pc._probes.values()]
+    assert len(sources) == 8
+    for name in setup.var_names:
+        assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name

@@ -5,6 +5,8 @@ steps; gradients and Hessians evaluate only their non-zero partials.  Both
 are held here, bit for bit, against the straightforward forms they replace.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 
+from closure_reference import reference_compile
 from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
 
 LINEAR_TEXT = """\
@@ -167,7 +170,7 @@ def dense(rows, shape, order, x):
     out = np.zeros(shape, dtype=complex)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
-            out[i, j] = e.compile(order)(x)
+            out[i, j] = reference_compile(e, order)(x)
     return out
 
 
@@ -200,7 +203,7 @@ def dense_system(setup, x):
             row = row - Pv.T @ u
         dg[:, v] = row
     g = vg[:n] + W.T @ vg[n:]
-    gvals = np.array([gg.compile(order)(x) for gg in G], dtype=complex)
+    gvals = np.array([reference_compile(gg, order)(x) for gg in G], dtype=complex)
     F = np.concatenate([g - x[:n], gvals])
     Jac = np.zeros((n + s, n + s), dtype=complex)
     Jac[:n, :n] = dg[:, :n] - np.eye(n)
@@ -250,12 +253,31 @@ def test_live_partials_match_dense_evaluation(text):
 
 def test_slot_lists_hold_only_live_partials():
     # the n-body Hessians are sparse: 3x2 has 3 live potential partials of
-    # 45 upper-triangle slots; each distance generator has seven
+    # 45 upper-triangle slots; each distance generator has seven, all of
+    # them constant, so they sit in the kernel's template and the generated
+    # code computes only the potential's three
     pc = PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
     assert len(pc._vhess) == 3
     assert [len(h) for h in pc._ghess] == [7, 7, 7]
+    assert all(e.constant_value() is not None for h in pc._ghess for _, _, e in h)
+    assert all(e.constant_value() is None for _, _, e in pc._vhess)
+    source = pc._hessian_kernel.source
+    # one statement per live entry, writing both places of the symmetric pair
+    assert [(a, b) for a, b, _ in pc._vhess] == [
+        tuple(map(int, m)) for m in re.findall(r"^    a0\[(\d+), (\d+)\] = a0\[", source, re.M)]
+    assert "a1[" not in source
+    x = np.asarray(random_starts(pc.N, 1, seed=3)[0], dtype=complex)
+    vh, gh = pc._hessian_kernel(x)
+    live = {(a, b) for a, b, _ in pc._vhess} | {(b, a) for a, b, _ in pc._vhess}
+    assert {tuple(i) for i in np.argwhere(vh != 0)} == live
+    for a, h in enumerate(pc._ghess):
+        expected = np.zeros((pc.N, pc.N), dtype=complex)
+        for i, j, e in h:
+            expected[i, j] = expected[j, i] = complex(e.constant_value())
+        assert bits(gh[a]) == bits(expected)
     lin = PointCalculus(parse_problem(LINEAR_TEXT))
     assert lin._vhess == [] and lin._ghess == [[]]
+    assert "a0[" not in lin._hessian_kernel.source and "a1[" not in lin._hessian_kernel.source
     x = np.array([0.3, -1.1, 0.0], dtype=complex)
     x[2] = x[0] + 2 * x[1]
     _, Jac = lin.darboux_system(x)
@@ -263,4 +285,3 @@ def test_slot_lists_hold_only_live_partials():
     plain = PointCalculus(parse_problem(PLAIN_TEXT))
     J, B, _ = plain._core(np.zeros(2))
     assert J.shape == (0, 0) and B.shape == (0, 2)
-

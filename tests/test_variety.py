@@ -32,24 +32,27 @@ def test_critical_set_membership(trap_setup, cone_setup):
     assert not cone.near_sigma(on_cone(0.3, 0.4))
 
 
-def test_sigma_probe_compiles_its_data_once(monkeypatch):
+def test_sigma_probe_compiles_its_data_once(monkeypatch, compiled):
     pc = PointCalculus(parse_problem("""
 vars q1 q2
 ext w1 : w1^2 - q1
 potential q2/(q2 + w1)
 """))
-    calls = []
-    diff, compile_ = RatExpr.diff, RatExpr.compile
-    monkeypatch.setattr(RatExpr, "diff", lambda e, v: calls.append("diff") or diff(e, v))
-    monkeypatch.setattr(RatExpr, "compile", lambda e, o: calls.append("compile") or compile_(e, o))
+    diffs = []
+    diff = RatExpr.diff
+    monkeypatch.setattr(RatExpr, "diff", lambda e, v: diffs.append(e) or diff(e, v))
     x = np.array([1.0, 1.0, 1.0])  # on the variety, clear of detJ = 2 w1 and of q2 + w1
     assert not pc.near_sigma(x)
-    # detJ's 3 partials and its one non-zero one (its value is det_value's
-    # closure), then the denominator, its 3 partials and 2 non-zero ones
-    assert calls.count("diff") == 6 and calls.count("compile") == 4
-    calls.clear()
+    # detJ's 3 partials, then the denominator's 3; G and dG, then one kernel
+    # (value and gradient) for each of the two polynomials
+    assert diffs == [pc.det] * 3 + [pc._den] * 3
+    assert len(compiled) == 4
+    assert sorted(id(k) for _, k in compiled) == sorted(
+        map(id, [pc._g_kernel, pc._dg_kernel, *pc._probes.values()]))
+    diffs.clear()
+    compiled.clear()
     assert not pc.near_sigma(x)
-    assert calls == []
+    assert diffs == [] and compiled == []
 
 
 def test_constant_critical_polynomial_is_decided_by_its_value():
@@ -114,31 +117,40 @@ def test_on_variety_points(cone_setup):
     assert pc.constraint_residual(np.array([1.2, -0.5, 2.0])) > 1e-9
 
 
-def test_each_generator_partial_is_built_once(monkeypatch):
+def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
     generator = {id(g): a for a, g in enumerate(setup.generators)}
-    partial = {}  # id of a derivative -> (generator, variable)
+    partial = {}  # id of a non-zero derivative -> (generator, variable)
     kept = []  # holds the derivatives so their ids are not reused
-    diffed, compiled = [], []
-    diff, compile_ = RatExpr.diff, RatExpr.compile
+    diffed = []
+    diff = RatExpr.diff
 
     def spy_diff(self, var):
         out = diff(self, var)
         if id(self) in generator:
             key = (generator[id(self)], var)
             diffed.append(key)
-            partial[id(out)] = key
-            kept.append(out)
+            if not out.is_zero:
+                partial[id(out)] = key
+                kept.append(out)
         return out
 
-    def spy_compile(self, order):
-        if id(self) in partial:
-            compiled.append(partial[id(self)])
-        return compile_(self, order)
-
     monkeypatch.setattr(RatExpr, "diff", spy_diff)
-    monkeypatch.setattr(RatExpr, "compile", spy_compile)
-    PointCalculus(setup)
+    pc = PointCalculus(setup)
     # 3 generators x 9 variables; 15 of the 27 partials are non-zero
     assert len(diffed) == len(set(diffed)) == 27
-    assert len(compiled) == len(set(compiled)) == 15
+    assert len(partial) == 15
+    q = np.array([1.0, 0.2, -0.5, 0.9, 0.3, -1.1], dtype=complex)
+    x = np.concatenate([q, pc.solve_fiber(q, np.ones(3))])
+    pc.darboux_system(x)
+    pc.near_sigma(x)
+    pc.potential_value(x)
+    pc.det_value(x)
+    assert len(diffed) == 27
+    assert len(compiled) == 8
+    # every kernel the calculus has is compiled; each non-zero partial was
+    # emitted into exactly one of them, the generator Jacobian's
+    exprs = [e for targets, _ in compiled for t in targets
+             for e in ([t] if isinstance(t, RatExpr) else [e for e, _ in t.entries])]
+    emitted = [partial[id(e)] for e in exprs if id(e) in partial]
+    assert sorted(emitted) == sorted(partial.values())
