@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--monodromy", action="store_true",
-                   help="integrate the loops and report eigenvalue errors")
+                   help="continue solutions around the loops and report eigenvalue errors")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_ve)
 

@@ -9,7 +9,8 @@ the classical time-to-z change of variables) to the hypergeometric equation
 with regular singular points 0, 1, infinity.  This module builds that
 equation exactly (Fraction coefficients), exposes its local exponents and
 the Fuchs relation residual, and computes numeric monodromy matrices by
-integrating the first-order system around loops in the punctured plane.
+continuing a fundamental system analytically around loops in the punctured
+plane, one Taylor series hop at a time.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .admissibility import rational_sqrt
 
 F = Fraction
 
-LOOP_RTOL = 1e-13
-LOOP_ATOL = 1e-14
-LOOP_MAX_STEP = 2 * math.pi / 720
+# share of its series' radius of convergence that a continuation hop covers
+HOP_RATIO = 0.5
+# an exponent difference this near an integer, but not one, skips its loop
+RESONANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,6 @@ class HypergeomVE:
         sinf = self.a1 - 1
         return s0 + s1 + sinf - 1
 
-    def system_matrix(self, z: complex) -> np.ndarray:
-        """First-order companion system Y' = A(z) Y for Y = (X, X')."""
-        den = z * (z - 1)
-        a1, a0, b0 = float(self.a1), float(self.a0), float(self.b0)
-        return np.array([
-            [0.0, 1.0],
-            [-b0 / den, -(a1 * z + a0) / den],
-        ], dtype=complex)
-
 
 def build_ve(k: int, lam) -> HypergeomVE:
     if not isinstance(k, int) or k == 0:
@@ -98,67 +90,82 @@ def build_ve(k: int, lam) -> HypergeomVE:
 # monodromy
 # ---------------------------------------------------------------------------
 
-def _integrate_path(ve: HypergeomVE, path, t_span) -> np.ndarray:
-    """Transport the 2x2 fundamental matrix along a parametrized path.
+def _transport(ve: HypergeomVE, vertices) -> np.ndarray:
+    """Fundamental matrix of (X, X') continued along a polygon from the
+    identity at its first vertex, one Taylor series hop per side.
 
-    path(t) -> z, path.d(t) -> dz/dt.  The integrator carries the complex
-    matrix, flattened, as its complex state.
+    A hop from z0 to z1 sums the series at z0 of the solutions u and v with
+    (X, X') = (1, 0) and (0, 1) there, which diverge unless |z1 - z0| is below
+    the distance from z0 to 0 or 1.  With z(z-1) = p0 + p1 t + t^2 and
+    a1 z + a0 = q0 + a1 t in t = z - z0, the coefficients obey
+    p0 (m+2)(m+1) c_{m+2} = -[(p1 m + q0)(m+1) c_{m+1} + (m(m-1) + a1 m + b0) c_m].
+    x sums the terms c_m h^m (h = z1 - z0), d sums m times them (h X'), and
+    s is the largest; a series stops at two consecutive terms below eps/100 s.
     """
-    z_of_t, dz_of_t = path
+    a1, a0, b0 = float(ve.a1), float(ve.a0), float(ve.b0)
+    tol = np.finfo(float).eps / 100
+    (a, b), (c, d) = (1.0, 0.0), (0.0, 1.0)
+    for z0, z1 in zip(vertices, vertices[1:]):
+        h, z0 = complex(z1 - z0), complex(z0)
+        if not abs(h) < min(abs(z0), abs(z0 - 1)):
+            raise RuntimeError(f"monodromy transport failed: the series at {z0} diverge at {z1}")
+        p0, p1, q0 = z0 * (z0 - 1), 2 * z0 - 1, a1 * z0 + a0
+        u0, u1, xu, du, su = 1.0, 0.0, 1.0, 0.0, 1.0
+        v0, v1, xv, dv, sv = 0.0, h, h, h, abs(h)
+        m = 0
+        while max(abs(u0), abs(u1)) > tol * su or max(abs(v0), abs(v1)) > tol * sv:
+            den = p0 * (m + 2) * (m + 1)
+            alpha = -(p1 * m + q0) * (m + 1) * h / den
+            beta = -(m * (m - 1) + a1 * m + b0) * h * h / den
+            u0, u1 = u1, alpha * u1 + beta * u0
+            v0, v1 = v1, alpha * v1 + beta * v0
+            m += 1
+            xu, du, su = xu + u1, du + (m + 1) * u1, max(su, abs(u1))
+            xv, dv, sv = xv + v1, dv + (m + 1) * v1, max(sv, abs(v1))
+        du, dv = du / h, dv / h
+        (a, b), (c, d) = (xu * a + xv * c, xu * b + xv * d), (du * a + dv * c, du * b + dv * d)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
-    def rhs(t, y):
-        return dz_of_t(t) * (ve.system_matrix(z_of_t(t)) @ y.reshape(2, 2)).ravel()
 
-    y0 = np.eye(2, dtype=complex).ravel()
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853",
-                    rtol=LOOP_RTOL, atol=LOOP_ATOL, max_step=LOOP_MAX_STEP)
-    if not sol.success:
-        raise RuntimeError(f"monodromy transport failed: {sol.message}")
-    return sol.y[:, -1].reshape(2, 2)
-
-
-def _circle(center: complex, radius: float, phase: float):
-    """Closed counterclockwise loop starting at center + radius e^{i phase}."""
-    def z(t):
-        return center + radius * cmath.exp(1j * (phase + t))
-
-    def dz(t):
-        return 1j * radius * cmath.exp(1j * (phase + t))
-
-    return (z, dz)
+def _circle(center: complex, radius: float, phase: float) -> list:
+    """Regular polygon inscribed in the circle, counterclockwise from center +
+    radius e^{i phase} and back, each side HOP_RATIO of its distance from 0, 1."""
+    gap = min(abs(abs(center) - radius), abs(abs(center - 1) - radius))
+    n = math.ceil(math.pi / math.asin(HOP_RATIO * gap / (2 * radius)))
+    ring = [center + radius * cmath.exp(1j * (phase + 2 * math.pi * j / n)) for j in range(n)]
+    return ring + ring[:1]
 
 
-def _segment(z0: complex, z1: complex):
-    def z(t):
-        return z0 + t * (z1 - z0)
-
-    def dz(t):
-        return z1 - z0
-
-    return (z, dz)
+def _segment(z0: complex, z1: complex) -> list:
+    """Vertices from z0 to z1, each side HOP_RATIO of its start's distance from 0, 1."""
+    vertices = [z0]
+    while vertices[-1] != z1:
+        z = vertices[-1]
+        step, gap = HOP_RATIO * min(abs(z), abs(z - 1)), abs(z1 - z)
+        vertices.append(z1 if gap <= step else z + (z1 - z) * (step / gap))
+    return vertices
 
 
 def monodromy_matrix(ve: HypergeomVE, singularity: str) -> np.ndarray:
     """Monodromy of the fundamental system around one singular point.
 
-    Loops are based at z = 1/2: the loop around 0 is the circle of radius
-    1/2 centered at 0 starting at 1/2 (phase 0); the loop around 1 is the
-    circle of radius 1/2 centered at 1 starting at 1/2 (phase pi).  The
-    matrix around infinity is conjugated back to the same basepoint through
-    a vertical detour that keeps the big circle clear of both finite
-    singularities.
+    The fundamental matrix is continued along a polygon inscribed in each
+    loop, based at z = 1/2: the loop around 0 is the circle of radius 1/2
+    centered at 0 starting at 1/2 (phase 0); the loop around 1 is the circle
+    of radius 1/2 centered at 1 starting at 1/2 (phase pi).  The loop around
+    infinity is the big circle conjugated back to the basepoint through a
+    vertical detour that keeps it clear of both finite singularities.
     """
-    two_pi = 2 * math.pi
     if singularity == "0":
-        return _integrate_path(ve, _circle(0.0, 0.5, 0.0), (0.0, two_pi))
+        return _transport(ve, _circle(0.0, 0.5, 0.0))
     if singularity == "1":
-        return _integrate_path(ve, _circle(1.0, 0.5, math.pi), (0.0, two_pi))
+        return _transport(ve, _circle(1.0, 0.5, math.pi))
     if singularity == "inf":
-        lift = _integrate_path(ve, _segment(0.5, 0.5 + 3j), (0.0, 1.0))
-        # big clockwise circle = inverse of the counterclockwise loop that
-        # encloses both finite singularities
-        big = _integrate_path(ve, _circle(0.5, 3.0, math.pi / 2), (0.0, two_pi))
-        return np.linalg.solve(lift, np.linalg.solve(big, lift))
+        # up, clockwise round and back down in one continuation: solving with
+        # the lift's matrix loses digits to its condition number (about 9,000
+        # at k = -1, lambda = -24/5); reversed sides start farther from 0 and 1
+        lift = _segment(0.5, 0.5 + 3j)
+        return _transport(ve, lift + _circle(0.5, 3.0, math.pi / 2)[::-1][1:] + lift[::-1][1:])
     raise ValueError("singularity must be '0', '1' or 'inf'")
 
 
@@ -174,55 +181,47 @@ class MonodromyReport:
 
 def _pair_error(eigs: np.ndarray, targets) -> float:
     """Best matching of two computed eigenvalues against two targets."""
-    t0, t1 = complex(targets[0]), complex(targets[1])
-    e0, e1 = eigs[0], eigs[1]
-    straight = max(abs(e0 - t0), abs(e1 - t1))
-    crossed = max(abs(e0 - t1), abs(e1 - t0))
-    return min(straight, crossed)
+    (t0, t1), (e0, e1) = (complex(t) for t in targets), eigs
+    return min(max(abs(e0 - t0), abs(e1 - t1)), max(abs(e0 - t1), abs(e1 - t0)))
 
 
-def _resonance_guard(exponents, tol: float = 1e-9):
-    """Return a skip reason when the exponent difference is suspiciously
-    close to an integer without being exactly one.
+def _resonance_guard(exponents):
+    """Return a skip reason when the exponent difference is within
+    RESONANCE_TOL of an integer without being exactly one.
 
-    An exactly integer difference is fine for the eigenvalue comparison
-    (the two circle eigenvalues coincide; a possible log term does not
-    change them); a nearly integer difference makes the eigenvalue pairing
-    ill-conditioned, so the check is skipped rather than reported noisily.
+    An exactly integer difference is fine for the eigenvalue comparison (the
+    two eigenvalues coincide; a possible log term does not change them); a
+    nearly integer one makes the pairing ill-conditioned, so it is skipped.
     """
     d = exponents[0] - exponents[1]
     if isinstance(d, Fraction):
         return None  # exact arithmetic: integer or not, no ambiguity
     nearest = round(d.real)
-    if abs(d - nearest) < tol and d != nearest:
+    if abs(d - nearest) < RESONANCE_TOL and d != nearest:
         return "exponent difference is numerically close to an integer"
     return None
 
 
 def monodromy_report(ve: HypergeomVE) -> MonodromyReport:
-    """Integrate all three loops, compare eigenvalues with local exponents,
+    """Continue around all three loops, compare eigenvalues with local exponents,
     and verify the relation M0 M1 Minf = identity up to transport error."""
     rep = MonodromyReport(k=ve.k, lam=complex(ve.lam))
-    m0 = monodromy_matrix(ve, "0")
-    m1 = monodromy_matrix(ve, "1")
-    minf = monodromy_matrix(ve, "inf")
-    rep.matrices = {"0": m0, "1": m1, "inf": minf}
-
-    for name, M, exps in (("0", m0, ve.exponents0),
-                          ("1", m1, ve.exponents1),
-                          ("inf", minf, ve.exponents_inf)):
+    exponents = {"0": ve.exponents0, "1": ve.exponents1, "inf": ve.exponents_inf}
+    rep.matrices = {name: monodromy_matrix(ve, name) for name in exponents}
+    for name, exps in exponents.items():
         reason = _resonance_guard(exps)
         if reason is not None:
             rep.skipped[name] = reason
             rep.eigen_errors[name] = None
             continue
         targets = [cmath.exp(2j * math.pi * complex(e)) for e in exps]
-        eigs = np.linalg.eigvals(M)
+        eigs = np.linalg.eigvals(rep.matrices[name])
         rep.eigen_errors[name] = _pair_error(eigs, targets)
 
     # loop composition around all three singularities is contractible;
     # the order matching these basepoint/orientation conventions was fixed
     # against the numeric transport and is part of the contract
+    m0, m1, minf = rep.matrices.values()
     prod = minf @ m1 @ m0
     rep.product_error = float(np.max(np.abs(prod - np.eye(2))))
     return rep

@@ -21,6 +21,12 @@ def load_instrument():
 
 instrument = load_instrument()
 
+# Wrap points whose layer algpot no longer has, while bench/ still lists them
+# (it changes only with the benchmark); the benchmark reports each as missing
+# and its metrics read 0.  Monodromy is continued by Taylor series, so the
+# companion matrix of the ODE transport has no caller left.
+STALE_WRAP_POINTS = ["varode.HypergeomVE.system_matrix (varode.system_matrix)"]
+
 
 def test_every_wrap_point_resolves():
     missing = []
@@ -28,7 +34,7 @@ def test_every_wrap_point_resolves():
         target = instrument._resolve(algpot, module, owner)
         if target is None or attr not in vars(target):
             missing.append(f"{module}.{owner or ''}.{attr} ({name})")
-    assert missing == []
+    assert missing == STALE_WRAP_POINTS
 
 
 def test_newton_outcome_reads_the_acceptance_bound():

@@ -1,14 +1,22 @@
 """Variational equation: exponents, Fuchs relation, numeric monodromy."""
 
 import cmath
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algpot import varode
 from algpot.varode import build_ve, monodromy_matrix, monodromy_report
+
+import ve_reference
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import VE_PAIRS  # noqa: E402
 
 MONODROMY_PAIRS = [(3, Fraction(1)), (-1, Fraction(0)), (2, Fraction(3))]
 
@@ -82,3 +90,81 @@ def test_local_eigenvalue_values_at_zero():
     want = {1.0 + 0j, cmath.exp(2j * cmath.pi / k)}
     for target in want:
         assert min(abs(e - target) for e in eigs) < 1e-6
+
+
+@pytest.mark.parametrize("k,lam", sorted(set(VE_PAIRS) | set(MONODROMY_PAIRS)))
+def test_continuation_matches_the_ode_reference(k, lam):
+    ve = build_ve(k, lam)
+    for name in ("0", "1", "inf"):
+        want = ve_reference.monodromy_matrix(ve, name)
+        got = monodromy_matrix(ve, name)
+        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want)), name
+
+
+@given(
+    k=st.sampled_from([3, -1, 2, 5, -3]),
+    lam=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    z0=st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False).filter(
+        lambda z: min(abs(z), abs(z - 1)) > 0.05),
+    r=st.floats(min_value=0.05, max_value=0.99),
+    theta=st.floats(min_value=0, max_value=6.3),
+    t=st.floats(min_value=0.05, max_value=0.95),
+)
+@settings(max_examples=200, deadline=None)
+def test_hops_compose(k, lam, z0, r, theta, t):
+    # z2 inside the half-radius disc about z0, and z1 on the way to it, so
+    # every hop stays within half its own radius
+    ve = build_ve(k, lam)
+    z2 = z0 + r * 0.5 * min(abs(z0), abs(z0 - 1)) * cmath.exp(1j * theta)
+    z1 = z0 + t * (z2 - z0)
+    direct = varode._transport(ve, [z0, z2])
+    composed = varode._transport(ve, [z0, z1, z2])
+    assert np.linalg.norm(composed - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("k,lam", MONODROMY_PAIRS)
+def test_loop_around_zero_is_path_independent(k, lam):
+    ve = build_ve(k, lam)
+    corners = [0.5, 0.5j, -0.5, -0.5j, 0.5]
+    square = [0.5]
+    for a, b in zip(corners, corners[1:]):
+        square += varode._segment(a, b)[1:]
+    got = varode._transport(ve, square)
+    assert np.abs(got - monodromy_matrix(ve, "0")).max() <= 1e-12
+
+
+def test_a_hop_past_the_convergence_radius_fails():
+    ve = build_ve(3, Fraction(1))
+    with pytest.raises(RuntimeError, match="monodromy transport failed"):
+        varode._transport(ve, [0.5, 1.2])
+    with pytest.raises(RuntimeError, match="monodromy transport failed"):
+        varode._transport(ve, [0.5, 0.0])
+
+
+def test_hops_per_report_are_pinned(monkeypatch):
+    # 13 round 0, 13 round 1; round infinity 6 up the lift, 15 round the big
+    # circle and 6 back down
+    hops = []
+    transport = varode._transport
+
+    def counted(ve, vertices):
+        hops.append(len(vertices) - 1)
+        return transport(ve, vertices)
+
+    monkeypatch.setattr(varode, "_transport", counted)
+    monodromy_report(build_ve(3, Fraction(1)))
+    assert hops == [13, 13, 27]
+
+
+def test_near_resonance_at_infinity_is_skipped():
+    # exponents at infinity differ by sqrt(lambda) = 1 + 5e-11
+    rep = monodromy_report(build_ve(2, Fraction(10**10 + 1, 10**10)))
+    assert list(rep.skipped) == ["inf"] and rep.skipped["inf"]
+    assert rep.eigen_errors["inf"] is None
+
+
+def test_exact_integer_difference_is_not_skipped():
+    # exponents at infinity are exactly 1/2 and -1/2
+    rep = monodromy_report(build_ve(2, Fraction(1)))
+    assert rep.skipped == {}
+    assert rep.eigen_errors["inf"] <= 1e-6
