@@ -8,12 +8,21 @@ variables:
 
 where J = dG/dw.  The generators G_1..G_s cut the variety out of C^(n+s);
 points where detJ vanishes form the critical set, exactly where these
-derivations break down.  PointCalculus is the one numeric view of a setup:
-it evaluates plain partials of V and G, prepared once symbolically and
+derivations break down.  The numerics use the Lagrangian form of that
+derivation.  With B = dG/dq, the adjoint u = J^(-T) d_wV, W = dw/dq =
+-J^(-1) B, P = [I; W] and L = Hess V - sum_a u_a Hess G_a, the Hessian of
+the Lagrangian V - u.G:
+
+    grad V = d_qV - B^T u,    d(grad V)/dx = P^T L,    Hess V = P^T L P.
+
+One s x s solve for u per point serves the gradient, the Newton Jacobian
+and the Hessian.  PointCalculus is the one numeric view of a setup: it
+evaluates plain partials of V and G, prepared once symbolically and
 evaluated by kernels generated on first use, and does small linear solves
-per point, which stays cheap at any number of extension variables.  It also solves fibers, samples the variety for
-validation and probes the distance to the critical set.  The tests hold it
-against finite differences of a locally solved branch.
+per point, which stays cheap at any number of extension variables.  It also
+solves fibers, samples the variety for validation and probes the distance
+to the critical set.  The tests hold it against finite differences of a
+locally solved branch.
 """
 
 from __future__ import annotations
@@ -99,12 +108,24 @@ def _symmetric(entries, lead=()) -> list:
     return [(e, [lead + (a, b), lead + (b, a)]) for a, b, e in entries]
 
 
+def _fiber_solve(A, b) -> np.ndarray:
+    """A^(-1) b for A = J or J^T; raises CriticalPointError where J is singular."""
+    try:
+        out = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise CriticalPointError("dG/dw is singular at the point") from None
+    if not np.all(np.isfinite(out)):
+        raise CriticalPointError("dG/dw is singular at the point")
+    return out
+
+
 class PointCalculus:
     """Per-point gradients, Hessians and Newton data for the Darboux system.
 
     Plain first and second partials of the potential and the generators are
     prepared symbolically once; every point evaluation then reduces to dense
-    (s x s) linear solves.  Works for any s, including setups where the
+    (s x s) linear solves, and the adjoint of the last point evaluated is
+    kept (_adjoint).  Works for any s, including setups where the
     symbolic quotient forms would be bulky.  The partials are evaluated by
     generated kernels (expr.compile_arrays), each compiled on first use and
     kept: G; dG, the s x N matrix whose columns n: are J = dG/dw and whose
@@ -129,15 +150,10 @@ class PointCalculus:
         self._vhess = _hessian_entries(self._vgrad, order)
         self._ggrad = [[g.diff(v) for v in order] for g in setup.generators]
         self._ghess = [_hessian_entries(row, order) for row in self._ggrad]
-        # per variable v, the generators whose Hessian row v has a live entry
-        # in the w columns; _dg_blocks adds a w-correction for those only
-        n = self.n
-        self._w_rows = [[a for a, h in enumerate(self._ghess)
-                         if any((i == v and j >= n) or (j == v and i >= n) for i, j, _ in h)]
-                        for v in range(self.N)]
-        self.det = det_expr([row[n:] for row in self._ggrad])
+        self.det = det_expr([row[self.n:] for row in self._ggrad])
         self._den = RatExpr(dict(V.den), {(): Fraction(1)})
         self._probes = {}  # polynomial -> (value, gradient) kernel, on first use
+        self._memo = None  # (point bytes, dG, vg, u) of the last point, see _adjoint
 
     @cached_property
     def _g_kernel(self):
@@ -187,63 +203,52 @@ class PointCalculus:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
 
-    def _core(self, x):
-        """J, dGdq and W = dw/dq at the point; raises off the good set."""
-        x = np.asarray(x, dtype=complex)
-        n, s = self.n, self.s
-        if s == 0:
-            return (np.zeros((0, 0), complex), np.zeros((0, n), complex),
-                    np.zeros((0, n), complex))
+    def _adjoint(self, x):
+        """(dG, vg, u) at x: the generators' Jacobian, the potential's plain
+        gradient and the adjoint u = J^(-T) d_wV.  The last point's triple is
+        kept, keyed on the point's bytes, so the residual, the Jacobian and
+        the Hessian at one point share one solve; a point off the good set
+        raises CriticalPointError, every time, and leaves nothing kept."""
+        key = x.tobytes()
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1:]
+        self._memo = None
+        n = self.n
         dG = self._dg_kernel(x)
-        J, B = dG[:, n:], dG[:, :n]
-        try:
-            W = np.linalg.solve(J, -B)
-        except np.linalg.LinAlgError:
-            raise CriticalPointError("dG/dw is singular at the point") from None
-        if not np.all(np.isfinite(W)):
-            raise CriticalPointError("dG/dw is singular at the point")
-        return J, B, W
+        vg = self._vgrad_kernel(x)
+        u = _fiber_solve(dG[:, n:].T, vg[n:])
+        # callers get these arrays themselves; read-only keeps the memo intact
+        for a in (dG, vg, u):
+            a.flags.writeable = False
+        self._memo = (key, dG, vg, u)
+        return dG, vg, u
 
     def w_derivative(self, x) -> np.ndarray:
         """Numeric s x n matrix of dw_j/dq_k at the point."""
-        return self._core(x)[2]
+        dG = self._adjoint(np.asarray(x, dtype=complex))[0]
+        return _fiber_solve(dG[:, self.n:], -dG[:, :self.n])
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        _, _, W = self._core(x)
-        vg = self._vgrad_kernel(x)
-        return vg[: self.n] + W.T @ vg[self.n:]
+        dG, vg, u = self._adjoint(x)
+        return vg[: self.n] - dG[:, : self.n].T @ u
 
     def _dg_blocks(self, x):
         """Plain partials of the derivation vector g: dg/dq, dg/dw, W, J,
-        dG/dq and the potential's plain gradient."""
+        dG/dq and the potential's plain gradient.  dg = P^T L, with
+        P = [I; W] and L the Hessian of the Lagrangian V - u.G."""
         x = np.asarray(x, dtype=complex)
-        n, s, N = self.n, self.s, self.N
-        J, B, W = self._core(x)
+        n = self.n
+        dG, vg, u = self._adjoint(x)
+        J, B = dG[:, n:], dG[:, :n]
+        W = _fiber_solve(J, -B)
         vh, gh = self._hessian_kernel(x)
-        vg = self._vgrad_kernel(x)
-
-        if s:
-            u = np.linalg.solve(J.T, vg[n:])
-        else:
-            u = np.zeros(0, dtype=complex)
-
-        dg = np.zeros((n, N), dtype=complex)  # dg[k, v] = d g_k / d x_v
-        for v in range(N):
-            row = vh[v, :n] + W.T @ vh[v, n:]
-            if s:
-                # Pv[a] = gh[a][v, :n] + gh[a][v, n:] @ W.  A structurally
-                # zero w-row adds only signed zeros (W is finite), and a
-                # generator Hessian entry, a polynomial value summed onto
-                # 0j, is never -0, so skipping that row changes no bit.
-                Pv = gh[:, v, :n].copy()
-                for a in self._w_rows[v]:
-                    Pv[a] += gh[a][v, n:] @ W
-                row = row - Pv.T @ u
-            dg[:, v] = row
+        L = vh - np.tensordot(u, gh, axes=1) if self.s else vh
+        dg = L[:n] + W.T @ L[n:]
         return dg[:, :n], dg[:, n:], W, J, B, vg
 
     def hess(self, x) -> np.ndarray:
+        """The intrinsic Hessian P^T L P."""
         dgdq, dgdw, W = self._dg_blocks(x)[:3]
         return dgdq + dgdw @ W
 
@@ -281,12 +286,13 @@ class PointCalculus:
         return np.concatenate([g - x[: self.n], self.g_values(x)])
 
     def darboux_system(self, x):
-        """(F, plain Jacobian of F) for Newton iterations."""
+        """(F, plain Jacobian of F) for Newton iterations; F is computed as
+        darboux_residual computes it, from the same kept adjoint."""
         x = np.asarray(x, dtype=complex)
         n, s = self.n, self.s
         dgdq, dgdw, W, J, B, vg = self._dg_blocks(x)
-        g = vg[:n] + W.T @ vg[n:]
-        F = np.concatenate([g - x[:n], self.g_values(x)])
+        u = self._adjoint(x)[2]
+        F = np.concatenate([vg[:n] - B.T @ u - x[:n], self.g_values(x)])
         Jac = np.zeros((n + s, n + s), dtype=complex)
         Jac[:n, :n] = dgdq - np.eye(n)
         Jac[:n, n:] = dgdw

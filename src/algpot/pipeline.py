@@ -11,6 +11,7 @@ the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -253,6 +254,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             "clusters": [cluster_dict(c) for c in gauge_clusters + list(spec.clusters)],
             "diagonalizable": spec.diagonalizable,
             "uncertain": spec.uncertain,
+            # inf when no rank decision was made, which JSON cannot carry
+            "diag_margin": None if math.isinf(spec.diag_margin) else spec.diag_margin,
         }
 
         verdict_rows = [{"eigenvalue": cl.value, "multiplicity": cl.multiplicity,

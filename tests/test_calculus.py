@@ -246,7 +246,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
     pc.darboux_system(x)
-    kernels = [pc._dg_kernel, pc._hessian_kernel, pc._vgrad_kernel, pc._g_kernel]
+    kernels = [pc._dg_kernel, pc._vgrad_kernel, pc._hessian_kernel, pc._g_kernel]
     assert [k for _, k in compiled] == kernels
     pc.darboux_system(x + 0.1)
     pc.darboux_residual(x)

@@ -1,20 +1,26 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import algpot
 from algpot.cli import main
 from algpot.pipeline import EXIT_ERROR, EXIT_USAGE, AnalysisOptions, analyze, report_json
 
 RUN = [sys.executable, "-m", "algpot.cli"]
+# the child process imports the same algpot sources as this one
+SRC = str(Path(algpot.__file__).resolve().parent.parent)
 
 
 def run_cli(args, **kw):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
-                          **kw)
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 def test_check_table_exact_match(capsys):

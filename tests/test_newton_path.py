@@ -1,8 +1,11 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
 The line search evaluates residuals only and builds the Jacobian at accepted
-steps; gradients and Hessians evaluate only their non-zero partials.  Both
-are held here, bit for bit, against the straightforward forms they replace.
+steps; gradients and Hessians evaluate only their non-zero partials; one
+kept adjoint per point serves the residual, the Jacobian and the Hessian.
+Each is held here, bit for bit, against the straightforward form it
+replaces, and the Lagrangian assembly against the per-variable one within
+roundoff.
 """
 
 import re
@@ -182,19 +185,49 @@ def dense_hessian(f, order, x):
                   for a in range(N)], (N, N), order, x)
 
 
-def dense_system(setup, x):
-    """darboux_system evaluated with dense grids of every partial."""
+def dense_partials(setup, x):
+    """J, dG/dq, V's gradient and Hessian, the generators' Hessians and
+    values, every entry evaluated on its own."""
     order = setup.var_names
     n, s, N = setup.n, setup.s, len(order)
     G = setup.generators
     J = dense([[g.diff(w) for w in setup.w_names] for g in G], (s, s), order, x)
     B = dense([[g.diff(q) for q in setup.q_names] for g in G], (s, n), order, x)
-    W = np.linalg.solve(J, -B) if s else np.zeros((0, n), complex)
     V = setup.potential
     vg = dense([[V.diff(v) for v in order]], (1, N), order, x)[0]
     vh = dense_hessian(V, order, x)
-    gh = [dense_hessian(g, order, x) for g in G]
-    u = np.linalg.solve(J.T, vg[n:]) if s else np.zeros(0, complex)
+    gh = np.array([dense_hessian(g, order, x) for g in G]).reshape(s, N, N)
+    gvals = np.array([reference_compile(gg, order)(x) for gg in G], dtype=complex)
+    return J, B, vg, vh, gh, gvals
+
+
+def dense_system(setup, x):
+    """darboux_system and hess in Lagrangian form, from dense grids of every
+    partial: u = J^-T d_wV, L = Hess V - u.Hess G, dg = P^T L, P = [I; W]."""
+    n, s = setup.n, setup.s
+    J, B, vg, vh, gh, gvals = dense_partials(setup, x)
+    W = np.linalg.solve(J, -B)
+    u = np.linalg.solve(J.T, vg[n:])
+    L = vh - np.tensordot(u, gh, axes=1) if s else vh
+    dg = L[:n] + W.T @ L[n:]
+    g = vg[:n] - B.T @ u
+    F = np.concatenate([g - x[:n], gvals])
+    Jac = np.zeros((n + s, n + s), dtype=complex)
+    Jac[:n, :n] = dg[:, :n] - np.eye(n)
+    Jac[:n, n:] = dg[:, n:]
+    Jac[n:, :n] = B
+    Jac[n:, n:] = J
+    return J, B, g, F, Jac, dg[:, :n] + dg[:, n:] @ W
+
+
+def loop_reference(setup, x):
+    """(grad, hess, Jacobian) from the per-variable assembly the Lagrangian
+    form replaced: W = dw/dq, grad = d_qV + W^T d_wV, and for each variable
+    v the correction Pv[a] = Hess G_a[v, :n] + Hess G_a[v, n:] W."""
+    n, s, N = setup.n, setup.s, setup.n + setup.s
+    J, B, vg, vh, gh, _ = dense_partials(setup, x)
+    W = np.linalg.solve(J, -B)
+    u = np.linalg.solve(J.T, vg[n:])
     dg = np.zeros((n, N), dtype=complex)
     for v in range(N):
         row = vh[v, :n] + W.T @ vh[v, n:]
@@ -202,15 +235,16 @@ def dense_system(setup, x):
             Pv = np.array([gh[a][v, :n] + gh[a][v, n:] @ W for a in range(s)])
             row = row - Pv.T @ u
         dg[:, v] = row
-    g = vg[:n] + W.T @ vg[n:]
-    gvals = np.array([reference_compile(gg, order)(x) for gg in G], dtype=complex)
-    F = np.concatenate([g - x[:n], gvals])
     Jac = np.zeros((n + s, n + s), dtype=complex)
     Jac[:n, :n] = dg[:, :n] - np.eye(n)
     Jac[:n, n:] = dg[:, n:]
     Jac[n:, :n] = B
     Jac[n:, n:] = J
-    return J, B, g, F, Jac
+    return vg[:n] + W.T @ vg[n:], dg[:, :n] + dg[:, n:] @ W, Jac
+
+
+def close_to(live, ref, rel=1e-12):
+    return float(np.max(np.abs(live - ref), initial=0.0)) <= rel * max(1.0, np.linalg.norm(ref))
 
 
 def bits(a):
@@ -234,12 +268,12 @@ def test_live_partials_match_dense_evaluation(text):
     compared = 0
     for x in sample_points(setup, 6, seed=2):
         try:
-            J, B, g, F, Jac = dense_system(setup, x)
+            J, B, g, F, Jac, H = dense_system(setup, x)
         except (np.linalg.LinAlgError, PoleError):
             continue  # off the good set (the origin of the cone, say)
         if not np.all(np.isfinite(np.linalg.solve(J, -B))):
             continue
-        J_live, B_live, _ = pc._core(x)
+        J_live, B_live = pc._dg_blocks(x)[3:5]
         assert bits(J_live) == bits(J)
         assert bits(B_live) == bits(B)
         assert bits(pc.grad(x)) == bits(g)
@@ -247,6 +281,11 @@ def test_live_partials_match_dense_evaluation(text):
         assert bits(F_live) == bits(F)
         assert bits(Jac_live) == bits(Jac)
         assert bits(pc.darboux_residual(x)) == bits(F)
+        assert bits(pc.hess(x)) == bits(H)
+        g_ref, H_ref, Jac_ref = loop_reference(setup, x)
+        assert close_to(pc.grad(x), g_ref)
+        assert close_to(pc.hess(x), H_ref)
+        assert close_to(Jac_live, Jac_ref)
         compared += 1
     assert compared >= 5
 
@@ -283,5 +322,49 @@ def test_slot_lists_hold_only_live_partials():
     _, Jac = lin.darboux_system(x)
     assert np.array_equal(Jac[:2, :2], -np.eye(2))
     plain = PointCalculus(parse_problem(PLAIN_TEXT))
-    J, B, _ = plain._core(np.zeros(2))
+    J, B = plain._dg_blocks(np.zeros(2))[3:5]
     assert J.shape == (0, 0) and B.shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the adjoint kept for the last point
+# ---------------------------------------------------------------------------
+
+def point_results(pc, x):
+    """Everything the calculus computes from the kept adjoint, as bytes."""
+    F, Jac = pc.darboux_system(x)
+    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), F, Jac,
+                              pc.hess(x), pc.w_derivative(x))]
+
+
+def test_kept_adjoint_serves_only_its_own_point():
+    setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    pc = PointCalculus(setup)
+    a, b = sample_points(setup, 2, seed=4)[:2]
+    for x in (a, b, a):
+        assert point_results(pc, x) == point_results(PointCalculus(setup), x)
+    # the same array changed in place after a call is a new point
+    x = a.copy()
+    pc.grad(x)
+    x[0] += 0.25
+    assert bits(pc.grad(x)) == bits(PointCalculus(setup).grad(x))
+    assert point_results(pc, x) == point_results(PointCalculus(setup), x)
+    # the kept arrays reach callers read-only, so no caller can change them
+    J, B, vg = pc._dg_blocks(x)[3:]
+    for kept in (J, B, vg):
+        with pytest.raises(ValueError):
+            kept[0] = 0
+
+
+def test_singular_fiber_raises_on_every_call(trap_setup):
+    pc = PointCalculus(trap_setup)
+    good = np.array([0.25, 1.0, 0.5], dtype=complex)
+    singular = np.array([0.0, 1.0, 0.0], dtype=complex)
+    for method in (pc.grad, pc.darboux_residual, pc.darboux_system, pc.hess,
+                   pc.w_derivative):
+        pc.grad(good)
+        for _ in range(3):
+            with pytest.raises(CriticalPointError):
+                method(singular)
+        assert pc._memo is None  # nothing is kept after a raise
+        assert point_results(pc, good) == point_results(PointCalculus(trap_setup), good)

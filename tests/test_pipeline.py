@@ -112,6 +112,26 @@ def test_certificate_is_computed_from_the_report_points():
     assert certify(k, decoded["points"]).status == "no_obstruction"
 
 
+def test_spectrum_reports_its_diagonalizability_margin(cone_setup):
+    # V = q1^3 + q2^3 + q3^3 has Darboux points q_i in {0, 1/3}, with
+    # Hessian diag(6 q_i): each has a repeated eigenvalue, whose rank is decided
+    setup = parse_problem("vars q1 q2 q3\npotential q1^3 + q2^3 + q3^3\n")
+    options = AnalysisOptions(n_random=8)
+    report, _ = analyze(setup, options)
+    assert report["points"]
+    for point in report["points"]:
+        spec = point["spectrum"]
+        assert any(c["multiplicity"] > 1 for c in spec["clusters"])
+        assert isinstance(spec["diag_margin"], float) and 1.0 < spec["diag_margin"] < 20
+    text = report_json(report)
+    assert report_json(analyze(setup, options)[0]) == text
+    # the cone's spectrum {1, 2} is simple: no rank decision, no margin
+    cone, _ = analyze(cone_setup, options)
+    assert cone["points"]
+    assert all(p["spectrum"]["diag_margin"] is None for p in cone["points"])
+    assert "Infinity" not in report_json(cone)
+
+
 def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
     builds = []
     init = PointCalculus.__init__

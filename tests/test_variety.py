@@ -12,7 +12,7 @@ def test_cone_fiber_jacobian_is_2w(cone_setup):
     pc = PointCalculus(cone_setup)
     assert pc.det == RatExpr.const(2) * RatExpr.var("w1")
     x = on_cone(0.3, 0.4)
-    J = pc._core(x)[0]
+    J = pc._dg_blocks(x)[3]
     assert J.shape == (1, 1)
     assert J[0, 0] == 2 * x[2]
 
