@@ -23,6 +23,17 @@ per point, which stays cheap at any number of extension variables.  It also
 solves fibers, samples the variety for validation and probes the distance
 to the critical set.  The tests hold it against finite differences of a
 locally solved branch.
+
+The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
+is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
+wrapper costs three to four times the LAPACK call.  SciPy's OpenBLAS and
+NumPy's are separate builds, so the tests hold the two solves to equal
+bits.  zgesv returns a matrix right-hand side in Fortran order, which the
+helper copies to C order: a product with the Fortran-ordered W (W @ p in
+dynamics) makes another BLAS call and moves last bits.  The contraction
+sum_a u_a Hess G_a is np.dot of u as a 1 x s row with the Hessians as an
+s x N^2 matrix, the BLAS call NumPy's tensordot makes, without its
+bookkeeping; a 1-D matmul sums in another order.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import zgesv
 
 from .expr import ONE, Array, PoleError, RatExpr, compile_arrays
 from .parsing import AlgebraicSetup
@@ -109,14 +121,15 @@ def _symmetric(entries, lead=()) -> list:
 
 
 def _fiber_solve(A, b) -> np.ndarray:
-    """A^(-1) b for A = J or J^T; raises CriticalPointError where J is singular."""
-    try:
-        out = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        raise CriticalPointError("dG/dw is singular at the point") from None
-    if not np.all(np.isfinite(out)):
+    """A^(-1) b for A = J or J^T, in C order, by LAPACK's zgesv (see the
+    module docstring); raises CriticalPointError where J is singular or the
+    result is not finite.  At s = 0 the result is empty."""
+    if not len(b):
+        return np.zeros(np.shape(b), dtype=complex)
+    out, info = zgesv(A, b)[2:]
+    if info > 0 or not np.isfinite(out).all():
         raise CriticalPointError("dG/dw is singular at the point")
-    return out
+    return np.ascontiguousarray(out)
 
 
 class PointCalculus:
@@ -238,12 +251,13 @@ class PointCalculus:
         dG/dq and the potential's plain gradient.  dg = P^T L, with
         P = [I; W] and L the Hessian of the Lagrangian V - u.G."""
         x = np.asarray(x, dtype=complex)
-        n = self.n
+        n, s, N = self.n, self.s, self.N
         dG, vg, u = self._adjoint(x)
         J, B = dG[:, n:], dG[:, :n]
         W = _fiber_solve(J, -B)
         vh, gh = self._hessian_kernel(x)
-        L = vh - np.tensordot(u, gh, axes=1) if self.s else vh
+        # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
+        L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N) if s else vh
         dg = L[:n] + W.T @ L[n:]
         return dg[:, :n], dg[:, n:], W, J, B, vg
 
@@ -264,12 +278,9 @@ class PointCalculus:
             gv = self.g_values(x)
             if np.max(np.abs(gv)) <= FIBER_TOL:
                 return w
-            J = self._dg_kernel(x)[:, n:]
             try:
-                step = np.linalg.solve(J, gv)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(step)):
+                step = _fiber_solve(self._dg_kernel(x)[:, n:], gv)
+            except CriticalPointError:
                 return None
             w = w - step
         x = np.concatenate([q, w])

@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -78,22 +79,40 @@ def _load(path: str):
         raise SystemExit(EXIT_ERROR)
 
 
+def _bounded(convert, ok, what):
+    """An argparse type: convert(text), a usage error unless ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {what}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is out of range: must be {what}")
+        return value
+    return parse
+
+
+_nonnegative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+_positive_finite = _bounded(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _add_common_solver_args(p):
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+    p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULTS.seed,
                    help="RNG seed for sampling and starts")
-    p.add_argument("--n-random", type=int, default=_DEFAULTS.n_random,
+    p.add_argument("--n-random", type=_nonnegative_int, default=_DEFAULTS.n_random,
                    help="number of random Newton starts")
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
-    p.add_argument("--on-variety-tol", type=float, default=_DEFAULTS.on_variety_tol)
-    p.add_argument("--sigma-radius", type=float, default=_DEFAULTS.sigma_radius,
+    p.add_argument("--on-variety-tol", type=_positive_finite, default=_DEFAULTS.on_variety_tol)
+    p.add_argument("--sigma-radius", type=_positive_finite, default=_DEFAULTS.sigma_radius,
                    help="probe radius for both validation and the hunt: a sample "
                         "or candidate with a critical point this close is critical")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
 def _add_table_args(p):
-    p.add_argument("--rational-tol", type=float, default=_DEFAULTS.rational_tol)
-    p.add_argument("--max-denominator", type=int, default=_DEFAULTS.max_denominator)
+    p.add_argument("--rational-tol", type=_positive_finite, default=_DEFAULTS.rational_tol)
+    p.add_argument("--max-denominator", type=_positive_int, default=_DEFAULTS.max_denominator)
     p.add_argument("--k4-coefficient", type=Fraction, default=_DEFAULTS.k4_coefficient,
                    metavar="Q", help="quadratic coefficient of the degree -4 table row")
 
@@ -101,7 +120,7 @@ def _add_table_args(p):
 def _add_analysis_args(p):
     """Everything a full analysis reads: solver, validation and table."""
     _add_common_solver_args(p)
-    p.add_argument("--critical-tol", type=float, default=_DEFAULTS.critical_tol,
+    p.add_argument("--critical-tol", type=_positive_finite, default=_DEFAULTS.critical_tol,
                    help="|detJ| at or below which a validation sample counts as critical")
     _add_table_args(p)
     p.add_argument("--timings", action="store_true",

@@ -81,12 +81,12 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
         F, Jac = system(x)
     except (CriticalPointError, PoleError):
         return None
-    res = float(np.max(np.abs(F)))
+    res = float(np.abs(F).max())
     for _ in range(max_iter):
         if res <= conv_tol:
             return x, res
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return None
         scale = 1.0
         improved = False
@@ -94,7 +94,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
             x_try = x + scale * step
             try:
                 F_try = with_conditions(pc.darboux_residual(x_try), x_try)
-                r_try = float(np.max(np.abs(F_try)))
+                r_try = float(np.abs(F_try).max())
                 if r_try < res or r_try <= conv_tol:
                     F, Jac = system(x_try)
                     x, res = x_try, r_try
@@ -105,7 +105,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
             scale *= 0.5
         if not improved:
             break
-        if np.max(np.abs(x)) > 1e8:
+        if np.abs(x).max() > 1e8:
             return None
     return (x, res) if res < np.inf else None
 

@@ -471,7 +471,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     each factor in monomial order; a quotient computes its denominator
     first and then divides the numerator by it.  Loads, powers and equal
     denominators are computed once and shared, which changes no value.  A
-    constant entry is written into its array's template at compile time.
+    factor of exponent 1 is the load itself: NumPy's x ** 1 differs from x
+    only by turning a -0.0 component into +0.0, which can change only the
+    sign of a zero component of a term, and the sum onto 0j clears the sign
+    of every zero, so no value changes.  A constant entry is written into
+    its array's template at compile time.
     The generated source names variables by index only and is kept on the
     function as `source`.
     """
@@ -487,10 +491,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     loaded, powers, coefficients, denominators = set(), {}, {}, {}
 
     def power(i, e):
+        if i not in loaded:
+            loaded.add(i)
+            lines.append(f"x{i} = x[{i}]")
+        if e == 1:
+            return f"x{i}"
         if (i, e) not in powers:
-            if i not in loaded:
-                loaded.add(i)
-                lines.append(f"x{i} = x[{i}]")
             powers[i, e] = f"x{i}_{e}"
             lines.append(f"x{i}_{e} = x{i} ** {e}")
         return powers[i, e]

@@ -212,3 +212,31 @@ def test_golden_report_structure(cone_file, trap_file, capsys):
     assert any("not weighted homogeneous" in w for w in trap["warnings"])
     rejected = trap["darboux"]["rejected"]
     assert any(r.get("in_critical_set") for r in rejected)
+
+
+# every command that takes the option, and values outside its range
+OUT_OF_RANGE = {
+    "--seed": (["analyze", "darboux", "nbody"], ["-1"]),
+    "--n-random": (["analyze", "darboux", "nbody"], ["-5"]),
+    "--sigma-radius": (["analyze", "darboux", "nbody"], ["-1", "0", "nan"]),
+    "--on-variety-tol": (["analyze", "darboux", "nbody"], ["-1", "inf"]),
+    "--critical-tol": (["analyze", "nbody"], ["-1e-8", "0"]),
+    "--rational-tol": (["analyze", "nbody", "check-table"], ["-1", "nan"]),
+    "--max-denominator": (["analyze", "nbody", "check-table"], ["0", "-3"]),
+}
+
+
+@pytest.mark.parametrize("option", sorted(OUT_OF_RANGE))
+def test_out_of_range_option_is_a_usage_error(option, cone_file, capsys):
+    # refused while parsing, before any work: no run under a verdict the
+    # option silently changed, no traceback with EXIT_VALIDATION's code
+    commands, values = OUT_OF_RANGE[option]
+    heads = {"analyze": ["analyze", cone_file], "darboux": ["darboux", cone_file],
+             "nbody": ["nbody", "--n", "3", "--analyze"],
+             "check-table": ["check-table", "--k", "3", "--lambda", "1"]}
+    for command in commands:
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                main(heads[command] + [f"{option}={value}"])
+            assert exc.value.code == EXIT_USAGE, (command, value)
+            assert f"argument {option}: " in capsys.readouterr().err

@@ -2,6 +2,7 @@
 evaluator they replaced: equal bits on every output, the same PoleError
 where the closures raise one."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -77,7 +78,7 @@ def hessian_entries(f, order, lead=()):
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
-def test_kernels_match_the_closure_evaluator_bit_for_bit(name):
+def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
     setup = SETUPS[name]()
     pc = PointCalculus(setup)
     order = setup.var_names
@@ -114,6 +115,12 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name):
         seen.add(outcome(pc.potential_value, x)[0])
     if name in ("cone-1/w1", "quotient"):
         assert seen == {"value", "pole"}  # the origin is a pole
+    # a factor of exponent 1 is its load: no kernel raises to the power 1,
+    # and the bits above, -0.0 points included, are the closures' x ** 1
+    sources = [kernel.source for _, kernel in compiled]
+    assert len(sources) >= 6
+    assert not any(re.search(r"\*\* 1\b", source) for source in sources)
+    assert any(re.search(r" \* x\d+\b(?!_)", source) for source in sources)
 
 
 def test_denominators_are_shared_only_in_the_same_term_order():

@@ -5,7 +5,8 @@ steps; gradients and Hessians evaluate only their non-zero partials; one
 kept adjoint per point serves the residual, the Jacobian and the Hessian.
 Each is held here, bit for bit, against the straightforward form it
 replaces, and the Lagrangian assembly against the per-variable one within
-roundoff.
+roundoff.  The one fiber solve, LAPACK's zgesv called directly, is held to
+NumPy's solve bit for bit.
 """
 
 import re
@@ -13,8 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from algpot.calculus import CriticalPointError, PointCalculus
+from algpot.calculus import CriticalPointError, PointCalculus, _fiber_solve
 from algpot.darboux import CONV_TOL, _newton
+from algpot.dynamics import ConstrainedSystem
 from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
@@ -257,13 +259,18 @@ def sample_points(setup, count, seed):
     return pts + [np.zeros(setup.n + setup.s, dtype=complex)]
 
 
-@pytest.mark.parametrize("text", [CONE_TEXT, TRAP_TEXT, PLAIN_TEXT, LINEAR_TEXT,
-                                  "nbody"])
-def test_live_partials_match_dense_evaluation(text):
+SETUP_TEXTS = [CONE_TEXT, TRAP_TEXT, PLAIN_TEXT, LINEAR_TEXT, "nbody"]
+
+
+def setup_of(text):
     if text == "nbody":
-        setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
-    else:
-        setup = parse_problem(text)
+        return build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    return parse_problem(text)
+
+
+@pytest.mark.parametrize("text", SETUP_TEXTS)
+def test_live_partials_match_dense_evaluation(text):
+    setup = setup_of(text)
     pc = PointCalculus(setup)
     compared = 0
     for x in sample_points(setup, 6, seed=2):
@@ -368,3 +375,94 @@ def test_singular_fiber_raises_on_every_call(trap_setup):
                 method(singular)
         assert pc._memo is None  # nothing is kept after a raise
         assert point_results(pc, good) == point_results(PointCalculus(trap_setup), good)
+
+
+# ---------------------------------------------------------------------------
+# the one fiber solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", SETUP_TEXTS)
+def test_fiber_solve_matches_numpy_bit_for_bit(text):
+    setup = setup_of(text)
+    pc = PointCalculus(setup)
+    n = setup.n
+    rng = np.random.default_rng(8)
+    compared = 0
+    for x in sample_points(setup, 12, seed=7):
+        dG = pc._dg_kernel(x)
+        J, B = dG[:, n:], dG[:, :n]
+        try:
+            b = pc._vgrad_kernel(x)[n:]
+        except PoleError:
+            b = rng.standard_normal(setup.s) + 1j * rng.standard_normal(setup.s)
+        try:
+            u_ref, W_ref = np.linalg.solve(J.T, b), np.linalg.solve(J, -B)
+        except np.linalg.LinAlgError:
+            continue  # a singular J, held below
+        u, W = _fiber_solve(J.T, b), _fiber_solve(J, -B)
+        assert u.shape == u_ref.shape and bits(u) == bits(u_ref)
+        assert W.shape == W_ref.shape and bits(W) == bits(W_ref)
+        # a Fortran-ordered W would make W @ p another BLAS call
+        assert u.flags.c_contiguous and W.flags.c_contiguous
+        compared += 1
+    assert compared >= 10
+
+
+def test_fiber_solve_refuses_a_singular_or_nan_fiber_every_time(trap_setup):
+    pc = PointCalculus(trap_setup)
+    dG = pc._dg_kernel(np.array([0.0, 1.0, 0.0], dtype=complex))  # J = 2 w1 = 0
+    nan = complex("nan")
+    singular = [dG[:, 2:], np.array([[1, 2], [2, 4]], dtype=complex)]
+    not_finite = [np.array([[nan]]), np.array([[1, 2], [3, nan]]),
+                  np.array([[complex(1, np.nan), 0], [0, 1]])]
+    for J in singular + not_finite:
+        b = np.ones(len(J), dtype=complex)
+        for _ in range(3):
+            for A, rhs in ((J.T, b), (J, -np.ones((len(J), 2), dtype=complex))):
+                with pytest.raises(CriticalPointError):
+                    _fiber_solve(A, rhs)
+    # an infinite entry can leave a finite solution, in NumPy's solve too
+    J = np.array([[np.inf, 1], [1, 1]], dtype=complex)
+    b = np.array([1, 2], dtype=complex)
+    assert bits(_fiber_solve(J, b)) == bits(np.linalg.solve(J, b))
+
+
+def test_fiber_solve_without_extension_variables_is_empty():
+    J = np.zeros((0, 0), dtype=complex)
+    u = _fiber_solve(J.T, np.zeros(0, dtype=complex))
+    W = _fiber_solve(J, np.zeros((0, 3), dtype=complex))
+    assert u.shape == (0,) and W.shape == (0, 3)
+    assert u.dtype == W.dtype == complex
+
+
+def lagrange_states(count):
+    """Equal-mass Lagrange triangles at turned angles, in (q, p, w) form,
+    moving at about the rotating speed with a spread of speeds."""
+    side = 3.0 ** (1.0 / 3.0)
+    out = []
+    for k, angle in enumerate(np.linspace(0.0, 2 * np.pi, count, endpoint=False)):
+        t = angle + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+        q = side / np.sqrt(3.0) * np.stack([np.cos(t), np.sin(t)], axis=1)
+        p = (0.9 + 0.2 * k / count) * np.stack([-q[:, 1], q[:, 0]], axis=1)
+        r = [-np.linalg.norm(q[i] - q[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        out.append(np.concatenate([q.ravel(), p.ravel(), r]))
+    return out
+
+
+def rhs_reference(system, y):
+    """The vector field from NumPy's solve: u = J^-T d_wV, W = -J^-1 B."""
+    q, p, w = system.split(y)
+    x = np.concatenate([q, w]).astype(complex)
+    n = system.n
+    dG = system.pc._dg_kernel(x)
+    vg = system.pc._vgrad_kernel(x)
+    J, B = dG[:, n:], dG[:, :n]
+    grad = (vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])).real
+    wdot = (np.linalg.solve(J, -B) @ p).real
+    return np.concatenate([p, -grad, wdot])
+
+
+def test_constrained_rhs_matches_the_numpy_reference_bit_for_bit():
+    system = ConstrainedSystem(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    for y in lagrange_states(48):
+        assert bits(system.rhs(0.0, y)) == bits(rhs_reference(system, y))
