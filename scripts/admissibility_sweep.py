@@ -1,10 +1,15 @@
-"""Sweep the admissibility table over a grid of (k, lambda) pairs and write a
-summary CSV.  Each matched pair records the witnessing rows; the final line
-reports how sparse the admissible set is on the grid."""
+"""Sweep the admissibility decision over a grid of (k, lambda) pairs and
+write a summary CSV.  Each matched pair records its witnesses, as the Kimura
+case and its integer shift; the summary prints how many pairs each case
+admits and how sparse the admissible set is on the grid.
+
+    python3 scripts/admissibility_sweep.py --out sweep.csv
+"""
 
 import argparse
 import csv
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from algpot.admissibility import check_pair_exact
@@ -20,6 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
+    cases = Counter()
     matched = 0
     total = 0
     for k in range(args.k_min, args.k_max + 1):
@@ -31,8 +37,9 @@ def main() -> int:
             total += 1
             if verdict.matched:
                 matched += 1
-                wit = ";".join(f"{w.row_id}@p={w.p}"
+                wit = ";".join(f"{w.case}@p={w.p}"
                                for w in verdict.witnesses)
+                cases.update({w.case for w in verdict.witnesses})
                 rows.append({"k": k, "lambda": str(lam), "witnesses": wit})
 
     with open(args.out, "w", newline="") as fh:
@@ -42,6 +49,8 @@ def main() -> int:
 
     print(f"checked {total} pairs, {matched} admissible "
           f"({100.0 * matched / total:.2f}%)")
+    for case, count in sorted(cases.items()):
+        print(f"  {case}: {count} pairs")
     print(f"wrote {args.out}")
     return 0
 

@@ -2,10 +2,11 @@
 
 The package decides, numerically but with exact final arithmetic, whether a
 potential that is algebraic over the position coordinates passes the
-classical degree/eigenvalue admissibility test for meromorphic
-integrability: Darboux points are located on the defining variety, the
-variety-intrinsic Hessian spectrum is taken, eigenvalues are reconstructed
-as rationals, and exact table membership is decided per eigenvalue.
+degree/eigenvalue admissibility test for meromorphic integrability:
+Darboux points are located on the defining variety, the variety-intrinsic
+Hessian spectrum is taken, eigenvalues are reconstructed as rationals, and
+Kimura's theorem decides, exactly, whether each degree/eigenvalue pair can
+have an abelian variational Galois group.
 Supporting machinery covers constrained dynamics, homothetic orbits, and
 the hypergeometric variational equation with its monodromy.
 """
@@ -17,8 +18,8 @@ from .darboux import DarbouxReport, DarbouxResult, solve_darboux
 from .dynamics import (CriticalSetError, Trajectory, TrajectoryState,
                        homothetic_orbit, integrate)
 from .expr import ExprError, PoleError, RatExpr, ZeroDenominatorError
-from .admissibility import (Certificate, AdmissibilityTable, TableError, TableVerdict,
-                      Witness, certify, check_pair_exact, check_pair_numeric)
+from .admissibility import (Certificate, TableError, TableVerdict, Witness, certify,
+                            check_pair_exact, check_pair_numeric)
 from .nbody import (NBodyConfig, build as build_nbody, central_config_seeds,
                     pinning_conditions, split_gauge_spectrum)
 from .parsing import AlgebraicSetup, ParseError, load_problem, parse_problem

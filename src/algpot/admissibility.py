@@ -1,25 +1,35 @@
-"""The degree/eigenvalue admissibility table and obstruction certificates.
+"""Admissibility of a degree/eigenvalue pair, from Kimura's theorem, and
+obstruction certificates.
 
 For a weighted-homogeneous potential of integer degree k and a Hessian
-eigenvalue lambda at a Darboux point, meromorphic integrability forces the
-pair (k, lambda) into a finite family of admissible shapes, the classical
-admissibility table for hypergeometric normal variational equations.  The
-exact check decides membership over the rationals with integer-root tests;
-the numeric check solves each family for the integer parameter numerically,
-rounds, and back-substitutes.  Only the exact route can certify an
+eigenvalue lambda at a Darboux point, the normal variational equation along
+the homothetic orbit reduces to the hypergeometric equation that
+varode.build_ve builds.  Its exponent differences are 1/k at 0, 1/2 at 1 and
+
+    Delta = sqrt((k - 2)^2 + 8 k lambda) / (2|k|)    at infinity.
+
+Meromorphic integrability makes the identity component of the equation's
+differential Galois group abelian (Morales-Ruiz & Ramis, Methods Appl. Anal.
+8, 2001), so solvable, and Kimura's theorem (Funkcial. Ekvac. 12, 1969)
+decides solvability from the triple (1/k, 1/2, Delta) up to signs and
+integer shifts.  The pair is admissible when one of these holds, for an
+integer p, the witness's shift:
+
+  dihedral     k = 2 or -2 (then 1/k = +-1/2), any lambda;
+  dihedral     +-Delta = 1/2 + p: lambda = (pk + k - 1)(pk + 1)/(2k);
+  case (i)     +-Delta = 1/2 - 1/k + p, so that some +-1/k +- 1/2 +- Delta is
+               an odd integer: lambda = p(pk + k - 2)/2;
+  tetrahedral, octahedral, icosahedral
+               +-Delta = r + p, where (1/2, 1/|k|, r) is a Schwarz-list
+               triple, which needs |k| in {3, 4, 5}.
+
+Every other Schwarz triple lacks 1/2, which the point 1 always supplies, and
+with 1/2 in a triple the even-sum rule on its shifts is void.  Case (i) and
+the rational dihedral case are families A and B of the classical table, k =
++-2 its any-lambda rows, and the Schwarz cases its special rows.  The exact
+check decides membership over the rationals; the numeric check rounds each
+candidate shift and back-substitutes.  Only the exact route can certify an
 obstruction; a numeric miss is reported but proves nothing.
-
-Membership shapes, one row per allowed lambda-family:
-
-  family A (any nonzero integer k):  lambda = p(pk + k - 2)/2
-  family B (any nonzero integer k):  lambda = (pk + k - 1)(pk + 1)/(2k)
-  k = 2 or k = -2:                   any lambda
-  special rows for k in {-5,-4,-3,3,4,5}: lambda = A + B(C + Dp)^2
-
-with p ranging over the integers.  The shipped k = -4 row uses B = -1/4 as
-printed in the classical table (K4_COEFFICIENT); the mirrored k = +4 row
-suggests -1/8, and the table object accepts an override for callers who want
-the mirror value.
 """
 
 from __future__ import annotations
@@ -32,7 +42,15 @@ from math import isqrt
 from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, rationalize
 
 F = Fraction
-K4_COEFFICIENT = F(1, 4)  # B = -K4_COEFFICIENT in the k = -4 row
+
+# Kimura's case (ii) with a finite group: the Schwarz-list triples (1/2, a, b)
+SCHWARZ = (
+    ("tetrahedral", F(1, 3), F(1, 3)),
+    ("octahedral", F(1, 3), F(1, 4)),
+    ("icosahedral", F(1, 3), F(1, 5)),
+    ("icosahedral", F(1, 5), F(2, 5)),
+    ("icosahedral", F(1, 3), F(2, 5)),
+)
 
 
 class TableError(ValueError):
@@ -40,23 +58,10 @@ class TableError(ValueError):
 
 
 @dataclass(frozen=True)
-class TableRow:
-    row_id: str
-    kind: str  # family_A | family_B | wildcard | special
-    k: int | None = None  # None: applies to every nonzero integer degree
-    A: Fraction = F(0)
-    B: Fraction = F(0)
-    C: Fraction = F(0)
-    D: Fraction = F(0)
-
-    def special_value(self, p: int) -> Fraction:
-        return self.A + self.B * (self.C + self.D * p) ** 2
-
-
-@dataclass(frozen=True)
 class Witness:
-    row_id: str
-    p: int | None  # None for the any-lambda rows
+    case: str  # the Kimura case that admits the pair
+    p: int | None  # +-Delta = residue + p; None when k = +-2 admits every lambda
+    residue: Fraction | None = None
 
 
 @dataclass
@@ -70,151 +75,6 @@ class TableVerdict:
     note: str = ""
 
 
-def _family_a_value(k: int, p: int) -> Fraction:
-    return F(p * (p * k + k - 2), 2)
-
-
-def _family_b_value(k: int, p: int) -> Fraction:
-    return F((p * k + k - 1) * (p * k + 1), 2 * k)
-
-
-class AdmissibilityTable:
-    """The admissibility table; rows are data, checks are methods."""
-
-    def __init__(self, k4_coefficient: Fraction = K4_COEFFICIENT):
-        self.k4_coefficient = F(k4_coefficient)
-        rows = [
-            TableRow("family A", "family_A"),
-            TableRow("family B", "family_B"),
-            TableRow("k=2 any", "wildcard", k=2),
-            TableRow("k=-2 any", "wildcard", k=-2),
-            TableRow("k=-5 #1", "special", k=-5, A=F(49, 40), B=F(-1, 40), C=F(10, 3), D=F(10)),
-            TableRow("k=-5 #2", "special", k=-5, A=F(49, 40), B=F(-1, 40), C=F(4), D=F(10)),
-            TableRow("k=-4 #1", "special", k=-4, A=F(9, 8), B=-self.k4_coefficient, C=F(4, 3), D=F(4)),
-            TableRow("k=-3 #1", "special", k=-3, A=F(25, 24), B=F(-1, 24), C=F(2), D=F(6)),
-            TableRow("k=-3 #2", "special", k=-3, A=F(25, 24), B=F(-1, 24), C=F(3, 2), D=F(6)),
-            TableRow("k=-3 #3", "special", k=-3, A=F(25, 24), B=F(-1, 24), C=F(6, 5), D=F(6)),
-            TableRow("k=-3 #4", "special", k=-3, A=F(25, 24), B=F(-1, 24), C=F(12, 5), D=F(6)),
-            TableRow("k=3 #1", "special", k=3, A=F(-1, 24), B=F(1, 24), C=F(2), D=F(6)),
-            TableRow("k=3 #2", "special", k=3, A=F(-1, 24), B=F(1, 24), C=F(3, 2), D=F(6)),
-            TableRow("k=3 #3", "special", k=3, A=F(-1, 24), B=F(1, 24), C=F(6, 5), D=F(6)),
-            TableRow("k=3 #4", "special", k=3, A=F(-1, 24), B=F(1, 24), C=F(12, 5), D=F(6)),
-            TableRow("k=4 #1", "special", k=4, A=F(-1, 8), B=F(1, 8), C=F(4, 3), D=F(4)),
-            TableRow("k=5 #1", "special", k=5, A=F(-9, 40), B=F(1, 40), C=F(10, 3), D=F(10)),
-            TableRow("k=5 #2", "special", k=5, A=F(-9, 40), B=F(1, 40), C=F(4), D=F(10)),
-        ]
-        self.rows = tuple(rows)
-
-    def special_rows_for(self, k: int):
-        return [r for r in self.rows if r.kind == "special" and r.k == k]
-
-    # -- exact route ----------------------------------------------------
-
-    def check_pair_exact(self, k: int, lam) -> TableVerdict:
-        if not isinstance(k, int) or k == 0:
-            raise TableError("degree must be a nonzero integer")
-        lam = F(lam)
-        witnesses = []
-
-        if k in (2, -2):
-            witnesses.append(Witness(f"k={k} any", None))
-
-        nu, de = lam.numerator, lam.denominator
-        # family A: k p^2 + (k-2) p - 2 lam = 0
-        for p in _integer_quadratic_roots(k * de, (k - 2) * de, -2 * nu):
-            if _family_a_value(k, p) == lam:  # no false witnesses, ever
-                witnesses.append(Witness("family A", p))
-        # family B: k^2 p^2 + k^2 p + (k - 1 - 2 k lam) = 0
-        for p in _integer_quadratic_roots(k * k * de, k * k * de, (k - 1) * de - 2 * k * nu):
-            if _family_b_value(k, p) == lam:
-                witnesses.append(Witness("family B", p))
-
-        for row in self.special_rows_for(k):
-            r = (lam - row.A) / row.B
-            if r < 0:
-                continue
-            x = rational_sqrt(r)
-            if x is None:
-                continue
-            for signed in (x, -x):
-                p = (signed - row.C) / row.D
-                if p.denominator == 1:
-                    p = int(p)
-                    if row.special_value(p) == lam:
-                        witnesses.append(Witness(row.row_id, p))
-
-        matched = bool(witnesses)
-        return TableVerdict(k=k, lam=lam, matched=matched, mode="exact",
-                            witnesses=witnesses, obstruction=not matched)
-
-    # -- numeric route ----------------------------------------------------
-
-    def check_pair_numeric(self, k: int, lam, tol: float = RATIONAL_TOL,
-                           max_den: int = MAX_DENOMINATOR) -> TableVerdict:
-        if not isinstance(k, int) or k == 0:
-            raise TableError("degree must be a nonzero integer")
-        z = complex(lam)
-        r = rationalize(z, tol, max_den)
-        if r is not None:
-            v = self.check_pair_exact(k, r)
-            v.note = f"lambda reconstructed as {r}"
-            return v
-
-        witnesses = []
-        if k in (2, -2):
-            witnesses.append(Witness(f"k={k} any", None))
-
-        scale = max(1.0, abs(z))
-
-        def try_p(builder, row_id, p_complex):
-            for dp in (-1, 0, 1):
-                p = round(p_complex.real) + dp
-                if abs(complex(builder(p)) - z) <= tol * scale:
-                    witnesses.append(Witness(row_id, p))
-                    return
-
-        disc = cmath.sqrt(complex(k - 2) ** 2 + 8 * k * z)
-        for sgn in (1, -1):
-            try_p(lambda p: _family_a_value(k, p), "family A",
-                  (-(k - 2) + sgn * disc) / (2 * k))
-            try_p(lambda p: _family_b_value(k, p), "family B",
-                  (-k + sgn * disc) / (2 * k))
-        for row in self.special_rows_for(k):
-            x = cmath.sqrt((z - complex(row.A)) / complex(row.B))
-            for sgn in (1, -1):
-                try_p(row.special_value, row.row_id,
-                      (sgn * x - complex(row.C)) / complex(row.D))
-
-        # dedupe keeping first occurrences
-        seen = set()
-        uniq = []
-        for w in witnesses:
-            key = (w.row_id, w.p)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(w)
-        matched = bool(uniq)
-        note = "" if matched else "numeric mode: a miss is not a certificate"
-        return TableVerdict(k=k, lam=z, matched=matched, mode="numeric",
-                            witnesses=uniq, obstruction=False, note=note)
-
-
-def _integer_quadratic_roots(a: int, b: int, c: int):
-    """Integer roots of a x^2 + b x + c with integer coefficients, a != 0."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    roots = []
-    for sgn in (1, -1):
-        num = -b + sgn * r
-        if num % (2 * a) == 0:
-            roots.append(num // (2 * a))
-    return sorted(set(roots))
-
-
 def rational_sqrt(r: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     if r < 0:
@@ -225,16 +85,82 @@ def rational_sqrt(r: Fraction):
     return F(pn, pd)
 
 
-DEFAULT_TABLE = AdmissibilityTable()
+def exponent_difference(k: int, lam):
+    """Delta, the exponent difference at infinity of the VE of (k, lambda).
+
+    An exact Fraction when lambda is rational and Delta^2 a rational square,
+    a complex number otherwise (lambda complex, Delta irrational or imaginary).
+    """
+    if isinstance(lam, complex):
+        return cmath.sqrt(((k - 2) ** 2 + 8 * k * lam) / (4 * k * k))
+    square = ((k - 2) ** 2 + 8 * k * F(lam)) / (4 * k * k)
+    root = rational_sqrt(square)
+    return cmath.sqrt(complex(square)) if root is None else root
 
 
-def check_pair_exact(k: int, lam, table: AdmissibilityTable | None = None) -> TableVerdict:
-    return (table or DEFAULT_TABLE).check_pair_exact(k, lam)
+def _eigenvalue(k: int, delta: Fraction) -> Fraction:
+    """The lambda whose exponent difference at infinity is +-delta."""
+    return (4 * k * k * delta * delta - (k - 2) ** 2) / (8 * k)
 
 
-def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR,
-                       table: AdmissibilityTable | None = None) -> TableVerdict:
-    return (table or DEFAULT_TABLE).check_pair_numeric(k, lam, tol, max_den)
+def _cases(k: int):
+    """(case, residue) for each way +-Delta = residue + p admits the pair."""
+    cases = [("case (i)", F(1, 2) - F(1, k)), ("dihedral", F(1, 2))]
+    a = F(1, abs(k))
+    cases += [(name, c if a == b else b) for name, b, c in SCHWARZ if a in (b, c)]
+    return cases
+
+
+def _check_degree(k) -> None:
+    if not isinstance(k, int) or k == 0:
+        raise TableError("degree must be a nonzero integer")
+
+
+def check_pair_exact(k: int, lam) -> TableVerdict:
+    """Decide (k, lambda) over the rationals; a miss is an obstruction."""
+    _check_degree(k)
+    lam = F(lam)
+    witnesses = [Witness("dihedral", None)] if k in (2, -2) else []
+    delta = exponent_difference(k, lam)
+    if isinstance(delta, Fraction):
+        for case, residue in _cases(k):
+            for p in sorted({delta - residue, -delta - residue}):
+                if p.denominator == 1:
+                    witnesses.append(Witness(case, int(p), residue))
+    matched = bool(witnesses)
+    return TableVerdict(k=k, lam=lam, matched=matched, mode="exact",
+                        witnesses=witnesses, obstruction=not matched)
+
+
+def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL,
+                       max_den: int = MAX_DENOMINATOR) -> TableVerdict:
+    """Decide a float or complex eigenvalue: exactly when it reconstructs
+    as a rational, else by rounding each candidate shift and accepting the
+    lambda it gives within tol * max(1, |lambda|)."""
+    _check_degree(k)
+    z = complex(lam)
+    r = rationalize(z, tol, max_den)
+    if r is not None:
+        v = check_pair_exact(k, r)
+        v.note = f"lambda reconstructed as {r}"
+        return v
+
+    witnesses = [Witness("dihedral", None)] if k in (2, -2) else []
+    delta = exponent_difference(k, z)
+    scale = max(1.0, abs(z))
+    for case, residue in _cases(k):
+        for sgn in (1, -1):
+            guess = round((sgn * delta - complex(residue)).real)
+            for p in (guess - 1, guess, guess + 1):
+                if abs(complex(_eigenvalue(k, residue + p)) - z) <= tol * scale:
+                    w = Witness(case, p, residue)
+                    if w not in witnesses:
+                        witnesses.append(w)
+                    break
+    matched = bool(witnesses)
+    note = "" if matched else "numeric mode: a miss is not a certificate"
+    return TableVerdict(k=k, lam=z, matched=matched, mode="numeric",
+                        witnesses=witnesses, obstruction=False, note=note)
 
 
 # ---------------------------------------------------------------------------

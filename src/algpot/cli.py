@@ -4,7 +4,8 @@ Subcommands:
   analyze      full pipeline on a problem file, JSON report, exit 10 on a
                certified obstruction
   darboux      Darboux point hunt only
-  check-table  single degree/eigenvalue admissibility query
+  check-table  admissibility of one degree/eigenvalue pair by Kimura's
+               theorem, with the case and integer shift of each witness
   ve           variational equation data (exponents, Fuchs residual,
                optional monodromy)
   simulate     constrained trajectory integration
@@ -14,7 +15,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -23,10 +23,10 @@ import numpy as np
 from .calculus import DEFAULT_CRITICAL_TOL
 from .darboux import solve_darboux
 from .dynamics import integrate
-from .admissibility import AdmissibilityTable, TableError
+from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
-from .pipeline import (EXIT_ERROR, EXIT_USAGE, TOOL_NAME, TOOL_VERSION,
+from .pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, TOOL_NAME, TOOL_VERSION,
                        AnalysisOptions, analyze, darboux_section, report_json)
 from .varode import build_ve, monodromy_report
 
@@ -79,8 +79,11 @@ def _load(path: str):
         raise SystemExit(EXIT_ERROR)
 
 
-def _bounded(convert, ok, what):
-    """An argparse type: convert(text), a usage error unless ok(value)."""
+def _bounded(convert, option):
+    """An argparse type: convert(text), a usage error unless it lies in the
+    range of the AnalysisOptions field `option`."""
+    ok, what = OPTION_RANGES[option]
+
     def parse(text):
         try:
             value = convert(text)
@@ -92,35 +95,33 @@ def _bounded(convert, ok, what):
     return parse
 
 
-_nonnegative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
-_positive_finite = _bounded(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
-
-
 def _add_common_solver_args(p):
-    p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULTS.seed,
+    p.add_argument("--seed", type=_bounded(int, "seed"), default=_DEFAULTS.seed,
                    help="RNG seed for sampling and starts")
-    p.add_argument("--n-random", type=_nonnegative_int, default=_DEFAULTS.n_random,
+    p.add_argument("--n-random", type=_bounded(int, "n_random"), default=_DEFAULTS.n_random,
                    help="number of random Newton starts")
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
-    p.add_argument("--on-variety-tol", type=_positive_finite, default=_DEFAULTS.on_variety_tol)
-    p.add_argument("--sigma-radius", type=_positive_finite, default=_DEFAULTS.sigma_radius,
+    p.add_argument("--on-variety-tol", type=_bounded(float, "on_variety_tol"),
+                   default=_DEFAULTS.on_variety_tol)
+    p.add_argument("--sigma-radius", type=_bounded(float, "sigma_radius"),
+                   default=_DEFAULTS.sigma_radius,
                    help="probe radius for both validation and the hunt: a sample "
                         "or candidate with a critical point this close is critical")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
 def _add_table_args(p):
-    p.add_argument("--rational-tol", type=_positive_finite, default=_DEFAULTS.rational_tol)
-    p.add_argument("--max-denominator", type=_positive_int, default=_DEFAULTS.max_denominator)
-    p.add_argument("--k4-coefficient", type=Fraction, default=_DEFAULTS.k4_coefficient,
-                   metavar="Q", help="quadratic coefficient of the degree -4 table row")
+    p.add_argument("--rational-tol", type=_bounded(float, "rational_tol"),
+                   default=_DEFAULTS.rational_tol)
+    p.add_argument("--max-denominator", type=_bounded(int, "max_denominator"),
+                   default=_DEFAULTS.max_denominator)
 
 
 def _add_analysis_args(p):
     """Everything a full analysis reads: solver, validation and table."""
     _add_common_solver_args(p)
-    p.add_argument("--critical-tol", type=_positive_finite, default=_DEFAULTS.critical_tol,
+    p.add_argument("--critical-tol", type=_bounded(float, "critical_tol"),
+                   default=_DEFAULTS.critical_tol,
                    help="|detJ| at or below which a validation sample counts as critical")
     _add_table_args(p)
     p.add_argument("--timings", action="store_true",
@@ -137,7 +138,6 @@ def _options_from(args, nbody=None) -> AnalysisOptions:
         critical_tol=args.critical_tol,
         rational_tol=args.rational_tol,
         max_denominator=args.max_denominator,
-        k4_coefficient=args.k4_coefficient,
         sigma_radius=args.sigma_radius,
         include_gauge=getattr(args, "include_gauge_eigenvalues", _DEFAULTS.include_gauge),
         timings=args.timings,
@@ -173,15 +173,13 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_check_table(args) -> int:
-    table = AdmissibilityTable(k4_coefficient=args.k4_coefficient)
     lam = _parse_lambda(args.lam)
     try:
         if isinstance(lam, Fraction) and not args.numeric:
-            verdict = table.check_pair_exact(args.k, lam)
+            verdict = check_pair_exact(args.k, lam)
         else:
-            verdict = table.check_pair_numeric(args.k, complex(lam),
-                                               tol=args.rational_tol,
-                                               max_den=args.max_denominator)
+            verdict = check_pair_numeric(args.k, complex(lam), tol=args.rational_tol,
+                                         max_den=args.max_denominator)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -191,7 +189,7 @@ def cmd_check_table(args) -> int:
         "mode": verdict.mode,
         "matched": verdict.matched,
         "obstruction_if_hypotheses_hold": verdict.obstruction,
-        "witnesses": [{"row": w.row_id, "p": w.p} for w in verdict.witnesses],
+        "witnesses": [{"row": w.case, "p": w.p} for w in verdict.witnesses],
         "note": verdict.note,
     }
     _emit(report_json(report), args.out)
@@ -298,7 +296,14 @@ def main(argv=None) -> int:
     _add_common_solver_args(p)
     p.set_defaults(func=cmd_darboux)
 
-    p = sub.add_parser("check-table", help="admissibility of one (degree, eigenvalue) pair")
+    p = sub.add_parser(
+        "check-table",
+        help="admissibility of one (degree, eigenvalue) pair by Kimura's theorem",
+        description="Decide whether the variational equation of (k, lambda) can have an "
+                    "abelian Galois group: its exponent differences 1/k, 1/2 and Delta "
+                    "must fall in a Kimura case.  Each witness names the case (dihedral, "
+                    "case (i), tetrahedral, octahedral, icosahedral) and the integer "
+                    "shift p with +-Delta = residue + p.")
     p.add_argument("--k", type=int, required=True, help="integer degree")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="eigenvalue: exact like 7/8, or numeric like 1.25 or 1+0.5i")

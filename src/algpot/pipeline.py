@@ -20,7 +20,7 @@ import numpy as np
 from .calculus import (DEFAULT_CRITICAL_TOL, PROBE_RADIUS, CalculusError,
                        PointCalculus, detect_homogeneity, validate)
 from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxResult, solve_darboux
-from .admissibility import K4_COEFFICIENT, AdmissibilityTable, certify
+from .admissibility import certify, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
 from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, eigen
@@ -34,6 +34,22 @@ EXIT_ERROR = 3  # unreadable or malformed input
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 10
 
+# The range of each numeric analysis option, as (test, what it must be).
+# AnalysisOptions refuses a value outside it; the CLI parses its flags
+# against the same entries.
+NONNEGATIVE_INT = (lambda v: v >= 0, "an integer >= 0")
+POSITIVE_INT = (lambda v: v >= 1, "an integer >= 1")
+POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+OPTION_RANGES = {
+    "seed": NONNEGATIVE_INT,
+    "n_random": NONNEGATIVE_INT,
+    "on_variety_tol": POSITIVE_FINITE,
+    "critical_tol": POSITIVE_FINITE,
+    "rational_tol": POSITIVE_FINITE,
+    "max_denominator": POSITIVE_INT,
+    "sigma_radius": POSITIVE_FINITE,
+}
+
 
 @dataclass
 class AnalysisOptions:
@@ -44,11 +60,16 @@ class AnalysisOptions:
     critical_tol: float = DEFAULT_CRITICAL_TOL
     rational_tol: float = RATIONAL_TOL
     max_denominator: int = MAX_DENOMINATOR
-    k4_coefficient: Fraction = K4_COEFFICIENT
     sigma_radius: float = PROBE_RADIUS
     include_gauge: bool = False
     timings: bool = False
     nbody: NBodyConfig | None = None
+
+    def __post_init__(self):
+        for name, (ok, what) in OPTION_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name}={value!r} is out of range: must be {what}")
 
 
 def _encode(obj):
@@ -102,7 +123,6 @@ def darboux_section(dres: DarbouxResult) -> dict:
 def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     """Run the full pipeline; returns (report dict, exit code)."""
     opt = options or AnalysisOptions()
-    table = AdmissibilityTable(k4_coefficient=opt.k4_coefficient)
     timings = {}
     clock = None
     if opt.timings:
@@ -129,7 +149,6 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             "critical_tol": opt.critical_tol,
             "rational_tol": opt.rational_tol,
             "max_denominator": opt.max_denominator,
-            "k4_coefficient": opt.k4_coefficient,
             "sigma_radius": opt.sigma_radius,
         },
         "warnings": [],
@@ -266,16 +285,15 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                     "gauge": "", "table": None}
             if k is not None and not rep.degenerate:
                 if cl.rational is not None:
-                    verdict = table.check_pair_exact(k, cl.rational)
+                    verdict = check_pair_exact(k, cl.rational)
                 else:
-                    verdict = table.check_pair_numeric(k, cl.value,
-                                                       tol=opt.rational_tol,
-                                                       max_den=opt.max_denominator)
+                    verdict = check_pair_numeric(k, cl.value, tol=opt.rational_tol,
+                                                 max_den=opt.max_denominator)
                 vrow["table"] = {
                     "mode": verdict.mode,
                     "matched": verdict.matched,
                     "lambda": verdict.lam,
-                    "witnesses": [{"row": w.row_id, "p": w.p}
+                    "witnesses": [{"row": w.case, "p": w.p}
                                   for w in verdict.witnesses],
                     "note": verdict.note,
                 }

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .admissibility import rational_sqrt
+from .admissibility import exponent_difference
 
 F = Fraction
 
@@ -72,15 +72,11 @@ def build_ve(k: int, lam) -> HypergeomVE:
     b0 = -lam / (2 * k)
     exps0 = (F(0), F(1, k))
     exps1 = (F(0), F(1, 2))
-    # indicial equation at infinity: mu^2 - (a1 - 1) mu + b0 = 0
+    # indicial equation at infinity: mu^2 - (a1 - 1) mu + b0 = 0, whose
+    # roots differ by the admissibility test's Delta
     tr = a1 - 1  # = (k-2)/(2k)
-    disc = tr * tr - 4 * b0
-    root = rational_sqrt(disc)
-    if root is not None:
-        exps_inf = ((tr + root) / 2, (tr - root) / 2)
-    else:
-        d = cmath.sqrt(complex(disc))
-        exps_inf = ((complex(tr) + d) / 2, (complex(tr) - d) / 2)
+    delta = exponent_difference(k, lam)
+    exps_inf = ((tr + delta) / 2, (tr - delta) / 2)
     return HypergeomVE(k=k, lam=lam, a1=a1, a0=a0, b0=b0,
                        exponents0=exps0, exponents1=exps1,
                        exponents_inf=exps_inf)

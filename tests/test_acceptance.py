@@ -15,11 +15,13 @@ from algpot.calculus import DEFAULT_CRITICAL_TOL, PointCalculus, detect_homogene
 from algpot.darboux import solve_darboux
 from algpot.dynamics import homothetic_orbit, integrate
 from algpot.expr import RatExpr
-from algpot.admissibility import DEFAULT_TABLE, check_pair_exact
+from algpot.admissibility import check_pair_exact
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
                           pinning_conditions)
 from algpot.pipeline import AnalysisOptions, analyze, report_json
 from algpot.varode import build_ve, monodromy_report
+
+from table_reference import SPECIAL_ROWS
 
 
 @contextmanager
@@ -61,7 +63,7 @@ def test_criterion_1_cone_pipeline(cone_setup):
                 table = row["table"]
                 assert table["matched"] is True
                 for w in table["witnesses"]:
-                    if w["row"] == "family A":
+                    if w["row"] == "case (i)":
                         seen_p.add(w["p"])
         assert {1, -1} <= seen_p
 
@@ -77,9 +79,10 @@ A_BOUND = 200
 
 
 def brute_admissible_a(k):
-    """All a with |a| <= A_BOUND such that a/24 sits in some table row,
-    found by enumerating p in [-P_RANGE, P_RANGE] over every applicable row.
-    Values are scaled by 24 so family arithmetic stays in integers."""
+    """All a with |a| <= A_BOUND such that a/24 sits in some row of the
+    reference table, found by enumerating p in [-P_RANGE, P_RANGE] over
+    every applicable row.  Values are scaled by 24 so family arithmetic
+    stays in integers."""
     if k in (2, -2):
         return None  # wildcard rows admit every value
     hits = set()
@@ -90,9 +93,9 @@ def brute_admissible_a(k):
         num = 12 * (p * k + k - 1) * (p * k + 1)
         if num % k == 0 and -A_BOUND <= num // k <= A_BOUND:
             hits.add(num // k)
-    for row in DEFAULT_TABLE.special_rows_for(k):
+    for A, B, C, D in SPECIAL_ROWS.get(k, ()):
         for p in range(-P_RANGE, P_RANGE + 1):
-            val = 24 * row.special_value(p)
+            val = 24 * (A + B * (C + D * p) ** 2)
             if val.denominator == 1 and -A_BOUND <= val <= A_BOUND:
                 hits.add(int(val))
     return hits
@@ -126,7 +129,7 @@ def test_criterion_3_trivial_eigenvalue_law():
             verdict = check_pair_exact(k, Fraction(k - 1))
             assert verdict.matched, f"k={k}"
             if k not in (2, -2):
-                assert any(w.row_id == "family A" and w.p == 1
+                assert any(w.case == "case (i)" and w.p == 1
                            for w in verdict.witnesses), f"k={k}"
 
 

@@ -30,7 +30,7 @@ def test_check_table_exact_match(capsys):
     assert out["mode"] == "exact"
     assert out["matched"] is True
     assert out["obstruction_if_hypotheses_hold"] is False
-    assert any(w["row"] == "family A" for w in out["witnesses"])
+    assert any(w["row"] == "case (i)" for w in out["witnesses"])
 
 
 def test_check_table_negative_lambda(capsys):

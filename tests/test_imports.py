@@ -35,6 +35,27 @@ def test_no_unused_top_level_imports():
     assert [name for p in modules for name in unused_imports(p)] == []
 
 
+def package_imports(path: Path) -> set:
+    """The algpot modules that a module imports, at any depth; an absolute
+    import of the package shows as its dotted name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("algpot"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("algpot")}
+    return found
+
+
+def test_admissibility_trusts_no_calculus():
+    # varode reads Delta from admissibility, never the reverse, and the
+    # decision rests on no Darboux, calculus or variational-equation code
+    assert "admissibility" in package_imports(SRC / "varode.py")
+    assert package_imports(SRC / "admissibility.py") == {"spectrum"}
+
+
 def function_level_imports(path: Path) -> list:
     """module.Qual.name -> imported for each algpot import inside a function."""
     found = []

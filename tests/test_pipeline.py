@@ -58,14 +58,11 @@ def _default(func, name):
 def test_each_setting_has_one_definition():
     # identity, not equality: a re-typed literal is a second definition
     # (constant, its uses) pairs: equal constants would collide as dict keys
-    table = admissibility.AdmissibilityTable
     defaults = [
         (spectrum.RATIONAL_TOL, "tol", [spectrum.rationalize, spectrum.eigen,
-                                        table.check_pair_numeric,
                                         admissibility.check_pair_numeric,
                                         nbody.split_gauge_spectrum]),
         (spectrum.MAX_DENOMINATOR, "max_den", [spectrum.rationalize, spectrum.eigen,
-                                               table.check_pair_numeric,
                                                admissibility.check_pair_numeric,
                                                nbody.split_gauge_spectrum]),
         (calculus.PROBE_RADIUS, "radius", [PointCalculus.near_critical_set,
@@ -73,7 +70,6 @@ def test_each_setting_has_one_definition():
         (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
-        (admissibility.K4_COEFFICIENT, "k4_coefficient", [table]),
         (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate]),
         (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate,
                                                       dynamics.ConstrainedSystem]),
@@ -87,8 +83,22 @@ def test_each_setting_has_one_definition():
     assert options["critical_tol"] is calculus.DEFAULT_CRITICAL_TOL
     assert options["rational_tol"] is spectrum.RATIONAL_TOL
     assert options["max_denominator"] is spectrum.MAX_DENOMINATOR
-    assert options["k4_coefficient"] is admissibility.K4_COEFFICIENT
     assert options["sigma_radius"] is calculus.PROBE_RADIUS
+
+
+# a value outside the range of each numeric option
+OUT_OF_RANGE = {"seed": -1, "n_random": -5, "on_variety_tol": -1.0, "critical_tol": 0.0,
+                "rational_tol": float("nan"), "max_denominator": 0,
+                "sigma_radius": float("inf")}
+
+
+def test_out_of_range_option_is_refused():
+    # the library refuses what the CLI refuses: on_variety_tol = -1 accepts
+    # no point, and turns an obstruction into not_applicable
+    assert sorted(OUT_OF_RANGE) == sorted(pipeline.OPTION_RANGES)
+    for name, value in OUT_OF_RANGE.items():
+        with pytest.raises(ValueError, match=f"^{name}="):
+            AnalysisOptions(**{name: value})
 
 
 def test_certificate_is_computed_from_the_report_points():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot import varode
+from algpot.admissibility import check_pair_exact
 from algpot.varode import build_ve, monodromy_matrix, monodromy_report
 
 import ve_reference
@@ -168,3 +169,43 @@ def test_exact_integer_difference_is_not_skipped():
     rep = monodromy_report(build_ve(2, Fraction(1)))
     assert rep.skipped == {}
     assert rep.eigen_errors["inf"] <= 1e-6
+
+
+def projective_monodromy_size(k, lam, max_length=16, cap=300):
+    """Elements of the monodromy group modulo +-I reached by words of length
+    at most max_length in M0 and M1 scaled to determinant 1, or None past cap.
+    Two products are one element when they agree up to sign within 1e-6."""
+    mats = monodromy_report(build_ve(k, lam)).matrices
+    gens = [m / np.sqrt(np.linalg.det(m)) for m in (mats["0"], mats["1"])]
+    elements = [np.eye(2, dtype=complex)]
+    frontier = elements
+    for _ in range(max_length):
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = g @ a
+                known = np.array(elements)
+                gap = np.minimum(np.abs(known - b).max(axis=(1, 2)),
+                                 np.abs(known + b).max(axis=(1, 2)))
+                if gap.min() > 1e-6:
+                    elements.append(b)
+                    new.append(b)
+                    if len(elements) > cap:
+                        return None
+        frontier = new
+    return len(elements)
+
+
+@pytest.mark.parametrize("k, lam, size", [
+    (-4, Fraction(65, 72), 24),  # octahedral
+    (-4, Fraction(-175, 72), 24),
+    (3, Fraction(1, 8), 12),  # tetrahedral
+    (5, Fraction(19, 360), 60),  # icosahedral
+    (-4, Fraction(49, 72), None),  # Delta irrational
+    (-1, Fraction(-1, 2), None),  # the equal-mass three-body eigenvalue
+])
+def test_finite_monodromy_group_sizes(k, lam, size):
+    # the projective monodromy group is finite exactly in the Schwarz cases
+    # that the admissibility decision names
+    assert projective_monodromy_size(k, lam) == size
+    assert check_pair_exact(k, lam).matched == (size is not None)
