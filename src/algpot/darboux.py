@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import PROBE_RADIUS, CriticalPointError, PointCalculus
+from .calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _lstsq
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
@@ -56,26 +56,34 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
             conv_tol: float, max_iter: int):
     """Damped Gauss-Newton for the Darboux system plus linear conditions.
 
-    The line search only needs each trial's residual norm, so it evaluates
-    the residual alone; the Jacobian is built at the start point and at each
-    accepted trial.  Both calls compute F the same way, so the iterates are
-    those of a search that builds the full system at every trial.
+    A line-search trial is accepted when the largest entry of its residual
+    F = (grad V - q, G, linear conditions) is below the current one or at
+    most conv_tol.  A trial first evaluates the cheap rows, G and the linear
+    conditions, and is rejected at once when their largest entry fails that
+    test, nan included: the largest entry over all rows is no smaller.  Only
+    a trial that passes computes the gradient rows.  The Jacobian is built
+    at the start point and at each accepted trial, whose F is computed as
+    the trial's is.  So every decision, and every iterate, is bit for bit
+    that of a search that builds the full system at every trial.
 
     Returns the final iterate and residual, or None when the iteration left
     the domain (singular fiber, potential pole) or diverged.
     """
+    n = pc.n
     x = np.asarray(x0, dtype=complex).copy()
 
-    def with_conditions(F, xv):
-        if extra_rows is None:
-            return F
-        return np.concatenate([F, extra_rows @ xv - extra_rhs])
+    def cheap_rows(xv):
+        G = pc.g_values(xv)
+        return G if extra_rows is None else np.concatenate([G, extra_rows @ xv - extra_rhs])
 
     def system(xv):
         F, Jac = pc.darboux_system(xv)
-        if extra_rows is not None:
-            Jac = np.vstack([Jac, extra_rows])
-        return with_conditions(F, xv), Jac
+        if extra_rows is None:
+            return F, Jac
+        return np.concatenate([F, extra_rows @ xv - extra_rhs]), np.vstack([Jac, extra_rows])
+
+    def passes(r):
+        return r < res or r <= conv_tol
 
     try:
         F, Jac = system(x)
@@ -85,7 +93,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
     for _ in range(max_iter):
         if res <= conv_tol:
             return x, res
-        step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
+        step = _lstsq(Jac, -F)
         if not np.isfinite(step).all():
             return None
         scale = 1.0
@@ -93,13 +101,15 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
         for _halving in range(30):
             x_try = x + scale * step
             try:
-                F_try = with_conditions(pc.darboux_residual(x_try), x_try)
-                r_try = float(np.abs(F_try).max())
-                if r_try < res or r_try <= conv_tol:
-                    F, Jac = system(x_try)
-                    x, res = x_try, r_try
-                    improved = True
-                    break
+                cheap = cheap_rows(x_try)
+                if passes(float(np.abs(cheap).max(initial=0.0))):
+                    F_try = np.concatenate([pc.grad(x_try) - x_try[:n], cheap])
+                    r_try = float(np.abs(F_try).max())
+                    if passes(r_try):
+                        F, Jac = system(x_try)
+                        x, res = x_try, r_try
+                        improved = True
+                        break
             except (CriticalPointError, PoleError):
                 pass
             scale *= 0.5

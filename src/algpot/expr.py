@@ -470,12 +470,28 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     right onto 0j, each term its complex coefficient times x[i] ** e for
     each factor in monomial order; a quotient computes its denominator
     first and then divides the numerator by it.  Loads, powers and equal
-    denominators are computed once and shared, which changes no value.  A
-    factor of exponent 1 is the load itself: NumPy's x ** 1 differs from x
-    only by turning a -0.0 component into +0.0, which can change only the
-    sign of a zero component of a term, and the sum onto 0j clears the sign
-    of every zero, so no value changes.  A constant entry is written into
-    its array's template at compile time.
+    denominators are computed once and shared, which changes no value.
+
+    The kernel reads its input as complex, turns it into a list of Python
+    complex once, and computes in Python complex from then on, which costs a
+    fraction of NumPy's scalar arithmetic; every value keeps NumPy's bits.
+    A sum or product of two complex operands is the same IEEE formula in
+    both, and every operand is complex, the coefficients included.  A
+    denominator is summed onto NumPy's 0j instead, so it is a NumPy scalar
+    and the quotient is NumPy's own division (Smith's method with a
+    reciprocal scale; Python's / divides by the denominator and differs in
+    the last bit of a large share of quotients).  A quotient is a final
+    value, so no later operation meets the NumPy scalar.  A power
+    2 <= e < 100 follows NumPy's binary method: x * x for e = 2, x * (x * x)
+    for e = 3, and for larger e a product from 1+0j of the repeated squares
+    x, x^2, x^4, ... that e's bits select.  NumPy gives +0j for every zero
+    base, the only case where these differ, and there they differ only in
+    the signs of zeros, as the load x differs from NumPy's x ** 1 (which
+    turns a -0.0 component into +0.0).  A sign that differs can change only
+    the sign of a zero component of a term, and the sum onto 0j clears the
+    sign of every zero, so no value changes.  A power e >= 100 is NumPy's
+    own.  A constant entry is written into its array's template at compile
+    time.
     The generated source names variables by index only and is kept on the
     function as `source`.
     """
@@ -486,20 +502,41 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     if missing:
         raise ExprError(f"unbound variables {sorted(missing)}")
 
-    namespace = {"PoleError": PoleError}
-    lines = []
-    loaded, powers, coefficients, denominators = set(), {}, {}, {}
+    namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
+                 "zero": np.complex128(0j)}
+    lines = ["x = asarray(x, complex).tolist()"]
+    loaded, powers, squares, coefficients, denominators = set(), {}, {}, {}, {}
 
     def power(i, e):
-        if i not in loaded:
-            loaded.add(i)
-            lines.append(f"x{i} = x[{i}]")
+        """The name of x[i] ** e, its line emitted on first use."""
         if e == 1:
+            if i not in loaded:
+                loaded.add(i)
+                lines.append(f"x{i} = x[{i}]")
             return f"x{i}"
         if (i, e) not in powers:
+            if e >= 100:
+                value = f"complex(cdouble({power(i, 1)}) ** {e})"
+            elif e == 2:
+                value = f"{power(i, 1)} * {power(i, 1)}"
+            elif e == 3:
+                value = f"{power(i, 1)} * {power(i, 2)}"
+            else:
+                value = " * ".join(["(1+0j)"] + [square(i, k) for k in range(e.bit_length())
+                                                 if e >> k & 1])
             powers[i, e] = f"x{i}_{e}"
-            lines.append(f"x{i}_{e} = x{i} ** {e}")
+            lines.append(f"x{i}_{e} = {value}")
         return powers[i, e]
+
+    def square(i, k):
+        """The name of x[i] squared k times over, as NumPy's binary method
+        squares; x[i] ** 2 is its first square."""
+        if k < 2:
+            return power(i, 1 + k)
+        if (i, k) not in squares:
+            squares[i, k] = f"x{i}_s{k}"
+            lines.append(f"x{i}_s{k} = {square(i, k - 1)} * {square(i, k - 1)}")
+        return squares[i, k]
 
     def coefficient(c):
         if c not in coefficients:
@@ -507,10 +544,10 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             namespace[coefficients[c]] = complex(c)
         return coefficients[c]
 
-    def poly(p):
+    def poly(p, start="0j"):
         terms = [" * ".join([coefficient(c)] + [power(idx[name], e) for name, e in m])
                  for m, c in p.items()]
-        return " + ".join(["0j"] + terms)
+        return " + ".join([start] + terms)
 
     def value(e):
         if e.is_polynomial:
@@ -519,7 +556,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         if key not in denominators:
             d = denominators[key] = f"d{len(denominators)}"
             namespace[f"{d}_text"] = _poly_str(e.den)
-            lines.append(f"{d} = {poly(e.den)}")
+            lines.append(f"{d} = {poly(e.den, 'zero')}")
             lines.append(f"if {d} == 0: raise PoleError({d}_text)")
         return f"({poly(e.num)}) / {denominators[key]}"
 

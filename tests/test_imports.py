@@ -126,6 +126,45 @@ def test_every_definition_is_used_outside_the_tests():
     assert uncalled == []
 
 
+LINEAR_SOLVES = ("solve", "lstsq")
+LAPACK_DRIVERS = ("zgesv", "zgelsd")
+
+
+def linear_solve_uses(path: Path) -> list:
+    """module.Qual -> what, for each reference to a linalg module's solve or
+    lstsq (np.linalg.solve, from scipy.linalg import lstsq, ...) and each
+    reference to the LAPACK drivers that the package calls directly."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            where = f"{'.'.join(scope)} -> "
+            if (isinstance(child, ast.Attribute) and child.attr in LINEAR_SOLVES
+                    and isinstance(child.value, (ast.Attribute, ast.Name))
+                    and getattr(child.value, "attr", getattr(child.value, "id", "")) == "linalg"):
+                found.append(where + f"linalg.{child.attr}")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                found.extend(where + f"linalg.{a.name}" for a in child.names
+                             if a.name in LINEAR_SOLVES)
+            elif isinstance(child, ast.Name) and child.id in LAPACK_DRIVERS:
+                found.append(where + child.id)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [path.stem])
+    return found
+
+
+def test_one_solve_helper_and_one_least_squares_helper():
+    # every linear solve of the package goes through calculus._fiber_solve
+    # (zgesv) and every least-squares solve through calculus._lstsq (zgelsd);
+    # NumPy's wrappers cost several times the LAPACK call
+    uses = [use for p in sorted(SRC.glob("*.py")) for use in linear_solve_uses(p)]
+    assert uses == ["calculus._fiber_solve -> zgesv", "calculus._lstsq -> zgelsd"]
+
+
 DYNAMIC_CODE = ("exec", "eval", "compile")
 
 

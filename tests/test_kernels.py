@@ -1,12 +1,17 @@
 """The generated kernels of PointCalculus against the per-expression closure
 evaluator they replaced: equal bits on every output, the same PoleError
-where the closures raise one."""
+where the closures raise one.  The kernels compute in Python complex and the
+closures in NumPy scalars, so the arithmetic itself is held to NumPy's on
+signed zeros, infinities, nans and subnormals too."""
 
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algpot.calculus import PROBE_RADIUS, PointCalculus
 from algpot.expr import PoleError, RatExpr, compile_arrays
@@ -139,3 +144,76 @@ def test_denominators_are_shared_only_in_the_same_term_order():
         a, b = kernel(x)
         assert outcome(lambda _: a, x) == outcome(reference_compile(forward, order), x)
         assert outcome(lambda _: b, x) == outcome(reference_compile(backward, order), x)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' Python-complex arithmetic against NumPy's scalars
+# ---------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, 1.0, -1.5, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+           2.2250738585072014e-308, 1e308, -1e-300, 1e300, 0.75]
+
+
+def parts():
+    return st.one_of(st.sampled_from(SPECIAL), st.floats(allow_subnormal=True))
+
+
+def complexes():
+    return st.builds(complex, parts(), parts())
+
+
+def same(a, b):
+    """Equal bits, signs of zeros included, where any nan matches any nan:
+    the sign a nan comes out with follows the operand order the C compiler
+    chose, in NumPy as in Python."""
+    a, b = complex(a), complex(b)
+    return all((math.isnan(u) and math.isnan(v))
+               or (u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+X, Y = RatExpr.var("x"), RatExpr.var("y")
+QUOTIENT = (X / Y).compile(("x", "y"))
+
+
+@given(complexes(), complexes())
+@settings(max_examples=400, deadline=None)
+def test_sums_products_and_quotients_have_numpy_bits(a, b):
+    A, B, one = np.complex128(a), np.complex128(b), np.complex128(1)
+    with np.errstate(all="ignore"):
+        assert same(a + b, A + B)
+        assert same(a * b, A * B)
+        if b != 0:  # the kernel's terms are 1 * x and 1 * y
+            assert same(QUOTIENT(np.array([a, b])), (0j + one * A) / (0j + one * B))
+
+
+def test_quotients_are_numpys_division_where_pythons_differs():
+    # Python divides by the denominator rather than by NumPy's reciprocal
+    # scale, so a kernel's quotient must be NumPy's division
+    rng = np.random.default_rng(0)
+    draws = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    differ = sum(complex(a) / complex(b) != a / b for a, b in draws)
+    assert differ > 400
+    assert all(same(QUOTIENT(point), point[0] / point[1]) for point in draws)
+
+
+def evaluated(f, point):
+    """("value", f(point)), or ("pole", None) where f raises PoleError."""
+    try:
+        with np.errstate(all="ignore"):
+            return "value", f(point)
+    except PoleError:
+        return "pole", None
+
+
+@given(complexes(), complexes(), st.integers(2, 120), st.integers(1, 99))
+@settings(max_examples=300, deadline=None)
+def test_kernel_powers_and_quotients_match_numpy_scalars(x, y, e, f):
+    # x ** e through NumPy's binary method for e < 100 and NumPy's own power
+    # beyond; at a zero base the two differ only in signs that the sum onto
+    # 0j clears
+    point = np.array([x, y], dtype=complex)
+    for t in (X ** e, 3 * X ** e * Y - Y ** f, (X ** e + 2) / (Y ** f - X), Y / X ** e):
+        kind, got = evaluated(t.compile(("x", "y")), point)
+        ref_kind, expected = evaluated(reference_compile(t, ("x", "y")), point)
+        assert kind == ref_kind and (kind == "pole" or same(got, expected)), (str(t), x, y)

@@ -1,20 +1,26 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search evaluates residuals only and builds the Jacobian at accepted
-steps; gradients and Hessians evaluate only their non-zero partials; one
-kept adjoint per point serves the residual, the Jacobian and the Hessian.
-Each is held here, bit for bit, against the straightforward form it
-replaces, and the Lagrangian assembly against the per-variable one within
-roundoff.  The one fiber solve, LAPACK's zgesv called directly, is held to
-NumPy's solve bit for bit.
+The line search evaluates a trial's cheap rows first, computes the gradient
+rows only when those pass, and builds the Jacobian at accepted steps;
+gradients and Hessians evaluate only their non-zero partials; one kept
+adjoint per point serves the residual, the Jacobian and the Hessian.  Each
+is held here, bit for bit, against the straightforward form it replaces,
+and the Lagrangian assembly against the per-variable one within roundoff.
+The one fiber solve and the one least-squares solve, LAPACK's zgesv and
+zgelsd called directly, are held to NumPy's solve and lstsq bit for bit.
 """
 
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algpot.calculus import CriticalPointError, PointCalculus, _fiber_solve
+from algpot import calculus
+from algpot.calculus import (PROBE_RADIUS, CriticalPointError, PointCalculus, _fiber_solve,
+                             _lstsq)
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem
 from algpot.expr import PoleError
@@ -107,7 +113,7 @@ def three_body():
 
 def cone_cases():
     pc = PointCalculus(parse_problem(CONE_TEXT))
-    return [(pc, x0, None, None, 200) for x0 in random_starts(3, 8, seed=5)]
+    return [(pc, x0, None, None, 200, CONV_TOL) for x0 in random_starts(3, 8, seed=5)]
 
 
 def three_body_cases(cfg, pc, seeds, pinned):
@@ -119,8 +125,11 @@ def three_body_cases(cfg, pc, seeds, pinned):
     # near a central configuration the search converges; from random
     # starts it mostly stalls, which a short max_iter samples cheaply
     near = [s + 0.05 * rng.standard_normal(pc.N) for s in seeds]
-    cases = [(pc, x0, rows, rhs, 200) for x0 in near]
-    cases += [(pc, x0, rows, rhs, 40) for x0 in random_starts(pc.N, 6, seed=3)]
+    cases = [(pc, x0, rows, rhs, 200, CONV_TOL) for x0 in near]
+    cases += [(pc, x0, rows, rhs, 40, CONV_TOL) for x0 in random_starts(pc.N, 6, seed=3)]
+    # asked for a zero residual, a converging search stalls at roundoff:
+    # trials too short to move the point tie the current residual exactly
+    cases += [(pc, x0, rows, rhs, 200, 0.0) for x0 in near[:2]]
     return cases
 
 
@@ -131,40 +140,78 @@ def test_newton_matches_full_system_search(three_body, pinned):
     if not pinned:
         cases += cone_cases()
     converged = 0
-    for pc_, x0, rows, rhs, max_iter in cases:
-        expected, _ = newton_full_system(pc_, x0, rows, rhs, CONV_TOL, max_iter)
-        got = _newton(pc_, x0, rows, rhs, CONV_TOL, max_iter)
+    for pc_, x0, rows, rhs, max_iter, conv_tol in cases:
+        expected, _ = newton_full_system(pc_, x0, rows, rhs, conv_tol, max_iter)
+        got = _newton(pc_, x0, rows, rhs, conv_tol, max_iter)
         assert same_bits(got, expected)
         converged += got is not None and got[1] <= CONV_TOL
     assert converged >= 2  # the comparison covers converged starts too
 
 
-class Counting:
-    """Wraps a bound method and counts its calls."""
+TRACED = ("darboux_system", "g_values", "grad")
 
-    def __init__(self, method):
-        self.method = method
-        self.calls = 0
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.method(*args, **kwargs)
+def traced_newton(pc, x0, rows, rhs, conv_tol, max_iter):
+    """_newton's own calls of the TRACED methods, in order, as
+    [name, point, value]; a call made inside another traced call (the
+    generators that darboux_system evaluates) is not the search's own, and
+    a call that raises keeps the value None."""
+    calls, depth = [], [0]
+
+    def traced(name, method):
+        def call(x):
+            if depth[0] == 0:
+                calls.append([name, np.array(x), None])
+            depth[0] += 1
+            try:
+                value = method(x)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                calls[-1][2] = value
+            return value
+        return call
+
+    for name in TRACED:
+        setattr(pc, name, traced(name, getattr(pc, name)))
+    try:
+        _newton(pc, x0, rows, rhs, conv_tol, max_iter)
+    finally:
+        for name in TRACED:
+            delattr(pc, name)
+    return calls
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
+    # every trial evaluates its cheap rows (G, then the pinning rows); one
+    # whose cheap rows already fail the acceptance test never computes the
+    # gradient, and the Jacobian is built at the start and accepted steps
     cfg, pc, seeds = three_body
-    for pc_, x0, rows, rhs, max_iter in (three_body_cases(cfg, pc, seeds, True)
-                                         + cone_cases()):
-        _, accepted = newton_full_system(pc_, x0, rows, rhs, CONV_TOL, max_iter)
-        system = Counting(pc_.darboux_system)
-        residual = Counting(pc_.darboux_residual)
-        pc_.darboux_system, pc_.darboux_residual = system, residual
-        try:
-            _newton(pc_, x0, rows, rhs, CONV_TOL, max_iter)
-        finally:
-            del pc_.darboux_system, pc_.darboux_residual
-        assert system.calls == 1 + accepted
-        assert residual.calls >= accepted
+    cheap_rejected = tied = 0
+    for pc_, x0, rows, rhs, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
+                                                   + cone_cases()):
+        _, accepted = newton_full_system(pc_, x0, rows, rhs, conv_tol, max_iter)
+        calls = traced_newton(pc_, x0, rows, rhs, conv_tol, max_iter)
+        names = [name for name, _, _ in calls]
+        assert names.count("darboux_system") == 1 + accepted
+        res = None
+        for k, (name, x, value) in enumerate(calls):
+            lin = np.zeros(0) if rows is None else rows @ x - rhs
+            if name == "darboux_system":
+                res = float(np.abs(np.concatenate([value[0], lin])).max())
+            elif name == "g_values":
+                r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
+                passes = r < res or r <= conv_tol
+                following = calls[k + 1] if k + 1 < len(calls) else None
+                assert passes == (following is not None and following[0] == "grad"
+                                  and bits(following[1]) == bits(x))
+                cheap_rejected += not passes
+                tied += r == res
+            else:
+                assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
+    # 83 trials are rejected by their cheap rows, 59 of them tying the
+    # current residual, where a <= in place of < would compute the gradient
+    assert cheap_rejected > 50 and tied > 30
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +455,25 @@ def test_fiber_solve_matches_numpy_bit_for_bit(text):
     assert compared >= 10
 
 
-def test_fiber_solve_refuses_a_singular_or_nan_fiber_every_time(trap_setup):
+def test_fiber_solve_refuses_a_singular_or_non_finite_fiber_every_time(trap_setup):
     pc = PointCalculus(trap_setup)
     dG = pc._dg_kernel(np.array([0.0, 1.0, 0.0], dtype=complex))  # J = 2 w1 = 0
     nan = complex("nan")
     singular = [dG[:, 2:], np.array([[1, 2], [2, 4]], dtype=complex)]
+    # an infinite entry can leave a finite solution, [0, 2] here in NumPy's
+    # solve; the fiber is refused all the same
     not_finite = [np.array([[nan]]), np.array([[1, 2], [3, nan]]),
-                  np.array([[complex(1, np.nan), 0], [0, 1]])]
+                  np.array([[complex(1, np.nan), 0], [0, 1]]),
+                  np.array([[np.inf, 1], [1, 1]], dtype=complex),
+                  np.array([[1, complex(0, -np.inf)], [1, 1]]),
+                  np.array([[1, np.inf], [0, 1]], dtype=complex)]
     for J in singular + not_finite:
-        b = np.ones(len(J), dtype=complex)
+        b = np.arange(1, len(J) + 1, dtype=complex)
         for _ in range(3):
-            for A, rhs in ((J.T, b), (J, -np.ones((len(J), 2), dtype=complex))):
+            for A, rhs in ((J.T, b), (J, -np.ones((len(J), 2), dtype=complex)),
+                           (J, np.eye(len(J), 1, dtype=complex))):
                 with pytest.raises(CriticalPointError):
                     _fiber_solve(A, rhs)
-    # an infinite entry can leave a finite solution, in NumPy's solve too
-    J = np.array([[np.inf, 1], [1, 1]], dtype=complex)
-    b = np.array([1, 2], dtype=complex)
-    assert bits(_fiber_solve(J, b)) == bits(np.linalg.solve(J, b))
 
 
 def test_fiber_solve_without_extension_variables_is_empty():
@@ -433,6 +482,89 @@ def test_fiber_solve_without_extension_variables_is_empty():
     W = _fiber_solve(J, np.zeros((0, 3), dtype=complex))
     assert u.shape == (0,) and W.shape == (0, 3)
     assert u.dtype == W.dtype == complex
+
+
+# ---------------------------------------------------------------------------
+# the one least-squares solve
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def calculus_of(text):
+    return PointCalculus(setup_of(text))
+
+
+def least_squares_systems(pc, text, x, pinned, rng):
+    """(A, b) of every least-squares solve the package makes at x: the
+    Newton step, with pinning rows when pinned (the n-body's own rows, drawn
+    ones elsewhere), and the proximity probe's step toward each zero set."""
+    systems = []
+    try:
+        F, Jac = pc.darboux_system(x)
+    except (CriticalPointError, PoleError):
+        pass
+    else:
+        if pinned:
+            if text == "nbody":
+                rows, rhs = pinning_conditions(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)), x)
+            else:
+                rows, rhs = rng.standard_normal((2, pc.N)), rng.standard_normal(2)
+            F = np.concatenate([F, rows @ x - rhs])
+            Jac = np.vstack([Jac, rows])
+        systems.append((Jac, -F))
+    for f in (pc.det, pc._den):
+        if f.constant_value() is None:
+            pc._near_zero_set(f, x, PROBE_RADIUS)  # compiles f's probe kernel
+            value, grad = pc._probes[f](x)
+            systems.append((np.vstack([pc._dg_kernel(x), grad]), np.append(pc.g_values(x), value)))
+    return systems
+
+
+@given(st.sampled_from(SETUP_TEXTS), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.floats(0.1, 10.0))
+@settings(max_examples=80, deadline=None)
+def test_lstsq_matches_numpy_bit_for_bit(text, seed, pinned, radius):
+    pc = calculus_of(text)
+    rng = np.random.default_rng(seed)
+    x = radius * (rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N) * (seed % 2))
+    for A, b in least_squares_systems(pc, text, x, pinned, rng):
+        if np.isfinite(A).all() and np.isfinite(b).all():
+            assert bits(_lstsq(A, b)) == bits(np.linalg.lstsq(A, b, rcond=None)[0])
+
+
+def test_lstsq_matches_numpy_on_degenerate_shapes():
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    matrices = [np.zeros((3, 3), dtype=complex), np.outer(u, v), np.outer(u, v)[:2],
+                np.ones((1, 1), dtype=complex), np.eye(4, 2, dtype=complex),
+                rng.standard_normal((7, 4)) + 0j, 1e-300 * rng.standard_normal((4, 4)) + 0j]
+    for A in matrices:
+        for b in (np.zeros(len(A), dtype=complex), rng.standard_normal(len(A)) + 1j):
+            x = _lstsq(A, b)
+            assert x.shape == (A.shape[1],)
+            assert bits(x) == bits(np.linalg.lstsq(A, b, rcond=None)[0])
+
+
+def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
+    # NumPy's lstsq raises LinAlgError on a nan entry and did not return
+    # within 10 s on this 4 x 3 matrix with an infinite one
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    b = rng.standard_normal(4) + 0j
+    A_nan = A.copy()
+    A_nan[1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(A_nan, b, rcond=None)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("zgelsd called on a non-finite system")
+
+    monkeypatch.setattr(calculus, "zgelsd", no_lapack)
+    for bad in (np.inf, -np.inf, complex(0, np.inf), np.nan, complex(1, np.nan)):
+        A_bad, b_bad = A.copy(), b.copy()
+        A_bad[1, 0] = b_bad[1] = bad
+        for A_, b_ in ((A_bad, b), (A, b_bad)):
+            x = _lstsq(A_, b_)
+            assert x.shape == (3,) and np.isnan(x).all()
 
 
 def lagrange_states(count):
