@@ -111,14 +111,15 @@ def _cases(k: int):
     return cases
 
 
-def _check_degree(k) -> None:
+def check_degree(k) -> None:
+    """Refuse a degree that the variational equation cannot take."""
     if not isinstance(k, int) or k == 0:
         raise TableError("degree must be a nonzero integer")
 
 
 def check_pair_exact(k: int, lam) -> TableVerdict:
     """Decide (k, lambda) over the rationals; a miss is an obstruction."""
-    _check_degree(k)
+    check_degree(k)
     lam = F(lam)
     witnesses = [Witness("dihedral", None)] if k in (2, -2) else []
     delta = exponent_difference(k, lam)
@@ -137,7 +138,7 @@ def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL,
     """Decide a float or complex eigenvalue: exactly when it reconstructs
     as a rational, else by rounding each candidate shift and accepting the
     lambda it gives within tol * max(1, |lambda|)."""
-    _check_degree(k)
+    check_degree(k)
     z = complex(lam)
     r = rationalize(z, tol, max_den)
     if r is not None:
@@ -216,7 +217,7 @@ def certify(k, points) -> Certificate:
             reasons.append(f"point #{idx}: diagonalizability decision within numeric margin")
         for row in point["verdicts"]:
             verdict = row["table"]
-            if row["gauge"] or verdict is None:
+            if verdict is None:
                 continue
             checked_any = True
             lam = _complex(row["eigenvalue"])

@@ -15,22 +15,43 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
+import math
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
 from .calculus import DEFAULT_CRITICAL_TOL
-from .darboux import solve_darboux
 from .dynamics import integrate
 from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
-from .pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, TOOL_NAME, TOOL_VERSION,
-                       AnalysisOptions, analyze, darboux_section, report_json)
+from .pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, POSITIVE_FINITE, POSITIVE_INT,
+                       TOOL_VERSION, AnalysisOptions, accepted_entry, analyze,
+                       darboux_section, hunt, report_head, report_json, table_entry)
 from .varode import build_ve, monodromy_report
 
 _DEFAULTS = AnalysisOptions()
+# the options each subcommand reads; analyze and nbody read all of OPTION_RANGES
+HUNT_OPTIONS = ("seed", "n_random", "on_variety_tol", "sigma_radius")
+TABLE_OPTIONS = ("rational_tol", "max_denominator")
+
+
+def _flag_type(parse, what, ok=None):
+    """An argparse type: parse(text), a usage error saying what the value
+    must be when parse fails or, given ok, when ok(value) is false."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {what}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is out of range: must be {what}")
+        return value
+    return convert
 
 
 def _parse_complex(text: str) -> complex:
@@ -50,14 +71,41 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([_parse_complex(t) for t in items])
 
 
-def _read_seeds(path: str):
+LAMBDA = _flag_type(_parse_lambda, "a rational like 7/8 or a finite number like 1.25 or 1+0.5i",
+                    cmath.isfinite)
+TIME = _flag_type(float, "a finite number", math.isfinite)
+VECTOR = _flag_type(_parse_vector, "comma-separated finite numbers",
+                    lambda v: bool(np.isfinite(v).all()))
+MASSES = _flag_type(lambda text: tuple(Fraction(m) for m in text.split(",")),
+                    "comma-separated rationals")
+
+
+def _input_error(message: str) -> NoReturn:
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_ERROR)
+
+
+def _read_seeds(path: str, dim: int) -> tuple:
+    """The start vectors in a seeds file, one per line; EXIT_ERROR when the
+    file cannot be read or a line is not a vector of dim numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.split("#", 1)[0].strip() for line in fh]
+    except (OSError, UnicodeError) as exc:
+        _input_error(f"cannot read seeds file: {exc}")
     seeds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                seeds.append(_parse_vector(line))
-    return seeds
+    for number, row in enumerate(rows, 1):
+        if not row:
+            continue
+        try:
+            seed = _parse_vector(row)
+        except ValueError:
+            seed = ()
+        if len(seed) != dim:
+            _input_error(f"seeds file error: {path}: line {number}: "
+                         f"not {dim} comma-separated numbers")
+        seeds.append(seed)
+    return tuple(seeds)
 
 
 def _emit(text: str, out: str | None):
@@ -72,138 +120,83 @@ def _load(path: str):
     try:
         return load_problem(path)
     except ParseError as exc:
-        print(f"problem file error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        _input_error(f"problem file error: {exc}")
     except OSError as exc:
-        print(f"cannot read problem file: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        _input_error(f"cannot read problem file: {exc}")
 
 
-def _bounded(convert, option):
-    """An argparse type: convert(text), a usage error unless it lies in the
-    range of the AnalysisOptions field `option`."""
-    ok, what = OPTION_RANGES[option]
-
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {what}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text} is out of range: must be {what}")
-        return value
-    return parse
+def _add_options(p, names):
+    """One flag per named option of OPTION_RANGES, with AnalysisOptions' default."""
+    for name in names:
+        kind, what_it_sets = OPTION_RANGES[name]
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(*kind),
+                       default=getattr(_DEFAULTS, name), help=what_it_sets)
 
 
-def _add_common_solver_args(p):
-    p.add_argument("--seed", type=_bounded(int, "seed"), default=_DEFAULTS.seed,
-                   help="RNG seed for sampling and starts")
-    p.add_argument("--n-random", type=_bounded(int, "n_random"), default=_DEFAULTS.n_random,
-                   help="number of random Newton starts")
+def _add_hunt_args(p, names=HUNT_OPTIONS):
+    _add_options(p, names)
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
-    p.add_argument("--on-variety-tol", type=_bounded(float, "on_variety_tol"),
-                   default=_DEFAULTS.on_variety_tol)
-    p.add_argument("--sigma-radius", type=_bounded(float, "sigma_radius"),
-                   default=_DEFAULTS.sigma_radius,
-                   help="probe radius for both validation and the hunt: a sample "
-                        "or candidate with a critical point this close is critical")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
-def _add_table_args(p):
-    p.add_argument("--rational-tol", type=_bounded(float, "rational_tol"),
-                   default=_DEFAULTS.rational_tol)
-    p.add_argument("--max-denominator", type=_bounded(int, "max_denominator"),
-                   default=_DEFAULTS.max_denominator)
-
-
 def _add_analysis_args(p):
-    """Everything a full analysis reads: solver, validation and table."""
-    _add_common_solver_args(p)
-    p.add_argument("--critical-tol", type=_bounded(float, "critical_tol"),
-                   default=_DEFAULTS.critical_tol,
-                   help="|detJ| at or below which a validation sample counts as critical")
-    _add_table_args(p)
+    """Everything a full analysis reads: every option, seeds and timings."""
+    _add_hunt_args(p, OPTION_RANGES)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
 
 
-def _options_from(args, nbody=None) -> AnalysisOptions:
-    seeds = tuple(_read_seeds(args.seeds)) if args.seeds else ()
-    return AnalysisOptions(
-        seed=args.seed,
-        n_random=args.n_random,
-        seeds=seeds,
-        on_variety_tol=args.on_variety_tol,
-        critical_tol=args.critical_tol,
-        rational_tol=args.rational_tol,
-        max_denominator=args.max_denominator,
-        sigma_radius=args.sigma_radius,
-        include_gauge=getattr(args, "include_gauge_eigenvalues", _DEFAULTS.include_gauge),
-        timings=args.timings,
-        nbody=nbody,
-    )
+def _options_from(args, setup, nbody=None) -> AnalysisOptions:
+    """The AnalysisOptions that a command's flags set; each option that the
+    command has no flag for keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisOptions)
+             if f.name in vars(args)}
+    given["seeds"] = _read_seeds(args.seeds, len(setup.var_names)) if args.seeds else ()
+    return AnalysisOptions(**given, nbody=nbody)
 
 
 def cmd_analyze(args) -> int:
     setup = _load(args.problem)
-    report, code = analyze(setup, _options_from(args))
+    report, code = analyze(setup, _options_from(args, setup))
     _emit(report_json(report), args.out)
     return code
 
 
 def cmd_darboux(args) -> int:
     setup = _load(args.problem)
-    seeds = _read_seeds(args.seeds) if args.seeds else ()
-    res = solve_darboux(setup, seeds=seeds, n_random=args.n_random,
-                        seed=args.seed, sigma_radius=args.sigma_radius,
-                        accept_tol=args.on_variety_tol)
+    res = hunt(setup, _options_from(args, setup))
     report = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "label": setup.label,
+        **report_head(setup),
         **darboux_section(res),
-        "accepted": [{
-            "point": rep.point, "grad_residual": rep.grad_residual,
-            "constraint_residual": rep.constraint_residual,
-            "degenerate": rep.degenerate, "start": rep.start_label,
-        } for rep in res.accepted],
+        "accepted": [accepted_entry(rep) for rep in res.accepted],
     }
     _emit(report_json(report), args.out)
     return 0
 
 
 def cmd_check_table(args) -> int:
-    lam = _parse_lambda(args.lam)
     try:
-        if isinstance(lam, Fraction) and not args.numeric:
-            verdict = check_pair_exact(args.k, lam)
+        if isinstance(args.lam, Fraction) and not args.numeric:
+            verdict = check_pair_exact(args.k, args.lam)
         else:
-            verdict = check_pair_numeric(args.k, complex(lam), tol=args.rational_tol,
+            verdict = check_pair_numeric(args.k, complex(args.lam), tol=args.rational_tol,
                                          max_den=args.max_denominator)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = {
-        "k": verdict.k,
-        "lambda": verdict.lam,
-        "mode": verdict.mode,
-        "matched": verdict.matched,
-        "obstruction_if_hypotheses_hold": verdict.obstruction,
-        "witnesses": [{"row": w.case, "p": w.p} for w in verdict.witnesses],
-        "note": verdict.note,
-    }
+    report = {"k": verdict.k, "obstruction_if_hypotheses_hold": verdict.obstruction,
+              **table_entry(verdict)}
     _emit(report_json(report), args.out)
     return 0
 
 
 def cmd_ve(args) -> int:
-    lam = _parse_lambda(args.lam)
-    if not isinstance(lam, Fraction):
+    if not isinstance(args.lam, Fraction):
         print("error: the variational equation needs an exact rational eigenvalue",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        ve = build_ve(args.k, lam)
+        ve = build_ve(args.k, args.lam)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -232,42 +225,28 @@ def cmd_ve(args) -> int:
 
 def cmd_simulate(args) -> int:
     setup = _load(args.problem)
-    q0 = _parse_vector(args.q0)
-    p0 = _parse_vector(args.p0)
-    w0 = _parse_vector(args.w0) if args.w0 else np.zeros(setup.s)
+    q0, p0 = args.q0, args.p0
+    w0 = np.zeros(setup.s) if args.w0 is None else args.w0
     if len(q0) != setup.n or len(p0) != setup.n or len(w0) != setup.s:
         print("error: state dimensions do not match the problem", file=sys.stderr)
         return EXIT_USAGE
     t_grid = np.linspace(args.t0, args.t1, args.samples)
     traj = integrate(setup, q0, p0, w0, t_grid,
                      sigma_tol=args.sigma_tol, project=args.project)
-    report = {
-        "label": setup.label,
-        "terminated": traj.terminated,
-        "message": traj.message,
-        "energy_drift": traj.energy_drift,
-        "max_constraint_residual": traj.max_constraint_residual,
-        "samples": [{
-            "t": st.t, "q": st.q, "p": st.p, "w": st.w,
-            "energy": st.energy,
-            "constraint_residual": st.constraint_residual,
-        } for st in traj.samples],
-    }
-    _emit(report_json(report), args.out)
+    _emit(report_json({"label": setup.label, **dataclasses.asdict(traj)}), args.out)
     return 0
 
 
 def cmd_nbody(args) -> int:
-    masses = [Fraction(m) for m in args.masses.split(",")] if args.masses \
-        else [Fraction(1)] * args.n
+    masses = args.masses or (Fraction(1),) * args.n
     try:
-        cfg = NBodyConfig(n=args.n, dim=args.dim, masses=tuple(masses))
+        cfg = NBodyConfig(n=args.n, dim=args.dim, masses=masses)
         setup = build_nbody(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.analyze:
-        report, code = analyze(setup, _options_from(args, nbody=cfg))
+        report, code = analyze(setup, _options_from(args, setup, nbody=cfg))
         _emit(report_json(report), args.out)
         return code
     if args.json:
@@ -278,7 +257,7 @@ def cmd_nbody(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algpot",
         description="non-integrability obstructions for algebraic potentials")
@@ -293,7 +272,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("darboux", help="hunt Darboux points only")
     p.add_argument("problem")
-    _add_common_solver_args(p)
+    _add_hunt_args(p)
     p.set_defaults(func=cmd_darboux)
 
     p = sub.add_parser(
@@ -305,17 +284,17 @@ def main(argv=None) -> int:
                     "case (i), tetrahedral, octahedral, icosahedral) and the integer "
                     "shift p with +-Delta = residue + p.")
     p.add_argument("--k", type=int, required=True, help="integer degree")
-    p.add_argument("--lambda", dest="lam", required=True,
+    p.add_argument("--lambda", dest="lam", type=LAMBDA, required=True,
                    help="eigenvalue: exact like 7/8, or numeric like 1.25 or 1+0.5i")
     p.add_argument("--numeric", action="store_true",
                    help="force the numeric route even for exact input")
-    _add_table_args(p)
+    _add_options(p, TABLE_OPTIONS)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_check_table)
 
     p = sub.add_parser("ve", help="variational equation exponents and monodromy")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
     p.add_argument("--monodromy", action="store_true",
                    help="continue solutions around the loops and report eigenvalue errors")
     p.add_argument("--out", metavar="FILE")
@@ -323,13 +302,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="integrate the constrained flow")
     p.add_argument("problem")
-    p.add_argument("--q0", required=True, help="comma-separated initial positions")
-    p.add_argument("--p0", required=True, help="comma-separated initial momenta")
-    p.add_argument("--w0", help="comma-separated initial fiber values (default zeros)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=33)
-    p.add_argument("--sigma-tol", type=float, default=DEFAULT_CRITICAL_TOL,
+    p.add_argument("--q0", type=VECTOR, required=True, help="comma-separated initial positions")
+    p.add_argument("--p0", type=VECTOR, required=True, help="comma-separated initial momenta")
+    p.add_argument("--w0", type=VECTOR, help="comma-separated initial fiber values (default zeros)")
+    p.add_argument("--t0", type=TIME, default=0.0)
+    p.add_argument("--t1", type=TIME, default=1.0)
+    p.add_argument("--samples", type=_flag_type(*POSITIVE_INT), default=33)
+    p.add_argument("--sigma-tol", type=_flag_type(*POSITIVE_FINITE),
+                   default=DEFAULT_CRITICAL_TOL,
                    help="|detJ| at or below which the flow stops at the critical set")
     p.add_argument("--project", action="store_true",
                    help="Newton-correct the fiber variables at each sample time")
@@ -339,16 +319,18 @@ def main(argv=None) -> int:
     p = sub.add_parser("nbody", help="emit or analyze an n-body problem")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--masses", help="comma-separated masses (default all 1)")
+    p.add_argument("--masses", type=MASSES, help="comma-separated masses (default all 1)")
     p.add_argument("--analyze", action="store_true",
                    help="run the full pipeline instead of printing the problem")
-    p.add_argument("--include-gauge-eigenvalues", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="wrap the emitted problem text in a JSON object")
     _add_analysis_args(p)
     p.set_defaults(func=cmd_nbody)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:  # loader failures; keep the int contract

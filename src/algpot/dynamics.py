@@ -26,6 +26,9 @@ from .calculus import DEFAULT_CRITICAL_TOL, CriticalPointError, Homogeneity, Poi
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
+# rtol and atol of every DOP853 integration: trajectories and homothetic profiles
+ODE_TOL = 1e-12
+
 
 class CriticalSetError(RuntimeError):
     pass
@@ -119,8 +122,7 @@ class ConstrainedSystem:
 def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               pc: PointCalculus | None = None,
               sigma_tol: float = DEFAULT_CRITICAL_TOL,
-              project: bool = False,
-              rtol: float = 1e-12, atol: float = 1e-12) -> Trajectory:
+              project: bool = False) -> Trajectory:
     """Integrate the constrained flow, sampling at the times in t_grid.
 
     Returns early with terminated="critical_set" if the initial point is
@@ -170,7 +172,7 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         try:
             sol = solve_ivp(sys.rhs, (t0, t1), y, method="DOP853",
-                            rtol=rtol, atol=atol,
+                            rtol=ODE_TOL, atol=ODE_TOL,
                             events=(det_event, det_sign_event),
                             dense_output=False)
         except CriticalSetError as exc:
@@ -256,7 +258,7 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
 
     t_grid = np.asarray(t_grid, dtype=float)
     sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), [phi0, phidot0],
-                    method="DOP853", rtol=1e-12, atol=1e-12,
+                    method="DOP853", rtol=ODE_TOL, atol=ODE_TOL,
                     t_eval=t_grid, events=collapse)
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"profile integration failed: {sol.message}")

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .calculus import (DEFAULT_CRITICAL_TOL, PROBE_RADIUS, CalculusError,
                        PointCalculus, detect_homogeneity, validate)
-from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxResult, solve_darboux
-from .admissibility import certify, check_pair_exact, check_pair_numeric
+from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
+from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
+                            check_pair_numeric)
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
 from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, eigen
@@ -34,20 +35,26 @@ EXIT_ERROR = 3  # unreadable or malformed input
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 10
 
-# The range of each numeric analysis option, as (test, what it must be).
-# AnalysisOptions refuses a value outside it; the CLI parses its flags
-# against the same entries.
-NONNEGATIVE_INT = (lambda v: v >= 0, "an integer >= 0")
-POSITIVE_INT = (lambda v: v >= 1, "an integer >= 1")
-POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+# The kinds of numeric option, as (type, what a value must be, its test).
+NONNEGATIVE_INT = (int, "an integer >= 0", lambda v: v >= 0)
+POSITIVE_INT = (int, "an integer >= 1", lambda v: v >= 1)
+POSITIVE_FINITE = (float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+# Each numeric analysis option, as (kind, what it sets).  AnalysisOptions
+# refuses a value outside its kind's range, the report echoes each under
+# `options`, and the CLI makes each a flag of the same name with dashes,
+# parsed as its kind, with AnalysisOptions' default.
 OPTION_RANGES = {
-    "seed": NONNEGATIVE_INT,
-    "n_random": NONNEGATIVE_INT,
-    "on_variety_tol": POSITIVE_FINITE,
-    "critical_tol": POSITIVE_FINITE,
-    "rational_tol": POSITIVE_FINITE,
-    "max_denominator": POSITIVE_INT,
-    "sigma_radius": POSITIVE_FINITE,
+    "seed": (NONNEGATIVE_INT, "RNG seed for sampling and starts"),
+    "n_random": (NONNEGATIVE_INT, "number of random Newton starts"),
+    "on_variety_tol": (POSITIVE_FINITE, "largest final residual of a Newton start "
+                                        "that counts as a Darboux candidate"),
+    "critical_tol": (POSITIVE_FINITE, "|detJ| at or below which a validation sample "
+                                      "counts as critical"),
+    "rational_tol": (POSITIVE_FINITE, "error budget of rational reconstruction"),
+    "max_denominator": (POSITIVE_INT, "largest denominator of rational reconstruction"),
+    "sigma_radius": (POSITIVE_FINITE, "probe radius for both validation and the hunt: a "
+                                      "sample or candidate with a critical point this "
+                                      "close is critical"),
 }
 
 
@@ -61,12 +68,11 @@ class AnalysisOptions:
     rational_tol: float = RATIONAL_TOL
     max_denominator: int = MAX_DENOMINATOR
     sigma_radius: float = PROBE_RADIUS
-    include_gauge: bool = False
     timings: bool = False
     nbody: NBodyConfig | None = None
 
     def __post_init__(self):
-        for name, (ok, what) in OPTION_RANGES.items():
+        for name, ((_, what, ok), _) in OPTION_RANGES.items():
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name}={value!r} is out of range: must be {what}")
@@ -104,26 +110,77 @@ def _point_is_real(x: np.ndarray, tol: float = 1e-9) -> bool:
     return float(np.max(np.abs(x.imag))) <= tol * scale
 
 
+def report_head(setup: AlgebraicSetup) -> dict:
+    """The entries that open a report on a problem: the tool and the label."""
+    return {"tool": {"name": TOOL_NAME, "version": TOOL_VERSION}, "label": setup.label}
+
+
+def _candidate_entry(rep: DarbouxReport, **entries) -> dict:
+    """The report's entry for a Darboux candidate: the point, its residuals
+    and `entries`."""
+    return {"point": rep.point, "grad_residual": rep.grad_residual,
+            "constraint_residual": rep.constraint_residual, **entries}
+
+
+def accepted_entry(rep: DarbouxReport) -> dict:
+    """The report's entry for an accepted Darboux point."""
+    return _candidate_entry(rep, degenerate=rep.degenerate, start=rep.start_label)
+
+
 def darboux_section(dres: DarbouxResult) -> dict:
     """The report's summary of a Darboux hunt: counts and rejected points."""
     return {
         "n_accepted": len(dres.accepted),
         "n_rejected": len(dres.rejected),
         "failed_starts": dres.failed_starts,
-        "rejected": [{
-            "point": rep.point,
-            "grad_residual": rep.grad_residual,
-            "constraint_residual": rep.constraint_residual,
-            "reason": rep.reason,
-            "in_critical_set": rep.sigma_flag,
-        } for rep in dres.rejected],
+        "rejected": [_candidate_entry(rep, reason=rep.reason, in_critical_set=rep.sigma_flag)
+                     for rep in dres.rejected],
     }
+
+
+def table_entry(verdict: TableVerdict) -> dict:
+    """The report's entry for a table verdict; each witness names its Kimura
+    case under `row` and its integer shift under `p`."""
+    return {
+        "mode": verdict.mode,
+        "matched": verdict.matched,
+        "lambda": verdict.lam,
+        "witnesses": [{"row": w.case, "p": w.p} for w in verdict.witnesses],
+        "note": verdict.note,
+    }
+
+
+def hunt(setup: AlgebraicSetup, opt: AnalysisOptions,
+         pc: PointCalculus | None = None) -> DarbouxResult:
+    """Hunt Darboux points as opt says: from opt.seeds and opt.n_random
+    random starts, and for an n-body problem from its known central
+    configurations first, under its pinning conditions."""
+    seeds = list(opt.seeds)
+    linear_conditions = None
+    if opt.nbody is not None:
+        known = central_config_seeds(opt.nbody)
+        seeds = [s for _, s in known] + seeds
+        base = seeds[0] if seeds else np.zeros(len(setup.var_names))
+        linear_conditions = pinning_conditions(opt.nbody, np.asarray(base))
+    return solve_darboux(setup, seeds=seeds, n_random=opt.n_random,
+                         seed=opt.seed, accept_tol=opt.on_variety_tol,
+                         sigma_radius=opt.sigma_radius,
+                         pc=pc, linear_conditions=linear_conditions)
+
+
+def _close(report: dict, cert: Certificate, code: int, timings: dict | None):
+    """Finish a report with its certificate, exit code and any timings."""
+    report["certificate"] = asdict(cert)
+    report["exit_code"] = code
+    if timings is not None:
+        report["timings"] = timings
+    return report, code
 
 
 def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     """Run the full pipeline; returns (report dict, exit code)."""
     opt = options or AnalysisOptions()
-    timings = {}
+    timings = {} if opt.timings else None
     clock = None
     if opt.timings:
         import time
@@ -134,23 +191,14 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             timings[name] = clock() - t0
 
     report = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "label": setup.label,
+        **report_head(setup),
         "problem": {
             "q": list(setup.q_names),
             "w": list(setup.w_names),
             "generators": [str(g) for g in setup.generators],
             "potential": str(setup.potential),
         },
-        "options": {
-            "seed": opt.seed,
-            "n_random": opt.n_random,
-            "on_variety_tol": opt.on_variety_tol,
-            "critical_tol": opt.critical_tol,
-            "rational_tol": opt.rational_tol,
-            "max_denominator": opt.max_denominator,
-            "sigma_radius": opt.sigma_radius,
-        },
+        "options": {name: getattr(opt, name) for name in OPTION_RANGES},
         "warnings": [],
     }
 
@@ -171,13 +219,9 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         "message": val.message,
     }
     if not val.ok:
-        report["certificate"] = {"status": "not_applicable",
-                                 "witnesses": [],
-                                 "reasons": ["setup failed validation: " + val.message]}
-        report["exit_code"] = EXIT_VALIDATION
-        if opt.timings:
-            report["timings"] = timings
-        return report, EXIT_VALIDATION
+        cert = Certificate(status="not_applicable",
+                           reasons=["setup failed validation: " + val.message])
+        return _close(report, cert, EXIT_VALIDATION, timings)
 
     t0 = clock() if clock else None
     hom = None
@@ -208,19 +252,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             report["warnings"].append(
                 "degree is not an integer; admissibility checks are skipped")
 
-    seeds = list(opt.seeds)
-    linear_conditions = None
-    if opt.nbody is not None:
-        known = central_config_seeds(opt.nbody)
-        seeds = [s for _, s in known] + seeds
-        base = seeds[0] if seeds else np.zeros(pc.N)
-        linear_conditions = pinning_conditions(opt.nbody, np.asarray(base))
-
     t0 = clock() if clock else None
-    dres = solve_darboux(setup, seeds=seeds, n_random=opt.n_random,
-                         seed=opt.seed, accept_tol=opt.on_variety_tol,
-                         sigma_radius=opt.sigma_radius,
-                         pc=pc, linear_conditions=linear_conditions)
+    dres = hunt(setup, opt, pc)
     tick("darboux", t0)
 
     report["darboux"] = darboux_section(dres)
@@ -228,14 +261,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     t0 = clock() if clock else None
     points_out = []
     for idx, rep in enumerate(dres.accepted):
-        entry = {
-            "index": idx,
-            "point": rep.point,
-            "grad_residual": rep.grad_residual,
-            "constraint_residual": rep.constraint_residual,
-            "degenerate": rep.degenerate,
-            "start": rep.start_label,
-        }
+        entry = {"index": idx, **accepted_entry(rep)}
         if rep.hessian is None:
             entry["spectrum"] = None
             points_out.append(entry)
@@ -259,28 +285,17 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             spec = eigen(rep.hessian, tol=opt.rational_tol,
                          max_den=opt.max_denominator)
 
-        def cluster_dict(cl):
-            return {
-                "value": cl.value,
-                "multiplicity": cl.multiplicity,
-                "geometric_multiplicity": cl.geometric_multiplicity,
-                "diagonalizable": cl.diagonalizable,
-                "rational": cl.rational,
-                "gauge": cl.gauge,
-            }
-
         entry["spectrum"] = {
-            "clusters": [cluster_dict(c) for c in gauge_clusters + list(spec.clusters)],
+            "clusters": [asdict(c) for c in gauge_clusters + list(spec.clusters)],
             "diagonalizable": spec.diagonalizable,
             "uncertain": spec.uncertain,
             # inf when no rank decision was made, which JSON cannot carry
             "diag_margin": None if math.isinf(spec.diag_margin) else spec.diag_margin,
         }
 
-        verdict_rows = [{"eigenvalue": cl.value, "multiplicity": cl.multiplicity,
-                         "gauge": cl.gauge, "table": None}
-                        for cl in gauge_clusters if opt.include_gauge]
+        verdict_rows = []
         for cl in spec.clusters:
+            # spec holds no gauge cluster; "gauge" stays in the report's schema
             vrow = {"eigenvalue": cl.value, "multiplicity": cl.multiplicity,
                     "gauge": "", "table": None}
             if k is not None and not rep.degenerate:
@@ -289,14 +304,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                 else:
                     verdict = check_pair_numeric(k, cl.value, tol=opt.rational_tol,
                                                  max_den=opt.max_denominator)
-                vrow["table"] = {
-                    "mode": verdict.mode,
-                    "matched": verdict.matched,
-                    "lambda": verdict.lam,
-                    "witnesses": [{"row": w.case, "p": w.p}
-                                  for w in verdict.witnesses],
-                    "note": verdict.note,
-                }
+                vrow["table"] = table_entry(verdict)
             verdict_rows.append(vrow)
 
         entry["verdicts"] = verdict_rows
@@ -305,13 +313,5 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
     report["points"] = points_out
     cert = certify(k, points_out)
-    report["certificate"] = {
-        "status": cert.status,
-        "witnesses": cert.witnesses,
-        "reasons": cert.reasons,
-    }
-    code = EXIT_OBSTRUCTION if cert.status == "obstruction" else EXIT_OK
-    report["exit_code"] = code
-    if opt.timings:
-        report["timings"] = timings
-    return report, code
+    return _close(report, cert, EXIT_OBSTRUCTION if cert.status == "obstruction" else EXIT_OK,
+                  timings)

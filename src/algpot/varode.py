@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .admissibility import exponent_difference
+from .admissibility import check_degree, exponent_difference
 
 F = Fraction
 
@@ -64,8 +64,7 @@ class HypergeomVE:
 
 
 def build_ve(k: int, lam) -> HypergeomVE:
-    if not isinstance(k, int) or k == 0:
-        raise ValueError("degree must be a nonzero integer")
+    check_degree(k)
     lam = F(lam)
     a1 = F(3 * k - 2, 2 * k)
     a0 = F(-(k - 1), k)

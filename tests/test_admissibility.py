@@ -193,3 +193,33 @@ def test_point_without_a_hessian_carries_no_verdict():
     assert cert.status == "not_applicable"
     assert cert.witnesses == []
     assert cert.reasons[0] == "point #0: no Hessian at the point, no verdict"
+
+
+def _exact_point(degenerate=False, diagonalizable=True, uncertain=False, matched=False):
+    """A report point, as decoded from JSON, with one exact-mode verdict row."""
+    table = {"mode": "exact", "matched": matched, "lambda": "1/2", "witnesses": [], "note": ""}
+    return {"index": 0, "point": [[0.5, 0.0]], "degenerate": degenerate,
+            "spectrum": {"diagonalizable": diagonalizable, "uncertain": uncertain},
+            "verdicts": [{"eigenvalue": [0.5, 0.0], "multiplicity": 1, "gauge": "",
+                          "table": table}]}
+
+
+UNVERIFIED = "point #0: eigenvalue (0.5+0j) inadmissible but point hypotheses unverified"
+
+
+@pytest.mark.parametrize("points, status, reasons", [
+    ([], "not_applicable", ["no Darboux points available"]),
+    ([_exact_point(degenerate=True)], "not_applicable",
+     ["point #0: degenerate (vanishing base projection), no verdict",
+      "no eigenvalue was eligible for an admissibility check"]),
+    ([_exact_point(diagonalizable=False)], "hypotheses_unverified",
+     ["point #0: Hessian not diagonalizable; admissibility test not licensed", UNVERIFIED]),
+    ([_exact_point(uncertain=True, matched=True)], "hypotheses_unverified",
+     ["point #0: diagonalizability decision within numeric margin"]),
+    ([_exact_point(uncertain=True)], "hypotheses_unverified",
+     ["point #0: diagonalizability decision within numeric margin", UNVERIFIED]),
+], ids=["no-points", "degenerate", "not-diagonalizable", "uncertain", "uncertain-miss"])
+def test_certificate_reasons(points, status, reasons):
+    # an exact miss certifies only at a clean point; elsewhere it is a reason
+    cert = certify(3, points)
+    assert (cert.status, cert.witnesses, cert.reasons) == (status, [], reasons)

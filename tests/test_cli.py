@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import algpot
-from algpot.cli import main
-from algpot.pipeline import EXIT_ERROR, EXIT_USAGE, AnalysisOptions, analyze, report_json
+from algpot.cli import build_parser, main
+from algpot.pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, AnalysisOptions, analyze,
+                             report_json)
 
 RUN = [sys.executable, "-m", "algpot.cli"]
 # the child process imports the same algpot sources as this one
@@ -55,6 +57,12 @@ def test_check_table_numeric_mode(capsys):
 def test_check_table_rejects_k_zero(capsys):
     code = main(["check-table", "--k", "0", "--lambda", "1"])
     assert code == 2
+
+
+def test_ve_rejects_k_zero(capsys):
+    # the one degree check runs before build_ve divides by k
+    assert main(["ve", "--k", "0", "--lambda", "1"]) == EXIT_USAGE
+    assert "degree must be a nonzero integer" in capsys.readouterr().err
 
 
 def test_ve_reports_exact_fractions(capsys):
@@ -240,3 +248,65 @@ def test_out_of_range_option_is_a_usage_error(option, cone_file, capsys):
                 main(heads[command] + [f"{option}={value}"])
             assert exc.value.code == EXIT_USAGE, (command, value)
             assert f"argument {option}: " in capsys.readouterr().err
+
+
+# a value that its flag cannot parse, as the last argument
+MALFORMED = [
+    ["check-table", "--k", "3", "--lambda=abc"],
+    ["check-table", "--k", "3", "--lambda=nan"],
+    ["ve", "--k", "3", "--lambda=1/0"],
+    ["nbody", "--n", "3", "--masses=1,x"],
+    ["simulate", "CONE", "--p0", "0.1,-0.2", "--q0=0.6,zz"],
+    ["simulate", "CONE", "--q0", "0.6,0.8", "--p0=nan,0"],
+    ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--samples=0"],
+    ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--t1=nan"],
+    ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--sigma-tol=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=[" ".join(a[:1] + a[-1:]) for a in MALFORMED])
+def test_malformed_value_is_a_usage_error(argv, cone_file, capsys):
+    # refused while parsing, like an out-of-range option: no traceback
+    # with EXIT_VALIDATION's code
+    option = argv[-1].split("=")[0]
+    with pytest.raises(SystemExit) as exc:
+        main([cone_file if a == "CONE" else a for a in argv])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {option}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "darboux"])
+def test_unusable_seeds_file_is_an_error(command, cone_file, tmp_path, capsys):
+    # as with a problem file: EXIT_ERROR and a message, no traceback
+    missing = tmp_path / "missing.txt"
+    assert main([command, cone_file, "--seeds", str(missing)]) == EXIT_ERROR
+    assert "cannot read seeds file" in capsys.readouterr().err
+    for text, line in (("0.6,0.8,1.0\nabc,def\n", 2), ("# the cone has N = 3\n0.6,0.8\n", 2)):
+        bad = tmp_path / "seeds.txt"
+        bad.write_text(text)
+        assert main([command, cone_file, "--seeds", str(bad)]) == EXIT_ERROR
+        assert f"line {line}: not 3 comma-separated numbers" in capsys.readouterr().err
+
+
+def _value_flags(command):
+    """The flags of a subcommand that take a value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions if action.nargs != 0
+            for flag in action.option_strings}
+
+
+def test_every_option_flag_is_read_from_option_ranges(cone_setup, capsys):
+    options = {"--" + name.replace("_", "-") for name in OPTION_RANGES}
+    assert _value_flags("analyze") == options | {"--seeds", "--out"}
+    assert _value_flags("nbody") == options | {"--seeds", "--out", "--n", "--dim", "--masses"}
+    assert _value_flags("darboux") == {"--seed", "--n-random", "--on-variety-tol",
+                                       "--sigma-radius", "--seeds", "--out"}
+    assert _value_flags("check-table") == {"--rational-tol", "--max-denominator",
+                                           "--k", "--lambda", "--out"}
+    report, _ = analyze(cone_setup, AnalysisOptions(n_random=0))
+    assert set(report["options"]) == set(OPTION_RANGES)
+    # the gauge clusters are in each point's spectrum; no option repeats them
+    assert "include_gauge" not in vars(AnalysisOptions())
+    with pytest.raises(SystemExit) as exc:
+        main(["nbody", "--n", "3", "--analyze", "--include-gauge-eigenvalues"])
+    assert exc.value.code == EXIT_USAGE

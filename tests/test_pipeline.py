@@ -155,6 +155,41 @@ def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
     assert len(builds) == 1
 
 
+def test_setup_that_fails_validation_ends_the_report(tmp_path, capsys):
+    # G = (w1 - q1)^2 has dG/dw1 = 2 (w1 - q1) = 0 on the whole variety
+    path = tmp_path / "double.prob"
+    path.write_text("vars q1\next w1 : (w1 - q1)^2\npotential w1\n")
+    assert main(["analyze", str(path)]) == pipeline.EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    message = "detJ vanishes (within tol) on all samples; setup rejected"
+    assert sorted(report) == ["certificate", "exit_code", "label", "options", "problem",
+                              "tool", "validation", "warnings"]
+    assert report["validation"] == {"ok": False, "detj_nonzero": False,
+                                    "primality_assumed": True, "samples_used": 8,
+                                    "trials": 8, "message": message}
+    assert report["certificate"] == {"status": "not_applicable", "witnesses": [],
+                                     "reasons": ["setup failed validation: " + message]}
+    assert report["exit_code"] == pipeline.EXIT_VALIDATION
+    assert report["warnings"] == []
+
+
+def test_non_integer_degree_gets_no_table_verdict():
+    # the k = 2/3 problem: homogeneous, with Darboux points, but no integer degree
+    setup = parse_problem("vars q1 q2\next w1 : w1^3 - q1^2 - 2*q2^2\n"
+                          "potential w1 + q1*q2*w1^-2\n")
+    report, code = analyze(setup, AnalysisOptions(n_random=8))
+    assert code == pipeline.EXIT_OK
+    decoded = json.loads(report_json(report))
+    assert decoded["homogeneity"] == {"found": True, "base_weight": 3, "fiber_weights": [2],
+                                      "value_weight": 2, "degree": "2/3",
+                                      "integer_degree": None}
+    assert decoded["warnings"] == ["degree is not an integer; admissibility checks are skipped"]
+    assert decoded["points"]
+    assert all(row["table"] is None for p in decoded["points"] for row in p["verdicts"])
+    assert decoded["certificate"] == {"status": "not_applicable", "witnesses": [],
+                                      "reasons": ["no admissible integer degree"]}
+
+
 @pytest.mark.parametrize("text", [CONE_TEXT, "vars q1\next w1 : w1^2\npotential q1^2 + w1\n"])
 def test_validate_with_a_shared_calculus_matches_default(text):
     setup = parse_problem(text)
