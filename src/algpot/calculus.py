@@ -16,7 +16,8 @@ the Lagrangian V - u.G:
     grad V = d_qV - B^T u,    d(grad V)/dx = P^T L,    Hess V = P^T L P.
 
 One s x s solve for u per point serves the gradient, the Newton Jacobian
-and the Hessian.  PointCalculus is the one numeric view of a setup: it
+and the Hessian, and one kernel gives the first partials (dG, d_qV, d_wV)
+it needs.  PointCalculus is the one numeric view of a setup: it
 evaluates plain partials of V and G, prepared once symbolically and
 evaluated by kernels generated on first use, and does small linear solves
 per point, which stays cheap at any number of extension variables.  It also
@@ -184,13 +185,15 @@ class PointCalculus:
     symbolic quotient forms would be bulky.  The partials are evaluated by
     generated kernels (expr.compile_arrays), each compiled on first use and
     kept: G; dG, the s x N matrix whose columns n: are J = dG/dw and whose
-    columns :n are dG/dq; the potential's value and gradient; both Hessians,
-    V's (N x N) and the generators' (s x N x N), in one kernel; detJ; and
-    one per polynomial the proximity probe walks toward.  A Hessian's
-    upper-triangle partial is evaluated once and written to both places,
-    zero partials are never evaluated and constant ones are filled in once,
-    at compile time.  G and dG stay apart from the potential's kernels, so
-    the fiber numerics never evaluate V and never meet its poles.
+    columns :n are dG/dq; dG and the potential's plain gradient, the first
+    derivatives every point evaluation (_adjoint) needs, in one kernel; the
+    potential's value; both Hessians, V's (N x N) and the generators'
+    (s x N x N), in one kernel; detJ; and one per polynomial the proximity
+    probe walks toward.  A Hessian's upper-triangle partial is evaluated
+    once and written to both places, zero partials are never evaluated and
+    constant ones are filled in once, at compile time.  The fiber numerics
+    use the G and dG kernels alone, so they never evaluate V and never meet
+    its poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -215,20 +218,22 @@ class PointCalculus:
         return compile_arrays([Array((self.s,), [
             (g, [(a,)]) for a, g in enumerate(self.setup.generators)])], self.setup.var_names)
 
+    def _dg_array(self) -> Array:
+        return Array((self.s, self.N), [(e, [(a, v)]) for a, row in enumerate(self._ggrad)
+                                        for v, e in enumerate(row)])
+
     @cached_property
     def _dg_kernel(self):
-        return compile_arrays([Array((self.s, self.N), [
-            (e, [(a, v)]) for a, row in enumerate(self._ggrad) for v, e in enumerate(row)])],
-            self.setup.var_names)
+        return compile_arrays([self._dg_array()], self.setup.var_names)
 
     @cached_property
     def _v_kernel(self):
         return self.setup.potential.compile(self.setup.var_names)
 
     @cached_property
-    def _vgrad_kernel(self):
-        return compile_arrays([Array((self.N,), [(e, [(v,)]) for v, e in enumerate(self._vgrad)])],
-                              self.setup.var_names)
+    def _first_kernel(self):
+        return compile_arrays([self._dg_array(), Array((self.N,), [
+            (e, [(v,)]) for v, e in enumerate(self._vgrad)])], self.setup.var_names)
 
     @cached_property
     def _hessian_kernel(self):
@@ -269,12 +274,11 @@ class PointCalculus:
             return self._memo[1:]
         self._memo = None
         n = self.n
-        dG = self._dg_kernel(x)
-        vg = self._vgrad_kernel(x)
+        dG, vg = self._first_kernel(x)
         u = _fiber_solve(dG[:, n:].T, vg[n:])
         # callers get these arrays themselves; read-only keeps the memo intact
         for a in (dG, vg, u):
-            a.flags.writeable = False
+            a.setflags(write=False)
         self._memo = (key, dG, vg, u)
         return dG, vg, u
 
@@ -289,24 +293,22 @@ class PointCalculus:
         return vg[: self.n] - dG[:, : self.n].T @ u
 
     def _dg_blocks(self, x):
-        """Plain partials of the derivation vector g: dg/dq, dg/dw, W, J,
-        dG/dq and the potential's plain gradient.  dg = P^T L, with
-        P = [I; W] and L the Hessian of the Lagrangian V - u.G."""
+        """(dg, W, dG): the n x N plain partials of the derivation vector g,
+        W = dw/dq and the generators' Jacobian.  dg = P^T L, with P = [I; W]
+        and L the Hessian of the Lagrangian V - u.G."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
-        dG, vg, u = self._adjoint(x)
-        J, B = dG[:, n:], dG[:, :n]
-        W = _fiber_solve(J, -B)
+        dG, _, u = self._adjoint(x)
+        W = _fiber_solve(dG[:, n:], -dG[:, :n])
         vh, gh = self._hessian_kernel(x)
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
         L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N) if s else vh
-        dg = L[:n] + W.T @ L[n:]
-        return dg[:, :n], dg[:, n:], W, J, B, vg
+        return L[:n] + W.T @ L[n:], W, dG
 
     def hess(self, x) -> np.ndarray:
         """The intrinsic Hessian P^T L P."""
-        dgdq, dgdw, W = self._dg_blocks(x)[:3]
-        return dgdq + dgdw @ W
+        dg, W, _ = self._dg_blocks(x)
+        return dg[:, :self.n] + dg[:, self.n:] @ W
 
     def solve_fiber(self, q, w0):
         """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck."""
@@ -338,20 +340,14 @@ class PointCalculus:
         g = self.grad(x)
         return np.concatenate([g - x[: self.n], self.g_values(x)])
 
-    def darboux_system(self, x):
-        """(F, plain Jacobian of F) for Newton iterations; F is computed as
-        darboux_residual computes it, from the same kept adjoint."""
-        x = np.asarray(x, dtype=complex)
-        n, s = self.n, self.s
-        dgdq, dgdw, W, J, B, vg = self._dg_blocks(x)
-        u = self._adjoint(x)[2]
-        F = np.concatenate([vg[:n] - B.T @ u - x[:n], self.g_values(x)])
-        Jac = np.zeros((n + s, n + s), dtype=complex)
-        Jac[:n, :n] = dgdq - np.eye(n)
-        Jac[:n, n:] = dgdw
-        Jac[n:, :n] = B
-        Jac[n:, n:] = J
-        return F, Jac
+    def darboux_system(self, x) -> np.ndarray:
+        """The plain Jacobian of F = darboux_residual(x) for Newton
+        iterations: rows dg - [I 0], then dG.  The residual itself is the
+        caller's (darboux._newton keeps each point's rows)."""
+        dg, _, dG = self._dg_blocks(x)
+        Jac = np.concatenate([dg, dG])
+        Jac[:self.n, :self.n] -= np.eye(self.n)
+        return Jac
 
     # -- proximity probes --------------------------------------------------
 

@@ -109,9 +109,14 @@ def _read_seeds(path: str, dim: int) -> tuple:
 
 
 def _emit(text: str, out: str | None):
+    """Write a command's output to the file out, or to standard output;
+    EXIT_ERROR, naming the path, when the file cannot be written."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _input_error(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -52,41 +52,41 @@ class DarbouxResult:
     failed_starts: int = 0
 
 
-def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
-            conv_tol: float, max_iter: int):
-    """Damped Gauss-Newton for the Darboux system plus linear conditions.
+def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: int):
+    """Damped Gauss-Newton for the Darboux system plus homogeneous linear
+    conditions pins @ x = 0 (pins None for none).
 
     A line-search trial is accepted when the largest entry of its residual
-    F = (grad V - q, G, linear conditions) is below the current one or at
-    most conv_tol.  A trial first evaluates the cheap rows, G and the linear
-    conditions, and is rejected at once when their largest entry fails that
-    test, nan included: the largest entry over all rows is no smaller.  Only
-    a trial that passes computes the gradient rows.  The Jacobian is built
-    at the start point and at each accepted trial, whose F is computed as
-    the trial's is.  So every decision, and every iterate, is bit for bit
-    that of a search that builds the full system at every trial.
+    F = (grad V - q, G, pins @ x) is below the current one or at most
+    conv_tol.  A trial evaluates G first, then the pin rows, then the
+    gradient rows, and is rejected as soon as the largest entry of a part
+    fails that test, nan included: the largest entry over all rows is no
+    smaller.  An accepted trial's rows become F, and the Jacobian
+    (darboux_system) is built only at the start point and at each accepted
+    trial, into an array that holds the pin rows from the start; the start
+    point's F is computed as a trial's.  So every decision, and every
+    iterate, is bit for bit that of a search that builds the full system at
+    every trial.
 
     Returns the final iterate and residual, or None when the iteration left
     the domain (singular fiber, potential pole) or diverged.
     """
-    n = pc.n
+    n, m = pc.n, pc.n + pc.s
     x = np.asarray(x0, dtype=complex).copy()
-
-    def cheap_rows(xv):
-        G = pc.g_values(xv)
-        return G if extra_rows is None else np.concatenate([G, extra_rows @ xv - extra_rhs])
-
-    def system(xv):
-        F, Jac = pc.darboux_system(xv)
-        if extra_rows is None:
-            return F, Jac
-        return np.concatenate([F, extra_rows @ xv - extra_rhs]), np.vstack([Jac, extra_rows])
+    F = np.empty(m + (0 if pins is None else len(pins)), dtype=complex)
+    Jac = np.empty((len(F), pc.N), dtype=complex)
+    if pins is not None:
+        Jac[m:] = pins
 
     def passes(r):
         return r < res or r <= conv_tol
 
     try:
-        F, Jac = system(x)
+        F[n:m] = pc.g_values(x)
+        if pins is not None:
+            F[m:] = pins @ x
+        F[:n] = pc.grad(x) - x[:n]
+        Jac[:m] = pc.darboux_system(x)
     except (CriticalPointError, PoleError):
         return None
     res = float(np.abs(F).max())
@@ -97,23 +97,33 @@ def _newton(pc: PointCalculus, x0: np.ndarray, extra_rows, extra_rhs,
         if not np.isfinite(step).all():
             return None
         scale = 1.0
-        improved = False
         for _halving in range(30):
             x_try = x + scale * step
-            try:
-                cheap = cheap_rows(x_try)
-                if passes(float(np.abs(cheap).max(initial=0.0))):
-                    F_try = np.concatenate([pc.grad(x_try) - x_try[:n], cheap])
-                    r_try = float(np.abs(F_try).max())
-                    if passes(r_try):
-                        F, Jac = system(x_try)
-                        x, res = x_try, r_try
-                        improved = True
-                        break
-            except (CriticalPointError, PoleError):
-                pass
             scale *= 0.5
-        if not improved:
+            try:
+                G = pc.g_values(x_try)
+                r_try = float(np.abs(G).max(initial=0.0))
+                if not passes(r_try):
+                    continue
+                if pins is not None:
+                    P = pins @ x_try
+                    r_pins = float(np.abs(P).max(initial=0.0))
+                    if not passes(r_pins):
+                        continue
+                    r_try = max(r_try, r_pins)
+                g = pc.grad(x_try) - x_try[:n]
+                r_grad = float(np.abs(g).max(initial=0.0))
+                if not passes(r_grad):
+                    continue
+                Jac[:m] = pc.darboux_system(x_try)
+            except (CriticalPointError, PoleError):
+                continue
+            F[:n], F[n:m] = g, G
+            if pins is not None:
+                F[m:] = P
+            x, res = x_try, max(r_try, r_grad)
+            break
+        else:
             break
         if np.abs(x).max() > 1e8:
             return None
@@ -130,18 +140,15 @@ def solve_darboux(setup: AlgebraicSetup,
                   linear_conditions=None) -> DarbouxResult:
     """Hunt for Darboux points from the given seeds plus random starts.
 
-    linear_conditions, when given, is a pair (A, b) of extra affine
-    equations A x = b appended to the system; gauge symmetries (e.g. the
-    translations and rotations of a particle system) are pinned this way.
+    linear_conditions, when given, is a matrix A of extra homogeneous
+    linear equations A x = 0 appended to the system; gauge symmetries (e.g.
+    the translations and rotations of a particle system) are pinned this way.
     """
     pc = pc or PointCalculus(setup)
     N = pc.N
     rng = np.random.default_rng(seed)
 
-    extra_rows = extra_rhs = None
-    if linear_conditions is not None:
-        extra_rows = np.asarray(linear_conditions[0], dtype=complex)
-        extra_rhs = np.asarray(linear_conditions[1], dtype=complex)
+    pins = None if linear_conditions is None else np.asarray(linear_conditions, dtype=complex)
 
     starts = [(np.asarray(s, dtype=complex), f"seed[{i}]")
               for i, s in enumerate(seeds)]
@@ -155,7 +162,7 @@ def solve_darboux(setup: AlgebraicSetup,
     candidates = []
     failed = 0
     for x0, label in starts:
-        out = _newton(pc, x0, extra_rows, extra_rhs, CONV_TOL, MAX_ITER)
+        out = _newton(pc, x0, pins, CONV_TOL, MAX_ITER)
         if out is None:
             failed += 1
             continue

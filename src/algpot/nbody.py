@@ -228,13 +228,14 @@ def split_gauge_spectrum(cfg: NBodyConfig, H: np.ndarray, point: np.ndarray,
                       translation_residual=t_res, rotation_residual=r_res)
 
 
-def pinning_conditions(cfg: NBodyConfig, base_point: np.ndarray) -> tuple:
-    """Affine rows killing the translation and rotation degeneracies.
+def pinning_conditions(cfg: NBodyConfig, base_point: np.ndarray) -> np.ndarray:
+    """Linear rows killing the translation and rotation degeneracies.
 
     Center pinning uses the unweighted coordinate sum per axis, which is the
     combination the Darboux equations themselves annihilate; rotations are
     fixed by requiring orthogonality to the rotation orbits through the seed.
-    Returns (A, b) over the full variable vector (positions then distances).
+    Returns A over the full variable vector (positions then distances); the
+    conditions are A x = 0.
     """
     nq = cfg.n * cfg.dim
     N = nq + len(cfg.pairs)
@@ -250,6 +251,4 @@ def pinning_conditions(cfg: NBodyConfig, base_point: np.ndarray) -> tuple:
         row = np.zeros(N)
         row[:nq] = R[:, kcol]
         rows.append(row)
-    A = np.stack(rows, axis=0)
-    b = np.zeros(len(rows))
-    return A, b
+    return np.stack(rows, axis=0)

@@ -246,12 +246,13 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
     pc.darboux_system(x)
-    kernels = [pc._dg_kernel, pc._vgrad_kernel, pc._hessian_kernel, pc._g_kernel]
+    pc.darboux_residual(x)
+    kernels = [pc._first_kernel, pc._hessian_kernel, pc._g_kernel]
     assert [k for _, k in compiled] == kernels
     pc.darboux_system(x + 0.1)
     pc.darboux_residual(x)
     pc.hess(x)
-    assert len(compiled) == 4
+    assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each of its
     # kernels once: the six cached ones and the probes of detJ and of the
     # potential's denominator

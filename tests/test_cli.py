@@ -288,6 +288,24 @@ def test_unusable_seeds_file_is_an_error(command, cone_file, tmp_path, capsys):
         assert f"line {line}: not 3 comma-separated numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "CONE", "--n-random", "2"],
+                                  ["check-table", "--k", "3", "--lambda", "1"]])
+def test_unwritable_out_is_an_error(argv, cone_file, tmp_path, capsys):
+    # as with an unreadable input: EXIT_ERROR and a message naming the path
+    out = tmp_path / "missing-dir" / "x.json"
+    argv = [str(cone_file) if a == "CONE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "cannot write output file" in err and str(out) in err
+
+
+def test_unwritable_out_exits_without_a_traceback(tmp_path):
+    out = tmp_path / "missing-dir" / "x.json"
+    proc = run_cli(["check-table", "--k", "3", "--lambda", "1", "--out", str(out)])
+    assert proc.returncode == EXIT_ERROR
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _value_flags(command):
     """The flags of a subcommand that take a value."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

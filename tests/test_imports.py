@@ -199,9 +199,10 @@ def test_generated_source_names_no_variable():
     pc = PointCalculus(setup)
     q = np.arange(1.0, 7.0) + 0j
     x = np.concatenate([q, pc.solve_fiber(q, np.full(3, 5.0))])
+    pc.darboux_residual(x)
     pc.darboux_system(x)
     pc.near_sigma(x)
-    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._vgrad_kernel.source,
+    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._first_kernel.source,
                pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
     sources += [k.source for k in pc._probes.values()]
     assert len(sources) == 8

@@ -76,9 +76,9 @@ def test_equilateral_gauge_split():
     setup = build(cfg)
     pc = PointCalculus(setup)
     seeds = central_config_seeds(cfg)
-    A, b = pinning_conditions(cfg, np.asarray(seeds[0][1]))
+    A = pinning_conditions(cfg, np.asarray(seeds[0][1]))
     res = solve_darboux(setup, seeds=[pt for _, pt in seeds], n_random=0,
-                        pc=pc, linear_conditions=(A, b))
+                        pc=pc, linear_conditions=A)
     eq = [r for r in res.accepted if r.start_label == "seed[0]"]
     assert eq, "equilateral seed should polish to an accepted point"
     rep = eq[0]
@@ -96,10 +96,9 @@ def test_equilateral_gauge_split():
 def test_pinning_conditions_shape():
     cfg = NBodyConfig(n=3, dim=2, masses=(1, 1, 1))
     (label, point) = central_config_seeds(cfg)[0]
-    A, b = pinning_conditions(cfg, np.asarray(point))
-    # two per-axis center rows plus one planar rotation row
+    A = pinning_conditions(cfg, np.asarray(point))
+    # two per-axis center rows plus one planar rotation row; A x = 0
     assert A.shape == (3, 9)
-    assert np.allclose(b, 0.0)
     assert np.allclose(A @ np.asarray(point, dtype=complex).real, 0.0,
                        atol=1e-9)
 

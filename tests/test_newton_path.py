@@ -1,11 +1,12 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
 The line search evaluates a trial's cheap rows first, computes the gradient
-rows only when those pass, and builds the Jacobian at accepted steps;
-gradients and Hessians evaluate only their non-zero partials; one kept
-adjoint per point serves the residual, the Jacobian and the Hessian.  Each
-is held here, bit for bit, against the straightforward form it replaces,
-and the Lagrangian assembly against the per-variable one within roundoff.
+rows only when those pass, keeps an accepted trial's rows as the residual and
+builds only the Jacobian at accepted steps; gradients and Hessians evaluate
+only their non-zero partials; one kept adjoint per point serves the
+residual, the Jacobian and the Hessian.  Each is held here, bit for bit,
+against the straightforward form it replaces, and the Lagrangian assembly
+against the per-variable one within roundoff.
 The one fiber solve and the one least-squares solve, LAPACK's zgesv and
 zgelsd called directly, are held to NumPy's solve and lstsq bit for bit.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algpot import calculus
+from algpot import calculus, darboux
 from algpot.calculus import (PROBE_RADIUS, CriticalPointError, PointCalculus, _fiber_solve,
                              _lstsq)
 from algpot.darboux import CONV_TOL, _newton
@@ -37,7 +38,16 @@ potential q1 - 3*w1
 """
 
 
-def newton_full_system(pc, x0, extra_rows, extra_rhs, conv_tol, max_iter):
+def full_system(pc, xv, pins):
+    """(F, Jacobian) of the Darboux system plus the pin rows pins @ x = 0."""
+    F, Jac = pc.darboux_residual(xv), pc.darboux_system(xv)
+    if pins is not None:
+        F = np.concatenate([F, pins @ xv])
+        Jac = np.vstack([Jac, pins])
+    return F, Jac
+
+
+def newton_full_system(pc, x0, pins, conv_tol, max_iter):
     """Backtracking that builds the full system at every trial.
 
     Returns (result, accepted steps); result is what _newton returns.
@@ -46,12 +56,7 @@ def newton_full_system(pc, x0, extra_rows, extra_rhs, conv_tol, max_iter):
     accepted = 0
 
     def system(xv):
-        F, Jac = pc.darboux_system(xv)
-        if extra_rows is not None:
-            lin = extra_rows @ xv - extra_rhs
-            F = np.concatenate([F, lin])
-            Jac = np.vstack([Jac, extra_rows])
-        return F, Jac
+        return full_system(pc, xv, pins)
 
     try:
         F, Jac = system(x)
@@ -113,23 +118,22 @@ def three_body():
 
 def cone_cases():
     pc = PointCalculus(parse_problem(CONE_TEXT))
-    return [(pc, x0, None, None, 200, CONV_TOL) for x0 in random_starts(3, 8, seed=5)]
+    return [(pc, x0, None, 200, CONV_TOL) for x0 in random_starts(3, 8, seed=5)]
 
 
 def three_body_cases(cfg, pc, seeds, pinned):
-    rows = rhs = None
+    pins = None
     if pinned:
-        rows, rhs = (np.asarray(a, dtype=complex)
-                     for a in pinning_conditions(cfg, np.asarray(seeds[0])))
+        pins = np.asarray(pinning_conditions(cfg, np.asarray(seeds[0])), dtype=complex)
     rng = np.random.default_rng(11)
     # near a central configuration the search converges; from random
     # starts it mostly stalls, which a short max_iter samples cheaply
     near = [s + 0.05 * rng.standard_normal(pc.N) for s in seeds]
-    cases = [(pc, x0, rows, rhs, 200, CONV_TOL) for x0 in near]
-    cases += [(pc, x0, rows, rhs, 40, CONV_TOL) for x0 in random_starts(pc.N, 6, seed=3)]
+    cases = [(pc, x0, pins, 200, CONV_TOL) for x0 in near]
+    cases += [(pc, x0, pins, 40, CONV_TOL) for x0 in random_starts(pc.N, 6, seed=3)]
     # asked for a zero residual, a converging search stalls at roundoff:
     # trials too short to move the point tie the current residual exactly
-    cases += [(pc, x0, rows, rhs, 200, 0.0) for x0 in near[:2]]
+    cases += [(pc, x0, pins, 200, 0.0) for x0 in near[:2]]
     return cases
 
 
@@ -140,9 +144,9 @@ def test_newton_matches_full_system_search(three_body, pinned):
     if not pinned:
         cases += cone_cases()
     converged = 0
-    for pc_, x0, rows, rhs, max_iter, conv_tol in cases:
-        expected, _ = newton_full_system(pc_, x0, rows, rhs, conv_tol, max_iter)
-        got = _newton(pc_, x0, rows, rhs, conv_tol, max_iter)
+    for pc_, x0, pins, max_iter, conv_tol in cases:
+        expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
+        got = _newton(pc_, x0, pins, conv_tol, max_iter)
         assert same_bits(got, expected)
         converged += got is not None and got[1] <= CONV_TOL
     assert converged >= 2  # the comparison covers converged starts too
@@ -151,12 +155,17 @@ def test_newton_matches_full_system_search(three_body, pinned):
 TRACED = ("darboux_system", "g_values", "grad")
 
 
-def traced_newton(pc, x0, rows, rhs, conv_tol, max_iter):
-    """_newton's own calls of the TRACED methods, in order, as
-    [name, point, value]; a call made inside another traced call (the
-    generators that darboux_system evaluates) is not the search's own, and
-    a call that raises keeps the value None."""
+def traced_newton(pc, x0, pins, conv_tol, max_iter):
+    """(calls, result): _newton's own calls of the TRACED methods, in order,
+    as [name, point, value], with each least-squares solve as
+    ["lstsq", matrix, right-hand side]; a call made inside another traced
+    call is not the search's own, and a call that raises keeps the value
+    None.  result is what _newton returns."""
     calls, depth = [], [0]
+
+    def lstsq(A, b):
+        calls.append(["lstsq", A.copy(), b.copy()])
+        return _lstsq(A, b)
 
     def traced(name, method):
         def call(x):
@@ -174,32 +183,47 @@ def traced_newton(pc, x0, rows, rhs, conv_tol, max_iter):
 
     for name in TRACED:
         setattr(pc, name, traced(name, getattr(pc, name)))
+    darboux._lstsq = lstsq
     try:
-        _newton(pc, x0, rows, rhs, conv_tol, max_iter)
+        result = _newton(pc, x0, pins, conv_tol, max_iter)
     finally:
+        darboux._lstsq = _lstsq
         for name in TRACED:
             delattr(pc, name)
-    return calls
+    return calls, result
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # every trial evaluates its cheap rows (G, then the pinning rows); one
     # whose cheap rows already fail the acceptance test never computes the
-    # gradient, and the Jacobian is built at the start and accepted steps
+    # gradient, and the Jacobian is built at the start and accepted steps;
+    # every step solves with that point's residual, darboux_residual plus
+    # the pin rows, bit for bit, and the search returns its largest entry
     cfg, pc, seeds = three_body
-    cheap_rejected = tied = 0
-    for pc_, x0, rows, rhs, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
-                                                   + cone_cases()):
-        _, accepted = newton_full_system(pc_, x0, rows, rhs, conv_tol, max_iter)
-        calls = traced_newton(pc_, x0, rows, rhs, conv_tol, max_iter)
+    cheap_rejected = tied = solved = 0
+    for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
+                                              + cone_cases()):
+        _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
+        calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
-        res = None
+        # the start point's rows are computed as a trial's, then its Jacobian
+        assert names[:3] == ["g_values", "grad", "darboux_system"]
+        assert len({bits(x) for _, x, _ in calls[:3]}) == 1
+        res = point = None
         for k, (name, x, value) in enumerate(calls):
-            lin = np.zeros(0) if rows is None else rows @ x - rhs
+            if name == "lstsq":
+                assert bits(x) == bits(Jac) and bits(-value) == bits(F)
+                solved += 1
+                continue
+            lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
-                res = float(np.abs(np.concatenate([value[0], lin])).max())
-            elif name == "g_values":
+                F, Jac = full_system(pc_, x, pins)
+                assert bits(value) == bits(Jac[:len(value)])
+                res, point = float(np.abs(F).max()), x
+            elif name == "grad":
+                assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
+            elif k > 0:  # a trial's cheap rows
                 r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
                 passes = r < res or r <= conv_tol
                 following = calls[k + 1] if k + 1 < len(calls) else None
@@ -207,11 +231,37 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                                   and bits(following[1]) == bits(x))
                 cheap_rejected += not passes
                 tied += r == res
-            else:
-                assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
+        if result is not None:
+            assert bits(result[0]) == bits(point) and result[1] == res
     # 83 trials are rejected by their cheap rows, 59 of them tying the
     # current residual, where a <= in place of < would compute the gradient
     assert cheap_rejected > 50 and tied > 30
+    assert solved > 100
+
+
+def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
+    # a trial whose rows pass but whose Jacobian raises is rejected, and the
+    # search goes on halving from the current point, as the full-system
+    # search does; here the Jacobian raises at the first accepted point
+    cfg, pc, seeds = three_body
+    jacobian = PointCalculus.darboux_system
+    raised = []
+    for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
+        calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+        first = [x for name, x, _ in calls if name == "darboux_system"][1]
+
+        def raising(self, x, first=first):
+            if bits(x) == bits(first):
+                raised.append(first)
+                raise CriticalPointError("raised at the first accepted point")
+            return jacobian(self, x)
+
+        monkeypatch.setattr(PointCalculus, "darboux_system", raising)
+        expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
+        got = _newton(pc_, x0, pins, conv_tol, max_iter)
+        monkeypatch.setattr(PointCalculus, "darboux_system", jacobian)
+        assert same_bits(got, expected)
+    assert len(raised) == 8  # once in each search, four starts
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +377,11 @@ def test_live_partials_match_dense_evaluation(text):
             continue  # off the good set (the origin of the cone, say)
         if not np.all(np.isfinite(np.linalg.solve(J, -B))):
             continue
-        J_live, B_live = pc._dg_blocks(x)[3:5]
-        assert bits(J_live) == bits(J)
-        assert bits(B_live) == bits(B)
+        dG_live = pc._dg_blocks(x)[2]
+        assert bits(dG_live[:, setup.n:]) == bits(J)
+        assert bits(dG_live[:, :setup.n]) == bits(B)
         assert bits(pc.grad(x)) == bits(g)
-        F_live, Jac_live = pc.darboux_system(x)
-        assert bits(F_live) == bits(F)
+        Jac_live = pc.darboux_system(x)
         assert bits(Jac_live) == bits(Jac)
         assert bits(pc.darboux_residual(x)) == bits(F)
         assert bits(pc.hess(x)) == bits(H)
@@ -373,11 +422,11 @@ def test_slot_lists_hold_only_live_partials():
     assert "a0[" not in lin._hessian_kernel.source and "a1[" not in lin._hessian_kernel.source
     x = np.array([0.3, -1.1, 0.0], dtype=complex)
     x[2] = x[0] + 2 * x[1]
-    _, Jac = lin.darboux_system(x)
+    Jac = lin.darboux_system(x)
     assert np.array_equal(Jac[:2, :2], -np.eye(2))
     plain = PointCalculus(parse_problem(PLAIN_TEXT))
-    J, B = plain._dg_blocks(np.zeros(2))[3:5]
-    assert J.shape == (0, 0) and B.shape == (0, 2)
+    dG = plain._dg_blocks(np.zeros(2))[2]
+    assert dG[:, 2:].shape == (0, 0) and dG.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +435,8 @@ def test_slot_lists_hold_only_live_partials():
 
 def point_results(pc, x):
     """Everything the calculus computes from the kept adjoint, as bytes."""
-    F, Jac = pc.darboux_system(x)
-    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), F, Jac,
+    Jac = pc.darboux_system(x)
+    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), Jac,
                               pc.hess(x), pc.w_derivative(x))]
 
 
@@ -404,8 +453,8 @@ def test_kept_adjoint_serves_only_its_own_point():
     assert bits(pc.grad(x)) == bits(PointCalculus(setup).grad(x))
     assert point_results(pc, x) == point_results(PointCalculus(setup), x)
     # the kept arrays reach callers read-only, so no caller can change them
-    J, B, vg = pc._dg_blocks(x)[3:]
-    for kept in (J, B, vg):
+    dG = pc._dg_blocks(x)[2]
+    for kept in (dG[:, setup.n:], dG[:, :setup.n], *pc._adjoint(x)):
         with pytest.raises(ValueError):
             kept[0] = 0
 
@@ -439,7 +488,7 @@ def test_fiber_solve_matches_numpy_bit_for_bit(text):
         dG = pc._dg_kernel(x)
         J, B = dG[:, n:], dG[:, :n]
         try:
-            b = pc._vgrad_kernel(x)[n:]
+            b = pc._first_kernel(x)[1][n:]
         except PoleError:
             b = rng.standard_normal(setup.s) + 1j * rng.standard_normal(setup.s)
         try:
@@ -499,17 +548,18 @@ def least_squares_systems(pc, text, x, pinned, rng):
     ones elsewhere), and the proximity probe's step toward each zero set."""
     systems = []
     try:
-        F, Jac = pc.darboux_system(x)
+        F, Jac = pc.darboux_residual(x), pc.darboux_system(x)
     except (CriticalPointError, PoleError):
         pass
     else:
         if pinned:
             if text == "nbody":
-                rows, rhs = pinning_conditions(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)), x)
+                pins = pinning_conditions(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)), x)
             else:
-                rows, rhs = rng.standard_normal((2, pc.N)), rng.standard_normal(2)
-            F = np.concatenate([F, rows @ x - rhs])
-            Jac = np.vstack([Jac, rows])
+                pins = rng.standard_normal((2, pc.N))
+            pins = np.asarray(pins, dtype=complex)
+            F = np.concatenate([F, pins @ x])
+            Jac = np.vstack([Jac, pins])
         systems.append((Jac, -F))
     for f in (pc.det, pc._den):
         if f.constant_value() is None:
@@ -587,7 +637,7 @@ def rhs_reference(system, y):
     x = np.concatenate([q, w]).astype(complex)
     n = system.n
     dG = system.pc._dg_kernel(x)
-    vg = system.pc._vgrad_kernel(x)
+    vg = system.pc._first_kernel(x)[1]
     J, B = dG[:, n:], dG[:, :n]
     grad = (vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])).real
     wdot = (np.linalg.solve(J, -B) @ p).real

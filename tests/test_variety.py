@@ -12,7 +12,7 @@ def test_cone_fiber_jacobian_is_2w(cone_setup):
     pc = PointCalculus(cone_setup)
     assert pc.det == RatExpr.const(2) * RatExpr.var("w1")
     x = on_cone(0.3, 0.4)
-    J = pc._dg_blocks(x)[3]
+    J = pc._dg_blocks(x)[2][:, 2:]
     assert J.shape == (1, 1)
     assert J[0, 0] == 2 * x[2]
 
@@ -142,6 +142,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     assert len(partial) == 15
     q = np.array([1.0, 0.2, -0.5, 0.9, 0.3, -1.1], dtype=complex)
     x = np.concatenate([q, pc.solve_fiber(q, np.ones(3))])
+    pc.darboux_residual(x)
     pc.darboux_system(x)
     pc.near_sigma(x)
     pc.potential_value(x)
@@ -149,8 +150,12 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     assert len(diffed) == 27
     assert len(compiled) == 8
     # every kernel the calculus has is compiled; each non-zero partial was
-    # emitted into exactly one of them, the generator Jacobian's
-    exprs = [e for targets, _ in compiled for t in targets
-             for e in ([t] if isinstance(t, RatExpr) else [e for e, _ in t.entries])]
-    emitted = [partial[id(e)] for e in exprs if id(e) in partial]
-    assert sorted(emitted) == sorted(partial.values())
+    # emitted into exactly the two that evaluate the generator Jacobian:
+    # the fiber numerics' own and the one that adds the potential's gradient
+    def emitted(kernel):
+        return sorted(partial[id(e)] for targets, k in compiled if k is kernel for t in targets
+                      for e in ([t] if isinstance(t, RatExpr) else [e for e, _ in t.entries])
+                      if id(e) in partial)
+    assert emitted(pc._dg_kernel) == emitted(pc._first_kernel) == sorted(partial.values())
+    others = [k for _, k in compiled if k not in (pc._dg_kernel, pc._first_kernel)]
+    assert len(others) == 6 and not any(emitted(k) for k in others)
