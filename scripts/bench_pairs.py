@@ -20,8 +20,11 @@ a gain claim holds:
 - the medians differ by more than the parent's interquartile range.
 
 It also prints each side's "work per pass" lines, which a change meant to
-do the same work must leave equal.  bench/ is only read; the exported tree
-is removed at the end, also when a run fails or the script is interrupted.
+do the same work must leave equal.  It exits 1, naming each such run, when
+a run failed a check or exited non-zero; a run that printed no result for a
+workload it was asked for stops the script there.  bench/ is only read;
+the exported tree is removed at the end, also when a run fails or the
+script is interrupted.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # a gain claim needs the change to win this share of pairs
+WORKLOADS = ("nbody-hunt", "small-corpus", "ve-dynamics")  # what --workload all runs
 
 
 def export_tree(rev: str, into: Path) -> Path:
@@ -53,25 +57,29 @@ def export_tree(rev: str, into: Path) -> Path:
     return tree
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{workload: {"metrics": {name: value}, "work": line}} of one run."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, name: str):
+    """({workload: {"metrics": {name: value}, "work": line, "correct": bool}},
+    exit code) of one run, which name names in messages.  A run that printed
+    no result for a workload it was asked for stops the script (exit 1)."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
-    out, name, work = {}, None, ""
+    out, current, work = {}, None, ""
     for line in proc.stdout.splitlines():
         if line.startswith("workload "):
-            name = line.split()[1].rstrip(",")
+            current = line.split()[1].rstrip(",")
         elif line.strip().startswith("work per pass:"):
             work = line.strip()[len("work per pass:"):].strip()
         elif line.startswith("{"):
             result = json.loads(line)
-            out[name] = {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-                         "work": work, "correct": result["correct"]}
-    if not out:
-        raise SystemExit(f"bench_pairs.py: bench/run.py failed in {tree} (exit "
-                         f"{proc.returncode}):\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return out
+            out[current] = {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                            "work": work, "correct": result["correct"]}
+    missing = [w for w in (WORKLOADS if workload == "all" else (workload,)) if w not in out]
+    if missing:
+        raise SystemExit(f"bench_pairs.py: {name}: bench/run.py in {tree} gave no result for "
+                         f"{', '.join(missing)} (exit {proc.returncode}):\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return out, proc.returncode
 
 
 def directions() -> dict:
@@ -111,7 +119,7 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision to compare against, e.g. HEAD~1")
     ap.add_argument("--workload", default="nbody-hunt",
-                    choices=["nbody-hunt", "small-corpus", "ve-dynamics", "all"])
+                    choices=[*WORKLOADS, "all"])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--first-seed", type=int, default=1,
@@ -129,21 +137,29 @@ def main(argv=None) -> int:
     try:
         trees = {"parent": export_tree(args.parent, scratch), "change": ROOT}
         runs = {"parent": [], "change": []}
+        failed = []
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_bench(trees[side], args.workload, seed, args.seconds)
+                name = f"pair {i + 1} seed {seed} {side}"
+                result, code = run_bench(trees[side], args.workload, seed, args.seconds, name)
                 runs[side].append(result)
                 shown = ", ".join(f"{w} wall_s {r['metrics']['wall_s']:.4f}"
                                   for w, r in result.items())
-                print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
+                print(f"{name}: {shown}", flush=True)
+                wrong = [w for w, r in result.items() if not r["correct"]]
+                if code or wrong:
+                    failed.append(f"{name} (exit {code}): failed checks in "
+                                  f"{', '.join(wrong) or 'no workload'}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"{args.pairs} alternated pairs, parent {args.parent} against this checkout, "
           f"--seconds {args.seconds:g}")
     print("\n".join(summarize(runs, better)))
-    return 0
+    for line in failed:
+        print(f"bench_pairs.py: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,15 +5,27 @@
 
 Prints one line per output: the `report_json` of `analyze` on the 11
 problems of the benchmark's `nbody-hunt` and `small-corpus` workloads at
-hunt seeds 0 and 1, and each `ve-dynamics` output (trajectory, homothetic
-orbit, monodromy report) at workload seeds 0 and 1.  A digest covers every
-bit of every number in the output, so two trees whose listings `diff` clean
-produce bit-identical outputs on these inputs.  A change meant to leave the
-numerics alone is checked this way; one that moves last bits is judged by
-`scripts/recall_sweep.py` instead.
+hunt seeds 0 and 1, each `ve-dynamics` output (trajectory, homothetic
+orbit, monodromy report) at workload seeds 0 and 1, and after each analysis
+one line per Darboux Newton start it made, in start order: the start's
+result, the final iterate and residual that `darboux._newton` returned, or
+None.  A report shows only the starts that converged; the per-start lines
+also cover every failed start, so a change that moves one, even to another
+failure, shows.  `_newton` is wrapped from here, as bench/instrument.py
+wraps it.  A digest covers every bit of every number in the output, so two
+trees whose listings `diff` clean produce bit-identical outputs on these
+inputs.  A change meant to leave the numerics alone is checked this way;
+one that moves last bits is judged by `scripts/recall_sweep.py` instead.
+
+To compare with an older revision, run this same script from an exported
+copy of it, so both listings have the same lines:
+
+    git archive PARENT | tar -x -C /tmp/parent
+    cp scripts/output_digest.py /tmp/parent/scripts/
+    python3 /tmp/parent/scripts/output_digest.py > before.txt
 
 The problems and options are read from bench/, which this script does not
-change; algpot is imported from this checkout's src/.
+change; algpot is imported from the src/ beside this script.
 """
 
 import argparse
@@ -77,14 +89,29 @@ def digest(obj) -> str:
 
 
 def analyze_lines(hunt_seed: int):
-    for name in ANALYZE_WORKLOADS:
-        plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
-        states = plan.setup()
-        for task in sorted(plan.tasks, key=lambda t: t.label):
-            report, _ = task.run(states[task.problem])
-            text = report_json(report)
-            yield (f"analyze hunt-seed {hunt_seed} {task.label}",
-                   hashlib.sha256(text.encode()).hexdigest())
+    """Each analysis's report line, then one line per Newton start it made."""
+    newton, results = algpot.darboux._newton, []
+
+    def recorded(*args):
+        out = newton(*args)
+        results.append(out)
+        return out
+
+    algpot.darboux._newton = recorded
+    try:
+        for name in ANALYZE_WORKLOADS:
+            plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
+            states = plan.setup()
+            for task in sorted(plan.tasks, key=lambda t: t.label):
+                results.clear()
+                report, _ = task.run(states[task.problem])
+                label = f"hunt-seed {hunt_seed} {task.label}"
+                yield (f"analyze {label}",
+                       hashlib.sha256(report_json(report).encode()).hexdigest())
+                for i, out in enumerate(results):
+                    yield f"newton {label} start {i:02d}", digest(out)
+    finally:
+        algpot.darboux._newton = newton
 
 
 def ve_dynamics_lines(seed: int):

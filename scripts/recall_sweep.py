@@ -10,7 +10,8 @@ certificate status and the witness eigenvalues.  --out also writes the
 accepted points and their spectra, so that --compare can line up two sweeps
 (say, before and after a change to the hunt's numerics): it prints both
 counts side by side, names each point one sweep accepted and the other did
-not, and totals the accepted points.  Points are matched one to one by their
+not, and totals the accepted points; it exits 1 when any row differs, so
+that it can gate a change.  Points are matched one to one by their
 Hessian spectra, which do not move along a family of Darboux points (the
 cone's circle, an n-body rotation orbit) while the coordinates a start
 converges to do; points without a spectrum are matched by coordinates, with
@@ -157,19 +158,18 @@ def compare(before: dict, after: dict) -> int:
     return changed
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", default="0-9", help="hunt seeds, e.g. 0-9 or 0,3,5-7")
     ap.add_argument("--out", help="write the sweep, points included, to this JSON file")
     ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                     help="compare two written sweeps instead of running one")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.compare:
         before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
-        compare(before, after)
-        return 0
+        return 1 if compare(before, after) else 0
 
     results = {}
     for seed in parse_seeds(args.seeds):

@@ -17,13 +17,15 @@ the Lagrangian V - u.G:
 
 One s x s solve for u per point serves the gradient, the Newton Jacobian
 and the Hessian, and one kernel gives the first partials (dG, d_qV, d_wV)
-it needs.  PointCalculus is the one numeric view of a setup: it
-evaluates plain partials of V and G, prepared once symbolically and
-evaluated by kernels generated on first use, and does small linear solves
-per point, which stays cheap at any number of extension variables.  It also
-solves fibers, samples the variety for validation and probes the distance
-to the critical set.  The tests hold it against finite differences of a
-locally solved branch.
+it needs.  The solve is kept for the last point evaluated, except where the
+caller asks for the gradient alone (grad_and_adjoint) and keeps the solve
+only if it goes on with the point.  PointCalculus is the one numeric view
+of a setup: it evaluates plain partials of V and G, prepared once
+symbolically and evaluated by kernels generated on first use, and does
+small linear solves per point, which stays cheap at any number of
+extension variables.  It also solves fibers, samples the variety for
+validation and probes the distance to the critical set.  The tests hold it
+against finite differences of a locally solved branch.
 
 The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
 is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
@@ -180,8 +182,11 @@ class PointCalculus:
 
     Plain first and second partials of the potential and the generators are
     prepared symbolically once; every point evaluation then reduces to dense
-    (s x s) linear solves, and the adjoint of the last point evaluated is
-    kept (_adjoint).  Works for any s, including setups where the
+    (s x s) linear solves.  The adjoint of the last point that grad,
+    darboux_residual, darboux_system, hess or w_derivative evaluated is
+    kept (_adjoint), and so is one that a caller passes to keep_adjoint;
+    grad_and_adjoint keeps nothing, so a Newton trial that is then rejected
+    pays no keeping.  Works for any s, including setups where the
     symbolic quotient forms would be bulky.  The partials are evaluated by
     generated kernels (expr.compile_arrays), each compiled on first use and
     kept: G; dG, the s x N matrix whose columns n: are J = dG/dw and whose
@@ -263,24 +268,47 @@ class PointCalculus:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
 
-    def _adjoint(self, x):
+    def _first_derivatives(self, x):
         """(dG, vg, u) at x: the generators' Jacobian, the potential's plain
-        gradient and the adjoint u = J^(-T) d_wV.  The last point's triple is
-        kept, keyed on the point's bytes, so the residual, the Jacobian and
-        the Hessian at one point share one solve; a point off the good set
-        raises CriticalPointError, every time, and leaves nothing kept."""
+        gradient and the adjoint u = J^(-T) d_wV, computed afresh and not
+        kept; raises CriticalPointError off the good set.  Every point's
+        adjoint is solved here."""
+        dG, vg = self._first_kernel(x)
+        return dG, vg, _fiber_solve(dG[:, self.n:].T, vg[self.n:])
+
+    def _adjoint(self, x):
+        """(dG, vg, u) at x, kept for the last point evaluated, keyed on the
+        point's bytes, so the residual, the Jacobian and the Hessian at one
+        point share one solve; a point off the good set raises
+        CriticalPointError, every time, and leaves nothing kept."""
         key = x.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1:]
         self._memo = None
-        n = self.n
-        dG, vg = self._first_kernel(x)
-        u = _fiber_solve(dG[:, n:].T, vg[n:])
-        # callers get these arrays themselves; read-only keeps the memo intact
-        for a in (dG, vg, u):
+        adjoint = self._first_derivatives(x)
+        # keep_adjoint's keeping, with the key in hand: grad takes this path
+        # at every right-hand-side call of a trajectory
+        for a in adjoint:
             a.setflags(write=False)
-        self._memo = (key, dG, vg, u)
-        return dG, vg, u
+        self._memo = (key, *adjoint)
+        return adjoint
+
+    def keep_adjoint(self, x, adjoint) -> None:
+        """Keep adjoint, the (dG, vg, u) that grad_and_adjoint returned at x,
+        as the last point's, so that the calculus at x reuses it; the arrays
+        become read-only, which keeps them intact in every caller's hands."""
+        for a in adjoint:
+            a.setflags(write=False)
+        self._memo = (x.tobytes(), *adjoint)
+
+    def grad_and_adjoint(self, x):
+        """(grad V, adjoint) at x, a complex ndarray: the gradient that grad
+        returns, and the (dG, vg, u) it came from, which are not kept.  A
+        caller that may discard the point (a Newton trial) pays no keeping;
+        one that goes on to the Jacobian or Hessian at x passes both to
+        keep_adjoint first."""
+        dG, vg, u = adjoint = self._first_derivatives(x)
+        return vg[: self.n] - dG[:, : self.n].T @ u, adjoint
 
     def w_derivative(self, x) -> np.ndarray:
         """Numeric s x n matrix of dw_j/dq_k at the point."""
@@ -288,6 +316,7 @@ class PointCalculus:
         return _fiber_solve(dG[:, self.n:], -dG[:, :self.n])
 
     def grad(self, x) -> np.ndarray:
+        """grad V = d_qV - B^T u at x, as grad_and_adjoint computes it."""
         x = np.asarray(x, dtype=complex)
         dG, vg, u = self._adjoint(x)
         return vg[: self.n] - dG[:, : self.n].T @ u
@@ -346,7 +375,7 @@ class PointCalculus:
         caller's (darboux._newton keeps each point's rows)."""
         dg, _, dG = self._dg_blocks(x)
         Jac = np.concatenate([dg, dG])
-        Jac[:self.n, :self.n] -= np.eye(self.n)
+        Jac.ravel()[: self.n * (self.N + 1): self.N + 1] -= 1  # the diagonal of dg/dq
         return Jac
 
     # -- proximity probes --------------------------------------------------

@@ -52,21 +52,36 @@ class DarbouxResult:
     failed_starts: int = 0
 
 
+def _rows_pass(rows, res: float) -> bool:
+    """Every entry of NumPy's complex absolute |rows| is below res, decided
+    entry by entry: the first entry that is not (a tie or a nan) ends the
+    test, and an empty group passes.  Python's abs differs from np.abs in
+    the last bit of a large share of complex values, so it would move
+    trials that tie."""
+    for r in np.abs(rows).tolist():
+        if not r < res:
+            return False
+    return True
+
+
 def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: int):
     """Damped Gauss-Newton for the Darboux system plus homogeneous linear
     conditions pins @ x = 0 (pins None for none).
 
     A line-search trial is accepted when the largest entry of its residual
     F = (grad V - q, G, pins @ x) is below the current one or at most
-    conv_tol.  A trial evaluates G first, then the pin rows, then the
-    gradient rows, and is rejected as soon as the largest entry of a part
-    fails that test, nan included: the largest entry over all rows is no
-    smaller.  An accepted trial's rows become F, and the Jacobian
-    (darboux_system) is built only at the start point and at each accepted
-    trial, into an array that holds the pin rows from the start; the start
-    point's F is computed as a trial's.  So every decision, and every
-    iterate, is bit for bit that of a search that builds the full system at
-    every trial.
+    conv_tol; while the search runs the current residual exceeds conv_tol,
+    so that is every entry of |F| below the current residual (_rows_pass).
+    A trial tests G first, then the pin rows, then the gradient rows, and is
+    rejected at the first entry that fails, nan included.  The gradient
+    comes with its adjoint unkept (grad_and_adjoint); only an accepted
+    trial keeps it (keep_adjoint), for its Jacobian (darboux_system), and
+    only then is the residual's largest entry taken.  An accepted trial's
+    rows become F, and the Jacobian is built only at the start point and at
+    each accepted trial, into an array that holds the pin rows from the
+    start; the start point's F is computed as a trial's.  So every decision,
+    and every iterate, is bit for bit that of a search that builds the full
+    system at every trial.
 
     Returns the final iterate and residual, or None when the iteration left
     the domain (singular fiber, potential pole) or diverged.
@@ -78,14 +93,13 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     if pins is not None:
         Jac[m:] = pins
 
-    def passes(r):
-        return r < res or r <= conv_tol
-
     try:
         F[n:m] = pc.g_values(x)
         if pins is not None:
             F[m:] = pins @ x
-        F[:n] = pc.grad(x) - x[:n]
+        g, adjoint = pc.grad_and_adjoint(x)
+        F[:n] = g - x[:n]
+        pc.keep_adjoint(x, adjoint)
         Jac[:m] = pc.darboux_system(x)
     except (CriticalPointError, PoleError):
         return None
@@ -102,26 +116,24 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
             scale *= 0.5
             try:
                 G = pc.g_values(x_try)
-                r_try = float(np.abs(G).max(initial=0.0))
-                if not passes(r_try):
+                if not _rows_pass(G, res):
                     continue
                 if pins is not None:
                     P = pins @ x_try
-                    r_pins = float(np.abs(P).max(initial=0.0))
-                    if not passes(r_pins):
+                    if not _rows_pass(P, res):
                         continue
-                    r_try = max(r_try, r_pins)
-                g = pc.grad(x_try) - x_try[:n]
-                r_grad = float(np.abs(g).max(initial=0.0))
-                if not passes(r_grad):
+                g, adjoint = pc.grad_and_adjoint(x_try)
+                g -= x_try[:n]
+                if not _rows_pass(g, res):
                     continue
+                pc.keep_adjoint(x_try, adjoint)
                 Jac[:m] = pc.darboux_system(x_try)
             except (CriticalPointError, PoleError):
                 continue
             F[:n], F[n:m] = g, G
             if pins is not None:
                 F[m:] = P
-            x, res = x_try, max(r_try, r_grad)
+            x, res = x_try, float(np.abs(F).max())
             break
         else:
             break

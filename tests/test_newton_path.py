@@ -1,10 +1,12 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
 The line search evaluates a trial's cheap rows first, computes the gradient
-rows only when those pass, keeps an accepted trial's rows as the residual and
-builds only the Jacobian at accepted steps; gradients and Hessians evaluate
-only their non-zero partials; one kept adjoint per point serves the
-residual, the Jacobian and the Hessian.  Each is held here, bit for bit,
+rows only when those pass, decides each row group by NumPy's absolute
+against the current residual, keeps the adjoint only for an accepted trial,
+keeps an accepted trial's rows as the residual and builds only the Jacobian
+at accepted steps; gradients and Hessians evaluate only their non-zero
+partials; one kept adjoint per point serves the residual, the Jacobian and
+the Hessian.  Each is held here, bit for bit,
 against the straightforward form it replaces, and the Lagrangian assembly
 against the per-variable one within roundoff.
 The one fiber solve and the one least-squares solve, LAPACK's zgesv and
@@ -27,6 +29,7 @@ from algpot.dynamics import ConstrainedSystem
 from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
+from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
@@ -137,11 +140,31 @@ def three_body_cases(cfg, pc, seeds, pinned):
     return cases
 
 
+def hunt_cases(cfg, pc):
+    """The equal-mass 3x2 hunt's own starts at hunt seed 0, as pipeline.hunt
+    makes them: its seeds and random starts, its pins and MAX_ITER.  Two of
+    its failed starts tie the current residual where Python's abs and
+    NumPy's absolute differ in the last bit."""
+    cases = []
+
+    def record(pc_, x0, pins, conv_tol, max_iter):
+        cases.append((pc_, x0, pins, max_iter, conv_tol))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(darboux, "_newton", record)
+        hunt(pc.setup, AnalysisOptions(nbody=cfg, seed=0), pc)
+    return cases
+
+
 @pytest.mark.parametrize("pinned", [False, True])
 def test_newton_matches_full_system_search(three_body, pinned):
     cfg, pc, seeds = three_body
     cases = three_body_cases(cfg, pc, seeds, pinned)
-    if not pinned:
+    if pinned:
+        hunt_starts = hunt_cases(cfg, pc)
+        assert len(hunt_starts) == 26 and all(c[3] == darboux.MAX_ITER for c in hunt_starts)
+        cases += hunt_starts
+    else:
         cases += cone_cases()
     converged = 0
     for pc_, x0, pins, max_iter, conv_tol in cases:
@@ -152,7 +175,23 @@ def test_newton_matches_full_system_search(three_body, pinned):
     assert converged >= 2  # the comparison covers converged starts too
 
 
-TRACED = ("darboux_system", "g_values", "grad")
+def test_row_test_compares_numpys_absolute_with_the_residual():
+    rows = np.array([0.5, 3 + 4j, -1j])
+    assert darboux._rows_pass(rows, 5.5)
+    assert not darboux._rows_pass(rows, 5.0)  # a tie rejects
+    assert not darboux._rows_pass(np.array([0.5, np.nan, 1.0]), np.inf)
+    assert darboux._rows_pass(np.zeros(0, dtype=complex), 0.0)
+    # where Python's abs and NumPy's absolute differ in the last bit (one
+    # value each way), NumPy's decides: below res by NumPy's passes even
+    # where Python's ties, and a tie by NumPy's rejects
+    for v in (0.42654310306871945 + 0.9179862439359936j,
+              0.5478467492858172 - 0.9208531449445188j):
+        assert abs(v) != np.abs(v)
+        for res in (abs(v), float(np.abs(v))):
+            assert darboux._rows_pass(np.array([v]), res) == (np.abs(v) < res)
+
+
+TRACED = ("darboux_system", "g_values", "grad_and_adjoint", "keep_adjoint")
 
 
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
@@ -160,7 +199,8 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     as [name, point, value], with each least-squares solve as
     ["lstsq", matrix, right-hand side]; a call made inside another traced
     call is not the search's own, and a call that raises keeps the value
-    None.  result is what _newton returns."""
+    None.  grad_and_adjoint's value is a copy of the gradient it returned.
+    result is what _newton returns."""
     calls, depth = [], [0]
 
     def lstsq(A, b):
@@ -168,16 +208,16 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
         return _lstsq(A, b)
 
     def traced(name, method):
-        def call(x):
+        def call(x, *rest):
             if depth[0] == 0:
                 calls.append([name, np.array(x), None])
             depth[0] += 1
             try:
-                value = method(x)
+                value = method(x, *rest)
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
-                calls[-1][2] = value
+                calls[-1][2] = value[0].copy() if name == "grad_and_adjoint" else value
             return value
         return call
 
@@ -193,23 +233,31 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     return calls, result
 
 
+def follows(calls, k, name, x) -> bool:
+    """calls[k + 1] is a call of name at the point x."""
+    return k + 1 < len(calls) and calls[k + 1][0] == name and bits(calls[k + 1][1]) == bits(x)
+
+
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # every trial evaluates its cheap rows (G, then the pinning rows); one
     # whose cheap rows already fail the acceptance test never computes the
-    # gradient, and the Jacobian is built at the start and accepted steps;
-    # every step solves with that point's residual, darboux_residual plus
-    # the pin rows, bit for bit, and the search returns its largest entry
+    # gradient, a gradient comes with its adjoint unkept, and only a trial
+    # whose gradient rows pass too keeps it, right before its Jacobian; the
+    # Jacobian is built at the start and accepted steps; every step solves
+    # with that point's residual, darboux_residual plus the pin rows, bit
+    # for bit, and the search returns its largest entry
     cfg, pc, seeds = three_body
-    cheap_rejected = tied = solved = 0
+    cheap_rejected = tied = grad_rejected = solved = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
         calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
+        assert names.count("keep_adjoint") == 1 + accepted
         # the start point's rows are computed as a trial's, then its Jacobian
-        assert names[:3] == ["g_values", "grad", "darboux_system"]
-        assert len({bits(x) for _, x, _ in calls[:3]}) == 1
+        assert names[:4] == ["g_values", "grad_and_adjoint", "keep_adjoint", "darboux_system"]
+        assert len({bits(x) for _, x, _ in calls[:4]}) == 1
         res = point = None
         for k, (name, x, value) in enumerate(calls):
             if name == "lstsq":
@@ -218,17 +266,24 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
+                assert calls[k - 1][0] == "keep_adjoint" and bits(calls[k - 1][1]) == bits(x)
                 F, Jac = full_system(pc_, x, pins)
                 assert bits(value) == bits(Jac[:len(value)])
                 res, point = float(np.abs(F).max()), x
-            elif name == "grad":
+            elif name == "keep_adjoint":
+                assert follows(calls, k, "darboux_system", x)
+            elif name == "grad_and_adjoint":
                 assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
+                assert bits(value) == bits(pc_.grad(x))
+                if k > 1:  # a trial's gradient rows
+                    r = float(np.abs(value - x[:pc_.n]).max(initial=0.0))
+                    passes = r < res
+                    assert passes == follows(calls, k, "keep_adjoint", x)
+                    grad_rejected += not passes
             elif k > 0:  # a trial's cheap rows
                 r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
                 passes = r < res or r <= conv_tol
-                following = calls[k + 1] if k + 1 < len(calls) else None
-                assert passes == (following is not None and following[0] == "grad"
-                                  and bits(following[1]) == bits(x))
+                assert passes == follows(calls, k, "grad_and_adjoint", x)
                 cheap_rejected += not passes
                 tied += r == res
         if result is not None:
@@ -236,32 +291,36 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # 83 trials are rejected by their cheap rows, 59 of them tying the
     # current residual, where a <= in place of < would compute the gradient
     assert cheap_rejected > 50 and tied > 30
-    assert solved > 100
+    assert grad_rejected > 0 and solved > 100
 
 
 def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
-    # a trial whose rows pass but whose Jacobian raises is rejected, and the
-    # search goes on halving from the current point, as the full-system
-    # search does; here the Jacobian raises at the first accepted point
+    # a trial whose rows pass but whose Jacobian raises, or whose fiber
+    # solve raises (J singular or not finite) before its gradient rows, is
+    # rejected, and the search goes on halving from the current point, as
+    # the full-system search does; here the method raises at the first
+    # accepted point
     cfg, pc, seeds = three_body
-    jacobian = PointCalculus.darboux_system
-    raised = []
-    for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
-        calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
-        first = [x for name, x, _ in calls if name == "darboux_system"][1]
+    for method in ("darboux_system", "_first_derivatives"):
+        original = getattr(PointCalculus, method)
+        raised = []
+        for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
+            calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+            first = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-        def raising(self, x, first=first):
-            if bits(x) == bits(first):
-                raised.append(first)
-                raise CriticalPointError("raised at the first accepted point")
-            return jacobian(self, x)
+            def raising(self, x, first=first, original=original):
+                if bits(x) == bits(first):
+                    raised.append(first)
+                    raise CriticalPointError("raised at the first accepted point")
+                return original(self, x)
 
-        monkeypatch.setattr(PointCalculus, "darboux_system", raising)
-        expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-        got = _newton(pc_, x0, pins, conv_tol, max_iter)
-        monkeypatch.setattr(PointCalculus, "darboux_system", jacobian)
-        assert same_bits(got, expected)
-    assert len(raised) == 8  # once in each search, four starts
+            monkeypatch.setattr(PointCalculus, method, raising)
+            pc_._memo = None  # the traced search may have kept the point
+            expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
+            got = _newton(pc_, x0, pins, conv_tol, max_iter)
+            monkeypatch.setattr(PointCalculus, method, original)
+            assert same_bits(got, expected)
+        assert len(raised) == 8  # once in each search, four starts
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +511,17 @@ def test_kept_adjoint_serves_only_its_own_point():
     x[0] += 0.25
     assert bits(pc.grad(x)) == bits(PointCalculus(setup).grad(x))
     assert point_results(pc, x) == point_results(PointCalculus(setup), x)
+    # a gradient whose adjoint is not kept leaves the kept point alone; once
+    # kept, that adjoint serves its own point as a computed one does
+    kept = pc._memo
+    g, adjoint = pc.grad_and_adjoint(b)
+    assert pc._memo is kept and bits(g) == bits(PointCalculus(setup).grad(b))
+    pc.keep_adjoint(b, adjoint)
+    assert all(a is k for a, k in zip(pc._adjoint(b), adjoint))
+    assert point_results(pc, b) == point_results(PointCalculus(setup), b)
     # the kept arrays reach callers read-only, so no caller can change them
     dG = pc._dg_blocks(x)[2]
-    for kept in (dG[:, setup.n:], dG[:, :setup.n], *pc._adjoint(x)):
+    for kept in (dG[:, setup.n:], dG[:, :setup.n], *pc._adjoint(x), *adjoint):
         with pytest.raises(ValueError):
             kept[0] = 0
 

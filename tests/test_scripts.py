@@ -1,0 +1,77 @@
+"""The comparison scripts fail when what they compare differs or a run fails,
+so that each can gate a change."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep(accepted):
+    return {"0": {"cone": {"accepted": accepted, "status": "no_obstruction",
+                           "witnesses": [], "points": []}}}
+
+
+def test_recall_compare_exits_1_when_a_row_differs(tmp_path):
+    recall_sweep = load_script("recall_sweep")
+    paths = []
+    for name, accepted in (("a", 1), ("b", 1), ("c", 2)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(sweep(accepted)), encoding="utf-8")
+    assert recall_sweep.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert recall_sweep.main(["--compare", str(paths[0]), str(paths[2])]) == 1
+
+
+def fake_run(tmp_path, lines, code):
+    """A tree whose bench/run.py prints lines and exits with code."""
+    text = "\n".join(lines)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        f"import sys\nprint({text!r})\nsys.exit({code})\n", encoding="utf-8")
+    return tmp_path
+
+
+def result_lines(workload):
+    result = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    return [f"workload {workload}, seed 1", "  work per pass: 3 calls", json.dumps(result)]
+
+
+def test_bench_pairs_stops_on_a_run_without_every_workload(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    tree = fake_run(tmp_path, result_lines("nbody-hunt") + ["Traceback ..."], 1)
+    with pytest.raises(SystemExit, match="pair 1 seed 1 parent: .*small-corpus, ve-dynamics"):
+        bench_pairs.run_bench(tree, "all", 1, 1.0, "pair 1 seed 1 parent")
+    out, code = bench_pairs.run_bench(tree, "nbody-hunt", 1, 1.0, "pair 1 seed 1 parent")
+    assert code == 1 and out["nbody-hunt"]["work"] == "3 calls"
+
+
+def test_bench_pairs_exits_1_naming_a_run_that_failed_a_check(monkeypatch, capsys):
+    bench_pairs = load_script("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, into: into)
+
+    def run_bench(tree, workload, seed, seconds, name):
+        correct = not (seed == 2 and name.endswith("change"))
+        result = {"metrics": {"wall_s": 1.0}, "work": "", "correct": correct}
+        return {workload: result}, 0 if correct else 1
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "directions", lambda: {"wall_s": "lower"})
+    assert bench_pairs.main(["HEAD", "--pairs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "pair 2 seed 2 change (exit 1): failed checks in nbody-hunt" in err
+    assert "parent" not in err
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda tree, workload, seed, seconds, name: (
+                            {workload: {"metrics": {"wall_s": 1.0}, "work": "",
+                                        "correct": True}}, 0))
+    assert bench_pairs.main(["HEAD", "--pairs", "2"]) == 0
