@@ -17,9 +17,9 @@ the Lagrangian V - u.G:
 
 One s x s solve for u per point serves the gradient, the Newton Jacobian
 and the Hessian, and one kernel gives the first partials (dG, d_qV, d_wV)
-it needs.  The solve is kept for the last point evaluated, except where the
-caller asks for the gradient alone (grad_and_adjoint) and keeps the solve
-only if it goes on with the point.  PointCalculus is the one numeric view
+it needs.  The calculus keeps nothing per point: a caller that goes on at
+a point passes that point's first derivatives, (dG, d_qV, d_wV) and u, to
+the next evaluation.  PointCalculus is the one numeric view
 of a setup: it evaluates plain partials of V and G, prepared once
 symbolically and evaluated by kernels generated on first use, and does
 small linear solves per point, which stays cheap at any number of
@@ -182,16 +182,16 @@ class PointCalculus:
 
     Plain first and second partials of the potential and the generators are
     prepared symbolically once; every point evaluation then reduces to dense
-    (s x s) linear solves.  The adjoint of the last point that grad,
-    darboux_residual, darboux_system, hess or w_derivative evaluated is
-    kept (_adjoint), and so is one that a caller passes to keep_adjoint;
-    grad_and_adjoint keeps nothing, so a Newton trial that is then rejected
-    pays no keeping.  Works for any s, including setups where the
-    symbolic quotient forms would be bulky.  The partials are evaluated by
-    generated kernels (expr.compile_arrays), each compiled on first use and
-    kept: G; dG, the s x N matrix whose columns n: are J = dG/dw and whose
-    columns :n are dG/dq; dG and the potential's plain gradient, the first
-    derivatives every point evaluation (_adjoint) needs, in one kernel; the
+    (s x s) linear solves.  It keeps no per-point state: first_derivatives
+    returns a point's (dG, vg, u), its one adjoint solve, and grad,
+    w_derivative, _dg_blocks and darboux_system take those as `first` from
+    a caller that stays at the point, or compute them from x when it is
+    omitted.  Works for any s, including setups where the symbolic quotient
+    forms would be bulky.  The partials are evaluated by generated kernels
+    (expr.compile_arrays), each compiled on first use and kept: G; dG, the
+    s x N matrix whose columns n: are J = dG/dw and whose columns :n are
+    dG/dq; dG and the potential's plain gradient, the first derivatives
+    every point evaluation (first_derivatives) needs, in one kernel; the
     potential's value; both Hessians, V's (N x N) and the generators'
     (s x N x N), in one kernel; detJ; and one per polynomial the proximity
     probe walks toward.  A Hessian's upper-triangle partial is evaluated
@@ -216,7 +216,6 @@ class PointCalculus:
         self.det = det_expr([row[self.n:] for row in self._ggrad])
         self._den = RatExpr(dict(V.den), {(): Fraction(1)})
         self._probes = {}  # polynomial -> (value, gradient) kernel, on first use
-        self._memo = None  # (point bytes, dG, vg, u) of the last point, see _adjoint
 
     @cached_property
     def _g_kernel(self):
@@ -268,66 +267,32 @@ class PointCalculus:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
 
-    def _first_derivatives(self, x):
+    def first_derivatives(self, x):
         """(dG, vg, u) at x: the generators' Jacobian, the potential's plain
-        gradient and the adjoint u = J^(-T) d_wV, computed afresh and not
-        kept; raises CriticalPointError off the good set.  Every point's
-        adjoint is solved here."""
+        gradient and the adjoint u = J^(-T) d_wV; raises CriticalPointError
+        off the good set.  Every point's adjoint is solved here.  A caller
+        that goes on at x passes the result as `first` to grad,
+        w_derivative, _dg_blocks or darboux_system."""
         dG, vg = self._first_kernel(x)
         return dG, vg, _fiber_solve(dG[:, self.n:].T, vg[self.n:])
 
-    def _adjoint(self, x):
-        """(dG, vg, u) at x, kept for the last point evaluated, keyed on the
-        point's bytes, so the residual, the Jacobian and the Hessian at one
-        point share one solve; a point off the good set raises
-        CriticalPointError, every time, and leaves nothing kept."""
-        key = x.tobytes()
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1:]
-        self._memo = None
-        adjoint = self._first_derivatives(x)
-        # keep_adjoint's keeping, with the key in hand: grad takes this path
-        # at every right-hand-side call of a trajectory
-        for a in adjoint:
-            a.setflags(write=False)
-        self._memo = (key, *adjoint)
-        return adjoint
-
-    def keep_adjoint(self, x, adjoint) -> None:
-        """Keep adjoint, the (dG, vg, u) that grad_and_adjoint returned at x,
-        as the last point's, so that the calculus at x reuses it; the arrays
-        become read-only, which keeps them intact in every caller's hands."""
-        for a in adjoint:
-            a.setflags(write=False)
-        self._memo = (x.tobytes(), *adjoint)
-
-    def grad_and_adjoint(self, x):
-        """(grad V, adjoint) at x, a complex ndarray: the gradient that grad
-        returns, and the (dG, vg, u) it came from, which are not kept.  A
-        caller that may discard the point (a Newton trial) pays no keeping;
-        one that goes on to the Jacobian or Hessian at x passes both to
-        keep_adjoint first."""
-        dG, vg, u = adjoint = self._first_derivatives(x)
-        return vg[: self.n] - dG[:, : self.n].T @ u, adjoint
-
-    def w_derivative(self, x) -> np.ndarray:
+    def w_derivative(self, x, first=None) -> np.ndarray:
         """Numeric s x n matrix of dw_j/dq_k at the point."""
-        dG = self._adjoint(np.asarray(x, dtype=complex))[0]
+        dG = (first or self.first_derivatives(np.asarray(x, dtype=complex)))[0]
         return _fiber_solve(dG[:, self.n:], -dG[:, :self.n])
 
-    def grad(self, x) -> np.ndarray:
-        """grad V = d_qV - B^T u at x, as grad_and_adjoint computes it."""
-        x = np.asarray(x, dtype=complex)
-        dG, vg, u = self._adjoint(x)
+    def grad(self, x, first=None) -> np.ndarray:
+        """grad V = d_qV - B^T u at x."""
+        dG, vg, u = first or self.first_derivatives(np.asarray(x, dtype=complex))
         return vg[: self.n] - dG[:, : self.n].T @ u
 
-    def _dg_blocks(self, x):
+    def _dg_blocks(self, x, first=None):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
         W = dw/dq and the generators' Jacobian.  dg = P^T L, with P = [I; W]
         and L the Hessian of the Lagrangian V - u.G."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
-        dG, _, u = self._adjoint(x)
+        dG, _, u = first or self.first_derivatives(x)
         W = _fiber_solve(dG[:, n:], -dG[:, :n])
         vh, gh = self._hessian_kernel(x)
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
@@ -369,11 +334,11 @@ class PointCalculus:
         g = self.grad(x)
         return np.concatenate([g - x[: self.n], self.g_values(x)])
 
-    def darboux_system(self, x) -> np.ndarray:
+    def darboux_system(self, x, first=None) -> np.ndarray:
         """The plain Jacobian of F = darboux_residual(x) for Newton
         iterations: rows dg - [I 0], then dG.  The residual itself is the
         caller's (darboux._newton keeps each point's rows)."""
-        dg, _, dG = self._dg_blocks(x)
+        dg, _, dG = self._dg_blocks(x, first)
         Jac = np.concatenate([dg, dG])
         Jac.ravel()[: self.n * (self.N + 1): self.N + 1] -= 1  # the diagonal of dg/dq
         return Jac

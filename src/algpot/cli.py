@@ -71,11 +71,15 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([_parse_complex(t) for t in items])
 
 
+def _all_finite(vector) -> bool:
+    """The one finiteness test of a vector read from the command line or a seeds file."""
+    return bool(np.isfinite(vector).all())
+
+
 LAMBDA = _flag_type(_parse_lambda, "a rational like 7/8 or a finite number like 1.25 or 1+0.5i",
                     cmath.isfinite)
 TIME = _flag_type(float, "a finite number", math.isfinite)
-VECTOR = _flag_type(_parse_vector, "comma-separated finite numbers",
-                    lambda v: bool(np.isfinite(v).all()))
+VECTOR = _flag_type(_parse_vector, "comma-separated finite numbers", _all_finite)
 MASSES = _flag_type(lambda text: tuple(Fraction(m) for m in text.split(",")),
                     "comma-separated rationals")
 
@@ -87,7 +91,7 @@ def _input_error(message: str) -> NoReturn:
 
 def _read_seeds(path: str, dim: int) -> tuple:
     """The start vectors in a seeds file, one per line; EXIT_ERROR when the
-    file cannot be read or a line is not a vector of dim numbers."""
+    file cannot be read or a line is not a vector of dim finite numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [line.split("#", 1)[0].strip() for line in fh]
@@ -104,6 +108,8 @@ def _read_seeds(path: str, dim: int) -> tuple:
         if len(seed) != dim:
             _input_error(f"seeds file error: {path}: line {number}: "
                          f"not {dim} comma-separated numbers")
+        if not _all_finite(seed):
+            _input_error(f"seeds file error: {path}: line {number}: a number is not finite")
         seeds.append(seed)
     return tuple(seeds)
 

@@ -73,15 +73,15 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     conv_tol; while the search runs the current residual exceeds conv_tol,
     so that is every entry of |F| below the current residual (_rows_pass).
     A trial tests G first, then the pin rows, then the gradient rows, and is
-    rejected at the first entry that fails, nan included.  The gradient
-    comes with its adjoint unkept (grad_and_adjoint); only an accepted
-    trial keeps it (keep_adjoint), for its Jacobian (darboux_system), and
-    only then is the residual's largest entry taken.  An accepted trial's
-    rows become F, and the Jacobian is built only at the start point and at
-    each accepted trial, into an array that holds the pin rows from the
-    start; the start point's F is computed as a trial's.  So every decision,
-    and every iterate, is bit for bit that of a search that builds the full
-    system at every trial.
+    rejected at the first entry that fails, nan included.  Only a trial
+    whose cheap rows pass solves its first derivatives (first_derivatives),
+    and passes them to grad and, once its gradient rows pass too, to
+    darboux_system for its Jacobian; only then is the residual's largest
+    entry taken.  An accepted trial's rows become F, and the Jacobian is
+    built only at the start point and at each accepted trial, into an array
+    that holds the pin rows from the start; the start point's F is computed
+    as a trial's.  So every decision, and every iterate, is bit for bit
+    that of a search that builds the full system at every trial.
 
     Returns the final iterate and residual, or None when the iteration left
     the domain (singular fiber, potential pole) or diverged.
@@ -97,10 +97,9 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
         F[n:m] = pc.g_values(x)
         if pins is not None:
             F[m:] = pins @ x
-        g, adjoint = pc.grad_and_adjoint(x)
-        F[:n] = g - x[:n]
-        pc.keep_adjoint(x, adjoint)
-        Jac[:m] = pc.darboux_system(x)
+        first = pc.first_derivatives(x)
+        F[:n] = pc.grad(x, first) - x[:n]
+        Jac[:m] = pc.darboux_system(x, first)
     except (CriticalPointError, PoleError):
         return None
     res = float(np.abs(F).max())
@@ -122,12 +121,12 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
                     P = pins @ x_try
                     if not _rows_pass(P, res):
                         continue
-                g, adjoint = pc.grad_and_adjoint(x_try)
+                first = pc.first_derivatives(x_try)
+                g = pc.grad(x_try, first)
                 g -= x_try[:n]
                 if not _rows_pass(g, res):
                     continue
-                pc.keep_adjoint(x_try, adjoint)
-                Jac[:m] = pc.darboux_system(x_try)
+                Jac[:m] = pc.darboux_system(x_try, first)
             except (CriticalPointError, PoleError):
                 continue
             F[:n], F[n:m] = g, G

@@ -83,27 +83,28 @@ class ConstrainedSystem:
         return np.concatenate([np.asarray(q, float), np.asarray(p, float),
                                np.asarray(w, float)])
 
-    def det_at(self, y: np.ndarray) -> float:
+    def point(self, y: np.ndarray) -> np.ndarray:
+        """The complex variety point (q, w) of the state y."""
         q, _, w = self.split(y)
-        x = np.concatenate([q, w]).astype(complex)
-        return abs(self.pc.det_value(x))
+        return np.concatenate([q, w]).astype(complex)
+
+    def det_at(self, y: np.ndarray) -> float:
+        return abs(self.pc.det_value(self.point(y)))
 
     def energy(self, y: np.ndarray) -> float:
-        q, p, w = self.split(y)
-        x = np.concatenate([q, w]).astype(complex)
-        return float(0.5 * np.dot(p, p) + self.pc.potential_value(x).real)
+        p = self.split(y)[1]
+        return float(0.5 * np.dot(p, p) + self.pc.potential_value(self.point(y)).real)
 
     def constraint_residual(self, y: np.ndarray) -> float:
-        q, _, w = self.split(y)
-        x = np.concatenate([q, w]).astype(complex)
-        return self.pc.constraint_residual(x)
+        return self.pc.constraint_residual(self.point(y))
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        q, p, w = self.split(y)
-        x = np.concatenate([q, w]).astype(complex)
+        p = self.split(y)[1]
+        x = self.point(y)
         try:
-            grad = self.pc.grad(x).real
-            wdot = (self.pc.w_derivative(x) @ p).real if self.s else np.zeros(0)
+            first = self.pc.first_derivatives(x)
+            grad = self.pc.grad(x, first).real
+            wdot = (self.pc.w_derivative(x, first) @ p).real if self.s else np.zeros(0)
         except (CriticalPointError, PoleError) as exc:
             raise CriticalSetError(str(exc)) from exc
         return np.concatenate([p, -grad, wdot])
@@ -159,9 +160,7 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     # critical set transversally (the dip is far narrower than any step),
     # so track the signed determinant as well and stop on any zero crossing.
     def det_sign_event(t, yv):
-        q, _, w = sys.split(yv)
-        x = np.concatenate([q, w]).astype(complex)
-        return sys.pc.det_value(x).real
+        return sys.pc.det_value(sys.point(yv)).real
 
     det_sign_event.terminal = True
     det_sign_event.direction = 0

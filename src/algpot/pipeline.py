@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -180,15 +181,7 @@ def _close(report: dict, cert: Certificate, code: int, timings: dict | None):
 def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     """Run the full pipeline; returns (report dict, exit code)."""
     opt = options or AnalysisOptions()
-    timings = {} if opt.timings else None
-    clock = None
-    if opt.timings:
-        import time
-        clock = time.perf_counter
-
-    def tick(name, t0):
-        if clock is not None:
-            timings[name] = clock() - t0
+    timings = {}  # seconds per stage, in the report only under opt.timings
 
     report = {
         **report_head(setup),
@@ -202,14 +195,14 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         "warnings": [],
     }
 
-    t0 = clock() if clock else None
+    t0 = time.perf_counter()
     pc = PointCalculus(setup)
-    tick("setup", t0)
+    timings["setup"] = time.perf_counter() - t0
 
-    t0 = clock() if clock else None
+    t0 = time.perf_counter()
     val = validate(setup, seed=opt.seed, tol=opt.critical_tol,
                    radius=opt.sigma_radius, pc=pc)
-    tick("validate", t0)
+    timings["validate"] = time.perf_counter() - t0
     report["validation"] = {
         "ok": val.ok,
         "detj_nonzero": val.detj_nonzero,
@@ -221,16 +214,16 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     if not val.ok:
         cert = Certificate(status="not_applicable",
                            reasons=["setup failed validation: " + val.message])
-        return _close(report, cert, EXIT_VALIDATION, timings)
+        return _close(report, cert, EXIT_VALIDATION, timings if opt.timings else None)
 
-    t0 = clock() if clock else None
+    t0 = time.perf_counter()
     hom = None
     hom_warning = ""
     try:
         hom = detect_homogeneity(setup, pc=pc)
     except CalculusError as exc:
         hom_warning = f"homogeneity detection inconsistent: {exc}"
-    tick("homogeneity", t0)
+    timings["homogeneity"] = time.perf_counter() - t0
     if hom is None:
         if not hom_warning:
             hom_warning = ("potential is not weighted homogeneous; "
@@ -252,13 +245,13 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             report["warnings"].append(
                 "degree is not an integer; admissibility checks are skipped")
 
-    t0 = clock() if clock else None
+    t0 = time.perf_counter()
     dres = hunt(setup, opt, pc)
-    tick("darboux", t0)
+    timings["darboux"] = time.perf_counter() - t0
 
     report["darboux"] = darboux_section(dres)
 
-    t0 = clock() if clock else None
+    t0 = time.perf_counter()
     points_out = []
     for idx, rep in enumerate(dres.accepted):
         entry = {"index": idx, **accepted_entry(rep)}
@@ -309,9 +302,9 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
         entry["verdicts"] = verdict_rows
         points_out.append(entry)
-    tick("spectra", t0)
+    timings["spectra"] = time.perf_counter() - t0
 
     report["points"] = points_out
     cert = certify(k, points_out)
     return _close(report, cert, EXIT_OBSTRUCTION if cert.status == "obstruction" else EXIT_OK,
-                  timings)
+                  timings if opt.timings else None)

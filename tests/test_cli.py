@@ -196,7 +196,7 @@ def test_timings_flag_adds_key(cone_file, capsys):
     code = main(["analyze", str(cone_file), "--n-random", "4", "--timings"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "timings" in out
+    assert sorted(out["timings"]) == ["darboux", "homogeneity", "setup", "spectra", "validate"]
 
 
 def test_console_entry_point():
@@ -281,11 +281,16 @@ def test_unusable_seeds_file_is_an_error(command, cone_file, tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main([command, cone_file, "--seeds", str(missing)]) == EXIT_ERROR
     assert "cannot read seeds file" in capsys.readouterr().err
-    for text, line in (("0.6,0.8,1.0\nabc,def\n", 2), ("# the cone has N = 3\n0.6,0.8\n", 2)):
+    shape, finite = "not 3 comma-separated numbers", "a number is not finite"
+    # the last two rows parse but are not finite, as --q0 refuses them: nan,
+    # and a literal that overflows to inf
+    for text, line, message in (("0.6,0.8,1.0\nabc,def\n", 2, shape),
+                                ("# the cone has N = 3\n0.6,0.8\n", 2, shape),
+                                ("nan, 0, 1\n", 1, finite), ("# inf\n1e400, 0, 1\n", 2, finite)):
         bad = tmp_path / "seeds.txt"
         bad.write_text(text)
         assert main([command, cone_file, "--seeds", str(bad)]) == EXIT_ERROR
-        assert f"line {line}: not 3 comma-separated numbers" in capsys.readouterr().err
+        assert f"line {line}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["analyze", "CONE", "--n-random", "2"],

@@ -208,3 +208,31 @@ def test_generated_source_names_no_variable():
     assert len(sources) == 8
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
+
+
+def self_attribute_stores(path: Path, cls: str) -> list:
+    """Class.method -> attribute for each attribute of self that a method of
+    cls, other than __init__, assigns or deletes, setattr included; a store
+    into an attribute's item (self._probes[f] = ...) changes no attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    found = []
+    for method in node.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                method.name == "__init__"):
+            continue
+        for child in ast.walk(method):
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and isinstance(child.value, ast.Name) and child.value.id == "self"):
+                found.append(f"{cls}.{method.name} -> {child.attr}")
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in ("setattr", "delattr") and child.args
+                  and isinstance(child.args[0], ast.Name) and child.args[0].id == "self"):
+                found.append(f"{cls}.{method.name} -> {child.func.id}")
+    return found
+
+
+def test_point_calculus_keeps_no_per_point_state():
+    # PointCalculus keeps what its setup fixes (partials, kernels, probes);
+    # a point's first derivatives are passed by the caller that stays there
+    assert self_attribute_stores(SRC / "calculus.py", "PointCalculus") == []

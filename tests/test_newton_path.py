@@ -1,12 +1,14 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search evaluates a trial's cheap rows first, computes the gradient
-rows only when those pass, decides each row group by NumPy's absolute
-against the current residual, keeps the adjoint only for an accepted trial,
-keeps an accepted trial's rows as the residual and builds only the Jacobian
-at accepted steps; gradients and Hessians evaluate only their non-zero
-partials; one kept adjoint per point serves the residual, the Jacobian and
-the Hessian.  Each is held here, bit for bit,
+The line search evaluates a trial's cheap rows first, solves the first
+derivatives and computes the gradient rows only when those pass, decides
+each row group by NumPy's absolute against the current residual, passes a
+trial's first derivatives on to its Jacobian only when its gradient rows
+pass too, keeps an accepted trial's rows as the residual and builds only
+the Jacobian at accepted steps; gradients and Hessians evaluate only their
+non-zero partials; the calculus keeps no per-point state, so first
+derivatives passed by a caller and ones it solves itself give the same
+bits.  Each is held here, bit for bit,
 against the straightforward form it replaces, and the Lagrangian assembly
 against the per-variable one within roundoff.
 The one fiber solve and the one least-squares solve, LAPACK's zgesv and
@@ -191,7 +193,7 @@ def test_row_test_compares_numpys_absolute_with_the_residual():
             assert darboux._rows_pass(np.array([v]), res) == (np.abs(v) < res)
 
 
-TRACED = ("darboux_system", "g_values", "grad_and_adjoint", "keep_adjoint")
+TRACED = ("darboux_system", "g_values", "first_derivatives")
 
 
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
@@ -199,8 +201,7 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     as [name, point, value], with each least-squares solve as
     ["lstsq", matrix, right-hand side]; a call made inside another traced
     call is not the search's own, and a call that raises keeps the value
-    None.  grad_and_adjoint's value is a copy of the gradient it returned.
-    result is what _newton returns."""
+    None.  result is what _newton returns."""
     calls, depth = [], [0]
 
     def lstsq(A, b):
@@ -217,7 +218,7 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
-                calls[-1][2] = value[0].copy() if name == "grad_and_adjoint" else value
+                calls[-1][2] = value
             return value
         return call
 
@@ -233,6 +234,14 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     return calls, result
 
 
+def counted(method, log):
+    """method, appending the arguments of each call to log."""
+    def call(*args):
+        log.append(args)
+        return method(*args)
+    return call
+
+
 def follows(calls, k, name, x) -> bool:
     """calls[k + 1] is a call of name at the point x."""
     return k + 1 < len(calls) and calls[k + 1][0] == name and bits(calls[k + 1][1]) == bits(x)
@@ -240,24 +249,31 @@ def follows(calls, k, name, x) -> bool:
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # every trial evaluates its cheap rows (G, then the pinning rows); one
-    # whose cheap rows already fail the acceptance test never computes the
-    # gradient, a gradient comes with its adjoint unkept, and only a trial
-    # whose gradient rows pass too keeps it, right before its Jacobian; the
-    # Jacobian is built at the start and accepted steps; every step solves
-    # with that point's residual, darboux_residual plus the pin rows, bit
-    # for bit, and the search returns its largest entry
+    # whose cheap rows already fail the acceptance test never solves its
+    # first derivatives, and only a trial whose gradient rows pass too
+    # builds its Jacobian, right after them at the same point; the Jacobian
+    # is built at the start and accepted steps; every step solves with that
+    # point's residual, darboux_residual plus the pin rows, bit for bit, and
+    # the search returns its largest entry
     cfg, pc, seeds = three_body
     cheap_rejected = tied = grad_rejected = solved = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-        calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+        kernel, evaluations = pc_._first_kernel, []
+        pc_._first_kernel = counted(kernel, evaluations)
+        try:
+            calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+        finally:
+            pc_._first_kernel = kernel
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
-        assert names.count("keep_adjoint") == 1 + accepted
+        # the gradient and the Jacobian take the point's first derivatives
+        # from the search and never evaluate them again
+        assert len(evaluations) == names.count("first_derivatives")
         # the start point's rows are computed as a trial's, then its Jacobian
-        assert names[:4] == ["g_values", "grad_and_adjoint", "keep_adjoint", "darboux_system"]
-        assert len({bits(x) for _, x, _ in calls[:4]}) == 1
+        assert names[:3] == ["g_values", "first_derivatives", "darboux_system"]
+        assert len({bits(x) for _, x, _ in calls[:3]}) == 1
         res = point = None
         for k, (name, x, value) in enumerate(calls):
             if name == "lstsq":
@@ -266,24 +282,23 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
-                assert calls[k - 1][0] == "keep_adjoint" and bits(calls[k - 1][1]) == bits(x)
+                assert calls[k - 1][0] == "first_derivatives" and bits(calls[k - 1][1]) == bits(x)
                 F, Jac = full_system(pc_, x, pins)
                 assert bits(value) == bits(Jac[:len(value)])
                 res, point = float(np.abs(F).max()), x
-            elif name == "keep_adjoint":
-                assert follows(calls, k, "darboux_system", x)
-            elif name == "grad_and_adjoint":
+            elif name == "first_derivatives":
                 assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
-                assert bits(value) == bits(pc_.grad(x))
+                g = pc_.grad(x, value)
+                assert bits(g) == bits(pc_.grad(x))
                 if k > 1:  # a trial's gradient rows
-                    r = float(np.abs(value - x[:pc_.n]).max(initial=0.0))
+                    r = float(np.abs(g - x[:pc_.n]).max(initial=0.0))
                     passes = r < res
-                    assert passes == follows(calls, k, "keep_adjoint", x)
+                    assert passes == follows(calls, k, "darboux_system", x)
                     grad_rejected += not passes
             elif k > 0:  # a trial's cheap rows
                 r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
                 passes = r < res or r <= conv_tol
-                assert passes == follows(calls, k, "grad_and_adjoint", x)
+                assert passes == follows(calls, k, "first_derivatives", x)
                 cheap_rejected += not passes
                 tied += r == res
         if result is not None:
@@ -301,21 +316,20 @@ def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
     # the full-system search does; here the method raises at the first
     # accepted point
     cfg, pc, seeds = three_body
-    for method in ("darboux_system", "_first_derivatives"):
+    for method in ("darboux_system", "first_derivatives"):
         original = getattr(PointCalculus, method)
         raised = []
         for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
             calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
-            first = [x for name, x, _ in calls if name == "darboux_system"][1]
+            at = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-            def raising(self, x, first=first, original=original):
-                if bits(x) == bits(first):
-                    raised.append(first)
+            def raising(self, x, *rest, at=at, original=original):
+                if bits(x) == bits(at):
+                    raised.append(at)
                     raise CriticalPointError("raised at the first accepted point")
-                return original(self, x)
+                return original(self, x, *rest)
 
             monkeypatch.setattr(PointCalculus, method, raising)
-            pc_._memo = None  # the traced search may have kept the point
             expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
             got = _newton(pc_, x0, pins, conv_tol, max_iter)
             monkeypatch.setattr(PointCalculus, method, original)
@@ -489,54 +503,46 @@ def test_slot_lists_hold_only_live_partials():
 
 
 # ---------------------------------------------------------------------------
-# the adjoint kept for the last point
+# first derivatives passed or solved
 # ---------------------------------------------------------------------------
 
 def point_results(pc, x):
-    """Everything the calculus computes from the kept adjoint, as bytes."""
-    Jac = pc.darboux_system(x)
-    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), Jac,
-                              pc.hess(x), pc.w_derivative(x))]
+    """Everything the calculus computes at x, as bytes: each method with the
+    first derivatives solved from x, and each that takes them with the ones
+    first_derivatives returned."""
+    first = pc.first_derivatives(x)
+    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), pc.darboux_system(x),
+                              pc.hess(x), pc.w_derivative(x), *first, pc.grad(x, first),
+                              pc.darboux_system(x, first), pc.w_derivative(x, first))]
 
 
-def test_kept_adjoint_serves_only_its_own_point():
+def test_a_calculus_answers_every_point_as_a_fresh_one():
     setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
     pc = PointCalculus(setup)
     a, b = sample_points(setup, 2, seed=4)[:2]
     for x in (a, b, a):
-        assert point_results(pc, x) == point_results(PointCalculus(setup), x)
+        results = point_results(pc, x)
+        assert results == point_results(PointCalculus(setup), x)
+        # passed first derivatives give what solved ones give
+        assert results[-3:] == [results[0], results[2], results[4]]
     # the same array changed in place after a call is a new point
     x = a.copy()
     pc.grad(x)
     x[0] += 0.25
     assert bits(pc.grad(x)) == bits(PointCalculus(setup).grad(x))
     assert point_results(pc, x) == point_results(PointCalculus(setup), x)
-    # a gradient whose adjoint is not kept leaves the kept point alone; once
-    # kept, that adjoint serves its own point as a computed one does
-    kept = pc._memo
-    g, adjoint = pc.grad_and_adjoint(b)
-    assert pc._memo is kept and bits(g) == bits(PointCalculus(setup).grad(b))
-    pc.keep_adjoint(b, adjoint)
-    assert all(a is k for a, k in zip(pc._adjoint(b), adjoint))
-    assert point_results(pc, b) == point_results(PointCalculus(setup), b)
-    # the kept arrays reach callers read-only, so no caller can change them
-    dG = pc._dg_blocks(x)[2]
-    for kept in (dG[:, setup.n:], dG[:, :setup.n], *pc._adjoint(x), *adjoint):
-        with pytest.raises(ValueError):
-            kept[0] = 0
 
 
 def test_singular_fiber_raises_on_every_call(trap_setup):
     pc = PointCalculus(trap_setup)
     good = np.array([0.25, 1.0, 0.5], dtype=complex)
     singular = np.array([0.0, 1.0, 0.0], dtype=complex)
-    for method in (pc.grad, pc.darboux_residual, pc.darboux_system, pc.hess,
-                   pc.w_derivative):
+    for method in (pc.first_derivatives, pc.grad, pc.darboux_residual, pc.darboux_system,
+                   pc.hess, pc.w_derivative):
         pc.grad(good)
         for _ in range(3):
             with pytest.raises(CriticalPointError):
                 method(singular)
-        assert pc._memo is None  # nothing is kept after a raise
         assert point_results(pc, good) == point_results(PointCalculus(trap_setup), good)
 
 
@@ -715,3 +721,18 @@ def test_constrained_rhs_matches_the_numpy_reference_bit_for_bit():
     system = ConstrainedSystem(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
     for y in lagrange_states(48):
         assert bits(system.rhs(0.0, y)) == bits(rhs_reference(system, y))
+
+
+def test_constrained_rhs_evaluates_its_first_derivatives_once(monkeypatch):
+    # one right-hand side shares its first derivatives between the gradient
+    # and the fiber velocity: one first-derivative kernel evaluation, and
+    # two solves, u for the gradient and W for the fiber velocity
+    system = ConstrainedSystem(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    kernels, solves = [], []
+    monkeypatch.setattr(system.pc, "_first_kernel", counted(system.pc._first_kernel, kernels))
+    monkeypatch.setattr(calculus, "_fiber_solve", counted(_fiber_solve, solves))
+    for y in lagrange_states(4):
+        kernels.clear()
+        solves.clear()
+        system.rhs(0.0, y)
+        assert len(kernels) == 1 and len(solves) == 2
