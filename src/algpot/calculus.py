@@ -414,20 +414,16 @@ def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
     return None
 
 
-def validate(setup: AlgebraicSetup, seed: int = 0,
+def validate(pc: PointCalculus, seed: int = 0,
              tol: float = DEFAULT_CRITICAL_TOL,
-             radius: float = PROBE_RADIUS,
-             pc: PointCalculus | None = None) -> ValidationReport:
-    """Sample the variety and check detJ does not vanish identically.
+             radius: float = PROBE_RADIUS) -> ValidationReport:
+    """Sample pc's variety and check detJ does not vanish identically.
 
     Primality/codimension of the generating ideal is NOT checked; the report
     says so via primality_assumed.  The test is one-sided: a setup passes as
     soon as one of VALIDATE_TRIALS samples has |detJ| > tol and no critical
-    point within radius (the proximity probe's radius).  pc, the
-    setup's PointCalculus, supplies the numerics and the critical-set probe;
-    without it one is built here.
+    point within radius (the proximity probe's radius).
     """
-    pc = pc or PointCalculus(setup)
     rng = np.random.default_rng(seed)
     mags = []
     used = 0
@@ -532,19 +528,18 @@ HOMOGENEITY_SEED = 1234
 HOMOGENEITY_REL_TOL = 1e-9
 
 
-def detect_homogeneity(setup: AlgebraicSetup, pc: PointCalculus | None = None):
-    """Weighted-homogeneity weights, or None when no weighting exists.
+def detect_homogeneity(pc: PointCalculus):
+    """Weighted-homogeneity weights of pc's setup, or None when none exists.
 
     All base coordinates share one weight d1; each extension variable gets
     its own.  The constraints say every polynomial in sight (each generator,
     and numerator/denominator of the potential separately) is isobaric; the
     solution ray is scaled to coprime integers with d1 > 0, the gcd taken
     over (d1, weights, d2).  When a weighting is found the scaling identity
-    is re-checked numerically on random variety points before reporting;
-    pc, the setup's PointCalculus, supplies the evaluators, and without it
-    one is built here.
+    is re-checked numerically, with pc's evaluators, on random variety
+    points before reporting.
     """
-    n, s = setup.n, setup.s
+    setup, s = pc.setup, pc.s
     q_set = set(setup.q_names)
     w_index = {name: j for j, name in enumerate(setup.w_names)}
     dim = 1 + s
@@ -605,12 +600,12 @@ def detect_homogeneity(setup: AlgebraicSetup, pc: PointCalculus | None = None):
         d2 //= g
     hom = Homogeneity(d1=ints[0], weights=tuple(ints[1:]), d2=d2)
 
-    if not _verify_homogeneity(setup, hom, pc or PointCalculus(setup)):
+    if not _verify_homogeneity(hom, pc):
         raise CalculusError("homogeneity verification failed (detected weights are inconsistent)")
     return hom
 
 
-def _verify_homogeneity(setup, hom, pc: PointCalculus):
+def _verify_homogeneity(hom, pc: PointCalculus):
     rng = np.random.default_rng(HOMOGENEITY_SEED)
     checked = 0
     attempts = 0
@@ -621,10 +616,10 @@ def _verify_homogeneity(setup, hom, pc: PointCalculus):
             continue
         alpha = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
         y = x.copy()
-        for i in range(setup.n):
+        for i in range(pc.n):
             y[i] = x[i] * alpha ** hom.d1
-        for j in range(setup.s):
-            y[setup.n + j] = x[setup.n + j] * alpha ** hom.weights[j]
+        for j in range(pc.s):
+            y[pc.n + j] = x[pc.n + j] * alpha ** hom.weights[j]
         try:
             v0 = pc.potential_value(x)
             v1 = pc.potential_value(y)

@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .calculus import DEFAULT_CRITICAL_TOL
+from .calculus import DEFAULT_CRITICAL_TOL, PointCalculus
 from .dynamics import integrate
 from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
@@ -175,7 +175,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_darboux(args) -> int:
     setup = _load(args.problem)
-    res = hunt(setup, _options_from(args, setup))
+    res = hunt(PointCalculus(setup), _options_from(args, setup))
     report = {
         **report_head(setup),
         **darboux_section(res),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _lstsq
 from .expr import PoleError
-from .parsing import AlgebraicSetup
 
 ORIGIN_TOL = 1e-8
 BASE_PROJECTION_TOL = 1e-8
@@ -141,21 +140,19 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     return (x, res) if res < np.inf else None
 
 
-def solve_darboux(setup: AlgebraicSetup,
+def solve_darboux(pc: PointCalculus,
                   seeds=(),
                   n_random: int = N_RANDOM,
                   seed: int = 0,
                   accept_tol: float = ACCEPT_TOL,
                   sigma_radius: float = PROBE_RADIUS,
-                  pc: PointCalculus | None = None,
                   linear_conditions=None) -> DarbouxResult:
-    """Hunt for Darboux points from the given seeds plus random starts.
+    """Hunt for Darboux points of pc's setup from seeds plus random starts.
 
     linear_conditions, when given, is a matrix A of extra homogeneous
     linear equations A x = 0 appended to the system; gauge symmetries (e.g.
     the translations and rotations of a particle system) are pinned this way.
     """
-    pc = pc or PointCalculus(setup)
     N = pc.N
     rng = np.random.default_rng(seed)
 
@@ -192,11 +189,11 @@ def solve_darboux(setup: AlgebraicSetup,
         distinct.append((x, label))
 
     result = DarbouxResult(failed_starts=failed)
-    n = setup.n
+    n = pc.n
     for x, label in distinct:
         F = pc.darboux_residual(x)
         grad_res = float(np.max(np.abs(F[:n]))) if n else 0.0
-        con_res = float(np.max(np.abs(F[n:]))) if setup.s else 0.0
+        con_res = float(np.max(np.abs(F[n:]))) if pc.s else 0.0
         try:
             near = pc.near_sigma(x, radius=sigma_radius)
         except (CriticalPointError, PoleError):

@@ -65,15 +65,12 @@ def _real(values) -> np.ndarray:
 
 
 class ConstrainedSystem:
-    """Evaluates the vector field and bookkeeping quantities at real states."""
+    """The vector field and bookkeeping quantities at real states of pc's setup."""
 
-    def __init__(self, setup: AlgebraicSetup, pc: PointCalculus | None = None,
-                 sigma_tol: float = DEFAULT_CRITICAL_TOL):
-        self.setup = setup
-        self.pc = pc or PointCalculus(setup)
-        self.sigma_tol = float(sigma_tol)
-        self.n = setup.n
-        self.s = setup.s
+    def __init__(self, pc: PointCalculus):
+        self.pc = pc
+        self.n = pc.n
+        self.s = pc.s
 
     def split(self, y: np.ndarray):
         n, s = self.n, self.s
@@ -126,11 +123,16 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               project: bool = False) -> Trajectory:
     """Integrate the constrained flow, sampling at the times in t_grid.
 
-    Returns early with terminated="critical_set" if the initial point is
-    already within sigma_tol of a vanishing fiber Jacobian, and stops with
-    the same diagnostic if the event |det J| = sigma_tol fires mid-flight.
+    pc, when given, must be setup's PointCalculus; without it one is built
+    here.  Returns early with terminated="critical_set" if the initial point
+    is already within sigma_tol of a vanishing fiber Jacobian, and stops
+    with the same diagnostic if the event |det J| = sigma_tol fires
+    mid-flight.
     """
-    sys = ConstrainedSystem(setup, pc, sigma_tol)
+    pc = pc or PointCalculus(setup)
+    if pc.setup != setup:
+        raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
+    sys = ConstrainedSystem(pc)
     t_grid = np.asarray(t_grid, dtype=float)
     y = sys.join(_real(q0), _real(p0), _real(w0))
 
@@ -213,34 +215,37 @@ class HomotheticOrbit:
     phi_dot: np.ndarray
     states: list  # (q, p, w) complex arrays per sample
     hamiltonian: np.ndarray  # complex H(t) values
-    expected_hamiltonian: complex  # k * V(c) * energy_const
+    expected_hamiltonian: complex  # k * V(c)
     eq_residual: float  # worst violation of the momentum equation
     constraint_residual: float
     truncated: bool  # phi reached the collapse threshold before the end
 
 
 def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
-                     t_grid, energy_const: float = 1.0, branch: int = +1,
+                     t_grid, branch: int = +1,
                      pc: PointCalculus | None = None) -> HomotheticOrbit:
     """Scale the Darboux point c through the one-dimensional profile phi.
 
     The profile solves  phi'' = -phi**(d2-2*d1+1)/d1 - (d1-1)*phi'**2/phi,
     equivalently u'' = -u**(k-1) for u = phi**d1, normalized so that
-    u(0)**k = 1/2 and the scalar energy u'**2/2 + u**k/k equals
-    energy_const.  The Hamiltonian along the orbit is then constant and
-    equals degree * V(c) * energy_const.
+    u(0)**k = 1/2 and the scalar energy u'**2/2 + u**k/k equals 1.  The
+    Hamiltonian along the orbit is then constant and equals degree * V(c).
+    pc, when given, must be setup's PointCalculus; without it one is built
+    here.
     """
     pc = pc or PointCalculus(setup)
+    if pc.setup != setup:
+        raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
     d1, d2 = hom.d1, hom.d2
     kj = hom.weights
     c = np.asarray(c, dtype=complex)
-    n, s = setup.n, setup.s
+    n, s = pc.n, pc.s
     cq, cw = c[:n], c[n:]
 
     phi0 = 0.5 ** (1.0 / float(d2))
-    rad = 2.0 * (energy_const - float(d1) / float(d2) / 2.0)
+    rad = 2.0 * (1.0 - float(d1) / float(d2) / 2.0)
     if rad < 0:
-        raise ValueError("energy constant too small for the standard section")
+        raise ValueError("degree too small for the standard section: u(0)**k/k exceeds 1")
     phidot0 = branch * math.sqrt(rad) * phi0 ** (1 - d1) / d1
 
     gamma = float(d2 - 2 * d1 + 1)
@@ -288,7 +293,7 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
         con_res = max(con_res, pc.constraint_residual(x))
 
     vc = pc.potential_value(c)
-    expected = complex(hom.degree) * vc * energy_const
+    expected = complex(hom.degree) * vc
     return HomotheticOrbit(times=times, phi=phi, phi_dot=dphi, states=states,
                            hamiltonian=H, expected_hamiltonian=expected,
                            eq_residual=eq_res, constraint_residual=con_res,

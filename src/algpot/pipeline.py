@@ -151,22 +151,21 @@ def table_entry(verdict: TableVerdict) -> dict:
     }
 
 
-def hunt(setup: AlgebraicSetup, opt: AnalysisOptions,
-         pc: PointCalculus | None = None) -> DarbouxResult:
-    """Hunt Darboux points as opt says: from opt.seeds and opt.n_random
-    random starts, and for an n-body problem from its known central
-    configurations first, under its pinning conditions."""
+def hunt(pc: PointCalculus, opt: AnalysisOptions) -> DarbouxResult:
+    """Hunt Darboux points of pc's setup as opt says: from opt.seeds and
+    opt.n_random random starts, and for an n-body problem from its known
+    central configurations first, under its pinning conditions."""
     seeds = list(opt.seeds)
     linear_conditions = None
     if opt.nbody is not None:
         known = central_config_seeds(opt.nbody)
         seeds = [s for _, s in known] + seeds
-        base = seeds[0] if seeds else np.zeros(len(setup.var_names))
+        base = seeds[0] if seeds else np.zeros(pc.N)
         linear_conditions = pinning_conditions(opt.nbody, np.asarray(base))
-    return solve_darboux(setup, seeds=seeds, n_random=opt.n_random,
+    return solve_darboux(pc, seeds=seeds, n_random=opt.n_random,
                          seed=opt.seed, accept_tol=opt.on_variety_tol,
                          sigma_radius=opt.sigma_radius,
-                         pc=pc, linear_conditions=linear_conditions)
+                         linear_conditions=linear_conditions)
 
 
 def _close(report: dict, cert: Certificate, code: int, timings: dict | None):
@@ -200,8 +199,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    val = validate(setup, seed=opt.seed, tol=opt.critical_tol,
-                   radius=opt.sigma_radius, pc=pc)
+    val = validate(pc, seed=opt.seed, tol=opt.critical_tol, radius=opt.sigma_radius)
     timings["validate"] = time.perf_counter() - t0
     report["validation"] = {
         "ok": val.ok,
@@ -220,7 +218,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     hom = None
     hom_warning = ""
     try:
-        hom = detect_homogeneity(setup, pc=pc)
+        hom = detect_homogeneity(pc)
     except CalculusError as exc:
         hom_warning = f"homogeneity detection inconsistent: {exc}"
     timings["homogeneity"] = time.perf_counter() - t0
@@ -246,7 +244,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                 "degree is not an integer; admissibility checks are skipped")
 
     t0 = time.perf_counter()
-    dres = hunt(setup, opt, pc)
+    dres = hunt(pc, opt)
     timings["darboux"] = time.perf_counter() - t0
 
     report["darboux"] = darboux_section(dres)

@@ -138,7 +138,7 @@ def test_criterion_3_trivial_eigenvalue_law():
 def test_criterion_4_ramification_guard(trap_setup):
     with criterion(4, "ramified candidates rejected; orbit stops at the "
                       "critical set"):
-        res = solve_darboux(trap_setup, n_random=24, seed=0)
+        res = solve_darboux(PointCalculus(trap_setup), n_random=24, seed=0)
         stalled = [r for r in res.rejected if r.sigma_flag]
         assert stalled, "no candidates were pulled toward w=0"
         for rep in stalled:
@@ -163,7 +163,7 @@ def test_criterion_5_nbody_generator():
         report, code = analyze(setup, AnalysisOptions(nbody=cfg, n_random=0))
         assert report["validation"]["ok"]
 
-        hom = detect_homogeneity(setup)
+        hom = detect_homogeneity(PointCalculus(setup))
         assert hom is not None and hom.degree == Fraction(-1)
 
         _, seed_point = central_config_seeds(cfg)[0]
@@ -282,7 +282,7 @@ def test_criterion_7_calculus_oracles(cone_setup, trap_setup):
                 assert relh <= 1e-6
                 assert np.max(np.abs(H - H.T)) <= 1e-9
 
-        res = solve_darboux(cone_setup, n_random=16, seed=0)
+        res = solve_darboux(PointCalculus(cone_setup), n_random=16, seed=0)
         assert res.accepted
         for rep in res.accepted:
             pi = np.asarray(rep.point)[:2]
@@ -293,8 +293,8 @@ def test_criterion_7_calculus_oracles(cone_setup, trap_setup):
         pcn = PointCalculus(nb)
         seeds = central_config_seeds(cfg)
         pins = pinning_conditions(cfg, np.asarray(seeds[0][1]))
-        resn = solve_darboux(nb, seeds=[s for _, s in seeds], n_random=0,
-                             pc=pcn, linear_conditions=pins)
+        resn = solve_darboux(pcn, seeds=[s for _, s in seeds], n_random=0,
+                             linear_conditions=pins)
         assert resn.accepted
         for rep in resn.accepted:
             pi = np.asarray(rep.point)[:6]
@@ -332,13 +332,13 @@ def test_criterion_8_dynamics_conservation(cone_setup):
             assert np.linalg.norm(np.asarray(back.final.q) - q0) <= 1e-7
             assert np.linalg.norm(np.asarray(back.final.p) + p0) <= 1e-7
 
-        hom_cone = detect_homogeneity(cone_setup)
+        hom_cone = detect_homogeneity(PointCalculus(cone_setup))
         orb = homothetic_orbit(cone_setup, hom_cone,
                                np.array([1.0 / 3.0, 0.0, 1.0 / 3.0]), grid)
         assert orb.eq_residual <= 1e-8
         assert np.max(np.abs(orb.hamiltonian - orb.expected_hamiltonian)) <= 1e-8
 
-        hom_2b = detect_homogeneity(two_body)
+        hom_2b = detect_homogeneity(PointCalculus(two_body))
         _, c2b = central_config_seeds(cfg)[0]
         orb2 = homothetic_orbit(two_body, hom_2b, np.asarray(c2b), grid)
         assert orb2.eq_residual <= 1e-8

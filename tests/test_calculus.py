@@ -161,14 +161,14 @@ def test_euler_identity_at_darboux_point(cone_setup):
 
 
 def test_homogeneity_detection(cone_setup, trap_setup, plain_setup):
-    hom = detect_homogeneity(cone_setup)
+    hom = detect_homogeneity(PointCalculus(cone_setup))
     assert (hom.d1, tuple(hom.weights), hom.d2) == (1, (1,), 3)
     assert hom.degree == Fraction(3)
     assert hom.integer_degree == 3
 
-    assert detect_homogeneity(trap_setup) is None
+    assert detect_homogeneity(PointCalculus(trap_setup)) is None
 
-    hp = detect_homogeneity(plain_setup)
+    hp = detect_homogeneity(PointCalculus(plain_setup))
     assert (hp.d1, hp.d2) == (1, 2)
     assert hp.integer_degree == 2
 
@@ -179,7 +179,7 @@ vars q1
 ext w1 : w1^3 - q1^2
 potential w1 * q1
 """)
-    hom = detect_homogeneity(setup)
+    hom = detect_homogeneity(PointCalculus(setup))
     assert (hom.d1, tuple(hom.weights), hom.d2) == (3, (2,), 5)
     assert hom.degree == Fraction(5, 3)
     assert hom.integer_degree is None
@@ -192,7 +192,7 @@ vars q1 q2
 ext w1 : w1^2 - q1^2 - q2^2
 potential w1^3
 """)
-    hom = detect_homogeneity(setup)
+    hom = detect_homogeneity(PointCalculus(setup))
     from math import gcd
     g = gcd(hom.d1, gcd(abs(hom.d2), *[abs(w) or 1 for w in hom.weights]))
     assert g == 1

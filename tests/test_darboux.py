@@ -9,7 +9,7 @@ from algpot.parsing import parse_problem
 
 
 def test_cone_circle_points(cone_setup):
-    res = solve_darboux(cone_setup, n_random=24, seed=0)
+    res = solve_darboux(PointCalculus(cone_setup), n_random=24, seed=0)
     assert res.accepted, "cone search found no Darboux points"
     for rep in res.accepted:
         x = np.asarray(rep.point)
@@ -28,20 +28,20 @@ def test_cone_solution_manifold_is_locally_attracting(cone_setup):
     # The solution set is a circle, so points are not isolated; the
     # meaningful invariance is that a small perturbation off the manifold
     # flows back to a nearby solution, not to a far-away one.
-    res = solve_darboux(cone_setup, n_random=8, seed=1)
+    res = solve_darboux(PointCalculus(cone_setup), n_random=8, seed=1)
     base = np.asarray(res.accepted[0].point)
     eps = 1e-4
     rng = np.random.default_rng(7)
     bump = rng.standard_normal(base.shape[0])
     bump *= eps / np.linalg.norm(bump)
-    again = solve_darboux(cone_setup, seeds=[base + bump], n_random=0)
+    again = solve_darboux(PointCalculus(cone_setup), seeds=[base + bump], n_random=0)
     assert again.accepted
     pulled = np.asarray(again.accepted[0].point)
     assert np.linalg.norm(pulled - (base + bump)) <= 10 * eps
 
 
 def test_trap_rejections_flag_critical_set(trap_setup):
-    res = solve_darboux(trap_setup, n_random=24, seed=0)
+    res = solve_darboux(PointCalculus(trap_setup), n_random=24, seed=0)
     legit = [r for r in res.accepted
              if abs(np.asarray(r.point)[0] - 0.16) < 1e-6]
     assert legit, "expected the point (4/25, 0, 2/5) to be found"
@@ -56,7 +56,7 @@ def test_trap_rejections_flag_critical_set(trap_setup):
 
 def test_origin_excluded():
     setup = parse_problem("vars q1\npotential q1^3\n")
-    res = solve_darboux(setup, n_random=16, seed=0)
+    res = solve_darboux(PointCalculus(setup), n_random=16, seed=0)
     assert len(res.accepted) == 1
     assert abs(np.asarray(res.accepted[0].point)[0] - 1.0 / 3.0) < 1e-9
     origin = [r for r in res.rejected if "origin" in r.reason]
@@ -68,7 +68,7 @@ def test_degenerate_base_projection():
     # the fiber coordinate stays free, producing a degenerate point.
     setup = parse_problem(
         "vars q1\next w1 : w1^2 - q1 - 2\npotential w1^2 + q1^2\n")
-    res = solve_darboux(setup, n_random=16, seed=3)
+    res = solve_darboux(PointCalculus(setup), n_random=16, seed=3)
     degenerate = [r for r in res.accepted if r.degenerate]
     if degenerate:
         for rep in degenerate:
@@ -77,8 +77,8 @@ def test_degenerate_base_projection():
 
 
 def test_determinism_and_dedup(cone_setup):
-    a = solve_darboux(cone_setup, n_random=24, seed=5)
-    b = solve_darboux(cone_setup, n_random=24, seed=5)
+    a = solve_darboux(PointCalculus(cone_setup), n_random=24, seed=5)
+    b = solve_darboux(PointCalculus(cone_setup), n_random=24, seed=5)
     pa = [tuple(np.asarray(r.point).round(12).tolist()) for r in a.accepted]
     pb = [tuple(np.asarray(r.point).round(12).tolist()) for r in b.accepted]
     assert pa == pb
@@ -92,7 +92,7 @@ def test_determinism_and_dedup(cone_setup):
 def test_seed_starts_take_precedence(cone_setup):
     pc = PointCalculus(cone_setup)
     target = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0], dtype=complex)
-    res = solve_darboux(cone_setup, seeds=[target], n_random=4, seed=0, pc=pc)
+    res = solve_darboux(pc, seeds=[target], n_random=4, seed=0)
     hit = [r for r in res.accepted if r.start_label == "seed[0]"]
     assert hit, "the explicit seed should be credited for its own solution"
     assert np.linalg.norm(np.asarray(hit[0].point) - target) < 1e-8

@@ -6,6 +6,9 @@ import pytest
 from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.dynamics import homothetic_orbit, integrate
 from algpot.nbody import NBodyConfig, build, central_config_seeds
+from algpot.parsing import parse_problem
+
+from conftest import CONE_TEXT
 
 T_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -37,6 +40,22 @@ def test_time_reversal(cone_setup):
     assert np.linalg.norm(np.asarray(ret.p) + CONE_P0) <= 1e-7
 
 
+def test_a_calculus_of_another_setup_is_refused(cone_setup, trap_setup):
+    # the trap has the cone's n = 2 and s = 1, so the cone's calculus would
+    # run the cone's flow from the trap's state without this check
+    cone_pc = PointCalculus(cone_setup)
+    with pytest.raises(ValueError, match="'cone' was passed for 'trap'"):
+        integrate(trap_setup, [0.0, 1.0], [0.0, 0.0], [0.0], T_GRID, pc=cone_pc)
+    hom = detect_homogeneity(cone_pc)
+    c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
+    with pytest.raises(ValueError, match="'cone' was passed for 'trap'"):
+        homothetic_orbit(trap_setup, hom, c, T_GRID, pc=cone_pc)
+    # an equal setup, parsed again, shares the calculus
+    again = parse_problem(CONE_TEXT, label="cone")
+    traj = integrate(again, CONE_Q0, CONE_P0, CONE_W0, T_GRID[:3], pc=cone_pc)
+    assert traj.terminated == "completed"
+
+
 def test_start_inside_critical_set(trap_setup):
     traj = integrate(trap_setup, [0.0, 1.0], [0.0, 0.0], [0.0], T_GRID)
     assert traj.terminated == "critical_set"
@@ -55,10 +74,10 @@ def test_flow_stops_at_critical_set(cone_setup):
 
 
 def test_homothetic_cone(cone_setup):
-    hom = detect_homogeneity(cone_setup)
+    hom = detect_homogeneity(PointCalculus(cone_setup))
     assert hom is not None
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
-    orb = homothetic_orbit(cone_setup, hom, c, T_GRID, energy_const=1.0)
+    orb = homothetic_orbit(cone_setup, hom, c, T_GRID)
     assert not orb.truncated
     assert abs(orb.expected_hamiltonian - 1.0 / 9.0) < 1e-12
     assert np.max(np.abs(orb.hamiltonian - orb.expected_hamiltonian)) <= 1e-8
@@ -69,23 +88,21 @@ def test_homothetic_cone(cone_setup):
 def test_homothetic_two_body():
     cfg = NBodyConfig(n=2, dim=2, masses=(1, 1))
     setup = build(cfg)
-    hom = detect_homogeneity(setup)
+    hom = detect_homogeneity(PointCalculus(setup))
     assert hom is not None
     assert hom.degree == -1
     label, c = central_config_seeds(cfg)[0]
     assert label == "two-body axis"
-    orb = homothetic_orbit(setup, hom, np.asarray(c), T_GRID,
-                           energy_const=1.0)
+    orb = homothetic_orbit(setup, hom, np.asarray(c), T_GRID)
     assert np.max(np.abs(orb.hamiltonian - orb.expected_hamiltonian)) <= 1e-8
     assert orb.eq_residual <= 1e-8
 
 
 def test_homothetic_collapse_truncates(cone_setup):
-    hom = detect_homogeneity(cone_setup)
+    hom = detect_homogeneity(PointCalculus(cone_setup))
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
     grid = np.linspace(0.0, 20.0, 201)
-    orb = homothetic_orbit(cone_setup, hom, c, grid, energy_const=1.0,
-                           branch=-1)
+    orb = homothetic_orbit(cone_setup, hom, c, grid, branch=-1)
     # the inward branch reaches the collapse guard before the grid ends
     assert orb.truncated
     assert orb.times[-1] < grid[-1]

@@ -236,3 +236,30 @@ def test_point_calculus_keeps_no_per_point_state():
     # PointCalculus keeps what its setup fixes (partials, kernels, probes);
     # a point's first derivatives are passed by the caller that stays there
     assert self_attribute_stores(SRC / "calculus.py", "PointCalculus") == []
+
+
+def calculus_builds(path: Path) -> list:
+    """module.Qual for each call of PointCalculus(...) in the module, by name
+    or as an attribute (calculus.PointCalculus(...))."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and "PointCalculus" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [path.stem])
+    return found
+
+
+def test_only_entry_points_build_a_point_calculus():
+    # one numeric view per setup: the entry points build it and every stage
+    # below them takes it, so no stage can pair a setup with another's calculus
+    builds = sorted(b for p in sorted(SRC.glob("*.py")) for b in calculus_builds(p))
+    assert builds == ["cli.cmd_darboux", "dynamics.homothetic_orbit", "dynamics.integrate",
+                      "pipeline.analyze"]

@@ -46,7 +46,7 @@ def test_config_validation():
 
 def test_homogeneity_degree_is_minus_one():
     setup = build(NBodyConfig(n=2, dim=2, masses=(2, 3)))
-    hom = detect_homogeneity(setup)
+    hom = detect_homogeneity(PointCalculus(setup))
     assert hom is not None
     assert hom.degree == Fraction(-1)
 
@@ -77,8 +77,7 @@ def test_equilateral_gauge_split():
     pc = PointCalculus(setup)
     seeds = central_config_seeds(cfg)
     A = pinning_conditions(cfg, np.asarray(seeds[0][1]))
-    res = solve_darboux(setup, seeds=[pt for _, pt in seeds], n_random=0,
-                        pc=pc, linear_conditions=A)
+    res = solve_darboux(pc, seeds=[pt for _, pt in seeds], n_random=0, linear_conditions=A)
     eq = [r for r in res.accepted if r.start_label == "seed[0]"]
     assert eq, "equilateral seed should polish to an accepted point"
     rep = eq[0]

@@ -154,7 +154,7 @@ def hunt_cases(cfg, pc):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(darboux, "_newton", record)
-        hunt(pc.setup, AnalysisOptions(nbody=cfg, seed=0), pc)
+        hunt(pc, AnalysisOptions(nbody=cfg, seed=0))
     return cases
 
 
@@ -718,7 +718,7 @@ def rhs_reference(system, y):
 
 
 def test_constrained_rhs_matches_the_numpy_reference_bit_for_bit():
-    system = ConstrainedSystem(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    system = ConstrainedSystem(PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))))
     for y in lagrange_states(48):
         assert bits(system.rhs(0.0, y)) == bits(rhs_reference(system, y))
 
@@ -727,7 +727,7 @@ def test_constrained_rhs_evaluates_its_first_derivatives_once(monkeypatch):
     # one right-hand side shares its first derivatives between the gradient
     # and the fiber velocity: one first-derivative kernel evaluation, and
     # two solves, u for the gradient and W for the fiber velocity
-    system = ConstrainedSystem(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    system = ConstrainedSystem(PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))))
     kernels, solves = [], []
     monkeypatch.setattr(system.pc, "_first_kernel", counted(system.pc._first_kernel, kernels))
     monkeypatch.setattr(calculus, "_fiber_solve", counted(_fiber_solve, solves))

@@ -12,12 +12,10 @@ import pytest
 import algpot
 from algpot import admissibility, calculus, darboux, dynamics, nbody, pipeline, spectrum
 from algpot.admissibility import Certificate, certify
-from algpot.calculus import PointCalculus, detect_homogeneity, validate
+from algpot.calculus import PointCalculus
 from algpot.cli import main
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, analyze, report_json
-
-from conftest import CONE_TEXT
 
 
 def test_on_variety_tol_reaches_the_hunt(cone_setup, monkeypatch):
@@ -71,8 +69,7 @@ def test_each_setting_has_one_definition():
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
         (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate]),
-        (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate,
-                                                      dynamics.ConstrainedSystem]),
+        (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate]),
     ]
     for constant, name, funcs in defaults:
         for func in funcs:
@@ -142,7 +139,8 @@ def test_spectrum_reports_its_diagonalizability_margin(cone_setup):
     assert "Infinity" not in report_json(cone)
 
 
-def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
+def test_analyze_builds_one_point_calculus(cone_setup, cone_file, monkeypatch, capsys):
+    # the entry point builds the calculus and every stage below it takes it
     builds = []
     init = PointCalculus.__init__
 
@@ -153,6 +151,18 @@ def test_analyze_builds_one_point_calculus(cone_setup, monkeypatch):
     monkeypatch.setattr(PointCalculus, "__init__", counting_init)
     analyze(cone_setup, AnalysisOptions(n_random=4))
     assert len(builds) == 1
+    commands = [
+        ["analyze", cone_file, "--n-random", "4"],
+        ["darboux", cone_file, "--n-random", "4"],
+        ["simulate", cone_file, "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--w0", "1.0",
+         "--t1", "0.1", "--samples", "3"],
+        ["nbody", "--n", "3", "--dim", "2", "--analyze", "--n-random", "0"],
+    ]
+    for argv in commands:
+        builds.clear()
+        main(argv)
+        assert len(builds) == 1, argv[0]
+    capsys.readouterr()
 
 
 def test_setup_that_fails_validation_ends_the_report(tmp_path, capsys):
@@ -188,23 +198,6 @@ def test_non_integer_degree_gets_no_table_verdict():
     assert all(row["table"] is None for p in decoded["points"] for row in p["verdicts"])
     assert decoded["certificate"] == {"status": "not_applicable", "witnesses": [],
                                       "reasons": ["no admissible integer degree"]}
-
-
-@pytest.mark.parametrize("text", [CONE_TEXT, "vars q1\next w1 : w1^2\npotential q1^2 + w1\n"])
-def test_validate_with_a_shared_calculus_matches_default(text):
-    setup = parse_problem(text)
-    own = validate(setup, seed=2)
-    shared = validate(setup, seed=2, pc=PointCalculus(setup))
-    assert own == shared
-
-
-@pytest.mark.parametrize("text", [CONE_TEXT, "vars q1\next w1 : w1^3 - q1^2\npotential w1 * q1\n"],
-                         ids=["cone", "fractional-degree"])
-def test_homogeneity_with_a_shared_calculus_matches_default(text):
-    setup = parse_problem(text)
-    own = detect_homogeneity(setup)
-    assert own is not None
-    assert detect_homogeneity(setup, pc=PointCalculus(setup)) == own
 
 
 def test_exit_codes_have_one_definition(cone_setup, monkeypatch):

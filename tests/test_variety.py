@@ -73,7 +73,7 @@ def test_fiber_solver_recovers_branch(cone_setup):
 
 def test_validation_accepts_honest_setups(cone_setup, trap_setup):
     for setup in (cone_setup, trap_setup):
-        rep = validate(setup, seed=0)
+        rep = validate(PointCalculus(setup), seed=0)
         assert rep.ok
         assert rep.detj_nonzero
         assert rep.primality_assumed
@@ -86,7 +86,7 @@ vars q1
 ext w1 : w1^2
 potential q1^2 + w1
 """)
-    rep = validate(setup, seed=0)
+    rep = validate(PointCalculus(setup), seed=0)
     assert not rep.ok
     # same story on a non-radical double line w1 = q1: fiber solves stall
     # near the sheet, so the determinant never clears the probe
@@ -95,18 +95,18 @@ vars q1
 ext w1 : w1^2 - 2*w1*q1 + q1^2
 potential w1^3
 """)
-    rep2 = validate(double, seed=0)
+    rep2 = validate(PointCalculus(double), seed=0)
     assert not rep2.ok
 
 
 def test_validation_is_deterministic(cone_setup):
-    a = validate(cone_setup, seed=3)
-    b = validate(cone_setup, seed=3)
+    a = validate(PointCalculus(cone_setup), seed=3)
+    b = validate(PointCalculus(cone_setup), seed=3)
     assert a.detj_magnitudes == b.detj_magnitudes
 
 
 def test_setup_without_extensions(plain_setup):
-    rep = validate(plain_setup, seed=0)
+    rep = validate(PointCalculus(plain_setup), seed=0)
     assert rep.ok
     assert not PointCalculus(plain_setup).near_sigma(np.array([0.0, 0.0]))
 
