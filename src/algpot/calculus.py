@@ -23,9 +23,11 @@ the next evaluation.  PointCalculus is the one numeric view
 of a setup: it evaluates plain partials of V and G, prepared once
 symbolically and evaluated by kernels generated on first use, and does
 small linear solves per point, which stays cheap at any number of
-extension variables.  It also solves fibers, samples the variety for
-validation and probes the distance to the critical set.  The tests hold it
-against finite differences of a locally solved branch.
+extension variables.  It also solves fibers, samples the variety and
+probes the distance to the critical set, which is the one test of
+criticality: validation and the Darboux hunt ask the probe alone, never
+the size of detJ.  The tests hold it against finite differences of a
+locally solved branch.
 
 The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
 is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
@@ -50,7 +52,7 @@ without its bookkeeping; a 1-D matmul sums in another order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -60,7 +62,6 @@ from scipy.linalg.lapack import zgelsd, zgelsd_lwork, zgesv
 from .expr import ONE, Array, PoleError, RatExpr, compile_arrays
 from .parsing import AlgebraicSetup
 
-DEFAULT_CRITICAL_TOL = 1e-8  # |detJ| at or below this is critical
 # a critical point (or pole) this close to a point makes the point critical
 PROBE_RADIUS = 1e-4
 
@@ -193,7 +194,8 @@ class PointCalculus:
     dG/dq; dG and the potential's plain gradient, the first derivatives
     every point evaluation (first_derivatives) needs, in one kernel; the
     potential's value; both Hessians, V's (N x N) and the generators'
-    (s x N x N), in one kernel; detJ; and one per polynomial the proximity
+    (s x N x N), in one kernel; detJ, for the flow's stop events in
+    dynamics; and one per polynomial the proximity
     probe walks toward.  A Hessian's upper-triangle partial is evaluated
     once and written to both places, zero partials are never evaluated and
     constant ones are filled in once, at compile time.  The fiber numerics
@@ -389,17 +391,11 @@ class PointCalculus:
 
 @dataclass
 class ValidationReport:
-    detj_nonzero: bool
+    ok: bool
     primality_assumed: bool
     samples_used: int
     trials: int
-    seed: int
-    detj_magnitudes: list = field(default_factory=list)
     message: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.detj_nonzero
 
 
 def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
@@ -415,17 +411,18 @@ def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
 
 
 def validate(pc: PointCalculus, seed: int = 0,
-             tol: float = DEFAULT_CRITICAL_TOL,
              radius: float = PROBE_RADIUS) -> ValidationReport:
-    """Sample pc's variety and check detJ does not vanish identically.
+    """Sample pc's variety and check that it is not all critical.
 
     Primality/codimension of the generating ideal is NOT checked; the report
-    says so via primality_assumed.  The test is one-sided: a setup passes as
-    soon as one of VALIDATE_TRIALS samples has |detJ| > tol and no critical
-    point within radius (the proximity probe's radius).
+    says so via primality_assumed.  The setup passes as soon as one of
+    VALIDATE_TRIALS samples is clear: the proximity probe finds no critical
+    point (detJ = 0) within radius of it.  A distance decides, not the size
+    of detJ, which scales with the variables: a sample whose fiber solve
+    stalled near a degenerate sheet is critical although its detJ is not
+    small, and a setup whose detJ is small everywhere is not rejected.
     """
     rng = np.random.default_rng(seed)
-    mags = []
     used = 0
     clear = 0
     for _ in range(VALIDATE_TRIALS):
@@ -433,25 +430,17 @@ def validate(pc: PointCalculus, seed: int = 0,
         if x is None:
             continue
         used += 1
-        mag = abs(pc.det_value(x))
-        mags.append(mag)
-        # a fiber solve that stalls against a degenerate sheet leaves a
-        # sample whose determinant is small but not below tol; the probe
-        # measures distance to the critical set instead
-        if mag > tol and not pc.near_critical_set(x, radius):
+        if not pc.near_critical_set(x, radius):
             clear += 1
     if used == 0:
-        return ValidationReport(
-            detj_nonzero=False, primality_assumed=True, samples_used=0,
-            trials=VALIDATE_TRIALS, seed=seed, detj_magnitudes=[],
-            message="could not place any sample on the variety",
-        )
+        return ValidationReport(ok=False, primality_assumed=True, samples_used=0,
+                                trials=VALIDATE_TRIALS,
+                                message="could not place any sample on the variety")
     ok = clear > 0
-    msg = "" if ok else "detJ vanishes (within tol) on all samples; setup rejected"
-    return ValidationReport(
-        detj_nonzero=ok, primality_assumed=True, samples_used=used,
-        trials=VALIDATE_TRIALS, seed=seed, detj_magnitudes=mags, message=msg,
-    )
+    msg = "" if ok else ("the critical-set probe found a critical point (detJ = 0) within "
+                         "the probe radius of every sample; setup rejected")
+    return ValidationReport(ok=ok, primality_assumed=True, samples_used=used,
+                            trials=VALIDATE_TRIALS, message=msg)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .calculus import DEFAULT_CRITICAL_TOL, PointCalculus
-from .dynamics import integrate
+from .calculus import PointCalculus
+from .dynamics import DEFAULT_CRITICAL_TOL, CriticalSetError, integrate
 from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
@@ -79,7 +79,8 @@ def _all_finite(vector) -> bool:
 LAMBDA = _flag_type(_parse_lambda, "a rational like 7/8 or a finite number like 1.25 or 1+0.5i",
                     cmath.isfinite)
 TIME = _flag_type(float, "a finite number", math.isfinite)
-VECTOR = _flag_type(_parse_vector, "comma-separated finite numbers", _all_finite)
+VECTOR = _flag_type(_parse_vector, "comma-separated finite real numbers",
+                    lambda vector: _all_finite(vector) and not vector.imag.any())
 MASSES = _flag_type(lambda text: tuple(Fraction(m) for m in text.split(",")),
                     "comma-separated rationals")
 
@@ -242,8 +243,12 @@ def cmd_simulate(args) -> int:
         print("error: state dimensions do not match the problem", file=sys.stderr)
         return EXIT_USAGE
     t_grid = np.linspace(args.t0, args.t1, args.samples)
-    traj = integrate(setup, q0, p0, w0, t_grid,
-                     sigma_tol=args.sigma_tol, project=args.project)
+    try:
+        traj = integrate(setup, q0, p0, w0, t_grid,
+                         sigma_tol=args.sigma_tol, project=args.project)
+    except CriticalSetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(report_json({"label": setup.label, **dataclasses.asdict(traj)}), args.out)
     return 0
 
@@ -298,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=LAMBDA, required=True,
                    help="eigenvalue: exact like 7/8, or numeric like 1.25 or 1+0.5i")
     p.add_argument("--numeric", action="store_true",
-                   help="force the numeric route even for exact input")
+                   help="decide from the eigenvalue's float value: exact input is read "
+                        "as a number, and the verdict is exact when that number "
+                        "reconstructs as a rational within --rational-tol and "
+                        "--max-denominator")
     _add_options(p, TABLE_OPTIONS)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_check_table)

@@ -63,6 +63,36 @@ def _rows_pass(rows, res: float) -> bool:
     return True
 
 
+def _trial(pc: PointCalculus, x, pins, res: float, F, Jac) -> bool:
+    """Whether every entry of the residual at x is below res (_rows_pass);
+    if so, F and Jac[:m] become x's residual and Jacobian.  G, then the pin
+    rows, then the gradient rows are tested, and the trial ends at the first
+    that fails: x's first derivatives are solved only once the cheap rows
+    pass, and its Jacobian only once every row passes.  A point off the
+    domain (singular fiber, potential pole) fails."""
+    n, m = pc.n, pc.n + pc.s
+    try:
+        G = pc.g_values(x)
+        if not _rows_pass(G, res):
+            return False
+        if pins is not None:
+            P = pins @ x
+            if not _rows_pass(P, res):
+                return False
+        first = pc.first_derivatives(x)
+        g = pc.grad(x, first)
+        g -= x[:n]
+        if not _rows_pass(g, res):
+            return False
+        Jac[:m] = pc.darboux_system(x, first)
+    except (CriticalPointError, PoleError):
+        return False
+    F[:n], F[n:m] = g, G
+    if pins is not None:
+        F[m:] = P
+    return True
+
+
 def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: int):
     """Damped Gauss-Newton for the Darboux system plus homogeneous linear
     conditions pins @ x = 0 (pins None for none).
@@ -70,36 +100,22 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     A line-search trial is accepted when the largest entry of its residual
     F = (grad V - q, G, pins @ x) is below the current one or at most
     conv_tol; while the search runs the current residual exceeds conv_tol,
-    so that is every entry of |F| below the current residual (_rows_pass).
-    A trial tests G first, then the pin rows, then the gradient rows, and is
-    rejected at the first entry that fails, nan included.  Only a trial
-    whose cheap rows pass solves its first derivatives (first_derivatives),
-    and passes them to grad and, once its gradient rows pass too, to
-    darboux_system for its Jacobian; only then is the residual's largest
-    entry taken.  An accepted trial's rows become F, and the Jacobian is
-    built only at the start point and at each accepted trial, into an array
-    that holds the pin rows from the start; the start point's F is computed
-    as a trial's.  So every decision, and every iterate, is bit for bit
-    that of a search that builds the full system at every trial.
+    so that is every entry of |F| below the current residual (_trial).  The
+    start point is a trial against res = inf.  Only the start point and an
+    accepted trial build a Jacobian, into an array that holds the pin rows
+    from the start; every decision and iterate is still bit for bit that of
+    a search that builds the full system at every trial.
 
-    Returns the final iterate and residual, or None when the iteration left
-    the domain (singular fiber, potential pole) or diverged.
+    Returns the final iterate and residual, or None when the start point
+    is off the domain or not finite, or the iteration diverged.
     """
-    n, m = pc.n, pc.n + pc.s
+    m = pc.n + pc.s
     x = np.asarray(x0, dtype=complex).copy()
     F = np.empty(m + (0 if pins is None else len(pins)), dtype=complex)
     Jac = np.empty((len(F), pc.N), dtype=complex)
     if pins is not None:
         Jac[m:] = pins
-
-    try:
-        F[n:m] = pc.g_values(x)
-        if pins is not None:
-            F[m:] = pins @ x
-        first = pc.first_derivatives(x)
-        F[:n] = pc.grad(x, first) - x[:n]
-        Jac[:m] = pc.darboux_system(x, first)
-    except (CriticalPointError, PoleError):
+    if not _trial(pc, x, pins, np.inf, F, Jac):
         return None
     res = float(np.abs(F).max())
     for _ in range(max_iter):
@@ -112,32 +128,14 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
         for _halving in range(30):
             x_try = x + scale * step
             scale *= 0.5
-            try:
-                G = pc.g_values(x_try)
-                if not _rows_pass(G, res):
-                    continue
-                if pins is not None:
-                    P = pins @ x_try
-                    if not _rows_pass(P, res):
-                        continue
-                first = pc.first_derivatives(x_try)
-                g = pc.grad(x_try, first)
-                g -= x_try[:n]
-                if not _rows_pass(g, res):
-                    continue
-                Jac[:m] = pc.darboux_system(x_try, first)
-            except (CriticalPointError, PoleError):
-                continue
-            F[:n], F[n:m] = g, G
-            if pins is not None:
-                F[m:] = P
-            x, res = x_try, float(np.abs(F).max())
-            break
+            if _trial(pc, x_try, pins, res, F, Jac):
+                x, res = x_try, float(np.abs(F).max())
+                break
         else:
             break
         if np.abs(x).max() > 1e8:
             return None
-    return (x, res) if res < np.inf else None
+    return x, res
 
 
 def solve_darboux(pc: PointCalculus,

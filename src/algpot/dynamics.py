@@ -22,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import DEFAULT_CRITICAL_TOL, CriticalPointError, Homogeneity, PointCalculus
+from .calculus import CriticalPointError, Homogeneity, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
 # rtol and atol of every DOP853 integration: trajectories and homothetic profiles
 ODE_TOL = 1e-12
+# the flow stops where |detJ| falls to this: an ODE event needs a continuous
+# function of the state, which the critical-set probe is not
+DEFAULT_CRITICAL_TOL = 1e-8
 
 
 class CriticalSetError(RuntimeError):
@@ -124,10 +127,11 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     """Integrate the constrained flow, sampling at the times in t_grid.
 
     pc, when given, must be setup's PointCalculus; without it one is built
-    here.  Returns early with terminated="critical_set" if the initial point
-    is already within sigma_tol of a vanishing fiber Jacobian, and stops
-    with the same diagnostic if the event |det J| = sigma_tol fires
-    mid-flight.
+    here.  Raises CriticalSetError, before any sample, if the initial point
+    is a pole of the potential, where no state has an energy.  Returns early
+    with terminated="critical_set" if the initial point is already within
+    sigma_tol of a vanishing fiber Jacobian, and stops with the same
+    diagnostic if the event |det J| = sigma_tol fires mid-flight.
     """
     pc = pc or PointCalculus(setup)
     if pc.setup != setup:
@@ -135,6 +139,11 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     sys = ConstrainedSystem(pc)
     t_grid = np.asarray(t_grid, dtype=float)
     y = sys.join(_real(q0), _real(p0), _real(w0))
+    try:
+        pc.potential_value(sys.point(y))
+    except PoleError as exc:
+        raise CriticalSetError(f"initial point is a pole of the potential ({exc}); "
+                               "the flow is undefined here") from exc
 
     def sample(t, yv):
         return TrajectoryState(t=float(t), q=yv[:sys.n].copy(),

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (DEFAULT_CRITICAL_TOL, PROBE_RADIUS, CalculusError,
-                       PointCalculus, detect_homogeneity, validate)
+from .calculus import PROBE_RADIUS, CalculusError, PointCalculus, detect_homogeneity, validate
 from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
 from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
                             check_pair_numeric)
@@ -49,8 +48,6 @@ OPTION_RANGES = {
     "n_random": (NONNEGATIVE_INT, "number of random Newton starts"),
     "on_variety_tol": (POSITIVE_FINITE, "largest final residual of a Newton start "
                                         "that counts as a Darboux candidate"),
-    "critical_tol": (POSITIVE_FINITE, "|detJ| at or below which a validation sample "
-                                      "counts as critical"),
     "rational_tol": (POSITIVE_FINITE, "error budget of rational reconstruction"),
     "max_denominator": (POSITIVE_INT, "largest denominator of rational reconstruction"),
     "sigma_radius": (POSITIVE_FINITE, "probe radius for both validation and the hunt: a "
@@ -65,7 +62,6 @@ class AnalysisOptions:
     n_random: int = N_RANDOM
     seeds: tuple = ()
     on_variety_tol: float = ACCEPT_TOL
-    critical_tol: float = DEFAULT_CRITICAL_TOL
     rational_tol: float = RATIONAL_TOL
     max_denominator: int = MAX_DENOMINATOR
     sigma_radius: float = PROBE_RADIUS
@@ -199,11 +195,10 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    val = validate(pc, seed=opt.seed, tol=opt.critical_tol, radius=opt.sigma_radius)
+    val = validate(pc, seed=opt.seed, radius=opt.sigma_radius)
     timings["validate"] = time.perf_counter() - t0
     report["validation"] = {
         "ok": val.ok,
-        "detj_nonzero": val.detj_nonzero,
         "primality_assumed": val.primality_assumed,
         "samples_used": val.samples_used,
         "trials": val.trials,
@@ -286,9 +281,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
         verdict_rows = []
         for cl in spec.clusters:
-            # spec holds no gauge cluster; "gauge" stays in the report's schema
-            vrow = {"eigenvalue": cl.value, "multiplicity": cl.multiplicity,
-                    "gauge": "", "table": None}
+            vrow = {"eigenvalue": cl.value, "multiplicity": cl.multiplicity, "table": None}
             if k is not None and not rep.degenerate:
                 if cl.rational is not None:
                     verdict = check_pair_exact(k, cl.rational)

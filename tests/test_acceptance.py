@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot.calculus import DEFAULT_CRITICAL_TOL, PointCalculus, detect_homogeneity
+from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
-from algpot.dynamics import homothetic_orbit, integrate
+from algpot.dynamics import DEFAULT_CRITICAL_TOL, homothetic_orbit, integrate
 from algpot.expr import RatExpr
 from algpot.admissibility import check_pair_exact
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
@@ -198,8 +198,6 @@ def test_criterion_6_three_body_obstruction():
         entry = equilateral[0]
         failing = []
         for row in entry["verdicts"]:
-            if row["gauge"]:
-                continue
             table = row["table"]
             if table and table["mode"] == "exact" and not table["matched"]:
                 failing.append(table["lambda"])

@@ -200,8 +200,7 @@ def _exact_point(degenerate=False, diagonalizable=True, uncertain=False, matched
     table = {"mode": "exact", "matched": matched, "lambda": "1/2", "witnesses": [], "note": ""}
     return {"index": 0, "point": [[0.5, 0.0]], "degenerate": degenerate,
             "spectrum": {"diagonalizable": diagonalizable, "uncertain": uncertain},
-            "verdicts": [{"eigenvalue": [0.5, 0.0], "multiplicity": 1, "gauge": "",
-                          "table": table}]}
+            "verdicts": [{"eigenvalue": [0.5, 0.0], "multiplicity": 1, "table": table}]}
 
 
 UNVERIFIED = "point #0: eigenvalue (0.5+0j) inadmissible but point hypotheses unverified"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from algpot import PointCalculus, detect_homogeneity, parse_problem, pipeline
-from algpot.calculus import DEFAULT_CRITICAL_TOL
+from algpot.dynamics import DEFAULT_CRITICAL_TOL
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
@@ -253,9 +253,10 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     pc.darboux_residual(x)
     pc.hess(x)
     assert len(compiled) == 3
-    # a full analyze builds one PointCalculus and compiles each of its
-    # kernels once: the six cached ones and the probes of detJ and of the
-    # potential's denominator
+    # a full analyze builds one PointCalculus and compiles each kernel it
+    # uses once: five of the six cached ones (not detJ's, which only the
+    # flow's stop events read) and the probes of detJ and of the potential's
+    # denominator
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
                         lambda s: built.append(PointCalculus(s)) or built[-1])
@@ -265,5 +266,6 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     (used,) = built
     held = [v for k, v in vars(used).items() if k.endswith("_kernel")]
     held += list(used._probes.values())
-    assert len(held) == 8
+    assert len(held) == 7
+    assert "_det_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))

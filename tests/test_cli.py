@@ -97,6 +97,23 @@ def test_simulate_cone(cone_file, capsys):
     assert len(out["samples"]) == 9
 
 
+@pytest.mark.parametrize("text, q0, p0, w0", [
+    ("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n", "0,0", "0.1,-0.2", "0"),
+    ("vars q1 q2\npotential 1/q1\n", "0,1", "0.1,0", None),
+], ids=["cone-1/w1", "1/q1"])
+def test_simulate_from_a_pole_is_an_error(text, q0, p0, w0, tmp_path, capsys):
+    # no state at a pole has an energy: one error line, as for a state of
+    # the wrong dimension, and no traceback
+    path = tmp_path / "pole.prob"
+    path.write_text(text)
+    argv = ["simulate", str(path), "--q0", q0, "--p0", p0] + (["--w0", w0] if w0 else [])
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: initial point is a pole of the potential")
+    assert captured.err.count("\n") == 1
+
+
 def test_nbody_emit_round_trip(capsys, tmp_path):
     code = main(["nbody", "--n", "3", "--dim", "2"])
     text = capsys.readouterr().out
@@ -123,12 +140,15 @@ def test_darboux_report_carries_the_pipeline_section(trap_file, capsys):
     assert set(out) == set(section) | {"tool", "label", "accepted"}
 
 
-def test_darboux_rejects_critical_tol(trap_file, capsys):
-    # the hunt reads no critical tolerance; only analyze's validation does
-    with pytest.raises(SystemExit) as exc:
-        main(["darboux", str(trap_file), "--critical-tol", "100"])
-    assert exc.value.code == EXIT_USAGE
-    assert "--critical-tol" in capsys.readouterr().err
+def test_no_command_takes_critical_tol(trap_file, capsys):
+    # the critical-set probe is the one test of criticality in an analysis;
+    # no |detJ| threshold is left to set
+    for head in (["analyze", str(trap_file)], ["darboux", str(trap_file)],
+                 ["nbody", "--n", "3", "--analyze"]):
+        with pytest.raises(SystemExit) as exc:
+            main(head + ["--critical-tol", "1e-8"])
+        assert exc.value.code == EXIT_USAGE, head[0]
+        assert "--critical-tol" in capsys.readouterr().err
 
 
 def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, capsys):
@@ -138,9 +158,9 @@ def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, ca
     report, _ = analyze(cone_setup, AnalysisOptions())
     assert out["options"] == json.loads(report_json(report))["options"]
     code = main(["analyze", str(cone_file), "--n-random", "4",
-                 "--critical-tol", "1e-7", "--rational-tol", "1e-7"])
+                 "--on-variety-tol", "1e-7", "--rational-tol", "1e-7"])
     options = json.loads(capsys.readouterr().out)["options"]
-    assert options["critical_tol"] == options["rational_tol"] == 1e-7
+    assert options["on_variety_tol"] == options["rational_tol"] == 1e-7
 
 
 @pytest.mark.parametrize("command", ["analyze", "darboux"])
@@ -228,7 +248,6 @@ OUT_OF_RANGE = {
     "--n-random": (["analyze", "darboux", "nbody"], ["-5"]),
     "--sigma-radius": (["analyze", "darboux", "nbody"], ["-1", "0", "nan"]),
     "--on-variety-tol": (["analyze", "darboux", "nbody"], ["-1", "inf"]),
-    "--critical-tol": (["analyze", "nbody"], ["-1e-8", "0"]),
     "--rational-tol": (["analyze", "nbody", "check-table"], ["-1", "nan"]),
     "--max-denominator": (["analyze", "nbody", "check-table"], ["0", "-3"]),
 }
@@ -258,6 +277,7 @@ MALFORMED = [
     ["nbody", "--n", "3", "--masses=1,x"],
     ["simulate", "CONE", "--p0", "0.1,-0.2", "--q0=0.6,zz"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0=nan,0"],
+    ["simulate", "CONE", "--p0", "0.1,-0.2", "--w0", "1", "--q0=0.6+1i,0.8"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--samples=0"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--t1=nan"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--sigma-tol=-1"],

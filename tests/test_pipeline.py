@@ -68,8 +68,7 @@ def test_each_setting_has_one_definition():
         (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
-        (calculus.DEFAULT_CRITICAL_TOL, "tol", [calculus.validate]),
-        (calculus.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate]),
+        (dynamics.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate]),
     ]
     for constant, name, funcs in defaults:
         for func in funcs:
@@ -77,14 +76,13 @@ def test_each_setting_has_one_definition():
     options = {f.name: f.default for f in dataclasses.fields(AnalysisOptions)}
     assert options["n_random"] is darboux.N_RANDOM
     assert options["on_variety_tol"] is darboux.ACCEPT_TOL
-    assert options["critical_tol"] is calculus.DEFAULT_CRITICAL_TOL
     assert options["rational_tol"] is spectrum.RATIONAL_TOL
     assert options["max_denominator"] is spectrum.MAX_DENOMINATOR
     assert options["sigma_radius"] is calculus.PROBE_RADIUS
 
 
 # a value outside the range of each numeric option
-OUT_OF_RANGE = {"seed": -1, "n_random": -5, "on_variety_tol": -1.0, "critical_tol": 0.0,
+OUT_OF_RANGE = {"seed": -1, "n_random": -5, "on_variety_tol": -1.0,
                 "rational_tol": float("nan"), "max_denominator": 0,
                 "sigma_radius": float("inf")}
 
@@ -171,11 +169,11 @@ def test_setup_that_fails_validation_ends_the_report(tmp_path, capsys):
     path.write_text("vars q1\next w1 : (w1 - q1)^2\npotential w1\n")
     assert main(["analyze", str(path)]) == pipeline.EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
-    message = "detJ vanishes (within tol) on all samples; setup rejected"
+    message = ("the critical-set probe found a critical point (detJ = 0) within "
+               "the probe radius of every sample; setup rejected")
     assert sorted(report) == ["certificate", "exit_code", "label", "options", "problem",
                               "tool", "validation", "warnings"]
-    assert report["validation"] == {"ok": False, "detj_nonzero": False,
-                                    "primality_assumed": True, "samples_used": 8,
+    assert report["validation"] == {"ok": False, "primality_assumed": True, "samples_used": 8,
                                     "trials": 8, "message": message}
     assert report["certificate"] == {"status": "not_applicable", "witnesses": [],
                                      "reasons": ["setup failed validation: " + message]}
