@@ -20,10 +20,11 @@ and the Hessian, and one kernel gives the first partials (dG, d_qV, d_wV)
 it needs.  The calculus keeps nothing per point: a caller that goes on at
 a point passes that point's first derivatives, (dG, d_qV, d_wV) and u, to
 the next evaluation.  PointCalculus is the one numeric view
-of a setup: it evaluates plain partials of V and G, prepared once
-symbolically and evaluated by kernels generated on first use, and does
-small linear solves per point, which stays cheap at any number of
-extension variables.  It also solves fibers, samples the variety and
+of a setup: it evaluates plain partials of V and G, each table derived
+symbolically on first use and evaluated by kernels generated on first use,
+so building a calculus costs nothing until it evaluates, and does small
+linear solves per point, which stays cheap at any number of extension
+variables.  It also solves fibers, samples the variety and
 probes the distance to the critical set, which is the one test of
 criticality: validation and the Darboux hunt ask the probe alone, never
 the size of detJ.  The tests hold it against finite differences of a
@@ -181,9 +182,12 @@ def _lstsq(A, b) -> np.ndarray:
 class PointCalculus:
     """Per-point gradients, Hessians and Newton data for the Darboux system.
 
-    Plain first and second partials of the potential and the generators are
-    prepared symbolically once; every point evaluation then reduces to dense
-    (s x s) linear solves.  It keeps no per-point state: first_derivatives
+    Plain first and second partials of the potential and the generators,
+    detJ and the potential's denominator are derived symbolically on first
+    use, each once, by the first kernel or probe that reads them: the
+    constructor derives nothing, and a caller that never evaluates a
+    Hessian never derives one.  Every point evaluation then reduces to
+    dense (s x s) linear solves.  It keeps no per-point state: first_derivatives
     returns a point's (dG, vg, u), its one adjoint solve, and grad,
     w_derivative, _dg_blocks and darboux_system take those as `first` from
     a caller that stays at the point, or compute them from x when it is
@@ -205,19 +209,41 @@ class PointCalculus:
 
     def __init__(self, setup: AlgebraicSetup):
         self.setup = setup
-        order = setup.var_names
-        self.N = len(order)
+        self.N = len(setup.var_names)
         self.n = setup.n
         self.s = setup.s
-
-        V = setup.potential
-        self._vgrad = [V.diff(v) for v in order]
-        self._vhess = _hessian_entries(self._vgrad, order)
-        self._ggrad = [[g.diff(v) for v in order] for g in setup.generators]
-        self._ghess = [_hessian_entries(row, order) for row in self._ggrad]
-        self.det = det_expr([row[self.n:] for row in self._ggrad])
-        self._den = RatExpr(dict(V.den), {(): Fraction(1)})
         self._probes = {}  # polynomial -> (value, gradient) kernel, on first use
+
+    # -- symbolic tables, each derived on first use -----------------------
+
+    @cached_property
+    def _vgrad(self) -> list:
+        """The potential's plain partials, one per variable."""
+        return [self.setup.potential.diff(v) for v in self.setup.var_names]
+
+    @cached_property
+    def _vhess(self) -> list:
+        return _hessian_entries(self._vgrad, self.setup.var_names)
+
+    @cached_property
+    def _ggrad(self) -> list:
+        """The generators' plain partials, s rows of N."""
+        order = self.setup.var_names
+        return [[g.diff(v) for v in order] for g in self.setup.generators]
+
+    @cached_property
+    def _ghess(self) -> list:
+        return [_hessian_entries(row, self.setup.var_names) for row in self._ggrad]
+
+    @cached_property
+    def det(self) -> RatExpr:
+        """detJ, J = dG/dw: zero exactly on the critical set."""
+        return det_expr([row[self.n:] for row in self._ggrad])
+
+    @cached_property
+    def _den(self) -> RatExpr:
+        """The potential's denominator, a polynomial: zero at its poles."""
+        return RatExpr(dict(self.setup.potential.den), {(): Fraction(1)})
 
     @cached_property
     def _g_kernel(self):

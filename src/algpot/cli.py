@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
     try:
         traj = integrate(setup, q0, p0, w0, t_grid,
                          sigma_tol=args.sigma_tol, project=args.project)
-    except CriticalSetError as exc:
+    except (CriticalSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(report_json({"label": setup.label, **dataclasses.asdict(traj)}), args.out)

@@ -127,18 +127,27 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     """Integrate the constrained flow, sampling at the times in t_grid.
 
     pc, when given, must be setup's PointCalculus; without it one is built
-    here.  Raises CriticalSetError, before any sample, if the initial point
-    is a pole of the potential, where no state has an energy.  Returns early
-    with terminated="critical_set" if the initial point is already within
-    sigma_tol of a vanishing fiber Jacobian, and stops with the same
-    diagnostic if the event |det J| = sigma_tol fires mid-flight.
+    here.  The flow starts on the variety: w0 is Newton-corrected onto the
+    fiber of q0 (pc.solve_fiber, which returns a w0 already on it
+    untouched), and ValueError, naming max |G(q0, w0)|, is raised when the
+    correction fails.  Raises CriticalSetError, before any sample, if the
+    initial point is a pole of the potential, where no state has an energy.
+    Returns early with terminated="critical_set" if the initial point is
+    already within sigma_tol of a vanishing fiber Jacobian, and stops with
+    the same diagnostic if the event |det J| = sigma_tol fires mid-flight.
     """
     pc = pc or PointCalculus(setup)
     if pc.setup != setup:
         raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
     sys = ConstrainedSystem(pc)
     t_grid = np.asarray(t_grid, dtype=float)
-    y = sys.join(_real(q0), _real(p0), _real(w0))
+    q0, p0, w0 = _real(q0), _real(p0), _real(w0)
+    w = pc.solve_fiber(q0.astype(complex), w0.astype(complex))
+    if w is None:
+        off = pc.constraint_residual(np.concatenate([q0, w0]).astype(complex))
+        raise ValueError(f"w0 is off the variety, max |G(q0, w0)| = {off:.3g}, and Newton "
+                         "could not correct it onto the fiber of q0")
+    y = sys.join(q0, p0, w.real)
     try:
         pc.potential_value(sys.point(y))
     except PoleError as exc:

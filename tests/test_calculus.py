@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algpot import PointCalculus, detect_homogeneity, parse_problem, pipeline
+from algpot import PointCalculus, RatExpr, calculus, detect_homogeneity, parse_problem, pipeline
 from algpot.dynamics import DEFAULT_CRITICAL_TOL
 from algpot.nbody import NBodyConfig, build
 
@@ -269,3 +269,52 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     assert len(held) == 7
     assert "_det_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))
+
+
+# the symbolic tables a PointCalculus derives on first use
+TABLES = ("_vgrad", "_vhess", "_ggrad", "_ghess", "det", "_den")
+
+
+def test_building_a_calculus_derives_nothing(monkeypatch):
+    setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    diffs = []
+    diff = RatExpr.diff
+    monkeypatch.setattr(RatExpr, "diff", lambda e, v: diffs.append(e) or diff(e, v))
+    pc = PointCalculus(setup)
+    assert diffs == []
+    assert not set(TABLES) & set(vars(pc))
+
+
+def eager_tables(setup) -> dict:
+    """The six tables as the constructor once derived them, in its order."""
+    order = setup.var_names
+    V = setup.potential
+    vgrad = [V.diff(v) for v in order]
+    ggrad = [[g.diff(v) for v in order] for g in setup.generators]
+    return {"_vgrad": vgrad, "_vhess": calculus._hessian_entries(vgrad, order),
+            "_ggrad": ggrad, "_ghess": [calculus._hessian_entries(r, order) for r in ggrad],
+            "det": calculus.det_expr([row[setup.n:] for row in ggrad]),
+            "_den": RatExpr(dict(V.den), {(): Fraction(1)})}
+
+
+def layout(table):
+    """The table with each expression as its numerator's and denominator's
+    terms in dict order, which sets a kernel's summation order."""
+    if isinstance(table, RatExpr):
+        return list(table.num.items()), list(table.den.items())
+    if isinstance(table, (list, tuple)):
+        return [layout(t) for t in table]
+    return table
+
+
+def test_lazy_tables_equal_the_eager_expressions(cone_setup, trap_setup, plain_setup):
+    setups = [cone_setup, trap_setup, plain_setup,
+              parse_problem("vars q1 q2\next w1 : w1^2 - q1\npotential q2/(q2 + w1)\n"),
+              build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))]
+    for setup in setups:
+        pc = PointCalculus(setup)
+        # read in another order than the constructor derived them
+        lazy = {name: getattr(pc, name) for name in reversed(TABLES)}
+        for name, table in eager_tables(setup).items():
+            assert lazy[name] == table, (setup.label, name)
+            assert layout(lazy[name]) == layout(table), (setup.label, name)

@@ -97,6 +97,20 @@ def test_simulate_cone(cone_file, capsys):
     assert len(out["samples"]) == 9
 
 
+def test_simulate_starts_on_the_variety(cone_file, capsys):
+    # w0 = 0.5 is corrected onto the fiber of q0; w0 = 0 (the default) cannot be
+    argv = ["simulate", str(cone_file), "--q0", "0.8,0", "--p0", "0,1", "--t1", "1"]
+    assert main(argv + ["--w0", "0.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["samples"][0]["w"][0] - 0.8) <= 1e-12
+    assert out["max_constraint_residual"] <= 1e-7
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: w0 is off the variety, max |G(q0, w0)| = 0.64")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, q0, p0, w0", [
     ("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n", "0,0", "0.1,-0.2", "0"),
     ("vars q1 q2\npotential 1/q1\n", "0,1", "0.1,0", None),
@@ -216,7 +230,7 @@ def test_timings_flag_adds_key(cone_file, capsys):
     code = main(["analyze", str(cone_file), "--n-random", "4", "--timings"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert sorted(out["timings"]) == ["darboux", "homogeneity", "setup", "spectra", "validate"]
+    assert sorted(out["timings"]) == ["darboux", "homogeneity", "spectra", "validate"]
 
 
 def test_console_entry_point():

@@ -56,6 +56,43 @@ def test_a_calculus_of_another_setup_is_refused(cone_setup, trap_setup):
     assert traj.terminated == "completed"
 
 
+def test_an_off_variety_start_is_corrected_onto_the_fiber(cone_setup):
+    # |G(q0, w0)| = 0.39: the flow starts from w0 = 0.8, on the variety
+    traj = integrate(cone_setup, [0.8, 0.0], [0.0, 1.0], [0.5], T_GRID)
+    assert traj.terminated == "completed"
+    assert abs(traj.samples[0].w[0] - 0.8) <= 1e-12
+    assert traj.samples[0].constraint_residual <= 1e-12
+    assert traj.max_constraint_residual <= 1e-7
+
+
+def test_an_uncorrectable_start_is_refused(cone_setup):
+    # w0 = 0 sits on the cone's critical set dG/dw = 2 w1 = 0, so Newton
+    # cannot move it
+    with pytest.raises(ValueError, match=r"max \|G\(q0, w0\)\| = 0\.64"):
+        integrate(cone_setup, [0.8, 0.0], [0.0, 1.0], [0.0], T_GRID)
+
+
+def test_a_start_on_the_variety_is_unchanged(cone_setup):
+    # |G| = 2e-14 <= FIBER_TOL: the start is taken bit for bit, not corrected
+    w0 = 1.0 + 1e-14
+    traj = integrate(cone_setup, CONE_Q0, CONE_P0, [w0], T_GRID[:3])
+    assert traj.samples[0].w[0] == w0
+    assert list(traj.samples[0].q) == list(CONE_Q0)
+
+
+def test_the_flow_derives_no_hessian_table(cone_setup):
+    pc = PointCalculus(cone_setup)
+    integrate(cone_setup, CONE_Q0, CONE_P0, CONE_W0, T_GRID[:5], pc=pc)
+    cfg = NBodyConfig(n=3, dim=2, masses=(1, 1, 1))
+    setup = build(cfg)
+    three = PointCalculus(setup)
+    c = np.asarray(central_config_seeds(cfg)[0][1])
+    homothetic_orbit(setup, detect_homogeneity(three), c, T_GRID[:5], pc=three)
+    for used in (pc, three):
+        assert "_vgrad" in vars(used) and "_ggrad" in vars(used)
+        assert "_vhess" not in vars(used) and "_ghess" not in vars(used)
+
+
 def test_start_inside_critical_set(trap_setup):
     traj = integrate(trap_setup, [0.0, 1.0], [0.0, 0.0], [0.0], T_GRID)
     assert traj.terminated == "critical_set"

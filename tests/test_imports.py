@@ -238,6 +238,19 @@ def test_point_calculus_keeps_no_per_point_state():
     assert self_attribute_stores(SRC / "calculus.py", "PointCalculus") == []
 
 
+SYMBOLIC_DERIVATIONS = ("diff", "det_expr", "_hessian_entries")
+
+
+def test_point_calculus_constructor_derives_nothing():
+    # every symbolic table is a cached_property, derived on first use
+    tree = ast.parse((SRC / "calculus.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PointCalculus"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(init) if isinstance(node, ast.Call)]
+    assert [name for name in called if name in SYMBOLIC_DERIVATIONS] == []
+
+
 def calculus_builds(path: Path) -> list:
     """module.Qual for each call of PointCalculus(...) in the module, by name
     or as an attribute (calculus.PointCalculus(...))."""

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from algpot import PointCalculus, RatExpr, parse_problem, validate
+from algpot import AnalysisOptions, PointCalculus, RatExpr, analyze, parse_problem, validate
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
@@ -38,6 +38,10 @@ vars q1 q2
 ext w1 : w1^2 - q1
 potential q2/(q2 + w1)
 """))
+    # detJ and the denominator are derived on first read, detJ from the
+    # generator partials: read both before the spy, so that it sees only
+    # the probes' partials
+    det, den = pc.det, pc._den
     diffs = []
     diff = RatExpr.diff
     monkeypatch.setattr(RatExpr, "diff", lambda e, v: diffs.append(e) or diff(e, v))
@@ -45,7 +49,7 @@ potential q2/(q2 + w1)
     assert not pc.near_sigma(x)
     # detJ's 3 partials, then the denominator's 3; G and dG, then one kernel
     # (value and gradient) for each of the two polynomials
-    assert diffs == [pc.det] * 3 + [pc._den] * 3
+    assert diffs == [det] * 3 + [den] * 3
     assert len(compiled) == 4
     assert sorted(id(k) for _, k in compiled) == sorted(
         map(id, [pc._g_kernel, pc._dg_kernel, *pc._probes.values()]))
@@ -150,11 +154,13 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
 
     monkeypatch.setattr(RatExpr, "diff", spy_diff)
     pc = PointCalculus(setup)
-    # 3 generators x 9 variables; 15 of the 27 partials are non-zero
-    assert len(diffed) == len(set(diffed)) == 27
-    assert len(partial) == 15
+    assert diffed == []  # building derives nothing
     q = np.array([1.0, 0.2, -0.5, 0.9, 0.3, -1.1], dtype=complex)
     x = np.concatenate([q, pc.solve_fiber(q, np.ones(3))])
+    # the first evaluation derives them all: 3 generators x 9 variables,
+    # 15 of the 27 partials non-zero
+    assert len(diffed) == len(set(diffed)) == 27
+    assert len(partial) == 15
     pc.darboux_residual(x)
     pc.darboux_system(x)
     pc.near_sigma(x)
@@ -172,3 +178,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     assert emitted(pc._dg_kernel) == emitted(pc._first_kernel) == sorted(partial.values())
     others = [k for _, k in compiled if k not in (pc._dg_kernel, pc._first_kernel)]
     assert len(others) == 6 and not any(emitted(k) for k in others)
+    # a full analysis builds its own calculus and derives each partial once
+    diffed.clear()
+    analyze(setup, AnalysisOptions(nbody=NBodyConfig(n=3, dim=2, masses=(1, 1, 1)), n_random=2))
+    assert len(diffed) == len(set(diffed)) == 27
