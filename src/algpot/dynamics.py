@@ -120,6 +120,18 @@ class ConstrainedSystem:
         return self.join(q, p, corrected.real)
 
 
+def _check_calculus(pc: PointCalculus, setup: AlgebraicSetup):
+    """ValueError when pc was built for another setup.  Two setups may share
+    a label (every 3x2 n-body problem has one), and the message says so
+    rather than name it twice."""
+    if pc.setup == setup:
+        return
+    if pc.setup.label == setup.label:
+        raise ValueError(f"the PointCalculus passed for {setup.label!r} was built for a "
+                         "different setup with the same label")
+    raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
+
+
 def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               pc: PointCalculus | None = None,
               sigma_tol: float = DEFAULT_CRITICAL_TOL,
@@ -137,8 +149,7 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     the same diagnostic if the event |det J| = sigma_tol fires mid-flight.
     """
     pc = pc or PointCalculus(setup)
-    if pc.setup != setup:
-        raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
+    _check_calculus(pc, setup)
     sys = ConstrainedSystem(pc)
     t_grid = np.asarray(t_grid, dtype=float)
     q0, p0, w0 = _real(q0), _real(p0), _real(w0)
@@ -252,8 +263,7 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
     here.
     """
     pc = pc or PointCalculus(setup)
-    if pc.setup != setup:
-        raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
+    _check_calculus(pc, setup)
     d1, d2 = hom.d1, hom.d2
     kj = hom.weights
     c = np.asarray(c, dtype=complex)

@@ -228,6 +228,19 @@ def _poly_str(p: Poly) -> str:
     return "".join(parts)
 
 
+def outside_double(c: Fraction) -> str | None:
+    """Why the non-zero coefficient c cannot be evaluated, or None when it
+    can.  compile_arrays evaluates every coefficient as its double: c too
+    large has none (float raises OverflowError), and c too small rounds to
+    0, which would silently drop its term."""
+    try:
+        if float(c) != 0.0:
+            return None
+    except OverflowError:
+        return "too large for a double"
+    return "too small for a double"
+
+
 class RatExpr:
     """Immutable rational expression in normal form."""
 

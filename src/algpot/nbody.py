@@ -4,7 +4,10 @@ The gravitational potential sum(m_i m_j / r_ij) is algebraic over the
 position coordinates once each mutual distance r_ij is adjoined with the
 relation r_ij^2 = |q_i - q_j|^2.  Masses enter only through the potential;
 the kinetic form stays the identity, which matches a formulation where the
-masses have been absorbed into the units of each body's coordinates.
+masses have been absorbed into the units of each body's coordinates.  Each
+pairwise product m_i m_j is a coefficient of the potential and must have a
+finite, non-zero double.  build writes the generators and the potential in
+their normal forms directly, term by term, with no RatExpr arithmetic.
 
 Real central configurations live on the branch where every r_ij evaluates
 to minus the Euclidean distance: with the plus branch the potential's
@@ -26,11 +29,12 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .expr import RatExpr
+from .expr import RatExpr, outside_double
 from .parsing import AlgebraicSetup
 from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, EigenCluster, Spectrum, eigen
 
 F = Fraction
+_ONE, _TWO, _MINUS_ONE = F(1), F(2), F(-1)
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,10 @@ class NBodyConfig:
         masses = tuple(F(m) for m in self.masses)
         if any(m <= 0 for m in masses):
             raise ValueError("masses must be positive")
+        for i, j in self.pairs:
+            why = outside_double(masses[i] * masses[j])
+            if why:
+                raise ValueError(f"the product of masses {i + 1} and {j + 1} is {why}")
         object.__setattr__(self, "masses", masses)
 
     @property
@@ -72,25 +80,39 @@ def build(cfg: NBodyConfig) -> AlgebraicSetup:
     q_i = q_j a component of the critical set that disconnects the
     configuration space, and no rotation gauge exists to compare against;
     the construction is specified for dim >= 2 only.
+
+    Every form is written out in its normal form, with no RatExpr
+    arithmetic.  The generator of pair (i, j) is
+
+        r_ij^2 - sum_a (q_i,a^2 - 2 q_i,a q_j,a + q_j,a^2),
+
+    its terms in that order, axis by axis.  The potential
+    sum m_i m_j / r_ij stands over the common denominator prod_l r_l, with
+    one numerator term m_i m_j prod_{l != ij} r_l per pair, in pair order.
+    These are the normal forms, term order included, that summing and
+    multiplying the RatExpr pieces would produce; the generated kernels sum
+    the terms in this order, so it fixes every bit of every value.
     """
     if cfg.dim < 2:
         raise ValueError("n-body construction requires dim >= 2")
     q_names = [q_name(i, a) for i in range(cfg.n) for a in range(cfg.dim)]
     w_names = [r_name(i, j) for i, j in cfg.pairs]
 
-    qv = {name: RatExpr.var(name) for name in q_names}
     generators = []
-    for i, j in cfg.pairs:
-        sq = RatExpr.var(r_name(i, j)) ** 2
+    for (i, j), r in zip(cfg.pairs, w_names):
+        num = {((r, 2),): _ONE}
         for a in range(cfg.dim):
-            d = qv[q_name(i, a)] - qv[q_name(j, a)]
-            sq = sq - d * d
-        generators.append(sq)
+            qi, qj = q_name(i, a), q_name(j, a)
+            num[((qi, 2),)] = _MINUS_ONE
+            # a monomial lists its variables by name: q10_1 comes before q2_1
+            num[tuple(sorted(((qi, 1), (qj, 1))))] = _TWO
+            num[((qj, 2),)] = _MINUS_ONE
+        generators.append(RatExpr(num, {(): _ONE}))
 
-    potential = RatExpr.const(0)
-    for i, j in cfg.pairs:
-        mm = cfg.masses[i] * cfg.masses[j]
-        potential = potential + RatExpr.const(mm) / RatExpr.var(r_name(i, j))
+    all_r = tuple(sorted((r, 1) for r in w_names))
+    num = {tuple(f for f in all_r if f[0] != r): cfg.masses[i] * cfg.masses[j]
+           for (i, j), r in zip(cfg.pairs, w_names)}
+    potential = RatExpr(num, {all_r: _ONE})
 
     label = f"nbody n={cfg.n} dim={cfg.dim}"
     return AlgebraicSetup(q_names=tuple(q_names), w_names=tuple(w_names),

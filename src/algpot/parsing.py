@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import RatExpr
+from .expr import RatExpr, outside_double
 
 _KEYWORDS = {"vars", "ext", "potential"}
 
@@ -254,6 +254,14 @@ def _check_name(name: str, seen: set, line_no: int):
         raise ParseError(f"duplicate variable name {name!r}", line_no, 1)
 
 
+def _check_coefficients(e: RatExpr, what: str, line_no: int):
+    """Refuse a coefficient that evaluation cannot hold in a double."""
+    for c in (*e.num.values(), *e.den.values()):
+        why = outside_double(c)
+        if why:
+            raise ParseError(f"{what} has a coefficient {why}", line_no, 1)
+
+
 def parse_problem(text: str, label: str = "") -> AlgebraicSetup:
     q_names: list = []
     w_names: list = []
@@ -297,6 +305,7 @@ def parse_problem(text: str, label: str = "") -> AlgebraicSetup:
                 )
             if g.is_zero:
                 raise ParseError(f"generator for {name!r} is identically zero", line_no, 1)
+            _check_coefficients(g, f"generator for {name!r}", line_no)
             generators.append(g)
         elif head == "potential":
             if not saw_vars:
@@ -304,6 +313,7 @@ def parse_problem(text: str, label: str = "") -> AlgebraicSetup:
             if potential is not None:
                 raise ParseError("duplicate potential line", line_no, 1)
             potential = parse_expression(rest, allowed_names=seen, first_line=line_no)
+            _check_coefficients(potential, "potential", line_no)
         else:
             raise ParseError(f"unknown statement {head!r}", line_no, 1)
 

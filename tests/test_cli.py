@@ -19,10 +19,11 @@ RUN = [sys.executable, "-m", "algpot.cli"]
 SRC = str(Path(algpot.__file__).resolve().parent.parent)
 
 
-def run_cli(args, **kw):
+def run_cli(args, env=(), **kw):
+    """Run the command line in a child process; env adds to its environment."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, **kw)
+                          env={**os.environ, "PYTHONPATH": path, **dict(env)}, **kw)
 
 
 def test_check_table_exact_match(capsys):
@@ -216,6 +217,28 @@ def test_parse_error_is_an_error(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("masses, why", [("1,1e400,1", "too large"),
+                                         ("1e-400,1,1", "too small")])
+def test_nbody_masses_a_double_cannot_hold_are_a_usage_error(masses, why, capsys):
+    # unchecked, 1e400 overflows in the kernels (a traceback with exit 1, the
+    # validation code) and 1e-400 drops the terms that carry m1 without a word
+    code = main(["nbody", "--n", "3", "--dim", "2", "--masses", masses, "--analyze"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: the product of masses 1 and 2 is {why} for a double\n"
+
+
+def test_a_coefficient_a_double_cannot_hold_is_a_problem_file_error(tmp_path, capsys):
+    big = tmp_path / "big.prob"
+    big.write_text("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 10^400*w1^3\n")
+    assert main(["analyze", str(big)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("problem file error: line 3, col 1: "
+                            "potential has a coefficient too large for a double\n")
+
+
 def test_analyze_deterministic_output(cone_file, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -336,6 +359,18 @@ def test_unwritable_out_is_an_error(argv, cone_file, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "cannot write output file" in err and str(out) in err
+
+
+def test_output_is_byte_identical_across_hash_seeds(cone_file):
+    # str hashes are salted per process, so a set or dict of names iterated
+    # in hash order would change the output from one run to the next
+    for argv in (["analyze", cone_file],
+                 ["nbody", "--n", "3", "--dim", "2", "--masses", "1,2,3", "--analyze",
+                  "--n-random", "4"]):
+        first, second = (run_cli(argv, env={"PYTHONHASHSEED": seed}) for seed in ("1", "2"))
+        assert first.stderr == second.stderr == "", argv
+        assert first.returncode == second.returncode, argv
+        assert first.stdout and first.stdout == second.stdout, argv
 
 
 def test_unwritable_out_exits_without_a_traceback(tmp_path):

@@ -50,6 +50,17 @@ def test_a_calculus_of_another_setup_is_refused(cone_setup, trap_setup):
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
     with pytest.raises(ValueError, match="'cone' was passed for 'trap'"):
         homothetic_orbit(trap_setup, hom, c, T_GRID, pc=cone_pc)
+    # every 3x2 n-body setup has the label 'nbody n=3 dim=2', so the message
+    # says that the labels agree rather than name one label twice
+    equal_pc = PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
+    unequal = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
+    same_label = ("the PointCalculus passed for 'nbody n=3 dim=2' was built for a "
+                  "different setup with the same label")
+    with pytest.raises(ValueError, match=same_label):
+        integrate(unequal, np.zeros(6), np.zeros(6), np.zeros(3), T_GRID, pc=equal_pc)
+    with pytest.raises(ValueError, match=same_label):
+        homothetic_orbit(unequal, detect_homogeneity(equal_pc), np.zeros(9), T_GRID,
+                         pc=equal_pc)
     # an equal setup, parsed again, shares the calculus
     again = parse_problem(CONE_TEXT, label="cone")
     traj = integrate(again, CONE_Q0, CONE_P0, CONE_W0, T_GRID[:3], pc=cone_pc)

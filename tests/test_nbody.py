@@ -7,8 +7,10 @@ import pytest
 
 from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
-from algpot.nbody import (NBodyConfig, build, central_config_seeds,
-                          pinning_conditions, split_gauge_spectrum)
+from algpot.expr import RatExpr
+from algpot.nbody import (NBodyConfig, build, central_config_seeds, pinning_conditions, q_name,
+                          r_name, split_gauge_spectrum)
+from algpot.parsing import AlgebraicSetup
 
 
 def test_structure_and_names():
@@ -42,6 +44,19 @@ def test_config_validation():
         NBodyConfig(n=2, dim=2, masses=(1, 1, 1))
     with pytest.raises(ValueError):
         NBodyConfig(n=2, dim=2, masses=(1, 0))
+
+
+@pytest.mark.parametrize("masses, why", [
+    (("1", "1e400", "1"), "the product of masses 1 and 2 is too large for a double"),
+    (("1e-400", "1", "1"), "the product of masses 1 and 2 is too small for a double"),
+    # each mass fits a double; the product of the last two does not
+    (("1", "1e200", "1e200"), "the product of masses 2 and 3 is too large for a double"),
+])
+def test_masses_whose_product_a_double_cannot_hold_are_refused(masses, why):
+    # the potential's coefficients are the pairwise products m_i m_j, and the
+    # kernels evaluate each as its double: inf, or 0, which drops the term
+    with pytest.raises(ValueError, match=why):
+        NBodyConfig(n=3, dim=2, masses=tuple(Fraction(m) for m in masses))
 
 
 def test_homogeneity_degree_is_minus_one():
@@ -110,3 +125,63 @@ def test_sigma_detects_collisions():
     assert not pc.near_sigma(np.asarray(point, dtype=complex))
     collided = np.zeros(5, dtype=complex)
     assert pc.near_sigma(collided)
+
+
+def arithmetic_build(cfg: NBodyConfig) -> AlgebraicSetup:
+    """The reference construction: every form by RatExpr arithmetic."""
+    q_names = [q_name(i, a) for i in range(cfg.n) for a in range(cfg.dim)]
+    w_names = [r_name(i, j) for i, j in cfg.pairs]
+    qv = {name: RatExpr.var(name) for name in q_names}
+    generators = []
+    for i, j in cfg.pairs:
+        sq = RatExpr.var(r_name(i, j)) ** 2
+        for a in range(cfg.dim):
+            d = qv[q_name(i, a)] - qv[q_name(j, a)]
+            sq = sq - d * d
+        generators.append(sq)
+    potential = RatExpr.const(0)
+    for i, j in cfg.pairs:
+        mm = cfg.masses[i] * cfg.masses[j]
+        potential = potential + RatExpr.const(mm) / RatExpr.var(r_name(i, j))
+    return AlgebraicSetup(q_names=tuple(q_names), w_names=tuple(w_names),
+                          generators=tuple(generators), potential=potential,
+                          label=f"nbody n={cfg.n} dim={cfg.dim}")
+
+
+def test_build_matches_the_arithmetic_construction():
+    # term order matters: the kernels sum each form's terms in dict order,
+    # so equal items in equal order give equal kernels, bit for bit
+    for n in range(2, 8):
+        mass_sets = [(1,) * n, tuple(range(1, n + 1)),
+                     tuple(Fraction(1, 3) if k % 2 else Fraction(5, 2) for k in range(n))]
+        for dim in (2, 3):
+            for masses in mass_sets:
+                cfg = NBodyConfig(n=n, dim=dim, masses=masses)
+                got, want = build(cfg), arithmetic_build(cfg)
+                assert got == want, cfg
+                for g, w in zip(got.generators + (got.potential,),
+                                want.generators + (want.potential,)):
+                    assert list(g.num.items()) == list(w.num.items()), cfg
+                    assert list(g.den.items()) == list(w.den.items()), cfg
+                    assert all(type(c) is Fraction
+                               for c in (*g.num.values(), *g.den.values())), cfg
+                pc_got, pc_want = PointCalculus(got), PointCalculus(want)
+                for kernel in ("_first_kernel", "_hessian_kernel", "_v_kernel"):
+                    assert (getattr(pc_got, kernel).source
+                            == getattr(pc_want, kernel).source), (cfg, kernel)
+
+
+def test_build_does_no_rational_arithmetic(monkeypatch):
+    operators = {"__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__"}
+    calls = []
+    for name in operators:
+        op = getattr(RatExpr, name)
+        monkeypatch.setattr(RatExpr, name,
+                            lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
+    for cfg in (NBodyConfig(n=3, dim=2, masses=(1, 2, 3)),
+                NBodyConfig(n=5, dim=3, masses=(Fraction(1, 3),) * 5)):
+        build(cfg)
+    assert calls == []
+    # the spies do see arithmetic
+    arithmetic_build(NBodyConfig(n=2, dim=2, masses=(1, 1)))
+    assert set(calls) == operators

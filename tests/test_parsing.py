@@ -90,6 +90,28 @@ def test_division_by_zero_literal():
         parse_expression("1/0")
 
 
+CONE_HEAD = "vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (CONE_HEAD + "potential 10^400*w1^3\n",
+     "line 3, col 1: potential has a coefficient too large for a double"),
+    (CONE_HEAD + "potential w1^3/10^400\n",
+     "line 3, col 1: potential has a coefficient too small for a double"),
+    # a denominator coefficient: the normal form's denominator is monic
+    (CONE_HEAD + "potential 1/(w1^2 + 10^(-400))\n",
+     "line 3, col 1: potential has a coefficient too small for a double"),
+    ("vars q1\next w1 : w1^2 - 10^400*q1\npotential w1\n",
+     "line 2, col 1: generator for 'w1' has a coefficient too large for a double"),
+])
+def test_coefficients_a_double_cannot_hold_are_refused(text, message):
+    # the kernels evaluate every coefficient as its double: inf, or 0,
+    # which would drop its term
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
 def test_parse_error_reports_position():
     try:
         parse_problem("vars q1\npotential q1 + + 2\n")
