@@ -11,9 +11,8 @@ Supporting machinery covers constrained dynamics, homothetic orbits, and
 the hypergeometric variational equation with its monodromy.
 """
 
-from .calculus import (CalculusError, CriticalPointError, Homogeneity,
-                       PointCalculus, ValidationReport, detect_homogeneity,
-                       validate)
+from .calculus import (CriticalPointError, Homogeneity, PointCalculus,
+                       ValidationReport, detect_homogeneity, validate)
 from .darboux import DarbouxReport, DarbouxResult, solve_darboux
 from .dynamics import (CriticalSetError, Trajectory, TrajectoryState,
                        homothetic_orbit, integrate)

@@ -28,7 +28,8 @@ variables.  It also solves fibers, samples the variety and
 probes the distance to the critical set, which is the one test of
 criticality: validation and the Darboux hunt ask the probe alone, never
 the size of detJ.  The tests hold it against finite differences of a
-locally solved branch.
+locally solved branch.  Weighted homogeneity (detect_homogeneity) needs
+no numeric view: it is decided exactly from the setup's polynomials.
 
 The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
 is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
@@ -60,7 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import zgelsd, zgelsd_lwork, zgesv
 
-from .expr import ONE, Array, PoleError, RatExpr, compile_arrays
+from .expr import ONE, Array, RatExpr, compile_arrays
 from .parsing import AlgebraicSetup
 
 # a critical point (or pole) this close to a point makes the point critical
@@ -79,10 +80,6 @@ PROBE_MAX_ITER = 25
 VALIDATE_TRIALS = 8
 # np.linalg.lstsq's rcond=None is this times max(m, n)
 LSTSQ_EPS = np.finfo(float).eps
-
-
-class CalculusError(ValueError):
-    pass
 
 
 class CriticalPointError(ArithmeticError):
@@ -441,10 +438,11 @@ def validate(pc: PointCalculus, seed: int = 0,
     """Sample pc's variety and check that it is not all critical.
 
     Primality/codimension of the generating ideal is NOT checked; the report
-    says so via primality_assumed.  The setup passes as soon as one of
-    VALIDATE_TRIALS samples is clear: the proximity probe finds no critical
-    point (detJ = 0) within radius of it.  A distance decides, not the size
-    of detJ, which scales with the variables: a sample whose fiber solve
+    says so via primality_assumed.  All VALIDATE_TRIALS samples are drawn,
+    each one placed on the variety is probed, and the setup passes when at
+    least one is clear: the proximity probe finds no critical point
+    (detJ = 0) within radius of it.  A distance decides, not the size of
+    detJ, which scales with the variables: a sample whose fiber solve
     stalled near a degenerate sheet is critical although its detJ is not
     small, and a setup whose detJ is small everywhere is not rejected.
     """
@@ -537,24 +535,18 @@ def _rational_nullspace(rows, dim):
     return basis
 
 
-# the numeric re-check of a detected weighting
-HOMOGENEITY_SAMPLES = 5
-HOMOGENEITY_SEED = 1234
-HOMOGENEITY_REL_TOL = 1e-9
-
-
-def detect_homogeneity(pc: PointCalculus):
-    """Weighted-homogeneity weights of pc's setup, or None when none exists.
+def detect_homogeneity(setup: AlgebraicSetup):
+    """Weighted-homogeneity weights of the setup, or None when none exists.
 
     All base coordinates share one weight d1; each extension variable gets
     its own.  The constraints say every polynomial in sight (each generator,
     and numerator/denominator of the potential separately) is isobaric; the
     solution ray is scaled to coprime integers with d1 > 0, the gcd taken
-    over (d1, weights, d2).  When a weighting is found the scaling identity
-    is re-checked numerically, with pc's evaluators, on random variety
-    points before reporting.
+    over (d1, weights, d2).  The constraints are solved over Fractions, so
+    V(a.x) = a^d2 V(x) and G_j(a.x) = a^w_j G_j(x) hold as identities of
+    the setup's exact polynomials: nothing is evaluated or sampled.
     """
-    setup, s = pc.setup, pc.s
+    s = setup.s
     q_set = set(setup.q_names)
     w_index = {name: j for j, name in enumerate(setup.w_names)}
     dim = 1 + s
@@ -613,38 +605,4 @@ def detect_homogeneity(pc: PointCalculus):
     if g > 1:
         ints = [a // g for a in ints]
         d2 //= g
-    hom = Homogeneity(d1=ints[0], weights=tuple(ints[1:]), d2=d2)
-
-    if not _verify_homogeneity(hom, pc):
-        raise CalculusError("homogeneity verification failed (detected weights are inconsistent)")
-    return hom
-
-
-def _verify_homogeneity(hom, pc: PointCalculus):
-    rng = np.random.default_rng(HOMOGENEITY_SEED)
-    checked = 0
-    attempts = 0
-    while checked < HOMOGENEITY_SAMPLES and attempts < HOMOGENEITY_SAMPLES * 10:
-        attempts += 1
-        x = sample_on_variety(pc, rng)
-        if x is None:
-            continue
-        alpha = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
-        y = x.copy()
-        for i in range(pc.n):
-            y[i] = x[i] * alpha ** hom.d1
-        for j in range(pc.s):
-            y[pc.n + j] = x[pc.n + j] * alpha ** hom.weights[j]
-        try:
-            v0 = pc.potential_value(x)
-            v1 = pc.potential_value(y)
-        except PoleError:
-            continue
-        expected = v0 * alpha ** hom.d2
-        scale = max(1.0, abs(expected))
-        if abs(v1 - expected) > HOMOGENEITY_REL_TOL * scale:
-            return False
-        if pc.constraint_residual(y) > 1e-6:
-            return False
-        checked += 1
-    return checked > 0
+    return Homogeneity(d1=ints[0], weights=tuple(ints[1:]), d2=d2)

@@ -26,11 +26,12 @@ import numpy as np
 
 from .calculus import PointCalculus
 from .dynamics import DEFAULT_CRITICAL_TOL, CriticalSetError, integrate
+from .expr import ExprError
 from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
-from .pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, POSITIVE_FINITE, POSITIVE_INT,
-                       TOOL_VERSION, AnalysisOptions, accepted_entry, analyze,
+from .pipeline import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, OPTION_RANGES, POSITIVE_FINITE,
+                       POSITIVE_INT, TOOL_VERSION, AnalysisOptions, accepted_entry, analyze,
                        darboux_section, hunt, report_head, report_json, table_entry)
 from .varode import build_ve, monodromy_report
 
@@ -183,7 +184,7 @@ def cmd_darboux(args) -> int:
         "accepted": [accepted_entry(rep) for rep in res.accepted],
     }
     _emit(report_json(report), args.out)
-    return 0
+    return EXIT_OK
 
 
 def cmd_check_table(args) -> int:
@@ -199,7 +200,7 @@ def cmd_check_table(args) -> int:
     report = {"k": verdict.k, "obstruction_if_hypotheses_hold": verdict.obstruction,
               **table_entry(verdict)}
     _emit(report_json(report), args.out)
-    return 0
+    return EXIT_OK
 
 
 def cmd_ve(args) -> int:
@@ -232,7 +233,7 @@ def cmd_ve(args) -> int:
             "skipped": mrep.skipped,
         }
     _emit(report_json(report), args.out)
-    return 0
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -246,11 +247,13 @@ def cmd_simulate(args) -> int:
     try:
         traj = integrate(setup, q0, p0, w0, t_grid,
                          sigma_tol=args.sigma_tol, project=args.project)
+    except ExprError:
+        raise  # not a usage error: main reports it with EXIT_ERROR
     except (CriticalSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(report_json({"label": setup.label, **dataclasses.asdict(traj)}), args.out)
-    return 0
+    return EXIT_OK
 
 
 def cmd_nbody(args) -> int:
@@ -270,7 +273,7 @@ def cmd_nbody(args) -> int:
                            "problem_text": setup.to_problem_text()}), args.out)
     else:
         _emit(setup.to_problem_text(), args.out)
-    return 0
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +355,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ExprError as exc:  # a coefficient of a derived partial has no double
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except SystemExit as exc:  # loader failures; keep the int contract
         return int(exc.code or 0)
 

@@ -40,7 +40,7 @@ class DarbouxReport:
     reason: str = ""
     degenerate: bool = False  # accepted, but base projection vanishes
     sigma_flag: bool = False
-    hessian: np.ndarray | None = None
+    hessian: np.ndarray | None = None  # every accepted point's; None when rejected
     start_label: str = ""
 
 
@@ -192,11 +192,7 @@ def solve_darboux(pc: PointCalculus,
         F = pc.darboux_residual(x)
         grad_res = float(np.max(np.abs(F[:n]))) if n else 0.0
         con_res = float(np.max(np.abs(F[n:]))) if pc.s else 0.0
-        try:
-            near = pc.near_sigma(x, radius=sigma_radius)
-        except (CriticalPointError, PoleError):
-            near = True
-        if near:
+        if pc.near_sigma(x, radius=sigma_radius):
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,
                 sigma_flag=True, start_label=label,
@@ -210,13 +206,9 @@ def solve_darboux(pc: PointCalculus,
                 reason="the origin is excluded by definition"))
             continue
         degenerate = float(np.max(np.abs(x[:n]))) < BASE_PROJECTION_TOL if n else True
-        try:
-            hess = pc.hess(x)
-        except (CriticalPointError, PoleError):
-            hess = None
         result.accepted.append(DarbouxReport(
             point=x, grad_residual=grad_res, constraint_residual=con_res,
-            degenerate=degenerate, hessian=hess,
+            degenerate=degenerate, hessian=pc.hess(x),
             start_label=label,
             reason="base projection vanishes; no spectral verdict" if degenerate else ""))
 

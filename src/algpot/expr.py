@@ -241,6 +241,16 @@ def outside_double(c: Fraction) -> str | None:
     return "too small for a double"
 
 
+def _as_complex(c: Fraction) -> complex:
+    """The coefficient c as a complex double; ExprError, with outside_double's
+    reason, for a non-zero c that has none.  A coefficient that parsing
+    accepted can still leave double range in a derived partial."""
+    why = c and outside_double(c)
+    if why:
+        raise ExprError(f"a coefficient is {why}")
+    return complex(c)
+
+
 class RatExpr:
     """Immutable rational expression in normal form."""
 
@@ -476,7 +486,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     indexable of values in var_order and returns the targets' values as a
     tuple, or the value itself when there is a single target.  Targets and
     entries are evaluated in the order given; the first vanishing
-    denominator raises PoleError with its printed form.
+    denominator raises PoleError with its printed form.  A non-zero
+    coefficient outside double range raises ExprError at compile time.
 
     Each value comes from the same operations in the same order whatever
     the target: the normal form's terms, in dict order, summed left to
@@ -554,7 +565,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     def coefficient(c):
         if c not in coefficients:
             coefficients[c] = f"c{len(coefficients)}"
-            namespace[coefficients[c]] = complex(c)
+            namespace[coefficients[c]] = _as_complex(c)
         return coefficients[c]
 
     def poly(p, start="0j"):
@@ -586,7 +597,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             c = e.constant_value()
             if c is not None:
                 for p in places:
-                    template[p] = 0j + complex(c)
+                    template[p] = 0j + _as_complex(c)
                 continue
             slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
             lines.append(f"{slots} = {value(e)}")

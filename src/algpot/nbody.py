@@ -3,8 +3,11 @@
 The gravitational potential sum(m_i m_j / r_ij) is algebraic over the
 position coordinates once each mutual distance r_ij is adjoined with the
 relation r_ij^2 = |q_i - q_j|^2.  Masses enter only through the potential;
-the kinetic form stays the identity, which matches a formulation where the
-masses have been absorbed into the units of each body's coordinates.  Each
+the kinetic form is the identity, so every setup describes
+H = |p|^2/2 + U(q).  With equal masses that is the n-body problem after a
+rescaling of time; with unequal masses it is not, because the n-body
+kinetic form weighs each body by its mass, and absorbing the masses into
+the units of the coordinates would rescale the distance relations too.  Each
 pairwise product m_i m_j is a coefficient of the potential and must have a
 finite, non-zero double.  build writes the generators and the potential in
 their normal forms directly, term by term, with no RatExpr arithmetic.

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import PROBE_RADIUS, CalculusError, PointCalculus, detect_homogeneity, validate
+from .calculus import PROBE_RADIUS, PointCalculus, detect_homogeneity, validate
 from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
 from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
                             check_pair_numeric)
@@ -211,18 +211,11 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         return _close(report, cert, EXIT_VALIDATION, timings if opt.timings else None)
 
     t0 = time.perf_counter()
-    hom = None
-    hom_warning = ""
-    try:
-        hom = detect_homogeneity(pc)
-    except CalculusError as exc:
-        hom_warning = f"homogeneity detection inconsistent: {exc}"
+    hom = detect_homogeneity(setup)
     timings["homogeneity"] = time.perf_counter() - t0
     if hom is None:
-        if not hom_warning:
-            hom_warning = ("potential is not weighted homogeneous; "
-                           "admissibility checks are skipped")
-        report["warnings"].append(hom_warning)
+        report["warnings"].append("potential is not weighted homogeneous; "
+                                  "admissibility checks are skipped")
         report["homogeneity"] = {"found": False}
         k = None
     else:
@@ -249,11 +242,6 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     points_out = []
     for idx, rep in enumerate(dres.accepted):
         entry = {"index": idx, **accepted_entry(rep)}
-        if rep.hessian is None:
-            entry["spectrum"] = None
-            points_out.append(entry)
-            continue
-
         gauge_clusters = []
         if opt.nbody is not None and _point_is_real(rep.point):
             split = split_gauge_spectrum(opt.nbody, rep.hessian, rep.point,

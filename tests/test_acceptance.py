@@ -163,7 +163,7 @@ def test_criterion_5_nbody_generator():
         report, code = analyze(setup, AnalysisOptions(nbody=cfg, n_random=0))
         assert report["validation"]["ok"]
 
-        hom = detect_homogeneity(PointCalculus(setup))
+        hom = detect_homogeneity(setup)
         assert hom is not None and hom.degree == Fraction(-1)
 
         _, seed_point = central_config_seeds(cfg)[0]
@@ -330,13 +330,13 @@ def test_criterion_8_dynamics_conservation(cone_setup):
             assert np.linalg.norm(np.asarray(back.final.q) - q0) <= 1e-7
             assert np.linalg.norm(np.asarray(back.final.p) + p0) <= 1e-7
 
-        hom_cone = detect_homogeneity(PointCalculus(cone_setup))
+        hom_cone = detect_homogeneity(cone_setup)
         orb = homothetic_orbit(cone_setup, hom_cone,
                                np.array([1.0 / 3.0, 0.0, 1.0 / 3.0]), grid)
         assert orb.eq_residual <= 1e-8
         assert np.max(np.abs(orb.hamiltonian - orb.expected_hamiltonian)) <= 1e-8
 
-        hom_2b = detect_homogeneity(PointCalculus(two_body))
+        hom_2b = detect_homogeneity(two_body)
         _, c2b = central_config_seeds(cfg)[0]
         orb2 = homothetic_orbit(two_body, hom_2b, np.asarray(c2b), grid)
         assert orb2.eq_residual <= 1e-8

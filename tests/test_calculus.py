@@ -161,14 +161,14 @@ def test_euler_identity_at_darboux_point(cone_setup):
 
 
 def test_homogeneity_detection(cone_setup, trap_setup, plain_setup):
-    hom = detect_homogeneity(PointCalculus(cone_setup))
+    hom = detect_homogeneity(cone_setup)
     assert (hom.d1, tuple(hom.weights), hom.d2) == (1, (1,), 3)
     assert hom.degree == Fraction(3)
     assert hom.integer_degree == 3
 
-    assert detect_homogeneity(PointCalculus(trap_setup)) is None
+    assert detect_homogeneity(trap_setup) is None
 
-    hp = detect_homogeneity(PointCalculus(plain_setup))
+    hp = detect_homogeneity(plain_setup)
     assert (hp.d1, hp.d2) == (1, 2)
     assert hp.integer_degree == 2
 
@@ -179,10 +179,41 @@ vars q1
 ext w1 : w1^3 - q1^2
 potential w1 * q1
 """)
-    hom = detect_homogeneity(PointCalculus(setup))
+    hom = detect_homogeneity(setup)
     assert (hom.d1, tuple(hom.weights), hom.d2) == (3, (2,), 5)
     assert hom.degree == Fraction(5, 3)
     assert hom.integer_degree is None
+
+
+# the cubic x^2 y - y^3/3 over a base that w1^41 covers: weights (41, [2], 123)
+LARGE_WEIGHT_TEXT = """
+vars q1 q2
+ext w1 : w1^41 - q1^2 - q2^2
+potential q1^2*q2 - q2^3/3
+"""
+
+
+def test_homogeneity_with_a_large_weight_is_found():
+    # scaling a variety point by |a|^41 with |a| up to 1.5 leaves G far from
+    # 0 in floating point, so a numeric check of these weights fails
+    setup = parse_problem(LARGE_WEIGHT_TEXT)
+    assert detect_homogeneity(setup) == calculus.Homogeneity(41, (2,), 123)
+    report, code = pipeline.analyze(setup)
+    assert code == pipeline.EXIT_OBSTRUCTION
+    assert report["certificate"]["status"] == "obstruction"
+    hom = report["homogeneity"]
+    assert (hom["base_weight"], hom["fiber_weights"], hom["value_weight"],
+            hom["integer_degree"]) == (41, [2], 123, 3)
+
+
+def test_homogeneity_evaluates_nothing(monkeypatch, compiled, cone_setup, plain_setup):
+    built = []
+    monkeypatch.setattr(calculus.PointCalculus, "__init__",
+                        lambda pc, setup: built.append(setup))
+    for setup in (cone_setup, plain_setup, build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3))),
+                  parse_problem(LARGE_WEIGHT_TEXT)):
+        assert detect_homogeneity(setup) is not None
+    assert built == [] and compiled == []
 
 
 def test_homogeneity_canonical_normalization():
@@ -192,7 +223,7 @@ vars q1 q2
 ext w1 : w1^2 - q1^2 - q2^2
 potential w1^3
 """)
-    hom = detect_homogeneity(PointCalculus(setup))
+    hom = detect_homogeneity(setup)
     from math import gcd
     g = gcd(hom.d1, gcd(abs(hom.d2), *[abs(w) or 1 for w in hom.weights]))
     assert g == 1
@@ -254,8 +285,9 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     pc.hess(x)
     assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each kernel it
-    # uses once: five of the six cached ones (not detJ's, which only the
-    # flow's stop events read) and the probes of detJ and of the potential's
+    # uses once: four of the six cached ones (not detJ's, which only the
+    # flow's stop events read, nor the potential value's, which only the
+    # flow's energy reads) and the probes of detJ and of the potential's
     # denominator
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
@@ -266,8 +298,8 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     (used,) = built
     held = [v for k, v in vars(used).items() if k.endswith("_kernel")]
     held += list(used._probes.values())
-    assert len(held) == 7
-    assert "_det_kernel" not in vars(used)
+    assert len(held) == 6
+    assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))
 
 

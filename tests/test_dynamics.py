@@ -46,7 +46,7 @@ def test_a_calculus_of_another_setup_is_refused(cone_setup, trap_setup):
     cone_pc = PointCalculus(cone_setup)
     with pytest.raises(ValueError, match="'cone' was passed for 'trap'"):
         integrate(trap_setup, [0.0, 1.0], [0.0, 0.0], [0.0], T_GRID, pc=cone_pc)
-    hom = detect_homogeneity(cone_pc)
+    hom = detect_homogeneity(cone_setup)
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
     with pytest.raises(ValueError, match="'cone' was passed for 'trap'"):
         homothetic_orbit(trap_setup, hom, c, T_GRID, pc=cone_pc)
@@ -59,7 +59,7 @@ def test_a_calculus_of_another_setup_is_refused(cone_setup, trap_setup):
     with pytest.raises(ValueError, match=same_label):
         integrate(unequal, np.zeros(6), np.zeros(6), np.zeros(3), T_GRID, pc=equal_pc)
     with pytest.raises(ValueError, match=same_label):
-        homothetic_orbit(unequal, detect_homogeneity(equal_pc), np.zeros(9), T_GRID,
+        homothetic_orbit(unequal, detect_homogeneity(equal_pc.setup), np.zeros(9), T_GRID,
                          pc=equal_pc)
     # an equal setup, parsed again, shares the calculus
     again = parse_problem(CONE_TEXT, label="cone")
@@ -98,7 +98,7 @@ def test_the_flow_derives_no_hessian_table(cone_setup):
     setup = build(cfg)
     three = PointCalculus(setup)
     c = np.asarray(central_config_seeds(cfg)[0][1])
-    homothetic_orbit(setup, detect_homogeneity(three), c, T_GRID[:5], pc=three)
+    homothetic_orbit(setup, detect_homogeneity(setup), c, T_GRID[:5], pc=three)
     for used in (pc, three):
         assert "_vgrad" in vars(used) and "_ggrad" in vars(used)
         assert "_vhess" not in vars(used) and "_ghess" not in vars(used)
@@ -122,7 +122,7 @@ def test_flow_stops_at_critical_set(cone_setup):
 
 
 def test_homothetic_cone(cone_setup):
-    hom = detect_homogeneity(PointCalculus(cone_setup))
+    hom = detect_homogeneity(cone_setup)
     assert hom is not None
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
     orb = homothetic_orbit(cone_setup, hom, c, T_GRID)
@@ -136,7 +136,7 @@ def test_homothetic_cone(cone_setup):
 def test_homothetic_two_body():
     cfg = NBodyConfig(n=2, dim=2, masses=(1, 1))
     setup = build(cfg)
-    hom = detect_homogeneity(PointCalculus(setup))
+    hom = detect_homogeneity(setup)
     assert hom is not None
     assert hom.degree == -1
     label, c = central_config_seeds(cfg)[0]
@@ -147,7 +147,7 @@ def test_homothetic_two_body():
 
 
 def test_homothetic_collapse_truncates(cone_setup):
-    hom = detect_homogeneity(PointCalculus(cone_setup))
+    hom = detect_homogeneity(cone_setup)
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])
     grid = np.linspace(0.0, 20.0, 201)
     orb = homothetic_orbit(cone_setup, hom, c, grid, branch=-1)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algpot import PoleError, RatExpr
-from algpot.expr import _PONE, _padd, _pdiff, _pmul, _pneg
+from algpot import ExprError, PoleError, RatExpr
+from algpot.expr import _PONE, Array, _padd, _pdiff, _pmul, _pneg, compile_arrays
 from algpot.parsing import parse_expression
 
 X = RatExpr.var("x")
@@ -173,6 +173,15 @@ def test_pole_error_carries_denominator():
     e = (X * Y) / (X * X + Y * Y)
     with pytest.raises(PoleError):
         value(e, {"x": 0.0, "y": 0.0})
+
+
+@pytest.mark.parametrize("c, why", [(Fraction(10) ** 400, "too large"),
+                                    (Fraction(1, 10 ** 400), "too small")])
+def test_a_coefficient_a_double_cannot_hold_is_refused(c, why):
+    # too large has no double; too small would round to 0 and drop its term
+    for target in (RatExpr.const(c) * X, Array((1,), [(RatExpr.const(c), [(0,)])])):
+        with pytest.raises(ExprError, match=f"a coefficient is {why} for a double"):
+            compile_arrays([target], ["x"])
 
 
 def test_integer_power_semantics():

@@ -61,7 +61,7 @@ def test_masses_whose_product_a_double_cannot_hold_are_refused(masses, why):
 
 def test_homogeneity_degree_is_minus_one():
     setup = build(NBodyConfig(n=2, dim=2, masses=(2, 3)))
-    hom = detect_homogeneity(PointCalculus(setup))
+    hom = detect_homogeneity(setup)
     assert hom is not None
     assert hom.degree == Fraction(-1)
 
