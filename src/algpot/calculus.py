@@ -35,15 +35,12 @@ The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
 is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
 wrapper costs three to four times the LAPACK call.  SciPy's OpenBLAS and
 NumPy's are separate builds, so the tests hold the two solves to equal
-bits.  zgesv returns a matrix right-hand side in Fortran order, which the
-helper copies to C order: a product with the Fortran-ordered W (W @ p in
-dynamics) makes another BLAS call and moves last bits.  A J with an
-infinite or nan entry is refused as critical: an infinite entry can leave a
-finite, meaningless solution.  Every least-squares solve
-(the Newton step, the proximity probe's step) is likewise one call of
-zgelsd (_lstsq), with NumPy's rcond=None cut-off and zgelsd's workspace
-sizes queried once per shape, which saves NumPy's wrapper, 10 to 20 us a
-step at N = 9 to 20.  A system with a non-finite entry gets an all-nan
+bits.  A J with an infinite or nan entry is refused as critical: an
+infinite entry can leave a finite, meaningless solution.  Every
+least-squares solve (the Newton step, the proximity probe's step) is
+likewise one call of zgelsd (_lstsq), with NumPy's rcond=None cut-off and
+zgelsd's workspace sizes queried once per shape, which saves NumPy's
+wrapper, 10 to 20 us a step at N = 9 to 20.  A system with a non-finite entry gets an all-nan
 solution without the call, which its callers take as leaving the domain:
 NumPy's lstsq raises on a nan entry and does not return on an infinite
 one.  The contraction sum_a u_a Hess G_a is np.dot of u as a 1 x s row with
@@ -57,11 +54,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgelsd, zgelsd_lwork, zgesv
 
-from .expr import ONE, Array, RatExpr, compile_arrays
+from .expr import ONE, ZERO, Array, RatExpr, compile_arrays
 from .parsing import AlgebraicSetup
 
 # a critical point (or pole) this close to a point makes the point critical
@@ -138,18 +136,46 @@ def _finite(a) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _nonzero(pairs) -> tuple:
+    """The (slot, index) pairs whose slot reads a structurally non-zero value."""
+    return tuple((i, k) for i, k in pairs if i)
+
+
+class FlowKernel(NamedTuple):
+    """The constrained flow's one kernel (PointCalculus._flow_kernel) and
+    where its values sit.  kernel(x) returns a tuple of complex scalars:
+    a zero at slot 0, J's diagonal at slots 1..s, and after them each other
+    structurally non-zero entry of J = dG/dw, of B = dG/dq and of the
+    potential's gradient.  A slot of 0 reads a structurally zero entry.
+    The lists hold (slot, index) pairs of non-zero entries only:
+
+    forward:  per row a of J, in order: (J_aa, B_ak with k, J_ab with b < a)
+    backward: per a, last first: (a, J_aa, d_wV_a, J_ba with b > a)
+    gradient: per base coordinate k: (d_qV_k, B_ak with a)
+
+    J is lower triangular, so J wdot = -B p is solved by forward
+    substitution and J^T u = d_wV by back substitution over these lists
+    (dynamics.ConstrainedSystem.rhs)."""
+
+    kernel: Callable
+    forward: tuple
+    backward: tuple
+    gradient: tuple
+
+
 def _fiber_solve(A, b) -> np.ndarray:
-    """A^(-1) b for A = J or J^T, in C order, by LAPACK's zgesv (see the
-    module docstring); raises CriticalPointError where J is singular or not
-    finite, or the result is not finite.  A non-finite entry of J leaves one
-    in its LU factors, which are checked in place of J: a contiguous array
-    checks faster than J's strided view.  At s = 0 the result is empty."""
+    """A^(-1) b for A = J or J^T by LAPACK's zgesv (see the module
+    docstring); raises CriticalPointError where J is singular or not finite,
+    or the result is not finite.  A non-finite entry of J leaves one in its
+    LU factors, which are checked in place of J: a contiguous array checks
+    faster than J's strided view.  A matrix b's solution comes back in
+    Fortran order, as zgesv returns it.  At s = 0 the result is empty."""
     if not len(b):
         return np.zeros(np.shape(b), dtype=complex)
     lu, _, out, info = zgesv(A, b)
     if info > 0 or not (_finite(lu) and _finite(out)):
         raise CriticalPointError("dG/dw is singular or not finite at the point")
-    return np.ascontiguousarray(out)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -183,20 +209,23 @@ class PointCalculus:
     detJ and the potential's denominator are derived symbolically on first
     use, each once, by the first kernel or probe that reads them: the
     constructor derives nothing, and a caller that never evaluates a
-    Hessian never derives one.  Every point evaluation then reduces to
-    dense (s x s) linear solves.  It keeps no per-point state: first_derivatives
-    returns a point's (dG, vg, u), its one adjoint solve, and grad,
-    w_derivative, _dg_blocks and darboux_system take those as `first` from
-    a caller that stays at the point, or compute them from x when it is
-    omitted.  Works for any s, including setups where the symbolic quotient
-    forms would be bulky.  The partials are evaluated by generated kernels
+    Hessian never derives one.  Every point evaluation of the Darboux
+    numerics then reduces to dense (s x s) linear solves.  It keeps no
+    per-point state: first_derivatives returns a point's (dG, vg, u), its
+    one adjoint solve, and grad, _dg_blocks and darboux_system take those
+    as `first` from a caller that stays at the point, or compute them from
+    x when it is omitted.  Works for any s, including setups where the
+    symbolic quotient forms would be bulky.  The partials are evaluated by generated kernels
     (expr.compile_arrays), each compiled on first use and kept: G; dG, the
     s x N matrix whose columns n: are J = dG/dw and whose columns :n are
     dG/dq; dG and the potential's plain gradient, the first derivatives
     every point evaluation (first_derivatives) needs, in one kernel; the
     potential's value; both Hessians, V's (N x N) and the generators'
     (s x N x N), in one kernel; detJ, for the flow's stop events in
-    dynamics; and one per polynomial the proximity
+    dynamics; the flow's own kernel (FlowKernel): the structurally non-zero
+    entries of J, of dG/dq and of the potential's gradient, as scalars,
+    with the index lists that solve for the flow's velocity by triangular
+    substitution, no LAPACK call; and one per polynomial the proximity
     probe walks toward.  A Hessian's upper-triangle partial is evaluated
     once and written to both places, zero partials are never evaluated and
     constant ones are filled in once, at compile time.  The fiber numerics
@@ -276,6 +305,41 @@ class PointCalculus:
     def _det_kernel(self):
         return self.det.compile(self.setup.var_names)
 
+    @cached_property
+    def _flow_kernel(self) -> FlowKernel:
+        """The constrained flow's kernel and the index lists of its
+        triangular substitution (see FlowKernel).  Raises ValueError, naming
+        the generator, where J has a structural entry above its diagonal,
+        which a generator using an extension variable declared after its
+        own makes; parse_problem and nbody.build make none."""
+        n, s = self.n, self.s
+        J = [row[n:] for row in self._ggrad]
+        for a, b in ((a, b) for a in range(s) for b in range(a + 1, s)):
+            if not J[a][b].is_zero:
+                w = self.setup.w_names
+                raise ValueError(f"the generator of {w[a]} depends on {w[b]}, declared after "
+                                 "it: the flow needs dG/dw lower triangular")
+        targets = [ZERO] + [J[a][a] for a in range(s)]
+
+        def slot(e):
+            """e's index among the kernel's values; 0 for a zero e."""
+            if e.is_zero:
+                return 0
+            targets.append(e)
+            return len(targets) - 1
+
+        below = [[(slot(J[a][b]), b) for b in range(a)] for a in range(s)]
+        B = [[(slot(self._ggrad[a][k]), k) for k in range(n)] for a in range(s)]
+        dV = [slot(e) for e in self._vgrad]
+        above = [_nonzero((below[b][a][0], b) for b in range(a + 1, s)) for a in range(s)]
+        forward = tuple((1 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s))
+        backward = tuple((a, 1 + a, dV[n + a], above[a]) for a in reversed(range(s)))
+        gradient = tuple((dV[k], _nonzero((B[a][k][0], a) for a in range(s))) for k in range(n))
+        if len(targets) == 1:  # compile_arrays returns a lone target bare, not in a tuple
+            targets.append(ZERO)
+        return FlowKernel(compile_arrays(targets, self.setup.var_names),
+                          forward, backward, gradient)
+
     # -- raw evaluations ------------------------------------------------
 
     def potential_value(self, x) -> complex:
@@ -295,16 +359,12 @@ class PointCalculus:
     def first_derivatives(self, x):
         """(dG, vg, u) at x: the generators' Jacobian, the potential's plain
         gradient and the adjoint u = J^(-T) d_wV; raises CriticalPointError
-        off the good set.  Every point's adjoint is solved here.  A caller
-        that goes on at x passes the result as `first` to grad,
-        w_derivative, _dg_blocks or darboux_system."""
+        off the good set.  Every adjoint of the Darboux numerics is solved
+        here; the flow substitutes its own (dynamics).  A caller that goes
+        on at x passes the result as `first` to grad, _dg_blocks or
+        darboux_system."""
         dG, vg = self._first_kernel(x)
         return dG, vg, _fiber_solve(dG[:, self.n:].T, vg[self.n:])
-
-    def w_derivative(self, x, first=None) -> np.ndarray:
-        """Numeric s x n matrix of dw_j/dq_k at the point."""
-        dG = (first or self.first_derivatives(np.asarray(x, dtype=complex)))[0]
-        return _fiber_solve(dG[:, self.n:], -dG[:, :self.n])
 
     def grad(self, x, first=None) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""

@@ -7,6 +7,18 @@ must stay invertible along the trajectory; the integrator refuses to start
 on the critical set and stops with a diagnostic when a trajectory reaches
 it.
 
+J is lower triangular in declared order: a generator uses only the
+extension variables declared up to its own (parse_problem), and the
+n-body generators make J diagonal.  The vector field therefore needs no
+linear solve.  One kernel (PointCalculus._flow_kernel) gives the
+structurally non-zero entries of J, of B = dG/dq and of the potential's
+gradient as scalars; J^T u = d_wV is solved by back substitution, so
+grad V = d_qV - B^T u, and J wdot = -B p by forward substitution, in
+Python floats over index lists fixed once per setup.  The kernel refuses a
+setup whose J has an entry above its diagonal.  These sums run in another
+order than LAPACK's, so trajectories differ from a solve-based field in
+their last bits.
+
 Homothetic orbits exist through any Darboux point of a weighted-homogeneous
 potential: all coordinates scale by powers of one scalar profile phi(t),
 which solves a one-dimensional ODE.  They are produced here in closed form
@@ -18,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import CriticalPointError, Homogeneity, PointCalculus
+from .calculus import Homogeneity, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
@@ -99,15 +112,46 @@ class ConstrainedSystem:
         return self.pc.constraint_residual(self.point(y))
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        p = self.split(y)[1]
-        x = self.point(y)
+        """(p, -grad V, wdot) at the state y, with grad V = d_qV - B^T u: u
+        from J^T u = d_wV by back substitution and wdot from J wdot = -B p
+        by forward substitution over the flow kernel's values.  Raises
+        CriticalSetError at a pole of the potential, where a diagonal entry
+        of J is zero or not finite, or where the field is not finite."""
+        kernel, forward, backward, gradient = self.pc._flow_kernel
+        n = self.n
+        state = y.tolist()
+        p = state[n:2 * n]
         try:
-            first = self.pc.first_derivatives(x)
-            grad = self.pc.grad(x, first).real
-            wdot = (self.pc.w_derivative(x, first) @ p).real if self.s else np.zeros(0)
-        except (CriticalPointError, PoleError) as exc:
+            v = [c.real for c in kernel(state[:n] + state[2 * n:])]
+        except PoleError as exc:
             raise CriticalSetError(str(exc)) from exc
-        return np.concatenate([p, -grad, wdot])
+        wdot = []
+        for d, row, below in forward:
+            jaa = v[d]
+            if not (jaa and isfinite(jaa)):
+                raise CriticalSetError("dG/dw is singular or not finite at the point")
+            acc = 0.0
+            for i, k in row:
+                acc -= v[i] * p[k]
+            for i, b in below:
+                acc -= v[i] * wdot[b]
+            wdot.append(acc / jaa)
+        u = [0.0] * self.s
+        for a, d, dv, above in backward:
+            acc = v[dv]
+            for i, b in above:
+                acc -= v[i] * u[b]
+            u[a] = acc / v[d]
+        force = []
+        for dv, column in gradient:
+            acc = -v[dv]
+            for i, a in column:
+                acc += v[i] * u[a]
+            force.append(acc)
+        field = p + force + wdot
+        if not all(map(isfinite, field)):
+            raise CriticalSetError("the vector field is not finite at the point")
+        return np.array(field)
 
     def project_fiber(self, y: np.ndarray) -> np.ndarray:
         """Newton-correct w back onto G(q, .) = 0, keeping q and p fixed."""

@@ -26,8 +26,10 @@ instrument = load_instrument()
 # and its metrics read 0.  The admissibility decision is two module
 # functions, so the class that held the table's checks is gone.  Monodromy
 # is continued by Taylor series, so the companion matrix of the ODE
-# transport has no caller left.
+# transport has no caller left.  The constrained flow solves for dw/dq by
+# triangular substitution, so the calculus has no w_derivative.
 STALE_WRAP_POINTS = [
+    "calculus.PointCalculus.w_derivative (calculus.w_derivative)",
     "admissibility.AdmissibilityTable.check_pair_exact (admissibility.check_exact)",
     "admissibility.AdmissibilityTable.check_pair_numeric (admissibility.check_numeric)",
     "varode.HypergeomVE.system_matrix (varode.system_matrix)",

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from algpot import calculus
 from algpot.calculus import PointCalculus, detect_homogeneity
-from algpot.dynamics import homothetic_orbit, integrate
+from algpot.dynamics import CriticalSetError, ConstrainedSystem, homothetic_orbit, integrate
+from algpot.expr import ExprError, RatExpr
 from algpot.nbody import NBodyConfig, build, central_config_seeds
-from algpot.parsing import parse_problem
+from algpot.parsing import AlgebraicSetup, parse_problem
 
-from conftest import CONE_TEXT
+from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
 
 T_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -154,3 +156,165 @@ def test_homothetic_collapse_truncates(cone_setup):
     # the inward branch reaches the collapse guard before the grid ends
     assert orb.truncated
     assert orb.times[-1] < grid[-1]
+
+
+# ---------------------------------------------------------------------------
+# the vector field by triangular substitution
+# ---------------------------------------------------------------------------
+
+POLE_TEXT = """\
+vars q1 q2
+ext w1 : w1^2 - q1^2 - q2^2
+potential 1/w1
+"""
+
+# the benchmark's draw1: w2's generator uses w1, so J has an entry below
+# its diagonal
+DRAW1_TEXT = """\
+vars q1 q2
+ext w1 : -q1^3 - 2*q2^3 + w1^3
+ext w2 : -q2^2 - 2*w1^2 + w2^2
+potential -3*q1*q2^2*w2 - 2*q2*w1*w2^2 - w1^3*w2
+"""
+
+FIELD_SETUPS = {
+    "cone": lambda: parse_problem(CONE_TEXT),
+    "trap": lambda: parse_problem(TRAP_TEXT),
+    "pole": lambda: parse_problem(POLE_TEXT),
+    "draw1": lambda: parse_problem(DRAW1_TEXT),
+    "nbody-3x2-m123": lambda: build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3))),
+    "nbody-4x2": lambda: build(NBodyConfig(n=4, dim=2, masses=(1, 1, 1, 1))),
+}
+
+
+def real_states(pc, count, seed):
+    """Real states (q, p, w) on pc's variety: random q and p, w by Newton on
+    the fiber from a random real start, which keeps it real."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(50 * count):
+        q = rng.uniform(-1.5, 1.5, pc.n)
+        w0 = rng.choice([-1.0, 1.0], pc.s) * rng.uniform(0.5, 2.0, pc.s)
+        w = pc.solve_fiber(q.astype(complex), w0.astype(complex))
+        if w is not None:
+            assert not w.imag.any()
+            states.append(np.concatenate([q, rng.standard_normal(pc.n), w.real]))
+        if len(states) == count:
+            return states
+    raise AssertionError("too few real variety points")
+
+
+def reference_field(pc, y):
+    """(p, -(d_qV - B^T J^-T d_wV), -J^-1 B p) by NumPy's solve."""
+    n = pc.n
+    q, p, w = y[:n], y[n:2 * n], y[2 * n:]
+    dG, vg = pc._first_kernel(np.concatenate([q, w]).astype(complex))
+    J, B = dG[:, n:], dG[:, :n]
+    grad = vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])
+    wdot = -np.linalg.solve(J, B @ p)
+    return np.concatenate([p, -grad.real, wdot.real])
+
+
+@pytest.mark.parametrize("name", list(FIELD_SETUPS))
+def test_rhs_matches_the_numpy_reference(name):
+    pc = PointCalculus(FIELD_SETUPS[name]())
+    system = ConstrainedSystem(pc)
+    for y in real_states(pc, 12, seed=5):
+        got, ref = system.rhs(0.0, y), reference_field(pc, y)
+        assert got.shape == ref.shape and got.dtype == float
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rhs_without_extension_variables():
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    plain = ConstrainedSystem(PointCalculus(parse_problem(PLAIN_TEXT)))
+    assert list(plain.rhs(0.0, y)) == [3.0, 4.0, -2.0, -4.0]
+    # a constant potential: no structurally non-zero entry at all
+    free = ConstrainedSystem(PointCalculus(parse_problem("vars q1 q2\npotential 1\n")))
+    assert list(free.rhs(0.0, y)) == [3.0, 4.0, 0.0, 0.0]
+
+
+def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
+    pc = PointCalculus(FIELD_SETUPS["draw1"]())
+    system = ConstrainedSystem(pc)
+    flow = pc._flow_kernel
+    states = real_states(pc, 4, seed=1)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return flow.kernel(x)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the flow made a linear solve")
+
+    monkeypatch.setitem(vars(pc), "_flow_kernel", flow._replace(kernel=counted))
+    for name in ("_fiber_solve", "zgesv"):
+        monkeypatch.setattr(calculus, name, refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    for method in ("first_derivatives", "grad", "_first_kernel", "_dg_kernel"):
+        monkeypatch.setattr(pc, method, refused)
+    for y in states:
+        calls.clear()
+        system.rhs(0.0, y)
+        assert len(calls) == 1
+
+
+def test_rhs_refuses_the_critical_set_a_pole_and_a_non_finite_state():
+    cone = ConstrainedSystem(PointCalculus(parse_problem(CONE_TEXT)))
+    apex = np.array([0.0, 0.0, 0.3, -0.1, 0.0])  # J = 2 w1 = 0
+    with pytest.raises(CriticalSetError, match="singular or not finite"):
+        cone.rhs(0.0, apex)
+    pole = ConstrainedSystem(PointCalculus(parse_problem(POLE_TEXT)))
+    with pytest.raises(CriticalSetError, match=r"evaluation at a pole: denominator \(w1"):
+        pole.rhs(0.0, apex)
+    y = np.array([0.6, 0.8, 0.1, -0.2, 1.0])
+    for i, bad in ((0, np.nan), (4, np.inf), (4, np.nan), (2, np.nan), (3, -np.inf)):
+        state = y.copy()
+        state[i] = bad
+        with pytest.raises(CriticalSetError, match="not finite"):
+            cone.rhs(0.0, state)
+
+
+def test_the_flow_kernel_refuses_an_entry_above_the_diagonal_of_J():
+    # parse_problem lets a generator use only the names declared before it;
+    # built by hand, w1's generator uses w2
+    q1, w1, w2 = RatExpr.var("q1"), RatExpr.var("w1"), RatExpr.var("w2")
+    setup = AlgebraicSetup(q_names=("q1",), w_names=("w1", "w2"),
+                           generators=(w1 - w2 * q1, w2 * w2 - q1), potential=w1 * w2,
+                           label="upper")
+    pc = PointCalculus(setup)
+    with pytest.raises(ValueError, match="the generator of w1 depends on w2, declared after it"):
+        pc._flow_kernel
+    with pytest.raises(ValueError, match="the generator of w1 depends on w2"):
+        integrate(setup, [1.0], [0.0], [1.0, 1.0], T_GRID)
+
+
+def test_the_flow_kernel_refuses_a_coefficient_without_a_double():
+    # 10^308 has a double; the first partial's 5*10^308 does not
+    big = parse_problem("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 10^308*w1^5\n")
+    with pytest.raises(ExprError, match="too large for a double"):
+        PointCalculus(big)._flow_kernel
+
+
+def lagrange_state(angle):
+    """The equal-mass Lagrange triangle, side 3^(1/3), turning at unit rate."""
+    t = angle + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+    q = 3.0 ** (1.0 / 3.0) / np.sqrt(3.0) * np.stack([np.cos(t), np.sin(t)], axis=1)
+    p = np.stack([-q[:, 1], q[:, 0]], axis=1)
+    r = [-np.linalg.norm(q[i] - q[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return q.ravel(), p.ravel(), np.array(r)
+
+
+def test_a_lagrange_turn_and_a_draw1_flow():
+    setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
+    q0, p0, w0 = lagrange_state(0.3)
+    turn = integrate(setup, q0, p0, w0, np.linspace(0.0, 2 * np.pi, 9))
+    assert turn.terminated == "completed"
+    assert turn.energy_drift <= 1e-8 and turn.max_constraint_residual <= 1e-7
+    # after one turn the triangle is back where it started
+    assert np.max(np.abs(turn.final.q - q0)) <= 1e-6
+    draw1 = integrate(parse_problem(DRAW1_TEXT), [0.5, 0.3], [0.0, 0.0], [1.0, 1.5],
+                      np.linspace(0.0, 0.5, 11))
+    assert draw1.terminated == "completed"
+    assert draw1.energy_drift <= 1e-8 and draw1.max_constraint_residual <= 1e-7

@@ -165,6 +165,44 @@ def test_one_solve_helper_and_one_least_squares_helper():
     assert uses == ["calculus._fiber_solve -> zgesv", "calculus._lstsq -> zgelsd"]
 
 
+FLOW_FORBIDDEN = ("_fiber_solve", "first_derivatives", "w_derivative")
+
+
+def flow_solve_references(path: Path) -> list:
+    """Each name or attribute in FLOW_FORBIDDEN that the module reads, and
+    each import from or attribute chain through scipy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and node.id in FLOW_FORBIDDEN:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in FLOW_FORBIDDEN:
+            found.append(node.attr)
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            found.append("scipy.linalg")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.linalg"):
+            found.append(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += [f"scipy.{a.name}" for a in node.names if a.name == "linalg"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("scipy.linalg")]
+    return found
+
+
+def test_the_flow_makes_no_linear_solve(tmp_path):
+    # the constrained flow's field comes from one kernel by triangular
+    # substitution; a LAPACK path back into dynamics would show here
+    assert flow_solve_references(SRC / "dynamics.py") == []
+    probe = tmp_path / "probe.py"
+    probe.write_text("from scipy.linalg.lapack import zgesv\nimport scipy.linalg\n"
+                     "from scipy import linalg\nx = pc.first_derivatives(y)\n"
+                     "W = pc.w_derivative(x)\nu = _fiber_solve(J, b)\n"
+                     "scipy.linalg.solve(J, b)\n", encoding="utf-8")
+    assert sorted(flow_solve_references(probe)) == [
+        "_fiber_solve", "first_derivatives", "scipy.linalg", "scipy.linalg", "scipy.linalg",
+        "scipy.linalg.lapack", "w_derivative"]
+
+
 DYNAMIC_CODE = ("exec", "eval", "compile")
 
 
@@ -203,9 +241,10 @@ def test_generated_source_names_no_variable():
     pc.darboux_system(x)
     pc.near_sigma(x)
     sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._first_kernel.source,
-               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source,
+               pc._flow_kernel.kernel.source]
     sources += [k.source for k in pc._probes.values()]
-    assert len(sources) == 8
+    assert len(sources) == 9
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 

@@ -27,7 +27,6 @@ from algpot import calculus, darboux
 from algpot.calculus import (PROBE_RADIUS, CriticalPointError, PointCalculus, _fiber_solve,
                              _lstsq)
 from algpot.darboux import CONV_TOL, _newton
-from algpot.dynamics import ConstrainedSystem
 from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
@@ -512,8 +511,8 @@ def point_results(pc, x):
     first_derivatives returned."""
     first = pc.first_derivatives(x)
     return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), pc.darboux_system(x),
-                              pc.hess(x), pc.w_derivative(x), *first, pc.grad(x, first),
-                              pc.darboux_system(x, first), pc.w_derivative(x, first))]
+                              pc.hess(x), *first, pc.grad(x, first),
+                              pc.darboux_system(x, first))]
 
 
 def test_a_calculus_answers_every_point_as_a_fresh_one():
@@ -524,7 +523,7 @@ def test_a_calculus_answers_every_point_as_a_fresh_one():
         results = point_results(pc, x)
         assert results == point_results(PointCalculus(setup), x)
         # passed first derivatives give what solved ones give
-        assert results[-3:] == [results[0], results[2], results[4]]
+        assert results[-2:] == [results[0], results[2]]
     # the same array changed in place after a call is a new point
     x = a.copy()
     pc.grad(x)
@@ -538,7 +537,7 @@ def test_singular_fiber_raises_on_every_call(trap_setup):
     good = np.array([0.25, 1.0, 0.5], dtype=complex)
     singular = np.array([0.0, 1.0, 0.0], dtype=complex)
     for method in (pc.first_derivatives, pc.grad, pc.darboux_residual, pc.darboux_system,
-                   pc.hess, pc.w_derivative):
+                   pc.hess):
         pc.grad(good)
         for _ in range(3):
             with pytest.raises(CriticalPointError):
@@ -571,8 +570,6 @@ def test_fiber_solve_matches_numpy_bit_for_bit(text):
         u, W = _fiber_solve(J.T, b), _fiber_solve(J, -B)
         assert u.shape == u_ref.shape and bits(u) == bits(u_ref)
         assert W.shape == W_ref.shape and bits(W) == bits(W_ref)
-        # a Fortran-ordered W would make W @ p another BLAS call
-        assert u.flags.c_contiguous and W.flags.c_contiguous
         compared += 1
     assert compared >= 10
 
@@ -689,50 +686,3 @@ def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
             x = _lstsq(A_, b_)
             assert x.shape == (3,) and np.isnan(x).all()
 
-
-def lagrange_states(count):
-    """Equal-mass Lagrange triangles at turned angles, in (q, p, w) form,
-    moving at about the rotating speed with a spread of speeds."""
-    side = 3.0 ** (1.0 / 3.0)
-    out = []
-    for k, angle in enumerate(np.linspace(0.0, 2 * np.pi, count, endpoint=False)):
-        t = angle + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-        q = side / np.sqrt(3.0) * np.stack([np.cos(t), np.sin(t)], axis=1)
-        p = (0.9 + 0.2 * k / count) * np.stack([-q[:, 1], q[:, 0]], axis=1)
-        r = [-np.linalg.norm(q[i] - q[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        out.append(np.concatenate([q.ravel(), p.ravel(), r]))
-    return out
-
-
-def rhs_reference(system, y):
-    """The vector field from NumPy's solve: u = J^-T d_wV, W = -J^-1 B."""
-    q, p, w = system.split(y)
-    x = np.concatenate([q, w]).astype(complex)
-    n = system.n
-    dG = system.pc._dg_kernel(x)
-    vg = system.pc._first_kernel(x)[1]
-    J, B = dG[:, n:], dG[:, :n]
-    grad = (vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])).real
-    wdot = (np.linalg.solve(J, -B) @ p).real
-    return np.concatenate([p, -grad, wdot])
-
-
-def test_constrained_rhs_matches_the_numpy_reference_bit_for_bit():
-    system = ConstrainedSystem(PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))))
-    for y in lagrange_states(48):
-        assert bits(system.rhs(0.0, y)) == bits(rhs_reference(system, y))
-
-
-def test_constrained_rhs_evaluates_its_first_derivatives_once(monkeypatch):
-    # one right-hand side shares its first derivatives between the gradient
-    # and the fiber velocity: one first-derivative kernel evaluation, and
-    # two solves, u for the gradient and W for the fiber velocity
-    system = ConstrainedSystem(PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))))
-    kernels, solves = [], []
-    monkeypatch.setattr(system.pc, "_first_kernel", counted(system.pc._first_kernel, kernels))
-    monkeypatch.setattr(calculus, "_fiber_solve", counted(_fiber_solve, solves))
-    for y in lagrange_states(4):
-        kernels.clear()
-        solves.clear()
-        system.rhs(0.0, y)
-        assert len(kernels) == 1 and len(solves) == 2
