@@ -25,13 +25,13 @@ from typing import NoReturn
 import numpy as np
 
 from .calculus import PointCalculus
-from .dynamics import DEFAULT_CRITICAL_TOL, CriticalSetError, integrate
+from .dynamics import CriticalSetError, integrate
 from .expr import ExprError
 from .admissibility import TableError, check_pair_exact, check_pair_numeric
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
-from .pipeline import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, OPTION_RANGES, POSITIVE_FINITE,
-                       POSITIVE_INT, TOOL_VERSION, AnalysisOptions, accepted_entry, analyze,
+from .pipeline import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, OPTION_RANGES, POSITIVE_INT,
+                       TOOL_VERSION, AnalysisOptions, accepted_entry, analyze,
                        darboux_section, hunt, report_head, report_json, table_entry)
 from .varode import build_ve, monodromy_report
 
@@ -245,8 +245,7 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     t_grid = np.linspace(args.t0, args.t1, args.samples)
     try:
-        traj = integrate(setup, q0, p0, w0, t_grid,
-                         sigma_tol=args.sigma_tol, project=args.project)
+        traj = integrate(setup, q0, p0, w0, t_grid, project=args.project)
     except ExprError:
         raise  # not a usage error: main reports it with EXIT_ERROR
     except (CriticalSetError, ValueError) as exc:
@@ -330,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=TIME, default=0.0)
     p.add_argument("--t1", type=TIME, default=1.0)
     p.add_argument("--samples", type=_flag_type(*POSITIVE_INT), default=33)
-    p.add_argument("--sigma-tol", type=_flag_type(*POSITIVE_FINITE),
-                   default=DEFAULT_CRITICAL_TOL,
-                   help="|detJ| at or below which the flow stops at the critical set")
     p.add_argument("--project", action="store_true",
                    help="Newton-correct the fiber variables at each sample time")
     p.add_argument("--out", metavar="FILE")

@@ -3,9 +3,11 @@
 The phase space is (q, p) with the fiber variables w carried along as a
 redundant coordinate pinned to the variety by G(q, w) = 0.  The equations
 of motion use the variety-intrinsic gradient, so the fiber block J = dG/dw
-must stay invertible along the trajectory; the integrator refuses to start
-on the critical set and stops with a diagnostic when a trajectory reaches
-it.
+must stay invertible along the trajectory.  The flow stops only where its
+field is undefined: it refuses a start at which the field cannot be
+evaluated, stops when det J changes sign, and ends when the integrator
+gives up.  No |det J| threshold is involved, so the stop does not depend
+on the scale of the variables.
 
 J is lower triangular in declared order: a generator uses only the
 extension variables declared up to its own (parse_problem), and the
@@ -41,9 +43,6 @@ from .parsing import AlgebraicSetup
 
 # rtol and atol of every DOP853 integration: trajectories and homothetic profiles
 ODE_TOL = 1e-12
-# the flow stops where |detJ| falls to this: an ODE event needs a continuous
-# function of the state, which the critical-set probe is not
-DEFAULT_CRITICAL_TOL = 1e-8
 
 
 class CriticalSetError(RuntimeError):
@@ -63,7 +62,9 @@ class TrajectoryState:
 @dataclass
 class Trajectory:
     samples: list
-    terminated: str  # "completed" | "critical_set"
+    # "completed", "critical_set" (the start is where the field is undefined,
+    # or det J changed sign) or "solver_failed" (the integrator gave up)
+    terminated: str
     message: str = ""
     energy_drift: float = 0.0
     max_constraint_residual: float = 0.0
@@ -100,9 +101,6 @@ class ConstrainedSystem:
         """The complex variety point (q, w) of the state y."""
         q, _, w = self.split(y)
         return np.concatenate([q, w]).astype(complex)
-
-    def det_at(self, y: np.ndarray) -> float:
-        return abs(self.pc.det_value(self.point(y)))
 
     def energy(self, y: np.ndarray) -> float:
         p = self.split(y)[1]
@@ -178,7 +176,6 @@ def _check_calculus(pc: PointCalculus, setup: AlgebraicSetup):
 
 def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               pc: PointCalculus | None = None,
-              sigma_tol: float = DEFAULT_CRITICAL_TOL,
               project: bool = False) -> Trajectory:
     """Integrate the constrained flow, sampling at the times in t_grid.
 
@@ -188,9 +185,15 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
     untouched), and ValueError, naming max |G(q0, w0)|, is raised when the
     correction fails.  Raises CriticalSetError, before any sample, if the
     initial point is a pole of the potential, where no state has an energy.
-    Returns early with terminated="critical_set" if the initial point is
-    already within sigma_tol of a vanishing fiber Jacobian, and stops with
-    the same diagnostic if the event |det J| = sigma_tol fires mid-flight.
+    The flow stops only where its field is undefined:
+      - "critical_set" with one sample when the field cannot be evaluated at
+        the start (a zero or non-finite diagonal entry of J, or a non-finite
+        field);
+      - "critical_set" when det J changes sign, or the field becomes
+        undefined, mid-flight.  J is lower triangular, so det J changes sign
+        exactly when one of its diagonal entries does;
+      - "solver_failed" when the integrator gives up, with a last sample
+        where it stopped and its message.
     """
     pc = pc or PointCalculus(setup)
     _check_calculus(pc, setup)
@@ -216,54 +219,41 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
                                energy=sys.energy(yv),
                                constraint_residual=sys.constraint_residual(yv))
 
-    if sys.det_at(y) <= sigma_tol:
-        st = sample(t_grid[0], y)
-        return Trajectory(samples=[st], terminated="critical_set",
-                          message="initial point lies in the critical set "
-                                  "(fiber Jacobian numerically singular); "
+    samples = [sample(t_grid[0], y)]
+    try:
+        sys.rhs(t_grid[0], y)
+    except CriticalSetError as exc:
+        return Trajectory(samples=samples, terminated="critical_set",
+                          message=f"initial point lies in the critical set ({exc}); "
                                   "the intrinsic vector field is undefined here",
-                          energy_drift=0.0,
-                          max_constraint_residual=st.constraint_residual)
+                          max_constraint_residual=samples[0].constraint_residual)
 
-    def det_event(t, yv):
-        return sys.det_at(yv) - sigma_tol
-
-    det_event.terminal = True
-    det_event.direction = -1
-
-    # |det| - tol never changes sign when the flow sweeps through the
-    # critical set transversally (the dip is far narrower than any step),
-    # so track the signed determinant as well and stop on any zero crossing.
     def det_sign_event(t, yv):
         return sys.pc.det_value(sys.point(yv)).real
 
     det_sign_event.terminal = True
-    det_sign_event.direction = 0
 
-    samples = [sample(t_grid[0], y)]
     terminated = "completed"
     message = ""
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         try:
             sol = solve_ivp(sys.rhs, (t0, t1), y, method="DOP853",
-                            rtol=ODE_TOL, atol=ODE_TOL,
-                            events=(det_event, det_sign_event),
-                            dense_output=False)
+                            rtol=ODE_TOL, atol=ODE_TOL, events=det_sign_event)
         except CriticalSetError as exc:
             terminated = "critical_set"
             message = str(exc)
             break
-        if not sol.success and sol.status != 1:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        if sol.status == 1:  # event fired
+        if sol.status == -1:
+            terminated = "solver_failed"
+            samples.append(sample(sol.t[-1], sol.y[:, -1]))
+            message = f"the integrator gave up at t={sol.t[-1]:.6g}: {sol.message}"
+            break
+        if sol.status == 1:
             terminated = "critical_set"
-            fired = [(te[0], ye[0]) for te, ye in
-                     zip(sol.t_events, sol.y_events) if len(te)]
-            t_stop, y = min(fired, key=lambda item: item[0])
-            t_stop = float(t_stop)
-            samples.append(sample(t_stop, y))
+            t_stop = float(sol.t_events[0][0])
+            samples.append(sample(t_stop, sol.y_events[0][0]))
             message = (f"trajectory reached the critical set at t={t_stop:.6g}; "
-                       "stopping (fiber Jacobian below tolerance)")
+                       "stopping (det J changed sign)")
             break
         y = sol.y[:, -1]
         if project:

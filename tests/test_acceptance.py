@@ -13,7 +13,7 @@ import pytest
 
 from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
-from algpot.dynamics import DEFAULT_CRITICAL_TOL, homothetic_orbit, integrate
+from algpot.dynamics import homothetic_orbit, integrate
 from algpot.expr import RatExpr
 from algpot.admissibility import check_pair_exact
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
@@ -170,17 +170,18 @@ def test_criterion_5_nbody_generator():
         point = np.asarray(seed_point, dtype=complex)
         pc = PointCalculus(setup)
         assert not pc.near_sigma(point)
-        assert abs(pc.det_value(point)) > DEFAULT_CRITICAL_TOL
+        tiny = 1e-8  # a yardstick for "numerically zero" of |detJ| and of the pole
+        assert abs(pc.det_value(point)) > tiny
         # a vanishing distance is critical (detJ = 8 r12 r13 r23) and a pole
         # of the potential (its denominator is r12 r13 r23)
         pole = RatExpr(dict(setup.potential.den), {(): Fraction(1)}).compile(setup.var_names)
         for j in range(6, 9):
             collided = point.copy()
             collided[j] = 0.0
-            assert abs(pc.det_value(collided)) <= DEFAULT_CRITICAL_TOL, f"r index {j}"
+            assert abs(pc.det_value(collided)) <= tiny, f"r index {j}"
         grazing = point.copy()
         grazing[6] = 1e-9
-        assert abs(pole(grazing)) <= DEFAULT_CRITICAL_TOL
+        assert abs(pole(grazing)) <= tiny
 
 
 # --------------------------------------------------------------- criterion 6

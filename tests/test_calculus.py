@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from algpot import PointCalculus, RatExpr, calculus, detect_homogeneity, parse_problem, pipeline
-from algpot.dynamics import DEFAULT_CRITICAL_TOL
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
@@ -255,8 +254,9 @@ def test_sigma_v_on_trap_line(trap_setup):
 def test_sigma_probe_catches_stalled_candidates(trap_setup):
     pc = PointCalculus(trap_setup)
     stalled = np.array([9e-14, 0.0, 3e-7], dtype=complex)
-    # pointwise determinant test is too weak here
-    assert abs(pc.det_value(stalled)) > DEFAULT_CRITICAL_TOL
+    # pointwise determinant test is too weak here: |detJ| exceeds 1e-8, a
+    # yardstick for "numerically singular"
+    assert abs(pc.det_value(stalled)) > 1e-8
     assert pc.near_sigma(stalled, radius=1e-4)
     legit = np.array([4 / 25, 0.0, 2 / 5], dtype=complex)
     assert not pc.near_sigma(legit, radius=1e-4)

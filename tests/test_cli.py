@@ -14,6 +14,8 @@ from algpot.cli import build_parser, main
 from algpot.pipeline import (EXIT_ERROR, EXIT_USAGE, OPTION_RANGES, AnalysisOptions, analyze,
                              report_json)
 
+from conftest import TRAP_TEXT
+
 RUN = [sys.executable, "-m", "algpot.cli"]
 # the child process imports the same algpot sources as this one
 SRC = str(Path(algpot.__file__).resolve().parent.parent)
@@ -110,6 +112,37 @@ def test_simulate_starts_on_the_variety(cone_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: w0 is off the variety, max |G(q0, w0)| = 0.64")
     assert captured.err.count("\n") == 1
+
+
+# the benchmark's draw1, from a start that blows up in finite time
+DRAW1_TEXT = """\
+vars q1 q2
+ext w1 : -q1^3 - 2*q2^3 + w1^3
+ext w2 : -q2^2 - 2*w1^2 + w2^2
+potential -3*q1*q2^2*w2 - 2*q2*w1*w2^2 - w1^3*w2
+"""
+
+
+@pytest.mark.parametrize("text, q0, p0, w0, terminated", [
+    (TRAP_TEXT, "0,1", "0,0", "0", "critical_set"),
+    (DRAW1_TEXT, "0.4,0.2", "0.1,0.1", "1,1.5", "solver_failed"),
+], ids=["critical_set", "solver_failed"])
+def test_simulate_prints_a_stopped_trajectory(text, q0, p0, w0, terminated, tmp_path,
+                                              capsys):
+    # a flow that stops early is printed and exits 0, as a completed one
+    # (test_simulate_cone): no traceback when the integrator gives up
+    path = tmp_path / "problem.prob"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--q0", q0, "--p0", p0, "--w0", w0,
+                 "--t1", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out)
+    assert out["terminated"] == terminated
+    if terminated == "solver_failed":
+        # the last sample is where the integrator stopped, before t1
+        assert abs(out["samples"][-1]["t"] - 0.798) <= 1e-3
+        assert "Required step size" in out["message"]
 
 
 @pytest.mark.parametrize("text, q0, p0, w0", [
@@ -333,7 +366,6 @@ MALFORMED = [
     ["simulate", "CONE", "--p0", "0.1,-0.2", "--w0", "1", "--q0=0.6+1i,0.8"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--samples=0"],
     ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--t1=nan"],
-    ["simulate", "CONE", "--q0", "0.6,0.8", "--p0", "0.1,-0.2", "--sigma-tol=-1"],
 ]
 
 

@@ -68,7 +68,6 @@ def test_each_setting_has_one_definition():
         (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
-        (dynamics.DEFAULT_CRITICAL_TOL, "sigma_tol", [dynamics.integrate]),
     ]
     for constant, name, funcs in defaults:
         for func in funcs:
