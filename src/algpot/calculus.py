@@ -15,51 +15,60 @@ the Lagrangian V - u.G:
 
     grad V = d_qV - B^T u,    d(grad V)/dx = P^T L,    Hess V = P^T L P.
 
-One s x s solve for u per point serves the gradient, the Newton Jacobian
-and the Hessian, and one kernel gives the first partials (dG, d_qV, d_wV)
-it needs.  The calculus keeps nothing per point: a caller that goes on at
-a point passes that point's first derivatives, (dG, d_qV, d_wV) and u, to
-the next evaluation.  PointCalculus is the one numeric view
+J is lower triangular: a generator uses only the extension variables
+declared up to its own (PointCalculus._jacobian, which refuses any other
+setup), and the n-body generators make J diagonal.  So every solve with J
+is triangular substitution and no LAPACK solve is left: one generated
+kernel gives a point's first derivatives, the structurally non-zero
+entries of dG and of the potential's gradient, then u by back
+substitution and grad V, all unrolled into straight-line code
+(expr.Substitution); W and the fiber Newton step are forward substitution
+(_forward), one vectorised division for the rows without a below-diagonal
+entry, which covers all of n-body.  Substitution is backward stable
+componentwise (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 8), so it replaces an LU solve; the tests hold it to NumPy's solve
+within a relative bound.  A zero diagonal entry of J, a non-finite entry
+of J or a non-finite u is refused as critical on every call: an infinite
+entry can leave a finite, meaningless u.  The one u per point serves the
+gradient, the Newton Jacobian and the Hessian.  The calculus keeps nothing
+per point: a caller that goes on at a point passes that point's first
+derivatives to the next evaluation.  PointCalculus is the one numeric view
 of a setup: it evaluates plain partials of V and G, each table derived
 symbolically on first use and evaluated by kernels generated on first use,
-so building a calculus costs nothing until it evaluates, and does small
-linear solves per point, which stays cheap at any number of extension
-variables.  It also solves fibers, samples the variety and
-probes the distance to the critical set, which is the one test of
-criticality: validation and the Darboux hunt ask the probe alone, never
-the size of detJ.  The tests hold it against finite differences of a
-locally solved branch.  Weighted homogeneity (detect_homogeneity) needs
-no numeric view: it is decided exactly from the setup's polynomials.
+so building a calculus costs nothing until it evaluates.  It also solves
+fibers, samples the variety and probes the distance to the critical set,
+which is the one test of criticality: validation and the Darboux hunt ask
+the probe alone, never the size of detJ.  The tests hold it against finite
+differences of a locally solved branch.  Weighted homogeneity
+(detect_homogeneity) needs no numeric view: it is decided exactly from the
+setup's polynomials.
 
-The per-point numerics keep NumPy's bits at less cost.  Every s x s solve
-is one call of LAPACK's zgesv (_fiber_solve): at s <= 10, NumPy's solve
-wrapper costs three to four times the LAPACK call.  SciPy's OpenBLAS and
-NumPy's are separate builds, so the tests hold the two solves to equal
-bits.  A J with an infinite or nan entry is refused as critical: an
-infinite entry can leave a finite, meaningless solution.  Every
-least-squares solve (the Newton step, the proximity probe's step) is
-likewise one call of zgelsd (_lstsq), with NumPy's rcond=None cut-off and
+Every least-squares solve (the Newton step, the proximity probe's step) is
+one call of LAPACK's zgelsd (_lstsq), with NumPy's rcond=None cut-off and
 zgelsd's workspace sizes queried once per shape, which saves NumPy's
-wrapper, 10 to 20 us a step at N = 9 to 20.  A system with a non-finite entry gets an all-nan
-solution without the call, which its callers take as leaving the domain:
-NumPy's lstsq raises on a nan entry and does not return on an infinite
-one.  The contraction sum_a u_a Hess G_a is np.dot of u as a 1 x s row with
-the Hessians as an s x N^2 matrix, the BLAS call NumPy's tensordot makes,
-without its bookkeeping; a 1-D matmul sums in another order.
+wrapper, 10 to 20 us a step at N = 9 to 20; SciPy's OpenBLAS and NumPy's
+are separate builds, so the tests hold the two to equal bits.  A system
+with a non-finite entry gets an all-nan solution without the call, which
+its callers take as leaving the domain: NumPy's lstsq raises on a nan
+entry and does not return on an infinite one.  The contraction sum_a u_a
+Hess G_a is np.dot of u as a 1 x s row with the Hessians as an s x N^2
+matrix, the BLAS call NumPy's tensordot makes, without its bookkeeping; a
+1-D matmul sums in another order.
 """
 
 from __future__ import annotations
 
 import math
+from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zgelsd, zgelsd_lwork, zgesv
+from scipy.linalg.lapack import zgelsd, zgelsd_lwork
 
-from .expr import ONE, ZERO, Array, RatExpr, compile_arrays
+from .expr import ONE, ZERO, Array, RatExpr, Substitution, compile_arrays
 from .parsing import AlgebraicSetup
 
 # a critical point (or pole) this close to a point makes the point critical
@@ -82,34 +91,6 @@ LSTSQ_EPS = np.finfo(float).eps
 
 class CriticalPointError(ArithmeticError):
     """The requested point (numerically) sits on the critical set."""
-
-
-def det_expr(M: list) -> RatExpr:
-    """Determinant by cofactor expansion with zero pruning.
-
-    Exponential in the worst case, but the matrices seen here are tiny or
-    sparse (the pairwise-distance Jacobian is diagonal), and zero entries
-    short-circuit whole branches.
-    """
-    m = len(M)
-    if m == 0:
-        return ONE
-    if m == 1:
-        return M[0][0]
-    acc = None
-    sign = 1
-    for j in range(m):
-        e = M[0][j]
-        if e.is_zero:
-            sign = -sign
-            continue
-        minor = [[row[jj] for jj in range(m) if jj != j] for row in M[1:]]
-        term = e * det_expr(minor)
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc if acc is not None else RatExpr.const(0)
 
 
 def _hessian_entries(grad, order) -> list:
@@ -141,40 +122,65 @@ def _nonzero(pairs) -> tuple:
     return tuple((i, k) for i, k in pairs if i)
 
 
-class FlowKernel(NamedTuple):
-    """The constrained flow's one kernel (PointCalculus._flow_kernel) and
-    where its values sit.  kernel(x) returns a tuple of complex scalars:
-    a zero at slot 0, J's diagonal at slots 1..s, and after them each other
-    structurally non-zero entry of J = dG/dw, of B = dG/dq and of the
-    potential's gradient.  A slot of 0 reads a structurally zero entry.
-    The lists hold (slot, index) pairs of non-zero entries only:
+class PointKernel(NamedTuple):
+    """A point's first derivatives from one kernel (PointCalculus._point_kernel)
+    and where its values sit.  kernel(x) returns a tuple of complex scalars:
+    a zero at slot 0, each structurally non-zero partial of the potential,
+    the structurally non-zero entries of B = dG/dq and of J = dG/dw (J's
+    diagonal first, then its entries below the diagonal), the adjoint u =
+    J^(-T) d_wV by back substitution, last entry first, and grad V = d_qV -
+    B^T u.  Slices and index lists locate them:
 
-    forward:  per row a of J, in order: (J_aa, B_ak with k, J_ab with b < a)
-    backward: per a, last first: (a, J_aa, d_wV_a, J_ba with b > a)
-    gradient: per base coordinate k: (d_qV_k, B_ak with a)
+    grad:      grad V
+    u:         u in order (a reversed slice)
+    dG:        the entries of B and J, written at dg_index of the flat
+               s x N matrix dG
+    checked:   J's entries and u, finite wherever the point is good
+    forward:   per row a of J, in order: (J_aa, B_ak with k, J_ab with b < a)
 
-    J is lower triangular, so J wdot = -B p is solved by forward
-    substitution and J^T u = d_wV by back substitution over these lists
-    (dynamics.ConstrainedSystem.rhs)."""
+    J is lower triangular (PointCalculus._jacobian), so u is back
+    substitution unrolled by expr.compile_arrays into the kernel, and the
+    flow solves J wdot = -B p by forward substitution over `forward`
+    (dynamics.ConstrainedSystem.rhs).  The generators' values are not
+    here: the flow never reads them, and the Darboux search reads them
+    first, from the G kernel, to reject most failing trials without this
+    kernel."""
 
     kernel: Callable
+    grad: slice
+    u: slice
+    dG: slice
+    dg_index: np.ndarray
+    checked: slice
     forward: tuple
-    backward: tuple
-    gradient: tuple
 
-
-def _fiber_solve(A, b) -> np.ndarray:
-    """A^(-1) b for A = J or J^T by LAPACK's zgesv (see the module
-    docstring); raises CriticalPointError where J is singular or not finite,
-    or the result is not finite.  A non-finite entry of J leaves one in its
-    LU factors, which are checked in place of J: a contiguous array checks
-    faster than J's strided view.  A matrix b's solution comes back in
-    Fortran order, as zgesv returns it.  At s = 0 the result is empty."""
-    if not len(b):
-        return np.zeros(np.shape(b), dtype=complex)
-    lu, _, out, info = zgesv(A, b)
-    if info > 0 or not (_finite(lu) and _finite(out)):
+    def __call__(self, x) -> tuple:
+        """The kernel's values at x.  Raises CriticalPointError, on every
+        call, where J has a zero diagonal entry (its division raises) or a
+        non-finite entry, or u is not finite: an infinite entry can leave a
+        finite, meaningless u.  A pole of the potential raises PoleError."""
+        try:
+            values = self.kernel(x)
+            if all(map(isfinite, values[self.checked])):
+                return values
+        except ZeroDivisionError:
+            pass
         raise CriticalPointError("dG/dw is singular or not finite at the point")
+
+
+def _forward(J, b, coupled) -> np.ndarray:
+    """J^(-1) b for a lower-triangular J by forward substitution: every row
+    is divided by its diagonal entry at once, which solves each row without
+    a below-diagonal entry (all of n-body's), then each row of `coupled`,
+    (a, (c, ...)) with J_ac its below-diagonal entries, is recomputed in
+    order.  The caller has refused a zero diagonal entry."""
+    d = J.diagonal()
+    out = b / (d[:, None] if b.ndim == 2 else d)
+    for a, cols in coupled:
+        acc = b[a]
+        for c in cols:
+            acc = acc - J[a, c] * out[c]
+        out[a] = acc / J[a, a]
     return out
 
 
@@ -206,31 +212,28 @@ class PointCalculus:
     """Per-point gradients, Hessians and Newton data for the Darboux system.
 
     Plain first and second partials of the potential and the generators,
-    detJ and the potential's denominator are derived symbolically on first
-    use, each once, by the first kernel or probe that reads them: the
-    constructor derives nothing, and a caller that never evaluates a
-    Hessian never derives one.  Every point evaluation of the Darboux
-    numerics then reduces to dense (s x s) linear solves.  It keeps no
-    per-point state: first_derivatives returns a point's (dG, vg, u), its
-    one adjoint solve, and grad, _dg_blocks and darboux_system take those
-    as `first` from a caller that stays at the point, or compute them from
-    x when it is omitted.  Works for any s, including setups where the
-    symbolic quotient forms would be bulky.  The partials are evaluated by generated kernels
+    J = dG/dw (checked lower triangular), detJ and the potential's
+    denominator are derived symbolically on first use, each once, by the
+    first kernel or probe that reads them: the constructor derives nothing,
+    and a caller that never evaluates a Hessian never derives one.  It
+    keeps no per-point state: first_derivatives returns a point's values of
+    the point kernel (PointKernel), its one adjoint and one gradient, and
+    grad, gradient_rows, _dg_blocks and darboux_system take those as
+    `first` from a caller that stays at the point, or compute them from x
+    when it is omitted.  The partials are evaluated by generated kernels
     (expr.compile_arrays), each compiled on first use and kept: G; dG, the
-    s x N matrix whose columns n: are J = dG/dw and whose columns :n are
-    dG/dq; dG and the potential's plain gradient, the first derivatives
-    every point evaluation (first_derivatives) needs, in one kernel; the
-    potential's value; both Hessians, V's (N x N) and the generators'
-    (s x N x N), in one kernel; detJ, for the flow's stop events in
-    dynamics; the flow's own kernel (FlowKernel): the structurally non-zero
-    entries of J, of dG/dq and of the potential's gradient, as scalars,
-    with the index lists that solve for the flow's velocity by triangular
-    substitution, no LAPACK call; and one per polynomial the proximity
-    probe walks toward.  A Hessian's upper-triangle partial is evaluated
-    once and written to both places, zero partials are never evaluated and
-    constant ones are filled in once, at compile time.  The fiber numerics
-    use the G and dG kernels alone, so they never evaluate V and never meet
-    its poles.
+    s x N matrix whose columns n: are J and whose columns :n are B = dG/dq;
+    the point kernel, the structurally non-zero entries of dG and of the
+    potential's gradient as scalars, with u and grad V unrolled after them
+    by triangular substitution, which the Darboux numerics and the flow
+    (dynamics) both read; the potential's value; both Hessians, V's (N x N)
+    and the generators' (s x N x N), in one kernel; detJ, for the flow's
+    stop events in dynamics; and one per polynomial the proximity probe
+    walks toward.  A Hessian's upper-triangle partial is evaluated once and
+    written to both places, zero partials are never evaluated and constant
+    ones are filled in once, at compile time.  The fiber numerics use the G
+    and dG kernels alone, so they never evaluate V and never meet its
+    poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -262,9 +265,45 @@ class PointCalculus:
         return [_hessian_entries(row, self.setup.var_names) for row in self._ggrad]
 
     @cached_property
+    def _jacobian(self) -> tuple:
+        """J = dG/dw as s rows of expressions, lower triangular: a generator
+        uses only the extension variables declared up to its own, as every
+        setup that parse_problem and nbody.build make does.  Raises
+        ValueError, naming the generator, where J has a structural entry
+        above its diagonal, which an AlgebraicSetup built otherwise can
+        hold.  detJ, the point kernel and every forward substitution read J
+        through here, so each refuses such a setup."""
+        n, s = self.n, self.s
+        J = tuple(tuple(row[n:]) for row in self._ggrad)
+        for a, b in ((a, b) for a in range(s) for b in range(a + 1, s)):
+            if not J[a][b].is_zero:
+                w = self.setup.w_names
+                raise ValueError(f"the generator of {w[a]} depends on {w[b]}, declared after "
+                                 "it: the numerics need dG/dw lower triangular")
+        return J
+
+    @cached_property
+    def _coupled(self) -> tuple:
+        """(a, (c, ...)) for each row a of J with structural entries J_ac
+        below its diagonal, in order: the rows that forward substitution
+        cannot solve by one division (_forward)."""
+        J = self._jacobian
+        rows = ((a, tuple(c for c in range(a) if not J[a][c].is_zero)) for a in range(self.s))
+        return tuple((a, cols) for a, cols in rows if cols)
+
+    @cached_property
     def det(self) -> RatExpr:
-        """detJ, J = dG/dw: zero exactly on the critical set."""
-        return det_expr([row[self.n:] for row in self._ggrad])
+        """detJ, J = dG/dw: zero exactly on the critical set.  J is lower
+        triangular, so detJ is the product of its diagonal, taken
+        right-nested, J_00 (J_11 (...)), the expression that cofactor
+        expansion along the first row gives."""
+        diagonal = [row[a] for a, row in enumerate(self._jacobian)]
+        if not diagonal:
+            return ONE
+        det = diagonal[-1]
+        for e in reversed(diagonal[:-1]):
+            det = e * det
+        return det
 
     @cached_property
     def _den(self) -> RatExpr:
@@ -276,22 +315,15 @@ class PointCalculus:
         return compile_arrays([Array((self.s,), [
             (g, [(a,)]) for a, g in enumerate(self.setup.generators)])], self.setup.var_names)
 
-    def _dg_array(self) -> Array:
-        return Array((self.s, self.N), [(e, [(a, v)]) for a, row in enumerate(self._ggrad)
-                                        for v, e in enumerate(row)])
-
     @cached_property
     def _dg_kernel(self):
-        return compile_arrays([self._dg_array()], self.setup.var_names)
+        return compile_arrays([Array((self.s, self.N), [
+            (e, [(a, v)]) for a, row in enumerate(self._ggrad) for v, e in enumerate(row)])],
+            self.setup.var_names)
 
     @cached_property
     def _v_kernel(self):
         return self.setup.potential.compile(self.setup.var_names)
-
-    @cached_property
-    def _first_kernel(self):
-        return compile_arrays([self._dg_array(), Array((self.N,), [
-            (e, [(v,)]) for v, e in enumerate(self._vgrad)])], self.setup.var_names)
 
     @cached_property
     def _hessian_kernel(self):
@@ -306,20 +338,12 @@ class PointCalculus:
         return self.det.compile(self.setup.var_names)
 
     @cached_property
-    def _flow_kernel(self) -> FlowKernel:
-        """The constrained flow's kernel and the index lists of its
-        triangular substitution (see FlowKernel).  Raises ValueError, naming
-        the generator, where J has a structural entry above its diagonal,
-        which a generator using an extension variable declared after its
-        own makes; parse_problem and nbody.build make none."""
-        n, s = self.n, self.s
-        J = [row[n:] for row in self._ggrad]
-        for a, b in ((a, b) for a in range(s) for b in range(a + 1, s)):
-            if not J[a][b].is_zero:
-                w = self.setup.w_names
-                raise ValueError(f"the generator of {w[a]} depends on {w[b]}, declared after "
-                                 "it: the flow needs dG/dw lower triangular")
-        targets = [ZERO] + [J[a][a] for a in range(s)]
+    def _point_kernel(self) -> PointKernel:
+        """The one kernel of a point's first derivatives and the slices and
+        index lists that read it (see PointKernel)."""
+        n, s, N = self.n, self.s, self.N
+        J = self._jacobian
+        targets = [ZERO]
 
         def slot(e):
             """e's index among the kernel's values; 0 for a zero e."""
@@ -328,17 +352,30 @@ class PointCalculus:
             targets.append(e)
             return len(targets) - 1
 
-        below = [[(slot(J[a][b]), b) for b in range(a)] for a in range(s)]
-        B = [[(slot(self._ggrad[a][k]), k) for k in range(n)] for a in range(s)]
         dV = [slot(e) for e in self._vgrad]
-        above = [_nonzero((below[b][a][0], b) for b in range(a + 1, s)) for a in range(s)]
-        forward = tuple((1 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s))
-        backward = tuple((a, 1 + a, dV[n + a], above[a]) for a in reversed(range(s)))
-        gradient = tuple((dV[k], _nonzero((B[a][k][0], a) for a in range(s))) for k in range(n))
-        if len(targets) == 1:  # compile_arrays returns a lone target bare, not in a tuple
-            targets.append(ZERO)
-        return FlowKernel(compile_arrays(targets, self.setup.var_names),
-                          forward, backward, gradient)
+        b0 = len(targets)
+        B = [[(slot(self._ggrad[a][k]), k) for k in range(n)] for a in range(s)]
+        j0 = len(targets)
+        targets += [J[a][a] for a in range(s)]
+        below = [[(slot(J[a][b]), b) for b in range(a)] for a in range(s)]
+        u0 = len(targets)
+        u = {}  # a -> the index of u_a
+        for a in reversed(range(s)):
+            above = ((below[b][a][0], u[b]) for b in range(a + 1, s))
+            u[a] = len(targets)
+            targets.append(Substitution(dV[n + a], _nonzero(above), j0 + a))
+        grad0 = len(targets)
+        targets += [Substitution(dV[k], _nonzero((B[a][k][0], u[a]) for a in range(s)))
+                    for k in range(n)]
+        places = [a * N + k for a in range(s) for i, k in B[a] if i]
+        places += [a * N + n + a for a in range(s)]
+        places += [a * N + n + b for a in range(s) for i, b in below[a] if i]
+        return PointKernel(
+            compile_arrays(targets, self.setup.var_names),
+            grad=slice(grad0, grad0 + n), u=slice(u0 + s - 1, u0 - 1, -1),
+            dG=slice(b0, u0), dg_index=np.array(places, dtype=np.intp),
+            checked=slice(j0, grad0),
+            forward=tuple((j0 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s)))
 
     # -- raw evaluations ------------------------------------------------
 
@@ -356,32 +393,40 @@ class PointCalculus:
             return 0.0
         return float(np.max(np.abs(self.g_values(x))))
 
-    def first_derivatives(self, x):
-        """(dG, vg, u) at x: the generators' Jacobian, the potential's plain
-        gradient and the adjoint u = J^(-T) d_wV; raises CriticalPointError
-        off the good set.  Every adjoint of the Darboux numerics is solved
-        here; the flow substitutes its own (dynamics).  A caller that goes
-        on at x passes the result as `first` to grad, _dg_blocks or
-        darboux_system."""
-        dG, vg = self._first_kernel(x)
-        return dG, vg, _fiber_solve(dG[:, self.n:].T, vg[self.n:])
+    def first_derivatives(self, x) -> tuple:
+        """The point kernel's values at x (PointKernel): the entries of dG,
+        the adjoint u = J^(-T) d_wV and grad V, each computed once here.
+        Raises CriticalPointError off the good set and PoleError at a pole
+        of the potential.  A caller that goes on at x passes the result as
+        `first` to grad, gradient_rows, _dg_blocks or darboux_system."""
+        return self._point_kernel(x)
 
     def grad(self, x, first=None) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
-        dG, vg, u = first or self.first_derivatives(np.asarray(x, dtype=complex))
-        return vg[: self.n] - dG[:, : self.n].T @ u
+        first = self.first_derivatives(x) if first is None else first
+        return np.array(first[self._point_kernel.grad], dtype=complex)
 
     def _dg_blocks(self, x, first=None):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
-        W = dw/dq and the generators' Jacobian.  dg = P^T L, with P = [I; W]
-        and L the Hessian of the Lagrangian V - u.G."""
+        W = dw/dq = -J^(-1) B by forward substitution and the generators'
+        Jacobian.  dg = P^T L, with P = [I; W] and L the Hessian of the
+        Lagrangian V - u.G.  first_derivatives refused a zero diagonal
+        entry and a non-finite entry of J, so W needs no check of its own."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
-        dG, _, u = first or self.first_derivatives(x)
-        W = _fiber_solve(dG[:, n:], -dG[:, :n])
+        point = self._point_kernel
+        first = self.first_derivatives(x) if first is None else first
+        dG = np.zeros(s * N, dtype=complex)
+        dG[point.dg_index] = first[point.dG]
+        dG = dG.reshape(s, N)
+        W = _forward(dG[:, n:], -dG[:, :n], self._coupled)
         vh, gh = self._hessian_kernel(x)
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
-        L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N) if s else vh
+        if s:
+            u = np.array(first[point.u], dtype=complex)
+            L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N)
+        else:
+            L = vh
         return L[:n] + W.T @ L[n:], W, dG
 
     def hess(self, x) -> np.ndarray:
@@ -390,20 +435,25 @@ class PointCalculus:
         return dg[:, :self.n] + dg[:, self.n:] @ W
 
     def solve_fiber(self, q, w0):
-        """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck."""
+        """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck: where
+        J has a zero diagonal entry or a non-finite entry, or the step by
+        forward substitution is not finite."""
         n, s = self.n, self.s
         q = np.asarray(q, dtype=complex)
         if s == 0:
             return np.array([], dtype=complex)
+        coupled = self._coupled
         w = np.asarray(w0, dtype=complex).copy()
         for _ in range(FIBER_MAX_ITER):
             x = np.concatenate([q, w])
             gv = self.g_values(x)
             if np.max(np.abs(gv)) <= FIBER_TOL:
                 return w
-            try:
-                step = _fiber_solve(self._dg_kernel(x)[:, n:], gv)
-            except CriticalPointError:
+            J = self._dg_kernel(x)[:, n:]
+            if not (J.diagonal().all() and np.isfinite(J).all()):
+                return None
+            step = _forward(J, gv, coupled)
+            if not np.isfinite(step).all():
                 return None
             w = w - step
         x = np.concatenate([q, w])
@@ -413,11 +463,20 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
+    def gradient_rows(self, x, first, out):
+        """Writes grad V - q, the first n rows of the Darboux residual, to
+        out[:n] from x's first derivatives; x is a complex array."""
+        n = self.n
+        np.subtract(first[self._point_kernel.grad], x[:n], out=out[:n])
+
     def darboux_residual(self, x) -> np.ndarray:
-        """F(x) = (grad V - q, G); zero exactly at Darboux candidates."""
+        """F(x) = (grad V - q, G); zero exactly at Darboux candidates.  A
+        Newton trial writes the same rows (darboux._trial)."""
         x = np.asarray(x, dtype=complex)
-        g = self.grad(x)
-        return np.concatenate([g - x[: self.n], self.g_values(x)])
+        F = np.empty(self.n + self.s, dtype=complex)
+        self.gradient_rows(x, self.first_derivatives(x), F)
+        F[self.n:] = self.g_values(x)
+        return F
 
     def darboux_system(self, x, first=None) -> np.ndarray:
         """The plain Jacobian of F = darboux_residual(x) for Newton

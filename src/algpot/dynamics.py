@@ -12,14 +12,18 @@ on the scale of the variables.
 J is lower triangular in declared order: a generator uses only the
 extension variables declared up to its own (parse_problem), and the
 n-body generators make J diagonal.  The vector field therefore needs no
-linear solve.  One kernel (PointCalculus._flow_kernel) gives the
-structurally non-zero entries of J, of B = dG/dq and of the potential's
-gradient as scalars; J^T u = d_wV is solved by back substitution, so
-grad V = d_qV - B^T u, and J wdot = -B p by forward substitution, in
-Python floats over index lists fixed once per setup.  The kernel refuses a
-setup whose J has an entry above its diagonal.  These sums run in another
-order than LAPACK's, so trajectories differ from a solve-based field in
-their last bits.
+linear solve.  It reads the point kernel (PointCalculus._point_kernel),
+the one adjoint and gradient of the package: the structurally non-zero
+entries of J, of B = dG/dq and of the potential's gradient, then u from
+J^T u = d_wV by back substitution and grad V = d_qV - B^T u, unrolled
+into the kernel.  J wdot = -B p needs p, so it is forward substitution
+here, in Python floats over an index list fixed once per setup.  The
+kernel refuses a setup whose J has an entry above its diagonal, and a
+state where J has a zero or non-finite entry or u is not finite.  For a
+real state its complex arithmetic has zero imaginary parts throughout,
+so the field has the bits of the same sums in floats; they run in
+another order than LAPACK's, so trajectories differ from a solve-based
+field in their last bits.
 
 Homothetic orbits exist through any Darboux point of a weighted-homogeneous
 potential: all coordinates scale by powers of one scalar profile phi(t),
@@ -37,7 +41,7 @@ from math import isfinite
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import Homogeneity, PointCalculus
+from .calculus import CriticalPointError, Homogeneity, PointCalculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
@@ -110,43 +114,28 @@ class ConstrainedSystem:
         return self.pc.constraint_residual(self.point(y))
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """(p, -grad V, wdot) at the state y, with grad V = d_qV - B^T u: u
-        from J^T u = d_wV by back substitution and wdot from J wdot = -B p
-        by forward substitution over the flow kernel's values.  Raises
-        CriticalSetError at a pole of the potential, where a diagonal entry
-        of J is zero or not finite, or where the field is not finite."""
-        kernel, forward, backward, gradient = self.pc._flow_kernel
+        """(p, -grad V, wdot) at the state y: grad V from the point kernel,
+        wdot from J wdot = -B p by forward substitution over its values.
+        Raises CriticalSetError at a pole of the potential, where the point
+        kernel refuses the state (a zero or non-finite entry of J, or a
+        non-finite u), or where the field is not finite."""
+        point = self.pc._point_kernel
         n = self.n
         state = y.tolist()
         p = state[n:2 * n]
         try:
-            v = [c.real for c in kernel(state[:n] + state[2 * n:])]
-        except PoleError as exc:
+            v = point(state[:n] + state[2 * n:])
+        except (PoleError, CriticalPointError) as exc:
             raise CriticalSetError(str(exc)) from exc
         wdot = []
-        for d, row, below in forward:
-            jaa = v[d]
-            if not (jaa and isfinite(jaa)):
-                raise CriticalSetError("dG/dw is singular or not finite at the point")
+        for d, row, below in point.forward:
             acc = 0.0
             for i, k in row:
-                acc -= v[i] * p[k]
+                acc -= v[i].real * p[k]
             for i, b in below:
-                acc -= v[i] * wdot[b]
-            wdot.append(acc / jaa)
-        u = [0.0] * self.s
-        for a, d, dv, above in backward:
-            acc = v[dv]
-            for i, b in above:
-                acc -= v[i] * u[b]
-            u[a] = acc / v[d]
-        force = []
-        for dv, column in gradient:
-            acc = -v[dv]
-            for i, a in column:
-                acc += v[i] * u[a]
-            force.append(acc)
-        field = p + force + wdot
+                acc -= v[i].real * wdot[b]
+            wdot.append(acc / v[d].real)
+        field = p + [-g.real for g in v[point.grad]] + wdot
         if not all(map(isfinite, field)):
             raise CriticalSetError("the vector field is not finite at the point")
         return np.array(field)

@@ -12,8 +12,11 @@ terms in general; structural equality compares the normal forms.
 Numeric evaluation has one implementation, compile_arrays: it generates and
 execs one straight-line function for a list of scalar and array outputs,
 doing for each value the complex arithmetic its normal form spells out,
-in a fixed order, so that every value is reproducible bit for bit.
-RatExpr.compile is its one-output case.
+in a fixed order, so that every value is reproducible bit for bit.  A
+scalar output can also be a Substitution, one step of triangular
+substitution over earlier outputs, so a linear solve with a triangular
+matrix unrolls into the same function.  RatExpr.compile is its one-output
+case.
 """
 
 from __future__ import annotations
@@ -477,17 +480,33 @@ class Array(NamedTuple):
     entries: Sequence
 
 
+class Substitution(NamedTuple):
+    """A scalar output of compile_arrays computed from earlier scalar
+    outputs, each named by its index in the target list: value minus the
+    products a * b, subtracted left to right, all over divisor, or not
+    divided when divisor is None.  One step of triangular substitution."""
+
+    value: int
+    products: tuple = ()
+    divisor: int | None = None
+
+    def operands(self) -> list:
+        return [self.value, *(i for pair in self.products for i in pair)] + (
+            [] if self.divisor is None else [self.divisor])
+
+
 def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     """The package's one evaluator: a straight-line function computing every
     target at a point.
 
-    A target is a RatExpr, whose value is returned as a complex scalar, or an
-    Array, returned as a fresh complex ndarray.  The function takes an
-    indexable of values in var_order and returns the targets' values as a
-    tuple, or the value itself when there is a single target.  Targets and
-    entries are evaluated in the order given; the first vanishing
-    denominator raises PoleError with its printed form.  A non-zero
-    coefficient outside double range raises ExprError at compile time.
+    A target is a RatExpr, whose value is returned as a complex scalar, a
+    Substitution, likewise, or an Array, returned as a fresh complex
+    ndarray.  The function takes an indexable of values in var_order and
+    returns the targets' values as a tuple, or the value itself when there
+    is a single target.  Targets and entries are evaluated in the order
+    given; the first vanishing denominator raises PoleError with its
+    printed form.  A non-zero coefficient outside double range raises
+    ExprError at compile time.
 
     Each value comes from the same operations in the same order whatever
     the target: the normal form's terms, in dict order, summed left to
@@ -516,6 +535,13 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     sign of every zero, so no value changes.  A power e >= 100 is NumPy's
     own.  A constant entry is written into its array's template at compile
     time.
+
+    A Substitution is Python's complex arithmetic throughout: a quotient
+    that one reads is made a Python complex first (complex() keeps its
+    bits), and its division is Python's, which raises ZeroDivisionError on
+    a zero divisor, where NumPy's would return an infinity.  A
+    Substitution that reads an Array or a later target raises ExprError at
+    compile time.
     The generated source names variables by index only and is kept on the
     function as `source`.
     """
@@ -525,6 +551,13 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     missing = set().union(*(e.variables() for e in exprs)) - set(idx)
     if missing:
         raise ExprError(f"unbound variables {sorted(missing)}")
+    read = set()
+    for k, t in enumerate(targets):
+        if isinstance(t, Substitution):
+            for i in t.operands():
+                if not (0 <= i < k and isinstance(targets[i], (RatExpr, Substitution))):
+                    raise ExprError(f"substitution {k} reads {i}, not an earlier scalar")
+            read.update(t.operands())
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
                  "zero": np.complex128(0j)}
@@ -586,8 +619,18 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
 
     outputs = []
     for k, t in enumerate(targets):
+        if isinstance(t, Substitution):
+            step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
+            if t.divisor is not None:
+                step = f"({step}) / v{t.divisor}"
+            lines.append(f"v{k} = {step}")
+            outputs.append(f"v{k}")
+            continue
         if isinstance(t, RatExpr):
-            lines.append(f"v{k} = {value(t)}")
+            v = value(t)
+            if k in read and not t.is_polynomial:
+                v = f"complex({v})"
+            lines.append(f"v{k} = {v}")
             outputs.append(f"v{k}")
             continue
         template = np.zeros(t.shape, dtype=complex)

@@ -20,6 +20,15 @@ vars q1 q2
 potential q1^2 + q2^2
 """
 
+# the benchmark's draw1: w2's generator uses w1, so J has an entry below
+# its diagonal
+DRAW1_TEXT = """\
+vars q1 q2
+ext w1 : -q1^3 - 2*q2^3 + w1^3
+ext w2 : -q2^2 - 2*w1^2 + w2^2
+potential -3*q1*q2^2*w2 - 2*q2*w1*w2^2 - w1^3*w2
+"""
+
 
 @pytest.fixture(scope="session")
 def cone_setup():

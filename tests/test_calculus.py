@@ -9,7 +9,7 @@ import pytest
 from algpot import PointCalculus, RatExpr, calculus, detect_homogeneity, parse_problem, pipeline
 from algpot.nbody import NBodyConfig, build
 
-from conftest import on_cone
+from conftest import DRAW1_TEXT, on_cone
 
 
 def branch_value(pc, setup, q, w_seed):
@@ -278,7 +278,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
     pc.darboux_system(x)
     pc.darboux_residual(x)
-    kernels = [pc._first_kernel, pc._hessian_kernel, pc._g_kernel]
+    kernels = [pc._point_kernel.kernel, pc._hessian_kernel, pc._g_kernel]
     assert [k for _, k in compiled] == kernels
     pc.darboux_system(x + 0.1)
     pc.darboux_residual(x)
@@ -296,7 +296,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     report, _ = pipeline.analyze(setup, pipeline.AnalysisOptions(nbody=cfg, n_random=8))
     assert report["darboux"]["n_accepted"] > 0  # so near_sigma probed both polynomials
     (used,) = built
-    held = [v for k, v in vars(used).items() if k.endswith("_kernel")]
+    held = [getattr(v, "kernel", v) for k, v in vars(used).items() if k.endswith("_kernel")]
     held += list(used._probes.values())
     assert len(held) == 6
     assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
@@ -317,6 +317,29 @@ def test_building_a_calculus_derives_nothing(monkeypatch):
     assert not set(TABLES) & set(vars(pc))
 
 
+def cofactor_det(M: list) -> RatExpr:
+    """Determinant by cofactor expansion along the first row, skipping zero
+    entries: how detJ was once derived, for any square J."""
+    m = len(M)
+    if m == 0:
+        return RatExpr.const(1)
+    if m == 1:
+        return M[0][0]
+    acc = None
+    sign = 1
+    for j in range(m):
+        e = M[0][j]
+        if e.is_zero:
+            sign = -sign
+            continue
+        term = e * cofactor_det([[row[jj] for jj in range(m) if jj != j] for row in M[1:]])
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+        sign = -sign
+    return acc if acc is not None else RatExpr.const(0)
+
+
 def eager_tables(setup) -> dict:
     """The six tables as the constructor once derived them, in its order."""
     order = setup.var_names
@@ -325,7 +348,7 @@ def eager_tables(setup) -> dict:
     ggrad = [[g.diff(v) for v in order] for g in setup.generators]
     return {"_vgrad": vgrad, "_vhess": calculus._hessian_entries(vgrad, order),
             "_ggrad": ggrad, "_ghess": [calculus._hessian_entries(r, order) for r in ggrad],
-            "det": calculus.det_expr([row[setup.n:] for row in ggrad]),
+            "det": cofactor_det([row[setup.n:] for row in ggrad]),
             "_den": RatExpr(dict(V.den), {(): Fraction(1)})}
 
 
@@ -340,9 +363,14 @@ def layout(table):
 
 
 def test_lazy_tables_equal_the_eager_expressions(cone_setup, trap_setup, plain_setup):
+    # detJ is the product of J's diagonal: the same expression, term for
+    # term, as the cofactor expansion, also where J has an entry below its
+    # diagonal (draw1) or a zero diagonal entry (detJ = 0)
     setups = [cone_setup, trap_setup, plain_setup,
               parse_problem("vars q1 q2\next w1 : w1^2 - q1\npotential q2/(q2 + w1)\n"),
-              build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))]
+              build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3))),
+              build(NBodyConfig(n=4, dim=2, masses=(1, 1, 1, 1))), parse_problem(DRAW1_TEXT),
+              parse_problem("vars q1 q2\next w1 : q1\next w2 : w2^2 - w1\npotential w2\n")]
     for setup in setups:
         pc = PointCalculus(setup)
         # read in another order than the constructor derived them

@@ -9,8 +9,10 @@ from algpot.dynamics import CriticalSetError, ConstrainedSystem, homothetic_orbi
 from algpot.expr import ExprError, RatExpr
 from algpot.nbody import NBodyConfig, build, central_config_seeds
 from algpot.parsing import AlgebraicSetup, parse_problem
+from algpot.pipeline import AnalysisOptions, hunt
 
-from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
+from closure_reference import reference_compile
+from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT
 
 T_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -218,15 +220,6 @@ ext w1 : w1^2 - q1^2 - q2^2
 potential 1/w1
 """
 
-# the benchmark's draw1: w2's generator uses w1, so J has an entry below
-# its diagonal
-DRAW1_TEXT = """\
-vars q1 q2
-ext w1 : -q1^3 - 2*q2^3 + w1^3
-ext w2 : -q2^2 - 2*w1^2 + w2^2
-potential -3*q1*q2^2*w2 - 2*q2*w1*w2^2 - w1^3*w2
-"""
-
 FIELD_SETUPS = {
     "cone": lambda: parse_problem(CONE_TEXT),
     "trap": lambda: parse_problem(TRAP_TEXT),
@@ -258,7 +251,9 @@ def reference_field(pc, y):
     """(p, -(d_qV - B^T J^-T d_wV), -J^-1 B p) by NumPy's solve."""
     n = pc.n
     q, p, w = y[:n], y[n:2 * n], y[2 * n:]
-    dG, vg = pc._first_kernel(np.concatenate([q, w]).astype(complex))
+    x = np.concatenate([q, w]).astype(complex)
+    dG = pc._dg_kernel(x)
+    vg = np.array([reference_compile(e, pc.setup.var_names)(x) for e in pc._vgrad])
     J, B = dG[:, n:], dG[:, :n]
     grad = vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])
     wdot = -np.linalg.solve(J, B @ p)
@@ -287,22 +282,22 @@ def test_rhs_without_extension_variables():
 def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
     pc = PointCalculus(FIELD_SETUPS["draw1"]())
     system = ConstrainedSystem(pc)
-    flow = pc._flow_kernel
+    point = pc._point_kernel
     states = real_states(pc, 4, seed=1)
     calls = []
 
     def counted(x):
         calls.append(x)
-        return flow.kernel(x)
+        return point.kernel(x)
 
     def refused(*args, **kwargs):
         raise AssertionError("the flow made a linear solve")
 
-    monkeypatch.setitem(vars(pc), "_flow_kernel", flow._replace(kernel=counted))
-    for name in ("_fiber_solve", "zgesv"):
+    monkeypatch.setitem(vars(pc), "_point_kernel", point._replace(kernel=counted))
+    for name in ("_forward", "_lstsq", "zgelsd"):
         monkeypatch.setattr(calculus, name, refused)
     monkeypatch.setattr(np.linalg, "solve", refused)
-    for method in ("first_derivatives", "grad", "_first_kernel", "_dg_kernel"):
+    for method in ("first_derivatives", "grad", "_dg_blocks", "_dg_kernel"):
         monkeypatch.setattr(pc, method, refused)
     for y in states:
         calls.clear()
@@ -328,23 +323,36 @@ def test_rhs_refuses_the_critical_set_a_pole_and_a_non_finite_state():
 
 def test_the_flow_kernel_refuses_an_entry_above_the_diagonal_of_J():
     # parse_problem lets a generator use only the names declared before it;
-    # built by hand, w1's generator uses w2
+    # built by hand, w1's generator uses w2.  Every numeric path reads J
+    # through one checked table, so the flow, the Darboux numerics, the
+    # hunt and the critical-set probe refuse the setup alike, on every call
     q1, w1, w2 = RatExpr.var("q1"), RatExpr.var("w1"), RatExpr.var("w2")
     setup = AlgebraicSetup(q_names=("q1",), w_names=("w1", "w2"),
                            generators=(w1 - w2 * q1, w2 * w2 - q1), potential=w1 * w2,
                            label="upper")
     pc = PointCalculus(setup)
-    with pytest.raises(ValueError, match="the generator of w1 depends on w2, declared after it"):
-        pc._flow_kernel
-    with pytest.raises(ValueError, match="the generator of w1 depends on w2"):
-        integrate(setup, [1.0], [0.0], [1.0, 1.0], T_GRID)
+    x = np.array([1.0, 1.0, 1.0], dtype=complex)
+    refused = "the generator of w1 depends on w2, declared after it"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=refused):
+            pc._point_kernel
+        with pytest.raises(ValueError, match=refused):
+            pc.first_derivatives(x)
+        with pytest.raises(ValueError, match=refused):
+            pc.det
+        with pytest.raises(ValueError, match=refused):
+            pc.solve_fiber(x[:1], x[1:])
+        with pytest.raises(ValueError, match=refused):
+            hunt(pc, AnalysisOptions(n_random=2))
+        with pytest.raises(ValueError, match=refused):
+            integrate(setup, [1.0], [0.0], [1.0, 1.0], T_GRID)
 
 
 def test_the_flow_kernel_refuses_a_coefficient_without_a_double():
     # 10^308 has a double; the first partial's 5*10^308 does not
     big = parse_problem("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 10^308*w1^5\n")
     with pytest.raises(ExprError, match="too large for a double"):
-        PointCalculus(big)._flow_kernel
+        PointCalculus(big)._point_kernel
 
 
 def lagrange_state(angle):

@@ -3,12 +3,14 @@
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
-from algpot.expr import _PONE, Array, _padd, _pdiff, _pmul, _pneg, compile_arrays
+from algpot.expr import (_PONE, Array, Substitution, _padd, _pdiff, _pmul, _pneg,
+                         compile_arrays)
 from algpot.parsing import parse_expression
 
 X = RatExpr.var("x")
@@ -209,3 +211,26 @@ def test_normal_form_cancels_shared_monomials():
 def test_division_by_zero_expression():
     with pytest.raises(Exception):
         X / (Y - Y)
+
+
+def test_a_substitution_is_a_step_of_triangular_substitution():
+    # (x*y - 3 * 2/x) / (x + y): the quotient it reads becomes a Python
+    # complex first, so the step is Python's complex arithmetic throughout
+    three, quotient = RatExpr.const(3), RatExpr.const(2) / X
+    targets = [X * Y, three, quotient, X + Y, Substitution(0, ((1, 2),), 3),
+               Substitution(4, ((1, 1), (0, 2)))]
+    kernel = compile_arrays(targets, ["x", "y"])
+    x, y = 1.5 - 0.25j, -0.75 + 2j
+    values = kernel([x, y])
+    assert all(type(v) is complex for v in values)
+    assert values[2] == complex(np.complex128(2) / np.complex128(x))
+    step = (values[0] - values[1] * values[2]) / values[3]
+    assert values[4] == step and values[5] == step - 9 - values[0] * values[2]
+    # a zero divisor raises, where NumPy's division would give an infinity
+    with pytest.raises(ZeroDivisionError):
+        kernel([x, -x])
+    # a step reads earlier scalars only
+    for bad in ([X, Substitution(1)], [X, Substitution(0, ((0, 1),))],
+                [Array((1,), [(X, [(0,)])]), Substitution(0)], [Substitution(0)]):
+        with pytest.raises(ExprError, match="not an earlier scalar"):
+            compile_arrays(bad, ["x"])

@@ -157,12 +157,13 @@ def linear_solve_uses(path: Path) -> list:
     return found
 
 
-def test_one_solve_helper_and_one_least_squares_helper():
-    # every linear solve of the package goes through calculus._fiber_solve
-    # (zgesv) and every least-squares solve through calculus._lstsq (zgelsd);
-    # NumPy's wrappers cost several times the LAPACK call
+def test_no_linear_solve_and_one_least_squares_helper():
+    # J = dG/dw is lower triangular, so every solve with it is triangular
+    # substitution and no LAPACK solve is left; every least-squares solve
+    # goes through calculus._lstsq (zgelsd), whose NumPy wrapper costs
+    # several times the LAPACK call
     uses = [use for p in sorted(SRC.glob("*.py")) for use in linear_solve_uses(p)]
-    assert uses == ["calculus._fiber_solve -> zgesv", "calculus._lstsq -> zgelsd"]
+    assert uses == ["calculus._lstsq -> zgelsd"]
 
 
 FLOW_FORBIDDEN = ("_fiber_solve", "first_derivatives", "w_derivative")
@@ -240,11 +241,10 @@ def test_generated_source_names_no_variable():
     pc.darboux_residual(x)
     pc.darboux_system(x)
     pc.near_sigma(x)
-    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._first_kernel.source,
-               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source,
-               pc._flow_kernel.kernel.source]
+    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._point_kernel.kernel.source,
+               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
     sources += [k.source for k in pc._probes.values()]
-    assert len(sources) == 9
+    assert len(sources) == 8
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 
@@ -277,7 +277,7 @@ def test_point_calculus_keeps_no_per_point_state():
     assert self_attribute_stores(SRC / "calculus.py", "PointCalculus") == []
 
 
-SYMBOLIC_DERIVATIONS = ("diff", "det_expr", "_hessian_entries")
+SYMBOLIC_DERIVATIONS = ("diff", "_hessian_entries")
 
 
 def test_point_calculus_constructor_derives_nothing():

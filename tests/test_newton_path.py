@@ -1,18 +1,22 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search evaluates a trial's cheap rows first, solves the first
-derivatives and computes the gradient rows only when those pass, decides
-each row group by NumPy's absolute against the current residual, passes a
-trial's first derivatives on to its Jacobian only when its gradient rows
-pass too, keeps an accepted trial's rows as the residual and builds only
-the Jacobian at accepted steps; gradients and Hessians evaluate only their
-non-zero partials; the calculus keeps no per-point state, so first
-derivatives passed by a caller and ones it solves itself give the same
-bits.  Each is held here, bit for bit,
-against the straightforward form it replaces, and the Lagrangian assembly
-against the per-variable one within roundoff.
-The one fiber solve and the one least-squares solve, LAPACK's zgesv and
-zgelsd called directly, are held to NumPy's solve and lstsq bit for bit.
+The line search evaluates a trial's cheap rows (G and the pin rows) first,
+evaluates its first derivatives, one point kernel that gives the adjoint
+and grad V, only when those pass, decides its rows by NumPy's absolute
+against the current residual, passes a trial's first derivatives on to
+its Jacobian only when its gradient rows pass too, keeps an accepted
+trial's rows as the residual and builds only the Jacobian at accepted
+steps; gradients and Hessians evaluate only their non-zero partials; the
+calculus keeps no per-point state, so first derivatives passed by a caller
+and ones it computes itself give the same bits.  Each is held here, bit
+for bit, against the straightforward form it replaces, and the Lagrangian
+assembly against the per-variable one within roundoff.
+J = dG/dw is lower triangular, so the adjoint u = J^-T d_wV, grad V,
+W = -J^-1 B and the fiber Newton step come from triangular substitution;
+they are held to NumPy's solve within a relative bound, and the refusals
+of a singular or non-finite J are held on every call.  The one
+least-squares solve, LAPACK's zgelsd called directly, is held to NumPy's
+lstsq bit for bit.
 """
 
 import functools
@@ -24,16 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot import calculus, darboux
-from algpot.calculus import (PROBE_RADIUS, CriticalPointError, PointCalculus, _fiber_solve,
-                             _lstsq)
+from algpot.calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _forward, _lstsq
 from algpot.darboux import CONV_TOL, _newton
+from algpot.dynamics import ConstrainedSystem, CriticalSetError
 from algpot.expr import PoleError
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
-from conftest import CONE_TEXT, PLAIN_TEXT, TRAP_TEXT
+from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT
 
 LINEAR_TEXT = """\
 vars q1 q2
@@ -178,18 +182,17 @@ def test_newton_matches_full_system_search(three_body, pinned):
 
 def test_row_test_compares_numpys_absolute_with_the_residual():
     rows = np.array([0.5, 3 + 4j, -1j])
-    assert darboux._rows_pass(rows, 5.5)
-    assert not darboux._rows_pass(rows, 5.0)  # a tie rejects
-    assert not darboux._rows_pass(np.array([0.5, np.nan, 1.0]), np.inf)
-    assert darboux._rows_pass(np.zeros(0, dtype=complex), 0.0)
+    assert darboux._largest(rows) == 5.0
+    assert np.isnan(darboux._largest(np.array([0.5, np.nan, 1.0])))
+    assert darboux._largest(np.array([0.5, complex(0, -np.inf)])) == np.inf
+    assert darboux._largest(np.zeros(0, dtype=complex)) == 0.0  # no cheap rows pass
     # where Python's abs and NumPy's absolute differ in the last bit (one
-    # value each way), NumPy's decides: below res by NumPy's passes even
-    # where Python's ties, and a tie by NumPy's rejects
+    # value each way), the row test reads NumPy's, the absolute that the
+    # search's residual is made of
     for v in (0.42654310306871945 + 0.9179862439359936j,
               0.5478467492858172 - 0.9208531449445188j):
         assert abs(v) != np.abs(v)
-        for res in (abs(v), float(np.abs(v))):
-            assert darboux._rows_pass(np.array([v]), res) == (np.abs(v) < res)
+        assert darboux._largest(np.array([0.1, v])) == np.abs(v)
 
 
 TRACED = ("darboux_system", "g_values", "first_derivatives")
@@ -259,12 +262,12 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-        kernel, evaluations = pc_._first_kernel, []
-        pc_._first_kernel = counted(kernel, evaluations)
+        point, evaluations = pc_._point_kernel, []
+        vars(pc_)["_point_kernel"] = point._replace(kernel=counted(point.kernel, evaluations))
         try:
             calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         finally:
-            pc_._first_kernel = kernel
+            vars(pc_)["_point_kernel"] = point
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
         # the gradient and the Jacobian take the point's first derivatives
@@ -302,9 +305,9 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 tied += r == res
         if result is not None:
             assert bits(result[0]) == bits(point) and result[1] == res
-    # 83 trials are rejected by their cheap rows, 59 of them tying the
+    # 54 trials are rejected by their cheap rows, 29 of them tying the
     # current residual, where a <= in place of < would compute the gradient
-    assert cheap_rejected > 50 and tied > 30
+    assert cheap_rejected > 50 and tied > 25
     assert grad_rejected > 0 and solved > 100
 
 
@@ -449,14 +452,19 @@ def test_live_partials_match_dense_evaluation(text):
             continue  # off the good set (the origin of the cone, say)
         if not np.all(np.isfinite(np.linalg.solve(J, -B))):
             continue
+        # the kernels' values bit for bit; what triangular substitution
+        # computes (u, W and all that reads them) within roundoff of the
+        # LU solves of NumPy's solve
+        n = setup.n
         dG_live = pc._dg_blocks(x)[2]
-        assert bits(dG_live[:, setup.n:]) == bits(J)
-        assert bits(dG_live[:, :setup.n]) == bits(B)
-        assert bits(pc.grad(x)) == bits(g)
+        assert bits(dG_live[:, n:]) == bits(J)
+        assert bits(dG_live[:, :n]) == bits(B)
         Jac_live = pc.darboux_system(x)
-        assert bits(Jac_live) == bits(Jac)
-        assert bits(pc.darboux_residual(x)) == bits(F)
-        assert bits(pc.hess(x)) == bits(H)
+        assert bits(Jac_live[n:]) == bits(Jac[n:])
+        F_live = pc.darboux_residual(x)
+        assert bits(F_live[n:]) == bits(F[n:])
+        assert close_to(pc.grad(x), g) and close_to(F_live, F) and close_to(Jac_live, Jac)
+        assert close_to(pc.hess(x), H)
         g_ref, H_ref, Jac_ref = loop_reference(setup, x)
         assert close_to(pc.grad(x), g_ref)
         assert close_to(pc.hess(x), H_ref)
@@ -546,59 +554,110 @@ def test_singular_fiber_raises_on_every_call(trap_setup):
 
 
 # ---------------------------------------------------------------------------
-# the one fiber solve
+# triangular substitution
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text", SETUP_TEXTS)
-def test_fiber_solve_matches_numpy_bit_for_bit(text):
-    setup = setup_of(text)
+# u, grad V and W against NumPy's LU solve, and each within this bound
+# relative to the reference's norm (at least 1): substitution is backward
+# stable componentwise, and these J are well conditioned
+SOLVE_REL = 1e-12
+
+SOLVE_SETUPS = {"cone": CONE_TEXT, "trap": TRAP_TEXT, "nbody": "nbody", "draw1": DRAW1_TEXT,
+                "linear": LINEAR_TEXT, "plain": PLAIN_TEXT}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_SETUPS))
+def test_substitution_matches_numpy_solve(name):
+    setup = setup_of(SOLVE_SETUPS[name])
     pc = PointCalculus(setup)
-    n = setup.n
-    rng = np.random.default_rng(8)
+    n, order = setup.n, setup.var_names
+    # draw1's dG2/dw1 = -4 w1 is the one structural entry below J's
+    # diagonal here, so its rows take the substitution's loop
+    assert pc._coupled == (((1, (0,)),) if name == "draw1" else ())
+    point = pc._point_kernel
     compared = 0
     for x in sample_points(setup, 12, seed=7):
         dG = pc._dg_kernel(x)
-        J, B = dG[:, n:], dG[:, :n]
+        J, B, G = dG[:, n:], dG[:, :n], pc.g_values(x)
         try:
-            b = pc._first_kernel(x)[1][n:]
-        except PoleError:
-            b = rng.standard_normal(setup.s) + 1j * rng.standard_normal(setup.s)
-        try:
-            u_ref, W_ref = np.linalg.solve(J.T, b), np.linalg.solve(J, -B)
-        except np.linalg.LinAlgError:
-            continue  # a singular J, held below
-        u, W = _fiber_solve(J.T, b), _fiber_solve(J, -B)
-        assert u.shape == u_ref.shape and bits(u) == bits(u_ref)
-        assert W.shape == W_ref.shape and bits(W) == bits(W_ref)
+            vg = np.array([reference_compile(e, order)(x) for e in pc._vgrad], dtype=complex)
+            u_ref, W_ref = np.linalg.solve(J.T, vg[n:]), np.linalg.solve(J, -B)
+            step_ref = np.linalg.solve(J, G)
+        except (np.linalg.LinAlgError, PoleError):
+            continue  # a singular J or a pole, held below
+        first = pc.first_derivatives(x)
+        u = np.array(first[point.u], dtype=complex)
+        W = pc._dg_blocks(x, first)[1]
+        step = _forward(J, G, pc._coupled)
+        assert u.shape == u_ref.shape and close_to(u, u_ref, SOLVE_REL)
+        assert close_to(pc.grad(x, first), vg[:n] - B.T @ u_ref, SOLVE_REL)
+        assert W.shape == W_ref.shape and close_to(W, W_ref, SOLVE_REL)
+        assert step.shape == step_ref.shape and close_to(step, step_ref, SOLVE_REL)
         compared += 1
     assert compared >= 10
 
 
-def test_fiber_solve_refuses_a_singular_or_non_finite_fiber_every_time(trap_setup):
-    pc = PointCalculus(trap_setup)
-    dG = pc._dg_kernel(np.array([0.0, 1.0, 0.0], dtype=complex))  # J = 2 w1 = 0
-    nan = complex("nan")
-    singular = [dG[:, 2:], np.array([[1, 2], [2, 4]], dtype=complex)]
-    # an infinite entry can leave a finite solution, [0, 2] here in NumPy's
-    # solve; the fiber is refused all the same
-    not_finite = [np.array([[nan]]), np.array([[1, 2], [3, nan]]),
-                  np.array([[complex(1, np.nan), 0], [0, 1]]),
-                  np.array([[np.inf, 1], [1, 1]], dtype=complex),
-                  np.array([[1, complex(0, -np.inf)], [1, 1]]),
-                  np.array([[1, np.inf], [0, 1]], dtype=complex)]
-    for J in singular + not_finite:
-        b = np.arange(1, len(J) + 1, dtype=complex)
-        for _ in range(3):
-            for A, rhs in ((J.T, b), (J, -np.ones((len(J), 2), dtype=complex)),
-                           (J, np.eye(len(J), 1, dtype=complex))):
-                with pytest.raises(CriticalPointError):
-                    _fiber_solve(A, rhs)
+BELOW_TEXT = """\
+vars q1
+ext w1 : w1 - q1
+ext w2 : w2 - w1^3
+potential w2
+"""
+
+# (setup, point): J = dG/dw singular or not finite at the point
+REFUSED = {
+    "trap-zero": (TRAP_TEXT, [0.5, 1.0, 0.0]),  # J = 2 w1 = 0
+    "draw1-zero": (DRAW1_TEXT, [0.3, 0.4, 0.7, 0.0]),  # J_22 = 2 w2 = 0
+    "draw1-nan": (DRAW1_TEXT, [0.3, 0.4, np.nan, 1.5]),  # nan on the diagonal
+    "draw1-inf": (DRAW1_TEXT, [0.3, 0.4, 0.7, np.inf]),  # inf on the diagonal
+    "below-inf": (BELOW_TEXT, [1.0, 1e200, 1.0]),  # J_21 = -3 w1^2 = -inf
+}
 
 
-def test_fiber_solve_without_extension_variables_is_empty():
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_a_singular_or_non_finite_fiber_is_refused_every_time(case):
+    text, point = REFUSED[case]
+    setup = parse_problem(text)
+    pc = PointCalculus(setup)
+    x = np.array(point, dtype=complex)
+    for _ in range(3):
+        for method in (pc.first_derivatives, pc.grad, pc.darboux_residual, pc.darboux_system,
+                       pc.hess):
+            with pytest.raises(CriticalPointError, match="singular or not finite"):
+                method(x)
+        assert pc.solve_fiber(x[:setup.n], x[setup.n:]) is None
+        state = np.concatenate([x[:setup.n].real, np.zeros(setup.n), x[setup.n:].real])
+        with pytest.raises(CriticalSetError, match="singular or not finite"):
+            ConstrainedSystem(pc).rhs(0.0, state)
+
+
+def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
+    # an infinite diagonal entry can leave a finite, meaningless u (1/inf =
+    # 0), so the kernel's check reads J's entries as well as u
+    pc = PointCalculus(parse_problem(DRAW1_TEXT))
+    point = pc._point_kernel
+    x = np.array([0.3, 0.4, 0.7, 1.5], dtype=complex)
+    good = point.kernel(x)
+    for slot in range(point.checked.start, point.checked.stop):
+        for bad in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
+            values = good[:slot] + (bad,) + good[slot + 1:]
+            vars(pc)["_point_kernel"] = point._replace(kernel=lambda y, v=values: v)
+            for _ in range(2):
+                with pytest.raises(CriticalPointError, match="singular or not finite"):
+                    pc.first_derivatives(x)
+    vars(pc)["_point_kernel"] = point
+    assert pc.first_derivatives(x) == good
+
+
+def test_no_extension_variables_give_empty_solves():
+    pc = PointCalculus(parse_problem(PLAIN_TEXT))
+    x = np.array([0.5, -1.0], dtype=complex)
+    first = pc.first_derivatives(x)
+    assert first[pc._point_kernel.u] == () and first[pc._point_kernel.checked] == ()
+    dg, W, dG = pc._dg_blocks(x, first)
+    assert W.shape == (0, 2) and dG.shape == (0, 2) and dg.shape == (2, 2)
     J = np.zeros((0, 0), dtype=complex)
-    u = _fiber_solve(J.T, np.zeros(0, dtype=complex))
-    W = _fiber_solve(J, np.zeros((0, 3), dtype=complex))
+    u, W = _forward(J, np.zeros(0, dtype=complex), ()), _forward(J, np.zeros((0, 3)) + 0j, ())
     assert u.shape == (0,) and W.shape == (0, 3)
     assert u.dtype == W.dtype == complex
 

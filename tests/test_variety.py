@@ -3,6 +3,7 @@
 import numpy as np
 
 from algpot import AnalysisOptions, PointCalculus, RatExpr, analyze, parse_problem, validate
+from algpot.expr import Array
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
@@ -170,13 +171,16 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     assert len(compiled) == 8
     # every kernel the calculus has is compiled; each non-zero partial was
     # emitted into exactly the two that evaluate the generator Jacobian:
-    # the fiber numerics' own and the one that adds the potential's gradient
+    # the fiber numerics' own and the point kernel (a substitution target
+    # reads earlier values and holds no expression)
     def emitted(kernel):
         return sorted(partial[id(e)] for targets, k in compiled if k is kernel for t in targets
-                      for e in ([t] if isinstance(t, RatExpr) else [e for e, _ in t.entries])
+                      for e in ([t] if isinstance(t, RatExpr) else
+                                [e for e, _ in t.entries] if isinstance(t, Array) else [])
                       if id(e) in partial)
-    assert emitted(pc._dg_kernel) == emitted(pc._first_kernel) == sorted(partial.values())
-    others = [k for _, k in compiled if k not in (pc._dg_kernel, pc._first_kernel)]
+    point = pc._point_kernel.kernel
+    assert emitted(pc._dg_kernel) == emitted(point) == sorted(partial.values())
+    others = [k for _, k in compiled if k not in (pc._dg_kernel, point)]
     assert len(others) == 6 and not any(emitted(k) for k in others)
     # a full analysis builds its own calculus and derives each partial once
     diffed.clear()
