@@ -44,16 +44,20 @@ differences of a locally solved branch.  Weighted homogeneity
 setup's polynomials.
 
 Every least-squares solve (the Newton step, the proximity probe's step) is
-one call of LAPACK's zgelsd (_lstsq), with NumPy's rcond=None cut-off and
-zgelsd's workspace sizes queried once per shape, which saves NumPy's
-wrapper, 10 to 20 us a step at N = 9 to 20; SciPy's OpenBLAS and NumPy's
-are separate builds, so the tests hold the two to equal bits.  A system
-with a non-finite entry gets an all-nan solution without the call, which
-its callers take as leaving the domain: NumPy's lstsq raises on a nan
-entry and does not return on an infinite one.  The contraction sum_a u_a
-Hess G_a is np.dot of u as a 1 x s row with the Hessians as an s x N^2
-matrix, the BLAS call NumPy's tensordot makes, without its bookkeeping; a
-1-D matmul sums in another order.
+one call of LAPACK's zgelsy (_lstsq): a complete orthogonal factorization
+from QR with column pivoting, which returns the minimum-norm least-squares
+solution, rank-deficient systems included, and has no iteration that can
+fail to converge (LAPACK Users' Guide, section 2.4.2; Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 20).  The SVD driver zgelsd that
+np.linalg.lstsq calls gives the same solution in exact arithmetic at 1.7
+to 1.9 times the cost on the Newton step's systems; the tests hold the two
+to each other within roundoff.  The rank cut-off is NumPy's rcond=None,
+eps * max(m, n), and zgelsy's workspace size is queried once per shape.
+A system with a non-finite entry gets an all-nan solution without the
+call, which its callers take as leaving the domain.  The contraction
+sum_a u_a Hess G_a is np.dot of u as a 1 x s row with the Hessians as an
+s x N^2 matrix, the BLAS call NumPy's tensordot makes, without its
+bookkeeping; a 1-D matmul sums in another order.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zgelsd, zgelsd_lwork
+from scipy.linalg.lapack import zgelsy, zgelsy_lwork
 
 from .expr import ONE, ZERO, Array, RatExpr, Substitution, compile_arrays
 from .parsing import AlgebraicSetup
@@ -185,26 +189,28 @@ def _forward(J, b, coupled) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _lstsq_work(m: int, n: int) -> tuple:
-    """zgelsd's workspace sizes (work, rwork, iwork) for an m x n system with
-    one right-hand side, queried as NumPy queries them."""
-    work, rwork, iwork = zgelsd_lwork(m, n, 1)[:3]
-    return int(work.real), int(rwork), int(iwork)
+def _lstsq_work(m: int, n: int) -> int:
+    """zgelsy's workspace size for an m x n system with one right-hand side."""
+    return int(zgelsy_lwork(m, n, 1, LSTSQ_EPS * max(m, n))[0].real)
 
 
 def _lstsq(A, b) -> np.ndarray:
-    """The least-squares solution of A x = b that np.linalg.lstsq(A, b,
-    rcond=None) returns, by one call of LAPACK's zgelsd (see the module
-    docstring).  A non-finite A or b gives an all-nan x without a LAPACK
-    call; raises LinAlgError, as NumPy does, where the SVD fails."""
+    """The minimum-norm least-squares solution of A x = b by one call of
+    LAPACK's zgelsy, with the rank cut-off of np.linalg.lstsq(A, b,
+    rcond=None) (see the module docstring).  The column pivots start from a
+    fresh zero array on every call, so every column is free to move: the
+    driver writes its permutation back into that array.  A non-finite A or
+    b gives an all-nan x without a LAPACK call; raises LinAlgError where
+    zgelsy reports an error."""
     m, n = A.shape
     if not (_finite(A) and _finite(b)):
         return np.full(n, np.nan, dtype=complex)
     rhs = np.zeros((max(m, n), 1), dtype=complex)
     rhs[:m, 0] = b
-    x, _, _, info = zgelsd(A, rhs, *_lstsq_work(m, n), cond=LSTSQ_EPS * max(m, n))
+    jpvt = np.zeros(n, dtype=np.int32)
+    _, x, _, _, info = zgelsy(A, rhs, jpvt, LSTSQ_EPS * max(m, n), _lstsq_work(m, n))
     if info:
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        raise np.linalg.LinAlgError(f"zgelsy failed (info {info})")
     return x[:n, 0]
 
 
@@ -229,11 +235,12 @@ class PointCalculus:
     (dynamics) both read; the potential's value; both Hessians, V's (N x N)
     and the generators' (s x N x N), in one kernel; detJ, for the flow's
     stop events in dynamics; and one per polynomial the proximity probe
-    walks toward.  A Hessian's upper-triangle partial is evaluated once and
-    written to both places, zero partials are never evaluated and constant
-    ones are filled in once, at compile time.  The fiber numerics use the G
-    and dG kernels alone, so they never evaluate V and never meet its
-    poles.
+    walks toward; pipeline.analyze compiles the ones an analysis may
+    evaluate before it evaluates any (compile_analysis_kernels).  A
+    Hessian's upper-triangle partial is evaluated once and written to both
+    places, zero partials are never evaluated and constant ones are filled
+    in once, at compile time.  The fiber numerics use the G and dG kernels
+    alone, so they never evaluate V and never meet its poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -377,6 +384,20 @@ class PointCalculus:
             checked=slice(j0, grad0),
             forward=tuple((j0 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s)))
 
+    def compile_analysis_kernels(self):
+        """Compiles every kernel that an analysis may evaluate: G, dG, the
+        point kernel, the Hessians and the proximity probes toward detJ and
+        the potential's denominator.  pipeline.analyze calls it before it
+        evaluates anything, so a derived coefficient that has no double
+        (expr.compile_arrays raises ExprError) is refused for the problem,
+        whichever evaluation would first have read it; every other caller
+        keeps the calculus lazy."""
+        for name in ("_g_kernel", "_dg_kernel", "_point_kernel", "_hessian_kernel"):
+            getattr(self, name)
+        for f in (self.det, self._den):
+            if f.constant_value() is None:
+                self._probe(f)
+
     # -- raw evaluations ------------------------------------------------
 
     def potential_value(self, x) -> complex:
@@ -406,19 +427,23 @@ class PointCalculus:
         first = self.first_derivatives(x) if first is None else first
         return np.array(first[self._point_kernel.grad], dtype=complex)
 
-    def _dg_blocks(self, x, first=None):
+    def _dg_blocks(self, x, first=None, out=None):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
         W = dw/dq = -J^(-1) B by forward substitution and the generators'
         Jacobian.  dg = P^T L, with P = [I; W] and L the Hessian of the
-        Lagrangian V - u.G.  first_derivatives refused a zero diagonal
-        entry and a non-finite entry of J, so W needs no check of its own."""
+        Lagrangian V - u.G.  dg and dG are written to the rows :n and n: of
+        out, a C-contiguous (n + s) x N complex array (a fresh one when
+        omitted), and returned as views of it.  first_derivatives refused a
+        zero diagonal entry and a non-finite entry of J, so W needs no check
+        of its own."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
         point = self._point_kernel
         first = self.first_derivatives(x) if first is None else first
-        dG = np.zeros(s * N, dtype=complex)
-        dG[point.dg_index] = first[point.dG]
-        dG = dG.reshape(s, N)
+        out = np.empty((n + s, N), dtype=complex) if out is None else out
+        dg, dG = out[:n], out[n:]
+        dG.fill(0)
+        dG.reshape(-1)[point.dg_index] = first[point.dG]
         W = _forward(dG[:, n:], -dG[:, :n], self._coupled)
         vh, gh = self._hessian_kernel(x)
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
@@ -427,7 +452,8 @@ class PointCalculus:
             L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N)
         else:
             L = vh
-        return L[:n] + W.T @ L[n:], W, dG
+        np.add(L[:n], W.T @ L[n:], out=dg)
+        return dg, W, dG
 
     def hess(self, x) -> np.ndarray:
         """The intrinsic Hessian P^T L P."""
@@ -478,16 +504,30 @@ class PointCalculus:
         F[self.n:] = self.g_values(x)
         return F
 
-    def darboux_system(self, x, first=None) -> np.ndarray:
+    def darboux_system(self, x, first=None, out=None) -> np.ndarray:
         """The plain Jacobian of F = darboux_residual(x) for Newton
-        iterations: rows dg - [I 0], then dG.  The residual itself is the
-        caller's (darboux._newton keeps each point's rows)."""
-        dg, _, dG = self._dg_blocks(x, first)
-        Jac = np.concatenate([dg, dG])
-        Jac.ravel()[: self.n * (self.N + 1): self.N + 1] -= 1  # the diagonal of dg/dq
-        return Jac
+        iterations: rows dg - [I 0], then dG, written to out, a C-contiguous
+        (n + s) x N complex array (a fresh one when omitted), which is
+        returned.  darboux._newton passes the leading rows of its own
+        system, so the Jacobian is built where the step reads it.  The
+        residual itself is the caller's (darboux._newton keeps each point's
+        rows)."""
+        n, N = self.n, self.N
+        out = np.empty((n + self.s, N), dtype=complex) if out is None else out
+        self._dg_blocks(x, first, out)
+        out.reshape(-1)[: n * (N + 1): N + 1] -= 1  # the diagonal of dg/dq
+        return out
 
     # -- proximity probes --------------------------------------------------
+
+    def _probe(self, f: RatExpr):
+        """The kernel of a non-constant polynomial f's value and gradient,
+        compiled on first use."""
+        if f not in self._probes:
+            order = self.setup.var_names
+            self._probes[f] = compile_arrays(
+                [f, Array((self.N,), [(f.diff(v), [(i,)]) for i, v in enumerate(order)])], order)
+        return self._probes[f]
 
     def _near_zero_set(self, f: RatExpr, x, radius) -> bool:
         """Gauss-Newton toward (G = 0, f = 0) for a polynomial f; True when a
@@ -497,11 +537,7 @@ class PointCalculus:
         c = f.constant_value()
         if c is not None:
             return c == 0
-        if f not in self._probes:
-            order = self.setup.var_names
-            self._probes[f] = compile_arrays(
-                [f, Array((self.N,), [(f.diff(v), [(i,)]) for i, v in enumerate(order)])], order)
-        probe = self._probes[f]
+        probe = self._probe(f)
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
         for _ in range(PROBE_MAX_ITER):

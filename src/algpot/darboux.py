@@ -64,13 +64,15 @@ def _largest(rows) -> float:
 
 def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
     """x's largest residual entry (_largest) when it is below res, else
-    None.  x's rows go to F as far as they are computed, and Jac[:m]
-    becomes x's Jacobian only when every row passes.  The cheap rows, G and
-    the pin rows, are tested first: only a trial that passes them
-    evaluates its first derivatives, the one point kernel that gives its
-    gradient rows (gradient_rows) and, once every row passes, its
-    Jacobian.  A point off the domain (singular fiber, potential pole)
-    fails."""
+    None.  x's rows go to F as far as they are computed, and x's Jacobian
+    is written to Jac[:m] (darboux_system's out) only when every row
+    passes.  A trial that fails may leave F, or Jac[:m] where its Jacobian
+    raises, partly written; no step reads them before an accepted trial
+    writes both whole.  The cheap rows, G and the pin rows, are tested
+    first: only a trial that passes them evaluates its first derivatives,
+    the one point kernel that gives its gradient rows (gradient_rows) and,
+    once every row passes, its Jacobian.  A point off the domain (singular
+    fiber, potential pole) fails."""
     n, m = pc.n, pc.n + pc.s
     try:
         F[n:m] = pc.g_values(x)
@@ -83,7 +85,7 @@ def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
         r = _largest(F)
         if not r < res:
             return None
-        Jac[:m] = pc.darboux_system(x, first)
+        pc.darboux_system(x, first, Jac[:m])
     except (CriticalPointError, PoleError):
         return None
     return r
@@ -98,10 +100,11 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     conv_tol; while the search runs the current residual exceeds conv_tol,
     so that is the largest entry of |F| below the current residual
     (_trial).  The start point is a trial against res = inf.  Only the
-    start point and an accepted trial build a Jacobian, into an array that
-    holds the pin rows from the start; every decision and iterate is still
-    bit for bit that of a search that builds the full system at every
-    trial.
+    start point and an accepted trial build a Jacobian, in place in the
+    leading rows of an array that holds the pin rows from the start, and
+    each step is one least-squares solve with it (calculus._lstsq); every
+    decision and iterate is still bit for bit that of a search that builds
+    the full system at every trial.
 
     Returns the final iterate and residual, or None when the start point
     is off the domain or not finite, or the iteration diverged.

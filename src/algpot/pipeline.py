@@ -191,11 +191,14 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
     }
 
     # derives nothing: the calculus makes its symbolic tables and kernels on
-    # first use, so their cost is timed in validate, the first stage that
-    # evaluates
+    # first use.  Every kernel the analysis may evaluate is compiled here,
+    # before any stage evaluates, so a coefficient without a double is one
+    # refusal per problem (ExprError), not one that the hunt's starts
+    # decide; the compilation is timed in validate
     pc = PointCalculus(setup)
 
     t0 = time.perf_counter()
+    pc.compile_analysis_kernels()
     val = validate(pc, seed=opt.seed, radius=opt.sigma_radius)
     timings["validate"] = time.perf_counter() - t0
     report["validation"] = {

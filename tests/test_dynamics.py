@@ -294,7 +294,7 @@ def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
         raise AssertionError("the flow made a linear solve")
 
     monkeypatch.setitem(vars(pc), "_point_kernel", point._replace(kernel=counted))
-    for name in ("_forward", "_lstsq", "zgelsd"):
+    for name in ("_forward", "_lstsq", "zgelsy"):
         monkeypatch.setattr(calculus, name, refused)
     monkeypatch.setattr(np.linalg, "solve", refused)
     for method in ("first_derivatives", "grad", "_dg_blocks", "_dg_kernel"):
