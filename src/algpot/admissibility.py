@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, rationalize
+from .spectrum import RATIONAL_TOL, rationalize
 
 F = Fraction
 
@@ -133,14 +133,13 @@ def check_pair_exact(k: int, lam) -> TableVerdict:
                         witnesses=witnesses, obstruction=not matched)
 
 
-def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL,
-                       max_den: int = MAX_DENOMINATOR) -> TableVerdict:
-    """Decide a float or complex eigenvalue: exactly when it reconstructs
-    as a rational, else by rounding each candidate shift and accepting the
-    lambda it gives within tol * max(1, |lambda|)."""
+def check_pair_numeric(k: int, lam) -> TableVerdict:
+    """Decide a float or complex eigenvalue: exactly when spectrum.rationalize
+    reconstructs it as a rational, else by rounding each candidate shift and
+    accepting the lambda it gives within RATIONAL_TOL * max(1, |lambda|)."""
     check_degree(k)
     z = complex(lam)
-    r = rationalize(z, tol, max_den)
+    r = rationalize(z)
     if r is not None:
         v = check_pair_exact(k, r)
         v.note = f"lambda reconstructed as {r}"
@@ -153,7 +152,7 @@ def check_pair_numeric(k: int, lam, tol: float = RATIONAL_TOL,
         for sgn in (1, -1):
             guess = round((sgn * delta - complex(residue)).real)
             for p in (guess - 1, guess, guess + 1):
-                if abs(complex(_eigenvalue(k, residue + p)) - z) <= tol * scale:
+                if abs(complex(_eigenvalue(k, residue + p)) - z) <= RATIONAL_TOL * scale:
                     w = Witness(case, p, residue)
                     if w not in witnesses:
                         witnesses.append(w)

@@ -588,15 +588,14 @@ def sample_on_variety(pc: PointCalculus, rng: np.random.Generator):
     return None
 
 
-def validate(pc: PointCalculus, seed: int = 0,
-             radius: float = PROBE_RADIUS) -> ValidationReport:
+def validate(pc: PointCalculus, seed: int = 0) -> ValidationReport:
     """Sample pc's variety and check that it is not all critical.
 
     Primality/codimension of the generating ideal is NOT checked; the report
     says so via primality_assumed.  All VALIDATE_TRIALS samples are drawn,
     each one placed on the variety is probed, and the setup passes when at
     least one is clear: the proximity probe finds no critical point
-    (detJ = 0) within radius of it.  A distance decides, not the size of
+    (detJ = 0) within PROBE_RADIUS of it.  A distance decides, not the size of
     detJ, which scales with the variables: a sample whose fiber solve
     stalled near a degenerate sheet is critical although its detJ is not
     small, and a setup whose detJ is small everywhere is not rejected.
@@ -609,7 +608,7 @@ def validate(pc: PointCalculus, seed: int = 0,
         if x is None:
             continue
         used += 1
-        if not pc.near_critical_set(x, radius):
+        if not pc.near_critical_set(x):
             clear += 1
     if used == 0:
         return ValidationReport(ok=False, primality_assumed=True, samples_used=0,

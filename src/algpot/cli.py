@@ -36,9 +36,6 @@ from .pipeline import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, OPTION_RANGES, POSITIVE_
 from .varode import build_ve, monodromy_report
 
 _DEFAULTS = AnalysisOptions()
-# the options each subcommand reads; analyze and nbody read all of OPTION_RANGES
-HUNT_OPTIONS = ("seed", "n_random", "on_variety_tol", "sigma_radius")
-TABLE_OPTIONS = ("rational_tol", "max_denominator")
 
 
 def _flag_type(parse, what, ok=None):
@@ -138,23 +135,19 @@ def _load(path: str):
         _input_error(f"cannot read problem file: {exc}")
 
 
-def _add_options(p, names):
-    """One flag per named option of OPTION_RANGES, with AnalysisOptions' default."""
-    for name in names:
-        kind, what_it_sets = OPTION_RANGES[name]
+def _add_hunt_args(p):
+    """One flag per option of OPTION_RANGES, with AnalysisOptions' default,
+    then seeds and out."""
+    for name, (kind, what_it_sets) in OPTION_RANGES.items():
         p.add_argument("--" + name.replace("_", "-"), type=_flag_type(*kind),
                        default=getattr(_DEFAULTS, name), help=what_it_sets)
-
-
-def _add_hunt_args(p, names=HUNT_OPTIONS):
-    _add_options(p, names)
     p.add_argument("--seeds", metavar="FILE", help="file of start vectors, one comma-separated row per line")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
 
 
 def _add_analysis_args(p):
     """Everything a full analysis reads: every option, seeds and timings."""
-    _add_hunt_args(p, OPTION_RANGES)
+    _add_hunt_args(p)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
 
@@ -177,7 +170,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_darboux(args) -> int:
     setup = _load(args.problem)
-    res = hunt(PointCalculus(setup), _options_from(args, setup))
+    pc = PointCalculus(setup)
+    # as in analyze: a coefficient without a double is refused before any
+    # start, not by whichever kernels the starts reach
+    pc.compile_analysis_kernels()
+    res = hunt(pc, _options_from(args, setup))
     report = {
         **report_head(setup),
         **darboux_section(res),
@@ -192,8 +189,7 @@ def cmd_check_table(args) -> int:
         if isinstance(args.lam, Fraction) and not args.numeric:
             verdict = check_pair_exact(args.k, args.lam)
         else:
-            verdict = check_pair_numeric(args.k, complex(args.lam), tol=args.rational_tol,
-                                         max_den=args.max_denominator)
+            verdict = check_pair_numeric(args.k, complex(args.lam))
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -307,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric", action="store_true",
                    help="decide from the eigenvalue's float value: exact input is read "
                         "as a number, and the verdict is exact when that number "
-                        "reconstructs as a rational within --rational-tol and "
-                        "--max-denominator")
-    _add_options(p, TABLE_OPTIONS)
+                        "reconstructs as a rational")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_check_table)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _lstsq
+from .calculus import CriticalPointError, PointCalculus, _lstsq
 from .expr import PoleError
 
 ORIGIN_TOL = 1e-8
@@ -144,7 +144,6 @@ def solve_darboux(pc: PointCalculus,
                   n_random: int = N_RANDOM,
                   seed: int = 0,
                   accept_tol: float = ACCEPT_TOL,
-                  sigma_radius: float = PROBE_RADIUS,
                   linear_conditions=None) -> DarbouxResult:
     """Hunt for Darboux points of pc's setup from seeds plus random starts.
 
@@ -193,7 +192,7 @@ def solve_darboux(pc: PointCalculus,
         F = pc.darboux_residual(x)
         grad_res = float(np.max(np.abs(F[:n]))) if n else 0.0
         con_res = float(np.max(np.abs(F[n:]))) if pc.s else 0.0
-        if pc.near_sigma(x, radius=sigma_radius):
+        if pc.near_sigma(x):
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,
                 sigma_flag=True, start_label=label,

@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .expr import RatExpr, outside_double
 from .parsing import AlgebraicSetup
-from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, EigenCluster, Spectrum, eigen
+from .spectrum import EigenCluster, Spectrum, eigen
 
 F = Fraction
 _ONE, _TWO, _MINUS_ONE = F(1), F(2), F(-1)
@@ -221,9 +221,7 @@ class GaugeSplit:
     rotation_residual: float
 
 
-def split_gauge_spectrum(cfg: NBodyConfig, H: np.ndarray, point: np.ndarray,
-                         tol: float = RATIONAL_TOL,
-                         max_den: int = MAX_DENOMINATOR) -> GaugeSplit:
+def split_gauge_spectrum(cfg: NBodyConfig, H: np.ndarray, point: np.ndarray) -> GaugeSplit:
     """Separate the symmetry eigenvalues from the physical ones.
 
     Translations are verified against eigenvalue 0 and rotations against
@@ -248,7 +246,7 @@ def split_gauge_spectrum(cfg: NBodyConfig, H: np.ndarray, point: np.ndarray,
 
     G = np.hstack([T, R]) if R.size else T
     C = scipy.linalg.null_space(G.T)
-    reduced = eigen(C.T @ Hr @ C, tol=tol, max_den=max_den)
+    reduced = eigen(C.T @ Hr @ C)
     return GaugeSplit(gauge_clusters=gauge_clusters, reduced=reduced,
                       translation_residual=t_res, rotation_residual=r_res)
 

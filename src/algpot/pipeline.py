@@ -18,13 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import PROBE_RADIUS, PointCalculus, detect_homogeneity, validate
-from .darboux import ACCEPT_TOL, N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
+from .calculus import PointCalculus, detect_homogeneity, validate
+from .darboux import N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
 from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
                             check_pair_numeric)
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
-from .spectrum import MAX_DENOMINATOR, RATIONAL_TOL, eigen
+from .spectrum import eigen
 
 TOOL_NAME = "algpot"
 TOOL_VERSION = "0.1.0"  # the package version; pyproject.toml reads it from here
@@ -38,21 +38,16 @@ EXIT_OBSTRUCTION = 10
 # The kinds of numeric option, as (type, what a value must be, its test).
 NONNEGATIVE_INT = (int, "an integer >= 0", lambda v: v >= 0)
 POSITIVE_INT = (int, "an integer >= 1", lambda v: v >= 1)
-POSITIVE_FINITE = (float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 # Each numeric analysis option, as (kind, what it sets).  AnalysisOptions
 # refuses a value outside its kind's range, the report echoes each under
 # `options`, and the CLI makes each a flag of the same name with dashes,
-# parsed as its kind, with AnalysisOptions' default.
+# parsed as its kind, with AnalysisOptions' default.  The thresholds that
+# decide a verdict are not options: darboux.ACCEPT_TOL, calculus.PROBE_RADIUS,
+# spectrum.RATIONAL_TOL and spectrum.MAX_DENOMINATOR are fixed, so a
+# certificate depends only on the problem, the seeds and n_random.
 OPTION_RANGES = {
     "seed": (NONNEGATIVE_INT, "RNG seed for sampling and starts"),
     "n_random": (NONNEGATIVE_INT, "number of random Newton starts"),
-    "on_variety_tol": (POSITIVE_FINITE, "largest final residual of a Newton start "
-                                        "that counts as a Darboux candidate"),
-    "rational_tol": (POSITIVE_FINITE, "error budget of rational reconstruction"),
-    "max_denominator": (POSITIVE_INT, "largest denominator of rational reconstruction"),
-    "sigma_radius": (POSITIVE_FINITE, "probe radius for both validation and the hunt: a "
-                                      "sample or candidate with a critical point this "
-                                      "close is critical"),
 }
 
 
@@ -61,10 +56,6 @@ class AnalysisOptions:
     seed: int = 0
     n_random: int = N_RANDOM
     seeds: tuple = ()
-    on_variety_tol: float = ACCEPT_TOL
-    rational_tol: float = RATIONAL_TOL
-    max_denominator: int = MAX_DENOMINATOR
-    sigma_radius: float = PROBE_RADIUS
     timings: bool = False
     nbody: NBodyConfig | None = None
 
@@ -159,9 +150,7 @@ def hunt(pc: PointCalculus, opt: AnalysisOptions) -> DarbouxResult:
         base = seeds[0] if seeds else np.zeros(pc.N)
         linear_conditions = pinning_conditions(opt.nbody, np.asarray(base))
     return solve_darboux(pc, seeds=seeds, n_random=opt.n_random,
-                         seed=opt.seed, accept_tol=opt.on_variety_tol,
-                         sigma_radius=opt.sigma_radius,
-                         linear_conditions=linear_conditions)
+                         seed=opt.seed, linear_conditions=linear_conditions)
 
 
 def _close(report: dict, cert: Certificate, code: int, timings: dict | None):
@@ -199,7 +188,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
 
     t0 = time.perf_counter()
     pc.compile_analysis_kernels()
-    val = validate(pc, seed=opt.seed, radius=opt.sigma_radius)
+    val = validate(pc, seed=opt.seed)
     timings["validate"] = time.perf_counter() - t0
     report["validation"] = {
         "ok": val.ok,
@@ -247,9 +236,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         entry = {"index": idx, **accepted_entry(rep)}
         gauge_clusters = []
         if opt.nbody is not None and _point_is_real(rep.point):
-            split = split_gauge_spectrum(opt.nbody, rep.hessian, rep.point,
-                                         tol=opt.rational_tol,
-                                         max_den=opt.max_denominator)
+            split = split_gauge_spectrum(opt.nbody, rep.hessian, rep.point)
             spec = split.reduced
             gauge_clusters = split.gauge_clusters
             entry["gauge"] = {
@@ -260,8 +247,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
             if opt.nbody is not None:
                 report["warnings"].append(
                     f"point #{idx}: not real, gauge split skipped")
-            spec = eigen(rep.hessian, tol=opt.rational_tol,
-                         max_den=opt.max_denominator)
+            spec = eigen(rep.hessian)
 
         entry["spectrum"] = {
             "clusters": [asdict(c) for c in gauge_clusters + list(spec.clusters)],
@@ -278,8 +264,7 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
                 if cl.rational is not None:
                     verdict = check_pair_exact(k, cl.rational)
                 else:
-                    verdict = check_pair_numeric(k, cl.value, tol=opt.rational_tol,
-                                                 max_den=opt.max_denominator)
+                    verdict = check_pair_numeric(k, cl.value)
                 vrow["table"] = table_entry(verdict)
             verdict_rows.append(vrow)
 

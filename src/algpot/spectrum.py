@@ -3,9 +3,11 @@
 Complex symmetric matrices need not be diagonalizable, and the admissibility
 check downstream is only licensed for diagonalizable Hessians, so the verdict
 here is explicit about its numeric margins: geometric multiplicities come
-from singular values of H - lambda*I measured against tol*||H||, and any
-singular value within a factor 10 of that threshold (or any two clusters
-separated by less than 10*tol*||H||) marks the whole answer as uncertain.
+from singular values of H - lambda*I measured against RATIONAL_TOL*max(1, ||H||),
+and any singular value within a factor 10 of that threshold (or any two
+clusters separated by less than 10 times it) marks the whole answer as
+uncertain.  The thresholds are module constants, not parameters, because
+each one can change a certificate.
 """
 
 from __future__ import annotations
@@ -22,28 +24,28 @@ RATIONAL_TOL = 1e-8
 MAX_DENOMINATOR = 10 ** 6
 
 
-def rationalize(x, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR):
-    """Nearest fraction with a bounded denominator, or None.
+def rationalize(x):
+    """Nearest fraction with denominator at most MAX_DENOMINATOR, or None.
 
     Continued-fraction reconstruction via Fraction.limit_denominator; the
-    result must sit within tol of the input, and the imaginary part (if any)
-    must be below tol as well.
+    result must sit within RATIONAL_TOL of the input, and the imaginary
+    part (if any) must be below RATIONAL_TOL as well.
 
     A plain error-below-tol check is vacuous for large denominator bounds:
-    convergents of any real land within ~1/(q*max_den) of it, so pi itself
-    would "reconstruct" at max_den = 10**6 and could later be mistaken for
-    an exact eigenvalue.  The error budget therefore shrinks with the
-    denominator of the candidate: accept only when |x - p/q| <= tol / q.
+    convergents of any real land within ~1/(q*MAX_DENOMINATOR) of it, so pi
+    itself would "reconstruct" and could later be mistaken for an exact
+    eigenvalue.  The error budget therefore shrinks with the denominator of
+    the candidate: accept only when |x - p/q| <= RATIONAL_TOL / q.
     Genuine small-denominator spectra pass with room to spare while
     high-denominator accidents are thrown out.
     """
     z = complex(x)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > RATIONAL_TOL:
         return None
     if not math.isfinite(z.real):
         return None
-    f = Fraction(z.real).limit_denominator(max_den)
-    if abs(float(f) - z.real) > tol / f.denominator:
+    f = Fraction(z.real).limit_denominator(MAX_DENOMINATOR)
+    if abs(float(f) - z.real) > RATIONAL_TOL / f.denominator:
         return None
     return f
 
@@ -82,7 +84,7 @@ def _cluster(values, gap):
     return groups
 
 
-def eigen(H, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR) -> Spectrum:
+def eigen(H) -> Spectrum:
     """Spectrum of a (generally complex symmetric) matrix with multiplicity."""
     H = np.asarray(H, dtype=complex)
     m = H.shape[0]
@@ -90,8 +92,9 @@ def eigen(H, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR) -> Spect
         return Spectrum(clusters=[], diagonalizable=True, uncertain=False,
                         diag_margin=math.inf)
     scale = max(1.0, float(np.linalg.norm(H, 2)))
+    thresh = RATIONAL_TOL * scale
     vals = np.linalg.eigvals(H)
-    groups = _cluster(list(vals), tol * scale)
+    groups = _cluster(list(vals), thresh)
 
     clusters = []
     margin = math.inf
@@ -105,7 +108,6 @@ def eigen(H, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR) -> Spect
             diag = True
         else:
             sing = np.linalg.svd(H - rep * np.eye(m), compute_uv=False)
-            thresh = tol * scale
             geo = int(np.sum(sing <= thresh))
             for sv in sing:
                 if sv <= 0:
@@ -122,14 +124,14 @@ def eigen(H, tol: float = RATIONAL_TOL, max_den: int = MAX_DENOMINATOR) -> Spect
         diag_all = diag_all and diag
         clusters.append(EigenCluster(
             value=rep, multiplicity=mult, geometric_multiplicity=geo,
-            diagonalizable=diag, rational=rationalize(rep, tol, max_den),
+            diagonalizable=diag, rational=rationalize(rep),
         ))
 
     # clusters separated by barely more than the clustering gap are suspect
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
             d = abs(clusters[i].value - clusters[j].value)
-            if d < 10 * tol * scale:
+            if d < 10 * RATIONAL_TOL * scale:
                 uncertain = True
 
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))

@@ -7,7 +7,6 @@ import inspect
 from pathlib import Path
 
 import algpot
-from algpot.pipeline import AnalysisOptions
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
 
@@ -48,4 +47,4 @@ def test_every_wrap_point_resolves():
 def test_newton_outcome_reads_the_acceptance_bound():
     params = inspect.signature(algpot.darboux.solve_darboux).parameters
     assert "accept_tol" in params
-    assert instrument.newton_accept_tol(algpot) == AnalysisOptions().on_variety_tol
+    assert instrument.newton_accept_tol(algpot) == algpot.darboux.ACCEPT_TOL

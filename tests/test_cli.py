@@ -190,13 +190,22 @@ def test_darboux_report_carries_the_pipeline_section(trap_file, capsys):
 
 def test_no_command_takes_critical_tol(trap_file, capsys):
     # the critical-set probe is the one test of criticality in an analysis;
-    # no |detJ| threshold is left to set
-    for head in (["analyze", str(trap_file)], ["darboux", str(trap_file)],
-                 ["nbody", "--n", "3", "--analyze"]):
-        with pytest.raises(SystemExit) as exc:
-            main(head + ["--critical-tol", "1e-8"])
-        assert exc.value.code == EXIT_USAGE, head[0]
-        assert "--critical-tol" in capsys.readouterr().err
+    # no |detJ| threshold is left to set.  Nor can a flag move a threshold
+    # that decides the certificate: the acceptance bound, the probe radius
+    # and rational reconstruction's budget and denominator are fixed
+    heads = {"analyze": ["analyze", str(trap_file)], "darboux": ["darboux", str(trap_file)],
+             "nbody": ["nbody", "--n", "3", "--analyze"],
+             "check-table": ["check-table", "--k", "3", "--lambda", "1", "--numeric"]}
+    for flag, commands in (("--critical-tol", ["analyze", "darboux", "nbody"]),
+                           ("--on-variety-tol", ["analyze", "darboux", "nbody"]),
+                           ("--sigma-radius", ["analyze", "darboux", "nbody"]),
+                           ("--rational-tol", ["analyze", "nbody", "check-table"]),
+                           ("--max-denominator", ["analyze", "nbody", "check-table"])):
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main(heads[command] + [flag, "1000"])
+            assert exc.value.code == EXIT_USAGE, (flag, command)
+            assert flag in capsys.readouterr().err, (flag, command)
 
 
 def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, capsys):
@@ -205,10 +214,9 @@ def test_bare_command_line_takes_the_analysis_defaults(cone_file, cone_setup, ca
     assert code == 0
     report, _ = analyze(cone_setup, AnalysisOptions())
     assert out["options"] == json.loads(report_json(report))["options"]
-    code = main(["analyze", str(cone_file), "--n-random", "4",
-                 "--on-variety-tol", "1e-7", "--rational-tol", "1e-7"])
+    code = main(["analyze", str(cone_file), "--seed", "3", "--n-random", "4"])
     options = json.loads(capsys.readouterr().out)["options"]
-    assert options["on_variety_tol"] == options["rational_tol"] == 1e-7
+    assert options == {"seed": 3, "n_random": 4}
 
 
 @pytest.mark.parametrize("command", ["analyze", "darboux"])
@@ -294,6 +302,19 @@ def test_a_derived_coefficient_a_double_cannot_hold_is_an_error(argv, tmp_path):
     assert proc.stderr == "error: a coefficient is too large for a double\n"
 
 
+@pytest.mark.parametrize("n_random", ["0", "4"])
+def test_darboux_refuses_a_derived_coefficient_before_any_start(n_random, tmp_path, capsys):
+    # the second partial's 6*10^308 has no double; as analyze does, the hunt
+    # compiles every kernel before its first start, so the refusal does not
+    # depend on which kernels the starts reach
+    big = tmp_path / "big.prob"
+    big.write_text("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 3*10^307*w1^5\n")
+    assert main(["darboux", str(big), "--n-random", n_random]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coefficient is too large for a double\n"
+
+
 def test_analyze_deterministic_output(cone_file, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -338,10 +359,6 @@ def test_golden_report_structure(cone_file, trap_file, capsys):
 OUT_OF_RANGE = {
     "--seed": (["analyze", "darboux", "nbody"], ["-1"]),
     "--n-random": (["analyze", "darboux", "nbody"], ["-5"]),
-    "--sigma-radius": (["analyze", "darboux", "nbody"], ["-1", "0", "nan"]),
-    "--on-variety-tol": (["analyze", "darboux", "nbody"], ["-1", "inf"]),
-    "--rational-tol": (["analyze", "nbody", "check-table"], ["-1", "nan"]),
-    "--max-denominator": (["analyze", "nbody", "check-table"], ["0", "-3"]),
 }
 
 
@@ -351,8 +368,7 @@ def test_out_of_range_option_is_a_usage_error(option, cone_file, capsys):
     # option silently changed, no traceback with EXIT_VALIDATION's code
     commands, values = OUT_OF_RANGE[option]
     heads = {"analyze": ["analyze", cone_file], "darboux": ["darboux", cone_file],
-             "nbody": ["nbody", "--n", "3", "--analyze"],
-             "check-table": ["check-table", "--k", "3", "--lambda", "1"]}
+             "nbody": ["nbody", "--n", "3", "--analyze"]}
     for command in commands:
         for value in values:
             with pytest.raises(SystemExit) as exc:
@@ -445,10 +461,8 @@ def test_every_option_flag_is_read_from_option_ranges(cone_setup, capsys):
     options = {"--" + name.replace("_", "-") for name in OPTION_RANGES}
     assert _value_flags("analyze") == options | {"--seeds", "--out"}
     assert _value_flags("nbody") == options | {"--seeds", "--out", "--n", "--dim", "--masses"}
-    assert _value_flags("darboux") == {"--seed", "--n-random", "--on-variety-tol",
-                                       "--sigma-radius", "--seeds", "--out"}
-    assert _value_flags("check-table") == {"--rational-tol", "--max-denominator",
-                                           "--k", "--lambda", "--out"}
+    assert _value_flags("darboux") == options | {"--seeds", "--out"}
+    assert _value_flags("check-table") == {"--k", "--lambda", "--out"}
     report, _ = analyze(cone_setup, AnalysisOptions(n_random=0))
     assert set(report["options"]) == set(OPTION_RANGES)
     # the gauge clusters are in each point's spectrum; no option repeats them

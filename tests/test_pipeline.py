@@ -1,4 +1,4 @@
-"""Pipeline wiring: options reach the stages, one calculus per analysis,
+"""Pipeline wiring: the options and their ranges, one calculus per analysis,
 one definition of each setting, the version and the exit codes, and a
 certificate that the report's own points determine."""
 
@@ -10,43 +10,12 @@ from pathlib import Path
 import pytest
 
 import algpot
-from algpot import admissibility, calculus, darboux, dynamics, nbody, pipeline, spectrum
+from algpot import calculus, darboux, nbody, pipeline
 from algpot.admissibility import Certificate, certify
 from algpot.calculus import PointCalculus
 from algpot.cli import main
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, analyze, report_json
-
-
-def test_on_variety_tol_reaches_the_hunt(cone_setup, monkeypatch):
-    seen = []
-    solve = pipeline.solve_darboux
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["accept_tol"])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "solve_darboux", spy)
-    default, _ = analyze(cone_setup, AnalysisOptions(n_random=8))
-    strict, _ = analyze(cone_setup, AnalysisOptions(n_random=8, on_variety_tol=1e-30))
-    assert seen == [1e-9, 1e-30]
-    assert strict["options"]["on_variety_tol"] == 1e-30
-    # converged starts stop near 1e-16, not at 1e-30, so most now fail
-    assert strict["darboux"]["failed_starts"] > default["darboux"]["failed_starts"]
-
-
-def test_sigma_radius_reaches_validation_and_the_hunt(cone_setup, monkeypatch):
-    seen = []
-    probe = PointCalculus.near_critical_set
-
-    def spy(self, x, radius):
-        seen.append(radius)
-        return probe(self, x, radius)
-
-    monkeypatch.setattr(PointCalculus, "near_critical_set", spy)
-    report, _ = analyze(cone_setup, AnalysisOptions(n_random=4, sigma_radius=1e-2))
-    assert report["validation"]["ok"]
-    assert seen and set(seen) == {1e-2}
 
 
 def _default(func, name):
@@ -57,15 +26,8 @@ def test_each_setting_has_one_definition():
     # identity, not equality: a re-typed literal is a second definition
     # (constant, its uses) pairs: equal constants would collide as dict keys
     defaults = [
-        (spectrum.RATIONAL_TOL, "tol", [spectrum.rationalize, spectrum.eigen,
-                                        admissibility.check_pair_numeric,
-                                        nbody.split_gauge_spectrum]),
-        (spectrum.MAX_DENOMINATOR, "max_den", [spectrum.rationalize, spectrum.eigen,
-                                               admissibility.check_pair_numeric,
-                                               nbody.split_gauge_spectrum]),
         (calculus.PROBE_RADIUS, "radius", [PointCalculus.near_critical_set,
-                                           PointCalculus.near_sigma, calculus.validate]),
-        (calculus.PROBE_RADIUS, "sigma_radius", [darboux.solve_darboux]),
+                                           PointCalculus.near_sigma]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
     ]
@@ -74,21 +36,14 @@ def test_each_setting_has_one_definition():
             assert _default(func, name) is constant, f"{func.__qualname__}({name})"
     options = {f.name: f.default for f in dataclasses.fields(AnalysisOptions)}
     assert options["n_random"] is darboux.N_RANDOM
-    assert options["on_variety_tol"] is darboux.ACCEPT_TOL
-    assert options["rational_tol"] is spectrum.RATIONAL_TOL
-    assert options["max_denominator"] is spectrum.MAX_DENOMINATOR
-    assert options["sigma_radius"] is calculus.PROBE_RADIUS
 
 
 # a value outside the range of each numeric option
-OUT_OF_RANGE = {"seed": -1, "n_random": -5, "on_variety_tol": -1.0,
-                "rational_tol": float("nan"), "max_denominator": 0,
-                "sigma_radius": float("inf")}
+OUT_OF_RANGE = {"seed": -1, "n_random": -5}
 
 
 def test_out_of_range_option_is_refused():
-    # the library refuses what the CLI refuses: on_variety_tol = -1 accepts
-    # no point, and turns an obstruction into not_applicable
+    # the library refuses what the CLI refuses
     assert sorted(OUT_OF_RANGE) == sorted(pipeline.OPTION_RANGES)
     for name, value in OUT_OF_RANGE.items():
         with pytest.raises(ValueError, match=f"^{name}="):

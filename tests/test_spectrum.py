@@ -11,13 +11,13 @@ from algpot import eigen, rationalize
 
 
 def test_rationalize_worked_example():
-    assert rationalize(1.0416666667, tol=1e-8, max_den=100) == Fraction(25, 24)
+    assert rationalize(1.0416666667) == Fraction(25, 24)
 
 
 def test_rationalize_rejects_far_values():
-    assert rationalize(np.pi, tol=1e-8, max_den=10 ** 6) is None
+    assert rationalize(np.pi) is None
     assert rationalize(4.790745107824462) is None
-    assert rationalize(0.5 + 0.1j, tol=1e-8) is None
+    assert rationalize(0.5 + 0.1j) is None
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: 4.7907451078244625 reconstructs "
@@ -30,7 +30,7 @@ def test_rationalize_rejects_a_high_denominator_accident():
 
 
 def test_rationalize_accepts_tiny_imaginary_noise():
-    assert rationalize(0.5 + 1e-12j, tol=1e-8) == Fraction(1, 2)
+    assert rationalize(0.5 + 1e-12j) == Fraction(1, 2)
 
 
 def test_simple_spectrum():
