@@ -1,7 +1,7 @@
 """One SHA-256 per output of the benchmark's workloads, to compare two trees.
 
     python3 scripts/output_digest.py > after.txt
-    diff before.txt after.txt
+    python3 scripts/output_digest.py --parent HEAD~1
 
 Prints one line per output: the `report_json` of `analyze` on the 11
 problems of the benchmark's `nbody-hunt` and `small-corpus` workloads at
@@ -17,12 +17,16 @@ trees whose listings `diff` clean produce bit-identical outputs on these
 inputs.  A change meant to leave the numerics alone is checked this way;
 one that moves last bits is judged by `scripts/recall_sweep.py` instead.
 
-To compare with an older revision, run this same script from an exported
-copy of it, so both listings have the same lines:
+Each problem's PointCalculus is built once, by the workload's set-up, and
+passed to `analyze` at both hunt seeds; a tree whose `analyze` takes no
+calculus builds its own per analysis, which gives the same reports.
 
-    git archive PARENT | tar -x -C /tmp/parent
-    cp scripts/output_digest.py /tmp/parent/scripts/
-    python3 /tmp/parent/scripts/output_digest.py > before.txt
+--parent REV compares with an older revision: it exports REV's committed
+files into a temporary directory (`git archive`, as bench_pairs.py does;
+TMPDIR chooses where), runs a copy of this script there, so that both
+listings come from the same lines, then lists this checkout, prints the
+label of each line that differs or is only in one listing, and exits 1
+when any does.  The exported tree is removed also when a run fails.
 
 The problems and options are read from bench/, which this script does not
 change; algpot is imported from the src/ beside this script.
@@ -31,8 +35,12 @@ change; algpot is imported from the src/ beside this script.
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,11 +51,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "scripts")]
 
 import algpot  # noqa: E402
 import workloads  # noqa: E402
 from algpot.pipeline import report_json  # noqa: E402
+from bench_pairs import export_tree  # noqa: E402
 
 ANALYZE_WORKLOADS = ("nbody-hunt", "small-corpus")
 
@@ -88,8 +97,24 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
-def analyze_lines(hunt_seed: int):
-    """Each analysis's report line, then one line per Newton start it made."""
+def run_with_calculus(task, state):
+    """task.run(state) with the state's PointCalculus passed to `analyze`,
+    which refuses one built for another setup; where `analyze` takes no
+    calculus, task.run(state) as it is."""
+    analyze = algpot.pipeline.analyze
+    if "pc" not in inspect.signature(analyze).parameters:
+        return task.run(state)
+    algpot.pipeline.analyze = lambda setup, options=None: analyze(setup, options, pc=state["pc"])
+    try:
+        return task.run(state)
+    finally:
+        algpot.pipeline.analyze = analyze
+
+
+def analyze_lines(hunt_seed: int, states: dict):
+    """Each analysis's report line, then one line per Newton start it made.
+    states holds each workload's built problems, set up on first use and
+    kept for the next hunt seed."""
     newton, results = algpot.darboux._newton, []
 
     def recorded(*args):
@@ -101,10 +126,11 @@ def analyze_lines(hunt_seed: int):
     try:
         for name in ANALYZE_WORKLOADS:
             plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
-            states = plan.setup()
+            if name not in states:
+                states[name] = plan.setup()
             for task in sorted(plan.tasks, key=lambda t: t.label):
                 results.clear()
-                report, _ = task.run(states[task.problem])
+                report, _ = run_with_calculus(task, states[name][task.problem])
                 label = f"hunt-seed {hunt_seed} {task.label}"
                 yield (f"analyze {label}",
                        hashlib.sha256(report_json(report).encode()).hexdigest())
@@ -123,15 +149,57 @@ def ve_dynamics_lines(seed: int):
         yield f"ve-dynamics seed {seed} #{i:02d} {task.label}", digest(out)
 
 
-def main() -> int:
+def lines():
+    """The listing's lines, "sha  label", in order."""
+    states = {}
+    for part in (analyze_lines(0, states), analyze_lines(1, states),
+                 ve_dynamics_lines(0), ve_dynamics_lines(1)):
+        for label, sha in part:
+            yield f"{sha}  {label}"
+
+
+def run_tree(tree: Path) -> list:
+    """The listing of tree's src/ and bench/, from a copy of this script
+    run there; SystemExit when that run fails."""
+    script = tree / "scripts" / "output_digest.py"
+    shutil.copyfile(__file__, script)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"output_digest.py: the run in {tree} failed (exit "
+                         f"{proc.returncode}):\n{proc.stderr[-2000:]}")
+    return proc.stdout.splitlines()
+
+
+def differing(before: list, after: list) -> list:
+    """The label of each line that differs or is in one listing only, in
+    the order of after, then before's own."""
+    old = dict(line.split("  ", 1)[::-1] for line in before)
+    new = dict(line.split("  ", 1)[::-1] for line in after)
+    return ([label for label, sha in new.items() if old.get(label) != sha]
+            + [label for label in old if label not in new])
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.parse_args()
-    for lines in (analyze_lines(0), analyze_lines(1),
-                  ve_dynamics_lines(0), ve_dynamics_lines(1)):
-        for label, sha in lines:
-            print(f"{sha}  {label}", flush=True)
-    return 0
+    ap.add_argument("--parent", metavar="REV",
+                    help="compare with git revision REV and name each line that differs")
+    args = ap.parse_args(argv)
+    if args.parent is None:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    scratch = Path(tempfile.mkdtemp(prefix="output-digest-"))
+    try:
+        before = run_tree(export_tree(args.parent, scratch))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    after = list(lines())
+    differ = differing(before, after)
+    for label in differ:
+        print(label)
+    print(f"{len(differ)} of {len(after)} lines differ from {args.parent}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ that it can gate a change.  Points are matched one to one by their
 Hessian spectra, which do not move along a family of Darboux points (the
 cone's circle, an n-body rotation orbit) while the coordinates a start
 converges to do; points without a spectrum are matched by coordinates, with
-the hunt's own dedup tolerance.
+the hunt's own dedup tolerance.  Each problem's PointCalculus is built
+once, by the workload's set-up, and passed to `analyze` at every hunt seed
+(output_digest.run_with_calculus).
 
 The problems and options are read from bench/, which this script does not
 change; algpot is imported from this checkout's src/.
@@ -34,11 +36,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "scripts")]
 
 import algpot  # noqa: E402
 import workloads  # noqa: E402
 from algpot.darboux import DEDUP_TOL  # noqa: E402
+from output_digest import run_with_calculus  # noqa: E402
 
 WORKLOAD_NAMES = ("nbody-hunt", "small-corpus")
 
@@ -63,14 +66,17 @@ def _spectrum(spec):
     return _pairs(sorted(values, key=lambda z: (z.real, z.imag)))
 
 
-def sweep_seed(hunt_seed: int) -> dict:
-    """{problem: {"accepted", "status", "witnesses", "points"}} at one hunt seed."""
+def sweep_seed(hunt_seed: int, states: dict) -> dict:
+    """{problem: {"accepted", "status", "witnesses", "points"}} at one hunt
+    seed.  states holds each workload's built problems, set up on first use
+    and kept for the next hunt seed."""
     out = {}
     for name in WORKLOAD_NAMES:
         plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
-        states = plan.setup()
+        if name not in states:
+            states[name] = plan.setup()
         for task in plan.tasks:
-            report, _ = task.run(states[task.problem])
+            report, _ = run_with_calculus(task, states[name][task.problem])
             cert = report["certificate"]
             out[task.label] = {
                 "accepted": report["darboux"]["n_accepted"],
@@ -171,9 +177,9 @@ def main(argv=None) -> int:
         before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
         return 1 if compare(before, after) else 0
 
-    results = {}
+    results, states = {}, {}
     for seed in parse_seeds(args.seeds):
-        results[str(seed)] = sweep_seed(seed)
+        results[str(seed)] = sweep_seed(seed, states)
         print_seed(seed, results[str(seed)])
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")

@@ -128,12 +128,13 @@ def _nonzero(pairs) -> tuple:
 
 class PointKernel(NamedTuple):
     """A point's first derivatives from one kernel (PointCalculus._point_kernel)
-    and where its values sit.  kernel(x) returns a tuple of complex scalars:
-    a zero at slot 0, each structurally non-zero partial of the potential,
-    the structurally non-zero entries of B = dG/dq and of J = dG/dw (J's
-    diagonal first, then its entries below the diagonal), the adjoint u =
-    J^(-T) d_wV by back substitution, last entry first, and grad V = d_qV -
-    B^T u.  Slices and index lists locate them:
+    and where its values sit.  kernel(x), and kernel.on_list(xs) on a list
+    of Python complex (expr.compile_arrays), return a tuple of complex
+    scalars: a zero at slot 0, each structurally non-zero partial of the
+    potential, the structurally non-zero entries of B = dG/dq and of J =
+    dG/dw (J's diagonal first, then its entries below the diagonal), the
+    adjoint u = J^(-T) d_wV by back substitution, last entry first, and
+    grad V = d_qV - B^T u.  Slices and index lists locate them:
 
     grad:      grad V
     u:         u in order (a reversed slice)
@@ -148,7 +149,9 @@ class PointKernel(NamedTuple):
     (dynamics.ConstrainedSystem.rhs).  The generators' values are not
     here: the flow never reads them, and the Darboux search reads them
     first, from the G kernel, to reject most failing trials without this
-    kernel."""
+    kernel.  A search trial and the flow's right-hand side hold the point
+    as a list of complex and call on_list; every array caller calls the
+    tuple itself."""
 
     kernel: Callable
     grad: slice
@@ -159,12 +162,24 @@ class PointKernel(NamedTuple):
     forward: tuple
 
     def __call__(self, x) -> tuple:
-        """The kernel's values at x.  Raises CriticalPointError, on every
-        call, where J has a zero diagonal entry (its division raises) or a
-        non-finite entry, or u is not finite: an infinite entry can leave a
-        finite, meaningless u.  A pole of the potential raises PoleError."""
+        """The kernel's values at x, read as complex.  Raises
+        CriticalPointError, on every call, where J has a zero diagonal entry
+        (its division raises) or a non-finite entry, or u is not finite: an
+        infinite entry can leave a finite, meaningless u.  A pole of the
+        potential raises PoleError."""
         try:
             values = self.kernel(x)
+            if all(map(isfinite, values[self.checked])):
+                return values
+        except ZeroDivisionError:
+            pass
+        raise CriticalPointError("dG/dw is singular or not finite at the point")
+
+    def on_list(self, xs) -> tuple:
+        """The kernel's values at xs, a list of Python complex in variable
+        order, read as given; refuses as __call__ does."""
+        try:
+            values = self.kernel.on_list(xs)
             if all(map(isfinite, values[self.checked])):
                 return values
         except ZeroDivisionError:
@@ -227,12 +242,12 @@ class PointCalculus:
     grad, gradient_rows, _dg_blocks and darboux_system take those as
     `first` from a caller that stays at the point, or compute them from x
     when it is omitted.  The partials are evaluated by generated kernels
-    (expr.compile_arrays), each compiled on first use and kept: G; dG, the
-    s x N matrix whose columns n: are J and whose columns :n are B = dG/dq;
-    the point kernel, the structurally non-zero entries of dG and of the
-    potential's gradient as scalars, with u and grad V unrolled after them
-    by triangular substitution, which the Darboux numerics and the flow
-    (dynamics) both read; the potential's value; both Hessians, V's (N x N)
+    (expr.compile_arrays), each compiled on first use and kept: G, as s
+    scalars; dG, the s x N matrix whose columns n: are J and whose columns
+    :n are B = dG/dq; the point kernel, the structurally non-zero entries
+    of dG and of the potential's gradient as scalars, with u and grad V
+    unrolled after them by triangular substitution, which the Darboux
+    numerics and the flow (dynamics) both read; the potential's value; both Hessians, V's (N x N)
     and the generators' (s x N x N), in one kernel; detJ, for the flow's
     stop events in dynamics; and one per polynomial the proximity probe
     walks toward; pipeline.analyze compiles the ones an analysis may
@@ -319,8 +334,9 @@ class PointCalculus:
 
     @cached_property
     def _g_kernel(self):
-        return compile_arrays([Array((self.s,), [
-            (g, [(a,)]) for a, g in enumerate(self.setup.generators)])], self.setup.var_names)
+        """G's values as scalars: a tuple of s complex, the value itself
+        when s = 1 (expr.compile_arrays)."""
+        return compile_arrays(list(self.setup.generators), self.setup.var_names)
 
     @cached_property
     def _dg_kernel(self):
@@ -403,8 +419,17 @@ class PointCalculus:
     def potential_value(self, x) -> complex:
         return complex(self._v_kernel(x))
 
+    def g_scalars(self, xs) -> tuple:
+        """G at xs, a list of Python complex in variable order, as a tuple
+        of s Python complex: the Darboux search's cheap rows, evaluated
+        without an array."""
+        values = self._g_kernel.on_list(xs)
+        return (values,) if self.s == 1 else values
+
     def g_values(self, x) -> np.ndarray:
-        return self._g_kernel(x)
+        """G at x as an array, the same values as g_scalars; the fiber
+        solve, the proximity probe and the residual read it."""
+        return np.array(self.g_scalars(np.asarray(x, dtype=complex).tolist()), dtype=complex)
 
     def det_value(self, x) -> complex:
         return complex(self._det_kernel(x))
@@ -421,6 +446,11 @@ class PointCalculus:
         of the potential.  A caller that goes on at x passes the result as
         `first` to grad, gradient_rows, _dg_blocks or darboux_system."""
         return self._point_kernel(x)
+
+    def first_scalars(self, xs) -> tuple:
+        """first_derivatives at xs, a list of Python complex in variable
+        order, evaluated on it as given: a Darboux search trial."""
+        return self._point_kernel.on_list(xs)
 
     def grad(self, x, first=None) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
@@ -489,20 +519,18 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
-    def gradient_rows(self, x, first, out):
-        """Writes grad V - q, the first n rows of the Darboux residual, to
-        out[:n] from x's first derivatives; x is a complex array."""
-        n = self.n
-        np.subtract(first[self._point_kernel.grad], x[:n], out=out[:n])
+    def gradient_rows(self, xs, first) -> list:
+        """grad V - q, the first n rows of the Darboux residual, as Python
+        complex, from xs, a list of Python complex, and its first
+        derivatives; the same bits as NumPy's subtraction."""
+        return [g - q for g, q in zip(first[self._point_kernel.grad], xs)]
 
     def darboux_residual(self, x) -> np.ndarray:
         """F(x) = (grad V - q, G); zero exactly at Darboux candidates.  A
-        Newton trial writes the same rows (darboux._trial)."""
-        x = np.asarray(x, dtype=complex)
-        F = np.empty(self.n + self.s, dtype=complex)
-        self.gradient_rows(x, self.first_derivatives(x), F)
-        F[self.n:] = self.g_values(x)
-        return F
+        Newton trial computes the same rows (darboux._trial)."""
+        xs = np.asarray(x, dtype=complex).tolist()
+        rows = self.gradient_rows(xs, self.first_scalars(xs))
+        return np.array(rows + list(self.g_scalars(xs)), dtype=complex)
 
     def darboux_system(self, x, first=None, out=None) -> np.ndarray:
         """The plain Jacobian of F = darboux_residual(x) for Newton
@@ -561,6 +589,20 @@ class PointCalculus:
         """The one test for Sigma: a critical point or a pole of the
         potential within `radius` of x."""
         return self.near_critical_set(x, radius) or self._near_zero_set(self._den, x, radius)
+
+
+def check_calculus(pc: PointCalculus, setup: AlgebraicSetup):
+    """ValueError when pc was built for another setup: the one rule of every
+    entry point that takes a caller's calculus (pipeline.analyze,
+    dynamics.integrate, dynamics.homothetic_orbit).  Two setups may share a
+    label (every 3x2 n-body problem has one), and the message says so
+    rather than name it twice."""
+    if pc.setup == setup:
+        return
+    if pc.setup.label == setup.label:
+        raise ValueError(f"the PointCalculus passed for {setup.label!r} was built for a "
+                         "different setup with the same label")
+    raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,38 +53,82 @@ class DarbouxResult:
 
 def _largest(rows) -> float:
     """The largest of NumPy's complex absolutes |rows|, 0 for no rows; nan
-    when an entry is nan.  The search compares residuals by this one
-    absolute, a trial's rows with the current residual included: Python's
-    abs differs from np.abs in the last bit of a large share of complex
-    values, so mixing the two would move trials that tie.  The ufunc's own
+    when an entry is nan.  The search's residual is this one absolute of an
+    accepted trial's rows, and every row decision (_below) is NumPy's: the
+    two absolutes differ in the last bit of a large share of complex
+    values, so mixing them would move trials that tie.  The ufunc's own
     reduce skips ndarray.max's Python wrapper, a third of the test's cost
     on these few rows."""
     return float(np.maximum.reduce(np.abs(rows), initial=0.0))
 
 
+# Python's abs and NumPy's absolute of a complex differ by at most 2 ulp
+# (10^6 random values with exponents from -1000 to 1000, NumPy 2.4), so an
+# absolute farther than ROW_BAND (2^7 ulp) relative from the residual, and
+# between ROW_TINY and ROW_HUGE, far from subnormals and overflow, is
+# decided by Python's abs, every other by NumPy's
+ROW_BAND = 2.0 ** -45
+ROW_TINY = 2.0 ** -1000
+ROW_HUGE = 2.0 ** 1000
+
+
+def _below(rows, res: float) -> bool:
+    """Whether np.abs(v) < res for every v in rows, Python complex values:
+    the decision of _largest(rows) < res, row by row, stopping at the first
+    row that fails.  Python's abs decides a row whose absolute lies outside
+    a relative band of ROW_BAND around res and well inside the normal
+    range, where the two absolutes cannot fall on different sides of res;
+    inside the band, and for a non-finite, overflowing or tiny value,
+    NumPy's absolute of a one-entry array decides.  A nan fails."""
+    low, high = res * (1.0 - ROW_BAND), res * (1.0 + ROW_BAND)
+    for v in rows:
+        try:
+            a = abs(v)
+        except OverflowError:  # NumPy's absolute is inf there
+            a = np.inf
+        if ROW_TINY <= a <= ROW_HUGE:
+            if a < low:
+                continue
+            if a > high:
+                return False
+        if not np.abs(np.array([v]))[0] < res:
+            return False
+    return True
+
+
 def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
     """x's largest residual entry (_largest) when it is below res, else
-    None.  x's rows go to F as far as they are computed, and x's Jacobian
-    is written to Jac[:m] (darboux_system's out) only when every row
-    passes.  A trial that fails may leave F, or Jac[:m] where its Jacobian
-    raises, partly written; no step reads them before an accepted trial
-    writes both whole.  The cheap rows, G and the pin rows, are tested
-    first: only a trial that passes them evaluates its first derivatives,
-    the one point kernel that gives its gradient rows (gradient_rows) and,
-    once every row passes, its Jacobian.  A point off the domain (singular
-    fiber, potential pole) fails."""
+    None.  The trial runs on Python complex: x becomes a list once, and G
+    (PointCalculus.g_scalars), the pin rows pins @ x, which NumPy computes,
+    and then the first derivatives (first_scalars, the one point kernel
+    that gives the gradient rows) are each decided row by row against res
+    (_below); the cheap rows, G and the pins, are decided first, so only a
+    trial that passes them evaluates its first derivatives.  Only a trial
+    whose every row passes writes its rows to F, takes its residual from
+    them and writes its Jacobian to Jac[:m] (darboux_system's out); a
+    trial that fails leaves F whole and may leave Jac[:m] partly written
+    where its Jacobian raises, which no step reads before an accepted
+    trial writes it whole.  A point off the domain (singular fiber,
+    potential pole) fails."""
     n, m = pc.n, pc.n + pc.s
+    xs = x.tolist()
     try:
-        F[n:m] = pc.g_values(x)
+        g = pc.g_scalars(xs)
+        if not _below(g, res):
+            return None
         if pins is not None:
-            F[m:] = pins @ x
-        if not _largest(F[n:]) < res:
+            lin = pins @ x
+            if not _below(lin.tolist(), res):
+                return None
+        first = pc.first_scalars(xs)
+        rows = pc.gradient_rows(xs, first)
+        if not _below(rows, res):
             return None
-        first = pc.first_derivatives(x)
-        pc.gradient_rows(x, first, F)
+        F[:n] = rows
+        F[n:m] = g
+        if pins is not None:
+            F[m:] = lin
         r = _largest(F)
-        if not r < res:
-            return None
         pc.darboux_system(x, first, Jac[:m])
     except (CriticalPointError, PoleError):
         return None
@@ -99,12 +143,14 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     F = (grad V - q, G, pins @ x) is below the current one or at most
     conv_tol; while the search runs the current residual exceeds conv_tol,
     so that is the largest entry of |F| below the current residual
-    (_trial).  The start point is a trial against res = inf.  Only the
-    start point and an accepted trial build a Jacobian, in place in the
-    leading rows of an array that holds the pin rows from the start, and
-    each step is one least-squares solve with it (calculus._lstsq); every
-    decision and iterate is still bit for bit that of a search that builds
-    the full system at every trial.
+    (_trial).  The start point is a trial against res = inf.  The trial
+    point x + scale * step and its pin rows are NumPy's; every other value
+    of a trial is a Python complex, and only an accepted trial fills F.
+    Only the start point and an accepted trial build a Jacobian, in place
+    in the leading rows of an array that holds the pin rows from the
+    start, and each step is one least-squares solve with it
+    (calculus._lstsq); every decision and iterate is still bit for bit that
+    of a search that builds the full system at every trial.
 
     Returns the final iterate and residual, or None when the start point
     is off the domain or not finite, or the iteration diverged.

@@ -41,7 +41,7 @@ from math import isfinite
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .calculus import CriticalPointError, Homogeneity, PointCalculus
+from .calculus import CriticalPointError, Homogeneity, PointCalculus, check_calculus
 from .expr import PoleError
 from .parsing import AlgebraicSetup
 
@@ -118,13 +118,15 @@ class ConstrainedSystem:
         wdot from J wdot = -B p by forward substitution over its values.
         Raises CriticalSetError at a pole of the potential, where the point
         kernel refuses the state (a zero or non-finite entry of J, or a
-        non-finite u), or where the field is not finite."""
+        non-finite u), or where the field is not finite.  The point (q, w)
+        is made a list of complex once, here, and the kernel evaluates on
+        it (PointKernel.on_list)."""
         point = self.pc._point_kernel
         n = self.n
         state = y.tolist()
         p = state[n:2 * n]
         try:
-            v = point(state[:n] + state[2 * n:])
+            v = point.on_list(np.asarray(state[:n] + state[2 * n:], dtype=complex).tolist())
         except (PoleError, CriticalPointError) as exc:
             raise CriticalSetError(str(exc)) from exc
         wdot = []
@@ -151,18 +153,6 @@ class ConstrainedSystem:
         return self.join(q, p, corrected.real)
 
 
-def _check_calculus(pc: PointCalculus, setup: AlgebraicSetup):
-    """ValueError when pc was built for another setup.  Two setups may share
-    a label (every 3x2 n-body problem has one), and the message says so
-    rather than name it twice."""
-    if pc.setup == setup:
-        return
-    if pc.setup.label == setup.label:
-        raise ValueError(f"the PointCalculus passed for {setup.label!r} was built for a "
-                         "different setup with the same label")
-    raise ValueError(f"the PointCalculus of {pc.setup.label!r} was passed for {setup.label!r}")
-
-
 def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
               pc: PointCalculus | None = None,
               project: bool = False) -> Trajectory:
@@ -185,7 +175,7 @@ def integrate(setup: AlgebraicSetup, q0, p0, w0, t_grid,
         where it stopped and its message.
     """
     pc = pc or PointCalculus(setup)
-    _check_calculus(pc, setup)
+    check_calculus(pc, setup)
     sys = ConstrainedSystem(pc)
     t_grid = np.asarray(t_grid, dtype=float)
     q0, p0, w0 = _real(q0), _real(p0), _real(w0)
@@ -286,7 +276,7 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
     here.
     """
     pc = pc or PointCalculus(setup)
-    _check_calculus(pc, setup)
+    check_calculus(pc, setup)
     d1, d2 = hom.d1, hom.d2
     kj = hom.weights
     c = np.asarray(c, dtype=complex)

@@ -502,8 +502,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     A target is a RatExpr, whose value is returned as a complex scalar, a
     Substitution, likewise, or an Array, returned as a fresh complex
     ndarray.  The function takes an indexable of values in var_order and
-    returns the targets' values as a tuple, or the value itself when there
-    is a single target.  Targets and entries are evaluated in the order
+    returns the targets' values as a tuple (an empty one for no targets),
+    or the value itself when there is a single target.  The same function
+    on a list of Python complex that it reads as given, with no conversion,
+    is kept on it as `on_list`: a caller that holds x.tolist() already
+    evaluates there.  Targets and entries are evaluated in the order
     given; the first vanishing denominator raises PoleError with its
     printed form.  A non-zero coefficient outside double range raises
     ExprError at compile time.
@@ -516,8 +519,9 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     denominators are computed once and shared, which changes no value.
 
     The kernel reads its input as complex, turns it into a list of Python
-    complex once, and computes in Python complex from then on, which costs a
-    fraction of NumPy's scalar arithmetic; every value keeps NumPy's bits.
+    complex once, passes it to on_list, and computes in Python complex from
+    then on, which costs a fraction of NumPy's scalar arithmetic; every
+    value keeps NumPy's bits.
     A sum or product of two complex operands is the same IEEE formula in
     both, and every operand is complex, the coefficients included.  A
     denominator is summed onto NumPy's 0j instead, so it is a NumPy scalar
@@ -542,8 +546,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     a zero divisor, where NumPy's would return an infinity.  A
     Substitution that reads an Array or a later target raises ExprError at
     compile time.
-    The generated source names variables by index only and is kept on the
-    function as `source`.
+    The generated source, both functions, names variables by index only and
+    is kept on the function as `source`.
     """
     idx = {name: i for i, name in enumerate(var_order)}
     exprs = [t for t in targets if isinstance(t, RatExpr)]
@@ -561,7 +565,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
                  "zero": np.complex128(0j)}
-    lines = ["x = asarray(x, complex).tolist()"]
+    lines = []
     loaded, powers, squares, coefficients, denominators = set(), {}, {}, {}, {}
 
     def power(i, e):
@@ -645,10 +649,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
             lines.append(f"{slots} = {value(e)}")
         outputs.append(f"a{k}")
-    result = outputs[0] if len(outputs) == 1 else "(" + ", ".join(outputs) + ",)"
-    source = "def kernel(x):\n" + "".join(f"    {line}\n" for line in lines)
+    result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
+    source = "def on_list(x):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
+    source += "def kernel(x):\n    return on_list(asarray(x, complex).tolist())\n"
     exec(source, namespace)
     kernel = namespace["kernel"]
+    kernel.on_list = namespace["on_list"]
     kernel.source = source
     return kernel

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import PointCalculus, detect_homogeneity, validate
+from .calculus import PointCalculus, check_calculus, detect_homogeneity, validate
 from .darboux import N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
 from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
                             check_pair_numeric)
@@ -162,8 +162,15 @@ def _close(report: dict, cert: Certificate, code: int, timings: dict | None):
     return report, code
 
 
-def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
-    """Run the full pipeline; returns (report dict, exit code)."""
+def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None,
+            pc: PointCalculus | None = None):
+    """Run the full pipeline; returns (report dict, exit code).  pc, when
+    given, must be setup's PointCalculus (check_calculus), and a caller that
+    analyzes one setup many times passes one; without it one is built
+    here.  The calculus keeps no per-point state, so the report is the
+    same either way."""
+    pc = pc or PointCalculus(setup)
+    check_calculus(pc, setup)
     opt = options or AnalysisOptions()
     timings = {}  # seconds per stage, in the report only under opt.timings
 
@@ -179,13 +186,11 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None):
         "warnings": [],
     }
 
-    # derives nothing: the calculus makes its symbolic tables and kernels on
-    # first use.  Every kernel the analysis may evaluate is compiled here,
-    # before any stage evaluates, so a coefficient without a double is one
-    # refusal per problem (ExprError), not one that the hunt's starts
-    # decide; the compilation is timed in validate
-    pc = PointCalculus(setup)
-
+    # the calculus makes its symbolic tables and kernels on first use.
+    # Every kernel the analysis may evaluate is compiled here, before any
+    # stage evaluates, so a coefficient without a double is one refusal per
+    # problem (ExprError), not one that the hunt's starts decide; the
+    # compilation is timed in validate
     t0 = time.perf_counter()
     pc.compile_analysis_kernels()
     val = validate(pc, seed=opt.seed)

@@ -290,6 +290,12 @@ def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
         calls.append(x)
         return point.kernel(x)
 
+    def counted_list(xs):
+        calls.append(xs)
+        return point.kernel.on_list(xs)
+
+    counted.on_list = counted_list
+
     def refused(*args, **kwargs):
         raise AssertionError("the flow made a linear solve")
 

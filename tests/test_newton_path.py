@@ -1,14 +1,18 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search evaluates a trial's cheap rows (G and the pin rows) first,
-evaluates its first derivatives, one point kernel that gives the adjoint
-and grad V, only when those pass, decides its rows by NumPy's absolute
-against the current residual, passes a trial's first derivatives on to
-its Jacobian only when its gradient rows pass too, keeps an accepted
-trial's rows as the residual and builds only the Jacobian at accepted
-steps; gradients and Hessians evaluate only their non-zero partials; the
-calculus keeps no per-point state, so first derivatives passed by a caller
-and ones it computes itself give the same bits.  Each is held here, bit
+The line search runs each trial on Python complex values: it evaluates a
+trial's cheap rows (G as scalars, then the pin rows) first, evaluates its
+first derivatives, one point kernel that gives the adjoint and grad V,
+only when those pass, decides each row against the current residual as
+NumPy's absolute would (Python's abs away from the residual, NumPy's near
+it; a property test draws values and residuals within 8 ulp of each other),
+passes a trial's first derivatives on to its Jacobian only when its
+gradient rows pass too, writes an accepted trial's rows as the residual
+and builds only the Jacobian at accepted steps; the traced tests follow
+the entry points g_scalars, first_scalars and darboux_system.  Gradients
+and Hessians evaluate only their non-zero partials; the calculus keeps no
+per-point state, so first derivatives passed by a caller and ones it
+computes itself give the same bits.  Each is held here, bit
 for bit, against the straightforward form it replaces, and the Lagrangian
 assembly against the per-variable one within roundoff.
 J = dG/dw is lower triangular, so the adjoint u = J^-T d_wV, grad V,
@@ -196,9 +200,49 @@ def test_row_test_compares_numpys_absolute_with_the_residual():
               0.5478467492858172 - 0.9208531449445188j):
         assert abs(v) != np.abs(v)
         assert darboux._largest(np.array([0.1, v])) == np.abs(v)
+        # the trial's row by row decision on Python values is NumPy's too:
+        # a tie with NumPy's absolute rejects, the next float up passes,
+        # and Python's own absolute as the residual is decided as NumPy's
+        assert darboux._below([0.1, v], np.abs(v)) is False
+        assert darboux._below([0.1, v], np.nextafter(np.abs(v), np.inf)) is True
+        assert darboux._below([v], abs(v)) is bool(np.abs(v) < abs(v))
+    assert darboux._below([], 0.0) is True  # no rows, as _largest's 0 < 0 would not say
+    assert darboux._below([0.5, complex(np.nan, 0.0)], np.inf) is False
+    assert darboux._below([complex(1.5e308, 1.5e308)], np.inf) is False  # Python's abs overflows
 
 
-TRACED = ("darboux_system", "g_values", "first_derivatives")
+def parts():
+    """Floats over the whole exponent range: signed zeros, subnormals,
+    infinities and nan, and every binary exponent drawn alike."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    spread = st.builds(lambda m, e: float(np.ldexp(m, e)),
+                       st.floats(-1.0, 1.0), st.integers(-1075, 1024))
+    return st.one_of(special, spread, st.floats())
+
+
+def moved(value, ulps):
+    """value moved by ulps units in the last place (nan stays nan)."""
+    with np.errstate(over="ignore"):  # the largest double moved up is inf
+        for _ in range(abs(ulps)):
+            value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return float(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts(), parts(), st.one_of(st.integers(-8, 8), st.sampled_from(["zero", "inf"])))
+def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
+    # _below decides |v| < res by Python's abs away from res and by NumPy's
+    # absolute near it, so every decision equals NumPy's, ties included
+    v = complex(re_part, im_part)
+    reference = np.abs(np.array([v]))[0]
+    res = {"zero": 0.0, "inf": np.inf}.get(shift) if isinstance(shift, str) else (
+        moved(reference, shift))
+    assert darboux._below([v], res) is bool(reference < res)
+    assert darboux._below([0.0, v], res) is bool(darboux._largest(np.array([0.0, v])) < res)
+
+
+TRACED = ("darboux_system", "g_scalars", "first_scalars")
 
 
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
@@ -249,15 +293,24 @@ def counted(method, log):
     return call
 
 
+def counted_kernel(kernel, log):
+    """A generated kernel whose two entry points, the array call and
+    on_list, append the arguments of each call to log."""
+    call = counted(kernel, log)
+    call.on_list = counted(kernel.on_list, log)
+    return call
+
+
 def follows(calls, k, name, x) -> bool:
     """calls[k + 1] is a call of name at the point x."""
     return k + 1 < len(calls) and calls[k + 1][0] == name and bits(calls[k + 1][1]) == bits(x)
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
-    # every trial evaluates its cheap rows (G, then the pinning rows); one
-    # whose cheap rows already fail the acceptance test never solves its
-    # first derivatives, and only a trial whose gradient rows pass too
+    # every trial evaluates its cheap rows (G as Python scalars, then the
+    # pinning rows); one whose cheap rows already fail the acceptance test
+    # never solves its first derivatives, and only a trial whose gradient
+    # rows pass too
     # builds its Jacobian, right after them at the same point; the Jacobian
     # is built at the start and accepted steps; every step solves with that
     # point's residual, darboux_residual plus the pin rows, bit for bit, and
@@ -268,7 +321,8 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
         point, evaluations = pc_._point_kernel, []
-        vars(pc_)["_point_kernel"] = point._replace(kernel=counted(point.kernel, evaluations))
+        vars(pc_)["_point_kernel"] = point._replace(kernel=counted_kernel(point.kernel,
+                                                                           evaluations))
         try:
             calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         finally:
@@ -277,9 +331,9 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
         assert names.count("darboux_system") == 1 + accepted
         # the gradient and the Jacobian take the point's first derivatives
         # from the search and never evaluate them again
-        assert len(evaluations) == names.count("first_derivatives")
+        assert len(evaluations) == names.count("first_scalars")
         # the start point's rows are computed as a trial's, then its Jacobian
-        assert names[:3] == ["g_values", "first_derivatives", "darboux_system"]
+        assert names[:3] == ["g_scalars", "first_scalars", "darboux_system"]
         assert len({bits(x) for _, x, _ in calls[:3]}) == 1
         res = point = None
         for k, (name, x, value) in enumerate(calls):
@@ -289,12 +343,12 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
-                assert calls[k - 1][0] == "first_derivatives" and bits(calls[k - 1][1]) == bits(x)
+                assert calls[k - 1][0] == "first_scalars" and bits(calls[k - 1][1]) == bits(x)
                 F, Jac = full_system(pc_, x, pins)
                 assert bits(value) == bits(Jac[:len(value)])
                 res, point = float(np.abs(F).max()), x
-            elif name == "first_derivatives":
-                assert calls[k - 1][0] == "g_values" and bits(calls[k - 1][1]) == bits(x)
+            elif name == "first_scalars":
+                assert calls[k - 1][0] == "g_scalars" and bits(calls[k - 1][1]) == bits(x)
                 g = pc_.grad(x, value)
                 assert bits(g) == bits(pc_.grad(x))
                 if k > 1:  # a trial's gradient rows
@@ -305,7 +359,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
             elif k > 0:  # a trial's cheap rows
                 r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
                 passes = r < res or r <= conv_tol
-                assert passes == follows(calls, k, "first_derivatives", x)
+                assert passes == follows(calls, k, "first_scalars", x)
                 cheap_rejected += not passes
                 tied += r == res
         if result is not None:
@@ -321,9 +375,10 @@ def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
     # solve raises (J singular or not finite) before its gradient rows, is
     # rejected, and the search goes on halving from the current point, as
     # the full-system search does; here the method raises at the first
-    # accepted point
+    # accepted point, once in each search (darboux_residual evaluates
+    # first_scalars too)
     cfg, pc, seeds = three_body
-    for method in ("darboux_system", "first_derivatives"):
+    for method in ("darboux_system", "first_scalars"):
         original = getattr(PointCalculus, method)
         raised = []
         for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:

@@ -117,6 +117,25 @@ def test_analyze_builds_one_point_calculus(cone_setup, cone_file, monkeypatch, c
     capsys.readouterr()
 
 
+def test_analyze_takes_the_callers_calculus(cone_setup):
+    # one calculus passed for every hunt seed, as the scripts pass theirs,
+    # gives the bytes of the calculus analyze builds itself, and is the one
+    # the analysis evaluates on
+    pc = PointCalculus(cone_setup)
+    for seed in (0, 1):
+        opt = AnalysisOptions(n_random=4, seed=seed)
+        (passed, code), (built, want) = analyze(cone_setup, opt, pc=pc), analyze(cone_setup, opt)
+        assert report_json(passed) == report_json(built) and code == want
+    assert "_point_kernel" in vars(pc)
+
+
+def test_analyze_refuses_another_setups_calculus(cone_setup, trap_setup):
+    # the trap has the cone's n = 2 and s = 1, so the cone's calculus would
+    # analyze the cone in the trap's report without the check
+    with pytest.raises(ValueError, match="the PointCalculus of 'cone' was passed for 'trap'"):
+        analyze(trap_setup, AnalysisOptions(n_random=0), pc=PointCalculus(cone_setup))
+
+
 def test_setup_that_fails_validation_ends_the_report(tmp_path, capsys):
     # G = (w1 - q1)^2 has dG/dw1 = 2 (w1 - q1) = 0 on the whole variety
     path = tmp_path / "double.prob"

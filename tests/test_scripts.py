@@ -75,3 +75,35 @@ def test_bench_pairs_exits_1_naming_a_run_that_failed_a_check(monkeypatch, capsy
                             {workload: {"metrics": {"wall_s": 1.0}, "work": "",
                                         "correct": True}}, 0))
     assert bench_pairs.main(["HEAD", "--pairs", "2"]) == 0
+
+
+def test_output_digest_parent_names_each_line_that_differs(monkeypatch, capsys):
+    output_digest = load_script("output_digest")
+    scratch = []
+
+    def export_tree(rev, into):
+        scratch.append(into)
+        (into / "tree").mkdir()
+        return into / "tree"
+
+    parent = ["a1  analyze x", "b1  newton x start 00", "c1  ve-dynamics #00"]
+    monkeypatch.setattr(output_digest, "export_tree", export_tree)
+    monkeypatch.setattr(output_digest, "run_tree", lambda tree: parent)
+    monkeypatch.setattr(output_digest, "lines", lambda: iter(parent))
+    assert output_digest.main(["--parent", "HEAD"]) == 0
+    assert capsys.readouterr().out == "0 of 3 lines differ from HEAD\n"
+    monkeypatch.setattr(output_digest, "lines", lambda: iter(
+        ["a1  analyze x", "b2  newton x start 00", "d1  ve-dynamics #01"]))
+    assert output_digest.main(["--parent", "HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "newton x start 00", "ve-dynamics #01", "ve-dynamics #00",
+        "3 of 3 lines differ from HEAD"]
+
+    def failed_run(tree):
+        raise SystemExit(f"output_digest.py: the run in {tree} failed (exit 1)")
+
+    monkeypatch.setattr(output_digest, "run_tree", failed_run)
+    with pytest.raises(SystemExit, match="failed"):
+        output_digest.main(["--parent", "HEAD"])
+    # the exported tree is removed after every run, the failed one included
+    assert len(scratch) == 3 and not any(path.exists() for path in scratch)
