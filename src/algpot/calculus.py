@@ -30,12 +30,17 @@ ch. 8), so it replaces an LU solve; the tests hold it to NumPy's solve
 within a relative bound.  A zero diagonal entry of J, a non-finite entry
 of J or a non-finite u is refused as critical on every call: an infinite
 entry can leave a finite, meaningless u.  The one u per point serves the
-gradient, the Newton Jacobian and the Hessian.  The calculus keeps nothing
-per point: a caller that goes on at a point passes that point's first
-derivatives to the next evaluation.  PointCalculus is the one numeric view
-of a setup: it evaluates plain partials of V and G, each table derived
-symbolically on first use and evaluated by kernels generated on first use,
-so building a calculus costs nothing until it evaluates.  It also solves
+gradient, the Newton Jacobian and the Hessian.  A Darboux search trial is
+one call of one more kernel (PointCalculus.darboux_trial): G, then the
+point kernel's values, with each row of G and of grad V - q tested
+against the search's current residual as soon as it is computed
+(expr.RowTest), so a trial that fails stops at its first failing row.
+The calculus keeps nothing per point: a caller that goes on at a point
+passes that point's first derivatives to the next evaluation.
+PointCalculus is the one numeric view of a setup: it evaluates plain
+partials of V and G, each table derived symbolically on first use and
+evaluated by kernels generated on first use, so building a calculus costs
+nothing until it evaluates.  It also solves
 fibers, samples the variety and probes the distance to the critical set,
 which is the one test of criticality: validation and the Darboux hunt ask
 the probe alone, never the size of detJ.  The tests hold it against finite
@@ -72,7 +77,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg.lapack import zgelsy, zgelsy_lwork
 
-from .expr import ONE, ZERO, Array, RatExpr, Substitution, compile_arrays
+from .expr import ONE, ZERO, Array, RatExpr, RowTest, Substitution, compile_arrays
 from .parsing import AlgebraicSetup
 
 # a critical point (or pole) this close to a point makes the point critical
@@ -142,16 +147,18 @@ class PointKernel(NamedTuple):
                s x N matrix dG
     checked:   J's entries and u, finite wherever the point is good
     forward:   per row a of J, in order: (J_aa, B_ak with k, J_ab with b < a)
+    targets:   the target list the kernel was compiled from, which the
+               trial kernel (PointCalculus.darboux_trial) compiles again
 
     J is lower triangular (PointCalculus._jacobian), so u is back
     substitution unrolled by expr.compile_arrays into the kernel, and the
     flow solves J wdot = -B p by forward substitution over `forward`
     (dynamics.ConstrainedSystem.rhs).  The generators' values are not
-    here: the flow never reads them, and the Darboux search reads them
-    first, from the G kernel, to reject most failing trials without this
-    kernel.  A search trial and the flow's right-hand side hold the point
-    as a list of complex and call on_list; every array caller calls the
-    tuple itself."""
+    here: the flow never reads them, and a Darboux search trial evaluates
+    this kernel's targets after G's, in one trial kernel that tests each
+    row as it computes it (PointCalculus.darboux_trial).  The flow's
+    right-hand side and darboux_residual hold the point as a list of
+    complex and call on_list; every array caller calls the tuple itself."""
 
     kernel: Callable
     grad: slice
@@ -160,6 +167,7 @@ class PointKernel(NamedTuple):
     dg_index: np.ndarray
     checked: slice
     forward: tuple
+    targets: list
 
     def __call__(self, x) -> tuple:
         """The kernel's values at x, read as complex.  Raises
@@ -185,6 +193,23 @@ class PointKernel(NamedTuple):
         except ZeroDivisionError:
             pass
         raise CriticalPointError("dG/dw is singular or not finite at the point")
+
+
+class TrialKernel(NamedTuple):
+    """A Darboux search trial's kernel (PointCalculus._trial_kernel) and
+    where its values sit.  kernel.on_list(xs, res) computes G, then the
+    point kernel's values (PointKernel), and tests each row of G and of
+    grad V - q against res as soon as it is computed (expr.RowTest),
+    returning None at the first that fails:
+
+    rows:      the m = n + s residual rows (grad V - q, G), in order
+    first:     the point kernel's values, as PointKernel indexes them
+    checked:   J's entries and u, as PointKernel.checked"""
+
+    kernel: Callable
+    rows: slice
+    first: slice
+    checked: slice
 
 
 def _forward(J, b, coupled) -> np.ndarray:
@@ -239,15 +264,19 @@ class PointCalculus:
     and a caller that never evaluates a Hessian never derives one.  It
     keeps no per-point state: first_derivatives returns a point's values of
     the point kernel (PointKernel), its one adjoint and one gradient, and
-    grad, gradient_rows, _dg_blocks and darboux_system take those as
-    `first` from a caller that stays at the point, or compute them from x
-    when it is omitted.  The partials are evaluated by generated kernels
-    (expr.compile_arrays), each compiled on first use and kept: G, as s
+    grad, _dg_blocks and darboux_system take those as `first` from a caller
+    that stays at the point (a Darboux search trial passes the ones its
+    trial kernel gave), or compute them from x when it is omitted.  The
+    partials are evaluated by generated kernels (expr.compile_arrays),
+    each compiled on first use and kept: G, as s
     scalars; dG, the s x N matrix whose columns n: are J and whose columns
     :n are B = dG/dq; the point kernel, the structurally non-zero entries
     of dG and of the potential's gradient as scalars, with u and grad V
     unrolled after them by triangular substitution, which the Darboux
-    numerics and the flow (dynamics) both read; the potential's value; both Hessians, V's (N x N)
+    numerics and the flow (dynamics) both read; the trial kernel, G and
+    the point kernel's targets with the Darboux residual's rows tested as
+    they are computed, one call per search trial (darboux_trial,
+    TrialKernel); the potential's value; both Hessians, V's (N x N)
     and the generators' (s x N x N), in one kernel; detJ, for the flow's
     stop events in dynamics; and one per polynomial the proximity probe
     walks toward; pipeline.analyze compiles the ones an analysis may
@@ -398,17 +427,39 @@ class PointCalculus:
             grad=slice(grad0, grad0 + n), u=slice(u0 + s - 1, u0 - 1, -1),
             dG=slice(b0, u0), dg_index=np.array(places, dtype=np.intp),
             checked=slice(j0, grad0),
-            forward=tuple((j0 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s)))
+            forward=tuple((j0 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s)),
+            targets=targets)
+
+    @cached_property
+    def _trial_kernel(self) -> TrialKernel:
+        """The one kernel of a Darboux search trial (TrialKernel): the s
+        generators, then the point kernel's targets, each Substitution
+        reading the same outputs s places later, then a RowTest per
+        residual row, grad V - q (the gradient's output minus q_k) and G.
+        Each row test runs right after the output it reads, so G's rows are
+        decided before the point kernel's first line."""
+        s = self.s
+        point = self._point_kernel
+        targets = list(self.setup.generators)
+        targets += [t.shifted(s) if isinstance(t, Substitution) else t for t in point.targets]
+        r0 = len(targets)
+        targets += [RowTest(s + i, k) for k, i in enumerate(range(point.grad.start,
+                                                                   point.grad.stop))]
+        targets += [RowTest(a) for a in range(s)]
+        return TrialKernel(compile_arrays(targets, self.setup.var_names), rows=slice(r0, None),
+                           first=slice(s, r0),
+                           checked=slice(s + point.checked.start, s + point.checked.stop))
 
     def compile_analysis_kernels(self):
         """Compiles every kernel that an analysis may evaluate: G, dG, the
-        point kernel, the Hessians and the proximity probes toward detJ and
-        the potential's denominator.  pipeline.analyze calls it before it
-        evaluates anything, so a derived coefficient that has no double
-        (expr.compile_arrays raises ExprError) is refused for the problem,
-        whichever evaluation would first have read it; every other caller
-        keeps the calculus lazy."""
-        for name in ("_g_kernel", "_dg_kernel", "_point_kernel", "_hessian_kernel"):
+        point kernel, the Darboux search's trial kernel, the Hessians and
+        the proximity probes toward detJ and the potential's denominator.
+        pipeline.analyze calls it before it evaluates anything, so a
+        derived coefficient that has no double (expr.compile_arrays raises
+        ExprError) is refused for the problem, whichever evaluation would
+        first have read it; every other caller keeps the calculus lazy."""
+        for name in ("_g_kernel", "_dg_kernel", "_point_kernel", "_trial_kernel",
+                     "_hessian_kernel"):
             getattr(self, name)
         for f in (self.det, self._den):
             if f.constant_value() is None:
@@ -421,8 +472,7 @@ class PointCalculus:
 
     def g_scalars(self, xs) -> tuple:
         """G at xs, a list of Python complex in variable order, as a tuple
-        of s Python complex: the Darboux search's cheap rows, evaluated
-        without an array."""
+        of s complex, evaluated without an array."""
         values = self._g_kernel.on_list(xs)
         return (values,) if self.s == 1 else values
 
@@ -444,13 +494,30 @@ class PointCalculus:
         the adjoint u = J^(-T) d_wV and grad V, each computed once here.
         Raises CriticalPointError off the good set and PoleError at a pole
         of the potential.  A caller that goes on at x passes the result as
-        `first` to grad, gradient_rows, _dg_blocks or darboux_system."""
+        `first` to grad, _dg_blocks or darboux_system."""
         return self._point_kernel(x)
 
-    def first_scalars(self, xs) -> tuple:
-        """first_derivatives at xs, a list of Python complex in variable
-        order, evaluated on it as given: a Darboux search trial."""
-        return self._point_kernel.on_list(xs)
+    def darboux_trial(self, xs, res: float):
+        """A Darboux search trial at xs, a list of Python complex in
+        variable order, against the current residual res: None when a row
+        of G or of grad V - q has a NumPy absolute not below res, else
+        (rows, first), the residual rows (grad V - q, G) and the point's
+        first derivatives (first_derivatives' values), from one call of
+        the trial kernel (TrialKernel), which stops at the first row that
+        fails (expr.rows_below).  J's entries and u are checked only when
+        every row has passed; raises CriticalPointError where J has a zero
+        diagonal entry or a non-finite entry, or u is not finite, and
+        PoleError at a pole, as first_derivatives does."""
+        trial = self._trial_kernel
+        try:
+            values = trial.kernel.on_list(xs, res)
+            if values is None:
+                return None
+            if all(map(isfinite, values[trial.checked])):
+                return values[trial.rows], values[trial.first]
+        except ZeroDivisionError:
+            pass
+        raise CriticalPointError("dG/dw is singular or not finite at the point")
 
     def grad(self, x, first=None) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
@@ -519,17 +586,13 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
-    def gradient_rows(self, xs, first) -> list:
-        """grad V - q, the first n rows of the Darboux residual, as Python
-        complex, from xs, a list of Python complex, and its first
-        derivatives; the same bits as NumPy's subtraction."""
-        return [g - q for g, q in zip(first[self._point_kernel.grad], xs)]
-
     def darboux_residual(self, x) -> np.ndarray:
-        """F(x) = (grad V - q, G); zero exactly at Darboux candidates.  A
-        Newton trial computes the same rows (darboux._trial)."""
+        """F(x) = (grad V - q, G); zero exactly at Darboux candidates.  The
+        gradient rows are Python's subtraction, the same bits as NumPy's,
+        and a Newton trial computes the same rows (darboux_trial)."""
         xs = np.asarray(x, dtype=complex).tolist()
-        rows = self.gradient_rows(xs, self.first_scalars(xs))
+        point = self._point_kernel
+        rows = [g - q for g, q in zip(point.on_list(xs)[point.grad], xs)]
         return np.array(rows + list(self.g_scalars(xs)), dtype=complex)
 
     def darboux_system(self, x, first=None, out=None) -> np.ndarray:

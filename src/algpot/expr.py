@@ -15,8 +15,9 @@ doing for each value the complex arithmetic its normal form spells out,
 in a fixed order, so that every value is reproducible bit for bit.  A
 scalar output can also be a Substitution, one step of triangular
 substitution over earlier outputs, so a linear solve with a triangular
-matrix unrolls into the same function.  RatExpr.compile is its one-output
-case.
+matrix unrolls into the same function, or a RowTest, an earlier output
+tested against a bound as soon as it is computed (rows_below is the one
+definition of that test).  RatExpr.compile is its one-output case.
 """
 
 from __future__ import annotations
@@ -494,15 +495,67 @@ class Substitution(NamedTuple):
         return [self.value, *(i for pair in self.products for i in pair)] + (
             [] if self.divisor is None else [self.divisor])
 
+    def shifted(self, by: int) -> "Substitution":
+        """The same step on outputs `by` places later in the target list."""
+        return Substitution(self.value + by, tuple((a + by, b + by) for a, b in self.products),
+                            None if self.divisor is None else self.divisor + by)
+
+
+class RowTest(NamedTuple):
+    """A scalar output of compile_arrays that is tested as it is computed:
+    the earlier scalar output `value` (named by its index in the target
+    list), minus the input variable `minus` (its index in var_order, by
+    Python's -) when one is given.  A kernel with row tests takes the bound
+    res as its second argument and returns None at the first row whose
+    absolute is not below res (rows_below)."""
+
+    value: int
+    minus: int | None = None
+
+
+# Python's abs and NumPy's absolute of a complex differ by at most 2 ulp
+# (10^6 random values with exponents from -1000 to 1000, NumPy 2.4), so an
+# absolute farther than ROW_BAND (2^7 ulp) relative from the residual, and
+# between ROW_TINY and ROW_HUGE, far from subnormals and overflow, is
+# decided by Python's abs, every other by NumPy's
+ROW_BAND = 2.0 ** -45
+ROW_TINY = 2.0 ** -1000
+ROW_HUGE = 2.0 ** 1000
+
+
+def rows_below(rows, res: float) -> bool:
+    """Whether np.abs(v) < res for every v in rows, Python complex values,
+    stopping at the first row that fails: the one row decision of the
+    Darboux search, which a RowTest makes inside its kernel and the search
+    makes on its pin rows.  Python's abs decides a row whose absolute lies
+    outside a relative band of ROW_BAND around res and well inside the
+    normal range, where the two absolutes cannot fall on different sides
+    of res; inside the band, and for a non-finite, overflowing or tiny
+    value, NumPy's absolute of a one-entry array decides.  A nan fails."""
+    low, high = res * (1.0 - ROW_BAND), res * (1.0 + ROW_BAND)
+    for v in rows:
+        try:
+            a = abs(v)
+        except OverflowError:  # NumPy's absolute is inf there
+            a = np.inf
+        if ROW_TINY <= a <= ROW_HUGE:
+            if a < low:
+                continue
+            if a > high:
+                return False
+        if not np.abs(np.array([v]))[0] < res:
+            return False
+    return True
+
 
 def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     """The package's one evaluator: a straight-line function computing every
     target at a point.
 
     A target is a RatExpr, whose value is returned as a complex scalar, a
-    Substitution, likewise, or an Array, returned as a fresh complex
-    ndarray.  The function takes an indexable of values in var_order and
-    returns the targets' values as a tuple (an empty one for no targets),
+    Substitution or a RowTest, likewise, or an Array, returned as a fresh
+    complex ndarray.  The function takes an indexable of values in
+    var_order and returns the targets' values as a tuple (an empty one for no targets),
     or the value itself when there is a single target.  The same function
     on a list of Python complex that it reads as given, with no conversion,
     is kept on it as `on_list`: a caller that holds x.tolist() already
@@ -546,6 +599,24 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     a zero divisor, where NumPy's would return an infinity.  A
     Substitution that reads an Array or a later target raises ExprError at
     compile time.
+
+    A RowTest's value is the output it names, minus its input variable by
+    Python's subtraction when it has one, and its test is emitted right
+    after the line of the output it names, so a row that fails stops the
+    kernel before any later output is computed.  A kernel with row tests
+    is called as kernel(x, res) and on_list(x, res), and returns None at
+    the first row that fails.  The test is rows_below's decision: the
+    kernel itself passes a row whose Python absolute a has ROW_TINY <= a <
+    min(res (1 - ROW_BAND), ROW_HUGE) and calls rows_below on every other
+    row.  Its body runs inside one try that returns None on OverflowError,
+    which only Python's abs of a row can raise there (a complex sum,
+    product or quotient gives an infinity, and a power e >= 100 is
+    NumPy's), so a row whose abs overflows fails, as its NumPy absolute,
+    inf, would.  Python's abs
+    of a NumPy scalar is NumPy's absolute, so a quotient that a row test
+    reads is made a Python complex first, as for a Substitution.  A
+    RowTest that reads anything but an earlier RatExpr or Substitution,
+    or subtracts a variable out of range, raises ExprError at compile time.
     The generated source, both functions, names variables by index only and
     is kept on the function as `source`.
     """
@@ -556,15 +627,21 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     if missing:
         raise ExprError(f"unbound variables {sorted(missing)}")
     read = set()
+    tests = {}  # the index of a scalar output -> the RowTests that read it
     for k, t in enumerate(targets):
-        if isinstance(t, Substitution):
-            for i in t.operands():
-                if not (0 <= i < k and isinstance(targets[i], (RatExpr, Substitution))):
-                    raise ExprError(f"substitution {k} reads {i}, not an earlier scalar")
-            read.update(t.operands())
+        operands = t.operands() if isinstance(t, Substitution) else (
+            [t.value] if isinstance(t, RowTest) else [])
+        for i in operands:
+            if not (0 <= i < k and isinstance(targets[i], (RatExpr, Substitution))):
+                raise ExprError(f"target {k} reads {i}, not an earlier scalar")
+        read.update(operands)
+        if isinstance(t, RowTest):
+            if t.minus is not None and not 0 <= t.minus < len(var_order):
+                raise ExprError(f"row test {k} subtracts variable {t.minus}, out of range")
+            tests.setdefault(t.value, []).append(k)
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
-                 "zero": np.complex128(0j)}
+                 "zero": np.complex128(0j), "rows_below": rows_below}
     lines = []
     loaded, powers, squares, coefficients, denominators = set(), {}, {}, {}, {}
 
@@ -621,14 +698,30 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             lines.append(f"if {d} == 0: raise PoleError({d}_text)")
         return f"({poly(e.num)}) / {denominators[key]}"
 
+    def row(k):
+        """The name of RowTest k's value."""
+        return f"v{targets[k].value}" if targets[k].minus is None else f"v{k}"
+
+    def row_tests(i):
+        """The lines of each RowTest that reads output i, right after it."""
+        for k in tests.get(i, ()):
+            if targets[k].minus is not None:
+                lines.append(f"v{k} = v{i} - {power(targets[k].minus, 1)}")
+            lines.append(f"if not {ROW_TINY!r} <= abs({row(k)}) < low "
+                         f"and not rows_below(({row(k)},), res): return None")
+
     outputs = []
     for k, t in enumerate(targets):
+        if isinstance(t, RowTest):
+            outputs.append(row(k))
+            continue
         if isinstance(t, Substitution):
             step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
             if t.divisor is not None:
                 step = f"({step}) / v{t.divisor}"
             lines.append(f"v{k} = {step}")
             outputs.append(f"v{k}")
+            row_tests(k)
             continue
         if isinstance(t, RatExpr):
             v = value(t)
@@ -636,6 +729,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 v = f"complex({v})"
             lines.append(f"v{k} = {v}")
             outputs.append(f"v{k}")
+            row_tests(k)
             continue
         template = np.zeros(t.shape, dtype=complex)
         namespace[f"t{k}"] = template
@@ -650,9 +744,13 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             lines.append(f"{slots} = {value(e)}")
         outputs.append(f"a{k}")
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
-    source = "def on_list(x):\n" + "".join(f"    {line}\n" for line in lines)
+    bound = ", res" if tests else ""
+    if tests:
+        lines = [f"low = min(res * {1.0 - ROW_BAND!r}, {ROW_HUGE!r})", "try:"] + [
+            f"    {line}" for line in lines] + ["except OverflowError:", "    return None"]
+    source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
-    source += "def kernel(x):\n    return on_list(asarray(x, complex).tolist())\n"
+    source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"
     exec(source, namespace)
     kernel = namespace["kernel"]
     kernel.on_list = namespace["on_list"]

@@ -285,10 +285,10 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     pc.hess(x)
     assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each kernel it
-    # uses once: four of the six cached ones (not detJ's, which only the
-    # flow's stop events read, nor the potential value's, which only the
-    # flow's energy reads) and the probes of detJ and of the potential's
-    # denominator
+    # uses once: five of the seven cached ones, the Darboux search's trial
+    # kernel among them (not detJ's, which only the flow's stop events
+    # read, nor the potential value's, which only the flow's energy reads)
+    # and the probes of detJ and of the potential's denominator
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
                         lambda s: built.append(PointCalculus(s)) or built[-1])
@@ -298,7 +298,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     (used,) = built
     held = [getattr(v, "kernel", v) for k, v in vars(used).items() if k.endswith("_kernel")]
     held += list(used._probes.values())
-    assert len(held) == 6
+    assert len(held) == 7 and used._trial_kernel.kernel in held
     assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))
 

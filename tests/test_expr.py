@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
-from algpot.expr import (_PONE, Array, Substitution, _padd, _pdiff, _pmul, _pneg,
+from algpot.expr import (_PONE, Array, RowTest, Substitution, _padd, _pdiff, _pmul, _pneg,
                          compile_arrays)
 from algpot.parsing import parse_expression
 
@@ -234,3 +234,39 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
                 [Array((1,), [(X, [(0,)])]), Substitution(0)], [Substitution(0)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
             compile_arrays(bad, ["x"])
+
+
+def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
+    # rows x*y (a quotient's row is a Python complex) and (x + y) - y, each
+    # tested right after the output it reads; a failing row returns None
+    # before the later outputs, so the pole of 1/(x - 1) is not reached
+    quotient = X * Y / (X + RatExpr.const(1))
+    targets = [quotient, X + Y, RatExpr.const(1) / (X - RatExpr.const(1)), RowTest(1, 1),
+               RowTest(0)]
+    kernel = compile_arrays(targets, ["x", "y"])
+    x, y = 0.5 + 0.25j, -2.0 + 1j
+    values = kernel([x, y], 10.0)
+    assert all(type(v) is complex for v in values[3:])
+    assert values[3] == (x + y) - y and values[4] == values[0]
+    assert values[0] == complex(np.complex128(x * y) / np.complex128(x + 1))
+    assert kernel.on_list([x, y], 10.0) == values
+    # the bound is strict: a row equal to it fails, and so does a nan
+    assert kernel([x, y], float(np.abs(values[0]))) is None
+    with np.errstate(invalid="ignore"):  # NumPy's division by a nan
+        assert kernel([complex(np.nan, 0.0), y], np.inf) is None
+    with pytest.raises(PoleError):
+        kernel([1.0, y], np.inf)
+    assert kernel([1.0, y], 0.5) is None  # x*y/(x+1) = -1 + 0.5j fails first
+    # the row (x + y) - y = x: Python's abs of it overflows, and its NumPy
+    # absolute is inf, not below any bound
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(huge)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert kernel([huge, 0.0], np.inf) is None
+    for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
+                [X, RowTest(0), RowTest(1)]):
+        with pytest.raises(ExprError, match="not an earlier scalar"):
+            compile_arrays(bad, ["x"])
+    with pytest.raises(ExprError, match="out of range"):
+        compile_arrays([X, RowTest(0, 1)], ["x"])

@@ -1,15 +1,18 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search runs each trial on Python complex values: it evaluates a
-trial's cheap rows (G as scalars, then the pin rows) first, evaluates its
-first derivatives, one point kernel that gives the adjoint and grad V,
-only when those pass, decides each row against the current residual as
-NumPy's absolute would (Python's abs away from the residual, NumPy's near
-it; a property test draws values and residuals within 8 ulp of each other),
-passes a trial's first derivatives on to its Jacobian only when its
-gradient rows pass too, writes an accepted trial's rows as the residual
-and builds only the Jacobian at accepted steps; the traced tests follow
-the entry points g_scalars, first_scalars and darboux_system.  Gradients
+The line search runs each trial on Python complex values, as one call of
+the trial kernel (PointCalculus.darboux_trial): it computes G and then the
+point's first derivatives, the adjoint and grad V, and decides each row of
+G and of grad V - q against the current residual as soon as it is
+computed, stopping at the first that fails, as NumPy's absolute would
+decide it (expr.rows_below: Python's abs away from the residual, NumPy's
+near it; a property test draws values and residuals within 8 ulp of each
+other, and another holds the fused kernel to the G kernel and the point
+kernel decided row by row).  The pin rows are decided last; a trial whose
+every row passes hands its first derivatives on to its Jacobian, writes
+its rows as the residual, and only accepted steps build a Jacobian; the
+traced tests follow the entry points darboux_trial and darboux_system,
+and count the evaluations of the trial kernel and the point kernel.  Gradients
 and Hessians evaluate only their non-zero partials; the calculus keeps no
 per-point state, so first derivatives passed by a caller and ones it
 computes itself give the same bits.  Each is held here, bit
@@ -38,7 +41,7 @@ from algpot import calculus, darboux
 from algpot.calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _forward, _lstsq
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem, CriticalSetError
-from algpot.expr import PoleError
+from algpot.expr import ZERO, PoleError, RowTest, compile_arrays, rows_below
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
@@ -203,12 +206,12 @@ def test_row_test_compares_numpys_absolute_with_the_residual():
         # the trial's row by row decision on Python values is NumPy's too:
         # a tie with NumPy's absolute rejects, the next float up passes,
         # and Python's own absolute as the residual is decided as NumPy's
-        assert darboux._below([0.1, v], np.abs(v)) is False
-        assert darboux._below([0.1, v], np.nextafter(np.abs(v), np.inf)) is True
-        assert darboux._below([v], abs(v)) is bool(np.abs(v) < abs(v))
-    assert darboux._below([], 0.0) is True  # no rows, as _largest's 0 < 0 would not say
-    assert darboux._below([0.5, complex(np.nan, 0.0)], np.inf) is False
-    assert darboux._below([complex(1.5e308, 1.5e308)], np.inf) is False  # Python's abs overflows
+        assert rows_below([0.1, v], np.abs(v)) is False
+        assert rows_below([0.1, v], np.nextafter(np.abs(v), np.inf)) is True
+        assert rows_below([v], abs(v)) is bool(np.abs(v) < abs(v))
+    assert rows_below([], 0.0) is True  # no rows, as _largest's 0 < 0 would not say
+    assert rows_below([0.5, complex(np.nan, 0.0)], np.inf) is False
+    assert rows_below([complex(1.5e308, 1.5e308)], np.inf) is False  # Python's abs overflows
 
 
 def parts():
@@ -229,20 +232,119 @@ def moved(value, ulps):
     return float(value)
 
 
+# one row, 0 - v, whose absolute is v's: the row test as a kernel emits it
+NEGATED_ROW = compile_arrays([ZERO, RowTest(0, 0)], ("v",))
+
+
+def shifted_bound(reference, shift):
+    """reference moved by shift ulps, or 0 or inf."""
+    return {"zero": 0.0, "inf": np.inf}[shift] if isinstance(shift, str) else (
+        moved(reference, shift))
+
+
+SHIFTS = st.one_of(st.integers(-8, 8), st.sampled_from(["zero", "inf"]))
+
+
 @settings(max_examples=400, deadline=None)
-@given(parts(), parts(), st.one_of(st.integers(-8, 8), st.sampled_from(["zero", "inf"])))
+@given(parts(), parts(), SHIFTS)
 def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
-    # _below decides |v| < res by Python's abs away from res and by NumPy's
-    # absolute near it, so every decision equals NumPy's, ties included
+    # rows_below decides |v| < res by Python's abs away from res and by
+    # NumPy's absolute near it, so every decision equals NumPy's, ties
+    # included; a kernel's row test, which makes the common decisions
+    # itself and hands the rest to rows_below, decides alike
     v = complex(re_part, im_part)
     reference = np.abs(np.array([v]))[0]
-    res = {"zero": 0.0, "inf": np.inf}.get(shift) if isinstance(shift, str) else (
-        moved(reference, shift))
-    assert darboux._below([v], res) is bool(reference < res)
-    assert darboux._below([0.0, v], res) is bool(darboux._largest(np.array([0.0, v])) < res)
+    res = shifted_bound(reference, shift)
+    assert rows_below([v], res) is bool(reference < res)
+    assert rows_below([0.0, v], res) is bool(darboux._largest(np.array([0.0, v])) < res)
+    assert (NEGATED_ROW.on_list([v], res) is not None) is bool(reference < res)
 
 
-TRACED = ("darboux_system", "g_scalars", "first_scalars")
+# the trial kernel of each against its G kernel and point kernel, decided
+# row by row: the 1/w1 potential has a pole where J = 2 w1 vanishes,
+# draw1's J has an entry below its diagonal, plain has no generator
+TRIAL_SETUPS = {"cone": CONE_TEXT, "trap": TRAP_TEXT, "plain": PLAIN_TEXT,
+                "pole": "vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n",
+                "draw1": DRAW1_TEXT, "nbody3x2": NBodyConfig(n=3, dim=2, masses=(1, 1, 1)),
+                "nbody5x2": NBodyConfig(n=5, dim=2, masses=(1, 1, 1, 1, 1))}
+
+# entries that leave the finite, normal range of a double
+SPECIAL_ENTRIES = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf),
+                   1e200, complex(-1e300, 1e300), 1e154, 5e-324, complex(1e-310, -2e-320)]
+
+
+@functools.lru_cache(maxsize=None)
+def trial_calculus(name):
+    spec = TRIAL_SETUPS[name]
+    return PointCalculus(build(spec) if isinstance(spec, NBodyConfig) else parse_problem(spec))
+
+
+def unfused_trial(pc, xs, res):
+    """A trial as separate steps: the G kernel, its rows decided by NumPy's
+    absolute, then the point kernel and grad V - q, decided likewise; None
+    where a row fails or the point is refused, else (rows, first)."""
+    try:
+        g = pc.g_scalars(xs)
+        if not darboux._largest(np.array(g, dtype=complex)) < res:
+            return None
+        point = pc._point_kernel
+        first = point.on_list(xs)
+        rows = [v - q for v, q in zip(first[point.grad], xs)]
+        if not darboux._largest(np.array(rows, dtype=complex)) < res:
+            return None
+    except (CriticalPointError, PoleError):
+        return None
+    return rows + list(g), first
+
+
+def trial_point(pc, rng, kind):
+    """A point of pc's space: complex, real, on the variety, with special
+    entries, or with an extension variable at 0, where J has a zero
+    diagonal entry (and the 1/w1 potential and the n-body one a pole)."""
+    n, N = pc.n, pc.N
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N) * (kind != "real")
+    x *= 10.0 ** rng.integers(-2, 3)
+    if kind == "variety" and pc.s:
+        w = pc.solve_fiber(x[:n], x[n:])
+        if w is not None:
+            x[n:] = w
+    elif kind == "special":
+        for i in rng.choice(N, size=rng.integers(1, 3), replace=False):
+            x[i] = SPECIAL_ENTRIES[rng.integers(len(SPECIAL_ENTRIES))]
+    elif kind == "zero" and pc.s:
+        x[n + rng.integers(pc.s)] = 0.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(TRIAL_SETUPS)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["complex", "real", "variety", "special", "zero"]),
+       st.integers(0, 10 ** 6), SHIFTS)
+def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift):
+    # res sits within 8 ulp of one row's NumPy absolute, or is 0 or inf: the
+    # trial kernel rejects exactly where the unfused steps do, and
+    # otherwise returns their rows and first derivatives bit for bit
+    pc = trial_calculus(name)
+    x = trial_point(pc, np.random.default_rng(seed), kind)
+    xs = x.tolist()
+    absolutes = np.abs(np.array(pc.g_scalars(xs), dtype=complex))
+    full = unfused_trial(pc, xs, np.inf)
+    if full is not None:
+        absolutes = np.abs(np.array(full[0], dtype=complex))
+    reference = absolutes[row % len(absolutes)] if len(absolutes) else 1.0
+    res = shifted_bound(reference, shift)
+    expected = unfused_trial(pc, xs, res)
+    try:
+        got = pc.darboux_trial(xs, res)
+    except (CriticalPointError, PoleError):
+        got = None
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert bits(np.array(got[0], dtype=complex)) == bits(np.array(expected[0], dtype=complex))
+        assert bits(np.array(got[1], dtype=complex)) == bits(np.array(expected[1], dtype=complex))
+
+
+TRACED = ("darboux_system", "darboux_trial")
 
 
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
@@ -307,34 +409,36 @@ def follows(calls, k, name, x) -> bool:
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
-    # every trial evaluates its cheap rows (G as Python scalars, then the
-    # pinning rows); one whose cheap rows already fail the acceptance test
-    # never solves its first derivatives, and only a trial whose gradient
-    # rows pass too
-    # builds its Jacobian, right after them at the same point; the Jacobian
-    # is built at the start and accepted steps; every step solves with that
-    # point's residual, darboux_residual plus the pin rows, bit for bit, and
-    # the search returns its largest entry
+    # every trial is one call of the trial kernel, which decides the rows
+    # of G and then those of grad V - q; one whose G rows already fail the
+    # acceptance test is rejected there, the point kernel is never
+    # evaluated on its own, and only a trial whose gradient rows and pin
+    # rows pass too builds its Jacobian, right after, at the same point,
+    # from the first derivatives the trial returned; the Jacobian is built
+    # at the start and accepted steps; every step solves with that point's
+    # residual, darboux_residual plus the pin rows, bit for bit, and the
+    # search returns its largest entry
     cfg, pc, seeds = three_body
-    cheap_rejected = tied = grad_rejected = solved = 0
+    g_rejected = tied = grad_rejected = solved = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-        point, evaluations = pc_._point_kernel, []
+        point, trial, evaluations, trials = pc_._point_kernel, pc_._trial_kernel, [], []
         vars(pc_)["_point_kernel"] = point._replace(kernel=counted_kernel(point.kernel,
                                                                            evaluations))
+        vars(pc_)["_trial_kernel"] = trial._replace(kernel=counted_kernel(trial.kernel, trials))
         try:
             calls, result = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         finally:
-            vars(pc_)["_point_kernel"] = point
+            vars(pc_)["_point_kernel"], vars(pc_)["_trial_kernel"] = point, trial
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
-        # the gradient and the Jacobian take the point's first derivatives
-        # from the search and never evaluate them again
-        assert len(evaluations) == names.count("first_scalars")
+        # the Jacobian takes the trial's first derivatives and never
+        # evaluates them again
+        assert evaluations == [] and len(trials) == names.count("darboux_trial")
         # the start point's rows are computed as a trial's, then its Jacobian
-        assert names[:3] == ["g_scalars", "first_scalars", "darboux_system"]
-        assert len({bits(x) for _, x, _ in calls[:3]}) == 1
+        assert names[:2] == ["darboux_trial", "darboux_system"]
+        assert len({bits(x) for _, x, _ in calls[:2]}) == 1
         res = point = None
         for k, (name, x, value) in enumerate(calls):
             if name == "lstsq":
@@ -343,58 +447,65 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
-                assert calls[k - 1][0] == "first_scalars" and bits(calls[k - 1][1]) == bits(x)
+                assert calls[k - 1][0] == "darboux_trial" and bits(calls[k - 1][1]) == bits(x)
                 F, Jac = full_system(pc_, x, pins)
                 assert bits(value) == bits(Jac[:len(value)])
                 res, point = float(np.abs(F).max()), x
-            elif name == "first_scalars":
-                assert calls[k - 1][0] == "g_scalars" and bits(calls[k - 1][1]) == bits(x)
-                g = pc_.grad(x, value)
-                assert bits(g) == bits(pc_.grad(x))
-                if k > 1:  # a trial's gradient rows
-                    r = float(np.abs(g - x[:pc_.n]).max(initial=0.0))
-                    passes = r < res
-                    assert passes == follows(calls, k, "darboux_system", x)
-                    grad_rejected += not passes
-            elif k > 0:  # a trial's cheap rows
-                r = float(np.abs(np.concatenate([value, lin])).max(initial=0.0))
-                passes = r < res or r <= conv_tol
-                assert passes == follows(calls, k, "first_scalars", x)
-                cheap_rejected += not passes
+                continue
+            if value is not None:  # the point's rows and first derivatives
+                assert bits(np.array(value[0])) == bits(pc_.darboux_residual(x))
+                assert bits(np.array(value[1])) == bits(np.array(pc_.first_derivatives(x)))
+            if k == 0:
+                continue
+            # a trial: its G rows, then its gradient rows, then its pin rows
+            r = float(np.abs(pc_.g_values(x)).max(initial=0.0))
+            if not r < res:
+                assert value is None
+                g_rejected += 1
                 tied += r == res
+                continue
+            g = pc_.grad(x)
+            r = float(np.abs(g - x[:pc_.n]).max(initial=0.0))
+            grad_rejected += not r < res
+            assert (value is not None) == (r < res)
+            passes = r < res and float(np.abs(lin).max(initial=0.0)) < res
+            assert passes == follows(calls, k, "darboux_system", x)
         if result is not None:
             assert bits(result[0]) == bits(point) and result[1] == res
-    # 54 trials are rejected by their cheap rows, 29 of them tying the
-    # current residual, where a <= in place of < would compute the gradient
-    assert cheap_rejected > 50 and tied > 25
+    # 54 trials are rejected by their G rows, 29 of them tying the current
+    # residual, where a <= in place of < would compute the gradient
+    assert g_rejected > 50 and tied > 25
     assert grad_rejected > 0 and solved > 100
 
 
 def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
-    # a trial whose rows pass but whose Jacobian raises, or whose fiber
-    # solve raises (J singular or not finite) before its gradient rows, is
-    # rejected, and the search goes on halving from the current point, as
-    # the full-system search does; here the method raises at the first
-    # accepted point, once in each search (darboux_residual evaluates
-    # first_scalars too)
+    # a trial whose rows pass but whose Jacobian raises, or whose trial
+    # kernel raises (J singular or not finite), is rejected, and the search
+    # goes on halving from the current point, as the full-system search
+    # does; here the evaluation raises at the first accepted point, once in
+    # each search: the full-system search meets it in darboux_system, or,
+    # where the trial kernel raises, in darboux_residual, its own
+    # evaluation of the same rows
     cfg, pc, seeds = three_body
-    for method in ("darboux_system", "first_scalars"):
-        original = getattr(PointCalculus, method)
+    for methods in (("darboux_system",), ("darboux_trial", "darboux_residual")):
+        originals = {method: getattr(PointCalculus, method) for method in methods}
         raised = []
         for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
             calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
             at = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-            def raising(self, x, *rest, at=at, original=original):
-                if bits(x) == bits(at):
-                    raised.append(at)
-                    raise CriticalPointError("raised at the first accepted point")
-                return original(self, x, *rest)
+            for method, original in originals.items():
+                def raising(self, x, *rest, at=at, original=original):
+                    if bits(x) == bits(at):
+                        raised.append(at)
+                        raise CriticalPointError("raised at the first accepted point")
+                    return original(self, x, *rest)
 
-            monkeypatch.setattr(PointCalculus, method, raising)
+                monkeypatch.setattr(PointCalculus, method, raising)
             expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
             got = _newton(pc_, x0, pins, conv_tol, max_iter)
-            monkeypatch.setattr(PointCalculus, method, original)
+            for method, original in originals.items():
+                monkeypatch.setattr(PointCalculus, method, original)
             assert same_bits(got, expected)
         assert len(raised) == 8  # once in each search, four starts
 
@@ -722,20 +833,34 @@ def test_a_singular_or_non_finite_fiber_is_refused_every_time(case):
 
 def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
     # an infinite diagonal entry can leave a finite, meaningless u (1/inf =
-    # 0), so the kernel's check reads J's entries as well as u
+    # 0), so the kernel's check reads J's entries as well as u; a search
+    # trial's check reads the same entries of the trial kernel, once its
+    # rows have passed
     pc = PointCalculus(parse_problem(DRAW1_TEXT))
-    point = pc._point_kernel
+    point, trial = pc._point_kernel, pc._trial_kernel
     x = np.array([0.3, 0.4, 0.7, 1.5], dtype=complex)
-    good = point.kernel(x)
+    good, good_trial = point.kernel(x), trial.kernel(x, np.inf)
+    assert good_trial[trial.first] == good
     for slot in range(point.checked.start, point.checked.stop):
         for bad in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
             values = good[:slot] + (bad,) + good[slot + 1:]
             vars(pc)["_point_kernel"] = point._replace(kernel=lambda y, v=values: v)
+            shift = trial.checked.start - point.checked.start
+            values = good_trial[:shift + slot] + (bad,) + good_trial[shift + slot + 1:]
+
+            def fake(y, res, v=values):
+                return v
+
+            fake.on_list = fake
+            vars(pc)["_trial_kernel"] = trial._replace(kernel=fake)
             for _ in range(2):
                 with pytest.raises(CriticalPointError, match="singular or not finite"):
                     pc.first_derivatives(x)
-    vars(pc)["_point_kernel"] = point
+                with pytest.raises(CriticalPointError, match="singular or not finite"):
+                    pc.darboux_trial(x.tolist(), np.inf)
+    vars(pc)["_point_kernel"], vars(pc)["_trial_kernel"] = point, trial
     assert pc.first_derivatives(x) == good
+    assert pc.darboux_trial(x.tolist(), np.inf)[1] == good
 
 
 def test_no_extension_variables_give_empty_solves():
