@@ -35,8 +35,11 @@ one call of one more kernel (PointCalculus.darboux_trial): G, then the
 point kernel's values, with each row of G and of grad V - q tested
 against the search's current residual as soon as it is computed
 (expr.RowTest), so a trial that fails stops at its first failing row.
-The calculus keeps nothing per point: a caller that goes on at a point
-passes that point's first derivatives to the next evaluation.
+It is the one producer of the Darboux residual's rows: the search reads a
+candidate's rows from it too, against an infinite residual.  The calculus
+keeps nothing per point: the search passes a trial's first derivatives
+to that point's Jacobian (darboux_system), and every other evaluation
+computes its own.
 PointCalculus is the one numeric view of a setup: it evaluates plain
 partials of V and G, each table derived symbolically on first use and
 evaluated by kernels generated on first use, so building a calculus costs
@@ -133,12 +136,12 @@ def _nonzero(pairs) -> tuple:
 
 class PointKernel(NamedTuple):
     """A point's first derivatives from one kernel (PointCalculus._point_kernel)
-    and where its values sit.  kernel(x), and kernel.on_list(xs) on a list
-    of Python complex (expr.compile_arrays), return a tuple of complex
-    scalars: a zero at slot 0, each structurally non-zero partial of the
-    potential, the structurally non-zero entries of B = dG/dq and of J =
-    dG/dw (J's diagonal first, then its entries below the diagonal), the
-    adjoint u = J^(-T) d_wV by back substitution, last entry first, and
+    and where its values sit.  on_list(xs), on a list of Python complex
+    (expr.compile_arrays), returns a tuple of complex scalars: a zero at
+    slot 0, each structurally non-zero partial of the potential, the
+    structurally non-zero entries of B = dG/dq and of J = dG/dw (J's
+    diagonal first, then its entries below the diagonal), the adjoint
+    u = J^(-T) d_wV by back substitution, last entry first, and
     grad V = d_qV - B^T u.  Slices and index lists locate them:
 
     grad:      grad V
@@ -156,9 +159,9 @@ class PointKernel(NamedTuple):
     (dynamics.ConstrainedSystem.rhs).  The generators' values are not
     here: the flow never reads them, and a Darboux search trial evaluates
     this kernel's targets after G's, in one trial kernel that tests each
-    row as it computes it (PointCalculus.darboux_trial).  The flow's
-    right-hand side and darboux_residual hold the point as a list of
-    complex and call on_list; every array caller calls the tuple itself."""
+    row as it computes it (PointCalculus.darboux_trial).  Every caller
+    holds the point as a list of complex and calls on_list: the flow's
+    right-hand side and first_derivatives each convert an array once."""
 
     kernel: Callable
     grad: slice
@@ -169,23 +172,12 @@ class PointKernel(NamedTuple):
     forward: tuple
     targets: list
 
-    def __call__(self, x) -> tuple:
-        """The kernel's values at x, read as complex.  Raises
-        CriticalPointError, on every call, where J has a zero diagonal entry
-        (its division raises) or a non-finite entry, or u is not finite: an
-        infinite entry can leave a finite, meaningless u.  A pole of the
-        potential raises PoleError."""
-        try:
-            values = self.kernel(x)
-            if all(map(isfinite, values[self.checked])):
-                return values
-        except ZeroDivisionError:
-            pass
-        raise CriticalPointError("dG/dw is singular or not finite at the point")
-
     def on_list(self, xs) -> tuple:
         """The kernel's values at xs, a list of Python complex in variable
-        order, read as given; refuses as __call__ does."""
+        order, read as given.  Raises CriticalPointError, on every call,
+        where J has a zero diagonal entry (its division raises) or a
+        non-finite entry, or u is not finite: an infinite entry can leave a
+        finite, meaningless u.  A pole of the potential raises PoleError."""
         try:
             values = self.kernel.on_list(xs)
             if all(map(isfinite, values[self.checked])):
@@ -263,21 +255,21 @@ class PointCalculus:
     first kernel or probe that reads them: the constructor derives nothing,
     and a caller that never evaluates a Hessian never derives one.  It
     keeps no per-point state: first_derivatives returns a point's values of
-    the point kernel (PointKernel), its one adjoint and one gradient, and
-    grad, _dg_blocks and darboux_system take those as `first` from a caller
-    that stays at the point (a Darboux search trial passes the ones its
-    trial kernel gave), or compute them from x when it is omitted.  The
-    partials are evaluated by generated kernels (expr.compile_arrays),
-    each compiled on first use and kept: G, as s
-    scalars; dG, the s x N matrix whose columns n: are J and whose columns
-    :n are B = dG/dq; the point kernel, the structurally non-zero entries
-    of dG and of the potential's gradient as scalars, with u and grad V
-    unrolled after them by triangular substitution, which the Darboux
-    numerics and the flow (dynamics) both read; the trial kernel, G and
-    the point kernel's targets with the Darboux residual's rows tested as
-    they are computed, one call per search trial (darboux_trial,
-    TrialKernel); the potential's value; both Hessians, V's (N x N)
-    and the generators' (s x N x N), in one kernel; detJ, for the flow's
+    the point kernel (PointKernel), its one adjoint and one gradient;
+    _dg_blocks and darboux_system take those as `first`, with the rows
+    `out` they write (a Darboux search trial passes the ones its trial
+    kernel gave and its own rows), and grad and hess compute their own.
+    The partials are evaluated by generated kernels (expr.compile_arrays),
+    each compiled on first use and kept: G, as s scalars; dG, the s x N
+    matrix whose columns n: are J and whose columns :n are B = dG/dq; the
+    point kernel, the structurally non-zero entries of dG and of the
+    potential's gradient as scalars, with u and grad V unrolled after them
+    by triangular substitution, which the Darboux numerics and the flow
+    (dynamics) both read; the trial kernel, G and the point kernel's
+    targets with the Darboux residual's rows tested as they are computed,
+    one call per search trial and the one producer of those rows
+    (darboux_trial, TrialKernel); the potential's value; both Hessians,
+    V's (N x N) and the generators' (s x N x N), in one kernel; detJ, for the flow's
     stop events in dynamics; and one per polynomial the proximity probe
     walks toward; pipeline.analyze compiles the ones an analysis may
     evaluate before it evaluates any (compile_analysis_kernels).  A
@@ -470,16 +462,11 @@ class PointCalculus:
     def potential_value(self, x) -> complex:
         return complex(self._v_kernel(x))
 
-    def g_scalars(self, xs) -> tuple:
-        """G at xs, a list of Python complex in variable order, as a tuple
-        of s complex, evaluated without an array."""
-        values = self._g_kernel.on_list(xs)
-        return (values,) if self.s == 1 else values
-
     def g_values(self, x) -> np.ndarray:
-        """G at x as an array, the same values as g_scalars; the fiber
-        solve, the proximity probe and the residual read it."""
-        return np.array(self.g_scalars(np.asarray(x, dtype=complex).tolist()), dtype=complex)
+        """G at x as an array of s complex; the fiber solve and the
+        proximity probe read it."""
+        values = self._g_kernel.on_list(np.asarray(x, dtype=complex).tolist())
+        return np.array((values,) if self.s == 1 else values, dtype=complex)
 
     def det_value(self, x) -> complex:
         return complex(self._det_kernel(x))
@@ -494,19 +481,21 @@ class PointCalculus:
         the adjoint u = J^(-T) d_wV and grad V, each computed once here.
         Raises CriticalPointError off the good set and PoleError at a pole
         of the potential.  A caller that goes on at x passes the result as
-        `first` to grad, _dg_blocks or darboux_system."""
-        return self._point_kernel(x)
+        `first` to _dg_blocks or darboux_system."""
+        return self._point_kernel.on_list(np.asarray(x, dtype=complex).tolist())
 
     def darboux_trial(self, xs, res: float):
         """A Darboux search trial at xs, a list of Python complex in
         variable order, against the current residual res: None when a row
         of G or of grad V - q has a NumPy absolute not below res, else
-        (rows, first), the residual rows (grad V - q, G) and the point's
-        first derivatives (first_derivatives' values), from one call of
-        the trial kernel (TrialKernel), which stops at the first row that
-        fails (expr.rows_below).  J's entries and u are checked only when
-        every row has passed; raises CriticalPointError where J has a zero
-        diagonal entry or a non-finite entry, or u is not finite, and
+        (rows, first), the residual rows F = (grad V - q, G), zero exactly
+        at Darboux candidates, and the point's first derivatives
+        (first_derivatives' values), from one call of the trial kernel
+        (TrialKernel), which stops at the first row that fails
+        (expr.rows_below).  Against res = inf every finite row passes, so
+        that call gives a point's rows.  J's entries and u are checked only
+        when every row has passed; raises CriticalPointError where J has a
+        zero diagonal entry or a non-finite entry, or u is not finite, and
         PoleError at a pole, as first_derivatives does."""
         trial = self._trial_kernel
         try:
@@ -519,25 +508,22 @@ class PointCalculus:
             pass
         raise CriticalPointError("dG/dw is singular or not finite at the point")
 
-    def grad(self, x, first=None) -> np.ndarray:
+    def grad(self, x) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
-        first = self.first_derivatives(x) if first is None else first
-        return np.array(first[self._point_kernel.grad], dtype=complex)
+        return np.array(self.first_derivatives(x)[self._point_kernel.grad], dtype=complex)
 
-    def _dg_blocks(self, x, first=None, out=None):
+    def _dg_blocks(self, x, first, out):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
         W = dw/dq = -J^(-1) B by forward substitution and the generators'
-        Jacobian.  dg = P^T L, with P = [I; W] and L the Hessian of the
-        Lagrangian V - u.G.  dg and dG are written to the rows :n and n: of
-        out, a C-contiguous (n + s) x N complex array (a fresh one when
-        omitted), and returned as views of it.  first_derivatives refused a
-        zero diagonal entry and a non-finite entry of J, so W needs no check
-        of its own."""
+        Jacobian, from x's first derivatives `first`.  dg = P^T L, with
+        P = [I; W] and L the Hessian of the Lagrangian V - u.G.  dg and dG
+        are written to the rows :n and n: of out, a C-contiguous (n + s) x N
+        complex array, and returned as views of it.  first_derivatives
+        refused a zero diagonal entry and a non-finite entry of J, so W
+        needs no check of its own."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
         point = self._point_kernel
-        first = self.first_derivatives(x) if first is None else first
-        out = np.empty((n + s, N), dtype=complex) if out is None else out
         dg, dG = out[:n], out[n:]
         dG.fill(0)
         dG.reshape(-1)[point.dg_index] = first[point.dG]
@@ -554,8 +540,10 @@ class PointCalculus:
 
     def hess(self, x) -> np.ndarray:
         """The intrinsic Hessian P^T L P."""
-        dg, W, _ = self._dg_blocks(x)
-        return dg[:, :self.n] + dg[:, self.n:] @ W
+        n = self.n
+        dg, W, _ = self._dg_blocks(x, self.first_derivatives(x),
+                                   np.empty((n + self.s, self.N), dtype=complex))
+        return dg[:, :n] + dg[:, n:] @ W
 
     def solve_fiber(self, q, w0):
         """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck: where
@@ -586,25 +574,16 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
-    def darboux_residual(self, x) -> np.ndarray:
-        """F(x) = (grad V - q, G); zero exactly at Darboux candidates.  The
-        gradient rows are Python's subtraction, the same bits as NumPy's,
-        and a Newton trial computes the same rows (darboux_trial)."""
-        xs = np.asarray(x, dtype=complex).tolist()
-        point = self._point_kernel
-        rows = [g - q for g, q in zip(point.on_list(xs)[point.grad], xs)]
-        return np.array(rows + list(self.g_scalars(xs)), dtype=complex)
-
-    def darboux_system(self, x, first=None, out=None) -> np.ndarray:
-        """The plain Jacobian of F = darboux_residual(x) for Newton
-        iterations: rows dg - [I 0], then dG, written to out, a C-contiguous
-        (n + s) x N complex array (a fresh one when omitted), which is
-        returned.  darboux._newton passes the leading rows of its own
-        system, so the Jacobian is built where the step reads it.  The
-        residual itself is the caller's (darboux._newton keeps each point's
-        rows)."""
+    def darboux_system(self, x, first, out) -> np.ndarray:
+        """The plain Jacobian of the Darboux residual F = (grad V - q, G)
+        (darboux_trial) for Newton iterations, from x's first derivatives
+        `first`: rows dg - [I 0], then dG, written to out, a C-contiguous
+        (n + s) x N complex array, which is returned.  darboux._newton
+        passes the first derivatives its trial gave and the leading rows of
+        its own system, so the Jacobian is built where the step reads it.
+        The residual itself is the caller's (darboux._newton keeps each
+        point's rows)."""
         n, N = self.n, self.N
-        out = np.empty((n + self.s, N), dtype=complex) if out is None else out
         self._dg_blocks(x, first, out)
         out.reshape(-1)[: n * (N + 1): N + 1] -= 1  # the diagonal of dg/dq
         return out
@@ -620,9 +599,9 @@ class PointCalculus:
                 [f, Array((self.N,), [(f.diff(v), [(i,)]) for i, v in enumerate(order)])], order)
         return self._probes[f]
 
-    def _near_zero_set(self, f: RatExpr, x, radius) -> bool:
+    def _near_zero_set(self, f: RatExpr, x) -> bool:
         """Gauss-Newton toward (G = 0, f = 0) for a polynomial f; True when a
-        solution sits within `radius` of x.  Measures distance to a set
+        solution sits within PROBE_RADIUS of x.  Measures distance to a set
         rather than the value of f, which stays meaningful for
         barely-converged candidates.  A constant f is decided by its value."""
         c = f.constant_value()
@@ -635,23 +614,23 @@ class PointCalculus:
             value, grad = probe(y)
             F = np.append(self.g_values(y), value)
             if np.max(np.abs(F)) <= PROBE_TOL:
-                return bool(np.linalg.norm(y - x0) <= radius)
+                return bool(np.linalg.norm(y - x0) <= PROBE_RADIUS)
             A = np.vstack([self._dg_kernel(y), grad])
             step = _lstsq(A, F)
             if not np.all(np.isfinite(step)):
                 return False
             y = y - step
-            if np.linalg.norm(y - x0) > 10 * radius + 1.0:
+            if np.linalg.norm(y - x0) > 10 * PROBE_RADIUS + 1.0:
                 return False
         return False
 
-    def near_critical_set(self, x, radius: float = PROBE_RADIUS) -> bool:
-        return self._near_zero_set(self.det, x, radius)
+    def near_critical_set(self, x) -> bool:
+        return self._near_zero_set(self.det, x)
 
-    def near_sigma(self, x, radius: float = PROBE_RADIUS) -> bool:
+    def near_sigma(self, x) -> bool:
         """The one test for Sigma: a critical point or a pole of the
-        potential within `radius` of x."""
-        return self.near_critical_set(x, radius) or self._near_zero_set(self._den, x, radius)
+        potential within PROBE_RADIUS of x."""
+        return self.near_critical_set(x) or self._near_zero_set(self._den, x)
 
 
 def check_calculus(pc: PointCalculus, setup: AlgebraicSetup):

@@ -4,7 +4,11 @@ A Darboux point is a joint zero of the variety equations G = 0 and the
 normalization grad V(q, w) = q (intrinsic gradient), excluding the origin
 and anything inside the critical set of the potential.  Solutions can come
 in positive-dimensional families, so the Newton iteration uses least-squares
-steps and candidates are deduplicated rather than assumed isolated.
+steps and candidates are deduplicated rather than assumed isolated.  The
+residual rows grad V - q and G come from one place, the calculus's trial
+kernel (PointCalculus.darboux_trial): each Newton trial reads them against
+the current residual, and each candidate's reported residuals against an
+infinite one.
 
 Rejection is conservative: a candidate is discarded when a short Newton
 probe finds an actual critical point within a small radius, not merely when
@@ -201,9 +205,13 @@ def solve_darboux(pc: PointCalculus,
     result = DarbouxResult(failed_starts=failed)
     n = pc.n
     for x, label in distinct:
-        F = pc.darboux_residual(x)
-        grad_res = float(np.max(np.abs(F[:n]))) if n else 0.0
-        con_res = float(np.max(np.abs(F[n:]))) if pc.s else 0.0
+        # every candidate passed a trial at x, and against an infinite
+        # residual every finite row passes
+        out = pc.darboux_trial(x.tolist(), np.inf)
+        if out is None:
+            raise RuntimeError(f"the residual rows of candidate {label} failed an infinite bound")
+        rows, _ = out
+        grad_res, con_res = _largest(rows[:n]), _largest(rows[n:])
         if pc.near_sigma(x):
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,

@@ -257,7 +257,7 @@ def _sample_points(setup, rng, count):
             continue
         x = np.concatenate([q.astype(complex), w])
         try:
-            if pc.near_critical_set(x, radius=1e-3):
+            if pc.near_critical_set(x):
                 continue
         except Exception:
             continue

@@ -26,8 +26,11 @@ instrument = load_instrument()
 # functions, so the class that held the table's checks is gone.  Monodromy
 # is continued by Taylor series, so the companion matrix of the ODE
 # transport has no caller left.  The constrained flow solves for dw/dq by
-# triangular substitution, so the calculus has no w_derivative.
+# triangular substitution, so the calculus has no w_derivative.  The
+# Darboux residual's rows come only from the search's trial kernel
+# (PointCalculus.darboux_trial), so the calculus has no darboux_residual.
 STALE_WRAP_POINTS = [
+    "calculus.PointCalculus.darboux_residual (calculus.darboux_residual)",
     "calculus.PointCalculus.w_derivative (calculus.w_derivative)",
     "admissibility.AdmissibilityTable.check_pair_exact (admissibility.check_exact)",
     "admissibility.AdmissibilityTable.check_pair_numeric (admissibility.check_numeric)",

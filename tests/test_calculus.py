@@ -10,6 +10,7 @@ from algpot import PointCalculus, RatExpr, calculus, detect_homogeneity, parse_p
 from algpot.nbody import NBodyConfig, build
 
 from conftest import DRAW1_TEXT, on_cone
+from residual_reference import jacobian, reference_rows
 
 
 def branch_value(pc, setup, q, w_seed):
@@ -152,7 +153,7 @@ def test_cone_hessian_entries_on_variety(cone_setup):
 def test_euler_identity_at_darboux_point(cone_setup):
     pc = PointCalculus(cone_setup)
     c = np.array([1 / 3, 0.0, 1 / 3], dtype=complex)
-    assert float(np.max(np.abs(pc.darboux_residual(c)))) < 1e-14
+    assert float(np.max(np.abs(reference_rows(pc, c)))) < 1e-14
     H = pc.hess(c)
     pi = c[:2]
     k = 3
@@ -257,9 +258,9 @@ def test_sigma_probe_catches_stalled_candidates(trap_setup):
     # pointwise determinant test is too weak here: |detJ| exceeds 1e-8, a
     # yardstick for "numerically singular"
     assert abs(pc.det_value(stalled)) > 1e-8
-    assert pc.near_sigma(stalled, radius=1e-4)
+    assert pc.near_sigma(stalled)
     legit = np.array([4 / 25, 0.0, 2 / 5], dtype=complex)
-    assert not pc.near_sigma(legit, radius=1e-4)
+    assert not pc.near_sigma(legit)
 
 
 def test_gradient_raises_on_critical_fiber(trap_setup):
@@ -276,12 +277,12 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     assert compiled == []  # building generates no code
     rng = np.random.default_rng(3)
     x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
-    pc.darboux_system(x)
-    pc.darboux_residual(x)
-    kernels = [pc._point_kernel.kernel, pc._hessian_kernel, pc._g_kernel]
+    jacobian(pc, x)
+    pc.darboux_trial(x.tolist(), np.inf)
+    kernels = [pc._point_kernel.kernel, pc._hessian_kernel, pc._trial_kernel.kernel]
     assert [k for _, k in compiled] == kernels
-    pc.darboux_system(x + 0.1)
-    pc.darboux_residual(x)
+    jacobian(pc, x + 0.1)
+    pc.darboux_trial(x.tolist(), np.inf)
     pc.hess(x)
     assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each kernel it

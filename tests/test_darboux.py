@@ -1,11 +1,21 @@
 """Darboux point search: acceptance, rejection reasons, determinism."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from algpot.calculus import PointCalculus
-from algpot.darboux import solve_darboux
+from algpot.darboux import _largest, solve_darboux
+from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
+from algpot.pipeline import AnalysisOptions, hunt
+
+from residual_reference import unfused_trial
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import corpus  # noqa: E402
 
 
 def test_cone_circle_points(cone_setup):
@@ -96,3 +106,43 @@ def test_seed_starts_take_precedence(cone_setup):
     hit = [r for r in res.accepted if r.start_label == "seed[0]"]
     assert hit, "the explicit seed should be credited for its own solution"
     assert np.linalg.norm(np.asarray(hit[0].point) - target) < 1e-8
+
+
+def hunts():
+    """(calculus, options) of the small corpus and equal-mass 3x2 at hunt seed 0."""
+    cases = [(PointCalculus(parse_problem(p.text(), label=p.name)), AnalysisOptions(seed=0))
+             for p in corpus()]
+    cfg = NBodyConfig(n=3, dim=2, masses=(1, 1, 1))
+    return cases + [(PointCalculus(build(cfg)), AnalysisOptions(nbody=cfg, seed=0))]
+
+
+def test_reported_residuals_are_the_reference_rows():
+    # each candidate's residuals, accepted or rejected, are the largest of
+    # its rows, bit for bit those of the G kernel and the point kernel
+    # evaluated apart from the trial kernel that the search reads them from
+    entries = 0
+    for pc, opt in hunts():
+        res = hunt(pc, opt)
+        for rep in res.accepted + res.rejected:
+            rows, _ = unfused_trial(pc, rep.point.tolist(), np.inf)
+            assert rep.grad_residual == _largest(rows[:pc.n])
+            assert rep.constraint_residual == _largest(rows[pc.n:])
+            entries += 1
+    assert entries >= 100  # 65 accepted and 42 rejected
+
+
+def test_a_candidate_whose_rows_fail_an_infinite_bound_is_a_fault(cone_setup, monkeypatch):
+    # every candidate passed a trial at its point, so its rows cannot fail
+    # against res = inf; if they do, the search raises rather than report it
+    pc = PointCalculus(cone_setup)
+    trial = pc.darboux_trial
+    calls = []
+
+    def second_call_fails(xs, res):
+        calls.append(res)
+        return None if len(calls) == 2 else trial(xs, res)
+
+    monkeypatch.setattr(pc, "darboux_trial", second_call_fails)
+    with pytest.raises(RuntimeError, match="failed an infinite bound"):
+        solve_darboux(pc, seeds=[np.array([1 / 3, 0.0, 1 / 3], dtype=complex)], n_random=0)
+    assert calls == [np.inf, np.inf]  # the start converged at once

@@ -234,18 +234,57 @@ def test_generated_code_runs_only_through_the_emitter():
     assert uses == ["expr.compile_arrays -> exec"]
 
 
+def calculus_calls(path: Path) -> set:
+    """The methods that the module calls on its calculus, pc.method(...)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "pc"}
+
+
+def readers(path: Path, name: str) -> list:
+    """module.Qual for each read of the attribute name, as an attribute or as
+    a string (getattr(self, "name")), in the module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name) or (
+                    isinstance(child, ast.Constant) and child.value == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [path.stem])
+    return found
+
+
+def test_the_darboux_residual_has_one_producer():
+    # the trial kernel is the one producer of the residual's rows: the
+    # search's trials and its candidates both read them through
+    # darboux_trial, and nothing else in the package reads the kernel
+    assert calculus_calls(SRC / "darboux.py") == {
+        "darboux_trial", "darboux_system", "hess", "near_sigma"}
+    found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
+    assert found == ["calculus.PointCalculus.compile_analysis_kernels",
+                     "calculus.PointCalculus.darboux_trial"]
+
+
 def test_generated_source_names_no_variable():
     setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
     pc = PointCalculus(setup)
     q = np.arange(1.0, 7.0) + 0j
     x = np.concatenate([q, pc.solve_fiber(q, np.full(3, 5.0))])
-    pc.darboux_residual(x)
-    pc.darboux_system(x)
+    pc.darboux_trial(x.tolist(), np.inf)
+    pc.hess(x)
     pc.near_sigma(x)
     sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._point_kernel.kernel.source,
-               pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+               pc._trial_kernel.kernel.source, pc._hessian_kernel.source, pc._v_kernel.source,
+               pc._det_kernel.source]
     sources += [k.source for k in pc._probes.values()]
-    assert len(sources) == 8
+    assert len(sources) == 9
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 

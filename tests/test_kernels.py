@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algpot.calculus import PROBE_RADIUS, PointCalculus
+from algpot.calculus import PointCalculus
 from algpot.expr import PoleError, RatExpr, Substitution, compile_arrays
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
@@ -126,7 +126,7 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
         assert outcome(pc.potential_value, x) == outcome(lambda y: complex(ref_v(y)), x)
         assert outcome(pc.det_value, x) == outcome(lambda y: complex(ref_det(y)), x)
         for f, ref_value, ref_grad in probes:
-            pc._near_zero_set(f, x, PROBE_RADIUS)  # compiles f's probe kernel
+            pc._near_zero_set(f, x)  # compiles f's probe kernel
             value, grad = pc._probes[f](x)
             assert outcome(lambda y: value, x) == outcome(ref_value, x)
             assert outcome(lambda y: grad, x) == outcome(ref_grad, x)

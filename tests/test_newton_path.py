@@ -8,16 +8,18 @@ computed, stopping at the first that fails, as NumPy's absolute would
 decide it (expr.rows_below: Python's abs away from the residual, NumPy's
 near it; a property test draws values and residuals within 8 ulp of each
 other, and another holds the fused kernel to the G kernel and the point
-kernel decided row by row).  The pin rows are decided last; a trial whose
-every row passes hands its first derivatives on to its Jacobian, writes
-its rows as the residual, and only accepted steps build a Jacobian; the
-traced tests follow the entry points darboux_trial and darboux_system,
-and count the evaluations of the trial kernel and the point kernel.  Gradients
-and Hessians evaluate only their non-zero partials; the calculus keeps no
-per-point state, so first derivatives passed by a caller and ones it
-computes itself give the same bits.  Each is held here, bit
-for bit, against the straightforward form it replaces, and the Lagrangian
-assembly against the per-variable one within roundoff.
+kernel decided row by row).  The trial kernel is the package's one
+producer of the residual's rows, so the reference rows here are those
+unfused steps (residual_reference), which never read it.  The pin rows
+are decided last; a trial whose every row passes hands its first
+derivatives on to its Jacobian, writes its rows as the residual, and only
+accepted steps build a Jacobian; the traced tests follow the entry points
+darboux_trial and darboux_system, and count the evaluations of the trial
+kernel and the point kernel.  Gradients and Hessians evaluate only their
+non-zero partials; the calculus keeps no per-point state, so a trial's
+first derivatives and first_derivatives' give the same bits.  Each is held
+here, bit for bit, against the straightforward form it replaces, and the
+Lagrangian assembly against the per-variable one within roundoff.
 J = dG/dw is lower triangular, so the adjoint u = J^-T d_wV, grad V,
 W = -J^-1 B and the fiber Newton step come from triangular substitution;
 they are held to NumPy's solve within a relative bound, and the refusals
@@ -38,7 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot import calculus, darboux
-from algpot.calculus import PROBE_RADIUS, CriticalPointError, PointCalculus, _forward, _lstsq
+from algpot.calculus import CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem, CriticalSetError
 from algpot.expr import ZERO, PoleError, RowTest, compile_arrays, rows_below
@@ -48,6 +50,7 @@ from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT
+from residual_reference import jacobian, reference_rows, unfused_trial
 
 LINEAR_TEXT = """\
 vars q1 q2
@@ -57,8 +60,13 @@ potential q1 - 3*w1
 
 
 def full_system(pc, xv, pins):
-    """(F, Jacobian) of the Darboux system plus the pin rows pins @ x = 0."""
-    F, Jac = pc.darboux_residual(xv), pc.darboux_system(xv)
+    """(F, Jacobian) of the Darboux system plus the pin rows pins @ x = 0,
+    the rows from the unfused steps; None where a row is not finite or the
+    point is refused."""
+    F = reference_rows(pc, xv)
+    if F is None:
+        return None
+    Jac = jacobian(pc, xv)
     if pins is not None:
         F = np.concatenate([F, pins @ xv])
         Jac = np.vstack([Jac, pins])
@@ -77,9 +85,12 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
         return full_system(pc, xv, pins)
 
     try:
-        F, Jac = system(x)
+        start = system(x)
     except (CriticalPointError, PoleError):
         return None, accepted
+    if start is None:
+        return None, accepted
+    F, Jac = start
     res = float(np.max(np.abs(F)))
     for _ in range(max_iter):
         if res <= conv_tol:
@@ -92,10 +103,13 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
         for _halving in range(30):
             x_try = x + scale * step
             try:
-                F_try, Jac_try = system(x_try)
+                trial = system(x_try)
             except (CriticalPointError, PoleError):
+                trial = None
+            if trial is None:
                 scale *= 0.5
                 continue
+            F_try, Jac_try = trial
             r_try = float(np.max(np.abs(F_try)))
             if r_try < res or r_try <= conv_tol:
                 x, F, Jac, res = x_try, F_try, Jac_try, r_try
@@ -279,24 +293,6 @@ def trial_calculus(name):
     return PointCalculus(build(spec) if isinstance(spec, NBodyConfig) else parse_problem(spec))
 
 
-def unfused_trial(pc, xs, res):
-    """A trial as separate steps: the G kernel, its rows decided by NumPy's
-    absolute, then the point kernel and grad V - q, decided likewise; None
-    where a row fails or the point is refused, else (rows, first)."""
-    try:
-        g = pc.g_scalars(xs)
-        if not darboux._largest(np.array(g, dtype=complex)) < res:
-            return None
-        point = pc._point_kernel
-        first = point.on_list(xs)
-        rows = [v - q for v, q in zip(first[point.grad], xs)]
-        if not darboux._largest(np.array(rows, dtype=complex)) < res:
-            return None
-    except (CriticalPointError, PoleError):
-        return None
-    return rows + list(g), first
-
-
 def trial_point(pc, rng, kind):
     """A point of pc's space: complex, real, on the variety, with special
     entries, or with an extension variable at 0, where J has a zero
@@ -327,7 +323,7 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
     pc = trial_calculus(name)
     x = trial_point(pc, np.random.default_rng(seed), kind)
     xs = x.tolist()
-    absolutes = np.abs(np.array(pc.g_scalars(xs), dtype=complex))
+    absolutes = np.abs(pc.g_values(xs))
     full = unfused_trial(pc, xs, np.inf)
     if full is not None:
         absolutes = np.abs(np.array(full[0], dtype=complex))
@@ -416,8 +412,8 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # rows pass too builds its Jacobian, right after, at the same point,
     # from the first derivatives the trial returned; the Jacobian is built
     # at the start and accepted steps; every step solves with that point's
-    # residual, darboux_residual plus the pin rows, bit for bit, and the
-    # search returns its largest entry
+    # residual, the unfused steps' rows plus the pin rows, bit for bit, and
+    # the search returns its largest entry
     cfg, pc, seeds = three_body
     g_rejected = tied = grad_rejected = solved = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
@@ -453,7 +449,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 res, point = float(np.abs(F).max()), x
                 continue
             if value is not None:  # the point's rows and first derivatives
-                assert bits(np.array(value[0])) == bits(pc_.darboux_residual(x))
+                assert bits(np.array(value[0])) == bits(reference_rows(pc_, x))
                 assert bits(np.array(value[1])) == bits(np.array(pc_.first_derivatives(x)))
             if k == 0:
                 continue
@@ -484,28 +480,29 @@ def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
     # goes on halving from the current point, as the full-system search
     # does; here the evaluation raises at the first accepted point, once in
     # each search: the full-system search meets it in darboux_system, or,
-    # where the trial kernel raises, in darboux_residual, its own
-    # evaluation of the same rows
+    # where the trial kernel raises, in the point kernel, which its own
+    # evaluation of the same rows reads
     cfg, pc, seeds = three_body
-    for methods in (("darboux_system",), ("darboux_trial", "darboux_residual")):
-        originals = {method: getattr(PointCalculus, method) for method in methods}
+    for methods in (((PointCalculus, "darboux_system"),),
+                    ((PointCalculus, "darboux_trial"), (PointKernel, "on_list"))):
+        originals = {(owner, method): getattr(owner, method) for owner, method in methods}
         raised = []
         for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
             calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
             at = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-            for method, original in originals.items():
+            for (owner, method), original in originals.items():
                 def raising(self, x, *rest, at=at, original=original):
                     if bits(x) == bits(at):
                         raised.append(at)
                         raise CriticalPointError("raised at the first accepted point")
                     return original(self, x, *rest)
 
-                monkeypatch.setattr(PointCalculus, method, raising)
+                monkeypatch.setattr(owner, method, raising)
             expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
             got = _newton(pc_, x0, pins, conv_tol, max_iter)
-            for method, original in originals.items():
-                monkeypatch.setattr(PointCalculus, method, original)
+            for (owner, method), original in originals.items():
+                monkeypatch.setattr(owner, method, original)
             assert same_bits(got, expected)
         assert len(raised) == 8  # once in each search, four starts
 
@@ -627,12 +624,9 @@ def test_live_partials_match_dense_evaluation(text):
         # computes (u, W and all that reads them) within roundoff of the
         # LU solves of NumPy's solve
         n = setup.n
-        dG_live = pc._dg_blocks(x)[2]
-        assert bits(dG_live[:, n:]) == bits(J)
-        assert bits(dG_live[:, :n]) == bits(B)
-        Jac_live = pc.darboux_system(x)
-        assert bits(Jac_live[n:]) == bits(Jac[n:])
-        F_live = pc.darboux_residual(x)
+        Jac_live = jacobian(pc, x)
+        assert bits(Jac_live[n:, n:]) == bits(J) and bits(Jac_live[n:, :n]) == bits(B)
+        F_live = np.array(pc.darboux_trial(x.tolist(), np.inf)[0], dtype=complex)
         assert bits(F_live[n:]) == bits(F[n:])
         assert close_to(pc.grad(x), g) and close_to(F_live, F) and close_to(Jac_live, Jac)
         assert close_to(pc.hess(x), H)
@@ -673,10 +667,10 @@ def test_slot_lists_hold_only_live_partials():
     assert "a0[" not in lin._hessian_kernel.source and "a1[" not in lin._hessian_kernel.source
     x = np.array([0.3, -1.1, 0.0], dtype=complex)
     x[2] = x[0] + 2 * x[1]
-    Jac = lin.darboux_system(x)
+    Jac = jacobian(lin, x)
     assert np.array_equal(Jac[:2, :2], -np.eye(2))
     plain = PointCalculus(parse_problem(PLAIN_TEXT))
-    dG = plain._dg_blocks(np.zeros(2))[2]
+    dG = jacobian(plain, np.zeros(2))[2:]
     assert dG[:, 2:].shape == (0, 0) and dG.shape == (0, 2)
 
 
@@ -685,24 +679,24 @@ def test_slot_lists_hold_only_live_partials():
 # ---------------------------------------------------------------------------
 
 def point_results(pc, x):
-    """Everything the calculus computes at x, as bytes: each method with the
-    first derivatives solved from x, and each that takes them with the ones
-    first_derivatives returned."""
-    first = pc.first_derivatives(x)
-    return [bits(r) for r in (pc.grad(x), pc.darboux_residual(x), pc.darboux_system(x),
-                              pc.hess(x), *first, pc.grad(x, first),
-                              pc.darboux_system(x, first))]
+    """Everything the calculus computes at x, as bytes: the gradient, the
+    Jacobian from first_derivatives' values, the Hessian, those values, and
+    the search trial's rows and first derivatives against res = inf."""
+    rows, first = pc.darboux_trial(x.tolist(), np.inf)
+    return [bits(r) for r in (pc.grad(x), jacobian(pc, x), pc.hess(x),
+                              *pc.first_derivatives(x), np.array(rows), *first)]
 
 
 def test_a_calculus_answers_every_point_as_a_fresh_one():
     setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
     pc = PointCalculus(setup)
     a, b = sample_points(setup, 2, seed=4)[:2]
+    size = len(pc.first_derivatives(a))
     for x in (a, b, a):
         results = point_results(pc, x)
         assert results == point_results(PointCalculus(setup), x)
-        # passed first derivatives give what solved ones give
-        assert results[-2:] == [results[0], results[2]]
+        # the trial's first derivatives are first_derivatives' values
+        assert results[3:3 + size] == results[-size:]
     # the same array changed in place after a call is a new point
     x = a.copy()
     pc.grad(x)
@@ -730,11 +724,11 @@ def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
             first = pc.first_derivatives(x)
         except (CriticalPointError, PoleError):
             continue
-        fresh = PointCalculus(setup).darboux_system(x)
+        fresh = jacobian(PointCalculus(setup), x)
         system.fill(complex(np.nan, np.inf))
         out = system[:m]
         assert pc.darboux_system(x, first, out) is out
-        assert bits(out) == bits(fresh) == bits(pc.darboux_system(x, first))
+        assert bits(out) == bits(fresh)
         assert np.isnan(system[m:].real).all() and np.isinf(system[m:].imag).all()
         compared += 1
     assert compared >= 5
@@ -744,8 +738,10 @@ def test_singular_fiber_raises_on_every_call(trap_setup):
     pc = PointCalculus(trap_setup)
     good = np.array([0.25, 1.0, 0.5], dtype=complex)
     singular = np.array([0.0, 1.0, 0.0], dtype=complex)
-    for method in (pc.first_derivatives, pc.grad, pc.darboux_residual, pc.darboux_system,
-                   pc.hess):
+    def trial(x):
+        return pc.darboux_trial(x.tolist(), np.inf)
+
+    for method in (pc.first_derivatives, pc.grad, trial, pc.hess):
         pc.grad(good)
         for _ in range(3):
             with pytest.raises(CriticalPointError):
@@ -787,10 +783,10 @@ def test_substitution_matches_numpy_solve(name):
             continue  # a singular J or a pole, held below
         first = pc.first_derivatives(x)
         u = np.array(first[point.u], dtype=complex)
-        W = pc._dg_blocks(x, first)[1]
+        W = pc._dg_blocks(x, first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
         step = _forward(J, G, pc._coupled)
         assert u.shape == u_ref.shape and close_to(u, u_ref, SOLVE_REL)
-        assert close_to(pc.grad(x, first), vg[:n] - B.T @ u_ref, SOLVE_REL)
+        assert close_to(pc.grad(x), vg[:n] - B.T @ u_ref, SOLVE_REL)
         assert W.shape == W_ref.shape and close_to(W, W_ref, SOLVE_REL)
         assert step.shape == step_ref.shape and close_to(step, step_ref, SOLVE_REL)
         compared += 1
@@ -821,14 +817,22 @@ def test_a_singular_or_non_finite_fiber_is_refused_every_time(case):
     pc = PointCalculus(setup)
     x = np.array(point, dtype=complex)
     for _ in range(3):
-        for method in (pc.first_derivatives, pc.grad, pc.darboux_residual, pc.darboux_system,
-                       pc.hess):
+        for method in (pc.first_derivatives, pc.grad, pc.hess):
             with pytest.raises(CriticalPointError, match="singular or not finite"):
                 method(x)
         assert pc.solve_fiber(x[:setup.n], x[setup.n:]) is None
         state = np.concatenate([x[:setup.n].real, np.zeros(setup.n), x[setup.n:].real])
         with pytest.raises(CriticalSetError, match="singular or not finite"):
             ConstrainedSystem(pc).rhs(0.0, state)
+
+
+def faked(values):
+    """A kernel whose entry points return values at every point."""
+    def kernel(*args):
+        return values
+
+    kernel.on_list = kernel
+    return kernel
 
 
 def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
@@ -844,15 +848,10 @@ def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
     for slot in range(point.checked.start, point.checked.stop):
         for bad in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
             values = good[:slot] + (bad,) + good[slot + 1:]
-            vars(pc)["_point_kernel"] = point._replace(kernel=lambda y, v=values: v)
+            vars(pc)["_point_kernel"] = point._replace(kernel=faked(values))
             shift = trial.checked.start - point.checked.start
             values = good_trial[:shift + slot] + (bad,) + good_trial[shift + slot + 1:]
-
-            def fake(y, res, v=values):
-                return v
-
-            fake.on_list = fake
-            vars(pc)["_trial_kernel"] = trial._replace(kernel=fake)
+            vars(pc)["_trial_kernel"] = trial._replace(kernel=faked(values))
             for _ in range(2):
                 with pytest.raises(CriticalPointError, match="singular or not finite"):
                     pc.first_derivatives(x)
@@ -868,7 +867,7 @@ def test_no_extension_variables_give_empty_solves():
     x = np.array([0.5, -1.0], dtype=complex)
     first = pc.first_derivatives(x)
     assert first[pc._point_kernel.u] == () and first[pc._point_kernel.checked] == ()
-    dg, W, dG = pc._dg_blocks(x, first)
+    dg, W, dG = pc._dg_blocks(x, first, np.empty((2, 2), dtype=complex))
     assert W.shape == (0, 2) and dG.shape == (0, 2) and dg.shape == (2, 2)
     J = np.zeros((0, 0), dtype=complex)
     u, W = _forward(J, np.zeros(0, dtype=complex), ()), _forward(J, np.zeros((0, 3)) + 0j, ())
@@ -891,10 +890,11 @@ def least_squares_systems(pc, text, x, pinned, rng):
     ones elsewhere), and the proximity probe's step toward each zero set."""
     systems = []
     try:
-        F, Jac = pc.darboux_residual(x), pc.darboux_system(x)
+        system = full_system(pc, x, None)
     except (CriticalPointError, PoleError):
-        pass
-    else:
+        system = None
+    if system is not None:
+        F, Jac = system
         if pinned:
             if text == "nbody":
                 pins = pinning_conditions(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)), x)
@@ -906,7 +906,7 @@ def least_squares_systems(pc, text, x, pinned, rng):
         systems.append((Jac, -F))
     for f in (pc.det, pc._den):
         if f.constant_value() is None:
-            pc._near_zero_set(f, x, PROBE_RADIUS)  # compiles f's probe kernel
+            pc._near_zero_set(f, x)  # compiles f's probe kernel
             value, grad = pc._probes[f](x)
             systems.append((np.vstack([pc._dg_kernel(x), grad]), np.append(pc.g_values(x), value)))
     return systems

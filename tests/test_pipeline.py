@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import algpot
-from algpot import calculus, darboux, nbody, pipeline
+from algpot import darboux, nbody, pipeline
 from algpot.admissibility import Certificate, certify
 from algpot.calculus import PointCalculus
 from algpot.cli import main
@@ -26,8 +26,6 @@ def test_each_setting_has_one_definition():
     # identity, not equality: a re-typed literal is a second definition
     # (constant, its uses) pairs: equal constants would collide as dict keys
     defaults = [
-        (calculus.PROBE_RADIUS, "radius", [PointCalculus.near_critical_set,
-                                           PointCalculus.near_sigma]),
         (darboux.N_RANDOM, "n_random", [darboux.solve_darboux]),
         (darboux.ACCEPT_TOL, "accept_tol", [darboux.solve_darboux]),
     ]

@@ -7,13 +7,14 @@ from algpot.expr import Array
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
+from residual_reference import jacobian
 
 
 def test_cone_fiber_jacobian_is_2w(cone_setup):
     pc = PointCalculus(cone_setup)
     assert pc.det == RatExpr.const(2) * RatExpr.var("w1")
     x = on_cone(0.3, 0.4)
-    J = pc._dg_blocks(x)[2][:, 2:]
+    J = jacobian(pc, x)[2:, 2:]
     assert J.shape == (1, 1)
     assert J[0, 0] == 2 * x[2]
 
@@ -162,25 +163,26 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     # 15 of the 27 partials non-zero
     assert len(diffed) == len(set(diffed)) == 27
     assert len(partial) == 15
-    pc.darboux_residual(x)
-    pc.darboux_system(x)
+    pc.darboux_trial(x.tolist(), np.inf)
+    jacobian(pc, x)
     pc.near_sigma(x)
     pc.potential_value(x)
     pc.det_value(x)
     assert len(diffed) == 27
-    assert len(compiled) == 8
+    assert len(compiled) == 9
     # every kernel the calculus has is compiled; each non-zero partial was
-    # emitted into exactly the two that evaluate the generator Jacobian:
-    # the fiber numerics' own and the point kernel (a substitution target
-    # reads earlier values and holds no expression)
+    # emitted into exactly the three that evaluate the generator Jacobian:
+    # the fiber numerics' own, the point kernel and the trial kernel, which
+    # evaluates the point kernel's targets (a substitution target reads
+    # earlier values and holds no expression)
     def emitted(kernel):
         return sorted(partial[id(e)] for targets, k in compiled if k is kernel for t in targets
                       for e in ([t] if isinstance(t, RatExpr) else
                                 [e for e, _ in t.entries] if isinstance(t, Array) else [])
                       if id(e) in partial)
-    point = pc._point_kernel.kernel
-    assert emitted(pc._dg_kernel) == emitted(point) == sorted(partial.values())
-    others = [k for _, k in compiled if k not in (pc._dg_kernel, point)]
+    point, trial = pc._point_kernel.kernel, pc._trial_kernel.kernel
+    assert emitted(pc._dg_kernel) == emitted(point) == emitted(trial) == sorted(partial.values())
+    others = [k for _, k in compiled if k not in (pc._dg_kernel, point, trial)]
     assert len(others) == 6 and not any(emitted(k) for k in others)
     # a full analysis builds its own calculus and derives each partial once
     diffed.clear()
