@@ -159,9 +159,10 @@ class PointKernel(NamedTuple):
     (dynamics.ConstrainedSystem.rhs).  The generators' values are not
     here: the flow never reads them, and a Darboux search trial evaluates
     this kernel's targets after G's, in one trial kernel that tests each
-    row as it computes it (PointCalculus.darboux_trial).  Every caller
-    holds the point as a list of complex and calls on_list: the flow's
-    right-hand side and first_derivatives each convert an array once."""
+    row after only the values it reads (PointCalculus.darboux_trial).
+    Every caller holds the point as a list of complex and calls on_list:
+    the flow's right-hand side and first_derivatives each convert an array
+    once."""
 
     kernel: Callable
     grad: slice
@@ -189,10 +190,12 @@ class PointKernel(NamedTuple):
 
 class TrialKernel(NamedTuple):
     """A Darboux search trial's kernel (PointCalculus._trial_kernel) and
-    where its values sit.  kernel.on_list(xs, res) computes G, then the
-    point kernel's values (PointKernel), and tests each row of G and of
-    grad V - q against res as soon as it is computed (expr.RowTest),
-    returning None at the first that fails:
+    where its values sit.  kernel.on_list(xs, res) tests each row of G
+    and then each row of grad V - q against res (expr.RowTest), computing
+    before each test only the values of G and of the point kernel
+    (PointKernel) that it reads and that are not yet computed, and returns
+    None at the first that fails; the values that no row reads come after
+    the last test:
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them
@@ -428,8 +431,10 @@ class PointCalculus:
         generators, then the point kernel's targets, each Substitution
         reading the same outputs s places later, then a RowTest per
         residual row, grad V - q (the gradient's output minus q_k) and G.
-        Each row test runs right after the output it reads, so G's rows are
-        decided before the point kernel's first line."""
+        compile_arrays emits it in demand order: the generators come first,
+        so G's rows are decided before the point kernel's first line, and
+        each gradient row after only the quotients, adjoint entries and
+        entries of B = dG/dq that it reads."""
         s = self.s
         point = self._point_kernel
         targets = list(self.setup.generators)
@@ -492,11 +497,14 @@ class PointCalculus:
         at Darboux candidates, and the point's first derivatives
         (first_derivatives' values), from one call of the trial kernel
         (TrialKernel), which stops at the first row that fails
-        (expr.rows_below).  Against res = inf every finite row passes, so
-        that call gives a point's rows.  J's entries and u are checked only
-        when every row has passed; raises CriticalPointError where J has a
-        zero diagonal entry or a non-finite entry, or u is not finite, and
-        PoleError at a pole, as first_derivatives does."""
+        (expr.rows_below), having computed only the values that the rows up
+        to it read.  Against res = inf every finite row passes, so that
+        call gives a point's rows.  J's entries and u are checked only when
+        every row has passed; raises CriticalPointError where J has a zero
+        diagonal entry or a non-finite entry, or u is not finite, and
+        PoleError at a pole, as first_derivatives does, but only where the
+        kernel reaches the pole or J's zero diagonal entry: a row that
+        fails first returns None."""
         trial = self._trial_kernel
         try:
             values = trial.kernel.on_list(xs, res)

@@ -69,11 +69,11 @@ def _largest(rows) -> float:
 def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
     """x's largest residual entry (_largest) when it is below res, else
     None.  The trial runs on Python complex: x becomes a list once, and one
-    call of the trial kernel (PointCalculus.darboux_trial) computes G and
-    the point's first derivatives and decides each row of G and of
-    grad V - q against res as it computes it, stopping at the first that
-    fails.  Only a trial whose kernel rows pass computes its pin rows
-    pins @ x, which NumPy computes, and decides them (expr.rows_below).
+    call of the trial kernel (PointCalculus.darboux_trial) decides each
+    row of G and of grad V - q against res after computing only the values
+    it reads, stopping at the first that fails.  Only a trial whose kernel
+    rows pass computes its pin rows pins @ x, which NumPy computes, and
+    decides them (expr.rows_below).
     The order of the decisions cannot change the outcome: a row that
     fails, a pole (PoleError) and a refused J (CriticalPointError) each
     reject the trial, and nothing else in a trial raises.  Only a trial

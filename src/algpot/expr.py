@@ -16,8 +16,9 @@ in a fixed order, so that every value is reproducible bit for bit.  A
 scalar output can also be a Substitution, one step of triangular
 substitution over earlier outputs, so a linear solve with a triangular
 matrix unrolls into the same function, or a RowTest, an earlier output
-tested against a bound as soon as it is computed (rows_below is the one
-definition of that test).  RatExpr.compile is its one-output case.
+tested against a bound after only the values it reads are computed
+(rows_below is the one definition of that test).  RatExpr.compile is its
+one-output case.
 """
 
 from __future__ import annotations
@@ -506,8 +507,10 @@ class RowTest(NamedTuple):
     the earlier scalar output `value` (named by its index in the target
     list), minus the input variable `minus` (its index in var_order, by
     Python's -) when one is given.  A kernel with row tests takes the bound
-    res as its second argument and returns None at the first row whose
-    absolute is not below res (rows_below)."""
+    res as its second argument, decides its rows in the order of the
+    outputs they read, computing before each only what it reads
+    (compile_arrays), and returns None at the first row whose absolute is
+    not below res (rows_below)."""
 
     value: int
     minus: int | None = None
@@ -559,10 +562,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     or the value itself when there is a single target.  The same function
     on a list of Python complex that it reads as given, with no conversion,
     is kept on it as `on_list`: a caller that holds x.tolist() already
-    evaluates there.  Targets and entries are evaluated in the order
-    given; the first vanishing denominator raises PoleError with its
-    printed form.  A non-zero coefficient outside double range raises
-    ExprError at compile time.
+    evaluates there.  Without row tests, targets and entries are evaluated
+    in the order given; a kernel with row tests computes in demand order
+    (see RowTest below).  The first vanishing denominator that the kernel
+    reaches raises PoleError with its printed form.  A non-zero
+    coefficient outside double range raises ExprError at compile time.
 
     Each value comes from the same operations in the same order whatever
     the target: the normal form's terms, in dict order, summed left to
@@ -601,12 +605,20 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     compile time.
 
     A RowTest's value is the output it names, minus its input variable by
-    Python's subtraction when it has one, and its test is emitted right
-    after the line of the output it names, so a row that fails stops the
-    kernel before any later output is computed.  A kernel with row tests
-    is called as kernel(x, res) and on_list(x, res), and returns None at
-    the first row that fails.  The test is rows_below's decision: the
-    kernel itself passes a row whose Python absolute a has ROW_TINY <= a <
+    Python's subtraction when it has one.  A kernel with row tests is
+    emitted in demand order: its tests run in the order of the outputs they
+    read, and before each test the kernel computes only the outputs that
+    it reads and that are not yet computed, followed through the operands
+    of each Substitution; the outputs that no test reads come after the
+    last test.  Loads, powers and denominators are still emitted at first
+    use, and the return tuple stays in target order.  Every value comes
+    from the same operations on the same inputs as in target order, so it
+    keeps its bits; but a row that fails stops the kernel before any output
+    it does not read, so a pole or a zero divisor in such an output is not
+    raised where a row fails first.  A kernel with row tests is called as
+    kernel(x, res) and on_list(x, res), and returns None at the first row
+    that fails.  The test is rows_below's decision: the kernel itself
+    passes a row whose Python absolute a has ROW_TINY <= a <
     min(res (1 - ROW_BAND), ROW_HUGE) and calls rows_below on every other
     row.  Its body runs inside one try that returns None on OverflowError,
     which only Python's abs of a row can raise there (a complex sum,
@@ -702,35 +714,32 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         """The name of RowTest k's value."""
         return f"v{targets[k].value}" if targets[k].minus is None else f"v{k}"
 
-    def row_tests(i):
-        """The lines of each RowTest that reads output i, right after it."""
-        for k in tests.get(i, ()):
-            if targets[k].minus is not None:
-                lines.append(f"v{k} = v{i} - {power(targets[k].minus, 1)}")
-            lines.append(f"if not {ROW_TINY!r} <= abs({row(k)}) < low "
-                         f"and not rows_below(({row(k)},), res): return None")
+    outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
+               else f"v{k}" for k, t in enumerate(targets)]
+    placed = set()
 
-    outputs = []
-    for k, t in enumerate(targets):
+    def place(k):
+        """Emits the lines of output k after those of every output it reads."""
+        if k in placed:
+            return
+        placed.add(k)
+        t = targets[k]
         if isinstance(t, RowTest):
-            outputs.append(row(k))
-            continue
+            return
         if isinstance(t, Substitution):
+            for i in t.operands():
+                place(i)
             step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
             if t.divisor is not None:
                 step = f"({step}) / v{t.divisor}"
             lines.append(f"v{k} = {step}")
-            outputs.append(f"v{k}")
-            row_tests(k)
-            continue
+            return
         if isinstance(t, RatExpr):
             v = value(t)
             if k in read and not t.is_polynomial:
                 v = f"complex({v})"
             lines.append(f"v{k} = {v}")
-            outputs.append(f"v{k}")
-            row_tests(k)
-            continue
+            return
         template = np.zeros(t.shape, dtype=complex)
         namespace[f"t{k}"] = template
         lines.append(f"a{k} = t{k}.copy()")
@@ -742,7 +751,18 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 continue
             slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
             lines.append(f"{slots} = {value(e)}")
-        outputs.append(f"a{k}")
+
+    # each test runs after only the outputs it reads, in the order of the
+    # outputs it reads; what no test reads comes after the last
+    for i in sorted(tests):
+        place(i)
+        for k in tests[i]:
+            if targets[k].minus is not None:
+                lines.append(f"v{k} = v{i} - {power(targets[k].minus, 1)}")
+            lines.append(f"if not {ROW_TINY!r} <= abs({row(k)}) < low "
+                         f"and not rows_below(({row(k)},), res): return None")
+    for k in range(len(targets)):
+        place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:

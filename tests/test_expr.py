@@ -270,3 +270,23 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
             compile_arrays(bad, ["x"])
     with pytest.raises(ExprError, match="out of range"):
         compile_arrays([X, RowTest(0, 1)], ["x"])
+
+
+def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
+    # the row (x + y) - y does not read 1/(x - 1), so its test runs before
+    # that output's line: at the pole x = 1 a row that fails returns None,
+    # and only a row that passes goes on to the pole
+    targets = [RatExpr.const(1) / (X - RatExpr.const(1)), X + Y, RowTest(1, 1)]
+    kernel = compile_arrays(targets, ["x", "y"])
+    y = -2.0 + 1j
+    assert kernel([1.0, y], 0.5) is None
+    assert kernel.on_list([1.0, y], 0.5) is None
+    with pytest.raises(PoleError):
+        kernel([1.0, y], 10.0)
+    # at a regular point the outputs keep the bits of the same targets
+    # compiled without the row test
+    plain = compile_arrays(targets[:2], ["x", "y"])
+    x = 0.5 + 0.25j
+    values = kernel([x, y], 10.0)
+    assert np.array(values[:2]).tobytes() == np.array(plain([x, y])).tobytes()
+    assert values[2] == (x + y) - y

@@ -1,10 +1,10 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
 The line search runs each trial on Python complex values, as one call of
-the trial kernel (PointCalculus.darboux_trial): it computes G and then the
-point's first derivatives, the adjoint and grad V, and decides each row of
-G and of grad V - q against the current residual as soon as it is
-computed, stopping at the first that fails, as NumPy's absolute would
+the trial kernel (PointCalculus.darboux_trial): it decides each row of G
+and then of grad V - q against the current residual after computing only
+the values that row reads (G, the quotients, the adjoint and grad V), in
+demand order, stopping at the first that fails, as NumPy's absolute would
 decide it (expr.rows_below: Python's abs away from the residual, NumPy's
 near it; a property test draws values and residuals within 8 ulp of each
 other, and another holds the fused kernel to the G kernel and the point
@@ -33,6 +33,8 @@ norm, within the least-squares perturbation bound.
 
 import functools
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,10 @@ from algpot.pipeline import AnalysisOptions, hunt
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT
 from residual_reference import jacobian, reference_rows, unfused_trial
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import problems as bench_problems  # noqa: E402
+from workloads import corpus  # noqa: E402
 
 LINEAR_TEXT = """\
 vars q1 q2
@@ -338,6 +344,50 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
     if got is not None:
         assert bits(np.array(got[0], dtype=complex)) == bits(np.array(expected[0], dtype=complex))
         assert bits(np.array(got[1], dtype=complex)) == bits(np.array(expected[1], dtype=complex))
+
+
+def line_numbers(source, pattern) -> list:
+    """The indices of source's lines that match pattern."""
+    return [i for i, line in enumerate(source.splitlines()) if re.match(pattern, line)]
+
+
+def test_each_trial_row_is_decided_after_only_the_values_it_reads():
+    # equal-mass 5x2: G's ten rows are decided before the first quotient's
+    # denominator, and the first gradient row, q1_1's, after only the four
+    # denominators r1j^2 of the quotients dV/dr1j that it reads
+    pc = trial_calculus("nbody5x2")
+    source = pc._trial_kernel.kernel.source
+    lines = source.splitlines()
+    tests = line_numbers(source, r"\s+if .* rows_below")
+    denominators = line_numbers(source, r"\s+d\d+ = ")
+    assert len(tests) == pc.n + pc.s and len(denominators) == pc.s == 10
+    assert tests[pc.s - 1] < denominators[0]
+    first_row = lines[tests[pc.s] - 1].split()
+    assert first_row[0] == f"v{pc._trial_kernel.rows.start}" and first_row[-1] == "x0"
+    names = pc.setup.var_names
+    assert [lines[d].split()[-1] for d in denominators if d < tests[pc.s]] == [
+        f"x{names.index(f'r1_{j}')}_2" for j in range(2, 6)]
+
+
+def test_kernels_without_row_tests_compute_in_target_order():
+    # only a kernel with row tests is emitted in demand order: every other
+    # kernel of the benchmark's setups computes its outputs in target order
+    setups = [parse_problem(p.text(), label=p.name) for p in corpus()]
+    setups += [build(NBodyConfig(n=p.nbodies, dim=p.dim, masses=p.masses))
+               for p in bench_problems.NBODY_PROBLEMS]
+    checked = 0
+    for setup in setups:
+        pc = PointCalculus(setup)
+        pc.compile_analysis_kernels()
+        sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._point_kernel.kernel.source,
+                   pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+        sources += [k.source for k in pc._probes.values()]
+        for source in sources:
+            assert "rows_below" not in source
+            order = [int(k) for k in re.findall(r"^ +v(\d+) = ", source, re.M)]
+            assert order == sorted(order), setup.label
+            checked += len(order)
+    assert checked
 
 
 TRACED = ("darboux_system", "darboux_trial")
