@@ -153,6 +153,11 @@ class PointKernel(NamedTuple):
     targets:   the target list the kernel was compiled from, which the
                trial kernel (PointCalculus.darboux_trial) compiles again
 
+    PointCalculus._point_layout is the same tuple with kernel None, before
+    any compile: the trial kernel and a Jacobian read only the layout, so
+    the kernel itself is compiled only where the flow or first_derivatives
+    evaluates it.
+
     J is lower triangular (PointCalculus._jacobian), so u is back
     substitution unrolled by expr.compile_arrays into the kernel, and the
     flow solves J wdot = -B p by forward substitution over `forward`
@@ -194,17 +199,23 @@ class TrialKernel(NamedTuple):
     and then each row of grad V - q against res (expr.RowTest), computing
     before each test only the values of G and of the point kernel
     (PointKernel) that it reads and that are not yet computed, and returns
-    None at the first that fails; the values that no row reads come after
-    the last test:
+    the index in rows of the first that fails; the values that no row reads
+    come after the last test:
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them
-    checked:   J's entries and u, as PointKernel.checked"""
+    checked:   J's entries and u, as PointKernel.checked
+    row_tests: per row, the kernel's test of that row alone, row_tests[i](xs,
+               res) true where the row passes, or None where the kernel
+               decides the row after no more code than the test would
+               run; the row the kernel decides first, G's first (grad V's
+               without generators), never has one (expr.compile_arrays)"""
 
     kernel: Callable
     rows: slice
     first: slice
     checked: slice
+    row_tests: tuple
 
 
 def _forward(J, b, coupled) -> np.ndarray:
@@ -385,9 +396,11 @@ class PointCalculus:
         return self.det.compile(self.setup.var_names)
 
     @cached_property
-    def _point_kernel(self) -> PointKernel:
-        """The one kernel of a point's first derivatives and the slices and
-        index lists that read it (see PointKernel)."""
+    def _point_layout(self) -> PointKernel:
+        """The point kernel's targets and the slices and index lists that
+        read its values (see PointKernel), with no kernel compiled (None):
+        the trial kernel compiles the same targets, and a Jacobian
+        (_dg_blocks) reads only the layout."""
         n, s, N = self.n, self.s, self.N
         J = self._jacobian
         targets = [ZERO]
@@ -418,12 +431,19 @@ class PointCalculus:
         places += [a * N + n + a for a in range(s)]
         places += [a * N + n + b for a in range(s) for i, b in below[a] if i]
         return PointKernel(
-            compile_arrays(targets, self.setup.var_names),
-            grad=slice(grad0, grad0 + n), u=slice(u0 + s - 1, u0 - 1, -1),
+            None, grad=slice(grad0, grad0 + n), u=slice(u0 + s - 1, u0 - 1, -1),
             dG=slice(b0, u0), dg_index=np.array(places, dtype=np.intp),
             checked=slice(j0, grad0),
             forward=tuple((j0 + a, _nonzero(B[a]), _nonzero(below[a])) for a in range(s)),
             targets=targets)
+
+    @cached_property
+    def _point_kernel(self) -> PointKernel:
+        """The one kernel of a point's first derivatives (PointKernel),
+        compiled on first use: the flow, grad and first_derivatives evaluate
+        it, while an analysis reads the same values from the trial kernel."""
+        layout = self._point_layout
+        return layout._replace(kernel=compile_arrays(layout.targets, self.setup.var_names))
 
     @cached_property
     def _trial_kernel(self) -> TrialKernel:
@@ -436,27 +456,29 @@ class PointCalculus:
         each gradient row after only the quotients, adjoint entries and
         entries of B = dG/dq that it reads."""
         s = self.s
-        point = self._point_kernel
+        point = self._point_layout
         targets = list(self.setup.generators)
         targets += [t.shifted(s) if isinstance(t, Substitution) else t for t in point.targets]
         r0 = len(targets)
         targets += [RowTest(s + i, k) for k, i in enumerate(range(point.grad.start,
                                                                    point.grad.stop))]
         targets += [RowTest(a) for a in range(s)]
-        return TrialKernel(compile_arrays(targets, self.setup.var_names), rows=slice(r0, None),
-                           first=slice(s, r0),
-                           checked=slice(s + point.checked.start, s + point.checked.stop))
+        kernel = compile_arrays(targets, self.setup.var_names)
+        return TrialKernel(kernel, rows=slice(r0, None), first=slice(s, r0),
+                           checked=slice(s + point.checked.start, s + point.checked.stop),
+                           row_tests=kernel.row_tests)
 
     def compile_analysis_kernels(self):
         """Compiles every kernel that an analysis may evaluate: G, dG, the
-        point kernel, the Darboux search's trial kernel, the Hessians and
-        the proximity probes toward detJ and the potential's denominator.
+        Darboux search's trial kernel, the Hessians and the proximity probes
+        toward detJ and the potential's denominator.  The point kernel is not
+        among them: the trial kernel computes its values, also for hess, and
+        holds every coefficient it does.
         pipeline.analyze calls it before it evaluates anything, so a
         derived coefficient that has no double (expr.compile_arrays raises
         ExprError) is refused for the problem, whichever evaluation would
         first have read it; every other caller keeps the calculus lazy."""
-        for name in ("_g_kernel", "_dg_kernel", "_point_kernel", "_trial_kernel",
-                     "_hessian_kernel"):
+        for name in ("_g_kernel", "_dg_kernel", "_trial_kernel", "_hessian_kernel"):
             getattr(self, name)
         for f in (self.det, self._den):
             if f.constant_value() is None:
@@ -491,30 +513,37 @@ class PointCalculus:
 
     def darboux_trial(self, xs, res: float):
         """A Darboux search trial at xs, a list of Python complex in
-        variable order, against the current residual res: None when a row
-        of G or of grad V - q has a NumPy absolute not below res, else
-        (rows, first), the residual rows F = (grad V - q, G), zero exactly
-        at Darboux candidates, and the point's first derivatives
-        (first_derivatives' values), from one call of the trial kernel
-        (TrialKernel), which stops at the first row that fails
-        (expr.rows_below), having computed only the values that the rows up
-        to it read.  Against res = inf every finite row passes, so that
-        call gives a point's rows.  J's entries and u are checked only when
-        every row has passed; raises CriticalPointError where J has a zero
-        diagonal entry or a non-finite entry, or u is not finite, and
-        PoleError at a pole, as first_derivatives does, but only where the
-        kernel reaches the pole or J's zero diagonal entry: a row that
-        fails first returns None."""
+        variable order, against the current residual res: the index of the
+        first row of F = (grad V - q, G) whose NumPy absolute is not below
+        res, in the order the trial kernel (TrialKernel) decides them, else
+        (rows, first), the residual rows F, zero exactly at Darboux
+        candidates, and the point's first derivatives (first_derivatives'
+        values), from one call of the trial kernel, which stops at the
+        first row that fails (expr.rows_below), having computed only the
+        values that the rows up to it read.  Against res = inf every finite
+        row passes, so that call gives a point's rows.  J's entries and u
+        are checked only when every row has passed; raises
+        CriticalPointError where J has a zero diagonal entry or a
+        non-finite entry, or u is not finite, and PoleError at a pole, as
+        first_derivatives does, but only where the kernel reaches the pole
+        or J's zero diagonal entry: a row that fails first returns its
+        index."""
         trial = self._trial_kernel
         try:
             values = trial.kernel.on_list(xs, res)
-            if values is None:
-                return None
+            if isinstance(values, int):
+                return values
             if all(map(isfinite, values[trial.checked])):
                 return values[trial.rows], values[trial.first]
         except ZeroDivisionError:
             pass
         raise CriticalPointError("dG/dw is singular or not finite at the point")
+
+    @property
+    def row_tests(self) -> tuple:
+        """The trial kernel's own test of each row (TrialKernel.row_tests),
+        by the index of the row that darboux_trial returns."""
+        return self._trial_kernel.row_tests
 
     def grad(self, x) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
@@ -531,7 +560,7 @@ class PointCalculus:
         needs no check of its own."""
         x = np.asarray(x, dtype=complex)
         n, s, N = self.n, self.s, self.N
-        point = self._point_kernel
+        point = self._point_layout
         dg, dG = out[:n], out[n:]
         dG.fill(0)
         dG.reshape(-1)[point.dg_index] = first[point.dG]
@@ -547,10 +576,16 @@ class PointCalculus:
         return dg, W, dG
 
     def hess(self, x) -> np.ndarray:
-        """The intrinsic Hessian P^T L P."""
+        """The intrinsic Hessian P^T L P, from x's first derivatives as a
+        trial against an infinite residual gives them (darboux_trial), the
+        bits of first_derivatives', so that an analysis compiles no point
+        kernel of its own; from first_derivatives where a row of x is not
+        finite, since the trial kernel stops at such a row."""
         n = self.n
-        dg, W, _ = self._dg_blocks(x, self.first_derivatives(x),
-                                   np.empty((n + self.s, self.N), dtype=complex))
+        x = np.asarray(x, dtype=complex)
+        out = self.darboux_trial(x.tolist(), np.inf)
+        first = out[1] if isinstance(out, tuple) else self.first_derivatives(x)
+        dg, W, _ = self._dg_blocks(x, first, np.empty((n + self.s, self.N), dtype=complex))
         return dg[:, :n] + dg[:, n:] @ W
 
     def solve_fiber(self, q, w0):

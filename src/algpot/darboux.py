@@ -66,14 +66,16 @@ def _largest(rows) -> float:
     return float(np.maximum.reduce(np.abs(rows), initial=0.0))
 
 
-def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
-    """x's largest residual entry (_largest) when it is below res, else
-    None.  The trial runs on Python complex: x becomes a list once, and one
-    call of the trial kernel (PointCalculus.darboux_trial) decides each
-    row of G and of grad V - q against res after computing only the values
-    it reads, stopping at the first that fails.  Only a trial whose kernel
-    rows pass computes its pin rows pins @ x, which NumPy computes, and
-    decides them (expr.rows_below).
+def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
+    """x's largest residual entry (_largest), a float, when it is below
+    res; else the index of the row of F that failed in the trial kernel,
+    or None where a pin row fails or the point is refused.  The trial runs
+    on Python complex: xs is x as a list, and one call of the trial kernel
+    (PointCalculus.darboux_trial) decides each row of G and of grad V - q
+    against res after computing only the values it reads, stopping at the
+    first that fails.  Only a trial whose kernel rows pass computes its pin
+    rows pins @ x, which NumPy computes, and decides them
+    (expr.rows_below).
     The order of the decisions cannot change the outcome: a row that
     fails, a pole (PoleError) and a refused J (CriticalPointError) each
     reject the trial, and nothing else in a trial raises.  Only a trial
@@ -85,9 +87,9 @@ def _trial(pc: PointCalculus, x, pins, res: float, F, Jac):
     whole.  A point off the domain (singular fiber, potential pole) fails."""
     m = pc.n + pc.s
     try:
-        out = pc.darboux_trial(x.tolist(), res)
-        if out is None:
-            return None
+        out = pc.darboux_trial(xs, res)
+        if isinstance(out, int):
+            return out
         rows, first = out
         if pins is not None:
             lin = pins @ x
@@ -116,6 +118,14 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     trial point x + scale * step and its pin rows are NumPy's; every other
     value of a trial is a Python complex, and only an accepted trial fills
     F.
+    A trial is rejected before that call when the row that rejected the
+    last rejected trial of this start fails again: the search keeps that
+    row's test (TrialKernel.row_tests), from one step to the next, and
+    runs it first.  The test computes only that row, by the kernel's own
+    operations, and rejects only where the kernel would (a row that
+    fails, a pole and a zero divisor each reject), so it moves no trial;
+    a test that passes leaves the trial to the kernel.  A row without a
+    test, a pin row and a refused point leave no test to run.
     Only the start point and an accepted trial build a Jacobian, in place
     in the leading rows of an array that holds the pin rows from the
     start, and each step is one least-squares solve with it
@@ -131,9 +141,10 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     Jac = np.empty((len(F), pc.N), dtype=complex)
     if pins is not None:
         Jac[m:] = pins
-    res = _trial(pc, x, pins, np.inf, F, Jac)
-    if res is None:
+    res = _trial(pc, x, x.tolist(), pins, np.inf, F, Jac)
+    if not isinstance(res, float):
         return None
+    row_tests, sentinel = pc.row_tests, None
     for _ in range(max_iter):
         if res <= conv_tol:
             return x, res
@@ -144,10 +155,18 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
         for _halving in range(30):
             x_try = x + scale * step
             scale *= 0.5
-            r = _trial(pc, x_try, pins, res, F, Jac)
-            if r is not None:
+            xs = x_try.tolist()
+            if sentinel is not None:
+                try:
+                    if not sentinel(xs, res):
+                        continue
+                except (OverflowError, ZeroDivisionError):
+                    continue
+            r = _trial(pc, x_try, xs, pins, res, F, Jac)
+            if isinstance(r, float):
                 x, res = x_try, r
                 break
+            sentinel = None if r is None else row_tests[r]
         else:
             break
         if np.abs(x).max() > 1e8:
@@ -208,7 +227,7 @@ def solve_darboux(pc: PointCalculus,
         # every candidate passed a trial at x, and against an infinite
         # residual every finite row passes
         out = pc.darboux_trial(x.tolist(), np.inf)
-        if out is None:
+        if isinstance(out, int):
             raise RuntimeError(f"the residual rows of candidate {label} failed an infinite bound")
         rows, _ = out
         grad_res, con_res = _largest(rows[:n]), _largest(rows[n:])

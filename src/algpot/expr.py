@@ -17,7 +17,8 @@ scalar output can also be a Substitution, one step of triangular
 substitution over earlier outputs, so a linear solve with a triangular
 matrix unrolls into the same function, or a RowTest, an earlier output
 tested against a bound after only the values it reads are computed
-(rows_below is the one definition of that test).  RatExpr.compile is its
+(rows_below is the one definition of that test); the same code generation
+also emits, per row, a test of that row alone.  RatExpr.compile is its
 one-output case.
 """
 
@@ -509,8 +510,10 @@ class RowTest(NamedTuple):
     Python's -) when one is given.  A kernel with row tests takes the bound
     res as its second argument, decides its rows in the order of the
     outputs they read, computing before each only what it reads
-    (compile_arrays), and returns None at the first row whose absolute is
-    not below res (rows_below)."""
+    (compile_arrays), and returns the index of the first row whose
+    absolute is not below res (rows_below), counting the RowTests in
+    target order.  kernel.row_tests holds, by the same index, the test
+    of each row alone, or None (compile_arrays)."""
 
     value: int
     minus: int | None = None
@@ -549,6 +552,52 @@ def rows_below(rows, res: float) -> bool:
         if not np.abs(np.array([v]))[0] < res:
             return False
     return True
+
+
+def divide(a: complex, b: complex) -> complex:
+    """a / b as NumPy divides two complex values, on Python floats: Smith's
+    method with a reciprocal scale.  It keeps the bits of NumPy's quotient,
+    but for the sign of a nan, and neither raises nor warns: b = 0 gives
+    each component of a over +0.0, an infinity or a nan, as NumPy does.  A
+    row test divides by it (compile_arrays), so that it can run at a point
+    where NumPy's division would warn."""
+    br, bi = b.real, b.imag
+    if (br if br >= 0.0 else -br) >= (bi if bi >= 0.0 else -bi):  # |br| >= |bi|, not a nan
+        if br == 0.0:
+            return complex(a.real * _INF, a.imag * _INF)
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        ar, ai = a.real, a.imag
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    if bi == 0.0:  # br is a nan, and so is every component
+        return complex(_NAN, _NAN)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    ar, ai = a.real, a.imag
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _overflowed(bound: dict, decided) -> int:
+    """The index of the row whose decision raised OverflowError in a kernel
+    with row tests, from the kernel's bound locals and its rows' (name,
+    index) pairs in the order it decides them: the first whose value is
+    bound and whose Python abs overflows, since every row decided before
+    it passed, its abs computed."""
+    for name, j in decided:
+        if name in bound:
+            try:
+                abs(bound[name])
+            except OverflowError:
+                return j
+    raise OverflowError("no row of the kernel overflows")
+
+
+class _NoRowTest(Exception):
+    """A row reads a power e >= 100, which is NumPy's and may warn, so it
+    has no row test of its own."""
 
 
 def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
@@ -616,21 +665,41 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     keeps its bits; but a row that fails stops the kernel before any output
     it does not read, so a pole or a zero divisor in such an output is not
     raised where a row fails first.  A kernel with row tests is called as
-    kernel(x, res) and on_list(x, res), and returns None at the first row
-    that fails.  The test is rows_below's decision: the kernel itself
-    passes a row whose Python absolute a has ROW_TINY <= a <
-    min(res (1 - ROW_BAND), ROW_HUGE) and calls rows_below on every other
-    row.  Its body runs inside one try that returns None on OverflowError,
-    which only Python's abs of a row can raise there (a complex sum,
-    product or quotient gives an infinity, and a power e >= 100 is
-    NumPy's), so a row whose abs overflows fails, as its NumPy absolute,
+    kernel(x, res) and on_list(x, res), and returns the index of the
+    first row that fails, counting the RowTests in target order.  The
+    test is rows_below's decision: the kernel itself passes a row whose
+    Python absolute a has ROW_TINY <= a < min(res (1 - ROW_BAND),
+    ROW_HUGE) and calls rows_below on every other row.  Its body runs
+    inside one try that, on OverflowError, which only Python's abs of a row
+    can raise there (a complex sum, product or quotient gives an infinity,
+    and a power e >= 100 is NumPy's), returns the index of the row whose
+    abs overflowed (_overflowed), so that row fails, as its NumPy absolute,
     inf, would.  Python's abs
     of a NumPy scalar is NumPy's absolute, so a quotient that a row test
     reads is made a Python complex first, as for a Substitution.  A
     RowTest that reads anything but an earlier RatExpr or Substitution,
     or subtracts a variable out of range, raises ExprError at compile time.
-    The generated source, both functions, names variables by index only and
-    is kept on the function as `source`.
+
+    The same code generation emits the row tests, kernel.row_tests, one
+    entry per RowTest by the index the kernel returns, each exec'd on its
+    own, so that the compiler never holds the syntax of the whole source:
+    row_test(xs, res), on a list
+    as on_list reads it, computes only the outputs that row reads, by the
+    kernel's operations in the kernel's order, and returns whether the row
+    passes, by the kernel's decision.  Its quotients are divide's, which
+    keeps NumPy's bits and raises and warns about nothing, because a test
+    can run where the kernel would have stopped at an earlier row; a zero
+    denominator returns False, and a zero Substitution divisor raises
+    ZeroDivisionError and an overflowing abs OverflowError, each of which
+    the kernel would meet there too.  So a test fails, or raises, only
+    where the kernel fails a row or raises before returning its values.
+    A row has a test only where the test has fewer lines than the kernel
+    computes up to that row's decision, so the first row the kernel
+    decides never has one (None), and only where the test reads no power
+    e >= 100, which is NumPy's and may warn.  A kernel without row tests
+    keeps an empty row_tests.
+    The generated source, every function, names variables by index only and
+    is kept on the kernel as `source`, the row tests last.
     """
     idx = {name: i for i, name in enumerate(var_order)}
     exprs = [t for t in targets if isinstance(t, RatExpr)]
@@ -653,126 +722,173 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             tests.setdefault(t.value, []).append(k)
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
-                 "zero": np.complex128(0j), "rows_below": rows_below}
-    lines = []
-    loaded, powers, squares, coefficients, denominators = set(), {}, {}, {}, {}
-
-    def power(i, e):
-        """The name of x[i] ** e, its line emitted on first use."""
-        if e == 1:
-            if i not in loaded:
-                loaded.add(i)
-                lines.append(f"x{i} = x[{i}]")
-            return f"x{i}"
-        if (i, e) not in powers:
-            if e >= 100:
-                value = f"complex(cdouble({power(i, 1)}) ** {e})"
-            elif e == 2:
-                value = f"{power(i, 1)} * {power(i, 1)}"
-            elif e == 3:
-                value = f"{power(i, 1)} * {power(i, 2)}"
-            else:
-                value = " * ".join(["(1+0j)"] + [square(i, k) for k in range(e.bit_length())
-                                                 if e >> k & 1])
-            powers[i, e] = f"x{i}_{e}"
-            lines.append(f"x{i}_{e} = {value}")
-        return powers[i, e]
-
-    def square(i, k):
-        """The name of x[i] squared k times over, as NumPy's binary method
-        squares; x[i] ** 2 is its first square."""
-        if k < 2:
-            return power(i, 1 + k)
-        if (i, k) not in squares:
-            squares[i, k] = f"x{i}_s{k}"
-            lines.append(f"x{i}_s{k} = {square(i, k - 1)} * {square(i, k - 1)}")
-        return squares[i, k]
+                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
+                 "overflowed": _overflowed}
+    coefficients = {}
 
     def coefficient(c):
-        if c not in coefficients:
-            coefficients[c] = f"c{len(coefficients)}"
-            namespace[coefficients[c]] = _as_complex(c)
-        return coefficients[c]
+        key = c.numerator, c.denominator  # hashed far faster than the Fraction
+        if key not in coefficients:
+            coefficients[key] = f"c{len(coefficients)}"
+            namespace[coefficients[key]] = _as_complex(c)
+        return coefficients[key]
 
-    def poly(p, start="0j"):
-        terms = [" * ".join([coefficient(c)] + [power(idx[name], e) for name, e in m])
-                 for m, c in p.items()]
-        return " + ".join([start] + terms)
+    def emitter(lines, test=False):
+        """place(k), which emits into lines the lines of output k after those
+        of every output it reads, each output, load, power and denominator
+        once, at first use; a RowTest's line is its subtraction, if any.
+        For a row test (test true) a quotient is divide's, a zero
+        denominator returns False and a power e >= 100 raises _NoRowTest."""
+        loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
-    def value(e):
-        if e.is_polynomial:
-            return poly(e.num)
-        key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
-        if key not in denominators:
-            d = denominators[key] = f"d{len(denominators)}"
-            namespace[f"{d}_text"] = _poly_str(e.den)
-            lines.append(f"{d} = {poly(e.den, 'zero')}")
-            lines.append(f"if {d} == 0: raise PoleError({d}_text)")
-        return f"({poly(e.num)}) / {denominators[key]}"
+        def power(i, e):
+            if e == 1:
+                if i not in loaded:
+                    loaded.add(i)
+                    lines.append(f"x{i} = x[{i}]")
+                return f"x{i}"
+            if (i, e) not in powers:
+                if e >= 100:
+                    if test:
+                        raise _NoRowTest
+                    value = f"complex(cdouble({power(i, 1)}) ** {e})"
+                elif e == 2:
+                    value = f"{power(i, 1)} * {power(i, 1)}"
+                elif e == 3:
+                    value = f"{power(i, 1)} * {power(i, 2)}"
+                else:
+                    value = " * ".join(["(1+0j)"] + [square(i, k) for k in range(e.bit_length())
+                                                     if e >> k & 1])
+                powers[i, e] = f"x{i}_{e}"
+                lines.append(f"x{i}_{e} = {value}")
+            return powers[i, e]
+
+        def square(i, k):
+            """The name of x[i] squared k times over, as NumPy's binary method
+            squares; x[i] ** 2 is its first square."""
+            if k < 2:
+                return power(i, 1 + k)
+            if (i, k) not in squares:
+                squares[i, k] = f"x{i}_s{k}"
+                lines.append(f"x{i}_s{k} = {square(i, k - 1)} * {square(i, k - 1)}")
+            return squares[i, k]
+
+        def poly(p, start="0j"):
+            terms = [" * ".join([coefficient(c)] + [power(idx[name], e) for name, e in m])
+                     for m, c in p.items()]
+            return " + ".join([start] + terms)
+
+        def value(e):
+            if e.is_polynomial:
+                return poly(e.num)
+            key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
+            if key not in denominators:
+                d = denominators[key] = f"d{len(denominators)}"
+                if test:
+                    lines.append(f"{d} = {poly(e.den)}")
+                    lines.append(f"if {d} == 0: return False")
+                else:
+                    namespace[f"{d}_text"] = _poly_str(e.den)
+                    lines.append(f"{d} = {poly(e.den, 'zero')}")
+                    lines.append(f"if {d} == 0: raise PoleError({d}_text)")
+            if test:
+                return f"divide({poly(e.num)}, {denominators[key]})"
+            return f"({poly(e.num)}) / {denominators[key]}"
+
+        def place(k):
+            if k in placed:
+                return
+            placed.add(k)
+            t = targets[k]
+            if isinstance(t, RowTest):
+                place(t.value)
+                if t.minus is not None:
+                    lines.append(f"v{k} = v{t.value} - {power(t.minus, 1)}")
+                return
+            if isinstance(t, Substitution):
+                for i in t.operands():
+                    place(i)
+                step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
+                if t.divisor is not None:
+                    step = f"({step}) / v{t.divisor}"
+                lines.append(f"v{k} = {step}")
+                return
+            if isinstance(t, RatExpr):
+                v = value(t)
+                if k in read and not (t.is_polynomial or test):
+                    v = f"complex({v})"
+                lines.append(f"v{k} = {v}")
+                return
+            template = np.zeros(t.shape, dtype=complex)
+            namespace[f"t{k}"] = template
+            lines.append(f"a{k} = t{k}.copy()")
+            for e, places in t.entries:
+                c = e.constant_value()
+                if c is not None:
+                    for p in places:
+                        template[p] = 0j + _as_complex(c)
+                    continue
+                slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
+                lines.append(f"{slots} = {value(e)}")
+
+        return place
 
     def row(k):
         """The name of RowTest k's value."""
         return f"v{targets[k].value}" if targets[k].minus is None else f"v{k}"
 
+    bounds = [f"low = min(res * {1.0 - ROW_BAND!r}, {ROW_HUGE!r})"]
+
+    def passes(k):
+        """Whether RowTest k's row passes: rows_below's decision, with the
+        common case made here."""
+        return f"{ROW_TINY!r} <= abs({row(k)}) < low or rows_below(({row(k)},), res)"
+
+    def row_test(k, j, limit):
+        """The source of RowTest k's own test, row_test{j}, or "" where it
+        would have limit lines or more, or reads a power e >= 100."""
+        body = []
+        try:
+            emitter(body, test=True)(k)
+        except _NoRowTest:
+            return ""
+        if len(body) >= limit:
+            return ""
+        return (f"def row_test{j}(x, res):\n" + "".join(f"    {line}\n" for line in body + bounds)
+                + f"    return {passes(k)}\n")
+
+    lines, functions = [], []
+    place = emitter(lines)
     outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
                else f"v{k}" for k, t in enumerate(targets)]
-    placed = set()
-
-    def place(k):
-        """Emits the lines of output k after those of every output it reads."""
-        if k in placed:
-            return
-        placed.add(k)
-        t = targets[k]
-        if isinstance(t, RowTest):
-            return
-        if isinstance(t, Substitution):
-            for i in t.operands():
-                place(i)
-            step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
-            if t.divisor is not None:
-                step = f"({step}) / v{t.divisor}"
-            lines.append(f"v{k} = {step}")
-            return
-        if isinstance(t, RatExpr):
-            v = value(t)
-            if k in read and not t.is_polynomial:
-                v = f"complex({v})"
-            lines.append(f"v{k} = {v}")
-            return
-        template = np.zeros(t.shape, dtype=complex)
-        namespace[f"t{k}"] = template
-        lines.append(f"a{k} = t{k}.copy()")
-        for e, places in t.entries:
-            c = e.constant_value()
-            if c is not None:
-                for p in places:
-                    template[p] = 0j + _as_complex(c)
-                continue
-            slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
-            lines.append(f"{slots} = {value(e)}")
-
+    rows = {k: j for j, k in enumerate(k for k, t in enumerate(targets) if isinstance(t, RowTest))}
+    decided = []  # (row's name, its index), in the order the kernel decides them
     # each test runs after only the outputs it reads, in the order of the
     # outputs it reads; what no test reads comes after the last
     for i in sorted(tests):
-        place(i)
         for k in tests[i]:
-            if targets[k].minus is not None:
-                lines.append(f"v{k} = v{i} - {power(targets[k].minus, 1)}")
-            lines.append(f"if not {ROW_TINY!r} <= abs({row(k)}) < low "
-                         f"and not rows_below(({row(k)},), res): return None")
+            place(k)
+            functions.append(row_test(k, rows[k], len(lines) - len(decided)))
+            lines.append(f"if not ({passes(k)}): return {rows[k]}")
+            decided.append((row(k), rows[k]))
     for k in range(len(targets)):
         place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:
-        lines = [f"low = min(res * {1.0 - ROW_BAND!r}, {ROW_HUGE!r})", "try:"] + [
-            f"    {line}" for line in lines] + ["except OverflowError:", "    return None"]
+        namespace["decided"] = tuple(decided)
+        lines = bounds + ["try:"] + [f"    {line}" for line in lines] + [
+            "except OverflowError:", "    return overflowed(locals(), decided)"]
     source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
     source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"
-    exec(source, namespace)
+    # one exec per row test: the compiler holds the syntax tree of all it
+    # is given at once, and a trial kernel's tests are most of its source
+    for text in [source] + functions:
+        exec(text, namespace)
+    source += "".join(functions)
     kernel = namespace["kernel"]
     kernel.on_list = namespace["on_list"]
+    kernel.row_tests = tuple(namespace.get(f"row_test{j}") for j in rows.values())
     kernel.source = source
     return kernel

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from algpot import calculus, expr, parse_problem
 
@@ -79,3 +80,18 @@ def on_cone(q1, q2, sign=1.0):
     """A point of the cone variety over (q1, q2)."""
     return np.array([q1, q2, sign * np.sqrt(complex(q1 * q1 + q2 * q2))],
                     dtype=complex)
+
+
+def _ldexp(m: float, e: int) -> float:
+    """m * 2^e, an infinity where that overflows (|m| = 1, e = 1024)."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(m, e))
+
+
+def float_parts():
+    """Floats over the whole exponent range: signed zeros, subnormals,
+    infinities and nan, and every binary exponent drawn alike."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    spread = st.builds(_ldexp, st.floats(-1.0, 1.0), st.integers(-1075, 1024))
+    return st.one_of(special, spread, st.floats())

@@ -140,7 +140,7 @@ def test_a_candidate_whose_rows_fail_an_infinite_bound_is_a_fault(cone_setup, mo
 
     def second_call_fails(xs, res):
         calls.append(res)
-        return None if len(calls) == 2 else trial(xs, res)
+        return 0 if len(calls) == 2 else trial(xs, res)  # row 0 failed
 
     monkeypatch.setattr(pc, "darboux_trial", second_call_fails)
     with pytest.raises(RuntimeError, match="failed an infinite bound"):

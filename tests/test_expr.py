@@ -1,6 +1,8 @@
 """Exact rational expression arithmetic: algebraic laws and evaluation."""
 
+import struct
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
 from algpot.expr import (_PONE, Array, RowTest, Substitution, _padd, _pdiff, _pmul, _pneg,
-                         compile_arrays)
+                         compile_arrays, divide)
 from algpot.parsing import parse_expression
+
+from conftest import float_parts
 
 X = RatExpr.var("x")
 Y = RatExpr.var("y")
@@ -238,7 +242,8 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
 
 def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     # rows x*y (a quotient's row is a Python complex) and (x + y) - y, each
-    # tested right after the output it reads; a failing row returns None
+    # tested right after the output it reads; a failing row returns its
+    # index among the row tests, here 1 for x*y and 0 for (x + y) - y,
     # before the later outputs, so the pole of 1/(x - 1) is not reached
     quotient = X * Y / (X + RatExpr.const(1))
     targets = [quotient, X + Y, RatExpr.const(1) / (X - RatExpr.const(1)), RowTest(1, 1),
@@ -251,25 +256,56 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     assert values[0] == complex(np.complex128(x * y) / np.complex128(x + 1))
     assert kernel.on_list([x, y], 10.0) == values
     # the bound is strict: a row equal to it fails, and so does a nan
-    assert kernel([x, y], float(np.abs(values[0]))) is None
+    assert kernel([x, y], float(np.abs(values[0]))) == 1
     with np.errstate(invalid="ignore"):  # NumPy's division by a nan
-        assert kernel([complex(np.nan, 0.0), y], np.inf) is None
+        assert kernel([complex(np.nan, 0.0), y], np.inf) == 1
     with pytest.raises(PoleError):
         kernel([1.0, y], np.inf)
-    assert kernel([1.0, y], 0.5) is None  # x*y/(x+1) = -1 + 0.5j fails first
+    assert kernel([1.0, y], 0.5) == 1  # x*y/(x+1) = -1 + 0.5j fails first
     # the row (x + y) - y = x: Python's abs of it overflows, and its NumPy
     # absolute is inf, not below any bound
     huge = complex(1.5e308, 1.5e308)
     with pytest.raises(OverflowError):
         abs(huge)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert kernel([huge, 0.0], np.inf) is None
+        assert kernel([huge, 0.0], np.inf) == 0
     for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
                 [X, RowTest(0), RowTest(1)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
             compile_arrays(bad, ["x"])
     with pytest.raises(ExprError, match="out of range"):
         compile_arrays([X, RowTest(0, 1)], ["x"])
+
+
+def test_a_rows_own_test_computes_only_what_the_row_reads():
+    # the kernel decides the quotient's row first, so that row has no test
+    # of its own; the row (x + y) - y has one, which reads neither the
+    # quotient nor 1/(x - 1): it passes at both poles, where the kernel
+    # raises, and otherwise decides as the kernel
+    targets = [X * Y / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
+               RowTest(1, 1), RowTest(0)]
+    kernel = compile_arrays(targets, ["x", "y"])
+    test = kernel.row_tests[0]
+    assert kernel.row_tests[1] is None and test is not None
+    y = -2.0 + 1j
+    for x in (1.0, -1.0):
+        with pytest.raises(PoleError):
+            kernel([x, y], 10.0)
+        assert test([x, y], 10.0) is True
+    assert test([3.0, y], 3.0) is False and kernel([3.0, y], 3.0) == 0
+    assert test([0.5, y], 10.0) is True and isinstance(kernel([0.5, y], 10.0), tuple)
+    with pytest.raises(OverflowError):
+        test([complex(1.5e308, 1.5e308), 0.0], np.inf)
+    # a test has the kernel's code for its row, with quotients by divide
+    # and a zero denominator returning False; a kernel without row tests
+    # keeps an empty row_tests
+    assert "def row_test0(x, res):" in kernel.source and "row_test1" not in kernel.source
+    pole = compile_arrays([X * Y, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
+                          ["x", "y"])
+    assert pole.row_tests[0] is None and pole.row_tests[1] is not None
+    assert "divide(0j + c1, d0)" in pole.source and "if d0 == 0: return False" in pole.source
+    assert pole.row_tests[1]([1.0, 0.0], 10.0) is False
+    assert compile_arrays([X, Y], ["x", "y"]).row_tests == ()
 
 
 def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
@@ -279,8 +315,8 @@ def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
     targets = [RatExpr.const(1) / (X - RatExpr.const(1)), X + Y, RowTest(1, 1)]
     kernel = compile_arrays(targets, ["x", "y"])
     y = -2.0 + 1j
-    assert kernel([1.0, y], 0.5) is None
-    assert kernel.on_list([1.0, y], 0.5) is None
+    assert kernel([1.0, y], 0.5) == 0
+    assert kernel.on_list([1.0, y], 0.5) == 0
     with pytest.raises(PoleError):
         kernel([1.0, y], 10.0)
     # at a regular point the outputs keep the bits of the same targets
@@ -290,3 +326,24 @@ def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
     values = kernel([x, y], 10.0)
     assert np.array(values[:2]).tobytes() == np.array(plain([x, y])).tobytes()
     assert values[2] == (x + y) - y
+
+
+def double_bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(float_parts(), float_parts(), float_parts(), float_parts())
+def test_divide_keeps_numpys_bits(ar, ai, br, bi):
+    # divide, the quotient of a kernel's row tests, is NumPy's complex
+    # division on Python floats: the same bits, zero divisors included,
+    # but for the sign of a nan, and no warning where NumPy's would warn
+    a, b = complex(ar, ai), complex(br, bi)
+    with np.errstate(all="ignore"):
+        expected = complex(a / np.complex128(b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = divide(a, b)
+    assert type(got) is complex
+    for g, e in ((got.real, expected.real), (got.imag, expected.imag)):
+        assert (np.isnan(g) and np.isnan(e)) or double_bits(g) == double_bits(e)

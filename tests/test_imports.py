@@ -264,12 +264,15 @@ def readers(path: Path, name: str) -> list:
 def test_the_darboux_residual_has_one_producer():
     # the trial kernel is the one producer of the residual's rows: the
     # search's trials and its candidates both read them through
-    # darboux_trial, and nothing else in the package reads the kernel
+    # darboux_trial, hess its first derivatives likewise, the search's own
+    # test of a row comes through row_tests, and nothing else in the
+    # package reads the kernel
     assert calculus_calls(SRC / "darboux.py") == {
         "darboux_trial", "darboux_system", "hess", "near_sigma"}
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
     assert found == ["calculus.PointCalculus.compile_analysis_kernels",
-                     "calculus.PointCalculus.darboux_trial"]
+                     "calculus.PointCalculus.darboux_trial",
+                     "calculus.PointCalculus.row_tests"]
 
 
 def test_generated_source_names_no_variable():

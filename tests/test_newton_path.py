@@ -8,18 +8,23 @@ demand order, stopping at the first that fails, as NumPy's absolute would
 decide it (expr.rows_below: Python's abs away from the residual, NumPy's
 near it; a property test draws values and residuals within 8 ulp of each
 other, and another holds the fused kernel to the G kernel and the point
-kernel decided row by row).  The trial kernel is the package's one
+kernel decided row by row), and names the row that failed.  Before that
+call the search runs the row's own test (TrialKernel.row_tests) of the
+row that rejected its last rejected trial, which rejects only where the
+unfused steps do and decides its row as they do, without a warning (a
+property test on the same points).  The trial kernel is the package's one
 producer of the residual's rows, so the reference rows here are those
 unfused steps (residual_reference), which never read it.  The pin rows
 are decided last; a trial whose every row passes hands its first
 derivatives on to its Jacobian, writes its rows as the residual, and only
-accepted steps build a Jacobian; the traced tests follow the entry points
-darboux_trial and darboux_system, and count the evaluations of the trial
-kernel and the point kernel.  Gradients and Hessians evaluate only their
-non-zero partials; the calculus keeps no per-point state, so a trial's
-first derivatives and first_derivatives' give the same bits.  Each is held
-here, bit for bit, against the straightforward form it replaces, and the
-Lagrangian assembly against the per-variable one within roundoff.
+accepted steps build a Jacobian; the traced tests follow the row tests
+and the entry points darboux_trial and darboux_system, and count the
+evaluations of the trial kernel and the point kernel.  Gradients and
+Hessians evaluate only their non-zero partials; the calculus keeps no
+per-point state, so a trial's first derivatives and first_derivatives'
+give the same bits.  Each is held here, bit for bit, against the
+straightforward form it replaces, and the Lagrangian assembly against the
+per-variable one within roundoff.
 J = dG/dw is lower triangular, so the adjoint u = J^-T d_wV, grad V,
 W = -J^-1 B and the fiber Newton step come from triangular substitution;
 they are held to NumPy's solve within a relative bound, and the refusals
@@ -34,6 +39,7 @@ norm, within the least-squares perturbation bound.
 import functools
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +57,7 @@ from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
-from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT
+from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT, float_parts
 from residual_reference import jacobian, reference_rows, unfused_trial
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -234,16 +240,6 @@ def test_row_test_compares_numpys_absolute_with_the_residual():
     assert rows_below([complex(1.5e308, 1.5e308)], np.inf) is False  # Python's abs overflows
 
 
-def parts():
-    """Floats over the whole exponent range: signed zeros, subnormals,
-    infinities and nan, and every binary exponent drawn alike."""
-    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                               1.7976931348623157e308, np.inf, -np.inf, np.nan])
-    spread = st.builds(lambda m, e: float(np.ldexp(m, e)),
-                       st.floats(-1.0, 1.0), st.integers(-1075, 1024))
-    return st.one_of(special, spread, st.floats())
-
-
 def moved(value, ulps):
     """value moved by ulps units in the last place (nan stays nan)."""
     with np.errstate(over="ignore"):  # the largest double moved up is inf
@@ -266,7 +262,7 @@ SHIFTS = st.one_of(st.integers(-8, 8), st.sampled_from(["zero", "inf"]))
 
 
 @settings(max_examples=400, deadline=None)
-@given(parts(), parts(), SHIFTS)
+@given(float_parts(), float_parts(), SHIFTS)
 def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
     # rows_below decides |v| < res by Python's abs away from res and by
     # NumPy's absolute near it, so every decision equals NumPy's, ties
@@ -277,7 +273,7 @@ def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
     res = shifted_bound(reference, shift)
     assert rows_below([v], res) is bool(reference < res)
     assert rows_below([0.0, v], res) is bool(darboux._largest(np.array([0.0, v])) < res)
-    assert (NEGATED_ROW.on_list([v], res) is not None) is bool(reference < res)
+    assert isinstance(NEGATED_ROW.on_list([v], res), tuple) is bool(reference < res)
 
 
 # the trial kernel of each against its G kernel and point kernel, decided
@@ -340,10 +336,64 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
         got = pc.darboux_trial(xs, res)
     except (CriticalPointError, PoleError):
         got = None
+    if isinstance(got, int):  # the row the kernel failed does fail
+        assert full is None or not absolutes[got] < res
+        got = None
     assert (got is None) == (expected is None)
     if got is not None:
         assert bits(np.array(got[0], dtype=complex)) == bits(np.array(expected[0], dtype=complex))
         assert bits(np.array(got[1], dtype=complex)) == bits(np.array(expected[1], dtype=complex))
+
+
+def unfused_rows(pc, xs) -> list:
+    """The residual rows (grad V - q, G) at xs, each from the unfused steps
+    (the G kernel, and the point kernel minus q), or None where its kernel
+    refuses the point; NumPy's warnings are silenced here."""
+    with np.errstate(all="ignore"):
+        g = pc.g_values(xs).tolist()
+        point = pc._point_kernel
+        try:
+            first = point.on_list(xs)
+        except (CriticalPointError, PoleError):
+            return [None] * pc.n + g
+    return [v - q for v, q in zip(first[point.grad], xs)] + g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(TRIAL_SETUPS)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["complex", "real", "variety", "special", "zero"]),
+       st.integers(0, 10 ** 6), SHIFTS)
+def test_each_row_test_decides_its_row_as_the_unfused_steps(name, seed, kind, row, shift):
+    # res sits within 8 ulp of one row's NumPy absolute, or is 0 or inf:
+    # each row's own test (TrialKernel.row_tests) rejects only where the
+    # unfused steps reject the trial, decides its row as NumPy's absolute of
+    # the unfused row, and warns about nothing, also where an earlier row
+    # is not finite, at a pole and where J has a zero diagonal entry; the
+    # row that the kernel decides first, G's first or else grad V's, has no
+    # test
+    pc = trial_calculus(name)
+    tests = pc._trial_kernel.row_tests
+    assert len(tests) == pc.n + pc.s and tests[pc.n if pc.s else 0] is None
+    x = trial_point(pc, np.random.default_rng(seed), kind)
+    xs = x.tolist()
+    rows = unfused_rows(pc, xs)
+    with np.errstate(all="ignore"):
+        absolutes = [None if v is None else np.abs(np.array([v]))[0] for v in rows]
+        known = [a for a in absolutes if a is not None]
+        res = shifted_bound(known[row % len(known)] if known else 1.0, shift)
+        rejected = unfused_trial(pc, xs, res) is None
+    for j, test in enumerate(tests):
+        if test is None:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                passed = test(xs, res)
+            except (OverflowError, ZeroDivisionError):
+                passed = False
+        assert passed or rejected
+        if absolutes[j] is not None:
+            assert passed is bool(absolutes[j] < res)
 
 
 def line_numbers(source, pattern) -> list:
@@ -357,6 +407,7 @@ def test_each_trial_row_is_decided_after_only_the_values_it_reads():
     # denominators r1j^2 of the quotients dV/dr1j that it reads
     pc = trial_calculus("nbody5x2")
     source = pc._trial_kernel.kernel.source
+    source = source[:source.index("def kernel(")]  # on_list, not the rows' own tests
     lines = source.splitlines()
     tests = line_numbers(source, r"\s+if .* rows_below")
     denominators = line_numbers(source, r"\s+d\d+ = ")
@@ -394,11 +445,13 @@ TRACED = ("darboux_system", "darboux_trial")
 
 
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
-    """(calls, result): _newton's own calls of the TRACED methods, in order,
-    as [name, point, value], with each least-squares solve as
-    ["lstsq", matrix, right-hand side]; a call made inside another traced
-    call is not the search's own, and a call that raises keeps the value
-    None.  result is what _newton returns."""
+    """(calls, result): _newton's own calls of the TRACED methods and of the
+    trial kernel's row tests, in order, as [name, point, value], with each
+    least-squares solve as ["lstsq", matrix, right-hand side]; a row test's
+    name is "row_test" and its value (row, whether it passed); a call made
+    inside another traced call is not the search's own, and a call that
+    raises keeps the value None, or (row, None).  result is what _newton
+    returns."""
     calls, depth = [], [0]
 
     def lstsq(A, b):
@@ -421,6 +474,17 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
             return value
         return call
 
+    def traced_test(row, test):
+        def call(xs, res):
+            calls.append(["row_test", np.array(xs), (row, None)])
+            passed = test(xs, res)
+            calls[-1][2] = (row, passed)
+            return passed
+        return None if test is None else call
+
+    trial = pc._trial_kernel
+    vars(pc)["_trial_kernel"] = trial._replace(row_tests=tuple(
+        traced_test(row, test) for row, test in enumerate(trial.row_tests)))
     for name in TRACED:
         setattr(pc, name, traced(name, getattr(pc, name)))
     darboux._lstsq = lstsq
@@ -430,6 +494,7 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
         darboux._lstsq = _lstsq
         for name in TRACED:
             delattr(pc, name)
+        vars(pc)["_trial_kernel"] = trial
     return calls, result
 
 
@@ -455,17 +520,22 @@ def follows(calls, k, name, x) -> bool:
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
-    # every trial is one call of the trial kernel, which decides the rows
-    # of G and then those of grad V - q; one whose G rows already fail the
-    # acceptance test is rejected there, the point kernel is never
-    # evaluated on its own, and only a trial whose gradient rows and pin
-    # rows pass too builds its Jacobian, right after, at the same point,
-    # from the first derivatives the trial returned; the Jacobian is built
-    # at the start and accepted steps; every step solves with that point's
-    # residual, the unfused steps' rows plus the pin rows, bit for bit, and
-    # the search returns its largest entry
+    # every trial first runs the own test of the row that rejected the
+    # start's last rejected trial (TrialKernel.row_tests), where that row
+    # has one; a test that fails rejects the trial, where that row's NumPy
+    # absolute is not below the residual, and one that passes hands the
+    # trial on; the trial is then one call of the trial kernel, which
+    # decides the rows of G and then those of grad V - q and names the
+    # row that failed; one whose G rows already fail the acceptance test
+    # is rejected there, the point kernel is never evaluated on its own,
+    # and only a trial whose gradient rows and pin rows pass too builds its
+    # Jacobian, right after, at the same point, from the first derivatives
+    # the trial returned; the Jacobian is built at the start and accepted
+    # steps; every step solves with that point's residual, the unfused
+    # steps' rows plus the pin rows, bit for bit, and the search returns
+    # its largest entry
     cfg, pc, seeds = three_body
-    g_rejected = tied = grad_rejected = solved = 0
+    g_rejected = tied = grad_rejected = solved = tested = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
@@ -485,7 +555,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
         # the start point's rows are computed as a trial's, then its Jacobian
         assert names[:2] == ["darboux_trial", "darboux_system"]
         assert len({bits(x) for _, x, _ in calls[:2]}) == 1
-        res = point = None
+        res = point = failed = None
         for k, (name, x, value) in enumerate(calls):
             if name == "lstsq":
                 assert bits(x) == bits(Jac) and bits(-value) == bits(F)
@@ -498,22 +568,41 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 assert bits(value) == bits(Jac[:len(value)])
                 res, point = float(np.abs(F).max()), x
                 continue
-            if value is not None:  # the point's rows and first derivatives
+            if name == "row_test":
+                # the test of the row that rejected the last rejected trial
+                row, passed = value
+                assert row == failed
+                if passed:
+                    assert follows(calls, k, "darboux_trial", x)
+                    continue
+                assert not follows(calls, k, "darboux_trial", x)
+                rows = reference_rows(pc_, x)
+                assert rows is None or not np.abs(rows[row]) < res
+                tested += 1
+            elif isinstance(value, tuple):  # the point's rows and first derivatives
                 assert bits(np.array(value[0])) == bits(reference_rows(pc_, x))
                 assert bits(np.array(value[1])) == bits(np.array(pc_.first_derivatives(x)))
             if k == 0:
                 continue
+            if name == "darboux_trial":
+                if calls[k - 1][0] != "row_test":  # the trial starts here
+                    assert failed is None or trial.row_tests[failed] is None
+                if isinstance(value, int):
+                    failed = value
+                elif not follows(calls, k, "darboux_system", x):
+                    failed = None  # a pin row failed, or the point was refused
             # a trial: its G rows, then its gradient rows, then its pin rows
+            rejected = name == "row_test" or isinstance(value, int)
             r = float(np.abs(pc_.g_values(x)).max(initial=0.0))
             if not r < res:
-                assert value is None
+                assert rejected and (name == "row_test" or value >= pc_.n)
                 g_rejected += 1
                 tied += r == res
                 continue
             g = pc_.grad(x)
             r = float(np.abs(g - x[:pc_.n]).max(initial=0.0))
             grad_rejected += not r < res
-            assert (value is not None) == (r < res)
+            assert (not rejected) == (r < res)
             passes = r < res and float(np.abs(lin).max(initial=0.0)) < res
             assert passes == follows(calls, k, "darboux_system", x)
         if result is not None:
@@ -521,7 +610,19 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # 54 trials are rejected by their G rows, 29 of them tying the current
     # residual, where a <= in place of < would compute the gradient
     assert g_rejected > 50 and tied > 25
-    assert grad_rejected > 0 and solved > 100
+    assert grad_rejected > 0 and solved > 100 and tested > 0
+    # the equal-mass 3x2 hunt at hunt seed 0: its row tests reject at least
+    # 90% of the trials that its starts reject
+    by_test = rejected = 0
+    for pc_, x0, pins, max_iter, conv_tol in hunt_cases(cfg, pc):
+        calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+        for k, (name, x, value) in enumerate(calls[1:], 1):
+            if name == "row_test" and not value[1]:
+                by_test += 1
+            rejected += (name == "row_test" and not value[1]) or (
+                name == "darboux_trial" and not (follows(calls, k, "darboux_system", x)
+                                                 and calls[k + 1][2] is not None))
+    assert by_test >= 0.9 * rejected > 0
 
 
 def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):

@@ -124,7 +124,7 @@ def test_analyze_takes_the_callers_calculus(cone_setup):
         opt = AnalysisOptions(n_random=4, seed=seed)
         (passed, code), (built, want) = analyze(cone_setup, opt, pc=pc), analyze(cone_setup, opt)
         assert report_json(passed) == report_json(built) and code == want
-    assert "_point_kernel" in vars(pc)
+    assert "_trial_kernel" in vars(pc)
 
 
 def test_analyze_refuses_another_setups_calculus(cone_setup, trap_setup):

@@ -107,3 +107,31 @@ def test_output_digest_parent_names_each_line_that_differs(monkeypatch, capsys):
         output_digest.main(["--parent", "HEAD"])
     # the exported tree is removed after every run, the failed one included
     assert len(scratch) == 3 and not any(path.exists() for path in scratch)
+
+
+def test_trial_stats_counts_each_analysis_trials_by_outcome(capsys):
+    # small-corpus at hunt seed 0: one line per analysis, whose outcomes add
+    # up to its trials, then the workload's totals; row tests reject some
+    # trials, and the wrapped search is unwrapped again afterwards
+    from algpot import darboux
+    from algpot.calculus import PointCalculus
+
+    originals = (darboux._newton, PointCalculus.darboux_trial, PointCalculus.darboux_system,
+                 PointCalculus.row_tests)
+    trial_stats = load_script("trial_stats")
+    assert trial_stats.main(["--workload", "small-corpus", "--hunt-seeds", "0"]) == 0
+    rows = []
+    for line in capsys.readouterr().out.splitlines():
+        label, _, counts = line.partition(": ")
+        words = counts.split()
+        rows.append((label, {k: int(v.replace(",", "")) for k, v in zip(words[::2], words[1::2])}))
+    assert [label for label, _ in rows] == [f"hunt-seed 0 {p}" for p in (
+        "cone", "draw0", "draw1", "draw2", "draw3", "pole", "trap")] + [
+        "hunt-seed 0 small-corpus total"]
+    for _, counts in rows:
+        assert counts["trials"] == sum(counts[o] for o in trial_stats.OUTCOMES)
+    *analyses, (_, total) = rows
+    assert all(total[k] == sum(c[k] for _, c in analyses) for k in total)
+    assert total["test"] > 0 and total["passed"] > 0
+    assert (darboux._newton, PointCalculus.darboux_trial, PointCalculus.darboux_system,
+            PointCalculus.row_tests) == originals
