@@ -11,6 +11,8 @@ after a start's own point) by the outcome that ended each:
     test     rejected by the row test that the search runs first
              (PointCalculus.row_tests), before any call of the trial kernel
     G, grad  rejected by the trial kernel at a row of G or of grad V - q
+    overflow rejected by the trial kernel at a row whose abs overflows,
+             which the kernel does not name
     pin      rejected at a pin row, after the kernel's rows passed
     refused  rejected at a pole or where J is refused
     passed   accepted: the step moved there
@@ -38,7 +40,7 @@ import workloads  # noqa: E402
 from algpot.calculus import PointCalculus  # noqa: E402
 from output_digest import ANALYZE_WORKLOADS, run_with_calculus  # noqa: E402
 
-OUTCOMES = ("test", "G", "grad", "pin", "refused", "passed")
+OUTCOMES = ("test", "G", "grad", "overflow", "pin", "refused", "passed")
 
 
 class TrialCounter:
@@ -86,6 +88,8 @@ class TrialCounter:
                 return out
             if isinstance(out, int):
                 self.counts["grad" if out < pc.n else "G"] += 1
+            elif out is None:
+                self.counts["overflow"] += 1
             else:
                 self._pending = pc
             return out
@@ -107,7 +111,7 @@ class TrialCounter:
                     self._settle("pin")
                     try:
                         passed = test(xs, res)
-                    except ArithmeticError:  # ZeroDivisionError, OverflowError
+                    except ArithmeticError:  # a pole, a zero divisor, an overflow
                         passed = False
                     if not passed:
                         self.counts["test"] += 1

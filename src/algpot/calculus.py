@@ -200,22 +200,20 @@ class TrialKernel(NamedTuple):
     before each test only the values of G and of the point kernel
     (PointKernel) that it reads and that are not yet computed, and returns
     the index in rows of the first that fails; the values that no row reads
-    come after the last test:
+    come after the last test.  kernel.row_tests holds, by the same index,
+    the kernel's test of each row alone, true where the row passes, or None
+    where the test would save too little of the kernel's code; the row the
+    kernel decides first, G's first (grad V's without generators), never
+    has one (expr.compile_arrays):
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them
-    checked:   J's entries and u, as PointKernel.checked
-    row_tests: per row, the kernel's test of that row alone, row_tests[i](xs,
-               res) true where the row passes, or None where the kernel
-               decides the row after no more code than the test would
-               run; the row the kernel decides first, G's first (grad V's
-               without generators), never has one (expr.compile_arrays)"""
+    checked:   J's entries and u, as PointKernel.checked"""
 
     kernel: Callable
     rows: slice
     first: slice
     checked: slice
-    row_tests: tuple
 
 
 def _forward(J, b, coupled) -> np.ndarray:
@@ -463,10 +461,9 @@ class PointCalculus:
         targets += [RowTest(s + i, k) for k, i in enumerate(range(point.grad.start,
                                                                    point.grad.stop))]
         targets += [RowTest(a) for a in range(s)]
-        kernel = compile_arrays(targets, self.setup.var_names)
-        return TrialKernel(kernel, rows=slice(r0, None), first=slice(s, r0),
-                           checked=slice(s + point.checked.start, s + point.checked.stop),
-                           row_tests=kernel.row_tests)
+        return TrialKernel(compile_arrays(targets, self.setup.var_names), rows=slice(r0, None),
+                           first=slice(s, r0),
+                           checked=slice(s + point.checked.start, s + point.checked.stop))
 
     def compile_analysis_kernels(self):
         """Compiles every kernel that an analysis may evaluate: G, dG, the
@@ -527,11 +524,11 @@ class PointCalculus:
         non-finite entry, or u is not finite, and PoleError at a pole, as
         first_derivatives does, but only where the kernel reaches the pole
         or J's zero diagonal entry: a row that fails first returns its
-        index."""
+        index, or None where its Python abs overflows."""
         trial = self._trial_kernel
         try:
             values = trial.kernel.on_list(xs, res)
-            if isinstance(values, int):
+            if not isinstance(values, tuple):
                 return values
             if all(map(isfinite, values[trial.checked])):
                 return values[trial.rows], values[trial.first]
@@ -541,9 +538,9 @@ class PointCalculus:
 
     @property
     def row_tests(self) -> tuple:
-        """The trial kernel's own test of each row (TrialKernel.row_tests),
-        by the index of the row that darboux_trial returns."""
-        return self._trial_kernel.row_tests
+        """The trial kernel's own test of each row (TrialKernel), by the
+        index of the row that darboux_trial returns."""
+        return self._trial_kernel.kernel.row_tests
 
     def grad(self, x) -> np.ndarray:
         """grad V = d_qV - B^T u at x."""
@@ -579,13 +576,17 @@ class PointCalculus:
         """The intrinsic Hessian P^T L P, from x's first derivatives as a
         trial against an infinite residual gives them (darboux_trial), the
         bits of first_derivatives', so that an analysis compiles no point
-        kernel of its own; from first_derivatives where a row of x is not
-        finite, since the trial kernel stops at such a row."""
+        kernel of its own.  Raises as darboux_trial does, and raises
+        CriticalPointError where a residual row is not finite, where the
+        trial stops; a J that is not finite gives such rows, and
+        first_derivatives refuses it alike."""
         n = self.n
         x = np.asarray(x, dtype=complex)
         out = self.darboux_trial(x.tolist(), np.inf)
-        first = out[1] if isinstance(out, tuple) else self.first_derivatives(x)
-        dg, W, _ = self._dg_blocks(x, first, np.empty((n + self.s, self.N), dtype=complex))
+        if not isinstance(out, tuple):
+            raise CriticalPointError("dG/dw is singular or not finite at the point, "
+                                     "or a residual row is not finite")
+        dg, W, _ = self._dg_blocks(x, out[1], np.empty((n + self.s, self.N), dtype=complex))
         return dg[:, :n] + dg[:, n:] @ W
 
     def solve_fiber(self, q, w0):

@@ -69,8 +69,9 @@ def _largest(rows) -> float:
 def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     """x's largest residual entry (_largest), a float, when it is below
     res; else the index of the row of F that failed in the trial kernel,
-    or None where a pin row fails or the point is refused.  The trial runs
-    on Python complex: xs is x as a list, and one call of the trial kernel
+    or None where no row is named: a pin row fails, the point is refused
+    or a row's abs overflows.  The trial runs on Python complex: xs is x
+    as a list, and one call of the trial kernel
     (PointCalculus.darboux_trial) decides each row of G and of grad V - q
     against res after computing only the values it reads, stopping at the
     first that fails.  Only a trial whose kernel rows pass computes its pin
@@ -88,7 +89,7 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     m = pc.n + pc.s
     try:
         out = pc.darboux_trial(xs, res)
-        if isinstance(out, int):
+        if not isinstance(out, tuple):
             return out
         rows, first = out
         if pins is not None:
@@ -120,12 +121,13 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     F.
     A trial is rejected before that call when the row that rejected the
     last rejected trial of this start fails again: the search keeps that
-    row's test (TrialKernel.row_tests), from one step to the next, and
+    row's test (PointCalculus.row_tests), from one step to the next, and
     runs it first.  The test computes only that row, by the kernel's own
-    operations, and rejects only where the kernel would (a row that
-    fails, a pole and a zero divisor each reject), so it moves no trial;
-    a test that passes leaves the trial to the kernel.  A row without a
-    test, a pin row and a refused point leave no test to run.
+    operations, and rejects only where the kernel would (a row that fails,
+    a pole, a zero divisor and an overflowing abs each reject), so it
+    moves no trial; a test that passes leaves the trial to the kernel.  A
+    row without a test, a pin row, a refused point and an unnamed row
+    leave no test to run.
     Only the start point and an accepted trial build a Jacobian, in place
     in the leading rows of an array that holds the pin rows from the
     start, and each step is one least-squares solve with it
@@ -227,7 +229,7 @@ def solve_darboux(pc: PointCalculus,
         # every candidate passed a trial at x, and against an infinite
         # residual every finite row passes
         out = pc.darboux_trial(x.tolist(), np.inf)
-        if isinstance(out, int):
+        if not isinstance(out, tuple):
             raise RuntimeError(f"the residual rows of candidate {label} failed an infinite bound")
         rows, _ = out
         grad_res, con_res = _largest(rows[:n]), _largest(rows[n:])

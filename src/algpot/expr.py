@@ -560,7 +560,8 @@ def divide(a: complex, b: complex) -> complex:
     but for the sign of a nan, and neither raises nor warns: b = 0 gives
     each component of a over +0.0, an infinity or a nan, as NumPy does.  A
     row test divides by it (compile_arrays), so that it can run at a point
-    where NumPy's division would warn."""
+    where NumPy's division would warn; NumPy's division with np.errstate
+    entered around each test measured slower (README, "Performance")."""
     br, bi = b.real, b.imag
     if (br if br >= 0.0 else -br) >= (bi if bi >= 0.0 else -bi):  # |br| >= |bi|, not a nan
         if br == 0.0:
@@ -578,21 +579,6 @@ def divide(a: complex, b: complex) -> complex:
 
 
 _INF, _NAN = float("inf"), float("nan")
-
-
-def _overflowed(bound: dict, decided) -> int:
-    """The index of the row whose decision raised OverflowError in a kernel
-    with row tests, from the kernel's bound locals and its rows' (name,
-    index) pairs in the order it decides them: the first whose value is
-    bound and whose Python abs overflows, since every row decided before
-    it passed, its abs computed."""
-    for name, j in decided:
-        if name in bound:
-            try:
-                abs(bound[name])
-            except OverflowError:
-                return j
-    raise OverflowError("no row of the kernel overflows")
 
 
 class _NoRowTest(Exception):
@@ -670,11 +656,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     test is rows_below's decision: the kernel itself passes a row whose
     Python absolute a has ROW_TINY <= a < min(res (1 - ROW_BAND),
     ROW_HUGE) and calls rows_below on every other row.  Its body runs
-    inside one try that, on OverflowError, which only Python's abs of a row
-    can raise there (a complex sum, product or quotient gives an infinity,
-    and a power e >= 100 is NumPy's), returns the index of the row whose
-    abs overflowed (_overflowed), so that row fails, as its NumPy absolute,
-    inf, would.  Python's abs
+    inside one try that returns None on OverflowError, which only Python's
+    abs of a row can raise there (a complex sum, product or quotient gives
+    an infinity, and a power e >= 100 is NumPy's), so a row whose abs
+    overflows fails, as its NumPy absolute, inf, would, but unnamed.
+    Python's abs
     of a NumPy scalar is NumPy's absolute, so a quotient that a row test
     reads is made a Python complex first, as for a Substitution.  A
     RowTest that reads anything but an earlier RatExpr or Substitution,
@@ -693,11 +679,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     ZeroDivisionError and an overflowing abs OverflowError, each of which
     the kernel would meet there too.  So a test fails, or raises, only
     where the kernel fails a row or raises before returning its values.
-    A row has a test only where the test has fewer lines than the kernel
-    computes up to that row's decision, so the first row the kernel
-    decides never has one (None), and only where the test reads no power
-    e >= 100, which is NumPy's and may warn.  A kernel without row tests
-    keeps an empty row_tests.
+    A row has a test only where the test has at most half the lines that
+    the kernel computes up to that row's decision, so that a test that
+    passes costs little next to the kernel call that follows; the first
+    row the kernel decides never has one (None).  Nor has a row whose test
+    would read a power e >= 100, which is NumPy's and may warn.  A kernel
+    without row tests keeps an empty row_tests.
     The generated source, every function, names variables by index only and
     is kept on the kernel as `source`, the row tests last.
     """
@@ -722,8 +709,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             tests.setdefault(t.value, []).append(k)
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
-                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
-                 "overflowed": _overflowed}
+                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide}
     coefficients = {}
 
     def coefficient(c):
@@ -846,13 +832,13 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
 
     def row_test(k, j, limit):
         """The source of RowTest k's own test, row_test{j}, or "" where it
-        would have limit lines or more, or reads a power e >= 100."""
+        would have more than half of limit lines, or reads a power e >= 100."""
         body = []
         try:
             emitter(body, test=True)(k)
         except _NoRowTest:
             return ""
-        if len(body) >= limit:
+        if 2 * len(body) > limit:
             return ""
         return (f"def row_test{j}(x, res):\n" + "".join(f"    {line}\n" for line in body + bounds)
                 + f"    return {passes(k)}\n")
@@ -862,23 +848,22 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
                else f"v{k}" for k, t in enumerate(targets)]
     rows = {k: j for j, k in enumerate(k for k, t in enumerate(targets) if isinstance(t, RowTest))}
-    decided = []  # (row's name, its index), in the order the kernel decides them
+    decided = 0  # the rows the kernel decides before the next
     # each test runs after only the outputs it reads, in the order of the
     # outputs it reads; what no test reads comes after the last
     for i in sorted(tests):
         for k in tests[i]:
             place(k)
-            functions.append(row_test(k, rows[k], len(lines) - len(decided)))
+            functions.append(row_test(k, rows[k], len(lines) - decided))
             lines.append(f"if not ({passes(k)}): return {rows[k]}")
-            decided.append((row(k), rows[k]))
+            decided += 1
     for k in range(len(targets)):
         place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:
-        namespace["decided"] = tuple(decided)
         lines = bounds + ["try:"] + [f"    {line}" for line in lines] + [
-            "except OverflowError:", "    return overflowed(locals(), decided)"]
+            "except OverflowError:", "    return None"]
     source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
     source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"

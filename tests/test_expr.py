@@ -243,8 +243,9 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
 def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     # rows x*y (a quotient's row is a Python complex) and (x + y) - y, each
     # tested right after the output it reads; a failing row returns its
-    # index among the row tests, here 1 for x*y and 0 for (x + y) - y,
-    # before the later outputs, so the pole of 1/(x - 1) is not reached
+    # index among the row tests, here 1 for x*y and 0 for (x + y) - y, or
+    # None where its abs overflows, before the later outputs, so the pole
+    # of 1/(x - 1) is not reached
     quotient = X * Y / (X + RatExpr.const(1))
     targets = [quotient, X + Y, RatExpr.const(1) / (X - RatExpr.const(1)), RowTest(1, 1),
                RowTest(0)]
@@ -268,7 +269,7 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     with pytest.raises(OverflowError):
         abs(huge)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert kernel([huge, 0.0], np.inf) == 0
+        assert kernel([huge, 0.0], np.inf) is None  # failed, but unnamed
     for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
                 [X, RowTest(0), RowTest(1)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
@@ -279,15 +280,17 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
 
 def test_a_rows_own_test_computes_only_what_the_row_reads():
     # the kernel decides the quotient's row first, so that row has no test
-    # of its own; the row (x + y) - y has one, which reads neither the
+    # of its own; the row (x + y) - y has one, since its code is under half
+    # of the kernel's up to its decision, and it reads neither the
     # quotient nor 1/(x - 1): it passes at both poles, where the kernel
     # raises, and otherwise decides as the kernel
-    targets = [X * Y / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
+    cubes = X ** 3 * Y ** 3
+    targets = [cubes / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
                RowTest(1, 1), RowTest(0)]
     kernel = compile_arrays(targets, ["x", "y"])
     test = kernel.row_tests[0]
     assert kernel.row_tests[1] is None and test is not None
-    y = -2.0 + 1j
+    y = -0.5 + 0.25j
     for x in (1.0, -1.0):
         with pytest.raises(PoleError):
             kernel([x, y], 10.0)
@@ -300,12 +303,17 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     # and a zero denominator returning False; a kernel without row tests
     # keeps an empty row_tests
     assert "def row_test0(x, res):" in kernel.source and "row_test1" not in kernel.source
-    pole = compile_arrays([X * Y, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
+    pole = compile_arrays([cubes, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
                           ["x", "y"])
     assert pole.row_tests[0] is None and pole.row_tests[1] is not None
     assert "divide(0j + c1, d0)" in pole.source and "if d0 == 0: return False" in pole.source
     assert pole.row_tests[1]([1.0, 0.0], 10.0) is False
     assert compile_arrays([X, Y], ["x", "y"]).row_tests == ()
+    # a test with more than half the kernel's code up to its row's
+    # decision is not emitted: the row 2/y is decided after six lines of
+    # values, four of which its test would have
+    assert compile_arrays([X * Y, RatExpr.const(2) / Y, RowTest(0), RowTest(1)],
+                          ["x", "y"]).row_tests == (None, None)
 
 
 def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
