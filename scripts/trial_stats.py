@@ -9,7 +9,8 @@ analysis with its line-search trials (every trial of `darboux._newton`
 after a start's own point) by the outcome that ended each:
 
     test     rejected by the row test that the search runs first
-             (PointCalculus.row_tests), before any call of the trial kernel
+             (PointCalculus.row_tests), before any call of the trial kernel:
+             one trial per halving that the test's scan skips
     G, grad  rejected by the trial kernel at a row of G or of grad V - q
     overflow rejected by the trial kernel at a row whose abs overflows,
              which the kernel does not name
@@ -107,15 +108,11 @@ class TrialCounter:
 
         def counted_tests(pc):
             def wrap(test):
-                def call(xs, res):
+                def call(xs, steps, k, res):
                     self._settle("pin")
-                    try:
-                        passed = test(xs, res)
-                    except ArithmeticError:  # a pole, a zero divisor, an overflow
-                        passed = False
-                    if not passed:
-                        self.counts["test"] += 1
-                    return passed
+                    first = test(xs, steps, k, res)
+                    self.counts["test"] += first - k  # one per halving it skipped
+                    return first
                 return call
             return tuple(None if t is None else wrap(t) for t in row_tests.fget(pc))
 

@@ -60,7 +60,10 @@ Stability of Numerical Algorithms, ch. 20).  The SVD driver zgelsd that
 np.linalg.lstsq calls gives the same solution in exact arithmetic at 1.7
 to 1.9 times the cost on the Newton step's systems; the tests hold the two
 to each other within roundoff.  The rank cut-off is NumPy's rcond=None,
-eps * max(m, n), and zgelsy's workspace size is queried once per shape.
+eps * max(m, n), and zgelsy's workspace size is queried once per shape; a
+caller that solves many systems of one shape (a Newton start, a probe's
+walk) keeps the right-hand side, the pivots, the cut-off and the
+workspace size in one set of buffers (lstsq_buffers).
 A system with a non-finite entry gets an all-nan solution without the
 call, which its callers take as leaving the domain.  The contraction
 sum_a u_a Hess G_a is np.dot of u as a 1 x s row with the Hessians as an
@@ -119,8 +122,10 @@ def _hessian_entries(grad, order) -> list:
 
 
 def _symmetric(entries, lead=()) -> list:
-    """Array entries writing each (a, b, e) at [lead..., a, b] and [lead..., b, a]."""
-    return [(e, [lead + (a, b), lead + (b, a)]) for a, b, e in entries]
+    """Array entries writing each (a, b, e) at [lead..., a, b] and, off the
+    diagonal, at [lead..., b, a]."""
+    return [(e, [lead + (a, b)] if a == b else [lead + (a, b), lead + (b, a)])
+            for a, b, e in entries]
 
 
 def _finite(a) -> bool:
@@ -201,10 +206,12 @@ class TrialKernel(NamedTuple):
     (PointKernel) that it reads and that are not yet computed, and returns
     the index in rows of the first that fails; the values that no row reads
     come after the last test.  kernel.row_tests holds, by the same index,
-    the kernel's test of each row alone, true where the row passes, or None
-    where the test would save too little of the kernel's code; the row the
-    kernel decides first, G's first (grad V's without generators), never
-    has one (expr.compile_arrays):
+    the kernel's test of each row alone, which scans the Darboux search's
+    halvings x + 2^-k step from a given k on and returns the first at
+    which the row passes (expr.RowTest), or None where the test would save
+    too little of the kernel's code; the row the kernel decides first, G's
+    first (grad V's without generators), never has one
+    (expr.compile_arrays):
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them
@@ -238,21 +245,49 @@ def _lstsq_work(m: int, n: int) -> int:
     return int(zgelsy_lwork(m, n, 1, LSTSQ_EPS * max(m, n))[0].real)
 
 
-def _lstsq(A, b) -> np.ndarray:
-    """The minimum-norm least-squares solution of A x = b by one call of
-    LAPACK's zgelsy, with the rank cut-off of np.linalg.lstsq(A, b,
-    rcond=None) (see the module docstring).  The column pivots start from a
-    fresh zero array on every call, so every column is free to move: the
-    driver writes its permutation back into that array.  A non-finite A or
-    b gives an all-nan x without a LAPACK call; raises LinAlgError where
-    zgelsy reports an error."""
-    m, n = A.shape
+class LstsqBuffers(NamedTuple):
+    """What _lstsq passes zgelsy for an m x n system: the right-hand side,
+    max(m, n) x 1, whose leading m entries `column` views, the column
+    pivots, the rank cut-off and the workspace size.  A caller makes them
+    once (lstsq_buffers) for all its solves of one shape: darboux._newton
+    for a start, the proximity probe for its walk."""
+
+    rhs: np.ndarray
+    column: np.ndarray
+    pivots: np.ndarray
+    cond: float
+    lwork: int
+
+
+def lstsq_buffers(m: int, n: int) -> LstsqBuffers:
+    """Fresh buffers for _lstsq's m x n systems; the rows of rhs below
+    `column` stay zero."""
+    rhs = np.zeros((max(m, n), 1), dtype=complex)
+    return LstsqBuffers(rhs, rhs[:m, 0], np.zeros(n, dtype=np.int32), LSTSQ_EPS * max(m, n),
+                        _lstsq_work(m, n))
+
+
+def _lstsq(A, b, buffers: LstsqBuffers, negate=False) -> np.ndarray:
+    """The minimum-norm least-squares solution of A x = b, or of A x = -b
+    where negate is true, by one call of LAPACK's zgelsy, with the rank
+    cut-off of np.linalg.lstsq(A, b, rcond=None) (see the module
+    docstring).  buffers, made by lstsq_buffers for A's shape, hold what
+    the call reads; b, or -b by np.negative, is written into their column.
+    The column pivots are zeroed before every call, so every column is free
+    to move: the driver writes its permutation back into that array, and a
+    stale one would fix the columns it names.  A non-finite A or b gives an
+    all-nan x without a LAPACK call; raises LinAlgError where zgelsy
+    reports an error."""
+    n = A.shape[1]
     if not (_finite(A) and _finite(b)):
         return np.full(n, np.nan, dtype=complex)
-    rhs = np.zeros((max(m, n), 1), dtype=complex)
-    rhs[:m, 0] = b
-    jpvt = np.zeros(n, dtype=np.int32)
-    _, x, _, _, info = zgelsy(A, rhs, jpvt, LSTSQ_EPS * max(m, n), _lstsq_work(m, n))
+    rhs, column, pivots, cond, lwork = buffers
+    if negate:
+        np.negative(b, out=column)
+    else:
+        column[:] = b
+    pivots.fill(0)
+    _, x, _, _, info = zgelsy(A, rhs, pivots, cond, lwork)
     if info:
         raise np.linalg.LinAlgError(f"zgelsy failed (info {info})")
     return x[:n, 0]
@@ -286,9 +321,10 @@ class PointCalculus:
     walks toward; pipeline.analyze compiles the ones an analysis may
     evaluate before it evaluates any (compile_analysis_kernels).  A
     Hessian's upper-triangle partial is evaluated once and written to both
-    places, zero partials are never evaluated and constant ones are filled
-    in once, at compile time.  The fiber numerics use the G and dG kernels
-    alone, so they never evaluate V and never meet its poles.
+    places, a diagonal one to its one place, zero partials are never
+    evaluated and constant ones are filled in once, at compile time.  The
+    fiber numerics use the G and dG kernels alone, so they never evaluate
+    V and never meet its poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -539,7 +575,8 @@ class PointCalculus:
     @property
     def row_tests(self) -> tuple:
         """The trial kernel's own test of each row (TrialKernel), by the
-        index of the row that darboux_trial returns."""
+        index of the row that darboux_trial returns: test(xs, steps, k,
+        res) is the first halving from k on at which the row passes."""
         return self._trial_kernel.kernel.row_tests
 
     def grad(self, x) -> np.ndarray:
@@ -554,15 +591,16 @@ class PointCalculus:
         are written to the rows :n and n: of out, a C-contiguous (n + s) x N
         complex array, and returned as views of it.  first_derivatives
         refused a zero diagonal entry and a non-finite entry of J, so W
-        needs no check of its own."""
-        x = np.asarray(x, dtype=complex)
+        needs no check of its own.  x is the point as a list of Python
+        complex, which the Hessian kernel reads as given (a Darboux search
+        passes its trial's list)."""
         n, s, N = self.n, self.s, self.N
         point = self._point_layout
         dg, dG = out[:n], out[n:]
         dG.fill(0)
         dG.reshape(-1)[point.dg_index] = first[point.dG]
         W = _forward(dG[:, n:], -dG[:, :n], self._coupled)
-        vh, gh = self._hessian_kernel(x)
+        vh, gh = self._hessian_kernel.on_list(x)
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
         if s:
             u = np.array(first[point.u], dtype=complex)
@@ -581,12 +619,12 @@ class PointCalculus:
         trial stops; a J that is not finite gives such rows, and
         first_derivatives refuses it alike."""
         n = self.n
-        x = np.asarray(x, dtype=complex)
-        out = self.darboux_trial(x.tolist(), np.inf)
+        xs = np.asarray(x, dtype=complex).tolist()
+        out = self.darboux_trial(xs, np.inf)
         if not isinstance(out, tuple):
             raise CriticalPointError("dG/dw is singular or not finite at the point, "
                                      "or a residual row is not finite")
-        dg, W, _ = self._dg_blocks(x, out[1], np.empty((n + self.s, self.N), dtype=complex))
+        dg, W, _ = self._dg_blocks(xs, out[1], np.empty((n + self.s, self.N), dtype=complex))
         return dg[:, :n] + dg[:, n:] @ W
 
     def solve_fiber(self, q, w0):
@@ -622,9 +660,11 @@ class PointCalculus:
         """The plain Jacobian of the Darboux residual F = (grad V - q, G)
         (darboux_trial) for Newton iterations, from x's first derivatives
         `first`: rows dg - [I 0], then dG, written to out, a C-contiguous
-        (n + s) x N complex array, which is returned.  darboux._newton
-        passes the first derivatives its trial gave and the leading rows of
-        its own system, so the Jacobian is built where the step reads it.
+        (n + s) x N complex array, which is returned.  x is the point as
+        a list of Python complex (_dg_blocks).  darboux._newton passes its
+        trial's list, the first derivatives its trial gave and the leading
+        rows of its own system, so the Jacobian is built where the step
+        reads it.
         The residual itself is the caller's (darboux._newton keeps each
         point's rows)."""
         n, N = self.n, self.N
@@ -654,13 +694,14 @@ class PointCalculus:
         probe = self._probe(f)
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
+        buffers = lstsq_buffers(self.s + 1, self.N)
         for _ in range(PROBE_MAX_ITER):
             value, grad = probe(y)
             F = np.append(self.g_values(y), value)
             if np.max(np.abs(F)) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= PROBE_RADIUS)
             A = np.vstack([self._dg_kernel(y), grad])
-            step = _lstsq(A, F)
+            step = _lstsq(A, F, buffers)
             if not np.all(np.isfinite(step)):
                 return False
             y = y - step

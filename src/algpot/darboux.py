@@ -19,12 +19,13 @@ locus.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import CriticalPointError, PointCalculus, _lstsq
-from .expr import PoleError, rows_below
+from .calculus import CriticalPointError, PointCalculus, _lstsq, lstsq_buffers
+from .expr import HALVINGS, SCALES, PoleError, rows_below
 
 ORIGIN_TOL = 1e-8
 BASE_PROJECTION_TOL = 1e-8
@@ -34,6 +35,8 @@ DEDUP_TOL = 1e-6  # candidates closer than this (relative) are one point
 START_RADIUS = 2.0  # random starts are uniform in this box, per component
 N_RANDOM = 24  # random starts per hunt
 ACCEPT_TOL = 1e-9  # a start ending with a larger residual failed
+# an iterate with an entry above 1e8 diverged: every NumPy absolute below this
+DIVERGED = float(np.nextafter(1e8, np.inf))
 
 
 @dataclass
@@ -71,10 +74,10 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     res; else the index of the row of F that failed in the trial kernel,
     or None where no row is named: a pin row fails, the point is refused
     or a row's abs overflows.  The trial runs on Python complex: xs is x
-    as a list, and one call of the trial kernel
-    (PointCalculus.darboux_trial) decides each row of G and of grad V - q
-    against res after computing only the values it reads, stopping at the
-    first that fails.  Only a trial whose kernel rows pass computes its pin
+    as a list, which its Jacobian reads too, and one call of the trial
+    kernel (PointCalculus.darboux_trial) decides each row of G and of
+    grad V - q against res after computing only the values it reads,
+    stopping at the first that fails.  Only a trial whose kernel rows pass computes its pin
     rows pins @ x, which NumPy computes, and decides them
     (expr.rows_below).
     The order of the decisions cannot change the outcome: a row that
@@ -99,7 +102,7 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
             F[m:] = lin
         F[:m] = rows
         r = _largest(F)
-        pc.darboux_system(x, first, Jac[:m])
+        pc.darboux_system(xs, first, Jac[:m])
     except (CriticalPointError, PoleError):
         return None
     return r
@@ -113,65 +116,81 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     F = (grad V - q, G, pins @ x) is below the current one or at most
     conv_tol; while the search runs the current residual exceeds conv_tol,
     so that is the largest entry of |F| below the current residual
-    (_trial).  The start point is a trial against res = inf.  A trial is
-    one call of the trial kernel, which decides the rows of G and of
-    grad V - q as it computes them; the pin rows are decided last.  The
-    trial point x + scale * step and its pin rows are NumPy's; every other
-    value of a trial is a Python complex, and only an accepted trial fills
-    F.
-    A trial is rejected before that call when the row that rejected the
+    (_trial).  The start point is a trial against res = inf.  The trial
+    at the halving k is the point x + 2^-k step (expr.SCALES), k < 30
+    (expr.HALVINGS).  A trial is one call of the trial kernel, which
+    decides the rows of G and of grad V - q as it computes them; the pin
+    rows are decided last.
+    The trial point, built only for a trial that reaches the kernel, and
+    its pin rows are NumPy's; every other value of a trial is a Python
+    complex, and only an accepted trial fills F, and keeps its list as
+    the iterate's, which its Jacobian reads.
+    Trials are rejected before that call while the row that rejected the
     last rejected trial of this start fails again: the search keeps that
     row's test (PointCalculus.row_tests), from one step to the next, and
-    runs it first.  The test computes only that row, by the kernel's own
-    operations, and rejects only where the kernel would (a row that fails,
-    a pole, a zero divisor and an overflowing abs each reject), so it
-    moves no trial; a test that passes leaves the trial to the kernel.  A
-    row without a test, a pin row, a refused point and an unnamed row
-    leave no test to run.
+    runs it first.  The test scans the halvings from the current one and
+    returns the first at which its row passes, computing only the
+    coordinates that row reads, as Python's x[i] + 2^-k step[i] on the
+    iterate's and the step's lists, and the row by the kernel's own
+    operations.  Those coordinates equal NumPy's trial point's, and keep
+    its bits but for the sign of a zero where 2^-k step[i] underflows
+    (NumPy's product may be fused), which moves no absolute; so a test
+    rejects only where the kernel would (a row that fails, a pole, a zero
+    divisor and an overflowing abs each reject) and moves no trial, and
+    the halving it returns goes to the kernel.  A row without a test, a
+    pin row, a refused point and an unnamed row leave no test to run.
     Only the start point and an accepted trial build a Jacobian, in place
     in the leading rows of an array that holds the pin rows from the
-    start, and each step is one least-squares solve with it
-    (calculus._lstsq); every decision and iterate is still bit for bit that
-    of a search that builds the full system at every trial.
+    start, and each step is one least-squares solve with it on buffers
+    that last the whole start (calculus._lstsq), which writes -F; the step
+    is checked finite on its list, which the row tests read.  Every
+    decision and iterate is still bit for bit that of a search that builds
+    the full system at every trial.  The start point is refused where an
+    entry is not finite, so no iterate holds a nan, and an iterate with an
+    entry above 1e8 diverged, decided on its list as NumPy's absolute
+    (expr.rows_below).
 
     Returns the final iterate and residual, or None when the start point
     is off the domain or not finite, or the iteration diverged.
     """
     m = pc.n + pc.s
     x = np.asarray(x0, dtype=complex).copy()
+    xs = x.tolist()
+    if not all(map(isfinite, xs)):
+        return None
     F = np.empty(m + (0 if pins is None else len(pins)), dtype=complex)
     Jac = np.empty((len(F), pc.N), dtype=complex)
     if pins is not None:
         Jac[m:] = pins
-    res = _trial(pc, x, x.tolist(), pins, np.inf, F, Jac)
+    buffers = lstsq_buffers(len(F), pc.N)
+    res = _trial(pc, x, xs, pins, np.inf, F, Jac)
     if not isinstance(res, float):
         return None
-    row_tests, sentinel = pc.row_tests, None
+    row_tests, test = pc.row_tests, None
     for _ in range(max_iter):
         if res <= conv_tol:
             return x, res
-        step = _lstsq(Jac, -F)
-        if not np.isfinite(step).all():
+        step = _lstsq(Jac, F, buffers, negate=True)
+        steps = step.tolist()
+        if not all(map(isfinite, steps)):
             return None
-        scale = 1.0
-        for _halving in range(30):
-            x_try = x + scale * step
-            scale *= 0.5
-            xs = x_try.tolist()
-            if sentinel is not None:
-                try:
-                    if not sentinel(xs, res):
-                        continue
-                except (OverflowError, ZeroDivisionError):
-                    continue
-            r = _trial(pc, x_try, xs, pins, res, F, Jac)
+        k = 0
+        while k < HALVINGS:
+            if test is not None:
+                k = test(xs, steps, k, res)
+                if k == HALVINGS:
+                    break
+            x_try = x + SCALES[k] * step
+            xs_try = x_try.tolist()
+            r = _trial(pc, x_try, xs_try, pins, res, F, Jac)
             if isinstance(r, float):
-                x, res = x_try, r
                 break
-            sentinel = None if r is None else row_tests[r]
-        else:
+            test = None if r is None else row_tests[r]
+            k += 1
+        if k == HALVINGS:
             break
-        if np.abs(x).max() > 1e8:
+        x, xs, res = x_try, xs_try, r
+        if not rows_below(xs, DIVERGED):
             return None
     return x, res
 

@@ -513,7 +513,9 @@ class RowTest(NamedTuple):
     (compile_arrays), and returns the index of the first row whose
     absolute is not below res (rows_below), counting the RowTests in
     target order.  kernel.row_tests holds, by the same index, the test
-    of each row alone, or None (compile_arrays)."""
+    of each row alone, or None (compile_arrays): it scans the Darboux line
+    search's halvings, each point x + SCALES[k] * step, and returns the
+    first k at which its row passes, or HALVINGS."""
 
     value: int
     minus: int | None = None
@@ -527,6 +529,14 @@ class RowTest(NamedTuple):
 ROW_BAND = 2.0 ** -45
 ROW_TINY = 2.0 ** -1000
 ROW_HUGE = 2.0 ** 1000
+
+# the Darboux line search tries x + SCALES[k] * step for k < HALVINGS, and a
+# row test scans the same points; each scale is 2^-k as a complex, as
+# NumPy casts a float scale to multiply a complex array, so that Python's
+# product of two complex is the same formula on every version (Python 3.14
+# multiplies a float and a complex component by component)
+HALVINGS = 30
+SCALES = tuple(complex(2.0 ** -k) for k in range(HALVINGS))
 
 
 def rows_below(rows, res: float) -> bool:
@@ -669,16 +679,22 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     The same code generation emits the row tests, kernel.row_tests, one
     entry per RowTest by the index the kernel returns, each exec'd on its
     own, so that the compiler never holds the syntax of the whole source:
-    row_test(xs, res), on a list
-    as on_list reads it, computes only the outputs that row reads, by the
-    kernel's operations in the kernel's order, and returns whether the row
-    passes, by the kernel's decision.  Its quotients are divide's, which
-    keeps NumPy's bits and raises and warns about nothing, because a test
-    can run where the kernel would have stopped at an earlier row; a zero
-    denominator returns False, and a zero Substitution divisor raises
-    ZeroDivisionError and an overflowing abs OverflowError, each of which
-    the kernel would meet there too.  So a test fails, or raises, only
-    where the kernel fails a row or raises before returning its values.
+    row_test(xs, steps, k, res), on a point xs and a step, lists as
+    on_list reads them, scans the halvings k, k + 1, ... below HALVINGS
+    and returns the first at which the row passes, by the kernel's
+    decision, or HALVINGS where none does.  At each it computes only the
+    outputs that row reads, by the kernel's operations in the kernel's
+    order, from the coordinates they read, each xs[i] + SCALES[k] *
+    steps[i] by Python's complex arithmetic: the coordinate of NumPy's
+    xs + SCALES[k] * steps, bit for bit but for the sign of a zero where
+    the product underflows (NumPy's may be fused), which changes no
+    absolute.  Its quotients are divide's, which keeps NumPy's bits and
+    raises and warns about nothing, because a test can run where the
+    kernel would have stopped at an earlier row.  A zero denominator, a
+    zero Substitution divisor (ZeroDivisionError) and an overflowing abs
+    (OverflowError), each of which the kernel would meet there too, fail
+    that halving.  So a test skips a halving only where the kernel fails
+    a row or raises before returning its values.
     A row has a test only where the test has at most half the lines that
     the kernel computes up to that row's decision, so that a test that
     passes costs little next to the kernel call that follows; the first
@@ -709,7 +725,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             tests.setdefault(t.value, []).append(k)
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
-                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide}
+                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
+                 "scales": SCALES}
     coefficients = {}
 
     def coefficient(c):
@@ -719,19 +736,26 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             namespace[coefficients[key]] = _as_complex(c)
         return coefficients[key]
 
-    def emitter(lines, test=False):
+    def emitter(lines, loads=None):
         """place(k), which emits into lines the lines of output k after those
         of every output it reads, each output, load, power and denominator
         once, at first use; a RowTest's line is its subtraction, if any.
-        For a row test (test true) a quotient is divide's, a zero
-        denominator returns False and a power e >= 100 raises _NoRowTest."""
+        For a row test (loads a list) a variable's load is its coordinate
+        at the halving k, x[i] + h * step[i] with h = SCALES[k], whose two
+        terms loads gets, a quotient is divide's, a zero denominator goes
+        on to the next halving and a power e >= 100 raises _NoRowTest."""
+        test = loads is not None
         loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
         def power(i, e):
             if e == 1:
                 if i not in loaded:
                     loaded.add(i)
-                    lines.append(f"x{i} = x[{i}]")
+                    if test:
+                        loads.append(f"p{i}, s{i} = x[{i}], step[{i}]")
+                        lines.append(f"x{i} = p{i} + h * s{i}")
+                    else:
+                        lines.append(f"x{i} = x[{i}]")
                 return f"x{i}"
             if (i, e) not in powers:
                 if e >= 100:
@@ -772,7 +796,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 d = denominators[key] = f"d{len(denominators)}"
                 if test:
                     lines.append(f"{d} = {poly(e.den)}")
-                    lines.append(f"if {d} == 0: return False")
+                    lines.append(f"if {d} == 0: continue")
                 else:
                     namespace[f"{d}_text"] = _poly_str(e.den)
                     lines.append(f"{d} = {poly(e.den, 'zero')}")
@@ -831,17 +855,22 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         return f"{ROW_TINY!r} <= abs({row(k)}) < low or rows_below(({row(k)},), res)"
 
     def row_test(k, j, limit):
-        """The source of RowTest k's own test, row_test{j}, or "" where it
-        would have more than half of limit lines, or reads a power e >= 100."""
-        body = []
+        """The source of RowTest k's own test, row_test{j}, or "" where its
+        row would take more than half of limit lines, or reads a power
+        e >= 100."""
+        body, loads = [], []
         try:
-            emitter(body, test=True)(k)
+            emitter(body, loads)(k)
         except _NoRowTest:
             return ""
         if 2 * len(body) > limit:
             return ""
-        return (f"def row_test{j}(x, res):\n" + "".join(f"    {line}\n" for line in body + bounds)
-                + f"    return {passes(k)}\n")
+        lines = bounds + loads + [f"for k in range(k, {HALVINGS}):", "    h = scales[k]",
+                                  "    try:"]
+        lines += [f"        {line}" for line in body + [f"if {passes(k)}: return k"]]
+        lines += ["    except (OverflowError, ZeroDivisionError):", "        pass",
+                  f"return {HALVINGS}"]
+        return f"def row_test{j}(x, step, k, res):\n" + "".join(f"    {line}\n" for line in lines)
 
     lines, functions = [], []
     place = emitter(lines)

@@ -40,5 +40,5 @@ def reference_rows(pc, x):
 
 def jacobian(pc, x):
     """darboux_system at x, from first_derivatives' values, in a fresh array."""
-    return pc.darboux_system(x, pc.first_derivatives(x),
+    return pc.darboux_system(np.asarray(x, dtype=complex).tolist(), pc.first_derivatives(x),
                              np.empty((pc.n + pc.s, pc.N), dtype=complex))

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
-from algpot.expr import (_PONE, Array, RowTest, Substitution, _padd, _pdiff, _pmul, _pneg,
-                         compile_arrays, divide)
+from algpot.expr import (_PONE, HALVINGS, SCALES, Array, RowTest, Substitution, _padd, _pdiff,
+                         _pmul, _pneg, compile_arrays, divide)
 from algpot.parsing import parse_expression
 
 from conftest import float_parts
@@ -283,31 +283,45 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     # of its own; the row (x + y) - y has one, since its code is under half
     # of the kernel's up to its decision, and it reads neither the
     # quotient nor 1/(x - 1): it passes at both poles, where the kernel
-    # raises, and otherwise decides as the kernel
+    # raises, and otherwise decides as the kernel.  A test takes the point,
+    # a step and a first halving k, and returns the first halving from k
+    # on whose point x + 2^-k step passes, or HALVINGS; with a zero step
+    # every halving is the point itself
     cubes = X ** 3 * Y ** 3
     targets = [cubes / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
                RowTest(1, 1), RowTest(0)]
     kernel = compile_arrays(targets, ["x", "y"])
     test = kernel.row_tests[0]
     assert kernel.row_tests[1] is None and test is not None
-    y = -0.5 + 0.25j
+    y, still = -0.5 + 0.25j, [0j, 0j]
     for x in (1.0, -1.0):
         with pytest.raises(PoleError):
             kernel([x, y], 10.0)
-        assert test([x, y], 10.0) is True
-    assert test([3.0, y], 3.0) is False and kernel([3.0, y], 3.0) == 0
-    assert test([0.5, y], 10.0) is True and isinstance(kernel([0.5, y], 10.0), tuple)
-    with pytest.raises(OverflowError):
-        test([complex(1.5e308, 1.5e308), 0.0], np.inf)
+        assert test([x, y], still, 0, 10.0) == 0 and test([x, y], still, 7, 10.0) == 7
+    assert test([3.0, y], still, 0, 3.0) == HALVINGS and kernel([3.0, y], 3.0) == 0
+    assert test([0.5, y], still, 0, 10.0) == 0 and isinstance(kernel([0.5, y], 10.0), tuple)
+    # the row is x, here 3 - 8 * 2^-k at the halving k: -5, -1, 1, 2, 2.5,
+    # ...; |x| < 1.5 holds at k = 1 and 2 only, and the test returns the
+    # first such halving from k on
+    step = [-8.0 + 0j, 0j]
+    passing = [k for k in range(HALVINGS) if abs((3.0 + SCALES[k] * step[0]).real) < 1.5]
+    assert passing == [1, 2]
+    assert [test([3.0, y], step, k, 1.5) for k in range(4)] == [1, 1, 2, HALVINGS]
+    # an overflowing abs rejects its halving, as the kernel's unnamed row
+    assert test([complex(1.5e308, 1.5e308), 0.0], still, 0, np.inf) == HALVINGS
     # a test has the kernel's code for its row, with quotients by divide
-    # and a zero denominator returning False; a kernel without row tests
-    # keeps an empty row_tests
-    assert "def row_test0(x, res):" in kernel.source and "row_test1" not in kernel.source
+    # and a zero denominator going on to the next halving; a kernel
+    # without row tests keeps an empty row_tests
+    assert "def row_test0(x, step, k, res):" in kernel.source
+    assert "row_test1" not in kernel.source
     pole = compile_arrays([cubes, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
                           ["x", "y"])
     assert pole.row_tests[0] is None and pole.row_tests[1] is not None
-    assert "divide(0j + c1, d0)" in pole.source and "if d0 == 0: return False" in pole.source
-    assert pole.row_tests[1]([1.0, 0.0], 10.0) is False
+    assert "divide(0j + c1, d0)" in pole.source and "if d0 == 0: continue" in pole.source
+    assert pole.row_tests[1]([1.0, 0.0], still, 0, 10.0) == HALVINGS
+    # y = -1 + 2^-k: the zero denominator at k = 0 goes on to k = 1, where
+    # |2 / y| = 4, and |2 / y| = 8/3 < 3 at k = 2
+    assert pole.row_tests[1]([1.0, -1.0], [0j, 1.0 + 0j], 0, 3.0) == 2
     assert compile_arrays([X, Y], ["x", "y"]).row_tests == ()
     # a test with more than half the kernel's code up to its row's
     # decision is not emitted: the row 2/y is decided after six lines of

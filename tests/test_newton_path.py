@@ -10,12 +10,14 @@ near it; a property test draws values and residuals within 8 ulp of each
 other, and another holds the fused kernel to the G kernel and the point
 kernel decided row by row), and names the row that failed.  Before that
 call the search runs the row's own test (PointCalculus.row_tests) of the
-row that rejected its last rejected trial, which rejects only where the
-unfused steps do and decides its row as they do, without a warning (a
-property test on the same points).  The trial kernel is the package's one
-producer of the residual's rows, so the reference rows here are those
-unfused steps (residual_reference), which never read it.  The pin rows
-are decided last; a trial whose every row passes hands its first
+row that rejected its last rejected trial, which scans the halvings and
+rejects only where the unfused steps do, decides its row as they do,
+without a warning (a property test on the same points), and reads each
+coordinate as NumPy's trial point has it, but for the sign of a zero (a
+property test over the whole exponent range).  The trial kernel is the
+package's one producer of the residual's rows, so the reference rows here
+are those unfused steps (residual_reference), which never read it.  The
+pin rows are decided last; a trial whose every row passes hands its first
 derivatives on to its Jacobian, writes its rows as the residual, and only
 accepted steps build a Jacobian; the traced tests follow the row tests
 and the entry points darboux_trial and darboux_system, and count the
@@ -33,25 +35,28 @@ written into the caller's rows, bit for bit a freshly allocated one.  The
 one least-squares solve, LAPACK's pivoted-QR zgelsy called directly, is
 held to NumPy's SVD lstsq within roundoff: a residual no larger, a norm no
 larger (the minimum-norm solution) and the same solution relative to its
-norm, within the least-squares perturbation bound.
+norm, within the least-squares perturbation bound; on buffers reused
+after a solve that permuted columns it gives a fresh solve's bits.
 """
 
 import functools
 import re
+import struct
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algpot import calculus, darboux
-from algpot.calculus import CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq
+from algpot.calculus import (CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq,
+                             lstsq_buffers)
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem, CriticalSetError
-from algpot.expr import ZERO, PoleError, RowTest, compile_arrays, rows_below
+from algpot.expr import HALVINGS, SCALES, ZERO, PoleError, RowTest, compile_arrays, rows_below
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
@@ -107,7 +112,7 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
     for _ in range(max_iter):
         if res <= conv_tol:
             return (x, res), accepted
-        step = _lstsq(Jac, -F)
+        step = fresh_lstsq(Jac, -F)
         if not np.all(np.isfinite(step)):
             return None, accepted
         scale = 1.0
@@ -134,6 +139,11 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
         if np.max(np.abs(x)) > 1e8:
             return None, accepted
     return ((x, res) if res < np.inf else None), accepted
+
+
+def fresh_lstsq(A, b):
+    """_lstsq(A, b) on buffers made for this one solve."""
+    return _lstsq(A, b, lstsq_buffers(*A.shape))
 
 
 def random_starts(N, count, seed, radius=2.0):
@@ -276,6 +286,40 @@ def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
     assert isinstance(NEGATED_ROW.on_list([v], res), tuple) is bool(reference < res)
 
 
+def component_bits(v: complex) -> tuple:
+    return struct.pack("<d", v.real), struct.pack("<d", v.imag)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(float_parts(), float_parts(), float_parts(), float_parts(), st.integers(0, HALVINGS - 1))
+def test_a_row_tests_coordinate_is_the_trial_points(xr, xi, sr, si, k):
+    # a row test reads the coordinate of the halving k's point as Python's
+    # x + SCALES[k] * step on one coordinate, where the search's trial
+    # point is NumPy's x + SCALES[k] * step: for a finite x and step they
+    # are equal, and bit for bit but for the sign of a zero component
+    # where the step's component is not zero and its product with 2^-k
+    # underflows to zero.  Python's complex product follows the textbook
+    # formula, (s re - 0 im, s im + 0 re) for s = SCALES[k]; NumPy's loop
+    # may fuse a multiply and an add (an FMA), which rounds s re - 0 im
+    # once: the same value, s re being exact or correctly rounded, with
+    # the zero's sign of the unrounded product.  A row's decision reads
+    # absolutes, which no sign of a zero moves.  NumPy reads a float scale
+    # as the complex one; Python's float * complex does too on CPython
+    # 3.10 to 3.13, while 3.14 multiplies each component alone
+    assume(all(np.isfinite([xr, xi, sr, si])))
+    x, step, scale = complex(xr, xi), complex(sr, si), SCALES[k]
+    got = x + scale * step
+    with np.errstate(over="ignore"):  # the sum may overflow, in both
+        numpys = (np.array([x]) + scale * np.array([step])).tolist()[0]
+        floats = (np.array([x]) + 2.0 ** -k * np.array([step])).tolist()[0]
+    assert component_bits(floats) == component_bits(numpys)
+    assert got == numpys
+    for g, e, c in zip(component_bits(got), component_bits(numpys), (sr, si)):
+        assert g == e or (c != 0.0 and 2.0 ** -k * c == 0.0)
+    if sys.version_info < (3, 14):
+        assert component_bits(x + 2.0 ** -k * step) == component_bits(got)
+
+
 # the trial kernel of each against its G kernel and point kernel, decided
 # row by row: the 1/w1 potential has a pole where J = 2 w1 vanishes,
 # draw1's J has an entry below its diagonal, plain has no generator
@@ -382,15 +426,15 @@ def test_each_row_test_decides_its_row_as_the_unfused_steps(name, seed, kind, ro
         known = [a for a in absolutes if a is not None]
         res = shifted_bound(known[row % len(known)] if known else 1.0, shift)
         rejected = unfused_trial(pc, xs, res) is None
+    still = [0j] * pc.N  # every halving tries xs itself
     for j, test in enumerate(tests):
         if test is None:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                passed = test(xs, res)
-            except (OverflowError, ZeroDivisionError):
-                passed = False
+            first = test(xs, still, 0, res)
+        assert first in (0, HALVINGS)
+        passed = first == 0
         assert passed or rejected
         if absolutes[j] is not None:
             assert passed is bool(absolutes[j] < res)
@@ -447,16 +491,17 @@ TRACED = ("darboux_system", "darboux_trial")
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
     """(calls, result): _newton's own calls of the TRACED methods and of the
     trial kernel's row tests, in order, as [name, point, value], with each
-    least-squares solve as ["lstsq", matrix, right-hand side]; a row test's
-    name is "row_test" and its value (row, whether it passed); a call made
-    inside another traced call is not the search's own, and a call that
-    raises keeps the value None, or (row, None).  result is what _newton
-    returns."""
+    least-squares solve as ["lstsq", matrix, right-hand side]; a row test
+    scans halvings, and each halving it decides is one entry named
+    "row_test", at that halving's point x + 2^-k step as NumPy computes
+    it, with the value (row, whether it passed); a call made inside
+    another traced call is not the search's own, and a call that raises
+    keeps the value None.  result is what _newton returns."""
     calls, depth = [], [0]
 
-    def lstsq(A, b):
-        calls.append(["lstsq", A.copy(), b.copy()])
-        return _lstsq(A, b)
+    def lstsq(A, b, buffers, negate=False):
+        calls.append(["lstsq", A.copy(), np.negative(b) if negate else b.copy()])
+        return _lstsq(A, b, buffers, negate)
 
     def traced(name, method):
         def call(x, *rest):
@@ -475,11 +520,12 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
         return call
 
     def traced_test(row, test):
-        def call(xs, res):
-            calls.append(["row_test", np.array(xs), (row, None)])
-            passed = test(xs, res)
-            calls[-1][2] = (row, passed)
-            return passed
+        def call(xs, steps, k, res):
+            first = test(xs, steps, k, res)
+            for j in range(k, min(first + 1, HALVINGS)):
+                point = np.array(xs) + SCALES[j] * np.array(steps)
+                calls.append(["row_test", point, (row, j == first)])
+            return first
         return None if test is None else call
 
     trial = pc._trial_kernel
@@ -804,9 +850,14 @@ def test_slot_lists_hold_only_live_partials():
     assert all(e.constant_value() is not None for h in pc._ghess for _, _, e in h)
     assert all(e.constant_value() is None for _, _, e in pc._vhess)
     source = pc._hessian_kernel.source
-    # one statement per live entry, writing both places of the symmetric pair
-    assert [(a, b) for a, b, _ in pc._vhess] == [
-        tuple(map(int, m)) for m in re.findall(r"^    a0\[(\d+), (\d+)\] = a0\[", source, re.M)]
+    # one statement per live entry, writing both places of an off-diagonal
+    # pair and a diagonal place once; the three live partials are the
+    # diagonal second derivatives in the distances r_ij
+    stores = re.findall(r"^    ((?:a0\[\d+, \d+\] = )+)", source, re.M)
+    places = [[tuple(map(int, m)) for m in re.findall(r"\[(\d+), (\d+)\]", line)]
+              for line in stores]
+    assert places == [[(a, b)] if a == b else [(a, b), (b, a)] for a, b, _ in pc._vhess]
+    assert all(a == b for a, b, _ in pc._vhess)
     assert "a1[" not in source
     x = np.asarray(random_starts(pc.N, 1, seed=3)[0], dtype=complex)
     vh, gh = pc._hessian_kernel(x)
@@ -882,7 +933,7 @@ def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
         fresh = jacobian(PointCalculus(setup), x)
         system.fill(complex(np.nan, np.inf))
         out = system[:m]
-        assert pc.darboux_system(x, first, out) is out
+        assert pc.darboux_system(x.tolist(), first, out) is out
         assert bits(out) == bits(fresh)
         assert np.isnan(system[m:].real).all() and np.isinf(system[m:].imag).all()
         compared += 1
@@ -938,7 +989,7 @@ def test_substitution_matches_numpy_solve(name):
             continue  # a singular J or a pole, held below
         first = pc.first_derivatives(x)
         u = np.array(first[point.u], dtype=complex)
-        W = pc._dg_blocks(x, first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
+        W = pc._dg_blocks(x.tolist(), first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
         step = _forward(J, G, pc._coupled)
         assert u.shape == u_ref.shape and close_to(u, u_ref, SOLVE_REL)
         assert close_to(pc.grad(x), vg[:n] - B.T @ u_ref, SOLVE_REL)
@@ -1022,7 +1073,7 @@ def test_no_extension_variables_give_empty_solves():
     x = np.array([0.5, -1.0], dtype=complex)
     first = pc.first_derivatives(x)
     assert first[pc._point_kernel.u] == () and first[pc._point_kernel.checked] == ()
-    dg, W, dG = pc._dg_blocks(x, first, np.empty((2, 2), dtype=complex))
+    dg, W, dG = pc._dg_blocks(x.tolist(), first, np.empty((2, 2), dtype=complex))
     assert W.shape == (0, 2) and dG.shape == (0, 2) and dg.shape == (2, 2)
     J = np.zeros((0, 0), dtype=complex)
     u, W = _forward(J, np.zeros(0, dtype=complex), ()), _forward(J, np.zeros((0, 3)) + 0j, ())
@@ -1091,7 +1142,7 @@ def assert_matches_numpy(A, b):
     beyond roundoff, of no larger norm (the minimum-norm one), and agrees
     with NumPy's relative to its norm within the perturbation bound, kappa
     taken over the rank NumPy's rcond=None gives."""
-    x = _lstsq(A, b)
+    x = fresh_lstsq(A, b)
     ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert x.shape == ref.shape == (A.shape[1],) and x.dtype == complex
     eps = np.finfo(float).eps
@@ -1131,7 +1182,7 @@ def test_lstsq_matches_numpy_on_degenerate_shapes():
         for b in (np.zeros(len(A), dtype=complex), rng.standard_normal(len(A)) + 1j):
             assert_matches_numpy(A, b)
             if not b.any():
-                assert not _lstsq(A, b).any()
+                assert not fresh_lstsq(A, b).any()
 
 
 def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
@@ -1153,6 +1204,32 @@ def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
         A_bad, b_bad = A.copy(), b.copy()
         A_bad[1, 0] = b_bad[1] = bad
         for A_, b_ in ((A_bad, b), (A, b_bad)):
-            x = _lstsq(A_, b_)
+            x = fresh_lstsq(A_, b_)
             assert x.shape == (3,) and np.isnan(x).all()
 
+
+def test_lstsq_buffers_reused_after_a_permuting_solve_free_every_column():
+    # zgelsy writes the column permutation of its pivoted QR back into the
+    # pivots _lstsq passes it, and a non-zero pivot on entry fixes its
+    # column in front, unpivoted; so a search that keeps its buffers for a
+    # whole start zeroes the pivots before every solve.  A1's solve
+    # permutes its columns (their norms grow tenfold from one to the next)
+    # and leaves every pivot non-zero; A2's first column is zero, which a
+    # stale pivot array would keep in front, where the rank estimate of
+    # the unpivoted R stops at its zero first entry and gives x = 0; with
+    # the pivots zeroed the solve on the reused buffers has the bits of a
+    # fresh one, nonzero, for either sign of the right-hand side
+    rng = np.random.default_rng(17)
+    m, n = 7, 4
+    A1 = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * 10.0 ** np.arange(n)
+    A2 = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    A2[:, 0] = 0.0
+    b1, b2 = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
+    for negate in (False, True):
+        buffers = lstsq_buffers(m, n)
+        _lstsq(A1, b1, buffers, negate)
+        assert buffers.pivots.all() and buffers.pivots.tolist() != list(range(1, n + 1))
+        got = _lstsq(A2, b2, buffers, negate)
+        fresh = _lstsq(A2, b2, lstsq_buffers(m, n), negate)
+        assert bits(got) == bits(fresh) and got[1:].all()
+        assert bits(fresh_lstsq(A2, -b2 if negate else b2)) == bits(fresh)
