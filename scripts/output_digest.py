@@ -11,11 +11,17 @@ one line per Darboux Newton start it made, in start order: the start's
 result, the final iterate and residual that `darboux._newton` returned, or
 None.  A report shows only the starts that converged; the per-start lines
 also cover every failed start, so a change that moves one, even to another
-failure, shows.  `_newton` is wrapped from here, as bench/instrument.py
-wraps it.  A digest covers every bit of every number in the output, so two
-trees whose listings `diff` clean produce bit-identical outputs on these
-inputs.  A change meant to leave the numerics alone is checked this way;
-one that moves last bits is judged by `scripts/recall_sweep.py` instead.
+failure, shows.  After each analysis and each `ve-dynamics` output comes
+one line per fiber solve it made, in call order: the result of
+`PointCalculus.solve_fiber`, the fiber point w or None.  These cover
+validation's samples and the flow's starts and projections, which the
+outputs show only through a probe's verdict or a corrected state; a solve
+made by a workload's set-up is not listed.  `_newton` and `solve_fiber`
+are wrapped from here, as bench/instrument.py wraps `_newton`.  A digest
+covers every bit of every number in the output, so two trees whose
+listings `diff` clean produce bit-identical outputs on these inputs.  A
+change meant to leave the numerics alone is checked this way; one that
+moves last bits is judged by `scripts/recall_sweep.py` instead.
 
 Each problem's PointCalculus is built once, by the workload's set-up, and
 passed to `analyze` at both hunt seeds; a tree whose `analyze` takes no
@@ -33,6 +39,7 @@ change; algpot is imported from the src/ beside this script.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -111,42 +118,62 @@ def run_with_calculus(task, state):
         algpot.pipeline.analyze = analyze
 
 
-def analyze_lines(hunt_seed: int, states: dict):
-    """Each analysis's report line, then one line per Newton start it made.
-    states holds each workload's built problems, set up on first use and
-    kept for the next hunt seed."""
-    newton, results = algpot.darboux._newton, []
+@contextlib.contextmanager
+def recording(owner, name: str, digests: list):
+    """owner.name wrapped, while the block runs, to append the digest of
+    each result it returns to digests."""
+    original = getattr(owner, name)
 
     def recorded(*args):
-        out = newton(*args)
-        results.append(out)
+        out = original(*args)
+        digests.append(digest(out))
         return out
 
-    algpot.darboux._newton = recorded
+    setattr(owner, name, recorded)
     try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def analyze_lines(hunt_seed: int, states: dict):
+    """Each analysis's report line, then one line per Newton start and one
+    per fiber solve it made.  states holds each workload's built problems,
+    set up on first use and kept for the next hunt seed."""
+    starts, fibers = [], []
+    with recording(algpot.darboux, "_newton", starts), \
+            recording(algpot.calculus.PointCalculus, "solve_fiber", fibers):
         for name in ANALYZE_WORKLOADS:
             plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
             if name not in states:
                 states[name] = plan.setup()
             for task in sorted(plan.tasks, key=lambda t: t.label):
-                results.clear()
+                starts.clear()
+                fibers.clear()
                 report, _ = run_with_calculus(task, states[name][task.problem])
                 label = f"hunt-seed {hunt_seed} {task.label}"
                 yield (f"analyze {label}",
                        hashlib.sha256(report_json(report).encode()).hexdigest())
-                for i, out in enumerate(results):
-                    yield f"newton {label} start {i:02d}", digest(out)
-    finally:
-        algpot.darboux._newton = newton
+                for i, sha in enumerate(starts):
+                    yield f"newton {label} start {i:02d}", sha
+                for i, sha in enumerate(fibers):
+                    yield f"fiber {label} solve {i:02d}", sha
 
 
 def ve_dynamics_lines(seed: int):
-    """The outputs in the order the plan runs them, which the seed fixes."""
+    """The outputs in the order the plan runs them, which the seed fixes,
+    each followed by its fiber solves."""
     plan = workloads.WORKLOADS["ve-dynamics"](algpot, seed, 0, {})
     states = plan.setup()
-    for i, task in enumerate(plan.tasks):
-        out = task.run(states[task.problem])
-        yield f"ve-dynamics seed {seed} #{i:02d} {task.label}", digest(out)
+    fibers = []
+    with recording(algpot.calculus.PointCalculus, "solve_fiber", fibers):
+        for i, task in enumerate(plan.tasks):
+            fibers.clear()
+            out = task.run(states[task.problem])
+            label = f"ve-dynamics seed {seed} #{i:02d} {task.label}"
+            yield label, digest(out)
+            for k, sha in enumerate(fibers):
+                yield f"fiber {label} solve {k:02d}", sha
 
 
 def lines():

@@ -39,7 +39,9 @@ It is the one producer of the Darboux residual's rows: the search reads a
 candidate's rows from it too, against an infinite residual.  The calculus
 keeps nothing per point: the search passes a trial's first derivatives
 to that point's Jacobian (darboux_system), and every other evaluation
-computes its own.
+computes its own.  Outside the search, G and dG come from one kernel
+too (PointCalculus._variety_kernel), one call per fiber Newton step and
+per probe step, which the constraint residual reads as well.
 PointCalculus is the one numeric view of a setup: it evaluates plain
 partials of V and G, each table derived symbolically on first use and
 evaluated by kernels generated on first use, so building a calculus costs
@@ -52,8 +54,9 @@ differences of a locally solved branch.  Weighted homogeneity
 setup's polynomials.
 
 Every least-squares solve (the Newton step, the proximity probe's step) is
-one call of LAPACK's zgelsy (_lstsq): a complete orthogonal factorization
-from QR with column pivoting, which returns the minimum-norm least-squares
+one call of LAPACK's zgelsy (_lstsq), which returns the step -A^+ b itself
+for the system A and the residual b: a complete orthogonal factorization
+from QR with column pivoting, which gives the minimum-norm least-squares
 solution, rank-deficient systems included, and has no iteration that can
 fail to converge (LAPACK Users' Guide, section 2.4.2; Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 20).  The SVD driver zgelsd that
@@ -126,6 +129,19 @@ def _symmetric(entries, lead=()) -> list:
     diagonal, at [lead..., b, a]."""
     return [(e, [lead + (a, b)] if a == b else [lead + (a, b), lead + (b, a)])
             for a, b, e in entries]
+
+
+def _largest(rows) -> float:
+    """The largest of NumPy's complex absolutes |rows|, 0 for no rows; nan
+    when an entry is nan.  It gives the constraint residual, the value
+    that the fiber solve's and the proximity probe's convergence tests
+    read, and the Darboux search's residual, of an accepted trial's rows.
+    Every row decision
+    (expr.rows_below) is NumPy's: the two absolutes differ in the last bit
+    of a large share of complex values, so mixing them would move trials
+    that tie.  The ufunc's own reduce skips ndarray.max's Python wrapper, a
+    third of the test's cost on these few rows."""
+    return float(np.maximum.reduce(np.abs(rows), initial=0.0))
 
 
 def _finite(a) -> bool:
@@ -267,25 +283,22 @@ def lstsq_buffers(m: int, n: int) -> LstsqBuffers:
                         _lstsq_work(m, n))
 
 
-def _lstsq(A, b, buffers: LstsqBuffers, negate=False) -> np.ndarray:
-    """The minimum-norm least-squares solution of A x = b, or of A x = -b
-    where negate is true, by one call of LAPACK's zgelsy, with the rank
-    cut-off of np.linalg.lstsq(A, b, rcond=None) (see the module
-    docstring).  buffers, made by lstsq_buffers for A's shape, hold what
-    the call reads; b, or -b by np.negative, is written into their column.
-    The column pivots are zeroed before every call, so every column is free
-    to move: the driver writes its permutation back into that array, and a
-    stale one would fix the columns it names.  A non-finite A or b gives an
-    all-nan x without a LAPACK call; raises LinAlgError where zgelsy
-    reports an error."""
+def _lstsq(A, b, buffers: LstsqBuffers) -> np.ndarray:
+    """The Newton step -A^+ b: the minimum-norm least-squares solution of
+    A x = -b, by one call of LAPACK's zgelsy, with the rank cut-off of
+    np.linalg.lstsq(A, -b, rcond=None) (see the module docstring).
+    buffers, made by lstsq_buffers for A's shape, hold what the call reads;
+    -b, by np.negative, is written into their column.  The column pivots
+    are zeroed before every call, so every column is free to move: the
+    driver writes its permutation back into that array, and a stale one
+    would fix the columns it names.  A non-finite A or b gives an all-nan
+    x without a LAPACK call; raises LinAlgError where zgelsy reports an
+    error."""
     n = A.shape[1]
     if not (_finite(A) and _finite(b)):
         return np.full(n, np.nan, dtype=complex)
     rhs, column, pivots, cond, lwork = buffers
-    if negate:
-        np.negative(b, out=column)
-    else:
-        column[:] = b
+    np.negative(b, out=column)
     pivots.fill(0)
     _, x, _, _, info = zgelsy(A, rhs, pivots, cond, lwork)
     if info:
@@ -307,10 +320,12 @@ class PointCalculus:
     `out` they write (a Darboux search trial passes the ones its trial
     kernel gave and its own rows), and grad and hess compute their own.
     The partials are evaluated by generated kernels (expr.compile_arrays),
-    each compiled on first use and kept: G, as s scalars; dG, the s x N
-    matrix whose columns n: are J and whose columns :n are B = dG/dq; the
-    point kernel, the structurally non-zero entries of dG and of the
-    potential's gradient as scalars, with u and grad V unrolled after them
+    each compiled on first use and kept: the variety kernel, G and dG (the
+    s x N matrix whose columns n: are J and whose columns :n are
+    B = dG/dq) as two arrays from one call, which the fiber solve, the
+    proximity probe and constraint_residual read; the point kernel, the
+    structurally non-zero entries of dG and of the potential's gradient
+    as scalars, with u and grad V unrolled after them
     by triangular substitution, which the Darboux numerics and the flow
     (dynamics) both read; the trial kernel, G and the point kernel's
     targets with the Darboux residual's rows tested as they are computed,
@@ -323,8 +338,8 @@ class PointCalculus:
     Hessian's upper-triangle partial is evaluated once and written to both
     places, a diagonal one to its one place, zero partials are never
     evaluated and constant ones are filled in once, at compile time.  The
-    fiber numerics use the G and dG kernels alone, so they never evaluate
-    V and never meet its poles.
+    fiber numerics use the variety kernel alone, so they never evaluate V
+    and never meet its poles.
     """
 
     def __init__(self, setup: AlgebraicSetup):
@@ -402,16 +417,15 @@ class PointCalculus:
         return RatExpr(dict(self.setup.potential.den), {(): Fraction(1)})
 
     @cached_property
-    def _g_kernel(self):
-        """G's values as scalars: a tuple of s complex, the value itself
-        when s = 1 (expr.compile_arrays)."""
-        return compile_arrays(list(self.setup.generators), self.setup.var_names)
-
-    @cached_property
-    def _dg_kernel(self):
-        return compile_arrays([Array((self.s, self.N), [
-            (e, [(a, v)]) for a, row in enumerate(self._ggrad) for v, e in enumerate(row)])],
-            self.setup.var_names)
+    def _variety_kernel(self):
+        """The one kernel of G and dG at a point: (G, dG), fresh arrays of s
+        and of s x N complex, dG's columns n: being J and its columns :n
+        B = dG/dq.  The fiber solve, the proximity probe and
+        constraint_residual read it."""
+        return compile_arrays([
+            Array((self.s,), [(g, [(a,)]) for a, g in enumerate(self.setup.generators)]),
+            Array((self.s, self.N), [(e, [(a, v)]) for a, row in enumerate(self._ggrad)
+                                     for v, e in enumerate(row)])], self.setup.var_names)
 
     @cached_property
     def _v_kernel(self):
@@ -502,16 +516,17 @@ class PointCalculus:
                            checked=slice(s + point.checked.start, s + point.checked.stop))
 
     def compile_analysis_kernels(self):
-        """Compiles every kernel that an analysis may evaluate: G, dG, the
-        Darboux search's trial kernel, the Hessians and the proximity probes
-        toward detJ and the potential's denominator.  The point kernel is not
-        among them: the trial kernel computes its values, also for hess, and
-        holds every coefficient it does.
+        """Compiles every kernel that an analysis may evaluate: the variety
+        kernel (G and dG), the Darboux search's trial kernel, the Hessians
+        and the proximity probes toward detJ and the potential's
+        denominator.  The point kernel is not among them: the trial kernel
+        computes its values, also for hess, and holds every coefficient it
+        does.
         pipeline.analyze calls it before it evaluates anything, so a
         derived coefficient that has no double (expr.compile_arrays raises
         ExprError) is refused for the problem, whichever evaluation would
         first have read it; every other caller keeps the calculus lazy."""
-        for name in ("_g_kernel", "_dg_kernel", "_trial_kernel", "_hessian_kernel"):
+        for name in ("_variety_kernel", "_trial_kernel", "_hessian_kernel"):
             getattr(self, name)
         for f in (self.det, self._den):
             if f.constant_value() is None:
@@ -522,19 +537,12 @@ class PointCalculus:
     def potential_value(self, x) -> complex:
         return complex(self._v_kernel(x))
 
-    def g_values(self, x) -> np.ndarray:
-        """G at x as an array of s complex; the fiber solve and the
-        proximity probe read it."""
-        values = self._g_kernel.on_list(np.asarray(x, dtype=complex).tolist())
-        return np.array((values,) if self.s == 1 else values, dtype=complex)
-
     def det_value(self, x) -> complex:
         return complex(self._det_kernel(x))
 
     def constraint_residual(self, x) -> float:
-        if not self.s:
-            return 0.0
-        return float(np.max(np.abs(self.g_values(x))))
+        """The largest |G| at x (_largest), 0 without generators."""
+        return _largest(self._variety_kernel(x)[0])
 
     def first_derivatives(self, x) -> tuple:
         """The point kernel's values at x (PointKernel): the entries of dG,
@@ -638,19 +646,17 @@ class PointCalculus:
         coupled = self._coupled
         w = np.asarray(w0, dtype=complex).copy()
         for _ in range(FIBER_MAX_ITER):
-            x = np.concatenate([q, w])
-            gv = self.g_values(x)
-            if np.max(np.abs(gv)) <= FIBER_TOL:
+            G, dG = self._variety_kernel(np.concatenate([q, w]))
+            if _largest(G) <= FIBER_TOL:
                 return w
-            J = self._dg_kernel(x)[:, n:]
-            if not (J.diagonal().all() and np.isfinite(J).all()):
+            J = dG[:, n:]
+            if not (J.diagonal().all() and _finite(J)):
                 return None
-            step = _forward(J, gv, coupled)
-            if not np.isfinite(step).all():
+            step = _forward(J, G, coupled)
+            if not _finite(step):
                 return None
             w = w - step
-        x = np.concatenate([q, w])
-        if np.max(np.abs(self.g_values(x))) <= FIBER_TOL * 100:
+        if self.constraint_residual(np.concatenate([q, w])) <= FIBER_TOL * 100:
             return w
         return None
 
@@ -697,14 +703,14 @@ class PointCalculus:
         buffers = lstsq_buffers(self.s + 1, self.N)
         for _ in range(PROBE_MAX_ITER):
             value, grad = probe(y)
-            F = np.append(self.g_values(y), value)
-            if np.max(np.abs(F)) <= PROBE_TOL:
+            G, dG = self._variety_kernel(y)
+            F = np.append(G, value)
+            if _largest(F) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= PROBE_RADIUS)
-            A = np.vstack([self._dg_kernel(y), grad])
-            step = _lstsq(A, F, buffers)
-            if not np.all(np.isfinite(step)):
+            step = _lstsq(np.vstack([dG, grad]), F, buffers)
+            if not _finite(step):
                 return False
-            y = y - step
+            y = y + step
             if np.linalg.norm(y - x0) > 10 * PROBE_RADIUS + 1.0:
                 return False
         return False

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import CriticalPointError, PointCalculus, _lstsq, lstsq_buffers
+from .calculus import CriticalPointError, PointCalculus, _largest, _lstsq, lstsq_buffers
 from .expr import HALVINGS, SCALES, PoleError, rows_below
 
 ORIGIN_TOL = 1e-8
@@ -58,20 +58,9 @@ class DarbouxResult:
     failed_starts: int = 0
 
 
-def _largest(rows) -> float:
-    """The largest of NumPy's complex absolutes |rows|, 0 for no rows; nan
-    when an entry is nan.  The search's residual is this one absolute of an
-    accepted trial's rows, and every row decision (expr.rows_below) is
-    NumPy's: the two absolutes differ in the last bit of a large share of
-    complex values, so mixing them would move trials that tie.  The ufunc's
-    own reduce skips ndarray.max's Python wrapper, a third of the test's
-    cost on these few rows."""
-    return float(np.maximum.reduce(np.abs(rows), initial=0.0))
-
-
 def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
-    """x's largest residual entry (_largest), a float, when it is below
-    res; else the index of the row of F that failed in the trial kernel,
+    """x's largest residual entry (calculus._largest), a float, when it is
+    below res; else the index of the row of F that failed in the trial kernel,
     or None where no row is named: a pin row fails, the point is refused
     or a row's abs overflows.  The trial runs on Python complex: xs is x
     as a list, which its Jacobian reads too, and one call of the trial
@@ -170,7 +159,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     for _ in range(max_iter):
         if res <= conv_tol:
             return x, res
-        step = _lstsq(Jac, F, buffers, negate=True)
+        step = _lstsq(Jac, F, buffers)
         steps = step.tolist()
         if not all(map(isfinite, steps)):
             return None
@@ -237,8 +226,8 @@ def solve_darboux(pc: PointCalculus,
     # first-seen dedup; seeds were queued before random starts on purpose
     distinct = []
     for x, label in candidates:
-        norm = max(1.0, float(np.max(np.abs(x))))
-        if any(np.max(np.abs(x - y)) <= DEDUP_TOL * norm for y, _ in distinct):
+        norm = max(1.0, _largest(x))
+        if any(_largest(x - y) <= DEDUP_TOL * norm for y, _ in distinct):
             continue
         distinct.append((x, label))
 
@@ -259,13 +248,13 @@ def solve_darboux(pc: PointCalculus,
                 reason="within the critical set of the potential "
                        "(probe found a singular point nearby)"))
             continue
-        if float(np.max(np.abs(x))) < ORIGIN_TOL:
+        if _largest(x) < ORIGIN_TOL:
             result.rejected.append(DarbouxReport(
                 point=x, grad_residual=grad_res, constraint_residual=con_res,
                 start_label=label,
                 reason="the origin is excluded by definition"))
             continue
-        degenerate = float(np.max(np.abs(x[:n]))) < BASE_PROJECTION_TOL if n else True
+        degenerate = _largest(x[:n]) < BASE_PROJECTION_TOL
         result.accepted.append(DarbouxReport(
             point=x, grad_residual=grad_res, constraint_residual=con_res,
             degenerate=degenerate, hessian=pc.hess(x),

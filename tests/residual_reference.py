@@ -1,29 +1,30 @@
 """The Darboux residual's rows by separate steps: the reference that the
 package's one producer of them, the trial kernel
-(PointCalculus.darboux_trial), is held to.  The G kernel gives G, the point
-kernel gives grad V, and grad V - q is Python's subtraction; each group of
-rows is decided by NumPy's absolute, so nothing here reads the trial
-kernel or its row tests."""
+(PointCalculus.darboux_trial), is held to.  The variety kernel gives G,
+the point kernel gives grad V, and grad V - q is Python's subtraction;
+each group of rows is decided by NumPy's absolute, so nothing here reads
+the trial kernel or its row tests."""
 
 import numpy as np
 
-from algpot import darboux
+from algpot import calculus
 from algpot.calculus import CriticalPointError
 from algpot.expr import PoleError
 
 
 def unfused_trial(pc, xs, res):
-    """A trial as separate steps: the G kernel, its rows decided by NumPy's
-    absolute, then the point kernel and grad V - q, decided likewise; None
-    where a row fails or the point is refused, else (rows, first)."""
+    """A trial as separate steps: the variety kernel's G, its rows decided
+    by NumPy's absolute, then the point kernel and grad V - q, decided
+    likewise; None where a row fails or the point is refused, else
+    (rows, first)."""
     try:
-        g = pc.g_values(xs)
-        if not darboux._largest(g) < res:
+        g = pc._variety_kernel(xs)[0]
+        if not calculus._largest(g) < res:
             return None
         point = pc._point_kernel
         first = point.on_list(xs)
         rows = [v - q for v, q in zip(first[point.grad], xs)]
-        if not darboux._largest(np.array(rows, dtype=complex)) < res:
+        if not calculus._largest(np.array(rows, dtype=complex)) < res:
             return None
     except (CriticalPointError, PoleError):
         return None

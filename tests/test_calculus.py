@@ -286,7 +286,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     pc.hess(x)
     assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each kernel it
-    # uses once: four of the seven cached ones, the Darboux search's trial
+    # uses once: three of the six cached ones, the Darboux search's trial
     # kernel among them (not detJ's, which only the flow's stop events
     # read, nor the potential value's, which only the flow's energy reads,
     # nor the point kernel, whose values the trial kernel gives hess too)
@@ -300,7 +300,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     (used,) = built
     held = [getattr(v, "kernel", v) for k, v in vars(used).items() if k.endswith("_kernel")]
     held += list(used._probes.values())
-    assert len(held) == 6 and used._trial_kernel.kernel in held
+    assert len(held) == 5 and used._trial_kernel.kernel in held
     assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
     assert "_point_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algpot.calculus import PointCalculus
-from algpot.darboux import _largest, solve_darboux
+from algpot.calculus import PointCalculus, _largest
+from algpot.darboux import solve_darboux
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
@@ -118,7 +118,7 @@ def hunts():
 
 def test_reported_residuals_are_the_reference_rows():
     # each candidate's residuals, accepted or rejected, are the largest of
-    # its rows, bit for bit those of the G kernel and the point kernel
+    # its rows, bit for bit those of the variety kernel's G and the point kernel
     # evaluated apart from the trial kernel that the search reads them from
     entries = 0
     for pc, opt in hunts():

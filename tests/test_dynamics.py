@@ -252,7 +252,7 @@ def reference_field(pc, y):
     n = pc.n
     q, p, w = y[:n], y[n:2 * n], y[2 * n:]
     x = np.concatenate([q, w]).astype(complex)
-    dG = pc._dg_kernel(x)
+    _, dG = pc._variety_kernel(x)
     vg = np.array([reference_compile(e, pc.setup.var_names)(x) for e in pc._vgrad])
     J, B = dG[:, n:], dG[:, :n]
     grad = vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])
@@ -303,7 +303,7 @@ def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
     for name in ("_forward", "_lstsq", "zgelsy"):
         monkeypatch.setattr(calculus, name, refused)
     monkeypatch.setattr(np.linalg, "solve", refused)
-    for method in ("first_derivatives", "grad", "_dg_blocks", "_dg_kernel"):
+    for method in ("first_derivatives", "grad", "_dg_blocks", "_variety_kernel"):
         monkeypatch.setattr(pc, method, refused)
     for y in states:
         calls.clear()

@@ -275,6 +275,17 @@ def test_the_darboux_residual_has_one_producer():
                      "calculus.PointCalculus.row_tests"]
 
 
+def test_the_variety_has_one_producer():
+    # outside the Darboux search, G and dG come from one kernel: the fiber
+    # solve, the proximity probe and the constraint residual read it, an
+    # analysis compiles it up front, and nothing else in the package reads it
+    found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_variety_kernel"))
+    assert found == ["calculus.PointCalculus._near_zero_set",
+                     "calculus.PointCalculus.compile_analysis_kernels",
+                     "calculus.PointCalculus.constraint_residual",
+                     "calculus.PointCalculus.solve_fiber"]
+
+
 def test_generated_source_names_no_variable():
     setup = build(NBodyConfig(n=3, dim=2, masses=(1, 2, 3)))
     pc = PointCalculus(setup)
@@ -283,11 +294,11 @@ def test_generated_source_names_no_variable():
     pc.darboux_trial(x.tolist(), np.inf)
     pc.hess(x)
     pc.near_sigma(x)
-    sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._point_kernel.kernel.source,
+    sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
                pc._trial_kernel.kernel.source, pc._hessian_kernel.source, pc._v_kernel.source,
                pc._det_kernel.source]
     sources += [k.source for k in pc._probes.values()]
-    assert len(sources) == 9
+    assert len(sources) == 8
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 

@@ -31,7 +31,7 @@ def test_potential_value_on_negative_sheet():
     pos = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     r = np.array([-1.0, -1.0, -np.sqrt(2.0)])
     x = np.concatenate([pos, r]).astype(complex)
-    for g in pc.g_values(x):
+    for g in pc._variety_kernel(x)[0]:
         assert abs(g) < 1e-12
     v = pc.potential_value(x)
     assert abs(v - (-2.0 - 1.0 / np.sqrt(2.0))) < 1e-12

@@ -7,11 +7,11 @@ the values that row reads (G, the quotients, the adjoint and grad V), in
 demand order, stopping at the first that fails, as NumPy's absolute would
 decide it (expr.rows_below: Python's abs away from the residual, NumPy's
 near it; a property test draws values and residuals within 8 ulp of each
-other, and another holds the fused kernel to the G kernel and the point
-kernel decided row by row), and names the row that failed.  Before that
-call the search runs the row's own test (PointCalculus.row_tests) of the
-row that rejected its last rejected trial, which scans the halvings and
-rejects only where the unfused steps do, decides its row as they do,
+other, and another holds the fused kernel to the variety kernel's G and
+the point kernel decided row by row), and names the row that failed.
+Before that call the search runs the row's own test
+(PointCalculus.row_tests) of the row that rejected its last rejected
+trial, which scans the halvings and rejects only where the unfused steps do, decides its row as they do,
 without a warning (a property test on the same points), and reads each
 coordinate as NumPy's trial point has it, but for the sign of a zero (a
 property test over the whole exponent range).  The trial kernel is the
@@ -112,7 +112,7 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
     for _ in range(max_iter):
         if res <= conv_tol:
             return (x, res), accepted
-        step = fresh_lstsq(Jac, -F)
+        step = fresh_lstsq(Jac, F)
         if not np.all(np.isfinite(step)):
             return None, accepted
         scale = 1.0
@@ -142,7 +142,7 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
 
 
 def fresh_lstsq(A, b):
-    """_lstsq(A, b) on buffers made for this one solve."""
+    """_lstsq(A, b), the step -A^+ b, on buffers made for this one solve."""
     return _lstsq(A, b, lstsq_buffers(*A.shape))
 
 
@@ -228,17 +228,17 @@ def test_newton_matches_full_system_search(three_body, pinned):
 
 def test_row_test_compares_numpys_absolute_with_the_residual():
     rows = np.array([0.5, 3 + 4j, -1j])
-    assert darboux._largest(rows) == 5.0
-    assert np.isnan(darboux._largest(np.array([0.5, np.nan, 1.0])))
-    assert darboux._largest(np.array([0.5, complex(0, -np.inf)])) == np.inf
-    assert darboux._largest(np.zeros(0, dtype=complex)) == 0.0  # no cheap rows pass
+    assert calculus._largest(rows) == 5.0
+    assert np.isnan(calculus._largest(np.array([0.5, np.nan, 1.0])))
+    assert calculus._largest(np.array([0.5, complex(0, -np.inf)])) == np.inf
+    assert calculus._largest(np.zeros(0, dtype=complex)) == 0.0  # no cheap rows pass
     # where Python's abs and NumPy's absolute differ in the last bit (one
     # value each way), the row test reads NumPy's, the absolute that the
     # search's residual is made of
     for v in (0.42654310306871945 + 0.9179862439359936j,
               0.5478467492858172 - 0.9208531449445188j):
         assert abs(v) != np.abs(v)
-        assert darboux._largest(np.array([0.1, v])) == np.abs(v)
+        assert calculus._largest(np.array([0.1, v])) == np.abs(v)
         # the trial's row by row decision on Python values is NumPy's too:
         # a tie with NumPy's absolute rejects, the next float up passes,
         # and Python's own absolute as the residual is decided as NumPy's
@@ -282,7 +282,7 @@ def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
     reference = np.abs(np.array([v]))[0]
     res = shifted_bound(reference, shift)
     assert rows_below([v], res) is bool(reference < res)
-    assert rows_below([0.0, v], res) is bool(darboux._largest(np.array([0.0, v])) < res)
+    assert rows_below([0.0, v], res) is bool(calculus._largest(np.array([0.0, v])) < res)
     assert isinstance(NEGATED_ROW.on_list([v], res), tuple) is bool(reference < res)
 
 
@@ -320,7 +320,7 @@ def test_a_row_tests_coordinate_is_the_trial_points(xr, xi, sr, si, k):
         assert component_bits(x + 2.0 ** -k * step) == component_bits(got)
 
 
-# the trial kernel of each against its G kernel and point kernel, decided
+# the trial kernel of each against its variety kernel's G and point kernel, decided
 # row by row: the 1/w1 potential has a pole where J = 2 w1 vanishes,
 # draw1's J has an entry below its diagonal, plain has no generator
 TRIAL_SETUPS = {"cone": CONE_TEXT, "trap": TRAP_TEXT, "plain": PLAIN_TEXT,
@@ -369,7 +369,7 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
     pc = trial_calculus(name)
     x = trial_point(pc, np.random.default_rng(seed), kind)
     xs = x.tolist()
-    absolutes = np.abs(pc.g_values(xs))
+    absolutes = np.abs(pc._variety_kernel(xs)[0])
     full = unfused_trial(pc, xs, np.inf)
     if full is not None:
         absolutes = np.abs(np.array(full[0], dtype=complex))
@@ -391,10 +391,10 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
 
 def unfused_rows(pc, xs) -> list:
     """The residual rows (grad V - q, G) at xs, each from the unfused steps
-    (the G kernel, and the point kernel minus q), or None where its kernel
+    (the variety kernel's G, and the point kernel minus q), or None where its kernel
     refuses the point; NumPy's warnings are silenced here."""
     with np.errstate(all="ignore"):
-        g = pc.g_values(xs).tolist()
+        g = pc._variety_kernel(xs)[0].tolist()
         point = pc._point_kernel
         try:
             first = point.on_list(xs)
@@ -474,7 +474,7 @@ def test_kernels_without_row_tests_compute_in_target_order():
     for setup in setups:
         pc = PointCalculus(setup)
         pc.compile_analysis_kernels()
-        sources = [pc._g_kernel.source, pc._dg_kernel.source, pc._point_kernel.kernel.source,
+        sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
                    pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
         sources += [k.source for k in pc._probes.values()]
         for source in sources:
@@ -491,7 +491,7 @@ TRACED = ("darboux_system", "darboux_trial")
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
     """(calls, result): _newton's own calls of the TRACED methods and of the
     trial kernel's row tests, in order, as [name, point, value], with each
-    least-squares solve as ["lstsq", matrix, right-hand side]; a row test
+    least-squares step as ["lstsq", matrix, residual]; a row test
     scans halvings, and each halving it decides is one entry named
     "row_test", at that halving's point x + 2^-k step as NumPy computes
     it, with the value (row, whether it passed); a call made inside
@@ -499,9 +499,9 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     keeps the value None.  result is what _newton returns."""
     calls, depth = [], [0]
 
-    def lstsq(A, b, buffers, negate=False):
-        calls.append(["lstsq", A.copy(), np.negative(b) if negate else b.copy()])
-        return _lstsq(A, b, buffers, negate)
+    def lstsq(A, b, buffers):
+        calls.append(["lstsq", A.copy(), b.copy()])
+        return _lstsq(A, b, buffers)
 
     def traced(name, method):
         def call(x, *rest):
@@ -608,7 +608,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
         res = point = failed = None
         for k, (name, x, value) in enumerate(calls):
             if name == "lstsq":
-                assert bits(x) == bits(Jac) and bits(-value) == bits(F)
+                assert bits(x) == bits(Jac) and bits(value) == bits(F)
                 solved += 1
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
@@ -643,7 +643,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                     failed = None  # a pin row failed, or the point was refused
             # a trial: its G rows, then its gradient rows, then its pin rows
             rejected = name == "row_test" or isinstance(value, int)
-            r = float(np.abs(pc_.g_values(x)).max(initial=0.0))
+            r = float(np.abs(pc_._variety_kernel(x)[0]).max(initial=0.0))
             if not r < res:
                 assert rejected and (name == "row_test" or value >= pc_.n)
                 g_rejected += 1
@@ -979,8 +979,8 @@ def test_substitution_matches_numpy_solve(name):
     point = pc._point_kernel
     compared = 0
     for x in sample_points(setup, 12, seed=7):
-        dG = pc._dg_kernel(x)
-        J, B, G = dG[:, n:], dG[:, :n], pc.g_values(x)
+        G, dG = pc._variety_kernel(x)
+        J, B = dG[:, n:], dG[:, :n]
         try:
             vg = np.array([reference_compile(e, order)(x) for e in pc._vgrad], dtype=complex)
             u_ref, W_ref = np.linalg.solve(J.T, vg[n:]), np.linalg.solve(J, -B)
@@ -1114,7 +1114,8 @@ def least_squares_systems(pc, text, x, pinned, rng):
         if f.constant_value() is None:
             pc._near_zero_set(f, x)  # compiles f's probe kernel
             value, grad = pc._probes[f](x)
-            systems.append((np.vstack([pc._dg_kernel(x), grad]), np.append(pc.g_values(x), value)))
+            G, dG = pc._variety_kernel(x)
+            systems.append((np.vstack([dG, grad]), np.append(G, value)))
     return systems
 
 
@@ -1138,11 +1139,11 @@ def norm(v) -> float:
 
 
 def assert_matches_numpy(A, b):
-    """_lstsq(A, b) is a least-squares solution no worse than NumPy's
-    beyond roundoff, of no larger norm (the minimum-norm one), and agrees
-    with NumPy's relative to its norm within the perturbation bound, kappa
-    taken over the rank NumPy's rcond=None gives."""
-    x = fresh_lstsq(A, b)
+    """_lstsq(A, -b) is a least-squares solution of A x = b no worse than
+    NumPy's beyond roundoff, of no larger norm (the minimum-norm one), and
+    agrees with NumPy's relative to its norm within the perturbation bound,
+    kappa taken over the rank NumPy's rcond=None gives."""
+    x = fresh_lstsq(A, -b)
     ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert x.shape == ref.shape == (A.shape[1],) and x.dtype == complex
     eps = np.finfo(float).eps
@@ -1182,7 +1183,7 @@ def test_lstsq_matches_numpy_on_degenerate_shapes():
         for b in (np.zeros(len(A), dtype=complex), rng.standard_normal(len(A)) + 1j):
             assert_matches_numpy(A, b)
             if not b.any():
-                assert not fresh_lstsq(A, b).any()
+                assert not fresh_lstsq(A, -b).any()
 
 
 def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
@@ -1218,18 +1219,19 @@ def test_lstsq_buffers_reused_after_a_permuting_solve_free_every_column():
     # stale pivot array would keep in front, where the rank estimate of
     # the unpivoted R stops at its zero first entry and gives x = 0; with
     # the pivots zeroed the solve on the reused buffers has the bits of a
-    # fresh one, nonzero, for either sign of the right-hand side
+    # fresh one, nonzero, for either sign of the residual, and negating the
+    # residual negates the step, but for the sign of a zero
     rng = np.random.default_rng(17)
     m, n = 7, 4
     A1 = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * 10.0 ** np.arange(n)
     A2 = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     A2[:, 0] = 0.0
     b1, b2 = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
-    for negate in (False, True):
+    for b in (b2, -b2):
         buffers = lstsq_buffers(m, n)
-        _lstsq(A1, b1, buffers, negate)
+        _lstsq(A1, b1, buffers)
         assert buffers.pivots.all() and buffers.pivots.tolist() != list(range(1, n + 1))
-        got = _lstsq(A2, b2, buffers, negate)
-        fresh = _lstsq(A2, b2, lstsq_buffers(m, n), negate)
+        got = _lstsq(A2, b, buffers)
+        fresh = fresh_lstsq(A2, b)
         assert bits(got) == bits(fresh) and got[1:].all()
-        assert bits(fresh_lstsq(A2, -b2 if negate else b2)) == bits(fresh)
+        assert (fresh_lstsq(A2, -b) == -fresh).all()

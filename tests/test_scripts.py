@@ -135,3 +135,24 @@ def test_trial_stats_counts_each_analysis_trials_by_outcome(capsys):
     assert total["test"] > 0 and total["passed"] > 0
     assert (darboux._newton, PointCalculus.darboux_trial, PointCalculus.darboux_system,
             PointCalculus.row_tests) == originals
+
+
+def test_output_digest_lists_each_fiber_solve_after_its_output():
+    # each fiber solve that an output made has its own line, after that
+    # output's line and in call order, and solve_fiber is put back once
+    # the listing ends
+    output_digest = load_script("output_digest")
+    PointCalculus = output_digest.algpot.calculus.PointCalculus
+    solve_fiber = PointCalculus.solve_fiber
+    labels = [label for label, _ in output_digest.ve_dynamics_lines(0)]
+    assert PointCalculus.solve_fiber is solve_fiber
+    owner = count = None
+    solves = 0
+    for label in labels:
+        if not label.startswith("fiber "):
+            owner, count = label, 0
+            continue
+        assert label == f"fiber {owner} solve {count:02d}"
+        count += 1
+        solves += 1
+    assert solves
