@@ -16,12 +16,16 @@ one line per fiber solve it made, in call order: the result of
 `PointCalculus.solve_fiber`, the fiber point w or None.  These cover
 validation's samples and the flow's starts and projections, which the
 outputs show only through a probe's verdict or a corrected state; a solve
-made by a workload's set-up is not listed.  `_newton` and `solve_fiber`
-are wrapped from here, as bench/instrument.py wraps `_newton`.  A digest
-covers every bit of every number in the output, so two trees whose
-listings `diff` clean produce bit-identical outputs on these inputs.  A
-change meant to leave the numerics alone is checked this way; one that
-moves last bits is judged by `scripts/recall_sweep.py` instead.
+made by a workload's set-up is not listed.  After each analysis's fiber
+lines comes one line per Sigma probe it made, in call order: the verdict
+of `PointCalculus._near_zero_set`, which a report shows only through a
+rejected candidate or `validation.ok`.  `_newton`, `solve_fiber` and
+`_near_zero_set` are wrapped from here, as bench/instrument.py wraps
+`_newton`.  A digest covers every bit of every number in the output, so
+two trees whose listings `diff` clean produce bit-identical outputs on
+these inputs.  A change meant to leave the numerics alone is checked this
+way; one that moves last bits is judged by `scripts/recall_sweep.py`
+instead.
 
 Each problem's PointCalculus is built once, by the workload's set-up, and
 passed to `analyze` at both hunt seeds; a tree whose `analyze` takes no
@@ -137,19 +141,21 @@ def recording(owner, name: str, digests: list):
 
 
 def analyze_lines(hunt_seed: int, states: dict):
-    """Each analysis's report line, then one line per Newton start and one
-    per fiber solve it made.  states holds each workload's built problems,
-    set up on first use and kept for the next hunt seed."""
-    starts, fibers = [], []
+    """Each analysis's report line, then one line per Newton start, per
+    fiber solve and per Sigma probe it made.  states holds each workload's
+    built problems, set up on first use and kept for the next hunt seed."""
+    PointCalculus = algpot.calculus.PointCalculus
+    starts, fibers, probes = [], [], []
     with recording(algpot.darboux, "_newton", starts), \
-            recording(algpot.calculus.PointCalculus, "solve_fiber", fibers):
+            recording(PointCalculus, "solve_fiber", fibers), \
+            recording(PointCalculus, "_near_zero_set", probes):
         for name in ANALYZE_WORKLOADS:
             plan = workloads.WORKLOADS[name](algpot, 0, hunt_seed, {})
             if name not in states:
                 states[name] = plan.setup()
             for task in sorted(plan.tasks, key=lambda t: t.label):
-                starts.clear()
-                fibers.clear()
+                for log in (starts, fibers, probes):
+                    log.clear()
                 report, _ = run_with_calculus(task, states[name][task.problem])
                 label = f"hunt-seed {hunt_seed} {task.label}"
                 yield (f"analyze {label}",
@@ -158,6 +164,8 @@ def analyze_lines(hunt_seed: int, states: dict):
                     yield f"newton {label} start {i:02d}", sha
                 for i, sha in enumerate(fibers):
                     yield f"fiber {label} solve {i:02d}", sha
+                for i, sha in enumerate(probes):
+                    yield f"probe {label} walk {i:02d}", sha
 
 
 def ve_dynamics_lines(seed: int):

@@ -39,9 +39,10 @@ It is the one producer of the Darboux residual's rows: the search reads a
 candidate's rows from it too, against an infinite residual.  The calculus
 keeps nothing per point: the search passes a trial's first derivatives
 to that point's Jacobian (darboux_system), and every other evaluation
-computes its own.  Outside the search, G and dG come from one kernel
-too (PointCalculus._variety_kernel), one call per fiber Newton step and
-per probe step, which the constraint residual reads as well.
+computes its own.  Outside the search, one kernel gives G, dG and the
+values and gradients of Sigma's non-constant polynomials (detJ, the
+potential's denominator; PointCalculus._variety_kernel), one call per
+fiber Newton step and per probe step, which constraint_residual reads too.
 PointCalculus is the one numeric view of a setup: it evaluates plain
 partials of V and G, each table derived symbolically on first use and
 evaluated by kernels generated on first use, so building a calculus costs
@@ -312,7 +313,7 @@ class PointCalculus:
     Plain first and second partials of the potential and the generators,
     J = dG/dw (checked lower triangular), detJ and the potential's
     denominator are derived symbolically on first use, each once, by the
-    first kernel or probe that reads them: the constructor derives nothing,
+    first kernel that reads them: the constructor derives nothing,
     and a caller that never evaluates a Hessian never derives one.  It
     keeps no per-point state: first_derivatives returns a point's values of
     the point kernel (PointKernel), its one adjoint and one gradient;
@@ -320,21 +321,22 @@ class PointCalculus:
     `out` they write (a Darboux search trial passes the ones its trial
     kernel gave and its own rows), and grad and hess compute their own.
     The partials are evaluated by generated kernels (expr.compile_arrays),
-    each compiled on first use and kept: the variety kernel, G and dG (the
+    each compiled on first use and kept: the variety kernel, G, dG (the
     s x N matrix whose columns n: are J and whose columns :n are
-    B = dG/dq) as two arrays from one call, which the fiber solve, the
+    B = dG/dq) and the values S and gradients dS of Sigma's non-constant
+    polynomials, four arrays from one call, which the fiber solve, the
     proximity probe and constraint_residual read; the point kernel, the
-    structurally non-zero entries of dG and of the potential's gradient
-    as scalars, with u and grad V unrolled after them
-    by triangular substitution, which the Darboux numerics and the flow
+    structurally non-zero entries of dG and of the potential's gradient as
+    scalars, with u and grad V unrolled after them by triangular
+    substitution, which the Darboux numerics and the flow
     (dynamics) both read; the trial kernel, G and the point kernel's
     targets with the Darboux residual's rows tested as they are computed,
     one call per search trial and the one producer of those rows
     (darboux_trial, TrialKernel); the potential's value; both Hessians,
-    V's (N x N) and the generators' (s x N x N), in one kernel; detJ, for the flow's
-    stop events in dynamics; and one per polynomial the proximity probe
-    walks toward; pipeline.analyze compiles the ones an analysis may
-    evaluate before it evaluates any (compile_analysis_kernels).  A
+    V's (N x N) and the generators' (s x N x N), in one kernel; and detJ,
+    for the flow's stop events in dynamics.  pipeline.analyze compiles the
+    ones an analysis may evaluate before it evaluates any
+    (compile_analysis_kernels).  A
     Hessian's upper-triangle partial is evaluated once and written to both
     places, a diagonal one to its one place, zero partials are never
     evaluated and constant ones are filled in once, at compile time.  The
@@ -347,7 +349,6 @@ class PointCalculus:
         self.N = len(setup.var_names)
         self.n = setup.n
         self.s = setup.s
-        self._probes = {}  # polynomial -> (value, gradient) kernel, on first use
 
     # -- symbolic tables, each derived on first use -----------------------
 
@@ -418,14 +419,22 @@ class PointCalculus:
 
     @cached_property
     def _variety_kernel(self):
-        """The one kernel of G and dG at a point: (G, dG), fresh arrays of s
-        and of s x N complex, dG's columns n: being J and its columns :n
-        B = dG/dq.  The fiber solve, the proximity probe and
+        """The one kernel of the variety and Sigma at a point: (G, dG, S,
+        dS), fresh arrays of s, s x N, k and k x N complex.  dG's columns
+        n: are J and its columns :n B = dG/dq; S and dS are the values and
+        gradients of Sigma's k <= 2 non-constant polynomials, detJ then the
+        potential's denominator (a constant one is decided by its value and
+        never compiled).  The fiber solve, the proximity probe and
         constraint_residual read it."""
+        order = self.setup.var_names
+        sigma = [f for f in (self.det, self._den) if f.constant_value() is None]
         return compile_arrays([
             Array((self.s,), [(g, [(a,)]) for a, g in enumerate(self.setup.generators)]),
             Array((self.s, self.N), [(e, [(a, v)]) for a, row in enumerate(self._ggrad)
-                                     for v, e in enumerate(row)])], self.setup.var_names)
+                                     for v, e in enumerate(row)]),
+            Array((len(sigma),), [(f, [(k,)]) for k, f in enumerate(sigma)]),
+            Array((len(sigma), self.N), [(f.diff(v), [(k, i)]) for k, f in enumerate(sigma)
+                                         for i, v in enumerate(order)])], order)
 
     @cached_property
     def _v_kernel(self):
@@ -517,9 +526,9 @@ class PointCalculus:
 
     def compile_analysis_kernels(self):
         """Compiles every kernel that an analysis may evaluate: the variety
-        kernel (G and dG), the Darboux search's trial kernel, the Hessians
-        and the proximity probes toward detJ and the potential's
-        denominator.  The point kernel is not among them: the trial kernel
+        kernel (G, dG and Sigma's polynomials with their gradients, which
+        the proximity probes read), the Darboux search's trial kernel and
+        the Hessians.  The point kernel is not among them: the trial kernel
         computes its values, also for hess, and holds every coefficient it
         does.
         pipeline.analyze calls it before it evaluates anything, so a
@@ -528,9 +537,6 @@ class PointCalculus:
         first have read it; every other caller keeps the calculus lazy."""
         for name in ("_variety_kernel", "_trial_kernel", "_hessian_kernel"):
             getattr(self, name)
-        for f in (self.det, self._den):
-            if f.constant_value() is None:
-                self._probe(f)
 
     # -- raw evaluations ------------------------------------------------
 
@@ -646,7 +652,7 @@ class PointCalculus:
         coupled = self._coupled
         w = np.asarray(w0, dtype=complex).copy()
         for _ in range(FIBER_MAX_ITER):
-            G, dG = self._variety_kernel(np.concatenate([q, w]))
+            G, dG, _, _ = self._variety_kernel(np.concatenate([q, w]))
             if _largest(G) <= FIBER_TOL:
                 return w
             J = dG[:, n:]
@@ -680,34 +686,27 @@ class PointCalculus:
 
     # -- proximity probes --------------------------------------------------
 
-    def _probe(self, f: RatExpr):
-        """The kernel of a non-constant polynomial f's value and gradient,
-        compiled on first use."""
-        if f not in self._probes:
-            order = self.setup.var_names
-            self._probes[f] = compile_arrays(
-                [f, Array((self.N,), [(f.diff(v), [(i,)]) for i, v in enumerate(order)])], order)
-        return self._probes[f]
-
     def _near_zero_set(self, f: RatExpr, x) -> bool:
-        """Gauss-Newton toward (G = 0, f = 0) for a polynomial f; True when a
-        solution sits within PROBE_RADIUS of x.  Measures distance to a set
-        rather than the value of f, which stays meaningful for
-        barely-converged candidates.  A constant f is decided by its value."""
+        """Gauss-Newton toward (G = 0, f = 0) for f, detJ or the potential's
+        denominator; True when a solution sits within PROBE_RADIUS of x.
+        Measures distance to a set rather than the value of f, which stays
+        meaningful for barely-converged candidates.  Each step reads G, dG
+        and f's row of S and dS, detJ's first and the denominator's last,
+        from one call of the variety kernel.  A constant f is decided by
+        its value."""
         c = f.constant_value()
         if c is not None:
             return c == 0
-        probe = self._probe(f)
+        row = -1 if f is self._den else 0
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
         buffers = lstsq_buffers(self.s + 1, self.N)
         for _ in range(PROBE_MAX_ITER):
-            value, grad = probe(y)
-            G, dG = self._variety_kernel(y)
-            F = np.append(G, value)
+            G, dG, S, dS = self._variety_kernel(y)
+            F = np.append(G, S[row])
             if _largest(F) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= PROBE_RADIUS)
-            step = _lstsq(np.vstack([dG, grad]), F, buffers)
+            step = _lstsq(np.vstack([dG, dS[row]]), F, buffers)
             if not _finite(step):
                 return False
             y = y + step

@@ -286,11 +286,12 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     pc.hess(x)
     assert len(compiled) == 3
     # a full analyze builds one PointCalculus and compiles each kernel it
-    # uses once: three of the six cached ones, the Darboux search's trial
-    # kernel among them (not detJ's, which only the flow's stop events
-    # read, nor the potential value's, which only the flow's energy reads,
-    # nor the point kernel, whose values the trial kernel gives hess too)
-    # and the probes of detJ and of the potential's denominator
+    # uses once: three of the six cached ones, the variety kernel (which
+    # gives the probes detJ and the potential's denominator), the Darboux
+    # search's trial kernel and the Hessians; not detJ's, which only the
+    # flow's stop events read, nor the potential value's, which only the
+    # flow's energy reads, nor the point kernel, whose values the trial
+    # kernel gives hess too
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
                         lambda s: built.append(PointCalculus(s)) or built[-1])
@@ -299,8 +300,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     assert report["darboux"]["n_accepted"] > 0  # so near_sigma probed both polynomials
     (used,) = built
     held = [getattr(v, "kernel", v) for k, v in vars(used).items() if k.endswith("_kernel")]
-    held += list(used._probes.values())
-    assert len(held) == 5 and used._trial_kernel.kernel in held
+    assert len(held) == 3 and used._trial_kernel.kernel in held
     assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
     assert "_point_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))

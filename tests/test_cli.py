@@ -280,6 +280,16 @@ def test_a_coefficient_a_double_cannot_hold_is_a_problem_file_error(tmp_path, ca
                             "potential has a coefficient too large for a double\n")
 
 
+def test_a_constant_detj_without_a_double_is_not_compiled(tmp_path, capsys):
+    # detJ is the constant 10^400, which has no double: the Sigma probe
+    # decides a constant polynomial by its value, so no kernel compiles it
+    big = tmp_path / "big.prob"
+    big.write_text("vars q1 q2\next w1 : 10^200*w1 - q1^2\next w2 : 10^200*w2 - q2^2\n"
+                   "potential q1^2*w2 + q2^2*w1 + q1*q2*w1\n")
+    assert main(["analyze", str(big)]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["ok"]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "{big}"], ["darboux", "{big}"],
     ["simulate", "{big}", "--q0", "0.5,0.1", "--p0", "0,0", "--w0", "0.51"],

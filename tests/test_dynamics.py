@@ -252,7 +252,7 @@ def reference_field(pc, y):
     n = pc.n
     q, p, w = y[:n], y[n:2 * n], y[2 * n:]
     x = np.concatenate([q, w]).astype(complex)
-    _, dG = pc._variety_kernel(x)
+    _, dG = pc._variety_kernel(x)[:2]
     vg = np.array([reference_compile(e, pc.setup.var_names)(x) for e in pc._vgrad])
     J, B = dG[:, n:], dG[:, :n]
     grad = vg[:n] - B.T @ np.linalg.solve(J.T, vg[n:])

@@ -276,9 +276,10 @@ def test_the_darboux_residual_has_one_producer():
 
 
 def test_the_variety_has_one_producer():
-    # outside the Darboux search, G and dG come from one kernel: the fiber
-    # solve, the proximity probe and the constraint residual read it, an
-    # analysis compiles it up front, and nothing else in the package reads it
+    # outside the Darboux search, G, dG and Sigma's polynomials come from
+    # one kernel: the fiber solve, the proximity probe and the constraint
+    # residual read it, an analysis compiles it up front, and nothing else
+    # in the package reads it
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_variety_kernel"))
     assert found == ["calculus.PointCalculus._near_zero_set",
                      "calculus.PointCalculus.compile_analysis_kernels",
@@ -297,8 +298,7 @@ def test_generated_source_names_no_variable():
     sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
                pc._trial_kernel.kernel.source, pc._hessian_kernel.source, pc._v_kernel.source,
                pc._det_kernel.source]
-    sources += [k.source for k in pc._probes.values()]
-    assert len(sources) == 8
+    assert len(sources) == 6
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 
@@ -306,7 +306,7 @@ def test_generated_source_names_no_variable():
 def self_attribute_stores(path: Path, cls: str) -> list:
     """Class.method -> attribute for each attribute of self that a method of
     cls, other than __init__, assigns or deletes, setattr included; a store
-    into an attribute's item (self._probes[f] = ...) changes no attribute."""
+    into an attribute's item changes no attribute."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
     found = []
@@ -329,6 +329,17 @@ def test_point_calculus_keeps_no_per_point_state():
     # PointCalculus keeps what its setup fixes (partials, kernels, probes);
     # a point's first derivatives are passed by the caller that stays there
     assert self_attribute_stores(SRC / "calculus.py", "PointCalculus") == []
+
+
+def test_point_calculus_constructor_stores_only_its_setup_and_sizes():
+    # everything else a PointCalculus holds is a cached_property of its
+    # setup: it keeps no mutable state of its own
+    tree = ast.parse((SRC / "calculus.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PointCalculus"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    stored = [node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)]
+    assert stored == ["setup", "N", "n", "s"]
 
 
 SYMBOLIC_DERIVATIONS = ("diff", "_hessian_entries")

@@ -98,9 +98,10 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
                                          for e in hessian_entries(g, order, (a,))], order)
     ref_v = reference_compile(V, order)
     ref_det = reference_compile(pc.det, order)
-    probes = [(f, reference_compile(f, order),
-               reference_array((N,), [(f.diff(v), [(j,)]) for j, v in enumerate(order)], order))
-              for f in (pc.det, pc._den) if f.constant_value() is None]
+    sigma = [f for f in (pc.det, pc._den) if f.constant_value() is None]
+    ref_s = reference_array((len(sigma),), [(f, [(i,)]) for i, f in enumerate(sigma)], order)
+    ref_ds = reference_array((len(sigma), N), [(f.diff(v), [(i, j)]) for i, f in enumerate(sigma)
+                                               for j, v in enumerate(order)], order)
 
     # the point kernel's expression values (the potential's partials, the
     # entries of dG), at every point: its target list compiled again with
@@ -117,26 +118,22 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
 
     seen = set()
     for x in points(N):
+        # G, dG, and Sigma's non-constant polynomials with their gradients
         assert outcome(lambda y: flat(pc._variety_kernel(y)), x) == \
-            outcome(lambda y: flat((ref_g(y), ref_dg(y))), x)
+            outcome(lambda y: flat((ref_g(y), ref_dg(y), ref_s(y), ref_ds(y))), x)
         assert outcome(lambda y: [undivided(y)[k] for k, _ in ref_point], x) == \
             outcome(lambda y: [f(y) for _, f in ref_point], x)
         assert outcome(lambda y: flat(pc._hessian_kernel(y)), x) == \
             outcome(lambda y: flat((ref_vh(y), ref_gh(y))), x)
         assert outcome(pc.potential_value, x) == outcome(lambda y: complex(ref_v(y)), x)
         assert outcome(pc.det_value, x) == outcome(lambda y: complex(ref_det(y)), x)
-        for f, ref_value, ref_grad in probes:
-            pc._near_zero_set(f, x)  # compiles f's probe kernel
-            value, grad = pc._probes[f](x)
-            assert outcome(lambda y: value, x) == outcome(ref_value, x)
-            assert outcome(lambda y: grad, x) == outcome(ref_grad, x)
         seen.add(outcome(pc.potential_value, x)[0])
     if name in ("cone-1/w1", "quotient"):
         assert seen == {"value", "pole"}  # the origin is a pole
     # a factor of exponent 1 is its load: no kernel raises to the power 1,
     # and the bits above, -0.0 points included, are the closures' x ** 1
     sources = [kernel.source for _, kernel in compiled]
-    assert len(sources) >= 6
+    assert len(sources) == 5  # variety, point, Hessians, potential, detJ
     assert not any(re.search(r"\*\* 1\b", source) for source in sources)
     assert any(re.search(r" \* x\d+\b(?!_)", source) for source in sources)
 

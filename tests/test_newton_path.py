@@ -476,7 +476,6 @@ def test_kernels_without_row_tests_compute_in_target_order():
         pc.compile_analysis_kernels()
         sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
                    pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
-        sources += [k.source for k in pc._probes.values()]
         for source in sources:
             assert "rows_below" not in source
             order = [int(k) for k in re.findall(r"^ +v(\d+) = ", source, re.M)]
@@ -979,7 +978,7 @@ def test_substitution_matches_numpy_solve(name):
     point = pc._point_kernel
     compared = 0
     for x in sample_points(setup, 12, seed=7):
-        G, dG = pc._variety_kernel(x)
+        G, dG = pc._variety_kernel(x)[:2]
         J, B = dG[:, n:], dG[:, :n]
         try:
             vg = np.array([reference_compile(e, order)(x) for e in pc._vgrad], dtype=complex)
@@ -1110,12 +1109,9 @@ def least_squares_systems(pc, text, x, pinned, rng):
             F = np.concatenate([F, pins @ x])
             Jac = np.vstack([Jac, pins])
         systems.append((Jac, -F))
-    for f in (pc.det, pc._den):
-        if f.constant_value() is None:
-            pc._near_zero_set(f, x)  # compiles f's probe kernel
-            value, grad = pc._probes[f](x)
-            G, dG = pc._variety_kernel(x)
-            systems.append((np.vstack([dG, grad]), np.append(G, value)))
+    G, dG, S, dS = pc._variety_kernel(x)
+    for k in range(len(S)):
+        systems.append((np.vstack([dG, dS[k]]), np.append(G, S[k])))
     return systems
 
 

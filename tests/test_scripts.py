@@ -156,3 +156,30 @@ def test_output_digest_lists_each_fiber_solve_after_its_output():
         count += 1
         solves += 1
     assert solves
+
+
+def test_output_digest_lists_each_sigma_probe_after_its_analysis(monkeypatch):
+    # each Sigma probe that an analysis made has its own line, after that
+    # analysis's start and fiber lines and in call order, and
+    # _near_zero_set is put back once the listing ends
+    output_digest = load_script("output_digest")
+    monkeypatch.setattr(output_digest, "ANALYZE_WORKLOADS", ("small-corpus",))
+    PointCalculus = output_digest.algpot.calculus.PointCalculus
+    near_zero_set = PointCalculus._near_zero_set
+    labels = [label for label, _ in output_digest.analyze_lines(0, {})]
+    assert PointCalculus._near_zero_set is near_zero_set
+    kinds = {"analyze": 0, "newton": 1, "fiber": 2, "probe": 3}
+    owner, last, count = None, 0, 0
+    probes = 0
+    for label in labels:
+        kind, _, rest = label.partition(" ")
+        if kind == "analyze":
+            owner, last, count = rest, 0, 0
+            continue
+        assert kinds[kind] >= last
+        last = kinds[kind]
+        if kind == "probe":
+            assert label == f"probe {owner} walk {count:02d}"
+            count += 1
+            probes += 1
+    assert probes

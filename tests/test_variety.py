@@ -50,13 +50,10 @@ potential q2/(q2 + w1)
     monkeypatch.setattr(RatExpr, "diff", lambda e, v: diffs.append(e) or diff(e, v))
     x = np.array([1.0, 1.0, 1.0])  # on the variety, clear of detJ = 2 w1 and of q2 + w1
     assert not pc.near_sigma(x)
-    # detJ's 3 partials, then the denominator's 3; the variety kernel (G and
-    # dG), then one kernel (value and gradient) for each of the two
-    # polynomials
+    # detJ's 3 partials, then the denominator's 3, for the one variety
+    # kernel: G, dG and both polynomials with their gradients
     assert diffs == [det] * 3 + [den] * 3
-    assert len(compiled) == 3
-    assert sorted(id(k) for _, k in compiled) == sorted(
-        map(id, [pc._variety_kernel, *pc._probes.values()]))
+    assert [k for _, k in compiled] == [pc._variety_kernel]
     diffs.clear()
     compiled.clear()
     assert not pc.near_sigma(x)
@@ -79,16 +76,17 @@ def test_fiber_solver_recovers_branch(cone_setup):
     assert abs(w[0] - 0.5) < 1e-10
 
 
-def test_each_fiber_and_probe_iteration_evaluates_the_variety_once(monkeypatch, cone_setup):
-    # one call of the variety kernel gives an iteration both G and dG: a
-    # fiber solve makes one per Newton step and one more for the G that
-    # converged; a probe makes one per Gauss-Newton step beside its own
-    # kernel's, and one more where it converges
+def test_each_fiber_and_probe_iteration_evaluates_the_variety_once(monkeypatch, compiled,
+                                                                  cone_setup):
+    # one call of the variety kernel gives an iteration G, dG, detJ and its
+    # gradient: a fiber solve makes one per Newton step and one more for
+    # the G that converged; a probe makes one per Gauss-Newton step and
+    # one more where it converges, and calls no other kernel
     pc = PointCalculus(cone_setup)
     variety, calls = pc._variety_kernel, []
     monkeypatch.setitem(vars(pc), "_variety_kernel",
                         lambda x: calls.append(x) or variety(x))
-    steps, solves, probed = [], [], []
+    steps, solves = [], []
     for name, log in (("_forward", steps), ("_lstsq", solves)):
         original = getattr(calculus, name)
         monkeypatch.setattr(calculus, name,
@@ -97,11 +95,11 @@ def test_each_fiber_and_probe_iteration_evaluates_the_variety_once(monkeypatch, 
     assert abs(w[0] - 0.5) < 1e-10
     assert len(steps) >= 3 and len(calls) == len(steps) + 1
     calls.clear()
-    probe = pc._probe(pc.det)
-    pc._probes[pc.det] = lambda y: probed.append(y) or probe(y)
     # off the variety, near the apex, where detJ = 2 w1 vanishes
     assert pc.near_critical_set(np.array([1e-5, 2e-5, 5e-5]))
-    assert len(solves) >= 2 and len(calls) == len(probed) == len(solves) + 1
+    assert len(solves) >= 2 and len(calls) == len(solves) + 1
+    # the variety kernel is the only kernel the calculus has compiled
+    assert [k for _, k in compiled] == [variety]
 
 
 def test_validation_accepts_honest_setups(cone_setup, trap_setup):
@@ -196,7 +194,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     pc.potential_value(x)
     pc.det_value(x)
     assert len(diffed) == 27
-    assert len(compiled) == 8
+    assert len(compiled) == 6
     # every kernel the calculus has is compiled; each non-zero partial was
     # emitted into exactly the three that evaluate the generator Jacobian:
     # the variety kernel, the point kernel and the trial kernel, which
@@ -211,7 +209,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     variety = pc._variety_kernel
     assert emitted(variety) == emitted(point) == emitted(trial) == sorted(partial.values())
     others = [k for _, k in compiled if k not in (variety, point, trial)]
-    assert len(others) == 5 and not any(emitted(k) for k in others)
+    assert len(others) == 3 and not any(emitted(k) for k in others)
     # a full analysis builds its own calculus and derives each partial once
     diffed.clear()
     analyze(setup, AnalysisOptions(nbody=NBodyConfig(n=3, dim=2, masses=(1, 1, 1)), n_random=2))
