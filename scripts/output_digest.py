@@ -37,6 +37,8 @@ TMPDIR chooses where), runs a copy of this script there, so that both
 listings come from the same lines, then lists this checkout, prints the
 label of each line that differs or is only in one listing, and exits 1
 when any does.  The exported tree is removed also when a run fails.
+scripts/trial_stats.py --parent compares its listing the same way
+(`compare`).
 
 The problems and options are read from bench/, which this script does not
 change; algpot is imported from the src/ beside this script.
@@ -193,25 +195,54 @@ def lines():
             yield f"{sha}  {label}"
 
 
-def run_tree(tree: Path) -> list:
-    """The listing of tree's src/ and bench/, from a copy of this script
-    run there; SystemExit when that run fails."""
-    script = tree / "scripts" / "output_digest.py"
-    shutil.copyfile(__file__, script)
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+def run_tree(tree: Path, script: str = __file__, args=()) -> list:
+    """The listing of tree's src/ and bench/, from copies of script and of
+    this file, which script may import, run there with args; SystemExit
+    when that run fails."""
+    for path in {Path(__file__), Path(script)}:
+        shutil.copyfile(path, tree / "scripts" / path.name)
+    name = Path(script).name
+    proc = subprocess.run([sys.executable, str(tree / "scripts" / name), *args],
+                          capture_output=True, text=True)
     if proc.returncode:
-        raise SystemExit(f"output_digest.py: the run in {tree} failed (exit "
+        raise SystemExit(f"{name}: the run in {tree} failed (exit "
                          f"{proc.returncode}):\n{proc.stderr[-2000:]}")
     return proc.stdout.splitlines()
 
 
-def differing(before: list, after: list) -> list:
+def digest_line(line: str) -> tuple:
+    """(label, value) of a listing line, "sha  label"."""
+    sha, label = line.split("  ", 1)
+    return label, sha
+
+
+def differing(before: list, after: list, keyed=digest_line) -> list:
     """The label of each line that differs or is in one listing only, in
-    the order of after, then before's own."""
-    old = dict(line.split("  ", 1)[::-1] for line in before)
-    new = dict(line.split("  ", 1)[::-1] for line in after)
-    return ([label for label, sha in new.items() if old.get(label) != sha]
+    the order of after, then before's own; keyed splits a line into its
+    label and its value."""
+    old = dict(map(keyed, before))
+    new = dict(map(keyed, after))
+    return ([label for label, value in new.items() if old.get(label) != value]
             + [label for label in old if label not in new])
+
+
+def compare(rev: str, run, listing, keyed=digest_line) -> int:
+    """Compares listing() with the listing that run(tree) gives of rev's
+    committed files, exported into a temporary directory that is removed
+    also when the run fails: prints the label of each line that differs
+    or is in one listing only (differing), then how many, and returns 1
+    when any does, else 0."""
+    scratch = Path(tempfile.mkdtemp(prefix="output-digest-"))
+    try:
+        before = run(export_tree(rev, scratch))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    after = list(listing())
+    differ = differing(before, after, keyed)
+    for label in differ:
+        print(label)
+    print(f"{len(differ)} of {len(after)} lines differ from {rev}")
+    return 1 if differ else 0
 
 
 def main(argv=None) -> int:
@@ -224,17 +255,7 @@ def main(argv=None) -> int:
         for line in lines():
             print(line, flush=True)
         return 0
-    scratch = Path(tempfile.mkdtemp(prefix="output-digest-"))
-    try:
-        before = run_tree(export_tree(args.parent, scratch))
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    after = list(lines())
-    differ = differing(before, after)
-    for label in differ:
-        print(label)
-    print(f"{len(differ)} of {len(after)} lines differ from {args.parent}")
-    return 1 if differ else 0
+    return compare(args.parent, run_tree, lines)
 
 
 if __name__ == "__main__":

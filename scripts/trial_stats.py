@@ -2,6 +2,7 @@
 
     python3 scripts/trial_stats.py
     python3 scripts/trial_stats.py --hunt-seeds 0-9 --workload nbody-hunt
+    python3 scripts/trial_stats.py --parent HEAD~1
 
 Runs `analyze` once on each problem of the benchmark's `nbody-hunt` and
 `small-corpus` workloads at each hunt seed, and prints one line per
@@ -12,8 +13,6 @@ after a start's own point) by the outcome that ended each:
              (PointCalculus.row_tests), before any call of the trial kernel:
              one trial per halving that the test's scan skips
     G, grad  rejected by the trial kernel at a row of G or of grad V - q
-    overflow rejected by the trial kernel at a row whose abs overflows,
-             which the kernel does not name
     pin      rejected at a pin row, after the kernel's rows passed
     refused  rejected at a pole or where J is refused
     passed   accepted: the step moved there
@@ -26,6 +25,12 @@ problem's PointCalculus is built once, by the workload's set-up, and passed
 to `analyze` at every hunt seed.  The problems and options are read from
 bench/, which this script does not change; algpot is imported from the
 src/ beside this script.
+
+--parent REV runs a copy of this script on REV's committed files, as
+scripts/output_digest.py --parent does, with the same hunt seeds and
+workload, then counts this checkout, prints the label of each line whose
+counts differ or that is in one listing only, and exits 1 when any does:
+a change that moves the work per pass shows there.
 """
 
 import argparse
@@ -39,9 +44,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "scripts")]
 import algpot  # noqa: E402
 import workloads  # noqa: E402
 from algpot.calculus import PointCalculus  # noqa: E402
-from output_digest import ANALYZE_WORKLOADS, run_with_calculus  # noqa: E402
+from output_digest import ANALYZE_WORKLOADS, compare, run_tree, run_with_calculus  # noqa: E402
 
-OUTCOMES = ("test", "G", "grad", "overflow", "pin", "refused", "passed")
+OUTCOMES = ("test", "G", "grad", "pin", "refused", "passed")
 
 
 class TrialCounter:
@@ -89,8 +94,6 @@ class TrialCounter:
                 return out
             if isinstance(out, int):
                 self.counts["grad" if out < pc.n else "G"] += 1
-            elif out is None:
-                self.counts["overflow"] += 1
             else:
                 self._pending = pc
             return out
@@ -100,7 +103,7 @@ class TrialCounter:
                 return system(pc, *args)
             try:
                 out = system(pc, *args)
-            except ArithmeticError:
+            except ArithmeticError:  # a revision whose Jacobian calls a kernel
                 self._settle("refused")
                 raise
             self._settle("passed")
@@ -154,6 +157,25 @@ def line(label: str, counts: Counter) -> str:
     return f"{label}: trials {trials:,}  " + "  ".join(f"{o} {counts[o]:,}" for o in OUTCOMES)
 
 
+def counts_line(line: str) -> tuple:
+    """(label, counts) of a listing line."""
+    label, _, counts = line.partition(": ")
+    return label, counts
+
+
+def lines(hunt_seeds: list, names: list):
+    """The listing: each analysis's line, then the totals of each workload
+    in names, at each hunt seed."""
+    states = {}
+    for hunt_seed in hunt_seeds:
+        for workload in names:
+            total = Counter()
+            for label, counts in analysis_counts(workload, hunt_seed, states):
+                yield line(f"hunt-seed {hunt_seed} {label}", counts)
+                total += counts
+            yield line(f"hunt-seed {hunt_seed} {workload} total", total)
+
+
 def seed_range(text: str) -> list:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -166,16 +188,19 @@ def main(argv=None) -> int:
                     help="hunt seeds A to B (default 0)")
     ap.add_argument("--workload", choices=ANALYZE_WORKLOADS,
                     help="one analyze workload (default both)")
+    ap.add_argument("--parent", metavar="REV",
+                    help="compare with git revision REV and name each line that differs")
     args = ap.parse_args(argv)
-    states = {}
-    for hunt_seed in args.hunt_seeds:
-        for workload in [args.workload] if args.workload else ANALYZE_WORKLOADS:
-            total = Counter()
-            for label, counts in analysis_counts(workload, hunt_seed, states):
-                print(line(f"hunt-seed {hunt_seed} {label}", counts), flush=True)
-                total += counts
-            print(line(f"hunt-seed {hunt_seed} {workload} total", total), flush=True)
-    return 0
+    chosen = [args.workload] if args.workload else list(ANALYZE_WORKLOADS)
+    if args.parent is None:
+        for text in lines(args.hunt_seeds, chosen):
+            print(text, flush=True)
+        return 0
+    seeds = args.hunt_seeds
+    forwarded = ["--hunt-seeds", f"{seeds[0]}-{seeds[-1]}"] + (
+        ["--workload", args.workload] if args.workload else [])
+    return compare(args.parent, lambda tree: run_tree(tree, __file__, forwarded),
+                   lambda: lines(seeds, chosen), counts_line)
 
 
 if __name__ == "__main__":

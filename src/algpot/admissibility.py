@@ -136,9 +136,12 @@ def check_pair_exact(k: int, lam) -> TableVerdict:
 def check_pair_numeric(k: int, lam) -> TableVerdict:
     """Decide a float or complex eigenvalue: exactly when spectrum.rationalize
     reconstructs it as a rational, else by rounding each candidate shift and
-    accepting the lambda it gives within RATIONAL_TOL * max(1, |lambda|)."""
+    accepting the lambda it gives within RATIONAL_TOL * max(1, |lambda|).
+    Raises TableError for a lambda that is not finite."""
     check_degree(k)
     z = complex(lam)
+    if not cmath.isfinite(z):
+        raise TableError(f"lambda must be finite, got {z}")
     r = rationalize(z)
     if r is not None:
         v = check_pair_exact(k, r)

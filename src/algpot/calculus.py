@@ -32,17 +32,19 @@ of J or a non-finite u is refused as critical on every call: an infinite
 entry can leave a finite, meaningless u.  The one u per point serves the
 gradient, the Newton Jacobian and the Hessian.  A Darboux search trial is
 one call of one more kernel (PointCalculus.darboux_trial): G, then the
-point kernel's values, with each row of G and of grad V - q tested
-against the search's current residual as soon as it is computed
-(expr.RowTest), so a trial that fails stops at its first failing row.
-It is the one producer of the Darboux residual's rows: the search reads a
-candidate's rows from it too, against an infinite residual.  The calculus
-keeps nothing per point: the search passes a trial's first derivatives
-to that point's Jacobian (darboux_system), and every other evaluation
-computes its own.  Outside the search, one kernel gives G, dG and the
-values and gradients of Sigma's non-constant polynomials (detJ, the
-potential's denominator; PointCalculus._variety_kernel), one call per
-fiber Newton step and per probe step, which constraint_residual reads too.
+point kernel's values, each row of G and of grad V - q tested against
+the search's current residual as soon as it is computed (expr.RowTest),
+so a trial that fails stops at its first failing row, then the Hessians
+of V and of G.  It is the one producer of the Darboux residual's rows,
+which the search reads for a candidate too, against an infinite
+residual.  The calculus keeps nothing per point: the search passes a
+trial's values to its Jacobian (darboux_system), which calls no kernel,
+and every other evaluation computes its own.  Outside the search, one
+kernel gives G, dG and the values and gradients of Sigma's non-constant
+polynomials (detJ, the potential's denominator;
+PointCalculus._variety_kernel), one call per fiber Newton step and per
+probe step, which constraint_residual reads too; an analysis compiles
+these two kernels alone.
 PointCalculus is the one numeric view of a setup: it evaluates plain
 partials of V and G, each table derived symbolically on first use and
 evaluated by kernels generated on first use, so building a calculus costs
@@ -156,10 +158,26 @@ def _nonzero(pairs) -> tuple:
     return tuple((i, k) for i, k in pairs if i)
 
 
+def _refusing(self, xs, res=None):
+    """The method on_list of the point and trial kernels, with their one
+    refusal: self.kernel.on_list(xs), or (xs, res) for the trial kernel,
+    whose failing row passes through, unless J has a zero diagonal entry
+    (its division raises) or an entry at self.checked, J's and u's, is not
+    finite (an infinite one can leave a finite, meaningless u): then
+    CriticalPointError, on every call.  A pole raises PoleError."""
+    try:
+        values = self.kernel.on_list(xs) if res is None else self.kernel.on_list(xs, res)
+        if not isinstance(values, tuple) or all(map(isfinite, values[self.checked])):
+            return values
+    except ZeroDivisionError:
+        pass
+    raise CriticalPointError("dG/dw is singular or not finite at the point")
+
+
 class PointKernel(NamedTuple):
     """A point's first derivatives from one kernel (PointCalculus._point_kernel)
-    and where its values sit.  on_list(xs), on a list of Python complex
-    (expr.compile_arrays), returns a tuple of complex scalars: a zero at
+    and where its values sit.  on_list(xs) (_refusing), on a list of
+    Python complex, returns a tuple of complex scalars: a zero at
     slot 0, each structurally non-zero partial of the potential, the
     structurally non-zero entries of B = dG/dq and of J = dG/dw (J's
     diagonal first, then its entries below the diagonal), the adjoint
@@ -172,21 +190,19 @@ class PointKernel(NamedTuple):
                s x N matrix dG
     checked:   J's entries and u, finite wherever the point is good
     forward:   per row a of J, in order: (J_aa, B_ak with k, J_ab with b < a)
-    targets:   the target list the kernel was compiled from, which the
-               trial kernel (PointCalculus.darboux_trial) compiles again
+    targets:   the target list the kernel is compiled from, which the
+               trial kernel (PointCalculus._trial_kernel) holds after G's
 
-    PointCalculus._point_layout is the same tuple with kernel None, before
-    any compile: the trial kernel and a Jacobian read only the layout, so
-    the kernel itself is compiled only where the flow or first_derivatives
-    evaluates it.
+    PointCalculus._point_layout is the same tuple with kernel None: the
+    trial kernel and a Jacobian read only the layout, so only the flow and
+    first_derivatives compile the kernel itself.
 
     J is lower triangular (PointCalculus._jacobian), so u is back
     substitution unrolled by expr.compile_arrays into the kernel, and the
     flow solves J wdot = -B p by forward substitution over `forward`
     (dynamics.ConstrainedSystem.rhs).  The generators' values are not
-    here: the flow never reads them, and a Darboux search trial evaluates
-    this kernel's targets after G's, in one trial kernel that tests each
-    row after only the values it reads (PointCalculus.darboux_trial).
+    here: the flow never reads them, and the trial kernel computes them
+    with these targets (PointCalculus.darboux_trial).
     Every caller holds the point as a list of complex and calls on_list:
     the flow's right-hand side and first_derivatives each convert an array
     once."""
@@ -200,19 +216,7 @@ class PointKernel(NamedTuple):
     forward: tuple
     targets: list
 
-    def on_list(self, xs) -> tuple:
-        """The kernel's values at xs, a list of Python complex in variable
-        order, read as given.  Raises CriticalPointError, on every call,
-        where J has a zero diagonal entry (its division raises) or a
-        non-finite entry, or u is not finite: an infinite entry can leave a
-        finite, meaningless u.  A pole of the potential raises PoleError."""
-        try:
-            values = self.kernel.on_list(xs)
-            if all(map(isfinite, values[self.checked])):
-                return values
-        except ZeroDivisionError:
-            pass
-        raise CriticalPointError("dG/dw is singular or not finite at the point")
+    on_list = _refusing
 
 
 class TrialKernel(NamedTuple):
@@ -221,9 +225,10 @@ class TrialKernel(NamedTuple):
     and then each row of grad V - q against res (expr.RowTest), computing
     before each test only the values of G and of the point kernel
     (PointKernel) that it reads and that are not yet computed, and returns
-    the index in rows of the first that fails; the values that no row reads
-    come after the last test.  kernel.row_tests holds, by the same index,
-    the kernel's test of each row alone, which scans the Darboux search's
+    the index in rows of the first that fails; the values that no row
+    reads come after the last test, the Hessians last, so a trial that
+    fails evaluates no Hessian.  kernel.row_tests holds, by the same
+    index, the kernel's test of each row alone, which scans the search's
     halvings x + 2^-k step from a given k on and returns the first at
     which the row passes (expr.RowTest), or None where the test would save
     too little of the kernel's code; the row the kernel decides first, G's
@@ -231,13 +236,16 @@ class TrialKernel(NamedTuple):
     (expr.compile_arrays):
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
-    first:     the point kernel's values, as PointKernel indexes them
+    first:     the point kernel's values, as PointKernel indexes them, then
+               V's Hessian (N x N) and the generators' (s x N x N)
     checked:   J's entries and u, as PointKernel.checked"""
 
     kernel: Callable
     rows: slice
     first: slice
     checked: slice
+
+    on_list = _refusing  # on_list(xs, res): kernel.on_list, refused as PointKernel's
 
 
 def _forward(J, b, coupled) -> np.ndarray:
@@ -316,10 +324,10 @@ class PointCalculus:
     first kernel that reads them: the constructor derives nothing,
     and a caller that never evaluates a Hessian never derives one.  It
     keeps no per-point state: first_derivatives returns a point's values of
-    the point kernel (PointKernel), its one adjoint and one gradient;
-    _dg_blocks and darboux_system take those as `first`, with the rows
-    `out` they write (a Darboux search trial passes the ones its trial
-    kernel gave and its own rows), and grad and hess compute their own.
+    the point kernel (PointKernel), its one adjoint and one gradient, for
+    grad; darboux_trial returns them with both Hessians, which _dg_blocks
+    and darboux_system take as `first`, with the rows `out` they write (a
+    search passes what its trial gave), and hess makes its own trial.
     The partials are evaluated by generated kernels (expr.compile_arrays),
     each compiled on first use and kept: the variety kernel, G, dG (the
     s x N matrix whose columns n: are J and whose columns :n are
@@ -331,15 +339,15 @@ class PointCalculus:
     substitution, which the Darboux numerics and the flow
     (dynamics) both read; the trial kernel, G and the point kernel's
     targets with the Darboux residual's rows tested as they are computed,
-    one call per search trial and the one producer of those rows
-    (darboux_trial, TrialKernel); the potential's value; both Hessians,
-    V's (N x N) and the generators' (s x N x N), in one kernel; and detJ,
-    for the flow's stop events in dynamics.  pipeline.analyze compiles the
-    ones an analysis may evaluate before it evaluates any
-    (compile_analysis_kernels).  A
-    Hessian's upper-triangle partial is evaluated once and written to both
-    places, a diagonal one to its one place, zero partials are never
-    evaluated and constant ones are filled in once, at compile time.  The
+    then both Hessians, V's (N x N) and the generators' (s x N x N), one
+    call per search trial and the one producer of those rows
+    (darboux_trial, TrialKernel); the potential's value; and detJ, for the
+    flow's stop events in dynamics.  pipeline.analyze compiles the variety
+    and trial kernels before it evaluates anything
+    (compile_analysis_kernels).  A Hessian's upper-triangle partial is
+    evaluated once and written to both places, a diagonal one to its one
+    place (_symmetric), zero partials are never evaluated and constant
+    ones are filled in once, at compile time.  The
     fiber numerics use the variety kernel alone, so they never evaluate V
     and never meet its poles.
     """
@@ -441,14 +449,6 @@ class PointCalculus:
         return self.setup.potential.compile(self.setup.var_names)
 
     @cached_property
-    def _hessian_kernel(self):
-        N = self.N
-        return compile_arrays([
-            Array((N, N), _symmetric(self._vhess)),
-            Array((self.s, N, N), [entry for a, h in enumerate(self._ghess)
-                                   for entry in _symmetric(h, (a,))])], self.setup.var_names)
-
-    @cached_property
     def _det_kernel(self):
         return self.det.compile(self.setup.var_names)
 
@@ -506,16 +506,21 @@ class PointCalculus:
     def _trial_kernel(self) -> TrialKernel:
         """The one kernel of a Darboux search trial (TrialKernel): the s
         generators, then the point kernel's targets, each Substitution
-        reading the same outputs s places later, then a RowTest per
-        residual row, grad V - q (the gradient's output minus q_k) and G.
-        compile_arrays emits it in demand order: the generators come first,
-        so G's rows are decided before the point kernel's first line, and
-        each gradient row after only the quotients, adjoint entries and
-        entries of B = dG/dq that it reads."""
-        s = self.s
+        reading the same outputs s places later, then both Hessians, V's
+        and the generators', then a RowTest per residual row, grad V - q
+        (the gradient's output minus q_k) and G.  compile_arrays emits it
+        in demand order: the generators come first, so G's rows are
+        decided before the point kernel's first line, each gradient row
+        after only the quotients, adjoint entries and entries of
+        B = dG/dq that it reads, and the Hessians, which no row reads,
+        after the last decision."""
+        s, N = self.s, self.N
         point = self._point_layout
         targets = list(self.setup.generators)
         targets += [t.shifted(s) if isinstance(t, Substitution) else t for t in point.targets]
+        targets += [Array((N, N), _symmetric(self._vhess)),
+                    Array((s, N, N), [entry for a, h in enumerate(self._ghess)
+                                      for entry in _symmetric(h, (a,))])]
         r0 = len(targets)
         targets += [RowTest(s + i, k) for k, i in enumerate(range(point.grad.start,
                                                                    point.grad.stop))]
@@ -525,17 +530,16 @@ class PointCalculus:
                            checked=slice(s + point.checked.start, s + point.checked.stop))
 
     def compile_analysis_kernels(self):
-        """Compiles every kernel that an analysis may evaluate: the variety
-        kernel (G, dG and Sigma's polynomials with their gradients, which
-        the proximity probes read), the Darboux search's trial kernel and
-        the Hessians.  The point kernel is not among them: the trial kernel
-        computes its values, also for hess, and holds every coefficient it
-        does.
+        """Compiles the two kernels that an analysis may evaluate: the
+        variety kernel (G, dG and Sigma's polynomials with their gradients,
+        which the fiber solves and the proximity probes read) and the
+        Darboux search's trial kernel, which gives every Jacobian and hess
+        their values and holds every coefficient of the point kernel.
         pipeline.analyze calls it before it evaluates anything, so a
         derived coefficient that has no double (expr.compile_arrays raises
         ExprError) is refused for the problem, whichever evaluation would
         first have read it; every other caller keeps the calculus lazy."""
-        for name in ("_variety_kernel", "_trial_kernel", "_hessian_kernel"):
+        for name in ("_variety_kernel", "_trial_kernel"):
             getattr(self, name)
 
     # -- raw evaluations ------------------------------------------------
@@ -554,8 +558,7 @@ class PointCalculus:
         """The point kernel's values at x (PointKernel): the entries of dG,
         the adjoint u = J^(-T) d_wV and grad V, each computed once here.
         Raises CriticalPointError off the good set and PoleError at a pole
-        of the potential.  A caller that goes on at x passes the result as
-        `first` to _dg_blocks or darboux_system."""
+        of the potential.  grad reads them, a Jacobian a trial's values."""
         return self._point_kernel.on_list(np.asarray(x, dtype=complex).tolist())
 
     def darboux_trial(self, xs, res: float):
@@ -564,27 +567,20 @@ class PointCalculus:
         first row of F = (grad V - q, G) whose NumPy absolute is not below
         res, in the order the trial kernel (TrialKernel) decides them, else
         (rows, first), the residual rows F, zero exactly at Darboux
-        candidates, and the point's first derivatives (first_derivatives'
-        values), from one call of the trial kernel, which stops at the
-        first row that fails (expr.rows_below), having computed only the
-        values that the rows up to it read.  Against res = inf every finite
-        row passes, so that call gives a point's rows.  J's entries and u
-        are checked only when every row has passed; raises
-        CriticalPointError where J has a zero diagonal entry or a
-        non-finite entry, or u is not finite, and PoleError at a pole, as
-        first_derivatives does, but only where the kernel reaches the pole
-        or J's zero diagonal entry: a row that fails first returns its
-        index, or None where its Python abs overflows."""
+        candidates, and the point's values (TrialKernel.first):
+        first_derivatives' values, then the Hessians.  One call of the
+        trial kernel, which stops at the first row that fails
+        (expr.rows_below), having computed only what the rows up to it
+        read; against res = inf every finite row passes.  J's entries and u are checked only
+        when every row has passed (_refusing); raises CriticalPointError
+        and PoleError as first_derivatives does, but only where the kernel
+        reaches the pole or J's zero diagonal entry: a row that fails
+        first returns its index."""
         trial = self._trial_kernel
-        try:
-            values = trial.kernel.on_list(xs, res)
-            if not isinstance(values, tuple):
-                return values
-            if all(map(isfinite, values[trial.checked])):
-                return values[trial.rows], values[trial.first]
-        except ZeroDivisionError:
-            pass
-        raise CriticalPointError("dG/dw is singular or not finite at the point")
+        values = trial.on_list(xs, res)
+        if not isinstance(values, tuple):
+            return values
+        return values[trial.rows], values[trial.first]
 
     @property
     def row_tests(self) -> tuple:
@@ -597,24 +593,23 @@ class PointCalculus:
         """grad V = d_qV - B^T u at x."""
         return np.array(self.first_derivatives(x)[self._point_kernel.grad], dtype=complex)
 
-    def _dg_blocks(self, x, first, out):
+    def _dg_blocks(self, first, out):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
         W = dw/dq = -J^(-1) B by forward substitution and the generators'
-        Jacobian, from x's first derivatives `first`.  dg = P^T L, with
-        P = [I; W] and L the Hessian of the Lagrangian V - u.G.  dg and dG
-        are written to the rows :n and n: of out, a C-contiguous (n + s) x N
-        complex array, and returned as views of it.  first_derivatives
-        refused a zero diagonal entry and a non-finite entry of J, so W
-        needs no check of its own.  x is the point as a list of Python
-        complex, which the Hessian kernel reads as given (a Darboux search
-        passes its trial's list)."""
+        Jacobian, from a trial's values `first` (darboux_trial), its first
+        derivatives and, last, its two Hessians, with no kernel call.
+        dg = P^T L, with P = [I; W] and L the Hessian of the Lagrangian
+        V - u.G.  dg and dG are written to the rows :n and n: of out, a
+        C-contiguous (n + s) x N complex array, and returned as views of
+        it.  The trial refused a zero diagonal entry and a non-finite entry
+        of J, so W needs no check of its own."""
         n, s, N = self.n, self.s, self.N
         point = self._point_layout
         dg, dG = out[:n], out[n:]
         dG.fill(0)
         dG.reshape(-1)[point.dg_index] = first[point.dG]
         W = _forward(dG[:, n:], -dG[:, :n], self._coupled)
-        vh, gh = self._hessian_kernel.on_list(x)
+        vh, gh = first[-2:]
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
         if s:
             u = np.array(first[point.u], dtype=complex)
@@ -625,20 +620,18 @@ class PointCalculus:
         return dg, W, dG
 
     def hess(self, x) -> np.ndarray:
-        """The intrinsic Hessian P^T L P, from x's first derivatives as a
-        trial against an infinite residual gives them (darboux_trial), the
-        bits of first_derivatives', so that an analysis compiles no point
-        kernel of its own.  Raises as darboux_trial does, and raises
-        CriticalPointError where a residual row is not finite, where the
-        trial stops; a J that is not finite gives such rows, and
+        """The intrinsic Hessian P^T L P, from x's values as a trial against
+        an infinite residual gives them (darboux_trial), so that an
+        analysis compiles no other kernel.  Raises as darboux_trial does,
+        and raises CriticalPointError where a residual row is not finite,
+        where the trial stops; a J that is not finite gives such rows, and
         first_derivatives refuses it alike."""
         n = self.n
-        xs = np.asarray(x, dtype=complex).tolist()
-        out = self.darboux_trial(xs, np.inf)
+        out = self.darboux_trial(np.asarray(x, dtype=complex).tolist(), np.inf)
         if not isinstance(out, tuple):
             raise CriticalPointError("dG/dw is singular or not finite at the point, "
                                      "or a residual row is not finite")
-        dg, W, _ = self._dg_blocks(xs, out[1], np.empty((n + self.s, self.N), dtype=complex))
+        dg, W, _ = self._dg_blocks(out[1], np.empty((n + self.s, self.N), dtype=complex))
         return dg[:, :n] + dg[:, n:] @ W
 
     def solve_fiber(self, q, w0):
@@ -668,19 +661,17 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
-    def darboux_system(self, x, first, out) -> np.ndarray:
+    def darboux_system(self, first, out) -> np.ndarray:
         """The plain Jacobian of the Darboux residual F = (grad V - q, G)
-        (darboux_trial) for Newton iterations, from x's first derivatives
-        `first`: rows dg - [I 0], then dG, written to out, a C-contiguous
-        (n + s) x N complex array, which is returned.  x is the point as
-        a list of Python complex (_dg_blocks).  darboux._newton passes its
-        trial's list, the first derivatives its trial gave and the leading
-        rows of its own system, so the Jacobian is built where the step
-        reads it.
-        The residual itself is the caller's (darboux._newton keeps each
-        point's rows)."""
+        (darboux_trial) for Newton iterations, from a trial's values
+        `first` (_dg_blocks), with no kernel call: rows dg - [I 0], then
+        dG, written to out, a C-contiguous (n + s) x N complex array, which
+        is returned.  darboux._newton passes what its accepted trial gave
+        and the leading rows of its own system, so the Jacobian is built
+        where the step reads it.  The residual itself is the caller's
+        (darboux._newton keeps each point's rows)."""
         n, N = self.n, self.N
-        self._dg_blocks(x, first, out)
+        self._dg_blocks(first, out)
         out.reshape(-1)[: n * (N + 1): N + 1] -= 1  # the diagonal of dg/dq
         return out
 

@@ -60,40 +60,37 @@ class DarbouxResult:
 
 def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     """x's largest residual entry (calculus._largest), a float, when it is
-    below res; else the index of the row of F that failed in the trial kernel,
-    or None where no row is named: a pin row fails, the point is refused
-    or a row's abs overflows.  The trial runs on Python complex: xs is x
-    as a list, which its Jacobian reads too, and one call of the trial
-    kernel (PointCalculus.darboux_trial) decides each row of G and of
-    grad V - q against res after computing only the values it reads,
-    stopping at the first that fails.  Only a trial whose kernel rows pass computes its pin
-    rows pins @ x, which NumPy computes, and decides them
-    (expr.rows_below).
-    The order of the decisions cannot change the outcome: a row that
-    fails, a pole (PoleError) and a refused J (CriticalPointError) each
-    reject the trial, and nothing else in a trial raises.  Only a trial
-    whose every row passes writes its rows to F, takes its residual from
-    them and writes its Jacobian to Jac[:m] (darboux_system's out), from
-    the first derivatives the trial kernel gave; a trial that fails leaves
-    F whole, and one whose Jacobian raises may leave F and Jac[:m] partly
-    written, which no step reads before an accepted trial writes them
-    whole.  A point off the domain (singular fiber, potential pole) fails."""
+    below res; else the index of the row of F that failed in the trial
+    kernel, or None where no row is named: a pin row fails or the point is
+    refused.  The trial runs on Python complex: xs is x as a list, and one
+    call of the trial kernel (PointCalculus.darboux_trial) decides each
+    row of G and of grad V - q against res after computing only the values
+    it reads, stopping at the first that fails.  Only a trial whose kernel
+    rows pass computes its pin rows pins @ x, which NumPy computes, and
+    decides them (expr.rows_below).  The order of the decisions cannot
+    change the outcome: a row that fails, a pole (PoleError) and a refused
+    J (CriticalPointError) each reject the trial, and only the kernel call
+    raises.  Only a trial whose every row passes writes its rows to F,
+    takes its residual from them and writes its Jacobian to Jac[:m]
+    (darboux_system's out) from the first derivatives and Hessians the
+    kernel gave; a trial that fails leaves F and Jac[:m] whole.  A point
+    off the domain (singular fiber, potential pole) fails."""
     m = pc.n + pc.s
     try:
         out = pc.darboux_trial(xs, res)
-        if not isinstance(out, tuple):
-            return out
-        rows, first = out
-        if pins is not None:
-            lin = pins @ x
-            if not rows_below(lin.tolist(), res):
-                return None
-            F[m:] = lin
-        F[:m] = rows
-        r = _largest(F)
-        pc.darboux_system(xs, first, Jac[:m])
     except (CriticalPointError, PoleError):
         return None
+    if not isinstance(out, tuple):
+        return out
+    rows, first = out
+    if pins is not None:
+        lin = pins @ x
+        if not rows_below(lin.tolist(), res):
+            return None
+        F[m:] = lin
+    F[:m] = rows
+    r = _largest(F)
+    pc.darboux_system(first, Jac[:m])
     return r
 
 
@@ -113,7 +110,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     The trial point, built only for a trial that reaches the kernel, and
     its pin rows are NumPy's; every other value of a trial is a Python
     complex, and only an accepted trial fills F, and keeps its list as
-    the iterate's, which its Jacobian reads.
+    the iterate's, which the row tests read.
     Trials are rejected before that call while the row that rejected the
     last rejected trial of this start fails again: the search keeps that
     row's test (PointCalculus.row_tests), from one step to the next, and
@@ -127,10 +124,11 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     rejects only where the kernel would (a row that fails, a pole, a zero
     divisor and an overflowing abs each reject) and moves no trial, and
     the halving it returns goes to the kernel.  A row without a test, a
-    pin row, a refused point and an unnamed row leave no test to run.
-    Only the start point and an accepted trial build a Jacobian, in place
-    in the leading rows of an array that holds the pin rows from the
-    start, and each step is one least-squares solve with it on buffers
+    pin row and a refused point leave no test to run.
+    Only the start point and an accepted trial build a Jacobian, from the
+    values of its one kernel call, in place in the leading rows of an
+    array that holds the pin rows from the start, and each step is one
+    least-squares solve with it on buffers
     that last the whole start (calculus._lstsq), which writes -F; the step
     is checked finite on its list, which the row tests read.  Every
     decision and iterate is still bit for bit that of a search that builds

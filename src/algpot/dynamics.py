@@ -272,8 +272,8 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
     equivalently u'' = -u**(k-1) for u = phi**d1, normalized so that
     u(0)**k = 1/2 and the scalar energy u'**2/2 + u**k/k equals 1.  The
     Hamiltonian along the orbit is then constant and equals degree * V(c).
-    pc, when given, must be setup's PointCalculus; without it one is built
-    here.
+    A degree 0 or one too small has no such section (ValueError).  pc,
+    when given, must be setup's PointCalculus; without it one is built here.
     """
     pc = pc or PointCalculus(setup)
     check_calculus(pc, setup)
@@ -283,6 +283,8 @@ def homothetic_orbit(setup: AlgebraicSetup, hom: Homogeneity, c,
     n, s = pc.n, pc.s
     cq, cw = c[:n], c[n:]
 
+    if d2 == 0:
+        raise ValueError("degree 0 has no standard section: u(0)**k = 1/2 has no solution")
     phi0 = 0.5 ** (1.0 / float(d2))
     rad = 2.0 * (1.0 - float(d1) / float(d2) / 2.0)
     if rad < 0:

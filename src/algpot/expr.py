@@ -665,11 +665,10 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     first row that fails, counting the RowTests in target order.  The
     test is rows_below's decision: the kernel itself passes a row whose
     Python absolute a has ROW_TINY <= a < min(res (1 - ROW_BAND),
-    ROW_HUGE) and calls rows_below on every other row.  Its body runs
-    inside one try that returns None on OverflowError, which only Python's
-    abs of a row can raise there (a complex sum, product or quotient gives
-    an infinity, and a power e >= 100 is NumPy's), so a row whose abs
-    overflows fails, as its NumPy absolute, inf, would, but unnamed.
+    ROW_HUGE) and calls rows_below on every other row, and on a row whose
+    Python abs overflows (OverflowError, which nothing else in the kernel
+    raises: a complex sum, product or quotient gives an infinity, and a
+    power e >= 100 is NumPy's), where NumPy's absolute can be finite.
     Python's abs
     of a NumPy scalar is NumPy's absolute, so a quotient that a row test
     reads is made a Python complex first, as for a Substitution.  A
@@ -690,11 +689,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     the product underflows (NumPy's may be fused), which changes no
     absolute.  Its quotients are divide's, which keeps NumPy's bits and
     raises and warns about nothing, because a test can run where the
-    kernel would have stopped at an earlier row.  A zero denominator, a
-    zero Substitution divisor (ZeroDivisionError) and an overflowing abs
-    (OverflowError), each of which the kernel would meet there too, fail
-    that halving.  So a test skips a halving only where the kernel fails
-    a row or raises before returning its values.
+    kernel would have stopped at an earlier row.  A zero denominator and
+    a zero Substitution divisor (ZeroDivisionError), which the kernel
+    would meet there too, fail that halving, and an overflowing abs goes
+    to rows_below, as in the kernel.  So a test skips a halving only
+    where the kernel fails a row or raises before returning its values.
     A row has a test only where the test has at most half the lines that
     the kernel computes up to that row's decision, so that a test that
     passes costs little next to the kernel call that follows; the first
@@ -868,8 +867,9 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         lines = bounds + loads + [f"for k in range(k, {HALVINGS}):", "    h = scales[k]",
                                   "    try:"]
         lines += [f"        {line}" for line in body + [f"if {passes(k)}: return k"]]
-        lines += ["    except (OverflowError, ZeroDivisionError):", "        pass",
-                  f"return {HALVINGS}"]
+        lines += ["    except OverflowError:",
+                  f"        if rows_below(({row(k)},), res): return k",
+                  "    except ZeroDivisionError:", "        pass", f"return {HALVINGS}"]
         return f"def row_test{j}(x, step, k, res):\n" + "".join(f"    {line}\n" for line in lines)
 
     lines, functions = [], []
@@ -877,22 +877,24 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
                else f"v{k}" for k, t in enumerate(targets)]
     rows = {k: j for j, k in enumerate(k for k, t in enumerate(targets) if isinstance(t, RowTest))}
-    decided = 0  # the rows the kernel decides before the next
+    # a decision, by rows_below also where Python's abs overflows
+    decision = ["try:", "    if not ({passes}): return {j}", "except OverflowError:",
+                "    if not rows_below(({row},), res): return {j}"]
+    decided = 0  # the lines of the decisions before the next
     # each test runs after only the outputs it reads, in the order of the
     # outputs it reads; what no test reads comes after the last
     for i in sorted(tests):
         for k in tests[i]:
             place(k)
             functions.append(row_test(k, rows[k], len(lines) - decided))
-            lines.append(f"if not ({passes(k)}): return {rows[k]}")
-            decided += 1
+            lines += [line.format(passes=passes(k), row=row(k), j=rows[k]) for line in decision]
+            decided += len(decision)
     for k in range(len(targets)):
         place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:
-        lines = bounds + ["try:"] + [f"    {line}" for line in lines] + [
-            "except OverflowError:", "    return None"]
+        lines = bounds + lines
     source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
     source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"

@@ -29,7 +29,7 @@ def rationalize(x):
 
     Continued-fraction reconstruction via Fraction.limit_denominator; the
     result must sit within RATIONAL_TOL of the input, and the imaginary
-    part (if any) must be below RATIONAL_TOL as well.
+    part must be at most RATIONAL_TOL as well, which a nan is not.
 
     A plain error-below-tol check is vacuous for large denominator bounds:
     convergents of any real land within ~1/(q*MAX_DENOMINATOR) of it, so pi
@@ -40,7 +40,7 @@ def rationalize(x):
     high-denominator accidents are thrown out.
     """
     z = complex(x)
-    if abs(z.imag) > RATIONAL_TOL:
+    if not abs(z.imag) <= RATIONAL_TOL:
         return None
     if not math.isfinite(z.real):
         return None

@@ -2,8 +2,9 @@
 package's one producer of them, the trial kernel
 (PointCalculus.darboux_trial), is held to.  The variety kernel gives G,
 the point kernel gives grad V, and grad V - q is Python's subtraction;
-each group of rows is decided by NumPy's absolute, so nothing here reads
-the trial kernel or its row tests."""
+each group of rows is decided by NumPy's absolute, so no reference here
+reads the trial kernel or its row tests; jacobian, the Jacobian that the
+search builds, reads a trial's values, as the search does."""
 
 import numpy as np
 
@@ -39,7 +40,14 @@ def reference_rows(pc, x):
     return None if trial is None else np.array(trial[0], dtype=complex)
 
 
+def trial_values(pc, x):
+    """The values `first` of a trial at x against res = inf
+    (darboux_trial), which a Jacobian reads: the point's first derivatives
+    and its Hessians.  Raises where the trial does."""
+    return pc.darboux_trial(np.asarray(x, dtype=complex).tolist(), np.inf)[1]
+
+
 def jacobian(pc, x):
-    """darboux_system at x, from first_derivatives' values, in a fresh array."""
-    return pc.darboux_system(np.asarray(x, dtype=complex).tolist(), pc.first_derivatives(x),
-                             np.empty((pc.n + pc.s, pc.N), dtype=complex))
+    """darboux_system at x, from a trial's values (trial_values), in a
+    fresh array."""
+    return pc.darboux_system(trial_values(pc, x), np.empty((pc.n + pc.s, pc.N), dtype=complex))

@@ -186,6 +186,16 @@ def test_degree_validation():
         check_pair_exact(1.5, F(1))  # type: ignore[arg-type]
 
 
+def test_numeric_route_refuses_a_lambda_that_is_not_finite():
+    # neither a nan real part nor a nan imaginary one reconstructs, nor is
+    # rounded: each is refused, naming the lambda
+    nan, inf = float("nan"), float("inf")
+    for lam in (nan, complex(1.0, nan), complex(nan, 0.0), inf, complex(2.0, -inf)):
+        with pytest.raises(TableError, match="lambda must be finite"):
+            check_pair_numeric(3, lam)
+    assert check_pair_numeric(3, complex(1.0, 0.0)).mode == "exact"
+
+
 def test_point_without_a_hessian_carries_no_verdict():
     # analyze writes spectrum None, and no verdicts, when the Hessian fails
     no_hessian = {"index": 0, "point": [[0.5, 0.0]], "degenerate": False, "spectrum": None}

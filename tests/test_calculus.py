@@ -278,20 +278,21 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)
     jacobian(pc, x)
-    pc.darboux_trial(x.tolist(), np.inf)
-    kernels = [pc._point_kernel.kernel, pc._hessian_kernel, pc._trial_kernel.kernel]
+    pc.grad(x)
+    kernels = [pc._trial_kernel.kernel, pc._point_kernel.kernel]
     assert [k for _, k in compiled] == kernels
     jacobian(pc, x + 0.1)
     pc.darboux_trial(x.tolist(), np.inf)
     pc.hess(x)
-    assert len(compiled) == 3
+    pc.grad(x + 0.1)
+    assert len(compiled) == 2
     # a full analyze builds one PointCalculus and compiles each kernel it
-    # uses once: three of the six cached ones, the variety kernel (which
-    # gives the probes detJ and the potential's denominator), the Darboux
-    # search's trial kernel and the Hessians; not detJ's, which only the
-    # flow's stop events read, nor the potential value's, which only the
-    # flow's energy reads, nor the point kernel, whose values the trial
-    # kernel gives hess too
+    # uses once: two of the five cached ones, the variety kernel (which
+    # gives the probes detJ and the potential's denominator) and the
+    # Darboux search's trial kernel, which gives its Jacobians and hess the
+    # Hessians too; not detJ's, which only the flow's stop events read, nor
+    # the potential value's, which only the flow's energy reads, nor the
+    # point kernel, whose values the trial kernel gives hess too
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
                         lambda s: built.append(PointCalculus(s)) or built[-1])
@@ -300,7 +301,7 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     assert report["darboux"]["n_accepted"] > 0  # so near_sigma probed both polynomials
     (used,) = built
     held = [getattr(v, "kernel", v) for k, v in vars(used).items() if k.endswith("_kernel")]
-    assert len(held) == 3 and used._trial_kernel.kernel in held
+    assert len(held) == 2 and used._trial_kernel.kernel in held
     assert "_det_kernel" not in vars(used) and "_v_kernel" not in vars(used)
     assert "_point_kernel" not in vars(used)
     assert sorted(id(k) for _, k in compiled) == sorted(map(id, held))

@@ -200,6 +200,16 @@ def test_homothetic_two_body():
     assert orb.eq_residual <= 1e-8
 
 
+def test_homothetic_orbit_refuses_degree_zero():
+    # V = q1/q2 is homogeneous of degree 0, which has no standard section,
+    # as a degree that is too small has none
+    setup = parse_problem("vars q1 q2\npotential q1/q2\n")
+    hom = detect_homogeneity(setup)
+    assert (hom.d1, hom.weights, hom.d2) == (1, (), 0)
+    with pytest.raises(ValueError, match="degree 0"):
+        homothetic_orbit(setup, hom, np.array([1.0, 1.0]), T_GRID)
+
+
 def test_homothetic_collapse_truncates(cone_setup):
     hom = detect_homogeneity(cone_setup)
     c = np.array([1.0 / 3.0, 0.0, 1.0 / 3.0])

@@ -243,9 +243,8 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
 def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     # rows x*y (a quotient's row is a Python complex) and (x + y) - y, each
     # tested right after the output it reads; a failing row returns its
-    # index among the row tests, here 1 for x*y and 0 for (x + y) - y, or
-    # None where its abs overflows, before the later outputs, so the pole
-    # of 1/(x - 1) is not reached
+    # index among the row tests, here 1 for x*y and 0 for (x + y) - y,
+    # before the later outputs, so the pole of 1/(x - 1) is not reached
     quotient = X * Y / (X + RatExpr.const(1))
     targets = [quotient, X + Y, RatExpr.const(1) / (X - RatExpr.const(1)), RowTest(1, 1),
                RowTest(0)]
@@ -263,13 +262,21 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     with pytest.raises(PoleError):
         kernel([1.0, y], np.inf)
     assert kernel([1.0, y], 0.5) == 1  # x*y/(x+1) = -1 + 0.5j fails first
-    # the row (x + y) - y = x: Python's abs of it overflows, and its NumPy
-    # absolute is inf, not below any bound
+    # the row (x + y) - y = x: where Python's abs of it overflows, NumPy's
+    # absolute decides, inf here, not below any bound, so the row fails and
+    # is named; but the largest double where Python's abs overflows too,
+    # which passes an infinite bound
     huge = complex(1.5e308, 1.5e308)
     with pytest.raises(OverflowError):
         abs(huge)
+    edge = complex(np.finfo(float).max, 2.0 ** 998)
+    with pytest.raises(OverflowError):
+        abs(edge)
+    assert np.abs(edge) == np.finfo(float).max
     with np.errstate(invalid="ignore", over="ignore"):
-        assert kernel([huge, 0.0], np.inf) is None  # failed, but unnamed
+        assert kernel([huge, 0.0], np.inf) == 0
+        assert isinstance(kernel([edge, 0.0], np.inf), tuple)
+        assert kernel([edge, 0.0], float(np.finfo(float).max)) == 0
     for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
                 [X, RowTest(0), RowTest(1)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
@@ -307,8 +314,12 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     passing = [k for k in range(HALVINGS) if abs((3.0 + SCALES[k] * step[0]).real) < 1.5]
     assert passing == [1, 2]
     assert [test([3.0, y], step, k, 1.5) for k in range(4)] == [1, 1, 2, HALVINGS]
-    # an overflowing abs rejects its halving, as the kernel's unnamed row
+    # an overflowing abs is decided by NumPy's absolute, as in the kernel:
+    # inf rejects every halving, the largest double passes an infinite bound
     assert test([complex(1.5e308, 1.5e308), 0.0], still, 0, np.inf) == HALVINGS
+    edge = complex(np.finfo(float).max, 2.0 ** 998)
+    assert test([edge, y], still, 0, np.inf) == 0
+    assert test([edge, y], still, 0, float(np.finfo(float).max)) == HALVINGS
     # a test has the kernel's code for its row, with quotients by divide
     # and a zero denominator going on to the next halving; a kernel
     # without row tests keeps an empty row_tests

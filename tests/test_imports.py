@@ -264,9 +264,10 @@ def readers(path: Path, name: str) -> list:
 def test_the_darboux_residual_has_one_producer():
     # the trial kernel is the one producer of the residual's rows: the
     # search's trials and its candidates both read them through
-    # darboux_trial, hess its first derivatives likewise, the search's own
-    # test of a row comes through row_tests, and nothing else in the
-    # package reads the kernel
+    # darboux_trial, hess its first derivatives and Hessians likewise, the
+    # search's Jacobians take a trial's values and read no kernel, the
+    # search's own test of a row comes through row_tests, and nothing else
+    # in the package reads the kernel
     assert calculus_calls(SRC / "darboux.py") == {
         "darboux_trial", "darboux_system", "hess", "near_sigma"}
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
@@ -296,9 +297,8 @@ def test_generated_source_names_no_variable():
     pc.hess(x)
     pc.near_sigma(x)
     sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
-               pc._trial_kernel.kernel.source, pc._hessian_kernel.source, pc._v_kernel.source,
-               pc._det_kernel.source]
-    assert len(sources) == 6
+               pc._trial_kernel.kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+    assert len(sources) == 5
     for name in setup.var_names:
         assert not [s for s in sources if re.search(rf"\b{name}\b", s)], name
 

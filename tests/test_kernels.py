@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
-from algpot.expr import PoleError, RatExpr, Substitution, compile_arrays
+from algpot.expr import PoleError, RatExpr, RowTest, Substitution, compile_arrays
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
@@ -116,24 +116,53 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
                  if isinstance(t, RatExpr)]
     assert len(ref_point) > s
 
-    seen = set()
+    # the trial kernel's two Hessians, at every point: its target list
+    # compiled again likewise, in target order, without its row tests, so
+    # the closures evaluated in that order meet the same first pole, a
+    # quotient of the point kernel's before the Hessians' own
+    trial = pc._trial_kernel
+    (trial_targets,) = [t for t, k in compiled if k is trial.kernel]
+    undivided_trial = compile_arrays(
+        [t._replace(divisor=None) if isinstance(t, Substitution) else t
+         for t in trial_targets if not isinstance(t, RowTest)], order)
+    ref_trial = [reference_compile(t, order) for t in trial_targets if isinstance(t, RatExpr)]
+
+    def ref_hessians(y):
+        for f in ref_trial:
+            f(y)
+        return flat((ref_vh(y), ref_gh(y)))
+
+    seen, whole = set(), 0
     for x in points(N):
         # G, dG, and Sigma's non-constant polynomials with their gradients
         assert outcome(lambda y: flat(pc._variety_kernel(y)), x) == \
             outcome(lambda y: flat((ref_g(y), ref_dg(y), ref_s(y), ref_ds(y))), x)
         assert outcome(lambda y: [undivided(y)[k] for k, _ in ref_point], x) == \
             outcome(lambda y: [f(y) for _, f in ref_point], x)
-        assert outcome(lambda y: flat(pc._hessian_kernel(y)), x) == \
-            outcome(lambda y: flat((ref_vh(y), ref_gh(y))), x)
+        hessians = outcome(lambda y: flat(undivided_trial(y)[-2:]), x)
+        assert hessians == outcome(ref_hessians, x)
+        # the trial kernel itself gives those bits wherever its rows pass,
+        # and raises PoleError where the closures do
+        try:
+            got = trial.kernel(x, np.inf)
+        except ZeroDivisionError:  # a zero diagonal entry of J
+            got = None
+        except PoleError:
+            assert hessians[0] == "pole"
+            got = None
+        if isinstance(got, tuple):
+            assert hessians == outcome(lambda y: flat(got[trial.first][-2:]), x)
+            whole += 1
         assert outcome(pc.potential_value, x) == outcome(lambda y: complex(ref_v(y)), x)
         assert outcome(pc.det_value, x) == outcome(lambda y: complex(ref_det(y)), x)
         seen.add(outcome(pc.potential_value, x)[0])
+    assert whole == 7  # the points without a pole or a zero diagonal entry of J
     if name in ("cone-1/w1", "quotient"):
         assert seen == {"value", "pole"}  # the origin is a pole
     # a factor of exponent 1 is its load: no kernel raises to the power 1,
     # and the bits above, -0.0 points included, are the closures' x ** 1
     sources = [kernel.source for _, kernel in compiled]
-    assert len(sources) == 5  # variety, point, Hessians, potential, detJ
+    assert len(sources) == 5  # variety, point, trial (with the Hessians), potential, detJ
     assert not any(re.search(r"\*\* 1\b", source) for source in sources)
     assert any(re.search(r" \* x\d+\b(?!_)", source) for source in sources)
 

@@ -152,7 +152,8 @@ def arithmetic_build(cfg: NBodyConfig) -> AlgebraicSetup:
 
 def test_build_matches_the_arithmetic_construction():
     # term order matters: the kernels sum each form's terms in dict order,
-    # so equal items in equal order give equal kernels, bit for bit
+    # so equal items in equal order give equal kernels, bit for bit (the
+    # trial kernel holds the Hessians)
     for n in range(2, 8):
         mass_sets = [(1,) * n, tuple(range(1, n + 1)),
                      tuple(Fraction(1, 3) if k % 2 else Fraction(5, 2) for k in range(n))]
@@ -168,7 +169,7 @@ def test_build_matches_the_arithmetic_construction():
                     assert all(type(c) is Fraction
                                for c in (*g.num.values(), *g.den.values())), cfg
                 pc_got, pc_want = PointCalculus(got), PointCalculus(want)
-                for kernel in ("_point_kernel", "_hessian_kernel", "_v_kernel"):
+                for kernel in ("_point_kernel", "_trial_kernel", "_v_kernel"):
                     got_kernel, want_kernel = getattr(pc_got, kernel), getattr(pc_want, kernel)
                     assert (getattr(got_kernel, "kernel", got_kernel).source
                             == getattr(want_kernel, "kernel", want_kernel).source), (cfg, kernel)

@@ -18,10 +18,11 @@ property test over the whole exponent range).  The trial kernel is the
 package's one producer of the residual's rows, so the reference rows here
 are those unfused steps (residual_reference), which never read it.  The
 pin rows are decided last; a trial whose every row passes hands its first
-derivatives on to its Jacobian, writes its rows as the residual, and only
-accepted steps build a Jacobian; the traced tests follow the row tests
-and the entry points darboux_trial and darboux_system, and count the
-evaluations of the trial kernel and the point kernel.  Gradients and
+derivatives and Hessians on to its Jacobian, which calls no kernel, writes
+its rows as the residual, and only accepted steps build a Jacobian; the
+traced tests follow the row tests and the entry points darboux_trial and
+darboux_system, and count the evaluations of the trial kernel and the
+point kernel.  Gradients and
 Hessians evaluate only their non-zero partials; the calculus keeps no
 per-point state, so a trial's first derivatives and first_derivatives'
 give the same bits.  Each is held here, bit for bit, against the
@@ -51,7 +52,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algpot import calculus, darboux
+from algpot import calculus, darboux, expr
 from algpot.calculus import (CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq,
                              lstsq_buffers)
 from algpot.darboux import CONV_TOL, _newton
@@ -63,7 +64,7 @@ from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT, float_parts
-from residual_reference import jacobian, reference_rows, unfused_trial
+from residual_reference import jacobian, reference_rows, trial_values, unfused_trial
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import problems as bench_problems  # noqa: E402
@@ -365,7 +366,8 @@ def trial_point(pc, rng, kind):
 def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift):
     # res sits within 8 ulp of one row's NumPy absolute, or is 0 or inf: the
     # trial kernel rejects exactly where the unfused steps do, and
-    # otherwise returns their rows and first derivatives bit for bit
+    # otherwise returns their rows and first derivatives bit for bit,
+    # before its two Hessians
     pc = trial_calculus(name)
     x = trial_point(pc, np.random.default_rng(seed), kind)
     xs = x.tolist()
@@ -386,7 +388,9 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
     assert (got is None) == (expected is None)
     if got is not None:
         assert bits(np.array(got[0], dtype=complex)) == bits(np.array(expected[0], dtype=complex))
-        assert bits(np.array(got[1], dtype=complex)) == bits(np.array(expected[1], dtype=complex))
+        assert len(got[1]) == len(expected[1]) + 2
+        assert bits(np.array(got[1][:-2], dtype=complex)) == \
+            bits(np.array(expected[1], dtype=complex))
 
 
 def unfused_rows(pc, xs) -> list:
@@ -448,25 +452,45 @@ def line_numbers(source, pattern) -> list:
 def test_each_trial_row_is_decided_after_only_the_values_it_reads():
     # equal-mass 5x2: G's ten rows are decided before the first quotient's
     # denominator, and the first gradient row, q1_1's, after only the four
-    # denominators r1j^2 of the quotients dV/dr1j that it reads
+    # denominators r1j^2 of the quotients dV/dr1j that it reads; the
+    # Hessian's ten denominators r_ij^3 come after the last decision
     pc = trial_calculus("nbody5x2")
     source = pc._trial_kernel.kernel.source
     source = source[:source.index("def kernel(")]  # on_list, not the rows' own tests
     lines = source.splitlines()
-    tests = line_numbers(source, r"\s+if .* rows_below")
+    tests = line_numbers(source, r"\s+if not \(.* rows_below")
     denominators = line_numbers(source, r"\s+d\d+ = ")
-    assert len(tests) == pc.n + pc.s and len(denominators) == pc.s == 10
+    decided = [d for d in denominators if d < tests[-1]]
+    assert len(tests) == pc.n + pc.s and len(decided) == pc.s == 10
     assert tests[pc.s - 1] < denominators[0]
-    first_row = lines[tests[pc.s] - 1].split()
-    assert first_row[0] == f"v{pc._trial_kernel.rows.start}" and first_row[-1] == "x0"
     names = pc.setup.var_names
+    assert [lines[d].split()[-1] for d in denominators[pc.s:]] == [
+        f"x{names.index(name)}_3" for name in names[pc.n:]]
+    first_row = lines[tests[pc.s] - 2].split()  # the line before the decision's try
+    assert first_row[0] == f"v{pc._trial_kernel.rows.start}" and first_row[-1] == "x0"
     assert [lines[d].split()[-1] for d in denominators if d < tests[pc.s]] == [
         f"x{names.index(f'r1_{j}')}_2" for j in range(2, 6)]
 
 
+def test_row_tests_are_selected_by_the_code_up_to_each_decision():
+    # a row has a test where its code is at most half of the trial kernel's
+    # up to that row's decision: on equal-mass 3x2, 4x2 and 5x2, 4, 10 and
+    # 17 of 9, 14 and 20 rows, whatever the kernel computes after its last
+    # decision (the Hessians); the 1/w pole problem's rows have none
+    expected = {3: [2, 3, 4, 5], 4: [2, 3, 4, 5, 6, 7, 10, 11, 12, 13],
+                5: [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19]}
+    for n, rows in expected.items():
+        tests = PointCalculus(build(NBodyConfig(n=n, dim=2, masses=(1,) * n))).row_tests
+        assert len(tests) == {3: 9, 4: 14, 5: 20}[n]
+        assert [j for j, test in enumerate(tests) if test is not None] == rows
+    assert trial_calculus("pole").row_tests == (None, None, None)
+
+
 def test_kernels_without_row_tests_compute_in_target_order():
     # only a kernel with row tests is emitted in demand order: every other
-    # kernel of the benchmark's setups computes its outputs in target order
+    # kernel of the benchmark's setups computes its outputs in target order;
+    # the trial kernel computes its two Hessians, which no row reads, after
+    # its last decision, V's first
     setups = [parse_problem(p.text(), label=p.name) for p in corpus()]
     setups += [build(NBodyConfig(n=p.nbodies, dim=p.dim, masses=p.masses))
                for p in bench_problems.NBODY_PROBLEMS]
@@ -475,12 +499,18 @@ def test_kernels_without_row_tests_compute_in_target_order():
         pc = PointCalculus(setup)
         pc.compile_analysis_kernels()
         sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
-                   pc._hessian_kernel.source, pc._v_kernel.source, pc._det_kernel.source]
+                   pc._v_kernel.source, pc._det_kernel.source]
         for source in sources:
             assert "rows_below" not in source
             order = [int(k) for k in re.findall(r"^ +v(\d+) = ", source, re.M)]
             assert order == sorted(order), setup.label
             checked += len(order)
+        source = pc._trial_kernel.kernel.source
+        source = source[:source.index("def kernel(")]
+        k = pc._trial_kernel.rows.start - 2  # V's Hessian, then the generators'
+        hessians = line_numbers(source, rf" +a({k}|{k + 1}) = ")
+        decisions = line_numbers(source, r" +if not rows_below")
+        assert len(hessians) == 2 and decisions[-1] < hessians[0] < hessians[1], setup.label
     assert checked
 
 
@@ -493,9 +523,11 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     least-squares step as ["lstsq", matrix, residual]; a row test
     scans halvings, and each halving it decides is one entry named
     "row_test", at that halving's point x + 2^-k step as NumPy computes
-    it, with the value (row, whether it passed); a call made inside
-    another traced call is not the search's own, and a call that raises
-    keeps the value None.  result is what _newton returns."""
+    it, with the value (row, whether it passed); darboux_system takes no
+    point, only the values of the trial traced right before it, whose
+    point is its entry's; a call made inside another traced call is not
+    the search's own, and a call that raises keeps the value None.  result
+    is what _newton returns."""
     calls, depth = [], [0]
 
     def lstsq(A, b, buffers):
@@ -503,12 +535,18 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
         return _lstsq(A, b, buffers)
 
     def traced(name, method):
-        def call(x, *rest):
+        def call(*args):
             if depth[0] == 0:
-                calls.append([name, np.array(x), None])
+                if name == "darboux_system":
+                    # the values that the last trial returned, the object itself
+                    assert calls[-1][0] == "darboux_trial" and args[0] is calls[-1][2][1]
+                    x = calls[-1][1]
+                else:
+                    x = np.array(args[0])
+                calls.append([name, x, None])
             depth[0] += 1
             try:
-                value = method(x, *rest)
+                value = method(*args)
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
@@ -579,10 +617,10 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
     # is rejected there, the point kernel is never evaluated on its own,
     # and only a trial whose gradient rows and pin rows pass too builds its
     # Jacobian, right after, at the same point, from the first derivatives
-    # the trial returned; the Jacobian is built at the start and accepted
-    # steps; every step solves with that point's residual, the unfused
-    # steps' rows plus the pin rows, bit for bit, and the search returns
-    # its largest entry
+    # and Hessians the trial returned, with no kernel call of its own; the
+    # Jacobian is built at the start and accepted steps; every step solves
+    # with that point's residual, the unfused steps' rows plus the pin
+    # rows, bit for bit, and the search returns its largest entry
     cfg, pc, seeds = three_body
     g_rejected = tied = grad_rejected = solved = tested = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
@@ -598,8 +636,8 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
             vars(pc_)["_point_kernel"], vars(pc_)["_trial_kernel"] = point, trial
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
-        # the Jacobian takes the trial's first derivatives and never
-        # evaluates them again
+        # the Jacobian takes the trial's first derivatives and Hessians and
+        # never evaluates them again: one trial kernel call per trial
         assert evaluations == [] and len(trials) == names.count("darboux_trial")
         # the start point's rows are computed as a trial's, then its Jacobian
         assert names[:2] == ["darboux_trial", "darboux_system"]
@@ -628,9 +666,9 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 rows = reference_rows(pc_, x)
                 assert rows is None or not np.abs(rows[row]) < res
                 tested += 1
-            elif isinstance(value, tuple):  # the point's rows and first derivatives
+            elif isinstance(value, tuple):  # the point's rows, first derivatives, Hessians
                 assert bits(np.array(value[0])) == bits(reference_rows(pc_, x))
-                assert bits(np.array(value[1])) == bits(np.array(pc_.first_derivatives(x)))
+                assert bits(np.array(value[1][:-2])) == bits(np.array(pc_.first_derivatives(x)))
             if k == 0:
                 continue
             if name == "darboux_trial":
@@ -675,36 +713,37 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
 
 
 def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
-    # a trial whose rows pass but whose Jacobian raises, or whose trial
-    # kernel raises (J singular or not finite), is rejected, and the search
-    # goes on halving from the current point, as the full-system search
-    # does; here the evaluation raises at the first accepted point, once in
-    # each search: the full-system search meets it in darboux_system, or,
-    # where the trial kernel raises, in the point kernel, which its own
-    # evaluation of the same rows reads
+    # a trial whose rows pass but whose Jacobian's values raise (a pole of a
+    # Hessian entry, which the trial kernel computes after its rows), or
+    # whose trial kernel raises (J singular or not finite), is rejected, and
+    # the search goes on halving from the current point, as the full-system
+    # search does; here the evaluation raises at the first accepted point,
+    # once in each search: the search meets it in the trial kernel, and
+    # the full-system search in the point kernel, which its own evaluation
+    # of the same rows reads.  The Jacobian itself calls no kernel
+    # (test_a_jacobian_calls_no_kernel), so it has nothing to raise
     cfg, pc, seeds = three_body
-    for methods in (((PointCalculus, "darboux_system"),),
-                    ((PointCalculus, "darboux_trial"), (PointKernel, "on_list"))):
-        originals = {(owner, method): getattr(owner, method) for owner, method in methods}
-        raised = []
-        for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
-            calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
-            at = [x for name, x, _ in calls if name == "darboux_system"][1]
+    methods = ((PointCalculus, "darboux_trial"), (PointKernel, "on_list"))
+    originals = {(owner, method): getattr(owner, method) for owner, method in methods}
+    raised = []
+    for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
+        calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
+        at = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-            for (owner, method), original in originals.items():
-                def raising(self, x, *rest, at=at, original=original):
-                    if bits(x) == bits(at):
-                        raised.append(at)
-                        raise CriticalPointError("raised at the first accepted point")
-                    return original(self, x, *rest)
+        for (owner, method), original in originals.items():
+            def raising(self, x, *rest, at=at, original=original):
+                if bits(x) == bits(at):
+                    raised.append(at)
+                    raise CriticalPointError("raised at the first accepted point")
+                return original(self, x, *rest)
 
-                monkeypatch.setattr(owner, method, raising)
-            expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-            got = _newton(pc_, x0, pins, conv_tol, max_iter)
-            for (owner, method), original in originals.items():
-                monkeypatch.setattr(owner, method, original)
-            assert same_bits(got, expected)
-        assert len(raised) == 8  # once in each search, four starts
+            monkeypatch.setattr(owner, method, raising)
+        expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
+        got = _newton(pc_, x0, pins, conv_tol, max_iter)
+        for (owner, method), original in originals.items():
+            monkeypatch.setattr(owner, method, original)
+        assert same_bits(got, expected)
+    assert len(raised) == 8  # once in each search, four starts
 
 
 # ---------------------------------------------------------------------------
@@ -841,25 +880,27 @@ def test_live_partials_match_dense_evaluation(text):
 def test_slot_lists_hold_only_live_partials():
     # the n-body Hessians are sparse: 3x2 has 3 live potential partials of
     # 45 upper-triangle slots; each distance generator has seven, all of
-    # them constant, so they sit in the kernel's template and the generated
-    # code computes only the potential's three
+    # them constant, so they sit in the template of the trial kernel's array
+    # and the generated code computes only the potential's three
     pc = PointCalculus(build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1))))
     assert len(pc._vhess) == 3
     assert [len(h) for h in pc._ghess] == [7, 7, 7]
     assert all(e.constant_value() is not None for h in pc._ghess for _, _, e in h)
     assert all(e.constant_value() is None for _, _, e in pc._vhess)
-    source = pc._hessian_kernel.source
+    k = pc._trial_kernel.rows.start - 2  # V's Hessian, then the generators'
+    source = pc._trial_kernel.kernel.source
+    source = source[:source.index("def kernel(")]
     # one statement per live entry, writing both places of an off-diagonal
     # pair and a diagonal place once; the three live partials are the
     # diagonal second derivatives in the distances r_ij
-    stores = re.findall(r"^    ((?:a0\[\d+, \d+\] = )+)", source, re.M)
+    stores = re.findall(rf"^    ((?:a{k}\[\d+, \d+\] = )+)", source, re.M)
     places = [[tuple(map(int, m)) for m in re.findall(r"\[(\d+), (\d+)\]", line)]
               for line in stores]
     assert places == [[(a, b)] if a == b else [(a, b), (b, a)] for a, b, _ in pc._vhess]
     assert all(a == b for a, b, _ in pc._vhess)
-    assert "a1[" not in source
+    assert f"a{k + 1}[" not in source
     x = np.asarray(random_starts(pc.N, 1, seed=3)[0], dtype=complex)
-    vh, gh = pc._hessian_kernel(x)
+    vh, gh = trial_values(pc, x)[-2:]
     live = {(a, b) for a, b, _ in pc._vhess} | {(b, a) for a, b, _ in pc._vhess}
     assert {tuple(i) for i in np.argwhere(vh != 0)} == live
     for a, h in enumerate(pc._ghess):
@@ -869,7 +910,8 @@ def test_slot_lists_hold_only_live_partials():
         assert bits(gh[a]) == bits(expected)
     lin = PointCalculus(parse_problem(LINEAR_TEXT))
     assert lin._vhess == [] and lin._ghess == [[]]
-    assert "a0[" not in lin._hessian_kernel.source and "a1[" not in lin._hessian_kernel.source
+    k, source = lin._trial_kernel.rows.start - 2, lin._trial_kernel.kernel.source
+    assert f"a{k}[" not in source and f"a{k + 1}[" not in source
     x = np.array([0.3, -1.1, 0.0], dtype=complex)
     x[2] = x[0] + 2 * x[1]
     Jac = jacobian(lin, x)
@@ -885,8 +927,9 @@ def test_slot_lists_hold_only_live_partials():
 
 def point_results(pc, x):
     """Everything the calculus computes at x, as bytes: the gradient, the
-    Jacobian from first_derivatives' values, the Hessian, those values, and
-    the search trial's rows and first derivatives against res = inf."""
+    Jacobian from a trial's values, the Hessian, first_derivatives' values,
+    and the search trial's rows, first derivatives and Hessians against
+    res = inf."""
     rows, first = pc.darboux_trial(x.tolist(), np.inf)
     return [bits(r) for r in (pc.grad(x), jacobian(pc, x), pc.hess(x),
                               *pc.first_derivatives(x), np.array(rows), *first)]
@@ -900,8 +943,9 @@ def test_a_calculus_answers_every_point_as_a_fresh_one():
     for x in (a, b, a):
         results = point_results(pc, x)
         assert results == point_results(PointCalculus(setup), x)
-        # the trial's first derivatives are first_derivatives' values
-        assert results[3:3 + size] == results[-size:]
+        # the trial's first derivatives, before its two Hessians, are
+        # first_derivatives' values
+        assert results[3:3 + size] == results[-size - 2:-2]
     # the same array changed in place after a call is a new point
     x = a.copy()
     pc.grad(x)
@@ -912,7 +956,7 @@ def test_a_calculus_answers_every_point_as_a_fresh_one():
 
 @pytest.mark.parametrize("name", ["cone", "draw1", "nbody3x2"])
 def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
-    # darboux_system(x, first, out) fills every entry of out, the structural
+    # darboux_system(first, out) fills every entry of out, the structural
     # zeros of dG included, with the bits of a freshly allocated Jacobian,
     # and touches nothing else of the array that holds out; draw1's J has
     # an entry below its diagonal, which the substitution's loop reads
@@ -926,15 +970,50 @@ def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
     compared = 0
     for x in sample_points(setup, 6, seed=9):
         try:
-            first = pc.first_derivatives(x)
+            first = trial_values(pc, x)
         except (CriticalPointError, PoleError):
             continue
         fresh = jacobian(PointCalculus(setup), x)
         system.fill(complex(np.nan, np.inf))
         out = system[:m]
-        assert pc.darboux_system(x.tolist(), first, out) is out
+        assert pc.darboux_system(first, out) is out
         assert bits(out) == bits(fresh)
         assert np.isnan(system[m:].real).all() and np.isinf(system[m:].imag).all()
+        compared += 1
+    assert compared >= 5
+
+
+@pytest.mark.parametrize("name", ["cone", "draw1", "nbody3x2"])
+def test_a_jacobian_calls_no_kernel(name, monkeypatch):
+    # darboux_system and _dg_blocks read a trial's values alone, first
+    # derivatives and Hessians: given them, a Jacobian calls no compiled
+    # kernel of the calculus, through either entry point; hess makes one
+    # trial at its point, one call of the trial kernel
+    calls = []
+    emit = expr.compile_arrays
+    monkeypatch.setattr(calculus, "compile_arrays",
+                        lambda targets, order: counted_kernel(emit(targets, order), calls))
+    monkeypatch.setattr(expr, "compile_arrays", calculus.compile_arrays)
+    if name == "nbody3x2":
+        setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
+    else:
+        setup = parse_problem(CONE_TEXT if name == "cone" else DRAW1_TEXT)
+    pc = PointCalculus(setup)
+    for kernel in ("_variety_kernel", "_point_kernel", "_trial_kernel", "_v_kernel", "_det_kernel"):
+        getattr(pc, kernel)  # every kernel compiled, each counted
+    out = np.empty((pc.n + pc.s, pc.N), dtype=complex)
+    compared = 0
+    for x in sample_points(setup, 6, seed=9):
+        try:
+            first = trial_values(pc, x)
+        except (CriticalPointError, PoleError):
+            continue
+        calls.clear()
+        pc.darboux_system(first, out)
+        pc._dg_blocks(first, out)
+        assert calls == []
+        pc.hess(x)
+        assert calls == [(x.tolist(), np.inf)]
         compared += 1
     assert compared >= 5
 
@@ -986,9 +1065,9 @@ def test_substitution_matches_numpy_solve(name):
             step_ref = np.linalg.solve(J, G)
         except (np.linalg.LinAlgError, PoleError):
             continue  # a singular J or a pole, held below
-        first = pc.first_derivatives(x)
+        first = trial_values(pc, x)
         u = np.array(first[point.u], dtype=complex)
-        W = pc._dg_blocks(x.tolist(), first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
+        W = pc._dg_blocks(first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
         step = _forward(J, G, pc._coupled)
         assert u.shape == u_ref.shape and close_to(u, u_ref, SOLVE_REL)
         assert close_to(pc.grad(x), vg[:n] - B.T @ u_ref, SOLVE_REL)
@@ -1049,7 +1128,7 @@ def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
     point, trial = pc._point_kernel, pc._trial_kernel
     x = np.array([0.3, 0.4, 0.7, 1.5], dtype=complex)
     good, good_trial = point.kernel(x), trial.kernel(x, np.inf)
-    assert good_trial[trial.first] == good
+    assert good_trial[trial.first][:-2] == good
     for slot in range(point.checked.start, point.checked.stop):
         for bad in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
             values = good[:slot] + (bad,) + good[slot + 1:]
@@ -1064,15 +1143,15 @@ def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
                     pc.darboux_trial(x.tolist(), np.inf)
     vars(pc)["_point_kernel"], vars(pc)["_trial_kernel"] = point, trial
     assert pc.first_derivatives(x) == good
-    assert pc.darboux_trial(x.tolist(), np.inf)[1] == good
+    assert pc.darboux_trial(x.tolist(), np.inf)[1][:-2] == good
 
 
 def test_no_extension_variables_give_empty_solves():
     pc = PointCalculus(parse_problem(PLAIN_TEXT))
     x = np.array([0.5, -1.0], dtype=complex)
-    first = pc.first_derivatives(x)
+    first = trial_values(pc, x)
     assert first[pc._point_kernel.u] == () and first[pc._point_kernel.checked] == ()
-    dg, W, dG = pc._dg_blocks(x.tolist(), first, np.empty((2, 2), dtype=complex))
+    dg, W, dG = pc._dg_blocks(first, np.empty((2, 2), dtype=complex))
     assert W.shape == (0, 2) and dG.shape == (0, 2) and dg.shape == (2, 2)
     J = np.zeros((0, 0), dtype=complex)
     u, W = _forward(J, np.zeros(0, dtype=complex), ()), _forward(J, np.zeros((0, 3)) + 0j, ())

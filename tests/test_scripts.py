@@ -3,6 +3,7 @@ so that each can gate a change."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,29 @@ def test_output_digest_parent_names_each_line_that_differs(monkeypatch, capsys):
         output_digest.main(["--parent", "HEAD"])
     # the exported tree is removed after every run, the failed one included
     assert len(scratch) == 3 and not any(path.exists() for path in scratch)
+
+
+def test_trial_stats_parent_names_each_line_whose_counts_differ(monkeypatch, capsys, tmp_path):
+    # --parent runs the script on the revision's files with the same hunt
+    # seeds and workload, through output_digest's comparison, and names
+    # each line whose counts differ
+    trial_stats = load_script("trial_stats")
+    monkeypatch.setattr(sys.modules["output_digest"], "export_tree", lambda rev, into: tmp_path)
+    parent = ["hunt-seed 2 cone: trials 3  test 1  passed 2",
+              "hunt-seed 2 small-corpus total: trials 3  test 1  passed 2"]
+    runs = []
+    monkeypatch.setattr(trial_stats, "run_tree",
+                        lambda tree, script, args: runs.append((tree, args)) or parent)
+    monkeypatch.setattr(trial_stats, "lines", lambda seeds, names: iter(parent))
+    argv = ["--parent", "HEAD", "--workload", "small-corpus", "--hunt-seeds", "2-3"]
+    assert trial_stats.main(argv) == 0
+    assert runs == [(tmp_path, ["--hunt-seeds", "2-3", "--workload", "small-corpus"])]
+    assert capsys.readouterr().out == "0 of 2 lines differ from HEAD\n"
+    moved = [parent[0].replace("test 1  passed 2", "test 2  passed 1"), parent[1]]
+    monkeypatch.setattr(trial_stats, "lines", lambda seeds, names: iter(moved))
+    assert trial_stats.main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "hunt-seed 2 cone", "1 of 2 lines differ from HEAD"]
 
 
 def test_trial_stats_counts_each_analysis_trials_by_outcome(capsys):

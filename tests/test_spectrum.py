@@ -33,6 +33,15 @@ def test_rationalize_accepts_tiny_imaginary_noise():
     assert rationalize(0.5 + 1e-12j) == Fraction(1, 2)
 
 
+def test_rationalize_refuses_a_nan_or_infinite_part():
+    # a nan imaginary part is not below the tolerance: it is not real
+    nan, inf = float("nan"), float("inf")
+    for z in (complex(1.5, nan), complex(1.5, inf), complex(nan, 0.0), complex(inf, 0.0),
+              complex(nan, nan)):
+        assert rationalize(z) is None, z
+    assert rationalize(complex(1.5, 0.0)) == Fraction(3, 2)
+
+
 def test_simple_spectrum():
     H = np.diag([2.0, 1.0])
     spec = eigen(H)

@@ -190,12 +190,14 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     assert len(partial) == 15
     pc.darboux_trial(x.tolist(), np.inf)
     jacobian(pc, x)
+    pc.grad(x)
     pc.near_sigma(x)
     pc.potential_value(x)
     pc.det_value(x)
     assert len(diffed) == 27
-    assert len(compiled) == 6
-    # every kernel the calculus has is compiled; each non-zero partial was
+    assert len(compiled) == 5
+    # every kernel the calculus has is compiled (a Jacobian compiles none of
+    # its own, and grad the point kernel); each non-zero partial was
     # emitted into exactly the three that evaluate the generator Jacobian:
     # the variety kernel, the point kernel and the trial kernel, which
     # evaluates the point kernel's targets (a substitution target reads
@@ -209,7 +211,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     variety = pc._variety_kernel
     assert emitted(variety) == emitted(point) == emitted(trial) == sorted(partial.values())
     others = [k for _, k in compiled if k not in (variety, point, trial)]
-    assert len(others) == 3 and not any(emitted(k) for k in others)
+    assert len(others) == 2 and not any(emitted(k) for k in others)
     # a full analysis builds its own calculus and derives each partial once
     diffed.clear()
     analyze(setup, AnalysisOptions(nbody=NBodyConfig(n=3, dim=2, masses=(1, 1, 1)), n_random=2))
