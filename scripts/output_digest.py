@@ -8,8 +8,9 @@ problems of the benchmark's `nbody-hunt` and `small-corpus` workloads at
 hunt seeds 0 and 1, each `ve-dynamics` output (trajectory, homothetic
 orbit, monodromy report) at workload seeds 0 and 1, and after each analysis
 one line per Darboux Newton start it made, in start order: the start's
-result, the final iterate and residual that `darboux._newton` returned, or
-None.  A report shows only the starts that converged; the per-start lines
+result, the final iterate and residual that `darboux._newton` returned
+(the first two of its values, which is all that an older `_newton`
+returns), or None.  A report shows only the starts that converged; the per-start lines
 also cover every failed start, so a change that moves one, even to another
 failure, shows.  After each analysis and each `ve-dynamics` output comes
 one line per fiber solve it made, in call order: the result of
@@ -125,14 +126,14 @@ def run_with_calculus(task, state):
 
 
 @contextlib.contextmanager
-def recording(owner, name: str, digests: list):
+def recording(owner, name: str, digests: list, part=lambda out: out):
     """owner.name wrapped, while the block runs, to append the digest of
-    each result it returns to digests."""
+    part of each result it returns to digests."""
     original = getattr(owner, name)
 
     def recorded(*args):
         out = original(*args)
-        digests.append(digest(out))
+        digests.append(digest(part(out)))
         return out
 
     setattr(owner, name, recorded)
@@ -148,7 +149,7 @@ def analyze_lines(hunt_seed: int, states: dict):
     built problems, set up on first use and kept for the next hunt seed."""
     PointCalculus = algpot.calculus.PointCalculus
     starts, fibers, probes = [], [], []
-    with recording(algpot.darboux, "_newton", starts), \
+    with recording(algpot.darboux, "_newton", starts, lambda out: out and out[:2]), \
             recording(PointCalculus, "solve_fiber", fibers), \
             recording(PointCalculus, "_near_zero_set", probes):
         for name in ANALYZE_WORKLOADS:

@@ -20,7 +20,7 @@ after a start's own point) by the outcome that ended each:
 then the totals of each workload at each hunt seed.  The search is wrapped
 from here, as scripts/output_digest.py wraps it: `_newton`, and the
 calculus's `darboux_trial`, `darboux_system` and `row_tests`; a call made
-outside `_newton` (a candidate's rows, a Hessian) is not a trial.  Each
+outside `_newton` is not a trial.  Each
 problem's PointCalculus is built once, by the workload's set-up, and passed
 to `analyze` at every hunt seed.  The problems and options are read from
 bench/, which this script does not change; algpot is imported from the

@@ -36,10 +36,11 @@ point kernel's values, each row of G and of grad V - q tested against
 the search's current residual as soon as it is computed (expr.RowTest),
 so a trial that fails stops at its first failing row, then the Hessians
 of V and of G.  It is the one producer of the Darboux residual's rows,
-which the search reads for a candidate too, against an infinite
-residual.  The calculus keeps nothing per point: the search passes a
-trial's values to its Jacobian (darboux_system), which calls no kernel,
-and every other evaluation computes its own.  Outside the search, one
+and a point is evaluated there once: the calculus keeps nothing per
+point, and the search passes a trial's values to its Jacobian
+(darboux_system) and, for the trial that ended a start, to the
+candidate's reported residuals and Hessian (hess), none of which calls a
+kernel; every other evaluation computes its own.  Outside the search, one
 kernel gives G, dG and the values and gradients of Sigma's non-constant
 polynomials (detJ, the potential's denominator;
 PointCalculus._variety_kernel), one call per fiber Newton step and per
@@ -114,6 +115,9 @@ class CriticalPointError(ArithmeticError):
     """The requested point (numerically) sits on the critical set."""
 
 
+SINGULAR = "dG/dw is singular or not finite at the point"
+
+
 def _hessian_entries(grad, order) -> list:
     """(a, b, d grad[a] / d order[b]) for every non-zero partial, a <= b."""
     entries = []
@@ -158,25 +162,9 @@ def _nonzero(pairs) -> tuple:
     return tuple((i, k) for i, k in pairs if i)
 
 
-def _refusing(self, xs, res=None):
-    """The method on_list of the point and trial kernels, with their one
-    refusal: self.kernel.on_list(xs), or (xs, res) for the trial kernel,
-    whose failing row passes through, unless J has a zero diagonal entry
-    (its division raises) or an entry at self.checked, J's and u's, is not
-    finite (an infinite one can leave a finite, meaningless u): then
-    CriticalPointError, on every call.  A pole raises PoleError."""
-    try:
-        values = self.kernel.on_list(xs) if res is None else self.kernel.on_list(xs, res)
-        if not isinstance(values, tuple) or all(map(isfinite, values[self.checked])):
-            return values
-    except ZeroDivisionError:
-        pass
-    raise CriticalPointError("dG/dw is singular or not finite at the point")
-
-
 class PointKernel(NamedTuple):
     """A point's first derivatives from one kernel (PointCalculus._point_kernel)
-    and where its values sit.  on_list(xs) (_refusing), on a list of
+    and where its values sit.  on_list(xs), on a list of
     Python complex, returns a tuple of complex scalars: a zero at
     slot 0, each structurally non-zero partial of the potential, the
     structurally non-zero entries of B = dG/dq and of J = dG/dw (J's
@@ -195,7 +183,7 @@ class PointKernel(NamedTuple):
 
     PointCalculus._point_layout is the same tuple with kernel None: the
     trial kernel and a Jacobian read only the layout, so only the flow and
-    first_derivatives compile the kernel itself.
+    grad compile the kernel itself.
 
     J is lower triangular (PointCalculus._jacobian), so u is back
     substitution unrolled by expr.compile_arrays into the kernel, and the
@@ -204,8 +192,7 @@ class PointKernel(NamedTuple):
     here: the flow never reads them, and the trial kernel computes them
     with these targets (PointCalculus.darboux_trial).
     Every caller holds the point as a list of complex and calls on_list:
-    the flow's right-hand side and first_derivatives each convert an array
-    once."""
+    the flow's right-hand side and grad each convert an array once."""
 
     kernel: Callable
     grad: slice
@@ -216,7 +203,19 @@ class PointKernel(NamedTuple):
     forward: tuple
     targets: list
 
-    on_list = _refusing
+    def on_list(self, xs) -> tuple:
+        """self.kernel.on_list(xs) with the kernel's one refusal: where J has
+        a zero diagonal entry (its division raises) or an entry at checked,
+        J's and u's, is not finite (an infinite one can leave a finite,
+        meaningless u), CriticalPointError, on every call.  A pole raises
+        PoleError."""
+        try:
+            values = self.kernel.on_list(xs)
+            if all(map(isfinite, values[self.checked])):
+                return values
+        except ZeroDivisionError:
+            pass
+        raise CriticalPointError(SINGULAR)
 
 
 class TrialKernel(NamedTuple):
@@ -233,7 +232,9 @@ class TrialKernel(NamedTuple):
     which the row passes (expr.RowTest), or None where the test would save
     too little of the kernel's code; the row the kernel decides first, G's
     first (grad V's without generators), never has one
-    (expr.compile_arrays):
+    (expr.compile_arrays).  PointCalculus.darboux_trial calls
+    kernel.on_list itself and refuses J as PointKernel.on_list does.  The
+    values sit at:
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them, then
@@ -244,8 +245,6 @@ class TrialKernel(NamedTuple):
     rows: slice
     first: slice
     checked: slice
-
-    on_list = _refusing  # on_list(xs, res): kernel.on_list, refused as PointKernel's
 
 
 def _forward(J, b, coupled) -> np.ndarray:
@@ -323,11 +322,12 @@ class PointCalculus:
     denominator are derived symbolically on first use, each once, by the
     first kernel that reads them: the constructor derives nothing,
     and a caller that never evaluates a Hessian never derives one.  It
-    keeps no per-point state: first_derivatives returns a point's values of
-    the point kernel (PointKernel), its one adjoint and one gradient, for
-    grad; darboux_trial returns them with both Hessians, which _dg_blocks
-    and darboux_system take as `first`, with the rows `out` they write (a
-    search passes what its trial gave), and hess makes its own trial.
+    keeps no per-point state: grad evaluates the point kernel
+    (PointKernel), its one adjoint and one gradient; darboux_trial returns
+    the same values with both Hessians, which _dg_blocks, darboux_system
+    and hess take as `first`, with no kernel call of their own: the search
+    passes what its trial gave, for a Jacobian and for a candidate's
+    Hessian alike.
     The partials are evaluated by generated kernels (expr.compile_arrays),
     each compiled on first use and kept: the variety kernel, G, dG (the
     s x N matrix whose columns n: are J and whose columns :n are
@@ -497,8 +497,8 @@ class PointCalculus:
     @cached_property
     def _point_kernel(self) -> PointKernel:
         """The one kernel of a point's first derivatives (PointKernel),
-        compiled on first use: the flow, grad and first_derivatives evaluate
-        it, while an analysis reads the same values from the trial kernel."""
+        compiled on first use: the flow and grad evaluate it, while an
+        analysis reads the same values from the trial kernel."""
         layout = self._point_layout
         return layout._replace(kernel=compile_arrays(layout.targets, self.setup.var_names))
 
@@ -533,8 +533,8 @@ class PointCalculus:
         """Compiles the two kernels that an analysis may evaluate: the
         variety kernel (G, dG and Sigma's polynomials with their gradients,
         which the fiber solves and the proximity probes read) and the
-        Darboux search's trial kernel, which gives every Jacobian and hess
-        their values and holds every coefficient of the point kernel.
+        Darboux search's trial kernel, which gives every Jacobian and
+        Hessian its values and holds every coefficient of the point kernel.
         pipeline.analyze calls it before it evaluates anything, so a
         derived coefficient that has no double (expr.compile_arrays raises
         ExprError) is refused for the problem, whichever evaluation would
@@ -554,32 +554,32 @@ class PointCalculus:
         """The largest |G| at x (_largest), 0 without generators."""
         return _largest(self._variety_kernel(x)[0])
 
-    def first_derivatives(self, x) -> tuple:
-        """The point kernel's values at x (PointKernel): the entries of dG,
-        the adjoint u = J^(-T) d_wV and grad V, each computed once here.
-        Raises CriticalPointError off the good set and PoleError at a pole
-        of the potential.  grad reads them, a Jacobian a trial's values."""
-        return self._point_kernel.on_list(np.asarray(x, dtype=complex).tolist())
-
     def darboux_trial(self, xs, res: float):
         """A Darboux search trial at xs, a list of Python complex in
         variable order, against the current residual res: the index of the
         first row of F = (grad V - q, G) whose NumPy absolute is not below
         res, in the order the trial kernel (TrialKernel) decides them, else
         (rows, first), the residual rows F, zero exactly at Darboux
-        candidates, and the point's values (TrialKernel.first):
-        first_derivatives' values, then the Hessians.  One call of the
-        trial kernel, which stops at the first row that fails
-        (expr.rows_below), having computed only what the rows up to it
-        read; against res = inf every finite row passes.  J's entries and u are checked only
-        when every row has passed (_refusing); raises CriticalPointError
-        and PoleError as first_derivatives does, but only where the kernel
-        reaches the pole or J's zero diagonal entry: a row that fails
-        first returns its index."""
+        candidates, and the point's values (TrialKernel.first): the point
+        kernel's values, then the Hessians.  One call of the trial kernel,
+        which stops at the first row that fails (expr.rows_below), having
+        computed only what the rows up to it read; against res = inf every
+        finite row passes.  J's entries and u are checked only when every
+        row has passed, here, as PointKernel.on_list checks them; raises
+        CriticalPointError and PoleError as grad does, but only where the
+        kernel reaches the pole or J's zero diagonal entry: a row that
+        fails first returns its index.  The search's one trial entry
+        (darboux._trial), and the one producer of the rows and of every
+        Hessian that the search reports."""
         trial = self._trial_kernel
-        values = trial.on_list(xs, res)
+        try:
+            values = trial.kernel.on_list(xs, res)
+        except ZeroDivisionError:
+            raise CriticalPointError(SINGULAR) from None
         if not isinstance(values, tuple):
             return values
+        if not all(map(isfinite, values[trial.checked])):
+            raise CriticalPointError(SINGULAR)
         return values[trial.rows], values[trial.first]
 
     @property
@@ -590,8 +590,12 @@ class PointCalculus:
         return self._trial_kernel.kernel.row_tests
 
     def grad(self, x) -> np.ndarray:
-        """grad V = d_qV - B^T u at x."""
-        return np.array(self.first_derivatives(x)[self._point_kernel.grad], dtype=complex)
+        """grad V = d_qV - B^T u at x, from one call of the point kernel
+        (PointKernel.on_list).  Raises CriticalPointError off the good set
+        and PoleError at a pole of the potential."""
+        point = self._point_kernel
+        return np.array(point.on_list(np.asarray(x, dtype=complex).tolist())[point.grad],
+                        dtype=complex)
 
     def _dg_blocks(self, first, out):
         """(dg, W, dG): the n x N plain partials of the derivation vector g,
@@ -619,20 +623,12 @@ class PointCalculus:
         np.add(L[:n], W.T @ L[n:], out=dg)
         return dg, W, dG
 
-    def hess(self, x) -> np.ndarray:
-        """The intrinsic Hessian P^T L P, from x's values as a trial against
-        an infinite residual gives them (darboux_trial), so that an
-        analysis compiles no other kernel.  Raises as darboux_trial does,
-        and raises CriticalPointError where a residual row is not finite,
-        where the trial stops; a J that is not finite gives such rows, and
-        first_derivatives refuses it alike."""
-        n = self.n
-        out = self.darboux_trial(np.asarray(x, dtype=complex).tolist(), np.inf)
-        if not isinstance(out, tuple):
-            raise CriticalPointError("dG/dw is singular or not finite at the point, "
-                                     "or a residual row is not finite")
-        dg, W, _ = self._dg_blocks(out[1], np.empty((n + self.s, self.N), dtype=complex))
-        return dg[:, :n] + dg[:, n:] @ W
+    def hess(self, first) -> np.ndarray:
+        """The intrinsic Hessian P^T L P from a trial's values `first`
+        (darboux_trial), with no kernel call: the search passes what the
+        trial that ended a start gave at its candidate (darboux._newton)."""
+        dg, W, _ = self._dg_blocks(first, np.empty((self.n + self.s, self.N), dtype=complex))
+        return dg[:, :self.n] + dg[:, self.n:] @ W
 
     def solve_fiber(self, q, w0):
         """Newton-solve G(q, w) = 0 for w at fixed q; None when stuck: where

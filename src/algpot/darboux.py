@@ -7,8 +7,9 @@ in positive-dimensional families, so the Newton iteration uses least-squares
 steps and candidates are deduplicated rather than assumed isolated.  The
 residual rows grad V - q and G come from one place, the calculus's trial
 kernel (PointCalculus.darboux_trial): each Newton trial reads them against
-the current residual, and each candidate's reported residuals against an
-infinite one.
+the current residual, and a candidate's reported residuals and Hessian
+are those of the trial that ended its start, so no point is evaluated
+after the search.
 
 Rejection is conservative: a candidate is discarded when a short Newton
 probe finds an actual critical point within a small radius, not merely when
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,22 +61,22 @@ class DarbouxResult:
 
 
 def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
-    """x's largest residual entry (calculus._largest), a float, when it is
-    below res; else the index of the row of F that failed in the trial
-    kernel, or None where no row is named: a pin row fails or the point is
-    refused.  The trial runs on Python complex: xs is x as a list, and one
-    call of the trial kernel (PointCalculus.darboux_trial) decides each
-    row of G and of grad V - q against res after computing only the values
-    it reads, stopping at the first that fails.  Only a trial whose kernel
-    rows pass computes its pin rows pins @ x, which NumPy computes, and
-    decides them (expr.rows_below).  The order of the decisions cannot
-    change the outcome: a row that fails, a pole (PoleError) and a refused
-    J (CriticalPointError) each reject the trial, and only the kernel call
-    raises.  Only a trial whose every row passes writes its rows to F,
-    takes its residual from them and writes its Jacobian to Jac[:m]
-    (darboux_system's out) from the first derivatives and Hessians the
-    kernel gave; a trial that fails leaves F and Jac[:m] whole.  A point
-    off the domain (singular fiber, potential pole) fails."""
+    """(r, first) when x's largest residual entry r (calculus._largest) is
+    below res, with the trial's values `first` (darboux_trial); else the
+    index of the row of F that failed in the trial kernel, or None where no
+    row is named: a pin row fails or the point is refused.  The trial runs
+    on Python complex: xs is x as a list, and one call of the trial kernel
+    (PointCalculus.darboux_trial) decides each row of G and of grad V - q
+    against res after computing only the values it reads, stopping at the
+    first that fails.  Only a trial whose kernel rows pass computes its pin
+    rows pins @ x, which NumPy computes, and decides them (expr.rows_below).
+    The order of the decisions cannot change the outcome: a row that fails,
+    a pole (PoleError) and a refused J (CriticalPointError) each reject the
+    trial, and only the kernel call raises.  Only a trial whose every row
+    passes writes its rows to F, takes its residual from them and writes its
+    Jacobian to Jac[:m] (darboux_system's out) from the first derivatives
+    and Hessians the kernel gave; a trial that fails leaves F and Jac[:m]
+    whole.  A point off the domain (singular fiber, potential pole) fails."""
     m = pc.n + pc.s
     try:
         out = pc.darboux_trial(xs, res)
@@ -91,7 +93,7 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     F[:m] = rows
     r = _largest(F)
     pc.darboux_system(first, Jac[:m])
-    return r
+    return r, first
 
 
 def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: int):
@@ -137,8 +139,13 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     entry above 1e8 diverged, decided on its list as NumPy's absolute
     (expr.rows_below).
 
-    Returns the final iterate and residual, or None when the start point
-    is off the domain or not finite, or the iteration diverged.
+    Returns (x, res, rows, first): the final iterate and residual, then
+    the residual rows (grad V - q, G) and the values `first` that the
+    trial at exactly x gave (the start point's or the last accepted one's;
+    the rows are F's leading m, which only such a trial writes), from
+    which solve_darboux reports the candidate without evaluating it again.
+    Returns None when the start point is off the domain or not finite, or
+    the iteration diverged.
     """
     m = pc.n + pc.s
     x = np.asarray(x0, dtype=complex).copy()
@@ -150,13 +157,14 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     if pins is not None:
         Jac[m:] = pins
     buffers = lstsq_buffers(len(F), pc.N)
-    res = _trial(pc, x, xs, pins, np.inf, F, Jac)
-    if not isinstance(res, float):
+    start = _trial(pc, x, xs, pins, np.inf, F, Jac)
+    if not isinstance(start, tuple):
         return None
+    res, first = start
     row_tests, test = pc.row_tests, None
     for _ in range(max_iter):
         if res <= conv_tol:
-            return x, res
+            return x, res, F[:m], first
         step = _lstsq(Jac, F, buffers)
         steps = step.tolist()
         if not all(map(isfinite, steps)):
@@ -170,16 +178,16 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
             x_try = x + SCALES[k] * step
             xs_try = x_try.tolist()
             r = _trial(pc, x_try, xs_try, pins, res, F, Jac)
-            if isinstance(r, float):
+            if isinstance(r, tuple):
                 break
             test = None if r is None else row_tests[r]
             k += 1
         if k == HALVINGS:
             break
-        x, xs, res = x_try, xs_try, r
+        x, xs, (res, first) = x_try, xs_try, r
         if not rows_below(xs, DIVERGED):
             return None
-    return x, res
+    return x, res, F[:m], first
 
 
 def solve_darboux(pc: PointCalculus,
@@ -208,56 +216,36 @@ def solve_darboux(pc: PointCalculus,
             im = np.zeros(N)  # real starts find the real points first
         starts.append((re + 1j * im, f"random[{i}]"))
 
-    candidates = []
+    # first-seen dedup; seeds were queued before random starts on purpose
+    distinct = []
     failed = 0
     for x0, label in starts:
         out = _newton(pc, x0, pins, CONV_TOL, MAX_ITER)
-        if out is None:
+        if out is None or out[1] > accept_tol:
             failed += 1
             continue
-        x, res = out
-        if res > accept_tol:
-            failed += 1
-            continue
-        candidates.append((x, label))
-
-    # first-seen dedup; seeds were queued before random starts on purpose
-    distinct = []
-    for x, label in candidates:
+        x = out[0]
         norm = max(1.0, _largest(x))
-        if any(_largest(x - y) <= DEDUP_TOL * norm for y, _ in distinct):
-            continue
-        distinct.append((x, label))
+        if not any(_largest(x - kept[0]) <= DEDUP_TOL * norm for kept, _ in distinct):
+            distinct.append((out, label))
 
     result = DarbouxResult(failed_starts=failed)
     n = pc.n
-    for x, label in distinct:
-        # every candidate passed a trial at x, and against an infinite
-        # residual every finite row passes
-        out = pc.darboux_trial(x.tolist(), np.inf)
-        if not isinstance(out, tuple):
-            raise RuntimeError(f"the residual rows of candidate {label} failed an infinite bound")
-        rows, _ = out
-        grad_res, con_res = _largest(rows[:n]), _largest(rows[n:])
+    for (x, _, rows, first), label in distinct:
+        # the rows and values of the trial that ended the start, at x
+        report = partial(DarbouxReport, point=x, grad_residual=_largest(rows[:n]),
+                         constraint_residual=_largest(rows[n:]), start_label=label)
         if pc.near_sigma(x):
-            result.rejected.append(DarbouxReport(
-                point=x, grad_residual=grad_res, constraint_residual=con_res,
-                sigma_flag=True, start_label=label,
-                reason="within the critical set of the potential "
-                       "(probe found a singular point nearby)"))
-            continue
-        if _largest(x) < ORIGIN_TOL:
-            result.rejected.append(DarbouxReport(
-                point=x, grad_residual=grad_res, constraint_residual=con_res,
-                start_label=label,
-                reason="the origin is excluded by definition"))
-            continue
-        degenerate = _largest(x[:n]) < BASE_PROJECTION_TOL
-        result.accepted.append(DarbouxReport(
-            point=x, grad_residual=grad_res, constraint_residual=con_res,
-            degenerate=degenerate, hessian=pc.hess(x),
-            start_label=label,
-            reason="base projection vanishes; no spectral verdict" if degenerate else ""))
+            result.rejected.append(report(
+                sigma_flag=True, reason="within the critical set of the potential "
+                                        "(probe found a singular point nearby)"))
+        elif _largest(x) < ORIGIN_TOL:
+            result.rejected.append(report(reason="the origin is excluded by definition"))
+        else:
+            degenerate = _largest(x[:n]) < BASE_PROJECTION_TOL
+            result.accepted.append(report(
+                degenerate=degenerate, hessian=pc.hess(first),
+                reason="base projection vanishes; no spectral verdict" if degenerate else ""))
 
     def sort_key(rep):
         return tuple((round(float(v.real), 9), round(float(v.imag), 9))

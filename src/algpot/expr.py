@@ -24,6 +24,7 @@ one-output case.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -630,9 +631,22 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     and the quotient is NumPy's own division (Smith's method with a
     reciprocal scale; Python's / divides by the denominator and differs in
     the last bit of a large share of quotients).  A quotient is a final
-    value, so no later operation meets the NumPy scalar.  A power
-    2 <= e < 100 follows NumPy's binary method: x * x for e = 2, x * (x * x)
-    for e = 3, and for larger e a product from 1+0j of the repeated squares
+    value, so no later operation meets the NumPy scalar.  The quotients
+    that a kernel with row tests computes after its last decision (the
+    trial kernel's Hessians) are guarded, as no row reads them: they run
+    wherever every row passes, where a NumPy division can still warn (a
+    coordinate of 1e154 makes a Hessian's denominator infinite against
+    res = inf).  A guarded quotient's denominator is summed onto Python's
+    0j, the same IEEE additions as onto NumPy's, but without NumPy's
+    warning where inf meets -inf, and is tested for a pole as any other;
+    the quotient is NumPy's division where the numerator and the
+    denominator are finite, and divide's, the same bits without a
+    warning, everywhere else.  A constant numerator, always finite, is
+    made a NumPy scalar at compile time, which divides the Python
+    denominator at the cost of NumPy's division alone.  A denominator that a quotient before the
+    last decision computed is shared as it is.  A power 2 <= e < 100
+    follows NumPy's binary method: x * x for e = 2, x * (x * x) for e = 3,
+    and for larger e a product from 1+0j of the repeated squares
     x, x^2, x^4, ... that e's bits select.  NumPy gives +0j for every zero
     base, the only case where these differ, and there they differ only in
     the signs of zeros, as the load x differs from NumPy's x ** 1 (which
@@ -725,7 +739,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
                  "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
-                 "scales": SCALES}
+                 "isfinite": isfinite, "scales": SCALES}
     coefficients = {}
 
     def coefficient(c):
@@ -742,7 +756,10 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         For a row test (loads a list) a variable's load is its coordinate
         at the halving k, x[i] + h * step[i] with h = SCALES[k], whose two
         terms loads gets, a quotient is divide's, a zero denominator goes
-        on to the next halving and a power e >= 100 raises _NoRowTest."""
+        on to the next halving and a power e >= 100 raises _NoRowTest.
+        place(k, guarded=True) emits the quotients that a kernel with row
+        tests computes after its last decision, the guarded ones of
+        compile_arrays."""
         test = loads is not None
         loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
@@ -787,7 +804,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                      for m, c in p.items()]
             return " + ".join([start] + terms)
 
-        def value(e):
+        def value(e, guarded):
             if e.is_polynomial:
                 return poly(e.num)
             key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
@@ -798,32 +815,43 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                     lines.append(f"if {d} == 0: continue")
                 else:
                     namespace[f"{d}_text"] = _poly_str(e.den)
-                    lines.append(f"{d} = {poly(e.den, 'zero')}")
+                    lines.append(f"{d} = {poly(e.den, '0j' if guarded else 'zero')}")
                     lines.append(f"if {d} == 0: raise PoleError({d}_text)")
+            d = denominators[key]
             if test:
-                return f"divide({poly(e.num)}, {denominators[key]})"
-            return f"({poly(e.num)}) / {denominators[key]}"
+                return f"divide({poly(e.num)}, {d})"
+            if not guarded:
+                return f"({poly(e.num)}) / {d}"
+            if set(e.num) == {()}:  # a constant numerator, finite: a NumPy scalar
+                num = f"{coefficient(e.num[()])}n"
+                namespace[num] = np.complex128(0j + _as_complex(e.num[()]))
+                return f"({num} / {d} if isfinite({d}) else divide(complex({num}), complex({d})))"
+            num = f"n{len(lines)}"  # a name no other numerator has
+            lines.append(f"{num} = {poly(e.num)}")
+            # zero + d is d, as a NumPy scalar: its zeros are already +0.0
+            return (f"({num} / (zero + {d}) if isfinite({num}) and isfinite({d}) "
+                    f"else divide({num}, complex({d})))")
 
-        def place(k):
+        def place(k, guarded=False):
             if k in placed:
                 return
             placed.add(k)
             t = targets[k]
             if isinstance(t, RowTest):
-                place(t.value)
+                place(t.value, guarded)
                 if t.minus is not None:
                     lines.append(f"v{k} = v{t.value} - {power(t.minus, 1)}")
                 return
             if isinstance(t, Substitution):
                 for i in t.operands():
-                    place(i)
+                    place(i, guarded)
                 step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
                 if t.divisor is not None:
                     step = f"({step}) / v{t.divisor}"
                 lines.append(f"v{k} = {step}")
                 return
             if isinstance(t, RatExpr):
-                v = value(t)
+                v = value(t, guarded)
                 if k in read and not (t.is_polynomial or test):
                     v = f"complex({v})"
                 lines.append(f"v{k} = {v}")
@@ -838,7 +866,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                         template[p] = 0j + _as_complex(c)
                     continue
                 slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
-                lines.append(f"{slots} = {value(e)}")
+                lines.append(f"{slots} = {value(e, guarded)}")
 
         return place
 
@@ -890,7 +918,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             lines += [line.format(passes=passes(k), row=row(k), j=rows[k]) for line in decision]
             decided += len(decision)
     for k in range(len(targets)):
-        place(k)
+        place(k, bool(tests))
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:

@@ -4,7 +4,8 @@ package's one producer of them, the trial kernel
 the point kernel gives grad V, and grad V - q is Python's subtraction;
 each group of rows is decided by NumPy's absolute, so no reference here
 reads the trial kernel or its row tests; jacobian, the Jacobian that the
-search builds, reads a trial's values, as the search does."""
+search builds, and hessian, the Hessian that it reports, read a trial's
+values, as the search does."""
 
 import numpy as np
 
@@ -51,3 +52,13 @@ def jacobian(pc, x):
     """darboux_system at x, from a trial's values (trial_values), in a
     fresh array."""
     return pc.darboux_system(trial_values(pc, x), np.empty((pc.n + pc.s, pc.N), dtype=complex))
+
+
+def hessian(pc, x):
+    """hess at x, from a trial's values (trial_values)."""
+    return pc.hess(trial_values(pc, x))
+
+
+def point_values(pc, x) -> tuple:
+    """The point kernel's values at x (PointKernel.on_list), which grad reads."""
+    return pc._point_kernel.on_list(np.asarray(x, dtype=complex).tolist())

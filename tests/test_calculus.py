@@ -10,7 +10,7 @@ from algpot import PointCalculus, RatExpr, calculus, detect_homogeneity, parse_p
 from algpot.nbody import NBodyConfig, build
 
 from conftest import DRAW1_TEXT, on_cone
-from residual_reference import jacobian, reference_rows
+from residual_reference import hessian, jacobian, reference_rows, trial_values
 
 
 def branch_value(pc, setup, q, w_seed):
@@ -75,7 +75,7 @@ def test_hessian_matches_gradient_differences(cone_setup):
     rng = np.random.default_rng(13)
     h = 1e-6
     for x in random_cone_points(rng, 10):
-        H = pc.hess(x)
+        H = hessian(pc, x)
         n = cone_setup.n
         q = x[:n].real.astype(float)
         w = x[n:]
@@ -94,13 +94,13 @@ def test_hessian_symmetry(cone_setup, trap_setup):
     rng = np.random.default_rng(17)
     pc = PointCalculus(cone_setup)
     for x in random_cone_points(rng, 10):
-        H = pc.hess(x)
+        H = hessian(pc, x)
         assert np.max(np.abs(H - H.T)) <= 1e-9 * max(1.0, float(np.max(np.abs(H))))
     pt = PointCalculus(trap_setup)
     for _ in range(10):
         q1 = rng.uniform(0.2, 2.0)
         x = np.array([q1, rng.uniform(-1, 1), np.sqrt(q1)], dtype=complex)
-        H = pt.hess(x)
+        H = hessian(pt, x)
         assert np.max(np.abs(H - H.T)) <= 1e-9 * max(1.0, float(np.max(np.abs(H))))
 
 
@@ -127,12 +127,12 @@ def test_hessian_closed_forms(trap_setup, plain_setup):
     rng = np.random.default_rng(37)
     pt = PointCalculus(trap_setup)
     for x in random_trap_points(rng, 10):
-        H = pt.hess(x)
+        H = hessian(pt, x)
         assert H[1, 1] == 2
         assert H[0, 1] == 0
     pp = PointCalculus(plain_setup)
     for x in rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2)):
-        H = pp.hess(x)
+        H = hessian(pp, x)
         assert H[0, 0] == 2
         assert H[1, 0] == 0
 
@@ -142,7 +142,7 @@ def test_cone_hessian_entries_on_variety(cone_setup):
     rng = np.random.default_rng(29)
     for x in random_cone_points(rng, 6):
         q1, q2, w = x
-        H = pc.hess(x)
+        H = hessian(pc, x)
         expected = np.array([
             [3 * w + 3 * q1 * q1 / w, 3 * q1 * q2 / w],
             [3 * q1 * q2 / w, 3 * w + 3 * q2 * q2 / w],
@@ -154,7 +154,7 @@ def test_euler_identity_at_darboux_point(cone_setup):
     pc = PointCalculus(cone_setup)
     c = np.array([1 / 3, 0.0, 1 / 3], dtype=complex)
     assert float(np.max(np.abs(reference_rows(pc, c)))) < 1e-14
-    H = pc.hess(c)
+    H = hessian(pc, c)
     pi = c[:2]
     k = 3
     assert np.max(np.abs(H @ pi - (k - 1) * pi)) <= 1e-8
@@ -282,17 +282,17 @@ def test_kernels_compile_on_first_use_only(monkeypatch, compiled):
     kernels = [pc._trial_kernel.kernel, pc._point_kernel.kernel]
     assert [k for _, k in compiled] == kernels
     jacobian(pc, x + 0.1)
-    pc.darboux_trial(x.tolist(), np.inf)
-    pc.hess(x)
+    pc.hess(trial_values(pc, x))
     pc.grad(x + 0.1)
     assert len(compiled) == 2
     # a full analyze builds one PointCalculus and compiles each kernel it
     # uses once: two of the five cached ones, the variety kernel (which
     # gives the probes detJ and the potential's denominator) and the
-    # Darboux search's trial kernel, which gives its Jacobians and hess the
-    # Hessians too; not detJ's, which only the flow's stop events read, nor
-    # the potential value's, which only the flow's energy reads, nor the
-    # point kernel, whose values the trial kernel gives hess too
+    # Darboux search's trial kernel, which gives its Jacobians and each
+    # candidate's Hessian their values; not detJ's, which only the flow's
+    # stop events read, nor the potential value's, which only the flow's
+    # energy reads, nor the point kernel, whose values the trial kernel
+    # gives too
     built = []
     monkeypatch.setattr(pipeline, "PointCalculus",
                         lambda s: built.append(PointCalculus(s)) or built[-1])

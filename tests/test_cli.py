@@ -430,6 +430,23 @@ def test_unusable_seeds_file_is_an_error(command, cone_file, tmp_path, capsys):
         assert f"line {line}: {message}" in capsys.readouterr().err
 
 
+def test_a_far_seed_fails_its_start_without_a_warning(tmp_path):
+    # the 1/w1 potential on the cone from a seed whose w1 is 1e154: every
+    # residual row passes against the start's infinite bound, and the
+    # Hessians that the start's trial computes after them meet an infinite
+    # denominator; the start fails, and no RuntimeWarning is printed (one
+    # was, and under -W error::RuntimeWarning the command ended in a
+    # traceback with exit 1)
+    problem, seeds = tmp_path / "pole.prob", tmp_path / "far.txt"
+    problem.write_text("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n")
+    seeds.write_text("0.5,0.5,1e154\n")
+    argv = ["darboux", str(problem), "--seeds", str(seeds), "--n-random", "0"]
+    proc = run_cli(argv, env={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["failed_starts"] == 1 and report["n_accepted"] == 0
+
+
 @pytest.mark.parametrize("argv", [["analyze", "CONE", "--n-random", "2"],
                                   ["check-table", "--k", "3", "--lambda", "1"]])
 def test_unwritable_out_is_an_error(argv, cone_file, tmp_path, capsys):

@@ -313,7 +313,7 @@ def test_rhs_evaluates_one_kernel_and_solves_nothing(monkeypatch):
     for name in ("_forward", "_lstsq", "zgelsy"):
         monkeypatch.setattr(calculus, name, refused)
     monkeypatch.setattr(np.linalg, "solve", refused)
-    for method in ("first_derivatives", "grad", "_dg_blocks", "_variety_kernel"):
+    for method in ("grad", "_dg_blocks", "_variety_kernel"):
         monkeypatch.setattr(pc, method, refused)
     for y in states:
         calls.clear()
@@ -353,7 +353,7 @@ def test_the_flow_kernel_refuses_an_entry_above_the_diagonal_of_J():
         with pytest.raises(ValueError, match=refused):
             pc._point_kernel
         with pytest.raises(ValueError, match=refused):
-            pc.first_derivatives(x)
+            pc.grad(x)
         with pytest.raises(ValueError, match=refused):
             pc.det
         with pytest.raises(ValueError, match=refused):

@@ -167,7 +167,7 @@ def test_no_linear_solve_and_one_least_squares_helper():
     assert uses == ["calculus._lstsq -> zgelsy"]
 
 
-FLOW_FORBIDDEN = ("_fiber_solve", "first_derivatives", "w_derivative")
+FLOW_FORBIDDEN = ("_fiber_solve", "w_derivative")
 
 
 def flow_solve_references(path: Path) -> list:
@@ -197,11 +197,11 @@ def test_the_flow_makes_no_linear_solve(tmp_path):
     assert flow_solve_references(SRC / "dynamics.py") == []
     probe = tmp_path / "probe.py"
     probe.write_text("from scipy.linalg.lapack import zgesv\nimport scipy.linalg\n"
-                     "from scipy import linalg\nx = pc.first_derivatives(y)\n"
+                     "from scipy import linalg\n"
                      "W = pc.w_derivative(x)\nu = _fiber_solve(J, b)\n"
                      "scipy.linalg.solve(J, b)\n", encoding="utf-8")
     assert sorted(flow_solve_references(probe)) == [
-        "_fiber_solve", "first_derivatives", "scipy.linalg", "scipy.linalg", "scipy.linalg",
+        "_fiber_solve", "scipy.linalg", "scipy.linalg", "scipy.linalg",
         "scipy.linalg.lapack", "w_derivative"]
 
 
@@ -263,17 +263,26 @@ def readers(path: Path, name: str) -> list:
 
 def test_the_darboux_residual_has_one_producer():
     # the trial kernel is the one producer of the residual's rows: the
-    # search's trials and its candidates both read them through
-    # darboux_trial, hess its first derivatives and Hessians likewise, the
-    # search's Jacobians take a trial's values and read no kernel, the
-    # search's own test of a row comes through row_tests, and nothing else
-    # in the package reads the kernel
+    # search's trials read them through darboux_trial, its candidates take
+    # the rows of the trial that ended their start, its Jacobians and
+    # Hessians (darboux_system, hess) take a trial's values and read no
+    # kernel, the search's own test of a row comes through row_tests, and
+    # nothing else in the package reads the kernel
     assert calculus_calls(SRC / "darboux.py") == {
         "darboux_trial", "darboux_system", "hess", "near_sigma"}
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
     assert found == ["calculus.PointCalculus.compile_analysis_kernels",
                      "calculus.PointCalculus.darboux_trial",
                      "calculus.PointCalculus.row_tests"]
+
+
+def test_the_point_kernel_has_two_readers():
+    # outside the Darboux search, which reads the same values from the
+    # trial kernel, a point's first derivatives come from the point kernel:
+    # the flow's field reads it as a list of complex (PointKernel.on_list),
+    # grad converts an array, and nothing else in the package reads it
+    found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_point_kernel"))
+    assert found == ["calculus.PointCalculus.grad", "dynamics.ConstrainedSystem.rhs"]
 
 
 def test_the_variety_has_one_producer():
@@ -293,8 +302,8 @@ def test_generated_source_names_no_variable():
     pc = PointCalculus(setup)
     q = np.arange(1.0, 7.0) + 0j
     x = np.concatenate([q, pc.solve_fiber(q, np.full(3, 5.0))])
-    pc.darboux_trial(x.tolist(), np.inf)
-    pc.hess(x)
+    pc.hess(pc.darboux_trial(x.tolist(), np.inf)[1])
+    pc.grad(x)
     pc.near_sigma(x)
     sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,
                pc._trial_kernel.kernel.source, pc._v_kernel.source, pc._det_kernel.source]

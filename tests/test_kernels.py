@@ -4,8 +4,10 @@ where the closures raise one.  The kernels compute in Python complex and the
 closures in NumPy scalars, so the arithmetic itself is held to NumPy's on
 signed zeros, infinities, nans and subnormals too."""
 
+import cmath
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
-from algpot.expr import PoleError, RatExpr, RowTest, Substitution, compile_arrays
+from algpot.expr import ZERO, PoleError, RatExpr, RowTest, Substitution, compile_arrays
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
@@ -224,6 +226,34 @@ def test_sums_products_and_quotients_have_numpy_bits(a, b):
         assert same(a * b, A * B)
         if b != 0:  # the kernel's terms are 1 * x and 1 * y
             assert same(QUOTIENT(np.array([a, b])), (0j + one * A) / (0j + one * B))
+
+
+# x / y and 3 / y, each after its kernel's one row test, whose row, 0,
+# passes against any res > 0: quotients computed after the last decision,
+# the second with a constant numerator
+GUARDED = [compile_arrays([ZERO, RowTest(0), t], ("x", "y")) for t in (X / Y, 3 / Y)]
+
+
+@given(complexes(), complexes())
+@settings(max_examples=400, deadline=None)
+def test_a_quotient_after_the_last_decision_has_numpy_bits_and_no_warning(a, b):
+    # it is NumPy's division where both operands are finite, which may
+    # warn where the quotient overflows, and divide's elsewhere, which
+    # keeps NumPy's bits and warns about nothing; a zero is a pole
+    one = np.complex128(1)
+    with np.errstate(all="ignore"):
+        numerators = (0j + one * np.complex128(a), 0j + 3 * one)
+    for kernel, numerator in zip(GUARDED, numerators):
+        finite = cmath.isfinite(numerator) and cmath.isfinite(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if finite else "error")
+            if b == 0:
+                with pytest.raises(PoleError):
+                    kernel(np.array([a, b]), np.inf)
+                continue
+            got = kernel(np.array([a, b]), np.inf)[2]
+        with np.errstate(all="ignore"):
+            assert same(got, numerator / (0j + one * np.complex128(b)))
 
 
 def test_quotients_are_numpys_division_where_pythons_differs():
