@@ -570,9 +570,9 @@ def divide(a: complex, b: complex) -> complex:
     method with a reciprocal scale.  It keeps the bits of NumPy's quotient,
     but for the sign of a nan, and neither raises nor warns: b = 0 gives
     each component of a over +0.0, an infinity or a nan, as NumPy does.  A
-    row test divides by it (compile_arrays), so that it can run at a point
-    where NumPy's division would warn; NumPy's division with np.errstate
-    entered around each test measured slower (README, "Performance")."""
+    kernel's quotient is divide's wherever NumPy's division could raise a
+    flag (compile_arrays); NumPy's division with np.errstate entered around
+    it measured slower (README, "Performance")."""
     br, bi = b.real, b.imag
     if (br if br >= 0.0 else -br) >= (bi if bi >= 0.0 else -bi):  # |br| >= |bi|, not a nan
         if br == 0.0:
@@ -590,6 +590,10 @@ def divide(a: complex, b: complex) -> complex:
 
 
 _INF, _NAN = float("inf"), float("nan")
+
+# a NumPy scalar as a Python complex, the same bits: complex.__complex__
+# (Python 3.11 on) takes a fraction of complex()'s time
+_PYCOMPLEX = getattr(complex, "__complex__", complex)
 
 
 class _NoRowTest(Exception):
@@ -624,44 +628,49 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     The kernel reads its input as complex, turns it into a list of Python
     complex once, passes it to on_list, and computes in Python complex from
     then on, which costs a fraction of NumPy's scalar arithmetic; every
-    value keeps NumPy's bits.
-    A sum or product of two complex operands is the same IEEE formula in
-    both, and every operand is complex, the coefficients included.  A
-    denominator is summed onto NumPy's 0j instead, so it is a NumPy scalar
-    and the quotient is NumPy's own division (Smith's method with a
-    reciprocal scale; Python's / divides by the denominator and differs in
-    the last bit of a large share of quotients).  A quotient is a final
-    value, so no later operation meets the NumPy scalar.  The quotients
-    that a kernel with row tests computes after its last decision (the
-    trial kernel's Hessians) are guarded, as no row reads them: they run
-    wherever every row passes, where a NumPy division can still warn (a
-    coordinate of 1e154 makes a Hessian's denominator infinite against
-    res = inf).  A guarded quotient's denominator is summed onto Python's
-    0j, the same IEEE additions as onto NumPy's, but without NumPy's
-    warning where inf meets -inf, and is tested for a pole as any other;
-    the quotient is NumPy's division where the numerator and the
-    denominator are finite, and divide's, the same bits without a
-    warning, everywhere else.  A constant numerator, always finite, is
-    made a NumPy scalar at compile time, which divides the Python
-    denominator at the cost of NumPy's division alone.  A denominator that a quotient before the
-    last decision computed is shared as it is.  A power 2 <= e < 100
-    follows NumPy's binary method: x * x for e = 2, x * (x * x) for e = 3,
-    and for larger e a product from 1+0j of the repeated squares
-    x, x^2, x^4, ... that e's bits select.  NumPy gives +0j for every zero
-    base, the only case where these differ, and there they differ only in
-    the signs of zeros, as the load x differs from NumPy's x ** 1 (which
-    turns a -0.0 component into +0.0).  A sign that differs can change only
-    the sign of a zero component of a term, and the sum onto 0j clears the
-    sign of every zero, so no value changes.  A power e >= 100 is NumPy's
-    own.  A constant entry is written into its array's template at compile
-    time.
+    value keeps NumPy's bits.  A sum or product of two complex operands is
+    the same IEEE formula in both, and every operand is complex, the
+    coefficients included.  A power 2 <= e < 100 follows NumPy's binary
+    method: x * x for e = 2, x * (x * x) for e = 3, and for larger e a
+    product from 1+0j of the repeated squares x, x^2, x^4, ... that e's
+    bits select.  NumPy gives +0j for every zero base, the only case where
+    these differ, and there they differ only in the signs of zeros, as the
+    load x differs from NumPy's x ** 1 (which turns a -0.0 component into
+    +0.0).  A sign that differs can change only the sign of a zero
+    component of a term, and the sum onto 0j clears the sign of every
+    zero, so no value changes.  A power e >= 100 is NumPy's own.  A
+    constant entry is written into its array's template at compile time.
+
+    Every quotient, in a kernel before or after a row test and in a row's
+    own test, follows one rule.  Its denominator d is summed onto 0j and
+    tested for a pole.  Its value is NumPy's division n / d (Smith's method
+    with a reciprocal scale; Python's / divides by the denominator and
+    differs in the last bit of a large share of quotients), made on a NumPy
+    scalar, a constant numerator's made at compile time or else zero + d,
+    where a pre-test on the Python operands proves that NumPy's algorithm
+    raises no overflow or invalid flag, and divide's, the same bits without
+    a warning, everywhere else.  The pre-test is that 1 / d, by Python's
+    division, is non-zero and that 4 n times it is finite (4 n made at
+    compile time for a constant numerator).  Python takes NumPy's ratio
+    s / p of d's smaller component to its larger one and NumPy's
+    denominator p + s (s / p), and divides 1 by that denominator: one
+    component of 1 / d is NumPy's reciprocal scale, bit for bit up to its
+    sign, and 1 / d is zero exactly where NumPy's denominator overflows.
+    4 n finite keeps NumPy's two numerator sums finite, each at most twice
+    n's larger component, and each component of 4 n times the scale finite
+    keeps their products with the scale below half the largest double.  A
+    nan or an infinity in either operand fails the test, and so do a
+    denominator near either end of the double range and a quotient near
+    the largest double.  A quotient that a Substitution or a row test
+    reads is made a Python complex, the same bits (complex.__complex__, or
+    complex() before Python 3.11); any other is a final value, which no
+    later operation meets.
 
     A Substitution is Python's complex arithmetic throughout: a quotient
-    that one reads is made a Python complex first (complex() keeps its
-    bits), and its division is Python's, which raises ZeroDivisionError on
-    a zero divisor, where NumPy's would return an infinity.  A
-    Substitution that reads an Array or a later target raises ExprError at
-    compile time.
+    that one reads is made a Python complex first, and its division is
+    Python's, which raises ZeroDivisionError on a zero divisor, where
+    NumPy's would return an infinity.  A Substitution that reads an Array
+    or a later target raises ExprError at compile time.
 
     A RowTest's value is the output it names, minus its input variable by
     Python's subtraction when it has one.  A kernel with row tests is
@@ -701,9 +710,9 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     steps[i] by Python's complex arithmetic: the coordinate of NumPy's
     xs + SCALES[k] * steps, bit for bit but for the sign of a zero where
     the product underflows (NumPy's may be fused), which changes no
-    absolute.  Its quotients are divide's, which keeps NumPy's bits and
-    raises and warns about nothing, because a test can run where the
-    kernel would have stopped at an earlier row.  A zero denominator and
+    absolute.  Its quotients follow the kernel's rule, which raises and
+    warns about nothing, so a test can run where the kernel would have
+    stopped at an earlier row.  A zero denominator and
     a zero Substitution divisor (ZeroDivisionError), which the kernel
     would meet there too, fail that halving, and an overflowing abs goes
     to rows_below, as in the kernel.  So a test skips a halving only
@@ -739,7 +748,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
 
     namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
                  "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
-                 "isfinite": isfinite, "scales": SCALES}
+                 "isfinite": isfinite, "scales": SCALES, "pycomplex": _PYCOMPLEX}
     coefficients = {}
 
     def coefficient(c):
@@ -755,11 +764,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         once, at first use; a RowTest's line is its subtraction, if any.
         For a row test (loads a list) a variable's load is its coordinate
         at the halving k, x[i] + h * step[i] with h = SCALES[k], whose two
-        terms loads gets, a quotient is divide's, a zero denominator goes
-        on to the next halving and a power e >= 100 raises _NoRowTest.
-        place(k, guarded=True) emits the quotients that a kernel with row
-        tests computes after its last decision, the guarded ones of
-        compile_arrays."""
+        terms loads gets, a zero denominator goes on to the next halving
+        and a power e >= 100 raises _NoRowTest."""
         test = loads is not None
         loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
@@ -777,7 +783,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 if e >= 100:
                     if test:
                         raise _NoRowTest
-                    value = f"complex(cdouble({power(i, 1)}) ** {e})"
+                    value = f"pycomplex(cdouble({power(i, 1)}) ** {e})"
                 elif e == 2:
                     value = f"{power(i, 1)} * {power(i, 1)}"
                 elif e == 3:
@@ -804,57 +810,53 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                      for m, c in p.items()]
             return " + ".join([start] + terms)
 
-        def value(e, guarded):
+        def value(e, read=False):
             if e.is_polynomial:
                 return poly(e.num)
             key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
             if key not in denominators:
                 d = denominators[key] = f"d{len(denominators)}"
+                lines.append(f"{d} = {poly(e.den)}")
                 if test:
-                    lines.append(f"{d} = {poly(e.den)}")
                     lines.append(f"if {d} == 0: continue")
                 else:
                     namespace[f"{d}_text"] = _poly_str(e.den)
-                    lines.append(f"{d} = {poly(e.den, '0j' if guarded else 'zero')}")
                     lines.append(f"if {d} == 0: raise PoleError({d}_text)")
             d = denominators[key]
-            if test:
-                return f"divide({poly(e.num)}, {d})"
-            if not guarded:
-                return f"({poly(e.num)}) / {d}"
-            if set(e.num) == {()}:  # a constant numerator, finite: a NumPy scalar
-                num = f"{coefficient(e.num[()])}n"
-                namespace[num] = np.complex128(0j + _as_complex(e.num[()]))
-                return f"({num} / {d} if isfinite({d}) else divide(complex({num}), complex({d})))"
-            num = f"n{len(lines)}"  # a name no other numerator has
-            lines.append(f"{num} = {poly(e.num)}")
-            # zero + d is d, as a NumPy scalar: its zeros are already +0.0
-            return (f"({num} / (zero + {d}) if isfinite({num}) and isfinite({d}) "
-                    f"else divide({num}, complex({d})))")
+            if set(e.num) == {()}:  # a constant numerator: its NumPy scalar and 4 n
+                n = coefficient(e.num[()])
+                namespace[f"{n}n"] = np.complex128(namespace[n])
+                namespace[f"{n}q"] = namespace[n] * 4
+                quotient, four = f"{n}n / {d}", f"{n}q"
+            else:
+                n = f"n{len(lines)}"  # a name no other numerator has
+                lines.append(f"{n} = {poly(e.num)}")
+                # zero + d is d: its zeros are +0.0
+                quotient, four = f"{n} / (zero + {d})", f"{n} * 4"
+            if read:
+                quotient = f"pycomplex({quotient})"
+            return f"{quotient} if isfinite({four} * (r := 1 / {d})) and r else divide({n}, {d})"
 
-        def place(k, guarded=False):
+        def place(k):
             if k in placed:
                 return
             placed.add(k)
             t = targets[k]
             if isinstance(t, RowTest):
-                place(t.value, guarded)
+                place(t.value)
                 if t.minus is not None:
                     lines.append(f"v{k} = v{t.value} - {power(t.minus, 1)}")
                 return
             if isinstance(t, Substitution):
                 for i in t.operands():
-                    place(i, guarded)
+                    place(i)
                 step = " - ".join([f"v{t.value}"] + [f"v{a} * v{b}" for a, b in t.products])
                 if t.divisor is not None:
                     step = f"({step}) / v{t.divisor}"
                 lines.append(f"v{k} = {step}")
                 return
             if isinstance(t, RatExpr):
-                v = value(t, guarded)
-                if k in read and not (t.is_polynomial or test):
-                    v = f"complex({v})"
-                lines.append(f"v{k} = {v}")
+                lines.append(f"v{k} = {value(t, k in read)}")
                 return
             template = np.zeros(t.shape, dtype=complex)
             namespace[f"t{k}"] = template
@@ -866,7 +868,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                         template[p] = 0j + _as_complex(c)
                     continue
                 slots = " = ".join(f"a{k}[{', '.join(map(str, p))}]" for p in places)
-                lines.append(f"{slots} = {value(e, guarded)}")
+                lines.append(f"{slots} = {value(e)}")
 
         return place
 
@@ -918,7 +920,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             lines += [line.format(passes=passes(k), row=row(k), j=rows[k]) for line in decision]
             decided += len(decision)
     for k in range(len(targets)):
-        place(k, bool(tests))
+        place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
     if tests:

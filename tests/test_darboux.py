@@ -107,6 +107,16 @@ def test_seed_starts_take_precedence(cone_setup):
     assert np.linalg.norm(np.asarray(hit[0].point) - target) < 1e-8
 
 
+def test_a_seed_near_the_pole_fails_its_start_without_a_warning():
+    # the 1/w1 cone from (0.7, 0.7, 1e-160): the gradient's quotient
+    # -1/w1^2 overflows before any row is decided, where NumPy's division
+    # warned "overflow encountered in scalar divide"; the start fails
+    setup = parse_problem("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n")
+    res = solve_darboux(PointCalculus(setup), seeds=[np.array([0.7, 0.7, 1e-160], dtype=complex)],
+                        n_random=0)
+    assert res.failed_starts == 1 and not res.accepted
+
+
 def hunts():
     """(calculus, options) of the small corpus and equal-mass 3x2 at hunt seed 0."""
     cases = [(PointCalculus(parse_problem(p.text(), label=p.name)), AnalysisOptions(seed=0))

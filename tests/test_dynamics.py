@@ -337,6 +337,16 @@ def test_rhs_refuses_the_critical_set_a_pole_and_a_non_finite_state():
             cone.rhs(0.0, state)
 
 
+def test_a_start_near_the_pole_ends_in_the_critical_set_without_a_warning():
+    # the 1/w1 cone at q = (1e-160, 0), w1 = 1e-160: the field's quotients
+    # -1/w1^2 overflow, where NumPy's division warned "overflow encountered
+    # in scalar divide"; J = 2 w1 is finite but u = -1/(2 w1^3) is not, so
+    # the flow stops at its first sample
+    traj = integrate(parse_problem(POLE_TEXT), [1e-160, 0.0], [0.0, 0.0], [1e-160], T_GRID)
+    assert traj.terminated == "critical_set"
+    assert len(traj.samples) == 1
+
+
 def test_the_flow_kernel_refuses_an_entry_above_the_diagonal_of_J():
     # parse_problem lets a generator use only the names declared before it;
     # built by hand, w1's generator uses w2.  Every numeric path reads J

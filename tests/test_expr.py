@@ -320,15 +320,17 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     edge = complex(np.finfo(float).max, 2.0 ** 998)
     assert test([edge, y], still, 0, np.inf) == 0
     assert test([edge, y], still, 0, float(np.finfo(float).max)) == HALVINGS
-    # a test has the kernel's code for its row, with quotients by divide
-    # and a zero denominator going on to the next halving; a kernel
-    # without row tests keeps an empty row_tests
+    # a test has the kernel's code for its row, its quotients by the
+    # kernel's one rule, and a zero denominator goes on to the next
+    # halving; a kernel without row tests keeps an empty row_tests
     assert "def row_test0(x, step, k, res):" in kernel.source
     assert "row_test1" not in kernel.source
     pole = compile_arrays([cubes, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
                           ["x", "y"])
     assert pole.row_tests[0] is None and pole.row_tests[1] is not None
-    assert "divide(0j + c1, d0)" in pole.source and "if d0 == 0: continue" in pole.source
+    assert ("v1 = pycomplex(c1n / d0) if isfinite(c1q * (r := 1 / d0)) and r "
+            "else divide(c1, d0)") in pole.source.split("def row_test1")[1]
+    assert "if d0 == 0: continue" in pole.source
     assert pole.row_tests[1]([1.0, 0.0], still, 0, 10.0) == HALVINGS
     # y = -1 + 2^-k: the zero denominator at k = 0 goes on to k = 1, where
     # |2 / y| = 4, and |2 / y| = 8/3 < 3 at k = 2
@@ -368,9 +370,10 @@ def double_bits(v: float) -> bytes:
 @settings(max_examples=2000, deadline=None)
 @given(float_parts(), float_parts(), float_parts(), float_parts())
 def test_divide_keeps_numpys_bits(ar, ai, br, bi):
-    # divide, the quotient of a kernel's row tests, is NumPy's complex
-    # division on Python floats: the same bits, zero divisors included,
-    # but for the sign of a nan, and no warning where NumPy's would warn
+    # divide, a kernel's quotient where NumPy's division could raise a
+    # flag, is NumPy's complex division on Python floats: the same bits,
+    # zero divisors included, but for the sign of a nan, and no warning
+    # where NumPy's would warn
     a, b = complex(ar, ai), complex(br, bi)
     with np.errstate(all="ignore"):
         expected = complex(a / np.complex128(b))

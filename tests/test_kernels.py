@@ -4,7 +4,6 @@ where the closures raise one.  The kernels compute in Python complex and the
 closures in NumPy scalars, so the arithmetic itself is held to NumPy's on
 signed zeros, infinities, nans and subnormals too."""
 
-import cmath
 import math
 import re
 import warnings
@@ -16,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
-from algpot.expr import ZERO, PoleError, RatExpr, RowTest, Substitution, compile_arrays
+from algpot.expr import (HALVINGS, ZERO, PoleError, RatExpr, RowTest, Substitution,
+                         compile_arrays)
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
@@ -228,32 +228,103 @@ def test_sums_products_and_quotients_have_numpy_bits(a, b):
             assert same(QUOTIENT(np.array([a, b])), (0j + one * A) / (0j + one * B))
 
 
-# x / y and 3 / y, each after its kernel's one row test, whose row, 0,
-# passes against any res > 0: quotients computed after the last decision,
-# the second with a constant numerator
-GUARDED = [compile_arrays([ZERO, RowTest(0), t], ("x", "y")) for t in (X / Y, 3 / Y)]
+# constant numerators of the quotient sites: one whose quotients stay in
+# range, and one whose quotients overflow
+CONSTANTS = (3, 10 ** 308)
+
+
+def quotient_sites() -> dict:
+    """Every place compile_arrays divides, each computing x / y and c / y
+    for each of CONSTANTS: a kernel without row tests, a kernel with row
+    tests before its last decision (quotients its rows read, as the trial
+    kernel's gradient) and after it (quotients no row reads, as the trial
+    kernel's Hessians), and each row's own test.  Each site maps to f(a, b),
+    the list of its quotients at x = a, y = b, or None at a pole.  A row
+    test's quotient is the value it hands rows_below, which a row reaches
+    for every value against res = 0."""
+    quotients = [X / Y] + [RatExpr.const(c) / Y for c in CONSTANTS]
+    rows = [RowTest(k) for k in range(len(quotients))]
+    order = ("x", "y")
+    plain = compile_arrays(quotients, order)
+    before = compile_arrays(quotients + rows, order)
+    after = compile_arrays([ZERO, RowTest(0)] + quotients, order)
+    # a long first row, so that each quotient's row has a test of its own
+    tested = compile_arrays([X ** 7 * Y ** 5] + quotients
+                            + [RowTest(k) for k in range(len(quotients) + 1)], order)
+    assert tested.row_tests[0] is None and None not in tested.row_tests[1:]
+    seen = []
+
+    def spy(rows, res):
+        """rows_below, passing every row: the value it is handed is kept."""
+        seen.append(rows[0])
+        return True
+
+    for kernel in (before, tested):
+        kernel.on_list.__globals__["rows_below"] = spy
+
+    def values(kernel, *args, at=slice(None)):
+        try:
+            return list(kernel(np.array(args[0]), *args[1:])[at])
+        except PoleError:
+            return None
+
+    def row_tests(a, b):
+        seen.clear()
+        for test in tested.row_tests[1:]:  # the last halving, with no step
+            assert test([a, b], [0j, 0j], HALVINGS - 1, 0.0) in (HALVINGS - 1, HALVINGS)
+        return seen[:] or None  # a pole goes on to the next halving
+
+    return {"plain": lambda a, b: values(plain, [a, b]),
+            "before the last decision": lambda a, b: values(before, [a, b], 0.0, at=slice(3)),
+            "after the last decision": lambda a, b: values(after, [a, b], np.inf, at=slice(2, None)),
+            "row test": row_tests}
+
+
+QUOTIENT_SITES = quotient_sites()
+
+
+def numpy_quotients(a, b):
+    """NumPy's x / y and c / y for each of CONSTANTS, each operand summed
+    onto 0j as a kernel sums it, or None where y's sum is zero."""
+    one = np.complex128(1)
+    with np.errstate(all="ignore"):
+        d = 0j + one * np.complex128(b)
+        numerators = [0j + one * np.complex128(a)] + [np.complex128(c) for c in CONSTANTS]
+        return None if d == 0 else [n / d for n in numerators]
+
+
+def check_quotient_sites(a, b):
+    # every site's quotients are NumPy's, bit for bit, and none warns
+    expected = numpy_quotients(a, b)
+    for site, f in QUOTIENT_SITES.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(a, b)
+        assert (got is None) == (expected is None), (site, a, b)
+        if got is not None:
+            assert all(same(g, e) for g, e in zip(got, expected)), (site, a, b, got, expected)
 
 
 @given(complexes(), complexes())
 @settings(max_examples=400, deadline=None)
-def test_a_quotient_after_the_last_decision_has_numpy_bits_and_no_warning(a, b):
-    # it is NumPy's division where both operands are finite, which may
-    # warn where the quotient overflows, and divide's elsewhere, which
-    # keeps NumPy's bits and warns about nothing; a zero is a pole
-    one = np.complex128(1)
-    with np.errstate(all="ignore"):
-        numerators = (0j + one * np.complex128(a), 0j + 3 * one)
-    for kernel, numerator in zip(GUARDED, numerators):
-        finite = cmath.isfinite(numerator) and cmath.isfinite(b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore" if finite else "error")
-            if b == 0:
-                with pytest.raises(PoleError):
-                    kernel(np.array([a, b]), np.inf)
-                continue
-            got = kernel(np.array([a, b]), np.inf)[2]
-        with np.errstate(all="ignore"):
-            assert same(got, numerator / (0j + one * np.complex128(b)))
+def test_every_quotient_site_has_numpy_bits_and_no_warning(a, b):
+    check_quotient_sites(a, b)
+
+
+# operands where NumPy's division raises a flag: 1.5e308 (1 + i) overflows
+# NumPy's br + bi * (bi / br), 1e-310 and below its reciprocal scale;
+# NumPy's 1.7803788330245468e+308 / 0.9903685999006193 multiplies by the
+# reciprocal and overflows, where Python's division gives the largest double
+EDGE_NUMERATORS = [1e308, complex(1.5e308, -1.5e308), 1.7803788330245468e+308, 0.75 - 0.5j, 0j]
+EDGE_DENOMINATORS = [complex(1.5e308, 1.5e308), 1e-310, 5e-324, complex(1e-310, -2e-320),
+                     0.9903685999006193, 1.5e308, -0.5 + 2j, 0j]
+
+
+def test_quotient_sites_at_the_edges_of_numpys_division():
+    assert complex(1.7803788330245468e+308) / 0.9903685999006193 == np.finfo(float).max
+    for a in EDGE_NUMERATORS:
+        for b in EDGE_DENOMINATORS:
+            check_quotient_sites(a, b)
 
 
 def test_quotients_are_numpys_division_where_pythons_differs():

@@ -407,52 +407,69 @@ def special_points(pc, entries):
                 yield x
 
 
-def trials_that_warn(entries) -> tuple:
-    """(calls, warned): a trial at each special point (special_points) of
-    every TRIAL_SETUPS entry, against res = inf and against res = 1.0,
-    each of which refuses the point, names a row or returns its values;
-    warned lists (setup, point, res, warning) for each that warns."""
-    calls, warned = 0, []
+def entry_points(pc) -> dict:
+    """Every evaluation entry point of pc, by name, as f(xs) on a list of
+    Python complex: a trial against res = inf and against res = 1.0, each
+    row's own test (pc.row_tests) at the last halving with no step against
+    both bounds, grad, the potential's and detJ's values and the
+    constraint residual."""
+    points = {"darboux_trial": [lambda xs, res=res: pc.darboux_trial(xs, res)
+                                for res in (np.inf, 1.0)],
+              "row tests": [lambda xs, test=test, res=res: test(xs, [0j] * pc.N, HALVINGS - 1, res)
+                            for test in pc.row_tests if test is not None for res in (np.inf, 1.0)]}
+    for name in ("grad", "potential_value", "det_value", "constraint_residual"):
+        points[name] = [getattr(pc, name)]
+    return points
+
+
+def calls_that_warn(entries) -> tuple:
+    """(calls, warned): every entry point (entry_points) at each special
+    point (special_points) of every TRIAL_SETUPS entry, each of which
+    refuses the point (CriticalPointError, PoleError) or returns; calls
+    counts the calls by entry point, and warned lists (entry point, setup,
+    point, warning) for each call that warns."""
+    calls, warned = dict.fromkeys(entry_points(trial_calculus("cone")), 0), []
     for name in sorted(TRIAL_SETUPS):
         pc = trial_calculus(name)
+        points = entry_points(pc)
         for x in special_points(pc, entries):
-            for res in (np.inf, 1.0):
-                calls += 1
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        out = pc.darboux_trial(x.tolist(), res)
-                    except (CriticalPointError, PoleError):
-                        continue
-                    except RuntimeWarning as warning:
-                        warned.append((name, x, res, str(warning)))
-                        continue
-                assert isinstance(out, (int, tuple))
+            xs = x.tolist()
+            for point, functions in points.items():
+                for f in functions:
+                    calls[point] += 1
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            f(xs)
+                        except (CriticalPointError, PoleError):
+                            pass
+                        except RuntimeWarning as warning:
+                            warned.append((point, name, x, str(warning)))
     return calls, warned
 
 
-def test_no_trial_at_a_special_point_warns():
-    # each of SPECIAL_ENTRIES, and 1e120, at each coordinate of four fixed
-    # points, for every setup and against both bounds: 3,872 trials, none
-    # of which warns.  The Hessians, computed after the last row passes,
-    # warned in 112 of them ("invalid value encountered in scalar divide",
-    # 1e120 and 1e154 against res = inf on nbody3x2, nbody5x2 and pole)
-    # while every quotient of theirs was NumPy's division
-    calls, warned = trials_that_warn(SPECIAL_ENTRIES + [1e120])
-    assert calls == 3872 and warned == []
+def test_no_evaluation_at_a_special_point_warns():
+    # each of SPECIAL_ENTRIES, 1e120 and 1e-160 at each coordinate of four
+    # fixed points, for every setup and every entry point: none warns.  An
+    # infinite entry meets inf - inf in a denominator's sum and inf / inf
+    # in a quotient, 1e-160 for a distance or w1 makes a finite quotient
+    # such as -1/w1^2 overflow, and a row test runs where the kernel would
+    # have stopped at an earlier row
+    calls, warned = calls_that_warn(SPECIAL_ENTRIES + [1e120, 1e-160])
+    assert calls == {"darboux_trial": 4224, "row tests": 36576, "grad": 2112,
+                     "potential_value": 2112, "det_value": 2112, "constraint_residual": 2112}
+    assert warned == []
 
 
-@pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                   reason="known defect: a finite quotient that overflows in the trial kernel's "
-                          "rows is NumPy's division, which warns")
 def test_a_trial_whose_quotient_overflows_does_not_warn():
     # the pole problem's 1/w1 at w1 = 1e-160: its gradient's quotient
-    # -1/w1^2 overflows before a row is decided; with 1e-160 in the sweep,
-    # 57 of 352 trials warn "overflow encountered in scalar divide"
+    # -1/w1^2 overflows before a row is decided, and NumPy's division
+    # would warn "overflow encountered in scalar divide"; divide gives the
+    # same infinity without a warning, and the row rejects the trial
     pc = trial_calculus("pole")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pc.darboux_trial([0.7 + 0j, 0.7 + 0j, 1e-160 + 0j], 1.0)
+        assert isinstance(pc.darboux_trial([0.7 + 0j, 0.7 + 0j, 1e-160 + 0j], 1.0), int)
 
 
 def unfused_rows(pc, xs) -> list:
