@@ -69,10 +69,15 @@ to 1.9 times the cost on the Newton step's systems; the tests hold the two
 to each other within roundoff.  The rank cut-off is NumPy's rcond=None,
 eps * max(m, n), and zgelsy's workspace size is queried once per shape; a
 caller that solves many systems of one shape (a Newton start, a probe's
-walk) keeps the right-hand side, the pivots, the cut-off and the
-workspace size in one set of buffers (lstsq_buffers).
-A system with a non-finite entry gets an all-nan solution without the
-call, which its callers take as leaving the domain.  The contraction
+walk) makes one NewtonSystem for them: A and F with the right-hand side,
+the pivots, the cut-off and the workspace size, and, for a Darboux start
+(PointCalculus.newton_system), the views through which each Jacobian
+writes A, made once, with the pin rows and dG's structural zeros.
+A system whose A has a non-finite entry gets an all-nan solution without
+the call, which its callers take as leaving the domain.  F is each
+caller's to prove finite: every row of the search's F passed rows_below
+against a finite residual or inf, which fails an infinite or nan row, and
+the probe tests its own F.  The contraction
 sum_a u_a Hess G_a is np.dot of u as a 1 x s row with the Hessians as an
 s x N^2 matrix, the BLAS call NumPy's tensordot makes, without its
 bookkeeping; a 1-D matmul sums in another order.
@@ -247,14 +252,14 @@ class TrialKernel(NamedTuple):
     checked: slice
 
 
-def _forward(J, b, coupled) -> np.ndarray:
-    """J^(-1) b for a lower-triangular J by forward substitution: every row
-    is divided by its diagonal entry at once, which solves each row without
-    a below-diagonal entry (all of n-body's), then each row of `coupled`,
+def _forward(J, diagonal, b, coupled) -> np.ndarray:
+    """J^(-1) b for a lower-triangular J by forward substitution: b is
+    divided by J's diagonal entries at once (diagonal, shaped to divide b:
+    a column for a matrix b), which solves each row without a
+    below-diagonal entry (all of n-body's), then each row of `coupled`,
     (a, (c, ...)) with J_ac its below-diagonal entries, is recomputed in
     order.  The caller has refused a zero diagonal entry."""
-    d = J.diagonal()
-    out = b / (d[:, None] if b.ndim == 2 else d)
+    out = b / diagonal
     for a, cols in coupled:
         acc = b[a]
         for c in cols:
@@ -269,49 +274,72 @@ def _lstsq_work(m: int, n: int) -> int:
     return int(zgelsy_lwork(m, n, 1, LSTSQ_EPS * max(m, n))[0].real)
 
 
-class LstsqBuffers(NamedTuple):
-    """What _lstsq passes zgelsy for an m x n system: the right-hand side,
-    max(m, n) x 1, whose leading m entries `column` views, the column
-    pivots, the rank cut-off and the workspace size.  A caller makes them
-    once (lstsq_buffers) for all its solves of one shape: darboux._newton
-    for a start, the proximity probe for its walk."""
+class NewtonSystem(NamedTuple):
+    """One Gauss-Newton system A x = -F, with A rows x N, and what writes and
+    solves it, made once for every solve of one caller: darboux._newton's
+    for a start, the Sigma probe's for its walk, hess's for a candidate.
+    A and F come first, then what _lstsq passes zgelsy: the right-hand
+    side, max(rows, N) x 1, whose leading `rows` entries `column` views (the
+    rows below it stay zero), the column pivots, the rank cut-off and the
+    workspace size.  A Darboux system (PointCalculus.newton_system) also
+    holds the views of A through which a Jacobian writes it (_dg_blocks,
+    darboux_system), each made with it, and None in every other:
 
+    jacobian:    A's leading m = n + s rows, which darboux_system returns
+    dg:          the Jacobian's rows :n
+    dG_flat:     its rows n:, dG, flattened, written at the point layout's
+                 dg_index
+    B, J:        dG's columns :n (dG/dq) and n: (dG/dw)
+    J_diagonal:  J's diagonal as an s x 1 column
+    diagonal:    the diagonal of dg's columns :n, dg/dq
+
+    A's rows below m, a search's pin rows, and dG's structural zeros are
+    written when the system is made and never again."""
+
+    A: np.ndarray
+    F: np.ndarray
     rhs: np.ndarray
     column: np.ndarray
     pivots: np.ndarray
     cond: float
     lwork: int
+    jacobian: np.ndarray | None = None
+    dg: np.ndarray | None = None
+    dG_flat: np.ndarray | None = None
+    B: np.ndarray | None = None
+    J: np.ndarray | None = None
+    J_diagonal: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
 
 
-def lstsq_buffers(m: int, n: int) -> LstsqBuffers:
-    """Fresh buffers for _lstsq's m x n systems; the rows of rhs below
-    `column` stay zero."""
-    rhs = np.zeros((max(m, n), 1), dtype=complex)
-    return LstsqBuffers(rhs, rhs[:m, 0], np.zeros(n, dtype=np.int32), LSTSQ_EPS * max(m, n),
-                        _lstsq_work(m, n))
+def lstsq_system(rows: int, N: int) -> NewtonSystem:
+    """A fresh rows x N system for _lstsq, A zero and F unwritten, without
+    Jacobian views."""
+    rhs = np.zeros((max(rows, N), 1), dtype=complex)
+    return NewtonSystem(np.zeros((rows, N), dtype=complex), np.empty(rows, dtype=complex), rhs,
+                        rhs[:rows, 0], np.zeros(N, dtype=np.int32), LSTSQ_EPS * max(rows, N),
+                        _lstsq_work(rows, N))
 
 
-def _lstsq(A, b, buffers: LstsqBuffers) -> np.ndarray:
-    """The Newton step -A^+ b: the minimum-norm least-squares solution of
-    A x = -b, by one call of LAPACK's zgelsy, with the rank cut-off of
-    np.linalg.lstsq(A, -b, rcond=None) (see the module docstring).
-    buffers, made by lstsq_buffers for A's shape, hold what the call reads;
-    -b, by np.negative, is written into their column.  The column pivots
-    are zeroed before every call, so every column is free to move: the
-    driver writes its permutation back into that array, and a stale one
-    would fix the columns it names.  A non-finite A or b gives an all-nan
-    x without a LAPACK call; raises LinAlgError where zgelsy reports an
-    error."""
-    n = A.shape[1]
-    if not (_finite(A) and _finite(b)):
-        return np.full(n, np.nan, dtype=complex)
-    rhs, column, pivots, cond, lwork = buffers
-    np.negative(b, out=column)
-    pivots.fill(0)
-    _, x, _, _, info = zgelsy(A, rhs, pivots, cond, lwork)
+def _lstsq(system: NewtonSystem) -> np.ndarray:
+    """The Newton step -A^+ F of the system: the minimum-norm least-squares
+    solution of A x = -F, by one call of LAPACK's zgelsy, with the rank
+    cut-off of np.linalg.lstsq(A, -F, rcond=None) (see the module
+    docstring).  -F, by np.negative, is written into the system's column.
+    The column pivots are zeroed before every call, so every column is free
+    to move: the driver writes its permutation back into that array, and a
+    stale one would fix the columns it names.  A non-finite A gives an
+    all-nan x without a LAPACK call; F is the caller's to keep finite.
+    Raises LinAlgError where zgelsy reports an error."""
+    A = system.A
+    if not _finite(A):
+        return np.full(A.shape[1], np.nan, dtype=complex)
+    np.negative(system.F, out=system.column)
+    system.pivots.fill(0)
+    _, x, _, _, info = zgelsy(A, system.rhs, system.pivots, system.cond, system.lwork)
     if info:
         raise np.linalg.LinAlgError(f"zgelsy failed (info {info})")
-    return x[:n, 0]
+    return x[:A.shape[1], 0]
 
 
 class PointCalculus:
@@ -597,22 +625,36 @@ class PointCalculus:
         return np.array(point.on_list(np.asarray(x, dtype=complex).tolist())[point.grad],
                         dtype=complex)
 
-    def _dg_blocks(self, first, out):
-        """(dg, W, dG): the n x N plain partials of the derivation vector g,
-        W = dw/dq = -J^(-1) B by forward substitution and the generators'
-        Jacobian, from a trial's values `first` (darboux_trial), its first
-        derivatives and, last, its two Hessians, with no kernel call.
-        dg = P^T L, with P = [I; W] and L the Hessian of the Lagrangian
-        V - u.G.  dg and dG are written to the rows :n and n: of out, a
-        C-contiguous (n + s) x N complex array, and returned as views of
-        it.  The trial refused a zero diagonal entry and a non-finite entry
-        of J, so W needs no check of its own."""
+    def newton_system(self, pins=None) -> NewtonSystem:
+        """A Darboux Newton system (NewtonSystem) with its Jacobian views:
+        the Jacobian's m = n + s rows, zero until a Jacobian is written,
+        then the rows of pins (None for none), written here."""
+        n, s, N = self.n, self.s, self.N
+        m = n + s
+        system = lstsq_system(m + (0 if pins is None else len(pins)), N)
+        A = system.A
+        if pins is not None:
+            A[m:] = pins
+        flat, dG = A.reshape(-1), A[n:m]
+        return system._replace(jacobian=A[:m], dg=A[:n], dG_flat=dG.reshape(-1), B=dG[:, :n],
+                               J=dG[:, n:], J_diagonal=flat[n * N + n:m * N:N + 1, None],
+                               diagonal=flat[:n * (N + 1):N + 1])
+
+    def _dg_blocks(self, first, system: NewtonSystem):
+        """(dg, W): the n x N plain partials of the derivation vector g and
+        W = dw/dq = -J^(-1) B by forward substitution, from a trial's
+        values `first` (darboux_trial), its first derivatives and, last,
+        its two Hessians, with no kernel call.  dg = P^T L, with P = [I; W]
+        and L the Hessian of the Lagrangian V - u.G.  The generators'
+        Jacobian dG and then dg are written through the views of a Darboux
+        system (newton_system), dG's entries at dg_index, whose structural
+        zeros the system holds, and dg is returned as its view.  The trial
+        refused a zero diagonal entry and a non-finite entry of J, so W
+        needs no check of its own."""
         n, s, N = self.n, self.s, self.N
         point = self._point_layout
-        dg, dG = out[:n], out[n:]
-        dG.fill(0)
-        dG.reshape(-1)[point.dg_index] = first[point.dG]
-        W = _forward(dG[:, n:], -dG[:, :n], self._coupled)
+        system.dG_flat[point.dg_index] = first[point.dG]
+        W = _forward(system.J, system.J_diagonal, -system.B, self._coupled)
         vh, gh = first[-2:]
         # sum_a u_a gh[a]: tensordot's own BLAS call, not a 1-D matmul
         if s:
@@ -620,14 +662,14 @@ class PointCalculus:
             L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N)
         else:
             L = vh
-        np.add(L[:n], W.T @ L[n:], out=dg)
-        return dg, W, dG
+        return np.add(L[:n], W.T @ L[n:], out=system.dg), W
 
     def hess(self, first) -> np.ndarray:
         """The intrinsic Hessian P^T L P from a trial's values `first`
-        (darboux_trial), with no kernel call: the search passes what the
-        trial that ended a start gave at its candidate (darboux._newton)."""
-        dg, W, _ = self._dg_blocks(first, np.empty((self.n + self.s, self.N), dtype=complex))
+        (darboux_trial), with no kernel call, in a system of its own: the
+        search passes what the trial that ended a start gave at its
+        candidate (darboux._newton)."""
+        dg, W = self._dg_blocks(first, self.newton_system())
         return dg[:, :self.n] + dg[:, self.n:] @ W
 
     def solve_fiber(self, q, w0):
@@ -645,9 +687,10 @@ class PointCalculus:
             if _largest(G) <= FIBER_TOL:
                 return w
             J = dG[:, n:]
-            if not (J.diagonal().all() and _finite(J)):
+            diagonal = J.diagonal()
+            if not (diagonal.all() and _finite(J)):
                 return None
-            step = _forward(J, G, coupled)
+            step = _forward(J, diagonal, G, coupled)
             if not _finite(step):
                 return None
             w = w - step
@@ -657,19 +700,19 @@ class PointCalculus:
 
     # -- Darboux Newton system -------------------------------------------
 
-    def darboux_system(self, first, out) -> np.ndarray:
+    def darboux_system(self, first, system: NewtonSystem) -> np.ndarray:
         """The plain Jacobian of the Darboux residual F = (grad V - q, G)
         (darboux_trial) for Newton iterations, from a trial's values
         `first` (_dg_blocks), with no kernel call: rows dg - [I 0], then
-        dG, written to out, a C-contiguous (n + s) x N complex array, which
-        is returned.  darboux._newton passes what its accepted trial gave
-        and the leading rows of its own system, so the Jacobian is built
-        where the step reads it.  The residual itself is the caller's
-        (darboux._newton keeps each point's rows)."""
-        n, N = self.n, self.N
-        self._dg_blocks(first, out)
-        out.reshape(-1)[: n * (N + 1): N + 1] -= 1  # the diagonal of dg/dq
-        return out
+        dG, written through the views of a Darboux system (newton_system)
+        into its leading rows, system.jacobian, which is returned.
+        darboux._newton passes what its accepted trial gave and the system
+        of its start, so the Jacobian is built where the step reads it.
+        The residual itself is the caller's (darboux._newton keeps each
+        point's rows)."""
+        self._dg_blocks(first, system)
+        np.subtract(system.diagonal, 1, out=system.diagonal)  # dg/dq's diagonal
+        return system.jacobian
 
     # -- proximity probes --------------------------------------------------
 
@@ -679,21 +722,28 @@ class PointCalculus:
         Measures distance to a set rather than the value of f, which stays
         meaningful for barely-converged candidates.  Each step reads G, dG
         and f's row of S and dS, detJ's first and the denominator's last,
-        from one call of the variety kernel.  A constant f is decided by
-        its value."""
+        from one call of the variety kernel, and writes them into the one
+        system of the probe (lstsq_system), G with S[row] as F and dG
+        with dS[row] as A.  A step whose F is not finite ends the probe
+        (False), as a non-finite A does through _lstsq, which checks only
+        A.  A constant f is decided by its value."""
         c = f.constant_value()
         if c is not None:
             return c == 0
         row = -1 if f is self._den else 0
         x0 = np.asarray(x, dtype=complex)
         y = x0.copy()
-        buffers = lstsq_buffers(self.s + 1, self.N)
+        system = lstsq_system(self.s + 1, self.N)
+        A, F = system.A, system.F
         for _ in range(PROBE_MAX_ITER):
             G, dG, S, dS = self._variety_kernel(y)
-            F = np.append(G, S[row])
+            F[:-1], F[-1] = G, S[row]
             if _largest(F) <= PROBE_TOL:
                 return bool(np.linalg.norm(y - x0) <= PROBE_RADIUS)
-            step = _lstsq(np.vstack([dG, dS[row]]), F, buffers)
+            if not _finite(F):
+                return False
+            A[:-1], A[-1] = dG, dS[row]
+            step = _lstsq(system)
             if not _finite(step):
                 return False
             y = y + step

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import CriticalPointError, PointCalculus, _largest, _lstsq, lstsq_buffers
+from .calculus import CriticalPointError, NewtonSystem, PointCalculus, _largest, _lstsq
 from .expr import HALVINGS, SCALES, PoleError, rows_below
 
 ORIGIN_TOL = 1e-8
@@ -60,7 +60,7 @@ class DarbouxResult:
     failed_starts: int = 0
 
 
-def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
+def _trial(pc: PointCalculus, x, xs, pins, res: float, system: NewtonSystem):
     """(r, first) when x's largest residual entry r (calculus._largest) is
     below res, with the trial's values `first` (darboux_trial); else the
     index of the row of F that failed in the trial kernel, or None where no
@@ -73,10 +73,13 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     The order of the decisions cannot change the outcome: a row that fails,
     a pole (PoleError) and a refused J (CriticalPointError) each reject the
     trial, and only the kernel call raises.  Only a trial whose every row
-    passes writes its rows to F, takes its residual from them and writes its
-    Jacobian to Jac[:m] (darboux_system's out) from the first derivatives
-    and Hessians the kernel gave; a trial that fails leaves F and Jac[:m]
-    whole.  A point off the domain (singular fiber, potential pole) fails."""
+    passes writes its rows to the start's system (PointCalculus.newton_system)
+    as F, takes its residual from them and writes its Jacobian through the
+    system's views (darboux_system) from the first derivatives and Hessians
+    the kernel gave; a trial that fails leaves F and the Jacobian whole.
+    Each row written to F passed rows_below, which fails an infinite or nan
+    row, so F is finite.  A point off the domain (singular fiber, potential
+    pole) fails."""
     m = pc.n + pc.s
     try:
         out = pc.darboux_trial(xs, res)
@@ -85,6 +88,7 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
     if not isinstance(out, tuple):
         return out
     rows, first = out
+    F = system.F
     if pins is not None:
         lin = pins @ x
         if not rows_below(lin.tolist(), res):
@@ -92,7 +96,7 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, F, Jac):
         F[m:] = lin
     F[:m] = rows
     r = _largest(F)
-    pc.darboux_system(first, Jac[:m])
+    pc.darboux_system(first, system)
     return r, first
 
 
@@ -127,17 +131,19 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     divisor and an overflowing abs each reject) and moves no trial, and
     the halving it returns goes to the kernel.  A row without a test, a
     pin row and a refused point leave no test to run.
-    Only the start point and an accepted trial build a Jacobian, from the
-    values of its one kernel call, in place in the leading rows of an
-    array that holds the pin rows from the start, and each step is one
-    least-squares solve with it on buffers
-    that last the whole start (calculus._lstsq), which writes -F; the step
-    is checked finite on its list, which the row tests read.  Every
-    decision and iterate is still bit for bit that of a search that builds
-    the full system at every trial.  The start point is refused where an
-    entry is not finite, so no iterate holds a nan, and an iterate with an
-    entry above 1e8 diverged, decided on its list as NumPy's absolute
-    (expr.rows_below).
+    The start makes one Newton system (PointCalculus.newton_system), which
+    holds F, the Jacobian with the pin rows below it, the least-squares
+    buffers and the views through which a Jacobian writes.  Only the start
+    point and an accepted trial build a Jacobian, from the values of its
+    one kernel call, through those views, and each step is one
+    least-squares solve of the system (calculus._lstsq), which writes -F
+    and checks only the Jacobian finite, F being finite by construction
+    (_trial); the step is checked finite on its list, which the row tests
+    read.  Every decision and iterate is still bit for bit that of a
+    search that builds the full system at every trial.  The start point is
+    refused where an entry is not finite, so no iterate holds a nan, and
+    an iterate with an entry above 1e8 diverged, decided on its list as
+    NumPy's absolute (expr.rows_below).
 
     Returns (x, res, rows, first): the final iterate and residual, then
     the residual rows (grad V - q, G) and the values `first` that the
@@ -152,20 +158,16 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     xs = x.tolist()
     if not all(map(isfinite, xs)):
         return None
-    F = np.empty(m + (0 if pins is None else len(pins)), dtype=complex)
-    Jac = np.empty((len(F), pc.N), dtype=complex)
-    if pins is not None:
-        Jac[m:] = pins
-    buffers = lstsq_buffers(len(F), pc.N)
-    start = _trial(pc, x, xs, pins, np.inf, F, Jac)
+    system = pc.newton_system(pins)
+    start = _trial(pc, x, xs, pins, np.inf, system)
     if not isinstance(start, tuple):
         return None
     res, first = start
     row_tests, test = pc.row_tests, None
     for _ in range(max_iter):
         if res <= conv_tol:
-            return x, res, F[:m], first
-        step = _lstsq(Jac, F, buffers)
+            return x, res, system.F[:m], first
+        step = _lstsq(system)
         steps = step.tolist()
         if not all(map(isfinite, steps)):
             return None
@@ -177,7 +179,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
                     break
             x_try = x + SCALES[k] * step
             xs_try = x_try.tolist()
-            r = _trial(pc, x_try, xs_try, pins, res, F, Jac)
+            r = _trial(pc, x_try, xs_try, pins, res, system)
             if isinstance(r, tuple):
                 break
             test = None if r is None else row_tests[r]
@@ -187,7 +189,7 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
         x, xs, (res, first) = x_try, xs_try, r
         if not rows_below(xs, DIVERGED):
             return None
-    return x, res, F[:m], first
+    return x, res, system.F[:m], first
 
 
 def solve_darboux(pc: PointCalculus,

@@ -596,9 +596,18 @@ _INF, _NAN = float("inf"), float("nan")
 _PYCOMPLEX = getattr(complex, "__complex__", complex)
 
 
+def _numpy_power(x: complex, e: int) -> complex:
+    """NumPy's cdouble(x) ** e as a Python complex, the same bits, for a
+    power e >= 100, which a kernel leaves to NumPy (compile_arrays),
+    without the warning that NumPy raises where the power overflows or
+    meets an invalid operation."""
+    with np.errstate(all="ignore"):
+        return _PYCOMPLEX(np.complex128(x) ** e)
+
+
 class _NoRowTest(Exception):
-    """A row reads a power e >= 100, which is NumPy's and may warn, so it
-    has no row test of its own."""
+    """A row reads a power e >= 100, which is left to NumPy
+    (_numpy_power), so it has no row test of its own."""
 
 
 def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
@@ -638,7 +647,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     load x differs from NumPy's x ** 1 (which turns a -0.0 component into
     +0.0).  A sign that differs can change only the sign of a zero
     component of a term, and the sum onto 0j clears the sign of every
-    zero, so no value changes.  A power e >= 100 is NumPy's own.  A
+    zero, so no value changes.  A power e >= 100 is NumPy's own, computed
+    with NumPy's warnings silenced (_numpy_power), the same bits.  A
     constant entry is written into its array's template at compile time.
 
     Every quotient, in a kernel before or after a row test and in a row's
@@ -721,7 +731,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     the kernel computes up to that row's decision, so that a test that
     passes costs little next to the kernel call that follows; the first
     row the kernel decides never has one (None).  Nor has a row whose test
-    would read a power e >= 100, which is NumPy's and may warn.  A kernel
+    would read a power e >= 100, which is left to NumPy.  A kernel
     without row tests keeps an empty row_tests.
     The generated source, every function, names variables by index only and
     is kept on the kernel as `source`, the row tests last.
@@ -746,9 +756,9 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 raise ExprError(f"row test {k} subtracts variable {t.minus}, out of range")
             tests.setdefault(t.value, []).append(k)
 
-    namespace = {"PoleError": PoleError, "asarray": np.asarray, "cdouble": np.complex128,
-                 "zero": np.complex128(0j), "rows_below": rows_below, "divide": divide,
-                 "isfinite": isfinite, "scales": SCALES, "pycomplex": _PYCOMPLEX}
+    namespace = {"PoleError": PoleError, "asarray": np.asarray, "zero": np.complex128(0j),
+                 "rows_below": rows_below, "divide": divide, "isfinite": isfinite,
+                 "scales": SCALES, "pycomplex": _PYCOMPLEX, "numpy_power": _numpy_power}
     coefficients = {}
 
     def coefficient(c):
@@ -783,7 +793,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 if e >= 100:
                     if test:
                         raise _NoRowTest
-                    value = f"pycomplex(cdouble({power(i, 1)}) ** {e})"
+                    value = f"numpy_power({power(i, 1)}, {e})"
                 elif e == 2:
                     value = f"{power(i, 1)} * {power(i, 1)}"
                 elif e == 3:

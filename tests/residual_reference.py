@@ -50,8 +50,32 @@ def trial_values(pc, x):
 
 def jacobian(pc, x):
     """darboux_system at x, from a trial's values (trial_values), in a
-    fresh array."""
-    return pc.darboux_system(trial_values(pc, x), np.empty((pc.n + pc.s, pc.N), dtype=complex))
+    Newton system of its own."""
+    return pc.darboux_system(trial_values(pc, x), pc.newton_system())
+
+
+def fresh_jacobian(pc, first):
+    """The Jacobian that darboux_system writes through a Newton system's
+    views, from a trial's values `first`, by the same operations in the
+    same order on freshly allocated arrays: dG zeroed and its entries
+    scattered, W = -J^(-1) B by forward substitution, L = Hess V -
+    u.Hess G, dg = L[:n] + W^T L[n:] and the -1 on dg/dq's diagonal."""
+    n, s, N = pc.n, pc.s, pc.N
+    point = pc._point_layout
+    out = np.zeros((n + s, N), dtype=complex)
+    dg, dG = out[:n], out[n:]
+    dG.reshape(-1)[point.dg_index] = first[point.dG]
+    J = dG[:, n:]
+    W = calculus._forward(J, J.diagonal()[:, None], -dG[:, :n], pc._coupled)
+    vh, gh = first[-2:]
+    if s:
+        u = np.array(first[point.u], dtype=complex)
+        L = vh - np.dot(u[None, :], gh.reshape(s, N * N)).reshape(N, N)
+    else:
+        L = vh
+    np.add(L[:n], W.T @ L[n:], out=dg)
+    out.reshape(-1)[:n * (N + 1):N + 1] -= 1
+    return out
 
 
 def hessian(pc, x):

@@ -267,9 +267,10 @@ def test_the_darboux_residual_has_one_producer():
     # the rows of the trial that ended their start, its Jacobians and
     # Hessians (darboux_system, hess) take a trial's values and read no
     # kernel, the search's own test of a row comes through row_tests, and
-    # nothing else in the package reads the kernel
+    # nothing else in the package reads the kernel; each start makes one
+    # Newton system (newton_system), which its Jacobians write
     assert calculus_calls(SRC / "darboux.py") == {
-        "darboux_trial", "darboux_system", "hess", "near_sigma"}
+        "newton_system", "darboux_trial", "darboux_system", "hess", "near_sigma"}
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
     assert found == ["calculus.PointCalculus.compile_analysis_kernels",
                      "calculus.PointCalculus.darboux_trial",

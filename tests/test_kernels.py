@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
 from algpot.expr import (HALVINGS, ZERO, PoleError, RatExpr, RowTest, Substitution,
-                         compile_arrays)
+                         _numpy_power, compile_arrays)
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
@@ -357,3 +357,41 @@ def test_kernel_powers_and_quotients_match_numpy_scalars(x, y, e, f):
         kind, got = evaluated(t.compile(("x", "y")), point)
         ref_kind, expected = evaluated(reference_compile(t, ("x", "y")), point)
         assert kind == ref_kind and (kind == "pole" or same(got, expected)), (str(t), x, y)
+
+
+# bases of a power e >= 100: finite ones, 1e10, whose 120th power
+# overflows, and every pair of the special parts above
+POWER_BASES = [0.75 - 0.5j, 1.0001 + 0j, -1.5 + 0.25j, 1e10 + 0j, -1e10 + 0j,
+               complex(1e10, 1e10), complex(0.0, -1e10)]
+POWER_BASES += [complex(a, b) for a in SPECIAL for b in SPECIAL]
+
+
+def word_bits(v: complex) -> bytes:
+    """The bits of both components of v, the signs and payloads of nans
+    included."""
+    return np.array([v], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("e", [100, 120, 255])
+def test_a_power_left_to_numpy_has_its_bits_and_no_warning(e):
+    # a power e >= 100 is NumPy's cdouble(x) ** e (expr._numpy_power), bit
+    # for bit, without the warning NumPy raises where it overflows (1e10 **
+    # 120) or meets an infinity or a nan; a kernel that reads one computes
+    # it there and evaluates as the closure reference does, warning about
+    # nothing
+    kernel = (X ** e + Y ** 2).compile(("x", "y"))
+    assert f"numpy_power(x0, {e})" in kernel.source
+    reference = reference_compile(X ** e + Y ** 2, ("x", "y"))
+    overflowed = 0
+    for x in POWER_BASES:
+        with np.errstate(all="ignore"):
+            expected = np.complex128(x) ** e
+            closure = reference(np.array([x, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _numpy_power(x, e)
+            value = kernel(np.array([x, 0.5]))
+        assert type(got) is complex and word_bits(got) == word_bits(expected), (x, e)
+        assert same(value, closure), (x, e)
+        overflowed += bool(np.isfinite(x)) and not np.isfinite(expected)
+    assert overflowed > 10

@@ -31,13 +31,16 @@ per-variable one within roundoff.
 J = dG/dw is lower triangular, so the adjoint u = J^-T d_wV, grad V,
 W = -J^-1 B and the fiber Newton step come from triangular substitution;
 they are held to NumPy's solve within a relative bound, and the refusals
-of a singular or non-finite J are held on every call.  The Jacobian is
-written into the caller's rows, bit for bit a freshly allocated one.  The
-one least-squares solve, LAPACK's pivoted-QR zgelsy called directly, is
-held to NumPy's SVD lstsq within roundoff: a residual no larger, a norm no
-larger (the minimum-norm solution) and the same solution relative to its
-norm, within the least-squares perturbation bound; on buffers reused
-after a solve that permuted columns it gives a fresh solve's bits.
+of a singular or non-finite J are held on every call.  Successive
+Jacobians are written through the views of one Newton system, as a start
+writes them, bit for bit the same operations on freshly allocated arrays.
+The one least-squares solve, LAPACK's pivoted-QR zgelsy called directly,
+is held to NumPy's SVD lstsq within roundoff: a residual no larger, a norm
+no larger (the minimum-norm solution) and the same solution relative to
+its norm, within the least-squares perturbation bound; on a system reused
+after a solve that permuted columns it gives a fresh solve's bits.  It
+checks only the matrix finite: every solve of the search gets a finite
+residual, and the Sigma probe refuses a non-finite one itself.
 """
 
 import functools
@@ -54,7 +57,7 @@ from hypothesis import strategies as st
 
 from algpot import calculus, darboux, expr
 from algpot.calculus import (CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq,
-                             lstsq_buffers)
+                             lstsq_system)
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem, CriticalSetError
 from algpot.expr import HALVINGS, SCALES, ZERO, PoleError, RowTest, compile_arrays, rows_below
@@ -64,8 +67,8 @@ from algpot.pipeline import AnalysisOptions, hunt
 
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT, float_parts
-from residual_reference import (hessian, jacobian, point_values, reference_rows, trial_values,
-                                unfused_trial)
+from residual_reference import (fresh_jacobian, hessian, jacobian, point_values, reference_rows,
+                                trial_values, unfused_trial)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import problems as bench_problems  # noqa: E402
@@ -143,9 +146,15 @@ def newton_full_system(pc, x0, pins, conv_tol, max_iter):
     return ((x, res) if res < np.inf else None), accepted
 
 
+def solve_with(system, A, b):
+    """_lstsq's step -A^+ b, with A and b written into the system."""
+    system.A[:], system.F[:] = A, b
+    return _lstsq(system)
+
+
 def fresh_lstsq(A, b):
-    """_lstsq(A, b), the step -A^+ b, on buffers made for this one solve."""
-    return _lstsq(A, b, lstsq_buffers(*A.shape))
+    """_lstsq's step -A^+ b, on a system made for this one solve."""
+    return solve_with(lstsq_system(*A.shape), A, b)
 
 
 def random_starts(N, count, seed, radius=2.0):
@@ -335,9 +344,14 @@ SPECIAL_ENTRIES = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0
                    1e200, complex(-1e300, 1e300), 1e154, 5e-324, complex(1e-310, -2e-320)]
 
 
+# the setups that the warning sweep reads: the trial setups, and a
+# potential with a power e >= 100, which is NumPy's (expr._numpy_power)
+SWEPT_SETUPS = {**TRIAL_SETUPS, "power120": "vars q1 q2\npotential q1^120 + q2^2\n"}
+
+
 @functools.lru_cache(maxsize=None)
 def trial_calculus(name):
-    spec = TRIAL_SETUPS[name]
+    spec = SWEPT_SETUPS[name]
     return PointCalculus(build(spec) if isinstance(spec, NBodyConfig) else parse_problem(spec))
 
 
@@ -424,12 +438,12 @@ def entry_points(pc) -> dict:
 
 def calls_that_warn(entries) -> tuple:
     """(calls, warned): every entry point (entry_points) at each special
-    point (special_points) of every TRIAL_SETUPS entry, each of which
+    point (special_points) of every SWEPT_SETUPS entry, each of which
     refuses the point (CriticalPointError, PoleError) or returns; calls
     counts the calls by entry point, and warned lists (entry point, setup,
     point, warning) for each call that warns."""
     calls, warned = dict.fromkeys(entry_points(trial_calculus("cone")), 0), []
-    for name in sorted(TRIAL_SETUPS):
+    for name in sorted(SWEPT_SETUPS):
         pc = trial_calculus(name)
         points = entry_points(pc)
         for x in special_points(pc, entries):
@@ -453,11 +467,11 @@ def test_no_evaluation_at_a_special_point_warns():
     # fixed points, for every setup and every entry point: none warns.  An
     # infinite entry meets inf - inf in a denominator's sum and inf / inf
     # in a quotient, 1e-160 for a distance or w1 makes a finite quotient
-    # such as -1/w1^2 overflow, and a row test runs where the kernel would
-    # have stopped at an earlier row
+    # such as -1/w1^2 overflow, a row test runs where the kernel would
+    # have stopped at an earlier row, and q1^120 overflows at 1e154
     calls, warned = calls_that_warn(SPECIAL_ENTRIES + [1e120, 1e-160])
-    assert calls == {"darboux_trial": 4224, "row tests": 36576, "grad": 2112,
-                     "potential_value": 2112, "det_value": 2112, "constraint_residual": 2112}
+    assert calls == {"darboux_trial": 4416, "row tests": 36768, "grad": 2208,
+                     "potential_value": 2208, "det_value": 2208, "constraint_residual": 2208}
     assert warned == []
 
 
@@ -609,9 +623,9 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
     is what _newton returns."""
     calls, depth = [], [0]
 
-    def lstsq(A, b, buffers):
-        calls.append(["lstsq", A.copy(), b.copy()])
-        return _lstsq(A, b, buffers)
+    def lstsq(system):
+        calls.append(["lstsq", system.A.copy(), system.F.copy()])
+        return _lstsq(system)
 
     def traced(name, method):
         def call(*args):
@@ -1035,9 +1049,12 @@ def test_a_calculus_answers_every_point_as_a_fresh_one():
 
 @pytest.mark.parametrize("name", ["cone", "draw1", "nbody3x2"])
 def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
-    # darboux_system(first, out) fills every entry of out, the structural
-    # zeros of dG included, with the bits of a freshly allocated Jacobian,
-    # and touches nothing else of the array that holds out; draw1's J has
+    # successive Jacobians through one Newton system (newton_system), as a
+    # search writes them, each fill every entry that a Jacobian writes, dg's
+    # rows and dG's entries at dg_index, poisoned before each call, with the
+    # bits of the same operations on freshly allocated arrays
+    # (fresh_jacobian) and of a fresh calculus's Jacobian, and leave the pin
+    # rows and dG's structural zeros as the system was made; draw1's J has
     # an entry below its diagonal, which the substitution's loop reads
     if name == "nbody3x2":
         setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
@@ -1045,19 +1062,28 @@ def test_a_jacobian_written_into_the_callers_rows_matches_a_fresh_one(name):
         setup = parse_problem(CONE_TEXT if name == "cone" else DRAW1_TEXT)
     pc = PointCalculus(setup)
     m, N = setup.n + setup.s, len(setup.var_names)
-    system = np.empty((m + 2, N), dtype=complex)
+    rng = np.random.default_rng(2)
+    pins = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+    system = pc.newton_system(pins)
+    index = pc._point_layout.dg_index
+    structural = np.ones(setup.s * N, dtype=bool)
+    structural[index] = False
+    assert bool(structural.any()) is (name != "cone")  # the cone's dG has none
+    poison = complex(np.nan, np.inf)
     compared = 0
     for x in sample_points(setup, 6, seed=9):
         try:
             first = trial_values(pc, x)
         except (CriticalPointError, PoleError):
             continue
-        fresh = jacobian(PointCalculus(setup), x)
-        system.fill(complex(np.nan, np.inf))
-        out = system[:m]
-        assert pc.darboux_system(first, out) is out
-        assert bits(out) == bits(fresh)
-        assert np.isnan(system[m:].real).all() and np.isinf(system[m:].imag).all()
+        system.dg[:] = poison
+        system.dG_flat[index] = poison
+        got = pc.darboux_system(first, system)
+        assert got is system.jacobian and got.base is system.A
+        assert bits(got) == bits(fresh_jacobian(pc, first))
+        assert bits(got) == bits(jacobian(PointCalculus(setup), x))
+        assert bits(system.A[m:]) == bits(pins)
+        assert bits(system.dG_flat[structural]) == bits(np.zeros(structural.sum(), dtype=complex))
         compared += 1
     assert compared >= 5
 
@@ -1079,7 +1105,7 @@ def test_a_jacobian_calls_no_kernel(name, monkeypatch):
     pc = PointCalculus(setup)
     for kernel in ("_variety_kernel", "_point_kernel", "_trial_kernel", "_v_kernel", "_det_kernel"):
         getattr(pc, kernel)  # every kernel compiled, each counted
-    out = np.empty((pc.n + pc.s, pc.N), dtype=complex)
+    out = pc.newton_system()
     compared = 0
     for x in sample_points(setup, 6, seed=9):
         try:
@@ -1147,8 +1173,8 @@ def test_substitution_matches_numpy_solve(name):
             continue  # a singular J or a pole, held below
         first = trial_values(pc, x)
         u = np.array(first[point.u], dtype=complex)
-        W = pc._dg_blocks(first, np.empty((pc.n + pc.s, pc.N), dtype=complex))[1]
-        step = _forward(J, G, pc._coupled)
+        W = pc._dg_blocks(first, pc.newton_system())[1]
+        step = _forward(J, J.diagonal(), G, pc._coupled)
         assert u.shape == u_ref.shape and close_to(u, u_ref, SOLVE_REL)
         assert close_to(pc.grad(x), vg[:n] - B.T @ u_ref, SOLVE_REL)
         assert W.shape == W_ref.shape and close_to(W, W_ref, SOLVE_REL)
@@ -1240,10 +1266,12 @@ def test_no_extension_variables_give_empty_solves():
     x = np.array([0.5, -1.0], dtype=complex)
     first = trial_values(pc, x)
     assert first[pc._point_kernel.u] == () and first[pc._point_kernel.checked] == ()
-    dg, W, dG = pc._dg_blocks(first, np.empty((2, 2), dtype=complex))
-    assert W.shape == (0, 2) and dG.shape == (0, 2) and dg.shape == (2, 2)
+    system = pc.newton_system()
+    dg, W = pc._dg_blocks(first, system)
+    assert W.shape == (0, 2) and system.A[2:].shape == (0, 2) and dg.shape == (2, 2)
     J = np.zeros((0, 0), dtype=complex)
-    u, W = _forward(J, np.zeros(0, dtype=complex), ()), _forward(J, np.zeros((0, 3)) + 0j, ())
+    u = _forward(J, J.diagonal(), np.zeros(0, dtype=complex), ())
+    W = _forward(J, J.diagonal()[:, None], np.zeros((0, 3)) + 0j, ())
     assert u.shape == (0,) and W.shape == (0, 3)
     assert u.dtype == W.dtype == complex
 
@@ -1361,28 +1389,82 @@ def test_lstsq_gives_nan_on_non_finite_input_without_lapack(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(A_nan, b, rcond=None)
 
-    def no_lapack(*args, **kwargs):
-        raise AssertionError("zgelsy called on a non-finite system")
-
+    # only A is checked: the right-hand side is each caller's to keep
+    # finite (test_every_search_solve_has_a_finite_residual and
+    # test_a_probe_with_a_non_finite_residual_is_refused_before_lapack)
     monkeypatch.setattr(calculus, "zgelsy", no_lapack)
     for bad in (np.inf, -np.inf, complex(0, np.inf), np.nan, complex(1, np.nan)):
-        A_bad, b_bad = A.copy(), b.copy()
-        A_bad[1, 0] = b_bad[1] = bad
-        for A_, b_ in ((A_bad, b), (A, b_bad)):
-            x = fresh_lstsq(A_, b_)
-            assert x.shape == (3,) and np.isnan(x).all()
+        A_bad = A.copy()
+        A_bad[1, 0] = bad
+        x = fresh_lstsq(A_bad, b)
+        assert x.shape == (3,) and np.isnan(x).all()
+
+
+def test_every_search_solve_has_a_finite_residual(three_body, monkeypatch):
+    # _lstsq checks only A, for the search's F is finite by construction:
+    # each of its rows passed rows_below against a finite residual or inf,
+    # which fails an infinite or nan row.  Every least-squares solve of the
+    # search, over the full-system comparison's starts, pinned and not, the
+    # equal-mass 3x2 hunt's starts and the small corpus's hunts at hunt
+    # seed 0, gets a finite F
+    cfg, pc, seeds = three_body
+    cases = three_body_cases(cfg, pc, seeds, False) + three_body_cases(cfg, pc, seeds, True)
+    cases += cone_cases() + hunt_cases(cfg, pc)
+    finite = []
+
+    def lstsq(system):
+        finite.append(bool(np.isfinite(system.F).all()))
+        return _lstsq(system)
+
+    monkeypatch.setattr(darboux, "_lstsq", lstsq)
+    for pc_, x0, pins, max_iter, conv_tol in cases:
+        _newton(pc_, x0, pins, conv_tol, max_iter)
+    for problem in corpus():
+        hunt(PointCalculus(parse_problem(problem.text(), label=problem.name)),
+             AnalysisOptions(seed=0))
+    assert len(finite) > 1000 and all(finite)
+
+
+def no_lapack(*args, **kwargs):
+    raise AssertionError("zgelsy called on a non-finite system")
+
+
+def test_a_probe_with_a_non_finite_residual_is_refused_before_lapack(monkeypatch):
+    # _lstsq checks only A, so the Sigma probe tests its own F: a step whose
+    # G or polynomial value is not finite, its gradients finite, ends the
+    # probe with False, the verdict an all-nan step gave it, and makes no
+    # LAPACK call; the 1/w1 potential's Sigma has two polynomials, detJ
+    # (the probe's row 0) and the denominator w1 (its last row)
+    pc = PointCalculus(parse_problem("vars q1 q2\next w1 : w1^2 - q1^2 - q2^2\npotential 1/w1\n"))
+    x = np.array([0.6, 0.8, 1.0], dtype=complex)
+    G, dG, S, dS = pc._variety_kernel(x)
+    assert len(S) == 2 and np.isfinite(dG).all() and np.isfinite(dS).all()
+    assert not pc.near_sigma(x)  # the probes walk this point on finite values
+    monkeypatch.setattr(calculus, "zgelsy", no_lapack)
+    probes = (pc.near_critical_set, functools.partial(pc._near_zero_set, pc._den))
+    for row, probe in zip((0, 1), probes):
+        for bad in (np.inf, np.nan, complex(0, -np.inf)):
+            for entry in ("G", "S"):
+                G_bad, S_bad = G.copy(), S.copy()
+                if entry == "G":
+                    G_bad[0] = bad
+                else:
+                    S_bad[row] = bad
+                monkeypatch.setitem(vars(pc), "_variety_kernel",
+                                    lambda y, v=(G_bad, dG, S_bad, dS): v)
+                assert probe(x) is False
 
 
 def test_lstsq_buffers_reused_after_a_permuting_solve_free_every_column():
     # zgelsy writes the column permutation of its pivoted QR back into the
     # pivots _lstsq passes it, and a non-zero pivot on entry fixes its
-    # column in front, unpivoted; so a search that keeps its buffers for a
+    # column in front, unpivoted; so a search that keeps its system for a
     # whole start zeroes the pivots before every solve.  A1's solve
     # permutes its columns (their norms grow tenfold from one to the next)
     # and leaves every pivot non-zero; A2's first column is zero, which a
     # stale pivot array would keep in front, where the rank estimate of
     # the unpivoted R stops at its zero first entry and gives x = 0; with
-    # the pivots zeroed the solve on the reused buffers has the bits of a
+    # the pivots zeroed the solve on the reused system has the bits of a
     # fresh one, nonzero, for either sign of the residual, and negating the
     # residual negates the step, but for the sign of a zero
     rng = np.random.default_rng(17)
@@ -1392,10 +1474,10 @@ def test_lstsq_buffers_reused_after_a_permuting_solve_free_every_column():
     A2[:, 0] = 0.0
     b1, b2 = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
     for b in (b2, -b2):
-        buffers = lstsq_buffers(m, n)
-        _lstsq(A1, b1, buffers)
-        assert buffers.pivots.all() and buffers.pivots.tolist() != list(range(1, n + 1))
-        got = _lstsq(A2, b, buffers)
+        system = lstsq_system(m, n)
+        solve_with(system, A1, b1)
+        assert system.pivots.all() and system.pivots.tolist() != list(range(1, n + 1))
+        got = solve_with(system, A2, b)
         fresh = fresh_lstsq(A2, b)
         assert bits(got) == bits(fresh) and got[1:].all()
         assert (fresh_lstsq(A2, -b) == -fresh).all()
