@@ -198,10 +198,11 @@ def lines():
 
 def run_tree(tree: Path, script: str = __file__, args=()) -> list:
     """The listing of tree's src/ and bench/, from copies of script and of
-    this file, which script may import, run there with args; SystemExit
-    when that run fails."""
+    this file, which script may import, run there with args (this
+    checkout runs its own); SystemExit when that run fails."""
     for path in {Path(__file__), Path(script)}:
-        shutil.copyfile(path, tree / "scripts" / path.name)
+        with contextlib.suppress(shutil.SameFileError):
+            shutil.copyfile(path, tree / "scripts" / path.name)
     name = Path(script).name
     proc = subprocess.run([sys.executable, str(tree / "scripts" / name), *args],
                           capture_output=True, text=True)

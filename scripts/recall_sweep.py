@@ -2,6 +2,7 @@
 
     python3 scripts/recall_sweep.py --seeds 0-9 --out after.json
     python3 scripts/recall_sweep.py --compare before.json after.json
+    python3 scripts/recall_sweep.py --parent HEAD~1 --seeds 0-9
 
 Runs `analyze` on the 11 problems of the benchmark's `nbody-hunt` and
 `small-corpus` workloads, with the options those workloads use, at each
@@ -19,6 +20,13 @@ the hunt's own dedup tolerance.  Each problem's PointCalculus is built
 once, by the workload's set-up, and passed to `analyze` at every hunt seed
 (output_digest.run_with_calculus).
 
+--parent REV sweeps the same hunt seeds on REV's committed files and on
+this checkout and compares the two as --compare does, exiting 1 when any
+row differs: REV is exported into a temporary directory (bench_pairs'
+export_tree; TMPDIR chooses where), and each sweep is a run of this
+script in its tree (output_digest.run_tree), so that both come from the
+same lines.  The temporary directory is removed also when a run fails.
+
 The problems and options are read from bench/, which this script does not
 change; algpot is imported from this checkout's src/.
 """
@@ -26,7 +34,9 @@ change; algpot is imported from this checkout's src/.
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 # one BLAS thread, as in the benchmark; NumPy reads these on import
@@ -41,7 +51,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "scripts")]
 import algpot  # noqa: E402
 import workloads  # noqa: E402
 from algpot.darboux import DEDUP_TOL  # noqa: E402
-from output_digest import run_with_calculus  # noqa: E402
+from bench_pairs import export_tree  # noqa: E402
+from output_digest import run_tree, run_with_calculus  # noqa: E402
 
 WORKLOAD_NAMES = ("nbody-hunt", "small-corpus")
 
@@ -164,6 +175,22 @@ def compare(before: dict, after: dict) -> int:
     return changed
 
 
+def compare_with(rev: str, seeds: str) -> int:
+    """Sweeps seeds on rev's committed files and on this checkout, each a
+    run of this script in its tree, and compares the two (compare): the
+    number of rows that differ."""
+    scratch = Path(tempfile.mkdtemp(prefix="recall-sweep-"))
+    try:
+        sweeps = []
+        for tree in (export_tree(rev, scratch), ROOT):
+            out = scratch / f"sweep-{len(sweeps)}.json"
+            run_tree(tree, __file__, ["--seeds", seeds, "--out", str(out)])
+            sweeps.append(json.loads(out.read_text(encoding="utf-8")))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return compare(*sweeps)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -171,8 +198,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the sweep, points included, to this JSON file")
     ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                     help="compare two written sweeps instead of running one")
+    ap.add_argument("--parent", metavar="REV",
+                    help="sweep git revision REV and this checkout, and compare them")
     args = ap.parse_args(argv)
 
+    if args.parent:
+        return 1 if compare_with(args.parent, args.seeds) else 0
     if args.compare:
         before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
         return 1 if compare(before, after) else 0

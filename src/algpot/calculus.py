@@ -76,8 +76,8 @@ writes A, made once, with the pin rows and dG's structural zeros.
 A system whose A has a non-finite entry gets an all-nan solution without
 the call, which its callers take as leaving the domain.  F is each
 caller's to prove finite: every row of the search's F passed rows_below
-against a finite residual or inf, which fails an infinite or nan row, and
-the probe tests its own F.  The contraction
+(Python's abs(v) < res) against a finite residual or inf, which fails an
+infinite or nan row, and the probe tests its own F.  The contraction
 sum_a u_a Hess G_a is np.dot of u as a 1 x s row with the Hessians as an
 s x N^2 matrix, the BLAS call NumPy's tensordot makes, without its
 bookkeeping; a 1-D matmul sums in another order.
@@ -145,14 +145,14 @@ def _symmetric(entries, lead=()) -> list:
 
 def _largest(rows) -> float:
     """The largest of NumPy's complex absolutes |rows|, 0 for no rows; nan
-    when an entry is nan.  It gives the constraint residual, the value
-    that the fiber solve's and the proximity probe's convergence tests
-    read, and the Darboux search's residual, of an accepted trial's rows.
-    Every row decision
-    (expr.rows_below) is NumPy's: the two absolutes differ in the last bit
-    of a large share of complex values, so mixing them would move trials
-    that tie.  The ufunc's own reduce skips ndarray.max's Python wrapper, a
-    third of the test's cost on these few rows."""
+    when an entry is nan, so a nan reaches the caller's test.  It gives the
+    constraint residual, the value that the fiber solve's and the proximity
+    probe's convergence tests read, a Darboux candidate's reported
+    residuals and the hunt's deduplication.  The Darboux search decides its
+    rows, and takes its residual, by Python's abs instead (expr.rows_below,
+    darboux._trial), one absolute for both.  The ufunc's own reduce skips
+    ndarray.max's Python wrapper, a third of the test's cost on these few
+    rows."""
     return float(np.maximum.reduce(np.abs(rows), initial=0.0))
 
 
@@ -585,7 +585,7 @@ class PointCalculus:
     def darboux_trial(self, xs, res: float):
         """A Darboux search trial at xs, a list of Python complex in
         variable order, against the current residual res: the index of the
-        first row of F = (grad V - q, G) whose NumPy absolute is not below
+        first row of F = (grad V - q, G) whose Python absolute is not below
         res, in the order the trial kernel (TrialKernel) decides them, else
         (rows, first), the residual rows F, zero exactly at Darboux
         candidates, and the point's values (TrialKernel.first): the point

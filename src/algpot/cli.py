@@ -46,7 +46,11 @@ def _flag_type(parse, what, ok=None):
             value = parse(text)
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {what}") from None
-        if ok is not None and not ok(value):
+        try:
+            in_range = ok is None or ok(value)
+        except OverflowError:  # an exact value too large for a double
+            in_range = False
+        if not in_range:
             raise argparse.ArgumentTypeError(f"{text} is out of range: must be {what}")
         return value
     return convert

@@ -37,7 +37,8 @@ DEDUP_TOL = 1e-6  # candidates closer than this (relative) are one point
 START_RADIUS = 2.0  # random starts are uniform in this box, per component
 N_RANDOM = 24  # random starts per hunt
 ACCEPT_TOL = 1e-9  # a start ending with a larger residual failed
-# an iterate with an entry above 1e8 diverged: every NumPy absolute below this
+# an iterate with an entry above 1e8 diverged: every absolute at most 1e8 is
+# below this (expr.rows_below)
 DIVERGED = float(np.nextafter(1e8, np.inf))
 
 
@@ -61,26 +62,28 @@ class DarbouxResult:
 
 
 def _trial(pc: PointCalculus, x, xs, pins, res: float, system: NewtonSystem):
-    """(r, first) when x's largest residual entry r (calculus._largest) is
-    below res, with the trial's values `first` (darboux_trial); else the
-    index of the row of F that failed in the trial kernel, or None where no
-    row is named: a pin row fails or the point is refused.  The trial runs
-    on Python complex: xs is x as a list, and one call of the trial kernel
-    (PointCalculus.darboux_trial) decides each row of G and of grad V - q
-    against res after computing only the values it reads, stopping at the
-    first that fails.  Only a trial whose kernel rows pass computes its pin
-    rows pins @ x, which NumPy computes, and decides them (expr.rows_below).
+    """(r, first) when every row of x's residual F is below res, r the
+    largest of their Python absolutes, with the trial's values `first`
+    (darboux_trial); else the index of the row of F that failed in the
+    trial kernel, or None where no row is named: a pin row fails or the
+    point is refused.  The trial runs on Python complex: xs is x as a list,
+    and one call of the trial kernel (PointCalculus.darboux_trial) decides
+    each row of G and of grad V - q against res after computing only the
+    values it reads, stopping at the first that fails.  Only a trial whose
+    kernel rows pass computes its pin rows pins @ x, which NumPy computes,
+    and decides them (expr.rows_below).  Every row is decided by Python's
+    abs(v) < res, and r is the largest of the same absolutes, so the next
+    trial's rows are compared with the absolute that they are decided by.
     The order of the decisions cannot change the outcome: a row that fails,
     a pole (PoleError) and a refused J (CriticalPointError) each reject the
     trial, and only the kernel call raises.  Only a trial whose every row
     passes writes its rows to the start's system (PointCalculus.newton_system)
-    as F, takes its residual from them and writes its Jacobian through the
-    system's views (darboux_system) from the first derivatives and Hessians
-    the kernel gave; a trial that fails leaves F and the Jacobian whole.
-    Each row written to F passed rows_below, which fails an infinite or nan
-    row, so F is finite.  A point off the domain (singular fiber, potential
-    pole) fails."""
-    m = pc.n + pc.s
+    as F and writes its Jacobian through the system's views
+    (darboux_system) from the first derivatives and Hessians the kernel
+    gave; a trial that fails leaves F and the Jacobian whole.  Each row
+    written to F passed rows_below, which fails an infinite or nan row, so
+    F is finite.  A point off the domain (singular fiber, potential pole)
+    fails."""
     try:
         out = pc.darboux_trial(xs, res)
     except (CriticalPointError, PoleError):
@@ -88,16 +91,14 @@ def _trial(pc: PointCalculus, x, xs, pins, res: float, system: NewtonSystem):
     if not isinstance(out, tuple):
         return out
     rows, first = out
-    F = system.F
     if pins is not None:
-        lin = pins @ x
-        if not rows_below(lin.tolist(), res):
+        lin = (pins @ x).tolist()
+        if not rows_below(lin, res):
             return None
-        F[m:] = lin
-    F[:m] = rows
-    r = _largest(F)
+        rows += tuple(lin)
+    system.F[:] = rows
     pc.darboux_system(first, system)
-    return r, first
+    return max(map(abs, rows)), first
 
 
 def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: int):
@@ -107,10 +108,10 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     A line-search trial is accepted when the largest entry of its residual
     F = (grad V - q, G, pins @ x) is below the current one or at most
     conv_tol; while the search runs the current residual exceeds conv_tol,
-    so that is the largest entry of |F| below the current residual
-    (_trial).  The start point is a trial against res = inf.  The trial
-    at the halving k is the point x + 2^-k step (expr.SCALES), k < 30
-    (expr.HALVINGS).  A trial is one call of the trial kernel, which
+    so that is every row's Python absolute below the current residual, and
+    the residual is the largest of those absolutes (_trial).  The start
+    point is a trial against res = inf.  The trial at the halving k is the
+    point x + 2^-k step (expr.SCALES), k < 30 (expr.HALVINGS).  A trial is one call of the trial kernel, which
     decides the rows of G and of grad V - q as it computes them; the pin
     rows are decided last.
     The trial point, built only for a trial that reaches the kernel, and
@@ -142,8 +143,8 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     read.  Every decision and iterate is still bit for bit that of a
     search that builds the full system at every trial.  The start point is
     refused where an entry is not finite, so no iterate holds a nan, and
-    an iterate with an entry above 1e8 diverged, decided on its list as
-    NumPy's absolute (expr.rows_below).
+    an iterate with an entry above 1e8 diverged, decided on its list by
+    the rows' rule (expr.rows_below).
 
     Returns (x, res, rows, first): the final iterate and residual, then
     the residual rows (grad V - q, G) and the values `first` that the

@@ -24,7 +24,6 @@ one-output case.
 
 from __future__ import annotations
 
-from cmath import isfinite
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -522,15 +521,6 @@ class RowTest(NamedTuple):
     minus: int | None = None
 
 
-# Python's abs and NumPy's absolute of a complex differ by at most 2 ulp
-# (10^6 random values with exponents from -1000 to 1000, NumPy 2.4), so an
-# absolute farther than ROW_BAND (2^7 ulp) relative from the residual, and
-# between ROW_TINY and ROW_HUGE, far from subnormals and overflow, is
-# decided by Python's abs, every other by NumPy's
-ROW_BAND = 2.0 ** -45
-ROW_TINY = 2.0 ** -1000
-ROW_HUGE = 2.0 ** 1000
-
 # the Darboux line search tries x + SCALES[k] * step for k < HALVINGS, and a
 # row test scans the same points; each scale is 2^-k as a complex, as
 # NumPy casts a float scale to multiply a complex array, so that Python's
@@ -541,73 +531,15 @@ SCALES = tuple(complex(2.0 ** -k) for k in range(HALVINGS))
 
 
 def rows_below(rows, res: float) -> bool:
-    """Whether np.abs(v) < res for every v in rows, Python complex values,
+    """Whether abs(v) < res for every v in rows, Python complex values,
     stopping at the first row that fails: the one row decision of the
     Darboux search, which a RowTest makes inside its kernel and the search
-    makes on its pin rows.  Python's abs decides a row whose absolute lies
-    outside a relative band of ROW_BAND around res and well inside the
-    normal range, where the two absolutes cannot fall on different sides
-    of res; inside the band, and for a non-finite, overflowing or tiny
-    value, NumPy's absolute of a one-entry array decides.  A nan fails."""
-    low, high = res * (1.0 - ROW_BAND), res * (1.0 + ROW_BAND)
-    for v in rows:
-        try:
-            a = abs(v)
-        except OverflowError:  # NumPy's absolute is inf there
-            a = np.inf
-        if ROW_TINY <= a <= ROW_HUGE:
-            if a < low:
-                continue
-            if a > high:
-                return False
-        if not np.abs(np.array([v]))[0] < res:
-            return False
-    return True
-
-
-def divide(a: complex, b: complex) -> complex:
-    """a / b as NumPy divides two complex values, on Python floats: Smith's
-    method with a reciprocal scale.  It keeps the bits of NumPy's quotient,
-    but for the sign of a nan, and neither raises nor warns: b = 0 gives
-    each component of a over +0.0, an infinity or a nan, as NumPy does.  A
-    kernel's quotient is divide's wherever NumPy's division could raise a
-    flag (compile_arrays); NumPy's division with np.errstate entered around
-    it measured slower (README, "Performance")."""
-    br, bi = b.real, b.imag
-    if (br if br >= 0.0 else -br) >= (bi if bi >= 0.0 else -bi):  # |br| >= |bi|, not a nan
-        if br == 0.0:
-            return complex(a.real * _INF, a.imag * _INF)
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        ar, ai = a.real, a.imag
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    if bi == 0.0:  # br is a nan, and so is every component
-        return complex(_NAN, _NAN)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    ar, ai = a.real, a.imag
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-
-
-_INF, _NAN = float("inf"), float("nan")
-
-# a NumPy scalar as a Python complex, the same bits: complex.__complex__
-# (Python 3.11 on) takes a fraction of complex()'s time
-_PYCOMPLEX = getattr(complex, "__complex__", complex)
-
-
-def _numpy_power(x: complex, e: int) -> complex:
-    """NumPy's cdouble(x) ** e as a Python complex, the same bits, for a
-    power e >= 100, which a kernel leaves to NumPy (compile_arrays),
-    without the warning that NumPy raises where the power overflows or
-    meets an invalid operation."""
-    with np.errstate(all="ignore"):
-        return _PYCOMPLEX(np.complex128(x) ** e)
-
-
-class _NoRowTest(Exception):
-    """A row reads a power e >= 100, which is left to NumPy
-    (_numpy_power), so it has no row test of its own."""
+    makes on its pin rows and its divergence test.  A nan fails, and so
+    does a row whose Python abs overflows (OverflowError)."""
+    try:
+        return all(abs(v) < res for v in rows)
+    except OverflowError:
+        return False
 
 
 def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
@@ -627,60 +559,28 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     reaches raises PoleError with its printed form.  A non-zero
     coefficient outside double range raises ExprError at compile time.
 
-    Each value comes from the same operations in the same order whatever
-    the target: the normal form's terms, in dict order, summed left to
-    right onto 0j, each term its complex coefficient times x[i] ** e for
-    each factor in monomial order; a quotient computes its denominator
-    first and then divides the numerator by it.  Loads, powers and equal
-    denominators are computed once and shared, which changes no value.
-
     The kernel reads its input as complex, turns it into a list of Python
-    complex once, passes it to on_list, and computes in Python complex from
-    then on, which costs a fraction of NumPy's scalar arithmetic; every
-    value keeps NumPy's bits.  A sum or product of two complex operands is
-    the same IEEE formula in both, and every operand is complex, the
-    coefficients included.  A power 2 <= e < 100 follows NumPy's binary
-    method: x * x for e = 2, x * (x * x) for e = 3, and for larger e a
-    product from 1+0j of the repeated squares x, x^2, x^4, ... that e's
-    bits select.  NumPy gives +0j for every zero base, the only case where
-    these differ, and there they differ only in the signs of zeros, as the
-    load x differs from NumPy's x ** 1 (which turns a -0.0 component into
-    +0.0).  A sign that differs can change only the sign of a zero
-    component of a term, and the sum onto 0j clears the sign of every
-    zero, so no value changes.  A power e >= 100 is NumPy's own, computed
-    with NumPy's warnings silenced (_numpy_power), the same bits.  A
-    constant entry is written into its array's template at compile time.
+    complex once, passes it to on_list, and computes in Python complex
+    arithmetic from then on, every operand complex, the coefficients
+    included.  Each value comes from the same operations in the same order
+    whatever the target: the normal form's terms, in dict order, summed
+    left to right onto 0j, each term its complex coefficient times
+    x[i] ** e for each factor in monomial order.  A factor of exponent 1 is
+    the load x[i] itself, and a power e >= 2 is the binary method: x * x
+    for e = 2, x * (x * x) for e = 3, and for larger e a product from 1+0j
+    of the repeated squares x, x^2, x^4, ... that e's bits select.  A
+    quotient computes its denominator d first, summed onto 0j, tests it
+    for a pole (d == 0) and is then Python's n / d, n the numerator's sum,
+    or its coefficient for a constant numerator.  A complex sum, product or
+    quotient neither raises nor warns: an overflow gives an infinity, and
+    an infinity or a nan in an operand gives an infinity or a nan.  Loads,
+    powers and equal denominators are computed once and shared, which
+    changes no value.  A constant entry is written into its array's
+    template at compile time.
 
-    Every quotient, in a kernel before or after a row test and in a row's
-    own test, follows one rule.  Its denominator d is summed onto 0j and
-    tested for a pole.  Its value is NumPy's division n / d (Smith's method
-    with a reciprocal scale; Python's / divides by the denominator and
-    differs in the last bit of a large share of quotients), made on a NumPy
-    scalar, a constant numerator's made at compile time or else zero + d,
-    where a pre-test on the Python operands proves that NumPy's algorithm
-    raises no overflow or invalid flag, and divide's, the same bits without
-    a warning, everywhere else.  The pre-test is that 1 / d, by Python's
-    division, is non-zero and that 4 n times it is finite (4 n made at
-    compile time for a constant numerator).  Python takes NumPy's ratio
-    s / p of d's smaller component to its larger one and NumPy's
-    denominator p + s (s / p), and divides 1 by that denominator: one
-    component of 1 / d is NumPy's reciprocal scale, bit for bit up to its
-    sign, and 1 / d is zero exactly where NumPy's denominator overflows.
-    4 n finite keeps NumPy's two numerator sums finite, each at most twice
-    n's larger component, and each component of 4 n times the scale finite
-    keeps their products with the scale below half the largest double.  A
-    nan or an infinity in either operand fails the test, and so do a
-    denominator near either end of the double range and a quotient near
-    the largest double.  A quotient that a Substitution or a row test
-    reads is made a Python complex, the same bits (complex.__complex__, or
-    complex() before Python 3.11); any other is a final value, which no
-    later operation meets.
-
-    A Substitution is Python's complex arithmetic throughout: a quotient
-    that one reads is made a Python complex first, and its division is
-    Python's, which raises ZeroDivisionError on a zero divisor, where
-    NumPy's would return an infinity.  A Substitution that reads an Array
-    or a later target raises ExprError at compile time.
+    A Substitution's division raises ZeroDivisionError on a zero divisor.
+    A Substitution that reads an Array or a later target raises ExprError
+    at compile time.
 
     A RowTest's value is the output it names, minus its input variable by
     Python's subtraction when it has one.  A kernel with row tests is
@@ -695,18 +595,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     it does not read, so a pole or a zero divisor in such an output is not
     raised where a row fails first.  A kernel with row tests is called as
     kernel(x, res) and on_list(x, res), and returns the index of the
-    first row that fails, counting the RowTests in target order.  The
-    test is rows_below's decision: the kernel itself passes a row whose
-    Python absolute a has ROW_TINY <= a < min(res (1 - ROW_BAND),
-    ROW_HUGE) and calls rows_below on every other row, and on a row whose
-    Python abs overflows (OverflowError, which nothing else in the kernel
-    raises: a complex sum, product or quotient gives an infinity, and a
-    power e >= 100 is NumPy's), where NumPy's absolute can be finite.
-    Python's abs
-    of a NumPy scalar is NumPy's absolute, so a quotient that a row test
-    reads is made a Python complex first, as for a Substitution.  A
-    RowTest that reads anything but an earlier RatExpr or Substitution,
-    or subtracts a variable out of range, raises ExprError at compile time.
+    first row that fails, counting the RowTests in target order.  A row
+    passes exactly where abs(v) < res, rows_below's decision: a nan fails,
+    and so does a row whose Python abs overflows (OverflowError, which
+    nothing else in the kernel raises).  A RowTest that reads anything but
+    an earlier RatExpr or Substitution, or subtracts a variable out of
+    range, raises ExprError at compile time.
 
     The same code generation emits the row tests, kernel.row_tests, one
     entry per RowTest by the index the kernel returns, each exec'd on its
@@ -720,19 +614,17 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     steps[i] by Python's complex arithmetic: the coordinate of NumPy's
     xs + SCALES[k] * steps, bit for bit but for the sign of a zero where
     the product underflows (NumPy's may be fused), which changes no
-    absolute.  Its quotients follow the kernel's rule, which raises and
-    warns about nothing, so a test can run where the kernel would have
-    stopped at an earlier row.  A zero denominator and
-    a zero Substitution divisor (ZeroDivisionError), which the kernel
-    would meet there too, fail that halving, and an overflowing abs goes
-    to rows_below, as in the kernel.  So a test skips a halving only
-    where the kernel fails a row or raises before returning its values.
+    absolute.  Its arithmetic raises and warns about nothing, so a test
+    can run where the kernel would have stopped at an earlier row.  A zero
+    denominator, a zero Substitution divisor (ZeroDivisionError) and an
+    overflowing abs, which the kernel would meet there too, fail that
+    halving.  So a test skips a halving only where the kernel fails a row
+    or raises before returning its values.
     A row has a test only where the test has at most half the lines that
     the kernel computes up to that row's decision, so that a test that
     passes costs little next to the kernel call that follows; the first
-    row the kernel decides never has one (None).  Nor has a row whose test
-    would read a power e >= 100, which is left to NumPy.  A kernel
-    without row tests keeps an empty row_tests.
+    row the kernel decides never has one (None).  A kernel without row
+    tests keeps an empty row_tests.
     The generated source, every function, names variables by index only and
     is kept on the kernel as `source`, the row tests last.
     """
@@ -742,7 +634,6 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     missing = set().union(*(e.variables() for e in exprs)) - set(idx)
     if missing:
         raise ExprError(f"unbound variables {sorted(missing)}")
-    read = set()
     tests = {}  # the index of a scalar output -> the RowTests that read it
     for k, t in enumerate(targets):
         operands = t.operands() if isinstance(t, Substitution) else (
@@ -750,15 +641,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         for i in operands:
             if not (0 <= i < k and isinstance(targets[i], (RatExpr, Substitution))):
                 raise ExprError(f"target {k} reads {i}, not an earlier scalar")
-        read.update(operands)
         if isinstance(t, RowTest):
             if t.minus is not None and not 0 <= t.minus < len(var_order):
                 raise ExprError(f"row test {k} subtracts variable {t.minus}, out of range")
             tests.setdefault(t.value, []).append(k)
 
-    namespace = {"PoleError": PoleError, "asarray": np.asarray, "zero": np.complex128(0j),
-                 "rows_below": rows_below, "divide": divide, "isfinite": isfinite,
-                 "scales": SCALES, "pycomplex": _PYCOMPLEX, "numpy_power": _numpy_power}
+    namespace = {"PoleError": PoleError, "asarray": np.asarray, "scales": SCALES}
     coefficients = {}
 
     def coefficient(c):
@@ -774,8 +662,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         once, at first use; a RowTest's line is its subtraction, if any.
         For a row test (loads a list) a variable's load is its coordinate
         at the halving k, x[i] + h * step[i] with h = SCALES[k], whose two
-        terms loads gets, a zero denominator goes on to the next halving
-        and a power e >= 100 raises _NoRowTest."""
+        terms loads gets, and a zero denominator goes on to the next
+        halving."""
         test = loads is not None
         loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
@@ -790,11 +678,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                         lines.append(f"x{i} = x[{i}]")
                 return f"x{i}"
             if (i, e) not in powers:
-                if e >= 100:
-                    if test:
-                        raise _NoRowTest
-                    value = f"numpy_power({power(i, 1)}, {e})"
-                elif e == 2:
+                if e == 2:
                     value = f"{power(i, 1)} * {power(i, 1)}"
                 elif e == 3:
                     value = f"{power(i, 1)} * {power(i, 2)}"
@@ -806,7 +690,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             return powers[i, e]
 
         def square(i, k):
-            """The name of x[i] squared k times over, as NumPy's binary method
+            """The name of x[i] squared k times over, as the binary method
             squares; x[i] ** 2 is its first square."""
             if k < 2:
                 return power(i, 1 + k)
@@ -820,7 +704,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                      for m, c in p.items()]
             return " + ".join([start] + terms)
 
-        def value(e, read=False):
+        def value(e):
             if e.is_polynomial:
                 return poly(e.num)
             key = tuple(e.den.items())  # equal terms in equal order sum to equal bits
@@ -832,20 +716,8 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 else:
                     namespace[f"{d}_text"] = _poly_str(e.den)
                     lines.append(f"if {d} == 0: raise PoleError({d}_text)")
-            d = denominators[key]
-            if set(e.num) == {()}:  # a constant numerator: its NumPy scalar and 4 n
-                n = coefficient(e.num[()])
-                namespace[f"{n}n"] = np.complex128(namespace[n])
-                namespace[f"{n}q"] = namespace[n] * 4
-                quotient, four = f"{n}n / {d}", f"{n}q"
-            else:
-                n = f"n{len(lines)}"  # a name no other numerator has
-                lines.append(f"{n} = {poly(e.num)}")
-                # zero + d is d: its zeros are +0.0
-                quotient, four = f"{n} / (zero + {d})", f"{n} * 4"
-            if read:
-                quotient = f"pycomplex({quotient})"
-            return f"{quotient} if isfinite({four} * (r := 1 / {d})) and r else divide({n}, {d})"
+            n = coefficient(e.num[()]) if set(e.num) == {()} else f"({poly(e.num)})"
+            return f"{n} / {denominators[key]}"
 
         def place(k):
             if k in placed:
@@ -866,7 +738,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
                 lines.append(f"v{k} = {step}")
                 return
             if isinstance(t, RatExpr):
-                lines.append(f"v{k} = {value(t, k in read)}")
+                lines.append(f"v{k} = {value(t)}")
                 return
             template = np.zeros(t.shape, dtype=complex)
             namespace[f"t{k}"] = template
@@ -886,30 +758,17 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         """The name of RowTest k's value."""
         return f"v{targets[k].value}" if targets[k].minus is None else f"v{k}"
 
-    bounds = [f"low = min(res * {1.0 - ROW_BAND!r}, {ROW_HUGE!r})"]
-
-    def passes(k):
-        """Whether RowTest k's row passes: rows_below's decision, with the
-        common case made here."""
-        return f"{ROW_TINY!r} <= abs({row(k)}) < low or rows_below(({row(k)},), res)"
-
     def row_test(k, j, limit):
         """The source of RowTest k's own test, row_test{j}, or "" where its
-        row would take more than half of limit lines, or reads a power
-        e >= 100."""
+        row would take more than half of limit lines."""
         body, loads = [], []
-        try:
-            emitter(body, loads)(k)
-        except _NoRowTest:
-            return ""
+        emitter(body, loads)(k)
         if 2 * len(body) > limit:
             return ""
-        lines = bounds + loads + [f"for k in range(k, {HALVINGS}):", "    h = scales[k]",
-                                  "    try:"]
-        lines += [f"        {line}" for line in body + [f"if {passes(k)}: return k"]]
-        lines += ["    except OverflowError:",
-                  f"        if rows_below(({row(k)},), res): return k",
-                  "    except ZeroDivisionError:", "        pass", f"return {HALVINGS}"]
+        lines = loads + [f"for k in range(k, {HALVINGS}):", "    h = scales[k]", "    try:"]
+        lines += [f"        {line}" for line in body + [f"if abs({row(k)}) < res: return k"]]
+        lines += ["    except (OverflowError, ZeroDivisionError):", "        pass",
+                  f"return {HALVINGS}"]
         return f"def row_test{j}(x, step, k, res):\n" + "".join(f"    {line}\n" for line in lines)
 
     lines, functions = [], []
@@ -917,9 +776,9 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
                else f"v{k}" for k, t in enumerate(targets)]
     rows = {k: j for j, k in enumerate(k for k, t in enumerate(targets) if isinstance(t, RowTest))}
-    # a decision, by rows_below also where Python's abs overflows
-    decision = ["try:", "    if not ({passes}): return {j}", "except OverflowError:",
-                "    if not rows_below(({row},), res): return {j}"]
+    # a decision: a row whose abs overflows fails too
+    decision = ["try:", "    if not abs({row}) < res: return {j}", "except OverflowError:",
+                "    return {j}"]
     decided = 0  # the lines of the decisions before the next
     # each test runs after only the outputs it reads, in the order of the
     # outputs it reads; what no test reads comes after the last
@@ -927,14 +786,12 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         for k in tests[i]:
             place(k)
             functions.append(row_test(k, rows[k], len(lines) - decided))
-            lines += [line.format(passes=passes(k), row=row(k), j=rows[k]) for line in decision]
+            lines += [line.format(row=row(k), j=rows[k]) for line in decision]
             decided += len(decision)
     for k in range(len(targets)):
         place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
     bound = ", res" if tests else ""
-    if tests:
-        lines = bounds + lines
     source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {result}\n"
     source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"

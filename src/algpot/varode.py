@@ -96,6 +96,7 @@ def _transport(ve: HypergeomVE, vertices) -> np.ndarray:
     p0 (m+2)(m+1) c_{m+2} = -[(p1 m + q0)(m+1) c_{m+1} + (m(m-1) + a1 m + b0) c_m].
     x sums the terms c_m h^m (h = z1 - z0), d sums m times them (h X'), and
     s is the largest; a series stops at two consecutive terms below eps/100 s.
+    A series whose terms leave double range gives an all-nan matrix.
     """
     a1, a0, b0 = float(ve.a1), float(ve.a0), float(ve.b0)
     tol = np.finfo(float).eps / 100
@@ -108,15 +109,18 @@ def _transport(ve: HypergeomVE, vertices) -> np.ndarray:
         u0, u1, xu, du, su = 1.0, 0.0, 1.0, 0.0, 1.0
         v0, v1, xv, dv, sv = 0.0, h, h, h, abs(h)
         m = 0
-        while max(abs(u0), abs(u1)) > tol * su or max(abs(v0), abs(v1)) > tol * sv:
-            den = p0 * (m + 2) * (m + 1)
-            alpha = -(p1 * m + q0) * (m + 1) * h / den
-            beta = -(m * (m - 1) + a1 * m + b0) * h * h / den
-            u0, u1 = u1, alpha * u1 + beta * u0
-            v0, v1 = v1, alpha * v1 + beta * v0
-            m += 1
-            xu, du, su = xu + u1, du + (m + 1) * u1, max(su, abs(u1))
-            xv, dv, sv = xv + v1, dv + (m + 1) * v1, max(sv, abs(v1))
+        try:
+            while max(abs(u0), abs(u1)) > tol * su or max(abs(v0), abs(v1)) > tol * sv:
+                den = p0 * (m + 2) * (m + 1)
+                alpha = -(p1 * m + q0) * (m + 1) * h / den
+                beta = -(m * (m - 1) + a1 * m + b0) * h * h / den
+                u0, u1 = u1, alpha * u1 + beta * u0
+                v0, v1 = v1, alpha * v1 + beta * v0
+                m += 1
+                xu, du, su = xu + u1, du + (m + 1) * u1, max(su, abs(u1))
+                xv, dv, sv = xv + v1, dv + (m + 1) * v1, max(sv, abs(v1))
+        except OverflowError:  # a term's abs: the series left double range
+            return np.full((2, 2), complex(math.nan, math.nan))
         du, dv = du / h, dv / h
         (a, b), (c, d) = (xu * a + xv * c, xu * b + xv * d), (du * a + dv * c, du * b + dv * d)
     return np.array([[a, b], [c, d]], dtype=complex)
@@ -199,12 +203,17 @@ def _resonance_guard(exponents):
 
 def monodromy_report(ve: HypergeomVE) -> MonodromyReport:
     """Continue around all three loops, compare eigenvalues with local exponents,
-    and verify the relation M0 M1 Minf = identity up to transport error."""
+    and verify the relation M0 M1 Minf = identity up to transport error.
+    A loop whose transported matrix is not finite (a large lambda overflows
+    the series) is skipped with that reason, and the relation's error is
+    inf wherever the product is not finite."""
     rep = MonodromyReport(k=ve.k, lam=complex(ve.lam))
     exponents = {"0": ve.exponents0, "1": ve.exponents1, "inf": ve.exponents_inf}
     rep.matrices = {name: monodromy_matrix(ve, name) for name in exponents}
     for name, exps in exponents.items():
         reason = _resonance_guard(exps)
+        if not np.isfinite(rep.matrices[name]).all():
+            reason = "the transported matrix is not finite"
         if reason is not None:
             rep.skipped[name] = reason
             rep.eigen_errors[name] = None
@@ -217,6 +226,7 @@ def monodromy_report(ve: HypergeomVE) -> MonodromyReport:
     # the order matching these basepoint/orientation conventions was fixed
     # against the numeric transport and is part of the contract
     m0, m1, minf = rep.matrices.values()
-    prod = minf @ m1 @ m0
-    rep.product_error = float(np.max(np.abs(prod - np.eye(2))))
+    with np.errstate(over="ignore", invalid="ignore"):  # read as inf below
+        error = float(np.max(np.abs(minf @ m1 @ m0 - np.eye(2))))
+    rep.product_error = error if math.isfinite(error) else math.inf
     return rep

@@ -2,8 +2,9 @@
 package's one producer of them, the trial kernel
 (PointCalculus.darboux_trial), is held to.  The variety kernel gives G,
 the point kernel gives grad V, and grad V - q is Python's subtraction;
-each group of rows is decided by NumPy's absolute, so no reference here
-reads the trial kernel or its row tests; jacobian, the Jacobian that the
+each group of rows is decided by the package's one row decision,
+Python's abs(v) < res (expr.rows_below), so no reference here reads the
+trial kernel or its row tests; jacobian, the Jacobian that the
 search builds, and hessian, the Hessian that it reports, read a trial's
 values, as the search does."""
 
@@ -11,22 +12,21 @@ import numpy as np
 
 from algpot import calculus
 from algpot.calculus import CriticalPointError
-from algpot.expr import PoleError
+from algpot.expr import PoleError, rows_below
 
 
 def unfused_trial(pc, xs, res):
     """A trial as separate steps: the variety kernel's G, its rows decided
-    by NumPy's absolute, then the point kernel and grad V - q, decided
-    likewise; None where a row fails or the point is refused, else
-    (rows, first)."""
+    by rows_below, then the point kernel and grad V - q, decided likewise;
+    None where a row fails or the point is refused, else (rows, first)."""
     try:
         g = pc._variety_kernel(xs)[0]
-        if not calculus._largest(g) < res:
+        if not rows_below(g.tolist(), res):
             return None
         point = pc._point_kernel
         first = point.on_list(xs)
         rows = [v - q for v, q in zip(first[point.grad], xs)]
-        if not calculus._largest(np.array(rows, dtype=complex)) < res:
+        if not rows_below(rows, res):
             return None
     except (CriticalPointError, PoleError):
         return None

@@ -89,6 +89,34 @@ def test_ve_monodromy_flag(capsys):
         assert mono["eigen_errors"][name] <= 1e-6
 
 
+@pytest.mark.parametrize("lam", ["4e4", "1e6", "1e8"])
+def test_ve_monodromy_on_a_large_eigenvalue_exits_zero(lam, capsys):
+    # at 4e4 the loops' matrices are finite and their product is not; at
+    # 1e6 the transported series leave double range, where the eigenvalue
+    # solve raised LinAlgError, and at 1e8 a term's abs overflows: each
+    # loop whose matrix is not finite is skipped with the reason, and the
+    # relation's error reads inf
+    code = main(["ve", "--k", "3", "--lambda", lam, "--monodromy"])
+    mono = json.loads(capsys.readouterr().out)["monodromy"]
+    assert code == 0 and mono["product_error"] == float("inf")
+    skipped = {name: "the transported matrix is not finite" for name in ("0", "1", "inf")}
+    assert mono["skipped"] == ({} if lam == "4e4" else skipped)
+    assert all((mono["eigen_errors"][name] is None) == (name in mono["skipped"])
+               for name in ("0", "1", "inf"))
+
+
+@pytest.mark.parametrize("command", ["check-table", "ve"])
+def test_an_exact_lambda_outside_double_range_is_a_usage_error(command, capsys):
+    # 10^400 and -10^400/3 are exact rationals without a double: refused
+    # while parsing, where the finiteness test of the double raised
+    # OverflowError with a traceback
+    for value in (str(10 ** 400), f"-{10 ** 400}/3"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--k", "3", f"--lambda={value}"])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --lambda: " in capsys.readouterr().err
+
+
 def test_simulate_cone(cone_file, capsys):
     code = main(["simulate", str(cone_file), "--q0", "0.6,0.8",
                  "--p0", "0.1,-0.2", "--w0", "1.0",

@@ -1,8 +1,6 @@
 """Exact rational expression arithmetic: algebraic laws and evaluation."""
 
-import struct
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +10,8 @@ from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
 from algpot.expr import (_PONE, HALVINGS, SCALES, Array, RowTest, Substitution, _padd, _pdiff,
-                         _pmul, _pneg, compile_arrays, divide)
+                         _pmul, _pneg, compile_arrays)
 from algpot.parsing import parse_expression
-
-from conftest import float_parts
 
 X = RatExpr.var("x")
 Y = RatExpr.var("y")
@@ -218,8 +214,8 @@ def test_division_by_zero_expression():
 
 
 def test_a_substitution_is_a_step_of_triangular_substitution():
-    # (x*y - 3 * 2/x) / (x + y): the quotient it reads becomes a Python
-    # complex first, so the step is Python's complex arithmetic throughout
+    # (x*y - 3 * 2/x) / (x + y): the quotient it reads is Python's 2 / x,
+    # and the step is Python's complex arithmetic throughout
     three, quotient = RatExpr.const(3), RatExpr.const(2) / X
     targets = [X * Y, three, quotient, X + Y, Substitution(0, ((1, 2),), 3),
                Substitution(4, ((1, 1), (0, 2)))]
@@ -227,7 +223,7 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
     x, y = 1.5 - 0.25j, -0.75 + 2j
     values = kernel([x, y])
     assert all(type(v) is complex for v in values)
-    assert values[2] == complex(np.complex128(2) / np.complex128(x))
+    assert values[2] == 2 / x
     step = (values[0] - values[1] * values[2]) / values[3]
     assert values[4] == step and values[5] == step - 9 - values[0] * values[2]
     # a zero divisor raises, where NumPy's division would give an infinity
@@ -241,7 +237,7 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
 
 
 def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
-    # rows x*y (a quotient's row is a Python complex) and (x + y) - y, each
+    # rows x*y/(x + 1) (Python's quotient) and (x + y) - y, each
     # tested right after the output it reads; a failing row returns its
     # index among the row tests, here 1 for x*y and 0 for (x + y) - y,
     # before the later outputs, so the pole of 1/(x - 1) is not reached
@@ -253,30 +249,24 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     values = kernel([x, y], 10.0)
     assert all(type(v) is complex for v in values[3:])
     assert values[3] == (x + y) - y and values[4] == values[0]
-    assert values[0] == complex(np.complex128(x * y) / np.complex128(x + 1))
+    assert values[0] == x * y / (x + 1)
     assert kernel.on_list([x, y], 10.0) == values
     # the bound is strict: a row equal to it fails, and so does a nan
     assert kernel([x, y], float(np.abs(values[0]))) == 1
-    with np.errstate(invalid="ignore"):  # NumPy's division by a nan
-        assert kernel([complex(np.nan, 0.0), y], np.inf) == 1
+    assert kernel([complex(np.nan, 0.0), y], np.inf) == 1
     with pytest.raises(PoleError):
         kernel([1.0, y], np.inf)
     assert kernel([1.0, y], 0.5) == 1  # x*y/(x+1) = -1 + 0.5j fails first
-    # the row (x + y) - y = x: where Python's abs of it overflows, NumPy's
-    # absolute decides, inf here, not below any bound, so the row fails and
-    # is named; but the largest double where Python's abs overflows too,
-    # which passes an infinite bound
+    # the row (x + y) - y = x: where Python's abs of it overflows, the row
+    # fails and is named, against an infinite bound too, also at the
+    # largest double, whose NumPy absolute is finite
     huge = complex(1.5e308, 1.5e308)
-    with pytest.raises(OverflowError):
-        abs(huge)
     edge = complex(np.finfo(float).max, 2.0 ** 998)
-    with pytest.raises(OverflowError):
-        abs(edge)
+    for v in (huge, edge):
+        with pytest.raises(OverflowError):
+            abs(v)
+        assert kernel([v, 0.0], np.inf) == 0
     assert np.abs(edge) == np.finfo(float).max
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert kernel([huge, 0.0], np.inf) == 0
-        assert isinstance(kernel([edge, 0.0], np.inf), tuple)
-        assert kernel([edge, 0.0], float(np.finfo(float).max)) == 0
     for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
                 [X, RowTest(0), RowTest(1)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
@@ -314,12 +304,12 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     passing = [k for k in range(HALVINGS) if abs((3.0 + SCALES[k] * step[0]).real) < 1.5]
     assert passing == [1, 2]
     assert [test([3.0, y], step, k, 1.5) for k in range(4)] == [1, 1, 2, HALVINGS]
-    # an overflowing abs is decided by NumPy's absolute, as in the kernel:
-    # inf rejects every halving, the largest double passes an infinite bound
+    # a row whose Python abs overflows fails, as in the kernel, even
+    # against an infinite bound where NumPy's absolute is the largest double
     assert test([complex(1.5e308, 1.5e308), 0.0], still, 0, np.inf) == HALVINGS
     edge = complex(np.finfo(float).max, 2.0 ** 998)
-    assert test([edge, y], still, 0, np.inf) == 0
-    assert test([edge, y], still, 0, float(np.finfo(float).max)) == HALVINGS
+    assert np.abs(edge) == np.finfo(float).max
+    assert test([edge, y], still, 0, np.inf) == HALVINGS
     # a test has the kernel's code for its row, its quotients by the
     # kernel's one rule, and a zero denominator goes on to the next
     # halving; a kernel without row tests keeps an empty row_tests
@@ -328,8 +318,7 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     pole = compile_arrays([cubes, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
                           ["x", "y"])
     assert pole.row_tests[0] is None and pole.row_tests[1] is not None
-    assert ("v1 = pycomplex(c1n / d0) if isfinite(c1q * (r := 1 / d0)) and r "
-            "else divide(c1, d0)") in pole.source.split("def row_test1")[1]
+    assert "v1 = c1 / d0" in pole.source.split("def row_test1")[1]
     assert "if d0 == 0: continue" in pole.source
     assert pole.row_tests[1]([1.0, 0.0], still, 0, 10.0) == HALVINGS
     # y = -1 + 2^-k: the zero denominator at k = 0 goes on to k = 1, where
@@ -361,25 +350,3 @@ def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
     values = kernel([x, y], 10.0)
     assert np.array(values[:2]).tobytes() == np.array(plain([x, y])).tobytes()
     assert values[2] == (x + y) - y
-
-
-def double_bits(v: float) -> bytes:
-    return struct.pack("<d", v)
-
-
-@settings(max_examples=2000, deadline=None)
-@given(float_parts(), float_parts(), float_parts(), float_parts())
-def test_divide_keeps_numpys_bits(ar, ai, br, bi):
-    # divide, a kernel's quotient where NumPy's division could raise a
-    # flag, is NumPy's complex division on Python floats: the same bits,
-    # zero divisors included, but for the sign of a nan, and no warning
-    # where NumPy's would warn
-    a, b = complex(ar, ai), complex(br, bi)
-    with np.errstate(all="ignore"):
-        expected = complex(a / np.complex128(b))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = divide(a, b)
-    assert type(got) is complex
-    for g, e in ((got.real, expected.real), (got.imag, expected.imag)):
-        assert (np.isnan(g) and np.isnan(e)) or double_bits(g) == double_bits(e)

@@ -1,9 +1,11 @@
 """The generated kernels of PointCalculus against the per-expression closure
 evaluator they replaced: equal bits on every output, the same PoleError
-where the closures raise one.  The kernels compute in Python complex and the
-closures in NumPy scalars, so the arithmetic itself is held to NumPy's on
-signed zeros, infinities, nans and subnormals too."""
+where the closures raise one.  Both compute in Python complex arithmetic,
+the kernels by straight-line code shared between outputs and the closures
+one expression at a time, so the kernels' order of operations and power
+rule are held on signed zeros, infinities, nans and subnormals too."""
 
+import cmath
 import math
 import re
 import warnings
@@ -11,12 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
-from algpot.expr import (HALVINGS, ZERO, PoleError, RatExpr, RowTest, Substitution,
-                         _numpy_power, compile_arrays)
+from algpot.expr import HALVINGS, ZERO, PoleError, RatExpr, RowTest, Substitution, compile_arrays
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
@@ -188,7 +189,7 @@ def test_denominators_are_shared_only_in_the_same_term_order():
 
 
 # ---------------------------------------------------------------------------
-# the kernels' Python-complex arithmetic against NumPy's scalars
+# the kernels' Python-complex arithmetic at special values
 # ---------------------------------------------------------------------------
 
 SPECIAL = [0.0, -0.0, 1.0, -1.5, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
@@ -206,7 +207,7 @@ def complexes():
 def same(a, b):
     """Equal bits, signs of zeros included, where any nan matches any nan:
     the sign a nan comes out with follows the operand order the C compiler
-    chose, in NumPy as in Python."""
+    chose."""
     a, b = complex(a), complex(b)
     return all((math.isnan(u) and math.isnan(v))
                or (u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
@@ -214,19 +215,6 @@ def same(a, b):
 
 
 X, Y = RatExpr.var("x"), RatExpr.var("y")
-QUOTIENT = (X / Y).compile(("x", "y"))
-
-
-@given(complexes(), complexes())
-@settings(max_examples=400, deadline=None)
-def test_sums_products_and_quotients_have_numpy_bits(a, b):
-    A, B, one = np.complex128(a), np.complex128(b), np.complex128(1)
-    with np.errstate(all="ignore"):
-        assert same(a + b, A + B)
-        assert same(a * b, A * B)
-        if b != 0:  # the kernel's terms are 1 * x and 1 * y
-            assert same(QUOTIENT(np.array([a, b])), (0j + one * A) / (0j + one * B))
-
 
 # constant numerators of the quotient sites: one whose quotients stay in
 # range, and one whose quotients overflow
@@ -239,9 +227,10 @@ def quotient_sites() -> dict:
     tests before its last decision (quotients its rows read, as the trial
     kernel's gradient) and after it (quotients no row reads, as the trial
     kernel's Hessians), and each row's own test.  Each site maps to f(a, b),
-    the list of its quotients at x = a, y = b, or None at a pole.  A row
-    test's quotient is the value it hands rows_below, which a row reaches
-    for every value against res = 0."""
+    the list of its quotients at x = a, y = b, or None at a pole.  The
+    kernels with row tests have abs replaced by a spy that passes every
+    row, so that a row that fails stops none of them: a row test's
+    quotient is the value the spy is handed."""
     quotients = [X / Y] + [RatExpr.const(c) / Y for c in CONSTANTS]
     rows = [RowTest(k) for k in range(len(quotients))]
     order = ("x", "y")
@@ -254,13 +243,13 @@ def quotient_sites() -> dict:
     assert tested.row_tests[0] is None and None not in tested.row_tests[1:]
     seen = []
 
-    def spy(rows, res):
-        """rows_below, passing every row: the value it is handed is kept."""
-        seen.append(rows[0])
-        return True
+    def spy(v):
+        """0.0 for abs(v), below every res > 0, keeping v."""
+        seen.append(v)
+        return 0.0
 
     for kernel in (before, tested):
-        kernel.on_list.__globals__["rows_below"] = spy
+        kernel.on_list.__globals__["abs"] = spy  # the row tests' namespace too
 
     def values(kernel, *args, at=slice(None)):
         try:
@@ -271,31 +260,44 @@ def quotient_sites() -> dict:
     def row_tests(a, b):
         seen.clear()
         for test in tested.row_tests[1:]:  # the last halving, with no step
-            assert test([a, b], [0j, 0j], HALVINGS - 1, 0.0) in (HALVINGS - 1, HALVINGS)
+            assert test([a, b], [0j, 0j], HALVINGS - 1, 1.0) in (HALVINGS - 1, HALVINGS)
         return seen[:] or None  # a pole goes on to the next halving
 
     return {"plain": lambda a, b: values(plain, [a, b]),
-            "before the last decision": lambda a, b: values(before, [a, b], 0.0, at=slice(3)),
+            "before the last decision": lambda a, b: values(before, [a, b], 1.0, at=slice(3)),
             "after the last decision": lambda a, b: values(after, [a, b], np.inf, at=slice(2, None)),
             "row test": row_tests}
 
 
 QUOTIENT_SITES = quotient_sites()
 
-
-def numpy_quotients(a, b):
-    """NumPy's x / y and c / y for each of CONSTANTS, each operand summed
-    onto 0j as a kernel sums it, or None where y's sum is zero."""
-    one = np.complex128(1)
-    with np.errstate(all="ignore"):
-        d = 0j + one * np.complex128(b)
-        numerators = [0j + one * np.complex128(a)] + [np.complex128(c) for c in CONSTANTS]
-        return None if d == 0 else [n / d for n in numerators]
+# operands at the edges of the double range: 1.5e308 (1 + i) and 1e-310
+# overflow or underflow a scaled division, and 1.7803788330245468e+308 /
+# 0.9903685999006193 is the largest double by Python's division, where a
+# product with the reciprocal overflows
+EDGE_NUMERATORS = [1e308, complex(1.5e308, -1.5e308), 1.7803788330245468e+308, 0.75 - 0.5j, 0j]
+EDGE_DENOMINATORS = [complex(1.5e308, 1.5e308), 1e-310, 5e-324, complex(1e-310, -2e-320),
+                     0.9903685999006193, 1.5e308, -0.5 + 2j, 0j]
 
 
-def check_quotient_sites(a, b):
-    # every site's quotients are NumPy's, bit for bit, and none warns
-    expected = numpy_quotients(a, b)
+def reference_quotients(a, b):
+    """x / y and c / y for each of CONSTANTS by the closure reference, or
+    None at a pole."""
+    try:
+        return [reference_compile(q, ("x", "y"))([a, b])
+                for q in [X / Y] + [RatExpr.const(c) / Y for c in CONSTANTS]]
+    except PoleError:
+        return None
+
+
+@given(st.one_of(complexes(), st.sampled_from(EDGE_NUMERATORS)),
+       st.one_of(complexes(), st.sampled_from(EDGE_DENOMINATORS)))
+@example(1.7803788330245468e+308 + 0j, 0.9903685999006193 + 0j)
+@settings(max_examples=400, deadline=None)
+def test_every_quotient_site_has_numpy_bits_and_no_warning(a, b):
+    # every site's quotients are the closure reference's, Python's n / d
+    # of the sums onto 0j, bit for bit, and none warns
+    expected = reference_quotients(a, b)
     for site, f in QUOTIENT_SITES.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -303,95 +305,72 @@ def check_quotient_sites(a, b):
         assert (got is None) == (expected is None), (site, a, b)
         if got is not None:
             assert all(same(g, e) for g, e in zip(got, expected)), (site, a, b, got, expected)
-
-
-@given(complexes(), complexes())
-@settings(max_examples=400, deadline=None)
-def test_every_quotient_site_has_numpy_bits_and_no_warning(a, b):
-    check_quotient_sites(a, b)
-
-
-# operands where NumPy's division raises a flag: 1.5e308 (1 + i) overflows
-# NumPy's br + bi * (bi / br), 1e-310 and below its reciprocal scale;
-# NumPy's 1.7803788330245468e+308 / 0.9903685999006193 multiplies by the
-# reciprocal and overflows, where Python's division gives the largest double
-EDGE_NUMERATORS = [1e308, complex(1.5e308, -1.5e308), 1.7803788330245468e+308, 0.75 - 0.5j, 0j]
-EDGE_DENOMINATORS = [complex(1.5e308, 1.5e308), 1e-310, 5e-324, complex(1e-310, -2e-320),
-                     0.9903685999006193, 1.5e308, -0.5 + 2j, 0j]
-
-
-def test_quotient_sites_at_the_edges_of_numpys_division():
-    assert complex(1.7803788330245468e+308) / 0.9903685999006193 == np.finfo(float).max
-    for a in EDGE_NUMERATORS:
-        for b in EDGE_DENOMINATORS:
-            check_quotient_sites(a, b)
-
-
-def test_quotients_are_numpys_division_where_pythons_differs():
-    # Python divides by the denominator rather than by NumPy's reciprocal
-    # scale, so a kernel's quotient must be NumPy's division
-    rng = np.random.default_rng(0)
-    draws = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-    differ = sum(complex(a) / complex(b) != a / b for a, b in draws)
-    assert differ > 400
-    assert all(same(QUOTIENT(point), point[0] / point[1]) for point in draws)
+    if (a, b) == (1.7803788330245468e+308, 0.9903685999006193):
+        assert expected[0] == np.finfo(float).max
 
 
 def evaluated(f, point):
     """("value", f(point)), or ("pole", None) where f raises PoleError."""
     try:
-        with np.errstate(all="ignore"):
-            return "value", f(point)
+        return "value", f(point)
     except PoleError:
         return "pole", None
 
 
-@given(complexes(), complexes(), st.integers(2, 120), st.integers(1, 99))
-@settings(max_examples=300, deadline=None)
-def test_kernel_powers_and_quotients_match_numpy_scalars(x, y, e, f):
-    # x ** e through NumPy's binary method for e < 100 and NumPy's own power
-    # beyond; at a zero base the two differ only in signs that the sum onto
-    # 0j clears
-    point = np.array([x, y], dtype=complex)
-    for t in (X ** e, 3 * X ** e * Y - Y ** f, (X ** e + 2) / (Y ** f - X), Y / X ** e):
-        kind, got = evaluated(t.compile(("x", "y")), point)
-        ref_kind, expected = evaluated(reference_compile(t, ("x", "y")), point)
-        assert kind == ref_kind and (kind == "pole" or same(got, expected)), (str(t), x, y)
-
-
-# bases of a power e >= 100: finite ones, 1e10, whose 120th power
-# overflows, and every pair of the special parts above
+# bases of a large power: finite ones, 1e10, whose 120th power overflows,
+# and every pair of the special parts above
 POWER_BASES = [0.75 - 0.5j, 1.0001 + 0j, -1.5 + 0.25j, 1e10 + 0j, -1e10 + 0j,
                complex(1e10, 1e10), complex(0.0, -1e10)]
 POWER_BASES += [complex(a, b) for a in SPECIAL for b in SPECIAL]
 
 
-def word_bits(v: complex) -> bytes:
-    """The bits of both components of v, the signs and payloads of nans
-    included."""
-    return np.array([v], dtype=complex).tobytes()
-
-
-@pytest.mark.parametrize("e", [100, 120, 255])
-def test_a_power_left_to_numpy_has_its_bits_and_no_warning(e):
-    # a power e >= 100 is NumPy's cdouble(x) ** e (expr._numpy_power), bit
-    # for bit, without the warning NumPy raises where it overflows (1e10 **
-    # 120) or meets an infinity or a nan; a kernel that reads one computes
-    # it there and evaluates as the closure reference does, warning about
-    # nothing
-    kernel = (X ** e + Y ** 2).compile(("x", "y"))
-    assert f"numpy_power(x0, {e})" in kernel.source
-    reference = reference_compile(X ** e + Y ** 2, ("x", "y"))
-    overflowed = 0
-    for x in POWER_BASES:
-        with np.errstate(all="ignore"):
-            expected = np.complex128(x) ** e
-            closure = reference(np.array([x, 0.5]))
+@given(st.one_of(complexes(), st.sampled_from(POWER_BASES)), complexes(),
+       st.integers(2, 255), st.integers(1, 99))
+@settings(max_examples=300, deadline=None)
+def test_kernel_powers_and_quotients_match_numpy_scalars(x, y, e, f):
+    # x ** e by the binary method for every e >= 2, sums, products and
+    # quotients: the closure reference's bits, without a warning
+    point = np.array([x, y], dtype=complex)
+    for t in (X ** e, 3 * X ** e * Y - Y ** f, (X ** e + 2) / (Y ** f - X), Y / X ** e):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _numpy_power(x, e)
+            kind, got = evaluated(t.compile(("x", "y")), point)
+        ref_kind, expected = evaluated(reference_compile(t, ("x", "y")), point)
+        assert kind == ref_kind and (kind == "pole" or same(got, expected)), (str(t), x, y)
+
+
+def test_a_large_power_is_the_binary_method_without_a_warning():
+    # q1^120 is the product of the repeated squares x^8, x^16, x^32, x^64
+    # that 120's bits select, at every base of POWER_BASES the closure
+    # reference's bits, and warns about nothing where it overflows
+    kernel = (X ** 120 + Y ** 2).compile(("x", "y"))
+    assert "x0_120 = (1+0j) * x0_s3 * x0_s4 * x0_s5 * x0_s6" in kernel.source
+    assert "**" not in kernel.source
+    reference = reference_compile(X ** 120 + Y ** 2, ("x", "y"))
+    overflowed = 0
+    for x in POWER_BASES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value = kernel(np.array([x, 0.5]))
-        assert type(got) is complex and word_bits(got) == word_bits(expected), (x, e)
-        assert same(value, closure), (x, e)
-        overflowed += bool(np.isfinite(x)) and not np.isfinite(expected)
+        assert same(value, reference([x, 0.5])), x
+        overflowed += cmath.isfinite(x) and not cmath.isfinite(value)
     assert overflowed > 10
+
+
+def test_no_kernel_reaches_numpy_arithmetic():
+    # a kernel computes in Python complex alone: neither its source nor its
+    # namespace names NumPy's division, power or scalars, or a finiteness
+    # pre-test; NumPy makes only its input list and its arrays
+    gone = ("divide", "numpy_power", "pycomplex", "zero", "isfinite")
+    kernels = [compile_arrays([X / Y, RatExpr.const(2) / Y, X ** 120 * Y, RowTest(0), RowTest(1)],
+                              ("x", "y"))]
+    for name in sorted(SETUPS):
+        pc = PointCalculus(SETUPS[name]())
+        pc.compile_analysis_kernels()
+        kernels += [pc._variety_kernel, pc._trial_kernel.kernel, pc._point_kernel.kernel,
+                    pc._v_kernel, pc._det_kernel]
+    assert any(test is not None for kernel in kernels for test in kernel.row_tests)
+    for kernel in kernels:
+        # the row tests share the kernel's namespace
+        assert not set(re.findall(r"\w+", kernel.source)) & set(gone)
+        assert not kernel.on_list.__globals__.keys() & set(gone)

@@ -33,6 +33,44 @@ def test_recall_compare_exits_1_when_a_row_differs(tmp_path):
     assert recall_sweep.main(["--compare", str(paths[0]), str(paths[2])]) == 1
 
 
+def test_recall_parent_sweeps_both_trees_and_exits_1_when_a_row_differs(monkeypatch, capsys):
+    # --parent exports the revision, runs this script's sweep in its tree
+    # and in this checkout with the same seeds, compares the two and
+    # removes the exported tree, also when a run fails
+    recall_sweep = load_script("recall_sweep")
+    scratch, runs, accepted = [], [], {}
+
+    def export_tree(rev, into):
+        scratch.append(into)
+        (into / "tree").mkdir()
+        return into / "tree"
+
+    def run_tree(tree, script, args):
+        runs.append((tree, Path(script).name, args[:2]))
+        Path(args[3]).write_text(json.dumps(sweep(accepted[tree == recall_sweep.ROOT])),
+                                 encoding="utf-8")
+        return []
+
+    monkeypatch.setattr(recall_sweep, "export_tree", export_tree)
+    monkeypatch.setattr(recall_sweep, "run_tree", run_tree)
+    accepted.update({False: 1, True: 1})
+    assert recall_sweep.main(["--parent", "HEAD", "--seeds", "0-2"]) == 0
+    assert runs == [(scratch[0] / "tree", "recall_sweep.py", ["--seeds", "0-2"]),
+                    (recall_sweep.ROOT, "recall_sweep.py", ["--seeds", "0-2"])]
+    assert capsys.readouterr().out.endswith("total accepted: 1 -> 1; 0 rows differ\n")
+    accepted[True] = 2
+    assert recall_sweep.main(["--parent", "HEAD"]) == 1
+    assert capsys.readouterr().out.endswith("total accepted: 1 -> 2; 1 rows differ\n")
+
+    def failed_run(tree, script, args):
+        raise SystemExit(f"recall_sweep.py: the run in {tree} failed (exit 1)")
+
+    monkeypatch.setattr(recall_sweep, "run_tree", failed_run)
+    with pytest.raises(SystemExit, match="failed"):
+        recall_sweep.main(["--parent", "HEAD"])
+    assert len(scratch) == 3 and not any(path.exists() for path in scratch)
+
+
 def fake_run(tmp_path, lines, code):
     """A tree whose bench/run.py prints lines and exits with code."""
     text = "\n".join(lines)
