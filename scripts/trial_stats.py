@@ -6,21 +6,28 @@
 
 Runs `analyze` once on each problem of the benchmark's `nbody-hunt` and
 `small-corpus` workloads at each hunt seed, and prints one line per
-analysis with its line-search trials (every trial of `darboux._newton`
-after a start's own point) by the outcome that ended each:
+analysis with its line-search trials (every halving that `darboux._newton`
+tries after a start's own point) by the outcome that ended each:
 
     test     rejected by the row test that the search runs first
-             (PointCalculus.row_tests), before any call of the trial kernel:
+             (PointCalculus.row_tests), before the trial kernel's call:
              one trial per halving that the test's scan skips
-    G, grad  rejected by the trial kernel at a row of G or of grad V - q
+    scan     rejected inside the trial kernel's scan
+             (PointCalculus.darboux_trial), which goes on to the next
+             halving: at a row without a test of its own, at a pole or
+             where J is refused; one trial per halving it skips
+    G, grad  rejected at a row of G or of grad V - q that has its own
+             test, where the kernel returns
     pin      rejected at a pin row, after the kernel's rows passed
-    refused  rejected at a pole or where J is refused
     passed   accepted: the step moved there
 
 then the totals of each workload at each hunt seed.  The search is wrapped
 from here, as scripts/output_digest.py wraps it: `_newton`, and the
 calculus's `darboux_trial`, `darboux_system` and `row_tests`; a call made
-outside `_newton` is not a trial.  Each
+outside `_newton` is not a trial.  A revision whose `darboux_trial`
+decides one trial point per call, darboux_trial(xs, res), is counted into
+the same columns: a trial rejected at a row without a test, at a pole or
+where J is refused is a `scan` one there.  Each
 problem's PointCalculus is built once, by the workload's set-up, and passed
 to `analyze` at every hunt seed.  The problems and options are read from
 bench/, which this script does not change; algpot is imported from the
@@ -46,7 +53,7 @@ import workloads  # noqa: E402
 from algpot.calculus import PointCalculus  # noqa: E402
 from output_digest import ANALYZE_WORKLOADS, compare, run_tree, run_with_calculus  # noqa: E402
 
-OUTCOMES = ("test", "G", "grad", "pin", "refused", "passed")
+OUTCOMES = ("test", "scan", "G", "grad", "pin", "passed")
 
 
 class TrialCounter:
@@ -79,22 +86,29 @@ class TrialCounter:
                 self._settle("pin")
                 self._inside = False
 
-        def counted_trial(pc, xs, res):
+        def counted_trial(pc, *args):
             if not self._inside:
-                return trial(pc, xs, res)
+                return trial(pc, *args)
             self._settle("pin")
             start, self._start = self._start, False
             try:
-                out = trial(pc, xs, res)
-            except ArithmeticError:  # a pole, or a refused J
+                out = trial(pc, *args)
+            except ArithmeticError:  # a pole, or a refused J, one trial per call
                 if not start:
-                    self.counts["refused"] += 1
+                    self.counts["scan"] += 1
                 raise
             if start:
                 return out
-            if isinstance(out, int):
-                self.counts["grad" if out < pc.n else "G"] += 1
-            else:
+            if len(args) == 4:  # (k, rows and values, a row, or None) from k on
+                found, skipped = out[1], out[0] - args[2]
+            else:  # a row, or rows and values, at one trial point
+                found, skipped = out, 0
+                if isinstance(out, int) and pc.row_tests[out] is None:
+                    found, skipped = None, 1
+            self.counts["scan"] += skipped
+            if isinstance(found, int):
+                self.counts["grad" if found < pc.n else "G"] += 1
+            elif found is not None:
                 self._pending = pc
             return out
 
@@ -104,7 +118,7 @@ class TrialCounter:
             try:
                 out = system(pc, *args)
             except ArithmeticError:  # a revision whose Jacobian calls a kernel
-                self._settle("refused")
+                self._settle("scan")
                 raise
             self._settle("passed")
             return out

@@ -30,12 +30,14 @@ ch. 8), so it replaces an LU solve; the tests hold it to NumPy's solve
 within a relative bound.  A zero diagonal entry of J, a non-finite entry
 of J or a non-finite u is refused as critical on every call: an infinite
 entry can leave a finite, meaningless u.  The one u per point serves the
-gradient, the Newton Jacobian and the Hessian.  A Darboux search trial is
-one call of one more kernel (PointCalculus.darboux_trial): G, then the
-point kernel's values, each row of G and of grad V - q tested against
-the search's current residual as soon as it is computed (expr.RowTest),
-so a trial that fails stops at its first failing row, then the Hessians
-of V and of G.  It is the one producer of the Darboux residual's rows,
+gradient, the Newton Jacobian and the Hessian.  A Darboux line search's
+trials are one call of one more kernel (PointCalculus.darboux_trial),
+which scans the halvings of the step itself: at each, G, then the point
+kernel's values, each row of G and of grad V - q tested against the
+search's current residual as soon as it is computed (expr.RowTest), so
+a halving that fails stops at its first failing row, then the check of
+J and u, then the Hessians of V and of G; a refused halving is skipped
+inside the call.  It is the one producer of the Darboux residual's rows,
 and a point is evaluated there once: the calculus keeps nothing per
 point, and the search passes a trial's values to its Jacobian
 (darboux_system) and, for the trial that ended a start, to the
@@ -150,7 +152,7 @@ def _largest(rows) -> float:
     probe's convergence tests read, a Darboux candidate's reported
     residuals and the hunt's deduplication.  The Darboux search decides its
     rows, and takes its residual, by Python's abs instead (expr.rows_below,
-    darboux._trial), one absolute for both.  The ufunc's own reduce skips
+    darboux._accepted), one absolute for both.  The ufunc's own reduce skips
     ndarray.max's Python wrapper, a third of the test's cost on these few
     rows."""
     return float(np.maximum.reduce(np.abs(rows), initial=0.0))
@@ -225,31 +227,34 @@ class PointKernel(NamedTuple):
 
 class TrialKernel(NamedTuple):
     """A Darboux search trial's kernel (PointCalculus._trial_kernel) and
-    where its values sit.  kernel.on_list(xs, res) tests each row of G
-    and then each row of grad V - q against res (expr.RowTest), computing
-    before each test only the values of G and of the point kernel
-    (PointKernel) that it reads and that are not yet computed, and returns
-    the index in rows of the first that fails; the values that no row
-    reads come after the last test, the Hessians last, so a trial that
-    fails evaluates no Hessian.  kernel.row_tests holds, by the same
-    index, the kernel's test of each row alone, which scans the search's
-    halvings x + 2^-k step from a given k on and returns the first at
-    which the row passes (expr.RowTest), or None where the test would save
-    too little of the kernel's code; the row the kernel decides first, G's
-    first (grad V's without generators), never has one
-    (expr.compile_arrays).  PointCalculus.darboux_trial calls
-    kernel.on_list itself and refuses J as PointKernel.on_list does.  The
-    values sit at:
+    where its values sit.  kernel.on_list(xs, steps, k, res) scans the
+    line search's halvings k, k + 1, ... below HALVINGS, each the point
+    xs + 2^-k steps, coordinate by coordinate (expr.compile_arrays).  At
+    each it tests each row of G and then each row of grad V - q against
+    res (expr.RowTest), computing before each test only the values of G
+    and of the point kernel (PointKernel) that it reads and that are not
+    yet computed; then J's entries and u, which must be finite (an
+    infinite entry can leave a finite, meaningless u); the Hessians last,
+    so a halving that fails evaluates no Hessian.  A row without a test of
+    its own that fails, a pole, a zero diagonal entry of J, an abs that
+    overflows and a J or u that is not finite each move the scan on to the
+    next halving.  It returns (k, j) at the first halving where a row j
+    that has its own test fails, (k, values) at the first where every row
+    passes, with the kernel's values in target order, and (HALVINGS, None)
+    where no halving is left.  kernel.row_tests holds, by the same index
+    j, each row's own test, which scans the same halvings and returns the
+    first at which its row passes (expr.RowTest), or None where the test
+    would save too little of the kernel's code; the row the kernel decides
+    first, G's first (grad V's without generators), never has one.
+    PointCalculus.darboux_trial calls kernel.on_list.  The values sit at:
 
     rows:      the m = n + s residual rows (grad V - q, G), in order
     first:     the point kernel's values, as PointKernel indexes them, then
-               V's Hessian (N x N) and the generators' (s x N x N)
-    checked:   J's entries and u, as PointKernel.checked"""
+               V's Hessian (N x N) and the generators' (s x N x N)"""
 
     kernel: Callable
     rows: slice
     first: slice
-    checked: slice
 
 
 def _forward(J, diagonal, b, coupled) -> np.ndarray:
@@ -367,8 +372,9 @@ class PointCalculus:
     substitution, which the Darboux numerics and the flow
     (dynamics) both read; the trial kernel, G and the point kernel's
     targets with the Darboux residual's rows tested as they are computed,
-    then both Hessians, V's (N x N) and the generators' (s x N x N), one
-    call per search trial and the one producer of those rows
+    then both Hessians, V's (N x N) and the generators' (s x N x N),
+    which scans a line search's halvings in one call, and the one producer
+    of those rows
     (darboux_trial, TrialKernel); the potential's value; and detJ, for the
     flow's stop events in dynamics.  pipeline.analyze compiles the variety
     and trial kernels before it evaluates anything
@@ -536,12 +542,13 @@ class PointCalculus:
         generators, then the point kernel's targets, each Substitution
         reading the same outputs s places later, then both Hessians, V's
         and the generators', then a RowTest per residual row, grad V - q
-        (the gradient's output minus q_k) and G.  compile_arrays emits it
-        in demand order: the generators come first, so G's rows are
-        decided before the point kernel's first line, each gradient row
-        after only the quotients, adjoint entries and entries of
-        B = dG/dq that it reads, and the Hessians, which no row reads,
-        after the last decision."""
+        (the gradient's output minus q_k) and G, with J's entries and u
+        checked finite (PointKernel.checked).  compile_arrays emits it in
+        demand order: the generators come first, so G's rows are decided
+        before the point kernel's first line, each gradient row after
+        only the quotients, adjoint entries and entries of B = dG/dq that
+        it reads, and the Hessians, which no row reads, after the last
+        decision and the finite check."""
         s, N = self.s, self.N
         point = self._point_layout
         targets = list(self.setup.generators)
@@ -553,9 +560,9 @@ class PointCalculus:
         targets += [RowTest(s + i, k) for k, i in enumerate(range(point.grad.start,
                                                                    point.grad.stop))]
         targets += [RowTest(a) for a in range(s)]
-        return TrialKernel(compile_arrays(targets, self.setup.var_names), rows=slice(r0, None),
-                           first=slice(s, r0),
-                           checked=slice(s + point.checked.start, s + point.checked.stop))
+        checked = range(s + point.checked.start, s + point.checked.stop)
+        return TrialKernel(compile_arrays(targets, self.setup.var_names, finite=checked),
+                           rows=slice(r0, None), first=slice(s, r0))
 
     def compile_analysis_kernels(self):
         """Compiles the two kernels that an analysis may evaluate: the
@@ -582,33 +589,31 @@ class PointCalculus:
         """The largest |G| at x (_largest), 0 without generators."""
         return _largest(self._variety_kernel(x)[0])
 
-    def darboux_trial(self, xs, res: float):
-        """A Darboux search trial at xs, a list of Python complex in
-        variable order, against the current residual res: the index of the
-        first row of F = (grad V - q, G) whose Python absolute is not below
-        res, in the order the trial kernel (TrialKernel) decides them, else
-        (rows, first), the residual rows F, zero exactly at Darboux
-        candidates, and the point's values (TrialKernel.first): the point
-        kernel's values, then the Hessians.  One call of the trial kernel,
-        which stops at the first row that fails (expr.rows_below), having
-        computed only what the rows up to it read; against res = inf every
-        finite row passes.  J's entries and u are checked only when every
-        row has passed, here, as PointKernel.on_list checks them; raises
-        CriticalPointError and PoleError as grad does, but only where the
-        kernel reaches the pole or J's zero diagonal entry: a row that
-        fails first returns its index.  The search's one trial entry
-        (darboux._trial), and the one producer of the rows and of every
+    def darboux_trial(self, xs, steps, k: int, res: float) -> tuple:
+        """The Darboux line search's trials from the halving k on: the
+        points xs + 2^-k steps, xs and steps lists of Python complex in
+        variable order, against the current residual res.  One call of the
+        trial kernel (TrialKernel), which scans the halvings itself and
+        computes each coordinate it reads as xs[i] + SCALES[k] * steps[i].
+        Returns (k, (rows, first)) at the first halving where every row of
+        F = (grad V - q, G), zero exactly at Darboux candidates, has a
+        Python absolute below res, with the rows and the point's values
+        (TrialKernel.first): the point kernel's values, then the Hessians.
+        Returns (k, j) at the first halving where a row j that has its own
+        test (row_tests) fails first, and (HALVINGS, None) where no halving
+        is left.  A halving where a row without a test fails, or where the
+        kernel meets a pole, J's zero diagonal entry, an abs that
+        overflows or a J or u that is not finite, is skipped inside the
+        call.  Against res = inf every finite row passes; with steps all
+        expr.STAY and k = HALVINGS - 1 it is the one trial at xs itself,
+        reading its coordinates bit for bit.  The search's one trial entry
+        (darboux._newton), and the one producer of the rows and of every
         Hessian that the search reports."""
         trial = self._trial_kernel
-        try:
-            values = trial.kernel.on_list(xs, res)
-        except ZeroDivisionError:
-            raise CriticalPointError(SINGULAR) from None
-        if not isinstance(values, tuple):
-            return values
-        if not all(map(isfinite, values[trial.checked])):
-            raise CriticalPointError(SINGULAR)
-        return values[trial.rows], values[trial.first]
+        k, values = trial.kernel.on_list(xs, steps, k, res)
+        if isinstance(values, tuple):
+            return k, (values[trial.rows], values[trial.first])
+        return k, values
 
     @property
     def row_tests(self) -> tuple:

@@ -6,10 +6,11 @@ and anything inside the critical set of the potential.  Solutions can come
 in positive-dimensional families, so the Newton iteration uses least-squares
 steps and candidates are deduplicated rather than assumed isolated.  The
 residual rows grad V - q and G come from one place, the calculus's trial
-kernel (PointCalculus.darboux_trial): each Newton trial reads them against
-the current residual, and a candidate's reported residuals and Hessian
-are those of the trial that ended its start, so no point is evaluated
-after the search.
+kernel (PointCalculus.darboux_trial): each line search is one call of it,
+which scans the halvings of the Newton step against the current residual
+and returns the first whose rows pass, and a candidate's reported
+residuals and Hessian are those of the trial that ended its start, so no
+point is evaluated after the search.
 
 Rejection is conservative: a candidate is discarded when a short Newton
 probe finds an actual critical point within a small radius, not merely when
@@ -26,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import CriticalPointError, NewtonSystem, PointCalculus, _largest, _lstsq
-from .expr import HALVINGS, SCALES, PoleError, rows_below
+from .calculus import NewtonSystem, PointCalculus, _largest, _lstsq
+from .expr import HALVINGS, SCALES, STAY, rows_below
 
 ORIGIN_TOL = 1e-8
 BASE_PROJECTION_TOL = 1e-8
@@ -61,35 +62,19 @@ class DarbouxResult:
     failed_starts: int = 0
 
 
-def _trial(pc: PointCalculus, x, xs, pins, res: float, system: NewtonSystem):
-    """(r, first) when every row of x's residual F is below res, r the
-    largest of their Python absolutes, with the trial's values `first`
-    (darboux_trial); else the index of the row of F that failed in the
-    trial kernel, or None where no row is named: a pin row fails or the
-    point is refused.  The trial runs on Python complex: xs is x as a list,
-    and one call of the trial kernel (PointCalculus.darboux_trial) decides
-    each row of G and of grad V - q against res after computing only the
-    values it reads, stopping at the first that fails.  Only a trial whose
-    kernel rows pass computes its pin rows pins @ x, which NumPy computes,
-    and decides them (expr.rows_below).  Every row is decided by Python's
-    abs(v) < res, and r is the largest of the same absolutes, so the next
-    trial's rows are compared with the absolute that they are decided by.
-    The order of the decisions cannot change the outcome: a row that fails,
-    a pole (PoleError) and a refused J (CriticalPointError) each reject the
-    trial, and only the kernel call raises.  Only a trial whose every row
-    passes writes its rows to the start's system (PointCalculus.newton_system)
-    as F and writes its Jacobian through the system's views
-    (darboux_system) from the first derivatives and Hessians the kernel
-    gave; a trial that fails leaves F and the Jacobian whole.  Each row
-    written to F passed rows_below, which fails an infinite or nan row, so
-    F is finite.  A point off the domain (singular fiber, potential pole)
-    fails."""
-    try:
-        out = pc.darboux_trial(xs, res)
-    except (CriticalPointError, PoleError):
-        return None
-    if not isinstance(out, tuple):
-        return out
+def _accepted(pc: PointCalculus, x, out, pins, res: float, system: NewtonSystem):
+    """(r, first) for the trial point x, NumPy's array, whose kernel rows
+    and values out = (rows, first) the trial kernel accepted against res
+    (PointCalculus.darboux_trial), when its pin rows pins @ x, which NumPy
+    computes, pass too (expr.rows_below); else None.  r is the largest
+    Python absolute of all its rows, the absolute that decides them, so
+    the next trial's rows are compared with the absolute that they are
+    decided by.  The accepted trial writes its rows to the start's system
+    (PointCalculus.newton_system) as F and its Jacobian through the
+    system's views (darboux_system) from the first derivatives and
+    Hessians the kernel gave; a trial whose pin rows fail leaves F and the
+    Jacobian whole.  Each row written to F passed rows_below, which fails
+    an infinite or nan row, so F is finite."""
     rows, first = out
     if pins is not None:
         lin = (pins @ x).tolist()
@@ -109,42 +94,47 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     F = (grad V - q, G, pins @ x) is below the current one or at most
     conv_tol; while the search runs the current residual exceeds conv_tol,
     so that is every row's Python absolute below the current residual, and
-    the residual is the largest of those absolutes (_trial).  The start
-    point is a trial against res = inf.  The trial at the halving k is the
-    point x + 2^-k step (expr.SCALES), k < 30 (expr.HALVINGS).  A trial is one call of the trial kernel, which
-    decides the rows of G and of grad V - q as it computes them; the pin
-    rows are decided last.
-    The trial point, built only for a trial that reaches the kernel, and
-    its pin rows are NumPy's; every other value of a trial is a Python
-    complex, and only an accepted trial fills F, and keeps its list as
-    the iterate's, which the row tests read.
-    Trials are rejected before that call while the row that rejected the
-    last rejected trial of this start fails again: the search keeps that
-    row's test (PointCalculus.row_tests), from one step to the next, and
-    runs it first.  The test scans the halvings from the current one and
-    returns the first at which its row passes, computing only the
-    coordinates that row reads, as Python's x[i] + 2^-k step[i] on the
-    iterate's and the step's lists, and the row by the kernel's own
-    operations.  Those coordinates equal NumPy's trial point's, and keep
-    its bits but for the sign of a zero where 2^-k step[i] underflows
-    (NumPy's product may be fused), which moves no absolute; so a test
-    rejects only where the kernel would (a row that fails, a pole, a zero
-    divisor and an overflowing abs each reject) and moves no trial, and
-    the halving it returns goes to the kernel.  A row without a test, a
-    pin row and a refused point leave no test to run.
+    the residual is the largest of those absolutes (_accepted).  The trial
+    at the halving k is the point x + 2^-k step (expr.SCALES), k < 30
+    (expr.HALVINGS).  The halvings are scanned inside the trial kernel
+    (PointCalculus.darboux_trial): one call decides the rows of G and of
+    grad V - q at each halving from k on, computing each coordinate it
+    reads as Python's x[i] + 2^-k step[i] on the iterate's and the step's
+    lists, and goes on to the next halving without leaving the kernel
+    where a row without a test of its own fails or the point is refused
+    (a pole, a zero divisor, an overflowing abs, a J or u not finite).  It
+    returns where a row that has its own test fails, or with the rows and
+    values of the first halving whose rows all pass; only then does the
+    search build NumPy's trial point x + 2^-k step, whose pin rows are
+    decided last and which becomes the next iterate.  Those coordinates
+    equal NumPy's trial point's, and keep its bits but for the sign of a
+    zero where 2^-k step[i] underflows (NumPy's product may be fused).
+    The start point is the trial against res = inf at its one halving of
+    a step that stays (expr.STAY), which reads its own coordinates bit for
+    bit.  Every other value of a trial is a Python complex, and only an
+    accepted trial fills F.
+    Before each call the search runs the own test (PointCalculus.row_tests)
+    of the row that rejected the last rejected trial of this start, and
+    keeps it from one step to the next; a trial rejected inside the
+    kernel, or at a pin row, leaves none.  The test scans the halvings from
+    the current one and returns the first at which its row passes,
+    computing only the coordinates that row reads, as the kernel does, and
+    the row by the kernel's own operations, so it rejects only where the
+    kernel would and moves no trial; the halving it returns goes to the
+    kernel.
     The start makes one Newton system (PointCalculus.newton_system), which
     holds F, the Jacobian with the pin rows below it, the least-squares
     buffers and the views through which a Jacobian writes.  Only the start
     point and an accepted trial build a Jacobian, from the values of its
-    one kernel call, through those views, and each step is one
-    least-squares solve of the system (calculus._lstsq), which writes -F
-    and checks only the Jacobian finite, F being finite by construction
-    (_trial); the step is checked finite on its list, which the row tests
-    read.  Every decision and iterate is still bit for bit that of a
-    search that builds the full system at every trial.  The start point is
-    refused where an entry is not finite, so no iterate holds a nan, and
-    an iterate with an entry above 1e8 diverged, decided on its list by
-    the rows' rule (expr.rows_below).
+    kernel call, through those views, and each step is one least-squares
+    solve of the system (calculus._lstsq), which writes -F and checks only
+    the Jacobian finite, F being finite by construction (_accepted); the
+    step is checked finite on its list, which the scans read.  Every
+    decision and iterate is still bit for bit that of a search that
+    builds the full system at every trial.  The start point is refused
+    where an entry is not finite, so no iterate holds a nan, and an
+    iterate with an entry above 1e8 diverged, decided on its list by the
+    rows' rule (expr.rows_below).
 
     Returns (x, res, rows, first): the final iterate and residual, then
     the residual rows (grad V - q, G) and the values `first` that the
@@ -160,8 +150,9 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
     if not all(map(isfinite, xs)):
         return None
     system = pc.newton_system(pins)
-    start = _trial(pc, x, xs, pins, np.inf, system)
-    if not isinstance(start, tuple):
+    _, out = pc.darboux_trial(xs, [STAY] * len(xs), HALVINGS - 1, np.inf)
+    start = _accepted(pc, x, out, pins, np.inf, system) if isinstance(out, tuple) else None
+    if start is None:
         return None
     res, first = start
     row_tests, test = pc.row_tests, None
@@ -172,22 +163,27 @@ def _newton(pc: PointCalculus, x0: np.ndarray, pins, conv_tol: float, max_iter: 
         steps = step.tolist()
         if not all(map(isfinite, steps)):
             return None
-        k = 0
+        k, r = 0, None
         while k < HALVINGS:
             if test is not None:
                 k = test(xs, steps, k, res)
-                if k == HALVINGS:
-                    break
-            x_try = x + SCALES[k] * step
-            xs_try = x_try.tolist()
-            r = _trial(pc, x_try, xs_try, pins, res, system)
-            if isinstance(r, tuple):
+            entry = k
+            k, out = pc.darboux_trial(xs, steps, k, res)
+            if out is None:
                 break
-            test = None if r is None else row_tests[r]
+            if isinstance(out, int):
+                test = row_tests[out]
+            else:
+                x_try = x + SCALES[k] * step
+                r = _accepted(pc, x_try, out, pins, res, system)
+                if r is None or k > entry:  # rejected at a pin row or inside the scan
+                    test = None
+                if r is not None:
+                    break
             k += 1
-        if k == HALVINGS:
+        if r is None:
             break
-        x, xs, (res, first) = x_try, xs_try, r
+        x, xs, (res, first) = x_try, x_try.tolist(), r
         if not rows_below(xs, DIVERGED):
             return None
     return x, res, system.F[:m], first

@@ -17,13 +17,15 @@ scalar output can also be a Substitution, one step of triangular
 substitution over earlier outputs, so a linear solve with a triangular
 matrix unrolls into the same function, or a RowTest, an earlier output
 tested against a bound after only the values it reads are computed
-(rows_below is the one definition of that test); the same code generation
-also emits, per row, a test of that row alone.  RatExpr.compile is its
-one-output case.
+(rows_below is the one definition of that test).  A function with row
+tests scans the Darboux line search's halvings itself, and the same code
+generation also emits, per row, a test of that row alone.
+RatExpr.compile is its one-output case.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -507,27 +509,49 @@ class RowTest(NamedTuple):
     """A scalar output of compile_arrays that is tested as it is computed:
     the earlier scalar output `value` (named by its index in the target
     list), minus the input variable `minus` (its index in var_order, by
-    Python's -) when one is given.  A kernel with row tests takes the bound
-    res as its second argument, decides its rows in the order of the
-    outputs they read, computing before each only what it reads
-    (compile_arrays), and returns the index of the first row whose
-    absolute is not below res (rows_below), counting the RowTests in
-    target order.  kernel.row_tests holds, by the same index, the test
-    of each row alone, or None (compile_arrays): it scans the Darboux line
-    search's halvings, each point x + SCALES[k] * step, and returns the
+    Python's -) when one is given.  A kernel with row tests is a scan of
+    the Darboux line search's halvings, each point x + SCALES[k] * step
+    from a given k on, called as kernel(x, step, k, res): at each it
+    decides its rows in the order of the outputs they read, computing
+    before each only what it reads (compile_arrays), and goes on to the
+    next halving where a row whose absolute is not below res (rows_below)
+    has no test of its own, or where the kernel cannot compute its values.
+    It returns (k, j) where a row j, counting the RowTests in target
+    order, that has a test fails, and (k, values) where every row passes.
+    kernel.row_tests holds, by the same index, the test of each row alone,
+    or None (compile_arrays): it scans the same halvings and returns the
     first k at which its row passes, or HALVINGS."""
 
     value: int
     minus: int | None = None
 
 
-# the Darboux line search tries x + SCALES[k] * step for k < HALVINGS, and a
-# row test scans the same points; each scale is 2^-k as a complex, as
-# NumPy casts a float scale to multiply a complex array, so that Python's
-# product of two complex is the same formula on every version (Python 3.14
-# multiplies a float and a complex component by component)
+# the Darboux line search tries x + SCALES[k] * step for k < HALVINGS, which
+# a kernel with row tests and each row test scan; each scale is 2^-k as a
+# complex, as NumPy casts a float scale to multiply a complex array, so that
+# Python's product of two complex is the same formula on every version
+# (Python 3.14 multiplies a float and a complex component by component)
 HALVINGS = 30
 SCALES = tuple(complex(2.0 ** -k) for k in range(HALVINGS))
+
+
+class _Stay:
+    """A step component that keeps its coordinate, with no arithmetic:
+    scale * STAY is STAY and x + STAY is x itself.  A scan whose steps are
+    all STAY reads the point's own coordinates bit for bit, where a zero
+    step would not: -0.0 + 0.0 is 0.0, and no complex product gives a
+    zero with both parts -0.0."""
+
+    __slots__ = ()
+
+    def __rmul__(self, scale):
+        return self
+
+    def __radd__(self, coordinate):
+        return coordinate
+
+
+STAY = _Stay()
 
 
 def rows_below(rows, res: float) -> bool:
@@ -542,7 +566,7 @@ def rows_below(rows, res: float) -> bool:
         return False
 
 
-def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
+def compile_arrays(targets: Sequence, var_order: Sequence[str], finite: Sequence = ()) -> Callable:
     """The package's one evaluator: a straight-line function computing every
     target at a point.
 
@@ -554,10 +578,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     on a list of Python complex that it reads as given, with no conversion,
     is kept on it as `on_list`: a caller that holds x.tolist() already
     evaluates there.  Without row tests, targets and entries are evaluated
-    in the order given; a kernel with row tests computes in demand order
-    (see RowTest below).  The first vanishing denominator that the kernel
-    reaches raises PoleError with its printed form.  A non-zero
-    coefficient outside double range raises ExprError at compile time.
+    in the order given, and the first vanishing denominator that the
+    kernel reaches raises PoleError with its printed form; a kernel with
+    row tests is a scan of the line search's halvings, in demand order
+    (see RowTest below).  A non-zero coefficient outside double range
+    raises ExprError at compile time.
 
     The kernel reads its input as complex, turns it into a list of Python
     complex once, passes it to on_list, and computes in Python complex
@@ -578,48 +603,60 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     changes no value.  A constant entry is written into its array's
     template at compile time.
 
-    A Substitution's division raises ZeroDivisionError on a zero divisor.
+    A Substitution's division raises ZeroDivisionError on a zero divisor,
+    outside a scan.
     A Substitution that reads an Array or a later target raises ExprError
     at compile time.
 
     A RowTest's value is the output it names, minus its input variable by
-    Python's subtraction when it has one.  A kernel with row tests is
-    emitted in demand order: its tests run in the order of the outputs they
-    read, and before each test the kernel computes only the outputs that
-    it reads and that are not yet computed, followed through the operands
-    of each Substitution; the outputs that no test reads come after the
-    last test.  Loads, powers and denominators are still emitted at first
-    use, and the return tuple stays in target order.  Every value comes
-    from the same operations on the same inputs as in target order, so it
-    keeps its bits; but a row that fails stops the kernel before any output
-    it does not read, so a pole or a zero divisor in such an output is not
-    raised where a row fails first.  A kernel with row tests is called as
-    kernel(x, res) and on_list(x, res), and returns the index of the
-    first row that fails, counting the RowTests in target order.  A row
-    passes exactly where abs(v) < res, rows_below's decision: a nan fails,
-    and so does a row whose Python abs overflows (OverflowError, which
-    nothing else in the kernel raises).  A RowTest that reads anything but
-    an earlier RatExpr or Substitution, or subtracts a variable out of
-    range, raises ExprError at compile time.
+    Python's subtraction when it has one.  A kernel with row tests is a
+    scan of the Darboux line search's halvings: it is called as
+    kernel(x, step, k, res) and on_list(x, step, k, res), x a point and
+    step a step (lists of Python complex for on_list), and tries the
+    halvings k, k + 1, ... below HALVINGS in turn, at each reading each
+    coordinate that it computes with as x[i] + SCALES[k] * step[i], by
+    Python's complex arithmetic, at first use: the coordinate of NumPy's
+    x + SCALES[k] * step, bit for bit but for the sign of a zero where the
+    product underflows (NumPy's may be fused), which changes no absolute.
+    A step of STAY, the one halving k = HALVINGS - 1, reads x itself.  The
+    scan is emitted in demand order: its tests run in the order of the
+    outputs they read, and before each test it computes only the outputs
+    that it reads and that are not yet computed, followed through the
+    operands of each Substitution; then the outputs named in `finite`, and
+    after them the outputs that no test reads.  Loads, powers and
+    denominators are still emitted at first use.  Every value comes from
+    the same operations on the same inputs as in target order, so it
+    keeps its bits.  A row passes exactly where abs(v) < res, rows_below's
+    decision: a nan fails.  The scan goes on to the next halving, without
+    returning, where a row that has no test of its own (below) fails,
+    where it meets a zero denominator or a zero Substitution divisor,
+    where an abs overflows (OverflowError, which nothing else in the
+    kernel raises), also a row's with a test, and where an output in
+    `finite` is not finite (cmath.isfinite), checked after every row has
+    passed.  It returns (k, j) at the first halving where a row j that has
+    a test fails, counting the RowTests in target order; (k, values) at
+    the first halving where every row passes and every output in `finite`
+    is finite, the targets' values as a tuple in target order; and
+    (HALVINGS, None) where no halving is left.  So a halving is skipped
+    only where a row fails or the kernel cannot return its values, and
+    nothing raises.  A RowTest that reads anything but an earlier RatExpr
+    or Substitution, or subtracts a variable out of range, and a `finite`
+    entry that names anything but a RatExpr or a Substitution, or given
+    to a kernel without row tests, raise ExprError at compile time.
 
     The same code generation emits the row tests, kernel.row_tests, one
-    entry per RowTest by the index the kernel returns, each exec'd on its
+    entry per RowTest by the index the scan returns, each exec'd on its
     own, so that the compiler never holds the syntax of the whole source:
     row_test(xs, steps, k, res), on a point xs and a step, lists as
-    on_list reads them, scans the halvings k, k + 1, ... below HALVINGS
-    and returns the first at which the row passes, by the kernel's
-    decision, or HALVINGS where none does.  At each it computes only the
-    outputs that row reads, by the kernel's operations in the kernel's
-    order, from the coordinates they read, each xs[i] + SCALES[k] *
-    steps[i] by Python's complex arithmetic: the coordinate of NumPy's
-    xs + SCALES[k] * steps, bit for bit but for the sign of a zero where
-    the product underflows (NumPy's may be fused), which changes no
-    absolute.  Its arithmetic raises and warns about nothing, so a test
-    can run where the kernel would have stopped at an earlier row.  A zero
-    denominator, a zero Substitution divisor (ZeroDivisionError) and an
-    overflowing abs, which the kernel would meet there too, fail that
-    halving.  So a test skips a halving only where the kernel fails a row
-    or raises before returning its values.
+    on_list reads them, scans the same halvings and returns the first at
+    which the row passes, by the scan's decision, or HALVINGS where none
+    does.  At each it computes only the outputs that row reads, by the
+    scan's operations in the scan's order, from the same coordinates.
+    Its arithmetic raises and warns about nothing, so a test can run
+    where the scan would have stopped at an earlier row.  A zero
+    denominator, a zero Substitution divisor and an overflowing abs,
+    which the scan would meet there too, fail that halving.  So a test
+    skips a halving only where the scan skips it or returns at a row.
     A row has a test only where the test has at most half the lines that
     the kernel computes up to that row's decision, so that a test that
     passes costs little next to the kernel call that follows; the first
@@ -645,8 +682,14 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             if t.minus is not None and not 0 <= t.minus < len(var_order):
                 raise ExprError(f"row test {k} subtracts variable {t.minus}, out of range")
             tests.setdefault(t.value, []).append(k)
+    if finite and not tests:
+        raise ExprError("a finite check needs row tests")
+    for i in finite:
+        if not (0 <= i < len(targets) and isinstance(targets[i], (RatExpr, Substitution))):
+            raise ExprError(f"the finite check reads {i}, not a scalar")
 
-    namespace = {"PoleError": PoleError, "asarray": np.asarray, "scales": SCALES}
+    namespace = {"PoleError": PoleError, "asarray": np.asarray, "scales": SCALES,
+                 "isfinite": isfinite}
     coefficients = {}
 
     def coefficient(c):
@@ -656,24 +699,21 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             namespace[coefficients[key]] = _as_complex(c)
         return coefficients[key]
 
-    def emitter(lines, loads=None):
+    def emitter(lines, scan=False):
         """place(k), which emits into lines the lines of output k after those
         of every output it reads, each output, load, power and denominator
         once, at first use; a RowTest's line is its subtraction, if any.
-        For a row test (loads a list) a variable's load is its coordinate
-        at the halving k, x[i] + h * step[i] with h = SCALES[k], whose two
-        terms loads gets, and a zero denominator goes on to the next
-        halving."""
-        test = loads is not None
+        In a scan, as in a row test, a variable's load is its coordinate at
+        the halving k, x[i] + h * step[i] with h = SCALES[k], and a zero
+        denominator goes on to the next halving."""
         loaded, powers, squares, denominators, placed = set(), {}, {}, {}, set()
 
         def power(i, e):
             if e == 1:
                 if i not in loaded:
                     loaded.add(i)
-                    if test:
-                        loads.append(f"p{i}, s{i} = x[{i}], step[{i}]")
-                        lines.append(f"x{i} = p{i} + h * s{i}")
+                    if scan:
+                        lines.append(f"x{i} = x[{i}] + h * step[{i}]")
                     else:
                         lines.append(f"x{i} = x[{i}]")
                 return f"x{i}"
@@ -711,7 +751,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
             if key not in denominators:
                 d = denominators[key] = f"d{len(denominators)}"
                 lines.append(f"{d} = {poly(e.den)}")
-                if test:
+                if scan:
                     lines.append(f"if {d} == 0: continue")
                 else:
                     namespace[f"{d}_text"] = _poly_str(e.den)
@@ -761,24 +801,21 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
     def row_test(k, j, limit):
         """The source of RowTest k's own test, row_test{j}, or "" where its
         row would take more than half of limit lines."""
-        body, loads = [], []
-        emitter(body, loads)(k)
+        body = []
+        emitter(body, True)(k)
         if 2 * len(body) > limit:
             return ""
-        lines = loads + [f"for k in range(k, {HALVINGS}):", "    h = scales[k]", "    try:"]
+        lines = [f"for k in range(k, {HALVINGS}):", "    h = scales[k]", "    try:"]
         lines += [f"        {line}" for line in body + [f"if abs({row(k)}) < res: return k"]]
         lines += ["    except (OverflowError, ZeroDivisionError):", "        pass",
                   f"return {HALVINGS}"]
         return f"def row_test{j}(x, step, k, res):\n" + "".join(f"    {line}\n" for line in lines)
 
     lines, functions = [], []
-    place = emitter(lines)
+    place = emitter(lines, bool(tests))
     outputs = [row(k) if isinstance(t, RowTest) else f"a{k}" if isinstance(t, Array)
                else f"v{k}" for k, t in enumerate(targets)]
     rows = {k: j for j, k in enumerate(k for k, t in enumerate(targets) if isinstance(t, RowTest))}
-    # a decision: a row whose abs overflows fails too
-    decision = ["try:", "    if not abs({row}) < res: return {j}", "except OverflowError:",
-                "    return {j}"]
     decided = 0  # the lines of the decisions before the next
     # each test runs after only the outputs it reads, in the order of the
     # outputs it reads; what no test reads comes after the last
@@ -786,15 +823,32 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str]) -> Callable:
         for k in tests[i]:
             place(k)
             functions.append(row_test(k, rows[k], len(lines) - decided))
-            lines += [line.format(row=row(k), j=rows[k]) for line in decision]
-            decided += len(decision)
+            # a row that has its own test returns to the caller where it fails
+            failed = f"return k, {rows[k]}" if functions[-1] else "continue"
+            lines.append(f"if not abs({row(k)}) < res: {failed}")
+            decided += 1
+    for i in finite:
+        place(i)
+    if finite:
+        checked = "".join(f"v{i}, " for i in finite)
+        lines.append(f"if not all(map(isfinite, ({checked}))): continue")
     for k in range(len(targets)):
         place(k)
     result = outputs[0] if len(outputs) == 1 else "(" + "".join(f"{o}, " for o in outputs) + ")"
-    bound = ", res" if tests else ""
-    source = f"def on_list(x{bound}):\n" + "".join(f"    {line}\n" for line in lines)
-    source += f"    return {result}\n"
-    source += f"def kernel(x{bound}):\n    return on_list(asarray(x, complex).tolist(){bound})\n"
+    if tests:
+        source = (f"def on_list(x, step, k, res):\n"
+                  f"    for k in range(k, {HALVINGS}):\n        h = scales[k]\n        try:\n"
+                  + "".join(f"            {line}\n" for line in lines)
+                  + f"            return k, {result}\n"
+                  + "        except (OverflowError, ZeroDivisionError):\n            pass\n"
+                  + f"    return {HALVINGS}, None\n"
+                  + "def kernel(x, step, k, res):\n"
+                  + "    return on_list(asarray(x, complex).tolist(), "
+                  + "asarray(step, complex).tolist(), k, res)\n")
+    else:
+        source = "def on_list(x):\n" + "".join(f"    {line}\n" for line in lines)
+        source += f"    return {result}\n"
+        source += "def kernel(x):\n    return on_list(asarray(x, complex).tolist())\n"
     # one exec per row test: the compiler holds the syntax tree of all it
     # is given at once, and a trial kernel's tests are most of its source
     for text in [source] + functions:

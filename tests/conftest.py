@@ -53,8 +53,8 @@ def compiled(monkeypatch):
     kernels = []
     emit = expr.compile_arrays
 
-    def spy(targets, order):
-        kernels.append((targets, emit(targets, order)))
+    def spy(targets, order, finite=()):
+        kernels.append((targets, emit(targets, order, finite)))
         return kernels[-1][1]
 
     monkeypatch.setattr(expr, "compile_arrays", spy)

@@ -12,7 +12,7 @@ import numpy as np
 
 from algpot import calculus
 from algpot.calculus import CriticalPointError
-from algpot.expr import PoleError, rows_below
+from algpot.expr import HALVINGS, STAY, PoleError, rows_below
 
 
 def unfused_trial(pc, xs, res):
@@ -41,11 +41,31 @@ def reference_rows(pc, x):
     return None if trial is None else np.array(trial[0], dtype=complex)
 
 
+def scanned_at(kernel, xs, res):
+    """A kernel with row tests scanned at the list xs itself, as the
+    search tries its start point: the one halving HALVINGS - 1 of a step
+    that stays (expr.STAY), as (halving, out)."""
+    return kernel.on_list(xs, [STAY] * len(xs), HALVINGS - 1, res)
+
+
+def trial_at(pc, xs, res):
+    """The search's trial at the list xs itself against res, as the search
+    tries its start point: darboux_trial's one halving HALVINGS - 1 of a
+    step that stays (expr.STAY).  (rows, first) where every row passes,
+    the index of a row that has its own test where that row fails, or
+    None where the scan skips the point: a row without a test fails, or
+    the point is refused."""
+    return pc.darboux_trial(xs, [STAY] * len(xs), HALVINGS - 1, res)[1]
+
+
 def trial_values(pc, x):
-    """The values `first` of a trial at x against res = inf
-    (darboux_trial), which a Jacobian reads: the point's first derivatives
-    and its Hessians.  Raises where the trial does."""
-    return pc.darboux_trial(np.asarray(x, dtype=complex).tolist(), np.inf)[1]
+    """The values `first` of a trial at x against res = inf (trial_at),
+    which a Jacobian reads: the point's first derivatives and its
+    Hessians.  Raises CriticalPointError where the trial gives none."""
+    out = trial_at(pc, np.asarray(x, dtype=complex).tolist(), np.inf)
+    if not isinstance(out, tuple):
+        raise CriticalPointError("the trial's scan gives no values at the point")
+    return out[1]
 
 
 def jacobian(pc, x):

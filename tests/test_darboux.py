@@ -144,10 +144,10 @@ def test_reported_residuals_are_the_reference_rows(monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_trial(pc, xs, res):
+    def counted_trial(pc, xs, *args):
         if not inside[0]:
             outside.append(xs)
-        return trial(pc, xs, res)
+        return trial(pc, xs, *args)
 
     monkeypatch.setattr(darboux, "_newton", counted_newton)
     monkeypatch.setattr(PointCalculus, "darboux_trial", counted_trial)

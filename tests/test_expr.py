@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot import ExprError, PoleError, RatExpr
-from algpot.expr import (_PONE, HALVINGS, SCALES, Array, RowTest, Substitution, _padd, _pdiff,
-                         _pmul, _pneg, compile_arrays)
+from algpot.expr import (_PONE, HALVINGS, SCALES, STAY, Array, RowTest, Substitution, _padd,
+                         _pdiff, _pmul, _pneg, compile_arrays)
 from algpot.parsing import parse_expression
+
+from residual_reference import scanned_at
 
 X = RatExpr.var("x")
 Y = RatExpr.var("y")
@@ -236,37 +238,46 @@ def test_a_substitution_is_a_step_of_triangular_substitution():
             compile_arrays(bad, ["x"])
 
 
+# rows x^3 y^3/(x + 1) (Python's quotient) and (x + y) - y, the quotient's
+# decided first, so its row has no test of its own; the row (x + y) - y has
+# one, since its code is under half of the kernel's up to its decision, and
+# it reads neither the quotient nor 1/(x - 1)
+CUBES = X ** 3 * Y ** 3
+SCANNED = [CUBES / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
+           RowTest(1, 1), RowTest(0)]
+
+
 def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
-    # rows x*y/(x + 1) (Python's quotient) and (x + y) - y, each
-    # tested right after the output it reads; a failing row returns its
-    # index among the row tests, here 1 for x*y and 0 for (x + y) - y,
-    # before the later outputs, so the pole of 1/(x - 1) is not reached
-    quotient = X * Y / (X + RatExpr.const(1))
-    targets = [quotient, X + Y, RatExpr.const(1) / (X - RatExpr.const(1)), RowTest(1, 1),
-               RowTest(0)]
-    kernel = compile_arrays(targets, ["x", "y"])
-    x, y = 0.5 + 0.25j, -2.0 + 1j
-    values = kernel([x, y], 10.0)
-    assert all(type(v) is complex for v in values[3:])
+    # each row is tested right after the output it reads, and at each
+    # halving the scan stops at the first row that fails: a row that has
+    # its own test returns its index among the row tests with the halving,
+    # here 0 for (x + y) - y, and one without a test, x^3 y^3/(x + 1), goes
+    # on to the next halving, as a pole does; where every row passes the
+    # scan returns the halving and the outputs in target order
+    kernel = compile_arrays(SCANNED, ["x", "y"])
+    assert kernel.row_tests[0] is not None and kernel.row_tests[1] is None
+    x, y = 0.5 + 0.25j, -0.5 + 0.25j
+    k, values = scanned_at(kernel, [x, y], 10.0)
+    assert k == HALVINGS - 1 and all(type(v) is complex for v in values)
     assert values[3] == (x + y) - y and values[4] == values[0]
-    assert values[0] == x * y / (x + 1)
-    assert kernel.on_list([x, y], 10.0) == values
+    assert values[0] == x * x * x * (y * y * y) / (x + 1) and values[2] == 1 / (x - 1)
+    assert kernel(np.array([x, y]), np.zeros(2), HALVINGS - 1, 10.0) == (k, values)
     # the bound is strict: a row equal to it fails, and so does a nan
-    assert kernel([x, y], float(np.abs(values[0]))) == 1
-    assert kernel([complex(np.nan, 0.0), y], np.inf) == 1
-    with pytest.raises(PoleError):
-        kernel([1.0, y], np.inf)
-    assert kernel([1.0, y], 0.5) == 1  # x*y/(x+1) = -1 + 0.5j fails first
-    # the row (x + y) - y = x: where Python's abs of it overflows, the row
-    # fails and is named, against an infinite bound too, also at the
-    # largest double, whose NumPy absolute is finite
-    huge = complex(1.5e308, 1.5e308)
-    edge = complex(np.finfo(float).max, 2.0 ** 998)
-    for v in (huge, edge):
-        with pytest.raises(OverflowError):
-            abs(v)
-        assert kernel([v, 0.0], np.inf) == 0
-    assert np.abs(edge) == np.finfo(float).max
+    assert scanned_at(kernel, [x, y], abs(values[0])) == (HALVINGS, None)
+    assert scanned_at(kernel, [x, y], abs(values[3])) == (HALVINGS - 1, 0)
+    assert scanned_at(kernel, [complex(np.nan, 0.0), y], np.inf) == (HALVINGS, None)
+    assert scanned_at(kernel, [-1.0 + 0j, y], np.inf) == (HALVINGS, None)  # the pole x = -1
+    # along the step (-8, 0) from (3, y), x is 3 - 8 * 2^-k at the halving
+    # k: -5, -1, 1, 2, ...; at k = 0 the quotient's row fails against 1.5,
+    # k = 1 is its pole, both rows pass at k = 2, where 1/(x - 1) has its
+    # pole, and at k = 3 the row x fails against 1.5 and is named, and
+    # passes against 2.5
+    step = [-8.0 + 0j, 0j]
+    assert [3.0 + SCALES[k] * step[0] for k in range(4)] == [-5, -1, 1, 2]
+    assert kernel.on_list([3.0 + 0j, y], step, 0, 1.5) == (3, 0)
+    k, values = kernel.on_list([3.0 + 0j, y], step, 0, 2.5)
+    assert k == 3 and values[3] == 2 + 0j
+    assert kernel.on_list([3.0 + 0j, y], step, HALVINGS, 1.5) == (HALVINGS, None)
     for bad in ([X, RowTest(1)], [Array((1,), [(X, [(0,)])]), RowTest(0)],
                 [X, RowTest(0), RowTest(1)]):
         with pytest.raises(ExprError, match="not an earlier scalar"):
@@ -275,28 +286,87 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
         compile_arrays([X, RowTest(0, 1)], ["x"])
 
 
+def test_an_abs_that_overflows_moves_the_scan_on():
+    # the row (x + y) - y = x, which has its own test here, decided after
+    # y^7 + y^5: where Python's abs of it overflows the halving is skipped,
+    # against an infinite bound too, also at the largest double, whose
+    # NumPy absolute is finite; the row's own test skips it alike
+    kernel = compile_arrays([Y ** 7 + Y ** 5, X + Y, RowTest(0), RowTest(1, 1)], ["x", "y"])
+    test = kernel.row_tests[1]
+    assert kernel.row_tests[0] is None and test is not None
+    huge = complex(1.5e308, 1.5e308)
+    edge = complex(np.finfo(float).max, 2.0 ** 998)
+    assert np.abs(edge) == np.finfo(float).max
+    for v in (huge, edge):
+        with pytest.raises(OverflowError):
+            abs(v)
+        assert scanned_at(kernel, [v, 0.5 + 0j], np.inf) == (HALVINGS, None)
+        assert test([v, 0.5 + 0j], [STAY] * 2, HALVINGS - 1, np.inf) == HALVINGS
+    assert scanned_at(kernel, [huge, 0.5 + 0j], 1.0) == (HALVINGS, None)
+    assert scanned_at(kernel, [2.0 + 0j, 0.5 + 0j], 1.0) == (HALVINGS - 1, 1)
+
+
+def test_a_step_that_stays_reads_the_point_bit_for_bit():
+    # x + 2^-k * STAY is x itself, every zero's sign kept, where a zero
+    # step is not: -0.0 + 0.0 is 0.0, and no complex product is (-0, -0)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for v in zeros + [complex(-0.0, -1.5), 2.5 - 1j]:
+        got = v + SCALES[HALVINGS - 1] * STAY
+        assert got is v
+    assert str(complex(-0.0, -0.0) + SCALES[0] * 0j) == "0j"
+    # a scan along it has the bits of the kernel without row tests, which
+    # reads the point as given
+    targets = [X * X + Y, X * Y]
+    kernel = compile_arrays(targets + [RowTest(0), RowTest(1)], ["x", "y"])
+    plain = compile_arrays(targets, ["x", "y"])
+    for v in zeros:
+        for w in zeros:
+            k, values = scanned_at(kernel, [v, w], np.inf)
+            assert k == HALVINGS - 1
+            assert np.array(values[:2]).tobytes() == np.array(plain.on_list([v, w])).tobytes()
+
+
+def test_a_finite_check_skips_a_halving_after_every_row_passes():
+    # outputs named in `finite` are checked after the last row decision:
+    # a halving whose rows pass but where one is not finite is skipped;
+    # the check needs row tests and reads scalars only
+    targets = [X, Y * Y, RowTest(0)]
+    kernel = compile_arrays(targets, ["x", "y"], finite=(1,))
+    assert scanned_at(kernel, [0.5 + 0j, 2.0 + 0j], 1.0) == (
+        HALVINGS - 1, (0.5 + 0j, 4 + 0j, 0.5 + 0j))
+    for y in (1e200, np.inf, complex(0.0, np.nan)):
+        assert scanned_at(kernel, [0.5 + 0j, complex(y)], 1.0) == (HALVINGS, None)
+    unchecked = compile_arrays(targets, ["x", "y"])
+    assert scanned_at(unchecked, [0.5 + 0j, 1e200 + 0j], 1.0)[0] == HALVINGS - 1
+    # along the step (0, -1e200) from (0.5, 1e200): y = 0 at k = 0 only
+    k, values = kernel.on_list([0.5 + 0j, 1e200 + 0j], [0j, -1e200 + 0j], 0, 1.0)
+    assert k == 0 and values[1] == 0
+    k, _ = kernel.on_list([0.5 + 0j, 1e200 + 0j], [0j, -1e200 + 0j], 1, 1.0)
+    assert k == HALVINGS
+    with pytest.raises(ExprError, match="needs row tests"):
+        compile_arrays(targets[:2], ["x", "y"], finite=(1,))
+    for bad in ((3,), (-1,), (2,)):
+        with pytest.raises(ExprError, match="not a scalar"):
+            compile_arrays(targets, ["x", "y"], finite=bad)
+
+
 def test_a_rows_own_test_computes_only_what_the_row_reads():
-    # the kernel decides the quotient's row first, so that row has no test
-    # of its own; the row (x + y) - y has one, since its code is under half
-    # of the kernel's up to its decision, and it reads neither the
-    # quotient nor 1/(x - 1): it passes at both poles, where the kernel
-    # raises, and otherwise decides as the kernel.  A test takes the point,
-    # a step and a first halving k, and returns the first halving from k
-    # on whose point x + 2^-k step passes, or HALVINGS; with a zero step
-    # every halving is the point itself
-    cubes = X ** 3 * Y ** 3
-    targets = [cubes / (X + RatExpr.const(1)), X + Y, RatExpr.const(1) / (X - RatExpr.const(1)),
-               RowTest(1, 1), RowTest(0)]
-    kernel = compile_arrays(targets, ["x", "y"])
+    # the row (x + y) - y reads neither the quotient nor 1/(x - 1): its
+    # own test passes at both poles, where the scan skips the halving, and
+    # otherwise decides as the scan.  A test takes the point, a step and a
+    # first halving k, and returns the first halving from k on whose point
+    # x + 2^-k step passes, or HALVINGS; with a zero step every halving is
+    # the point itself
+    kernel = compile_arrays(SCANNED, ["x", "y"])
     test = kernel.row_tests[0]
-    assert kernel.row_tests[1] is None and test is not None
     y, still = -0.5 + 0.25j, [0j, 0j]
     for x in (1.0, -1.0):
-        with pytest.raises(PoleError):
-            kernel([x, y], 10.0)
+        assert scanned_at(kernel, [x, y], 10.0) == (HALVINGS, None)
         assert test([x, y], still, 0, 10.0) == 0 and test([x, y], still, 7, 10.0) == 7
-    assert test([3.0, y], still, 0, 3.0) == HALVINGS and kernel([3.0, y], 3.0) == 0
-    assert test([0.5, y], still, 0, 10.0) == 0 and isinstance(kernel([0.5, y], 10.0), tuple)
+    assert test([3.0, y], still, 0, 3.0) == HALVINGS and scanned_at(kernel, [3.0, y], 3.0) == (
+        HALVINGS - 1, 0)
+    assert test([0.5, y], still, 0, 10.0) == 0
+    assert isinstance(scanned_at(kernel, [0.5, y], 10.0)[1], tuple)
     # the row is x, here 3 - 8 * 2^-k at the halving k: -5, -1, 1, 2, 2.5,
     # ...; |x| < 1.5 holds at k = 1 and 2 only, and the test returns the
     # first such halving from k on
@@ -304,18 +374,18 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
     passing = [k for k in range(HALVINGS) if abs((3.0 + SCALES[k] * step[0]).real) < 1.5]
     assert passing == [1, 2]
     assert [test([3.0, y], step, k, 1.5) for k in range(4)] == [1, 1, 2, HALVINGS]
-    # a row whose Python abs overflows fails, as in the kernel, even
+    # a row whose Python abs overflows fails, as in the scan, even
     # against an infinite bound where NumPy's absolute is the largest double
     assert test([complex(1.5e308, 1.5e308), 0.0], still, 0, np.inf) == HALVINGS
     edge = complex(np.finfo(float).max, 2.0 ** 998)
     assert np.abs(edge) == np.finfo(float).max
     assert test([edge, y], still, 0, np.inf) == HALVINGS
-    # a test has the kernel's code for its row, its quotients by the
+    # a test has the scan's code for its row, its quotients by the
     # kernel's one rule, and a zero denominator goes on to the next
     # halving; a kernel without row tests keeps an empty row_tests
     assert "def row_test0(x, step, k, res):" in kernel.source
     assert "row_test1" not in kernel.source
-    pole = compile_arrays([cubes, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
+    pole = compile_arrays([CUBES, RatExpr.const(2) / Y, Substitution(1), RowTest(0), RowTest(2)],
                           ["x", "y"])
     assert pole.row_tests[0] is None and pole.row_tests[1] is not None
     assert "v1 = c1 / d0" in pole.source.split("def row_test1")[1]
@@ -333,20 +403,19 @@ def test_a_rows_own_test_computes_only_what_the_row_reads():
 
 
 def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
-    # the row (x + y) - y does not read 1/(x - 1), so its test runs before
-    # that output's line: at the pole x = 1 a row that fails returns None,
-    # and only a row that passes goes on to the pole
-    targets = [RatExpr.const(1) / (X - RatExpr.const(1)), X + Y, RowTest(1, 1)]
-    kernel = compile_arrays(targets, ["x", "y"])
-    y = -2.0 + 1j
-    assert kernel([1.0, y], 0.5) == 0
-    assert kernel.on_list([1.0, y], 0.5) == 0
-    with pytest.raises(PoleError):
-        kernel([1.0, y], 10.0)
+    # the row (x + y) - y does not read 1/(x - 1), so it is decided before
+    # that output's line: at the pole x = 1 the row that fails returns its
+    # index, and only where the rows pass does the scan go on to the pole,
+    # which skips the halving
+    kernel = compile_arrays(SCANNED, ["x", "y"])
+    y = -0.5 + 0.25j
+    assert scanned_at(kernel, [1.0 + 0j, y], 0.5) == (HALVINGS - 1, 0)
+    assert kernel(np.array([1.0, y]), np.zeros(2), HALVINGS - 1, 0.5) == (HALVINGS - 1, 0)
+    assert scanned_at(kernel, [1.0 + 0j, y], 10.0) == (HALVINGS, None)
     # at a regular point the outputs keep the bits of the same targets
-    # compiled without the row test
-    plain = compile_arrays(targets[:2], ["x", "y"])
+    # compiled without the row tests
+    plain = compile_arrays(SCANNED[:3], ["x", "y"])
     x = 0.5 + 0.25j
-    values = kernel([x, y], 10.0)
-    assert np.array(values[:2]).tobytes() == np.array(plain([x, y])).tobytes()
-    assert values[2] == (x + y) - y
+    _, values = scanned_at(kernel, [x, y], 10.0)
+    assert np.array(values[:3]).tobytes() == np.array(plain([x, y])).tobytes()
+    assert values[3] == (x + y) - y

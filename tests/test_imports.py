@@ -10,6 +10,8 @@ import numpy as np
 from algpot.calculus import PointCalculus
 from algpot.nbody import NBodyConfig, build
 
+from residual_reference import trial_values
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "algpot"
 BENCH = ROOT / "bench"
@@ -263,14 +265,17 @@ def readers(path: Path, name: str) -> list:
 
 def test_the_darboux_residual_has_one_producer():
     # the trial kernel is the one producer of the residual's rows: the
-    # search's trials read them through darboux_trial, its candidates take
-    # the rows of the trial that ended their start, its Jacobians and
-    # Hessians (darboux_system, hess) take a trial's values and read no
-    # kernel, the search's own test of a row comes through row_tests, and
-    # nothing else in the package reads the kernel; each start makes one
-    # Newton system (newton_system), which its Jacobians write
+    # search's trials read them through darboux_trial, two calls in
+    # _newton, the start point's and the line search's scan of the
+    # halvings; its candidates take the rows of the trial that ended their
+    # start, its Jacobians and Hessians (darboux_system, hess) take a
+    # trial's values and read no kernel, the search's own test of a row
+    # comes through row_tests, and nothing else in the package reads the
+    # kernel; each start makes one Newton system (newton_system), which
+    # its Jacobians write
     assert calculus_calls(SRC / "darboux.py") == {
         "newton_system", "darboux_trial", "darboux_system", "hess", "near_sigma"}
+    assert readers(SRC / "darboux.py", "darboux_trial") == ["darboux._newton"] * 2
     found = sorted(r for p in sorted(SRC.glob("*.py")) for r in readers(p, "_trial_kernel"))
     assert found == ["calculus.PointCalculus.compile_analysis_kernels",
                      "calculus.PointCalculus.darboux_trial",
@@ -303,7 +308,7 @@ def test_generated_source_names_no_variable():
     pc = PointCalculus(setup)
     q = np.arange(1.0, 7.0) + 0j
     x = np.concatenate([q, pc.solve_fiber(q, np.full(3, 5.0))])
-    pc.hess(pc.darboux_trial(x.tolist(), np.inf)[1])
+    pc.hess(trial_values(pc, x))
     pc.grad(x)
     pc.near_sigma(x)
     sources = [pc._variety_kernel.source, pc._point_kernel.kernel.source,

@@ -17,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algpot.calculus import PointCalculus
-from algpot.expr import HALVINGS, ZERO, PoleError, RatExpr, RowTest, Substitution, compile_arrays
+from algpot.expr import (HALVINGS, STAY, ZERO, PoleError, RatExpr, RowTest, Substitution,
+                         compile_arrays)
 from algpot.nbody import NBodyConfig, build
 from algpot.parsing import parse_problem
 
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, TRAP_TEXT
+from residual_reference import trial_at
 
 SETUPS = {
     "cone": lambda: parse_problem(CONE_TEXT),
@@ -144,18 +146,15 @@ def test_kernels_match_the_closure_evaluator_bit_for_bit(name, compiled):
             outcome(lambda y: [f(y) for _, f in ref_point], x)
         hessians = outcome(lambda y: flat(undivided_trial(y)[-2:]), x)
         assert hessians == outcome(ref_hessians, x)
-        # the trial kernel itself gives those bits wherever its rows pass,
-        # and raises PoleError where the closures do
-        try:
-            got = trial.kernel(x, np.inf)
-        except ZeroDivisionError:  # a zero diagonal entry of J
-            got = None
-        except PoleError:
-            assert hessians[0] == "pole"
-            got = None
+        # the trial kernel's scan at the point itself gives those bits
+        # wherever it returns values, and skips the point where the
+        # closures meet a pole, as at a zero diagonal entry of J
+        got = trial_at(pc, x.tolist(), np.inf)
         if isinstance(got, tuple):
-            assert hessians == outcome(lambda y: flat(got[trial.first][-2:]), x)
+            assert hessians == outcome(lambda y: flat(got[1][-2:]), x)
             whole += 1
+        elif hessians[0] == "pole":
+            assert got is None
         assert outcome(pc.potential_value, x) == outcome(lambda y: complex(ref_v(y)), x)
         assert outcome(pc.det_value, x) == outcome(lambda y: complex(ref_det(y)), x)
         seen.add(outcome(pc.potential_value, x)[0])
@@ -251,9 +250,16 @@ def quotient_sites() -> dict:
     for kernel in (before, tested):
         kernel.on_list.__globals__["abs"] = spy  # the row tests' namespace too
 
-    def values(kernel, *args, at=slice(None)):
+    def values(kernel, point, *res, at=slice(None)):
+        """The kernel's values at the point, or None at a pole: a kernel
+        with row tests, given res, scans the point itself (a step that
+        stays), and skips it at a pole."""
+        xs = np.array(point, dtype=complex).tolist()
+        if res:
+            _, out = kernel.on_list(xs, [STAY] * len(xs), HALVINGS - 1, *res)
+            return None if out is None else list(out[at])
         try:
-            return list(kernel(np.array(args[0]), *args[1:])[at])
+            return list(kernel.on_list(xs)[at])
         except PoleError:
             return None
 
@@ -294,7 +300,7 @@ def reference_quotients(a, b):
        st.one_of(complexes(), st.sampled_from(EDGE_DENOMINATORS)))
 @example(1.7803788330245468e+308 + 0j, 0.9903685999006193 + 0j)
 @settings(max_examples=400, deadline=None)
-def test_every_quotient_site_has_numpy_bits_and_no_warning(a, b):
+def test_every_quotient_site_has_the_closure_references_bits_and_no_warning(a, b):
     # every site's quotients are the closure reference's, Python's n / d
     # of the sums onto 0j, bit for bit, and none warns
     expected = reference_quotients(a, b)
@@ -327,7 +333,7 @@ POWER_BASES += [complex(a, b) for a in SPECIAL for b in SPECIAL]
 @given(st.one_of(complexes(), st.sampled_from(POWER_BASES)), complexes(),
        st.integers(2, 255), st.integers(1, 99))
 @settings(max_examples=300, deadline=None)
-def test_kernel_powers_and_quotients_match_numpy_scalars(x, y, e, f):
+def test_kernel_powers_and_quotients_match_the_closure_reference(x, y, e, f):
     # x ** e by the binary method for every e >= 2, sums, products and
     # quotients: the closure reference's bits, without a warning
     point = np.array([x, y], dtype=complex)
@@ -361,7 +367,7 @@ def test_no_kernel_reaches_numpy_arithmetic():
     # a kernel computes in Python complex alone: neither its source nor its
     # namespace names NumPy's division, power or scalars, or a finiteness
     # pre-test; NumPy makes only its input list and its arrays
-    gone = ("divide", "numpy_power", "pycomplex", "zero", "isfinite")
+    gone = ("divide", "numpy_power", "pycomplex", "zero")
     kernels = [compile_arrays([X / Y, RatExpr.const(2) / Y, X ** 120 * Y, RowTest(0), RowTest(1)],
                               ("x", "y"))]
     for name in sorted(SETUPS):
@@ -374,3 +380,8 @@ def test_no_kernel_reaches_numpy_arithmetic():
         # the row tests share the kernel's namespace
         assert not set(re.findall(r"\w+", kernel.source)) & set(gone)
         assert not kernel.on_list.__globals__.keys() & set(gone)
+        # the one test of finiteness, of J's entries and u after the rows
+        # of the trial kernel's scan, is cmath's on Python complex
+        assert kernel.on_list.__globals__["isfinite"] is cmath.isfinite
+        assert all("all(map(isfinite, (" in line for line in kernel.source.splitlines()
+                   if "isfinite" in line)

@@ -1,28 +1,35 @@
 """The Darboux Newton hot path does only the work whose result is used.
 
-The line search runs each trial on Python complex values, as one call of
-the trial kernel (PointCalculus.darboux_trial): it decides each row of G
-and then of grad V - q against the current residual after computing only
-the values that row reads (G, the quotients, the adjoint and grad V), in
-demand order, stopping at the first that fails, by Python's abs(v) < res
-(expr.rows_below; a property test draws values and residuals within 8 ulp
-of each other, and another holds the fused kernel to the variety kernel's
-G and the point kernel decided row by row), and names the row that failed;
-an accepted trial's residual is the largest of the same absolutes.
-Before that call the search runs the row's own test
+The line search runs its trials on Python complex values, as one call of
+the trial kernel (PointCalculus.darboux_trial), which scans the halvings
+itself: at each it decides each row of G and then of grad V - q against
+the current residual after computing only the values that row reads (G,
+the quotients, the adjoint and grad V), in demand order, stopping at the
+first that fails, by Python's abs(v) < res (expr.rows_below; a property
+test draws values and residuals within 8 ulp of each other, and another
+holds the fused kernel at a point to the variety kernel's G and the point
+kernel decided row by row); it goes on to the next halving where that row
+has no test of its own or the point is refused, and returns where it has
+one, naming it, or at the first halving whose rows all pass.  The scan
+ends each line search where trying each halving alone through the unfused
+steps does, on every benchmark setup, at random and special points and at
+every line search of two hunts, and reads a start's coordinates bit for
+bit, -0.0 included; an accepted trial's residual is the largest of the
+same absolutes.  Before that call the search runs the row's own test
 (PointCalculus.row_tests) of the row that rejected its last rejected
-trial, which scans the halvings and rejects only where the unfused steps do, decides its row as they do,
-without a warning (a property test on the same points), and reads each
-coordinate as NumPy's trial point has it, but for the sign of a zero (a
-property test over the whole exponent range).  The trial kernel is the
-package's one producer of the residual's rows, so the reference rows here
-are those unfused steps (residual_reference), which never read it.  The
-pin rows are decided last; a trial whose every row passes hands its first
-derivatives and Hessians on to its Jacobian, which calls no kernel, writes
-its rows as the residual, and only accepted steps build a Jacobian; the
-traced tests follow the row tests and the entry points darboux_trial and
-darboux_system, and count the evaluations of the trial kernel and the
-point kernel.  Gradients and
+trial, which scans the halvings and rejects only where the unfused steps
+do, decides its row as they do, without a warning (a property test on the
+same points), and reads each coordinate as NumPy's trial point has it,
+but for the sign of a zero (a property test over the whole exponent
+range).  The trial kernel is the package's one producer of the residual's
+rows, so the reference rows here are those unfused steps
+(residual_reference), which never read it.  The pin rows are decided
+last; a trial whose every row passes hands its first derivatives and
+Hessians on to its Jacobian, which calls no kernel, writes its rows as the
+residual, and only accepted steps build a Jacobian; the traced tests
+follow the row tests and the entry points darboux_trial and
+darboux_system, halving by halving, and count the evaluations of the
+trial kernel and the point kernel.  Gradients and
 Hessians evaluate only their non-zero partials; the calculus keeps no
 per-point state, so a trial's first derivatives and the point kernel's
 give the same bits.  Each is held here, bit for bit, against the
@@ -43,9 +50,12 @@ checks only the matrix finite: every solve of the search gets a finite
 residual, and the Sigma probe refuses a non-finite one itself.
 """
 
+import cmath
 import functools
+import itertools
 import re
 import struct
+from collections import Counter
 import sys
 import warnings
 from pathlib import Path
@@ -56,11 +66,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algpot import calculus, darboux, expr
+from algpot.cli import _parse_complex
 from algpot.calculus import (CriticalPointError, PointCalculus, PointKernel, _forward, _lstsq,
                              lstsq_system)
 from algpot.darboux import CONV_TOL, _newton
 from algpot.dynamics import ConstrainedSystem, CriticalSetError
-from algpot.expr import HALVINGS, SCALES, ZERO, PoleError, RowTest, compile_arrays, rows_below
+from algpot.expr import (HALVINGS, SCALES, STAY, ZERO, PoleError, RowTest, compile_arrays,
+                         rows_below)
 from algpot.nbody import NBodyConfig, build, central_config_seeds, pinning_conditions
 from algpot.parsing import parse_problem
 from algpot.pipeline import AnalysisOptions, hunt
@@ -68,7 +80,7 @@ from algpot.pipeline import AnalysisOptions, hunt
 from closure_reference import reference_compile
 from conftest import CONE_TEXT, DRAW1_TEXT, PLAIN_TEXT, TRAP_TEXT, float_parts
 from residual_reference import (fresh_jacobian, hessian, jacobian, point_values, reference_rows,
-                                trial_values, unfused_trial)
+                                scanned_at, trial_at, trial_values, unfused_trial)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import problems as bench_problems  # noqa: E402
@@ -242,7 +254,7 @@ def test_newton_matches_full_system_search(three_body, pinned):
     assert converged >= 2  # the comparison covers converged starts too
 
 
-def test_row_test_compares_numpys_absolute_with_the_residual():
+def test_search_rows_are_decided_by_pythons_absolute_and_largest_by_numpys():
     # _largest is NumPy's absolute, which carries a nan through to the
     # fiber solve's and the probe's tests, the reports and the dedup
     rows = np.array([0.5, 3 + 4j, -1j])
@@ -260,9 +272,9 @@ def test_row_test_compares_numpys_absolute_with_the_residual():
               0.5478467492858172 - 0.9208531449445188j):
         assert abs(v) != np.abs(v)
         assert rows_below([0.1, v], abs(v)) is False
-        assert NEGATED_ROW.on_list([v], abs(v)) == 0
+        assert scanned_at(NEGATED_ROW, [v], abs(v)) == (HALVINGS, None)
         assert rows_below([0.1, v], np.nextafter(abs(v), np.inf)) is True
-        assert isinstance(NEGATED_ROW.on_list([v], np.nextafter(abs(v), np.inf)), tuple)
+        assert isinstance(scanned_at(NEGATED_ROW, [v], np.nextafter(abs(v), np.inf))[1], tuple)
         assert rows_below([v], np.abs(v)) is bool(abs(v) < np.abs(v))
     assert rows_below([], 0.0) is True  # no rows
     assert rows_below([0.5, complex(np.nan, 0.0)], np.inf) is False
@@ -288,7 +300,8 @@ def moved(value, ulps):
     return float(value)
 
 
-# one row, 0 - v, whose absolute is v's: the row test as a kernel emits it
+# one row, 0 - v, whose absolute is v's: the row decision as a kernel's scan
+# emits it, which goes on to the next halving where the row fails
 NEGATED_ROW = compile_arrays([ZERO, RowTest(0, 0)], ("v",))
 
 
@@ -303,7 +316,7 @@ SHIFTS = st.one_of(st.integers(-8, 8), st.sampled_from(["zero", "inf"]))
 
 @settings(max_examples=400, deadline=None)
 @given(float_parts(), float_parts(), SHIFTS)
-def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
+def test_row_decision_is_pythons_absolute(re_part, im_part, shift):
     # rows_below decides a row by Python's abs(v) < res, ties included, and
     # fails a nan and an abs that overflows; a kernel's row test decides
     # alike
@@ -313,7 +326,7 @@ def test_row_decision_is_numpys_absolute(re_part, im_part, shift):
     passes = bool(reference < res)
     assert rows_below([v], res) is passes
     assert rows_below([0.0, v], res) is (passes and 0.0 < res)
-    assert isinstance(NEGATED_ROW.on_list([v], res), tuple) is passes
+    assert isinstance(scanned_at(NEGATED_ROW, [v], res)[1], tuple) is passes
 
 
 def component_bits(v: complex) -> tuple:
@@ -413,11 +426,9 @@ def test_trial_kernel_decides_as_the_unfused_steps(name, seed, kind, row, shift)
     reference = absolutes[row % len(absolutes)] if len(absolutes) else 1.0
     res = shifted_bound(reference, shift)
     expected = unfused_trial(pc, xs, res)
-    try:
-        got = pc.darboux_trial(xs, res)
-    except (CriticalPointError, PoleError):
-        got = None
-    if isinstance(got, int):  # the row the kernel failed does fail
+    got = trial_at(pc, xs, res)
+    if isinstance(got, int):  # the row the scan returned at has a test and fails
+        assert pc.row_tests[got] is not None
         assert full is None or not absolutes[got] < res
         got = None
     assert (got is None) == (expected is None)
@@ -446,7 +457,7 @@ def entry_points(pc) -> dict:
     row's own test (pc.row_tests) at the last halving with no step against
     both bounds, grad, the potential's and detJ's values and the
     constraint residual."""
-    points = {"darboux_trial": [lambda xs, res=res: pc.darboux_trial(xs, res)
+    points = {"darboux_trial": [lambda xs, res=res: trial_at(pc, xs, res)
                                 for res in (np.inf, 1.0)],
               "row tests": [lambda xs, test=test, res=res: test(xs, [0j] * pc.N, HALVINGS - 1, res)
                             for test in pc.row_tests if test is not None for res in (np.inf, 1.0)]}
@@ -498,11 +509,16 @@ def test_a_trial_whose_quotient_overflows_does_not_warn():
     # the pole problem's 1/w1 at w1 = 1e-160: its gradient's quotient
     # -1/w1^2 overflows before a row is decided, where NumPy's division
     # warned "overflow encountered in scalar divide"; Python's quotient
-    # gives the infinity without a warning, and the row rejects the trial
+    # gives the infinity without a warning, and the row rejects the trial:
+    # none of the pole problem's rows has a test, so the scan skips it
     pc = trial_calculus("pole")
+    xs = [0.7 + 0j, 0.7 + 0j, 1e-160 + 0j]
+    assert pc.row_tests == (None, None, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert isinstance(pc.darboux_trial([0.7 + 0j, 0.7 + 0j, 1e-160 + 0j], 1.0), int)
+        assert trial_at(pc, xs, 1.0) is None
+        assert trial_at(pc, xs, np.inf) is None
+    assert unfused_trial(pc, xs, np.inf) is None
 
 
 def unfused_rows(pc, xs) -> list:
@@ -554,6 +570,173 @@ def test_each_row_test_decides_its_row_as_the_unfused_steps(name, seed, kind, ro
             assert passed is bool(absolutes[j] < res)
 
 
+# every setup of the benchmark's workloads: the small corpus and the n-body
+# problems
+@functools.lru_cache(maxsize=None)
+def bench_calculi() -> dict:
+    setups = {p.name: parse_problem(p.text(), label=p.name) for p in corpus()}
+    setups.update((p.name, build(NBodyConfig(n=p.nbodies, dim=p.dim, masses=p.masses)))
+                  for p in bench_problems.NBODY_PROBLEMS)
+    return {name: PointCalculus(setup) for name, setup in setups.items()}
+
+
+# finite steps that leave the normal range of a double, or underflow when halved
+SPECIAL_STEPS = [1e200, complex(-1e300, 1e300), 1e154, 5e-324, complex(1e-310, -2e-320)]
+
+
+def scan_matches_the_halvings(pc, xs, steps, k, res) -> str:
+    """Holds the trial kernel's scan (darboux_trial) from the halving k to
+    the per-halving reference, each halving's point xs[i] + SCALES[j] *
+    steps[i] tried alone through unfused_trial, with the search's own
+    continuation: where the scan returns at a row that has its own test,
+    it is called again from the next halving.  Every halving the scan
+    skips the reference rejects; one where it returns at a row, the
+    reference rejects too, at that row where the row is computed; the
+    halving where it returns values is the reference's first accepting
+    one, with the reference's rows and first derivatives bit for bit; and
+    (HALVINGS, None) means the reference accepts none.  No call warns.
+    Returns how the search's line search ended: "accepted", "rejected"
+    (no halving left) or "returned" (it stopped at a row at least once
+    before either)."""
+    reference = {}
+
+    def reference_at(j):
+        if j not in reference:
+            point = [p + SCALES[j] * step for p, step in zip(xs, steps)]
+            reference[j] = point, unfused_trial(pc, point, res)
+        return reference[j]
+
+    ended = ""
+    while True:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found, out = pc.darboux_trial(xs, steps, k, res)
+        assert k <= found <= HALVINGS
+        for j in range(k, found):
+            assert reference_at(j)[1] is None, j
+        if not isinstance(out, int):
+            break
+        point, expected = reference_at(found)
+        assert expected is None and pc.row_tests[out] is not None
+        row = unfused_rows(pc, point)[out]
+        assert row is None or not absolute(row) < res
+        k, ended = found + 1, "returned "
+    if out is None:
+        assert found == HALVINGS
+        return ended + "rejected"
+    _, expected = reference_at(found)
+    assert expected is not None
+    assert bits(np.array(out[0], dtype=complex)) == bits(np.array(expected[0], dtype=complex))
+    assert bits(np.array(out[1][:-2], dtype=complex)) == bits(np.array(expected[1], dtype=complex))
+    return ended + "accepted"
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(bench_calculi())), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["complex", "real", "variety", "special", "zero"]),
+       st.sampled_from(["complex", "special"]), st.integers(-6, 2), st.integers(0, HALVINGS - 1),
+       st.one_of(st.integers(-8, 8), st.sampled_from(["inf"])))
+def test_the_scan_returns_the_halving_of_the_per_halving_reference(name, seed, kind, step_kind,
+                                                                    size, k, shift):
+    # at a random iterate, on the variety or with special entries, and a
+    # random step of size 10^size, against res within 8 ulp of the
+    # iterate's own residual, the largest Python absolute of its rows, or
+    # inf: the scan ends its line search where trying each halving alone
+    # does (scan_matches_the_halvings)
+    pc = bench_calculi()[name]
+    rng = np.random.default_rng(seed)
+    x = trial_point(pc, rng, kind)
+    step = (rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)) * 10.0 ** size
+    if step_kind == "special":
+        step[rng.integers(pc.N)] = SPECIAL_STEPS[rng.integers(len(SPECIAL_STEPS))]
+    xs = x.tolist()
+    full = unfused_trial(pc, xs, np.inf)
+    own = largest(full[0]) if full is not None else 1.0
+    res = np.inf if shift == "inf" else moved(own, shift)
+    scan_matches_the_halvings(pc, xs, step.tolist(), k, res)
+
+
+def test_the_scan_skips_where_the_reference_is_refused_at_special_points():
+    # every entry of SPECIAL_ENTRIES at each coordinate of a fixed point of
+    # every benchmark setup, as the iterate, with a fixed step, scanned
+    # over the last four halvings against inf and against the point's
+    # residual: the scan ends each line search where the per-halving
+    # reference does, skipping the points it refuses (a pole, a zero or
+    # non-finite J, a non-finite u, an abs that overflows) without a
+    # warning; every outcome is met
+    ended = set()
+    for name, pc in sorted(bench_calculi().items()):
+        rng = np.random.default_rng(1)
+        step = ((rng.standard_normal(pc.N) + 1j * rng.standard_normal(pc.N)) * 0.1).tolist()
+        first_base = pc.N * len(SPECIAL_ENTRIES)  # the special points of one base point
+        for x in itertools.islice(special_points(pc, SPECIAL_ENTRIES), first_base):
+            xs = x.tolist()
+            full = unfused_trial(pc, xs, np.inf)
+            for res in (np.inf, largest(full[0]) if full is not None else 1.0):
+                ended.add(scan_matches_the_halvings(pc, xs, step, HALVINGS - 4, res))
+    assert ended == {"accepted", "rejected", "returned rejected"}
+
+
+def test_the_scan_ends_each_line_search_of_a_hunt_where_the_reference_does(three_body,
+                                                                          monkeypatch):
+    # every line search of the equal-mass 3x2 hunt and of the small
+    # corpus's draw0 hunt at hunt seed 0, each scanned from the halving 0
+    # with the search's own iterate, step and residual: the scan ends each
+    # where the per-halving reference does, also where it returns at a row
+    # on the way
+    cfg, pc, _ = three_body
+    searches, original = {}, PointCalculus.darboux_trial
+
+    def recorded(pc_, xs, steps, k, res):
+        if steps[0] is not STAY:
+            searches.setdefault(id(steps), (pc_, xs, steps, res))
+        return original(pc_, xs, steps, k, res)
+
+    monkeypatch.setattr(PointCalculus, "darboux_trial", recorded)
+    hunt(pc, AnalysisOptions(nbody=cfg, seed=0))
+    hunted = list(searches.values())
+    searches.clear()
+    hunt(bench_calculi()["draw0"], AnalysisOptions(seed=0))
+    hunted += list(searches.values())
+    monkeypatch.undo()
+    ended = Counter(scan_matches_the_halvings(pc_, xs, steps, 0, res)
+                    for pc_, xs, steps, res in hunted)
+    assert set(ended) == {"accepted", "rejected", "returned accepted", "returned rejected"}
+
+
+def test_a_start_with_a_negative_zero_reads_its_own_coordinates(three_body, monkeypatch):
+    # a seed whose coordinates are -0.0 (cli._parse_complex("-0")) or have
+    # a -0.0 part: the start's trial reads each coordinate bit for bit, the
+    # sign of every zero included, which a zero step would not keep
+    # (-0.0 + 0.0 is 0.0), and its rows and first derivatives are the
+    # unfused steps' at the seed, bit for bit
+    cfg, pc, seeds = three_body
+    negative = _parse_complex("-0")
+    assert struct.pack("<d", negative.real) == struct.pack("<d", -0.0)
+    seed = np.array(seeds[0], dtype=complex)
+    seed[[0, 3]] = negative
+    seed[1] = complex(seed[1].real, -0.0)
+    seed[4] = complex(-0.0, -0.0)
+    calls, original = [], PointCalculus.darboux_trial
+
+    def recorded(pc_, xs, steps, k, res):
+        out = original(pc_, xs, steps, k, res)
+        calls.append(([p + SCALES[k] * step for p, step in zip(xs, steps)], out))
+        return out
+
+    monkeypatch.setattr(PointCalculus, "darboux_trial", recorded)
+    _newton(pc, seed, None, CONV_TOL, darboux.MAX_ITER)
+    coordinates, (k, (rows, first)) = calls[0]
+    assert k == HALVINGS - 1
+    assert [component_bits(v) for v in coordinates] == [component_bits(v) for v in seed.tolist()]
+    assert any(str(v) == "(-0-0j)" for v in coordinates)
+    expected_rows, expected_first = unfused_trial(pc, seed.tolist(), np.inf)
+    assert bits(np.array(rows)) == bits(np.array(expected_rows))
+    assert bits(np.array(first[:-2])) == bits(np.array(expected_first))
+    assert [component_bits(v + SCALES[k] * 0j) for v in seed.tolist()] != \
+        [component_bits(v) for v in seed.tolist()]
+
+
 def line_numbers(source, pattern) -> list:
     """The indices of source's lines that match pattern."""
     return [i for i, line in enumerate(source.splitlines()) if re.match(pattern, line)]
@@ -576,7 +759,7 @@ def test_each_trial_row_is_decided_after_only_the_values_it_reads():
     names = pc.setup.var_names
     assert [lines[d].split()[-1] for d in denominators[pc.s:]] == [
         f"x{names.index(name)}_3" for name in names[pc.n:]]
-    first_row = lines[tests[pc.s] - 2].split()  # the line before the decision's try
+    first_row = lines[tests[pc.s] - 1].split()  # the line before the decision
     assert first_row[0] == f"v{pc._trial_kernel.rows.start}" and first_row[-1] == "x0"
     assert [lines[d].split()[-1] for d in denominators if d < tests[pc.s]] == [
         f"x{names.index(f'r1_{j}')}_2" for j in range(2, 6)]
@@ -627,17 +810,30 @@ def test_kernels_without_row_tests_compute_in_target_order():
 TRACED = ("darboux_system", "darboux_trial")
 
 
+def halving_point(xs, steps, k):
+    """The trial point of the halving k, x + 2^-k step as NumPy computes
+    it, the search's trial point; the point xs itself for a step that
+    stays (expr.STAY), the start's."""
+    if steps[0] is STAY:
+        return np.array(xs)
+    return np.array(xs) + SCALES[k] * np.array(steps)
+
+
 def traced_newton(pc, x0, pins, conv_tol, max_iter):
     """(calls, result): _newton's own calls of the TRACED methods and of the
     trial kernel's row tests, in order, as [name, point, value], with each
-    least-squares step as ["lstsq", matrix, residual]; a row test
-    scans halvings, and each halving it decides is one entry named
-    "row_test", at that halving's point x + 2^-k step as NumPy computes
-    it, with the value (row, whether it passed); darboux_system takes no
-    point, only the values of the trial traced right before it, whose
-    point is its entry's; a call made inside another traced call is not
-    the search's own, and a call that raises keeps the value None.  result
-    is what _newton returns."""
+    least-squares step as ["lstsq", matrix, residual].  A row test and a
+    call of darboux_trial each scan halvings, and each halving one decides
+    is one entry at that halving's point (halving_point): a row test's
+    named "row_test", with the value (row, whether it passed); a halving
+    that the trial kernel's scan skips inside the call named "scan", with
+    the value None; and the halving where it returns named
+    "darboux_trial", with what it returned there, a row or (rows, first),
+    or with the point and the value None where no halving is left.
+    darboux_system takes no point, only the values of the trial traced
+    right before it, whose point is its entry's; a call made inside
+    another traced call is not the search's own.  result is what _newton
+    returns."""
     calls, depth = [], [0]
 
     def lstsq(system):
@@ -646,23 +842,24 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
 
     def traced(name, method):
         def call(*args):
-            if depth[0] == 0:
-                if name == "darboux_system":
-                    # the values that the last trial returned, the object itself
-                    assert calls[-1][0] == "darboux_trial" and args[0] is calls[-1][2][1]
-                    x = calls[-1][1]
-                else:
-                    x = np.array(args[0])
-                calls.append([name, x, None])
+            outer = depth[0] == 0
+            if outer and name == "darboux_system":
+                # the values that the last trial returned, the object itself
+                assert calls[-1][0] == "darboux_trial" and args[0] is calls[-1][2][1]
+                calls.append([name, calls[-1][1], None])
             depth[0] += 1
             try:
                 value = method(*args)
             finally:
                 depth[0] -= 1
-            if depth[0] == 0:
-                # darboux_system's value is the search's own array, which
-                # later Jacobians overwrite
-                calls[-1][2] = value.copy() if name == "darboux_system" else value
+            if outer and name == "darboux_system":
+                # the search's own array, which later Jacobians overwrite
+                calls[-1][2] = value.copy()
+            elif outer:
+                xs, steps, k, _ = args
+                found, out = value
+                calls.extend(["scan", halving_point(xs, steps, j), None] for j in range(k, found))
+                calls.append([name, None if out is None else halving_point(xs, steps, found), out])
             return value
         return call
 
@@ -670,8 +867,7 @@ def traced_newton(pc, x0, pins, conv_tol, max_iter):
         def call(xs, steps, k, res):
             first = test(xs, steps, k, res)
             for j in range(k, min(first + 1, HALVINGS)):
-                point = np.array(xs) + SCALES[j] * np.array(steps)
-                calls.append(["row_test", point, (row, j == first)])
+                calls.append(["row_test", halving_point(xs, steps, j), (row, j == first)])
             return first
         return None if test is None else call
 
@@ -717,22 +913,26 @@ def follows(calls, k, name, x) -> bool:
 
 
 def test_jacobian_only_at_start_and_accepted_steps(three_body):
-    # every trial first runs the own test of the row that rejected the
-    # start's last rejected trial (PointCalculus.row_tests), where that row
-    # has one; a test that fails rejects the trial, where that row's NumPy
-    # absolute is not below the residual, and one that passes hands the
-    # trial on; the trial is then one call of the trial kernel, which
-    # decides the rows of G and then those of grad V - q and names the
-    # row that failed; one whose G rows already fail the acceptance test
-    # is rejected there, the point kernel is never evaluated on its own,
-    # and only a trial whose gradient rows and pin rows pass too builds its
-    # Jacobian, right after, at the same point, from the first derivatives
-    # and Hessians the trial returned, with no kernel call of its own; the
-    # Jacobian is built at the start and accepted steps; every step solves
-    # with that point's residual, the unfused steps' rows plus the pin
-    # rows, bit for bit, and the search returns its largest entry
+    # every line search first runs the own test of the row that rejected
+    # the start's last rejected trial (PointCalculus.row_tests), where that
+    # row has one; a test that fails rejects the trial, where that row's
+    # Python absolute is not below the residual, and one that passes hands
+    # its halving on to one call of the trial kernel, which scans the
+    # halvings from there: at each it decides the rows of G and then those
+    # of grad V - q, in order, skips the halving inside the call where the
+    # first row that fails has no test of its own, and returns where it
+    # has one, naming it, so a scan that starts without a passing test
+    # starts with no test left to run; one whose G rows already fail the
+    # acceptance test is rejected there, the point kernel is never
+    # evaluated on its own, and only a trial whose gradient rows and pin
+    # rows pass too builds its Jacobian, right after, at the same point,
+    # from the first derivatives and Hessians the trial returned, with no
+    # kernel call of its own; the Jacobian is built at the start and
+    # accepted steps; every step solves with that point's residual, the
+    # unfused steps' rows plus the pin rows, bit for bit, and the search
+    # returns its largest entry
     cfg, pc, seeds = three_body
-    g_rejected = tied = grad_rejected = solved = tested = 0
+    g_rejected = tied = grad_rejected = solved = tested = scanned = 0
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + cone_cases()):
         _, accepted = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
@@ -747,7 +947,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
         names = [name for name, _, _ in calls]
         assert names.count("darboux_system") == 1 + accepted
         # the Jacobian takes the trial's first derivatives and Hessians and
-        # never evaluates them again: one trial kernel call per trial
+        # never evaluates them again: one trial kernel call per scan
         assert evaluations == [] and len(trials) == names.count("darboux_trial")
         # the start point's rows are computed as a trial's, then its Jacobian
         assert names[:2] == ["darboux_trial", "darboux_system"]
@@ -757,6 +957,9 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
             if name == "lstsq":
                 assert bits(x) == bits(Jac) and bits(value) == bits(F)
                 solved += 1
+                continue
+            if x is None:  # no halving left: the search stops there
+                assert name == "darboux_trial" and k == len(calls) - 1
                 continue
             lin = np.zeros(0) if pins is None else pins @ x
             if name == "darboux_system":
@@ -770,7 +973,7 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 row, passed = value
                 assert row == failed
                 if passed:
-                    assert follows(calls, k, "darboux_trial", x)
+                    assert follows(calls, k, "scan", x) or follows(calls, k, "darboux_trial", x)
                     continue
                 assert not follows(calls, k, "darboux_trial", x)
                 rows = reference_rows(pc_, x)
@@ -781,32 +984,43 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
                 assert bits(np.array(value[1][:-2])) == bits(np.array(point_values(pc_, x)))
             if k == 0:
                 continue
-            if name == "darboux_trial":
-                if calls[k - 1][0] != "row_test":  # the trial starts here
-                    assert failed is None or trial.kernel.row_tests[failed] is None
-                if isinstance(value, int):
+            if name != "row_test":
+                if calls[k - 1][0] not in ("row_test", "scan"):  # a scan starts here
+                    assert failed is None
+                if name == "scan" or not (isinstance(value, int)
+                                          or follows(calls, k, "darboux_system", x)):
+                    failed = None  # skipped in the scan, or a pin row failed
+                elif isinstance(value, int):
                     failed = value
-                elif not follows(calls, k, "darboux_system", x):
-                    failed = None  # a pin row failed, or the point was refused
-            # a trial: its G rows, then its gradient rows, then its pin rows
-            rejected = name == "row_test" or isinstance(value, int)
+            # a trial: its G rows, then its gradient rows, then its pin
+            # rows; the scan returns at the first row that fails where that
+            # row has a test, and skips the halving where it has none
+            rejected = name != "darboux_trial" or isinstance(value, int)
             g = pc_._variety_kernel(x)[0].tolist()
             if not rows_below(g, res):
-                assert rejected and (name == "row_test" or value >= pc_.n)
+                first = pc_.n + next(a for a, v in enumerate(g) if not rows_below([v], res))
                 g_rejected += 1
                 tied += largest(g) == res
-                continue
-            g = (pc_.grad(x) - x[:pc_.n]).tolist()
-            grad_rejected += not rows_below(g, res)
-            assert (not rejected) == rows_below(g, res)
-            passes = rows_below(g, res) and rows_below(lin.tolist(), res)
-            assert passes == follows(calls, k, "darboux_system", x)
+            else:
+                g = (pc_.grad(x) - x[:pc_.n]).tolist()
+                grad_rejected += not rows_below(g, res)
+                assert (not rejected) == rows_below(g, res)
+                passes = rows_below(g, res) and rows_below(lin.tolist(), res)
+                assert passes == follows(calls, k, "darboux_system", x)
+                if not rejected:
+                    continue
+                first = next(i for i, v in enumerate(g) if not rows_below([v], res))
+            assert rejected
+            if name != "row_test":
+                assert (name == "darboux_trial") == (pc_.row_tests[first] is not None)
+                assert name == "scan" or value == first
+                scanned += name == "scan"
         if result is not None:
             assert bits(result[0]) == bits(point) and result[1] == res
     # 54 trials are rejected by their G rows, 29 of them tying the current
     # residual, where a <= in place of < would compute the gradient
     assert g_rejected > 50 and tied > 25
-    assert grad_rejected > 0 and solved > 100 and tested > 0
+    assert grad_rejected > 0 and solved > 100 and tested > 0 and scanned > 0
     # the equal-mass 3x2 hunt at hunt seed 0: of the trials that its starts
     # reject at a row that has a test, the row tests reject at least 90%
     by_test = at_tested = 0
@@ -822,35 +1036,48 @@ def test_jacobian_only_at_start_and_accepted_steps(three_body):
 
 
 def test_a_jacobian_that_raises_rejects_its_trial(three_body, monkeypatch):
-    # a trial whose rows pass but whose Jacobian's values raise (a pole of a
-    # Hessian entry, which the trial kernel computes after its rows), or
-    # whose trial kernel raises (J singular or not finite), is rejected, and
-    # the search goes on halving from the current point, as the full-system
-    # search does; here the evaluation raises at the first accepted point,
-    # once in each search: the search meets it in the trial kernel, and
-    # the full-system search in the point kernel, which its own evaluation
-    # of the same rows reads.  The Jacobian itself calls no kernel
-    # (test_a_jacobian_calls_no_kernel), so it has nothing to raise
+    # a trial whose rows pass but whose values the trial kernel cannot
+    # give (a pole of a Hessian entry, which the kernel computes after its
+    # rows, J singular or not finite) is skipped inside the kernel's scan,
+    # and the search goes on halving from the current point, as the
+    # full-system search does; here the scan refuses the first accepted
+    # point, once in each search: the search meets it in the trial kernel,
+    # and the full-system search in the point kernel, which its own
+    # evaluation of the same rows reads.  The Jacobian itself calls no
+    # kernel (test_a_jacobian_calls_no_kernel), so it has nothing to raise
     cfg, pc, seeds = three_body
-    methods = ((PointCalculus, "darboux_trial"), (PointKernel, "on_list"))
-    originals = {(owner, method): getattr(owner, method) for owner, method in methods}
+    original = PointKernel.on_list
     raised = []
     for pc_, x0, pins, max_iter, conv_tol in three_body_cases(cfg, pc, seeds, True)[:4]:
         calls, _ = traced_newton(pc_, x0, pins, conv_tol, max_iter)
         at = [x for name, x, _ in calls if name == "darboux_system"][1]
 
-        for (owner, method), original in originals.items():
-            def raising(self, x, *rest, at=at, original=original):
-                if bits(x) == bits(at):
-                    raised.append(at)
-                    raise CriticalPointError("raised at the first accepted point")
-                return original(self, x, *rest)
+        def raising(self, xs, at=at):
+            if bits(xs) == bits(at):
+                raised.append(at)
+                raise CriticalPointError("raised at the first accepted point")
+            return original(self, xs)
 
-            monkeypatch.setattr(owner, method, raising)
+        trial = pc_._trial_kernel
+        scan = trial.kernel.on_list
+
+        def refusing(xs, steps, k, res, at=at):
+            found, out = scan(xs, steps, k, res)
+            if isinstance(out, tuple) and bits(halving_point(xs, steps, found)) == bits(at):
+                raised.append(at)
+                return refusing(xs, steps, found + 1, res)
+            return found, out
+
+        kernel = functools.partial(trial.kernel)
+        kernel.on_list, kernel.row_tests = refusing, trial.kernel.row_tests
+        monkeypatch.setattr(PointKernel, "on_list", raising)
         expected, _ = newton_full_system(pc_, x0, pins, conv_tol, max_iter)
-        got = _newton(pc_, x0, pins, conv_tol, max_iter)
-        for (owner, method), original in originals.items():
-            monkeypatch.setattr(owner, method, original)
+        monkeypatch.setattr(PointKernel, "on_list", original)
+        vars(pc_)["_trial_kernel"] = trial._replace(kernel=kernel)
+        try:
+            got = _newton(pc_, x0, pins, conv_tol, max_iter)
+        finally:
+            vars(pc_)["_trial_kernel"] = trial
         assert same_bits(got, expected)
     assert len(raised) == 8  # once in each search, four starts
 
@@ -974,7 +1201,7 @@ def test_live_partials_match_dense_evaluation(text):
         n = setup.n
         Jac_live = jacobian(pc, x)
         assert bits(Jac_live[n:, n:]) == bits(J) and bits(Jac_live[n:, :n]) == bits(B)
-        F_live = np.array(pc.darboux_trial(x.tolist(), np.inf)[0], dtype=complex)
+        F_live = np.array(trial_at(pc, x.tolist(), np.inf)[0], dtype=complex)
         assert bits(F_live[n:]) == bits(F[n:])
         assert close_to(pc.grad(x), g) and close_to(F_live, F) and close_to(Jac_live, Jac)
         assert close_to(hessian(pc, x), H)
@@ -1002,7 +1229,7 @@ def test_slot_lists_hold_only_live_partials():
     # one statement per live entry, writing both places of an off-diagonal
     # pair and a diagonal place once; the three live partials are the
     # diagonal second derivatives in the distances r_ij
-    stores = re.findall(rf"^    ((?:a{k}\[\d+, \d+\] = )+)", source, re.M)
+    stores = re.findall(rf"^ +((?:a{k}\[\d+, \d+\] = )+)", source, re.M)
     places = [[tuple(map(int, m)) for m in re.findall(r"\[(\d+), (\d+)\]", line)]
               for line in stores]
     assert places == [[(a, b)] if a == b else [(a, b), (b, a)] for a, b, _ in pc._vhess]
@@ -1039,7 +1266,7 @@ def point_results(pc, x):
     Jacobian and the Hessian from a trial's values, the point kernel's
     values, and the search trial's rows, first derivatives and Hessians
     against res = inf."""
-    rows, first = pc.darboux_trial(x.tolist(), np.inf)
+    rows, first = trial_at(pc, x.tolist(), np.inf)
     return [bits(r) for r in (pc.grad(x), jacobian(pc, x), hessian(pc, x),
                               *point_values(pc, x), np.array(rows), *first)]
 
@@ -1112,7 +1339,8 @@ def test_a_jacobian_calls_no_kernel(name, monkeypatch):
     calls = []
     emit = expr.compile_arrays
     monkeypatch.setattr(calculus, "compile_arrays",
-                        lambda targets, order: counted_kernel(emit(targets, order), calls))
+                        lambda targets, order, finite=(): counted_kernel(
+                            emit(targets, order, finite), calls))
     monkeypatch.setattr(expr, "compile_arrays", calculus.compile_arrays)
     if name == "nbody3x2":
         setup = build(NBodyConfig(n=3, dim=2, masses=(1, 1, 1)))
@@ -1141,15 +1369,16 @@ def test_singular_fiber_raises_on_every_call(trap_setup):
     pc = PointCalculus(trap_setup)
     good = np.array([0.25, 1.0, 0.5], dtype=complex)
     singular = np.array([0.0, 1.0, 0.0], dtype=complex)
-    def trial(x):
-        return pc.darboux_trial(x.tolist(), np.inf)
-
     def values(x):
         return point_values(pc, x)
 
-    for method in (values, pc.grad, trial):
+    for method in (values, pc.grad, None):
         pc.grad(good)
         for _ in range(3):
+            if method is None:  # a trial's scan skips the point, whose rows pass
+                assert trial_at(pc, singular.tolist(), np.inf) is None
+                assert rows_below(pc._variety_kernel(singular)[0].tolist(), np.inf)
+                continue
             with pytest.raises(CriticalPointError):
                 method(singular)
         assert point_results(pc, good) == point_results(PointCalculus(trap_setup), good)
@@ -1226,13 +1455,10 @@ def test_a_singular_or_non_finite_fiber_is_refused_every_time(case):
         for method in (point_values, PointCalculus.grad):
             with pytest.raises(CriticalPointError, match="singular or not finite"):
                 method(pc, x)
-        # a trial refuses the point too, or fails first at a row that is
-        # not finite, so no Hessian is computed there
-        try:
-            row = pc.darboux_trial(x.tolist(), np.inf)
-        except CriticalPointError as exc:
-            assert "singular or not finite" in str(exc)
-        else:
+        # a trial's scan skips the point too, or returns first at a row of
+        # G that is not finite, so no Hessian is computed there
+        row = trial_at(pc, x.tolist(), np.inf)
+        if row is not None:
             G = pc._variety_kernel(x)[0]
             assert isinstance(row, int) and row >= setup.n and not np.isfinite(G[row - setup.n])
         assert pc.solve_fiber(x[:setup.n], x[setup.n:]) is None
@@ -1253,28 +1479,41 @@ def faked(values):
 def test_an_infinite_entry_of_J_is_refused_where_u_is_finite():
     # an infinite diagonal entry can leave a finite, meaningless u (1/inf =
     # 0), so the kernel's check reads J's entries as well as u; a search
-    # trial's check reads the same entries of the trial kernel, once its
-    # rows have passed
+    # trial's scan checks the same entries of the trial kernel, once its
+    # rows have passed, and skips a halving where one is not finite: here
+    # the scan's finiteness test reports each entry in turn as not finite
     pc = PointCalculus(parse_problem(DRAW1_TEXT))
     point, trial = pc._point_kernel, pc._trial_kernel
     x = np.array([0.3, 0.4, 0.7, 1.5], dtype=complex)
-    good, good_trial = point.kernel(x), trial.kernel(x, np.inf)
+    good, (_, good_trial) = point.kernel(x), scanned_at(trial.kernel, x.tolist(), np.inf)
     assert good_trial[trial.first][:-2] == good
+    shift = pc.s  # the trial kernel's point values sit after G's
+    namespace = trial.kernel.on_list.__globals__
     for slot in range(point.checked.start, point.checked.stop):
         for bad in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
             values = good[:slot] + (bad,) + good[slot + 1:]
             vars(pc)["_point_kernel"] = point._replace(kernel=faked(values))
-            shift = trial.checked.start - point.checked.start
-            values = good_trial[:shift + slot] + (bad,) + good_trial[shift + slot + 1:]
-            vars(pc)["_trial_kernel"] = trial._replace(kernel=faked(values))
-            for _ in range(2):
-                with pytest.raises(CriticalPointError, match="singular or not finite"):
-                    point_values(pc, x)
-                with pytest.raises(CriticalPointError, match="singular or not finite"):
-                    pc.darboux_trial(x.tolist(), np.inf)
-    vars(pc)["_point_kernel"], vars(pc)["_trial_kernel"] = point, trial
+            entry = good_trial[shift + slot]
+            namespace["isfinite"] = lambda v, entry=entry: v != entry and cmath.isfinite(v)
+            try:
+                for _ in range(2):
+                    with pytest.raises(CriticalPointError, match="singular or not finite"):
+                        point_values(pc, x)
+                    assert trial_at(pc, x.tolist(), np.inf) is None
+            finally:
+                namespace["isfinite"] = cmath.isfinite
+    vars(pc)["_point_kernel"] = point
     assert point_values(pc, x) == good
-    assert pc.darboux_trial(x.tolist(), np.inf)[1][:-2] == good
+    assert trial_at(pc, x.tolist(), np.inf)[1][:-2] == good
+    # the scan's one finiteness test names exactly those entries, after
+    # its last row decision and before the Hessians
+    source = trial.kernel.source.splitlines()
+    decisions = line_numbers(trial.kernel.source, r" +if not abs\(")
+    (check,) = line_numbers(trial.kernel.source, r" +if not all\(map\(isfinite, ")
+    hessians = line_numbers(trial.kernel.source, rf" +a{trial.rows.start - 2} = ")
+    assert decisions[-1] < check < hessians[0]
+    assert [int(v) for v in re.findall(r"v(\d+)", source[check])] == list(
+        range(shift + point.checked.start, shift + point.checked.stop))
 
 
 def test_no_extension_variables_give_empty_solves():
@@ -1448,15 +1687,15 @@ def test_an_accepted_trials_residual_is_the_largest_python_absolute(three_body, 
     # included; NumPy's absolute differs from it in the last bit on some of
     # the trials here
     cfg, pc, seeds = three_body
-    original, accepted = darboux._trial, []
+    original, accepted = darboux._accepted, []
 
-    def trial(pc_, x, xs, pins, res, system):
-        out = original(pc_, x, xs, pins, res, system)
-        if isinstance(out, tuple):
+    def trial(pc_, x, out, pins, res, system):
+        out = original(pc_, x, out, pins, res, system)
+        if out is not None:
             accepted.append((out[0], system.F.tolist()))
         return out
 
-    monkeypatch.setattr(darboux, "_trial", trial)
+    monkeypatch.setattr(darboux, "_accepted", trial)
     for pc_, x0, pins, max_iter, conv_tol in (three_body_cases(cfg, pc, seeds, True)
                                               + hunt_cases(cfg, pc)):
         _newton(pc_, x0, pins, conv_tol, max_iter)

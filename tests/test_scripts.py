@@ -194,9 +194,64 @@ def test_trial_stats_counts_each_analysis_trials_by_outcome(capsys):
         assert counts["trials"] == sum(counts[o] for o in trial_stats.OUTCOMES)
     *analyses, (_, total) = rows
     assert all(total[k] == sum(c[k] for _, c in analyses) for k in total)
-    assert total["test"] > 0 and total["passed"] > 0
+    assert total["test"] > 0 and total["scan"] > 0 and total["passed"] > 0
     assert (darboux._newton, PointCalculus.darboux_trial, PointCalculus.darboux_system,
             PointCalculus.row_tests) == originals
+
+
+def test_trial_stats_counts_each_halving_of_a_scan(monkeypatch):
+    # a scan from the halving k that ends at the halving found counts
+    # found - k halvings skipped in the kernel, then the row it returned
+    # at (a gradient row below n, else G's) or a trial whose pin rows or
+    # Jacobian settle it; a start's own trial counts nothing.  A revision
+    # whose darboux_trial decides one point per call counts a row without
+    # a test of its own and a refused point as one scan trial each
+    from algpot import darboux
+    from algpot.calculus import PointCalculus
+
+    class Calculus:
+        n = 2
+        row_tests = (None, print, None, print)  # rows 1 and 3 have tests
+
+    outs = []
+    monkeypatch.setattr(PointCalculus, "darboux_trial", lambda pc, *args: outs.pop(0)(*args))
+    monkeypatch.setattr(PointCalculus, "darboux_system", lambda pc, *args: None)
+
+    def newton(pc, calls):
+        for args in calls:
+            try:
+                out = PointCalculus.darboux_trial(pc, *args)
+                if isinstance(out, tuple) and out[-1] == "accepted":
+                    PointCalculus.darboux_system(pc, None, None)
+            except ArithmeticError:
+                pass
+
+    def counted(calls, replies):
+        outs[:] = replies
+        monkeypatch.setattr(darboux, "_newton", newton)
+        counter = trial_stats.TrialCounter()
+        counter.install()
+        try:
+            darboux._newton(Calculus(), calls)
+        finally:
+            counter.restore()
+        return {k: v for k, v in counter.counts.items() if v}
+
+    trial_stats = load_script("trial_stats")
+    scans = [("xs", "stay", 29, 1.0), ("xs", "step", 0, 1.0), ("xs", "step", 4, 1.0),
+             ("xs", "step", 9, 1.0), ("xs", "step", 13, 1.0)]
+    assert counted(scans, [lambda *a: (29, ((), ())), lambda *a: (3, 1), lambda *a: (6, 3),
+                           lambda *a: (11, ((), ())), lambda *a: (30, None)]) == {
+        "scan": 3 + 2 + 2 + 17, "grad": 1, "G": 1, "pin": 1}
+    accepted = [lambda *a: (29, "accepted"), lambda *a: (2, "accepted")]
+    assert counted(scans[:2], accepted) == {"scan": 2, "passed": 1}
+
+    def refused(*args):
+        raise ArithmeticError
+
+    points = [("xs", 1.0)] * 6
+    assert counted(points, [lambda *a: ((), ()), lambda *a: 0, lambda *a: 1, lambda *a: 2,
+                            lambda *a: 3, refused]) == {"scan": 3, "grad": 1, "G": 1}
 
 
 def test_output_digest_lists_each_fiber_solve_after_its_output():

@@ -8,7 +8,7 @@ from algpot.expr import Array
 from algpot.nbody import NBodyConfig, build
 
 from conftest import on_cone
-from residual_reference import jacobian
+from residual_reference import jacobian, trial_at
 
 
 def test_cone_fiber_jacobian_is_2w(cone_setup):
@@ -188,7 +188,7 @@ def test_each_generator_partial_is_built_once(monkeypatch, compiled):
     # 15 of the 27 partials non-zero
     assert len(diffed) == len(set(diffed)) == 27
     assert len(partial) == 15
-    pc.darboux_trial(x.tolist(), np.inf)
+    trial_at(pc, x.tolist(), np.inf)
     jacobian(pc, x)
     pc.grad(x)
     pc.near_sigma(x)
