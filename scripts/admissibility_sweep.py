@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from algpot.admissibility import check_pair_exact
+from algpot.admissibility import check_pair
 
 
 def main() -> int:
@@ -33,7 +33,7 @@ def main() -> int:
             continue
         for a in range(-args.a_bound, args.a_bound + 1):
             lam = Fraction(a, args.denominator)
-            verdict = check_pair_exact(k, lam)
+            verdict = check_pair(k, lam)
             total += 1
             if verdict.matched:
                 matched += 1

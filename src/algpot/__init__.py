@@ -18,7 +18,7 @@ from .dynamics import (CriticalSetError, Trajectory, TrajectoryState,
                        homothetic_orbit, integrate)
 from .expr import ExprError, PoleError, RatExpr, ZeroDenominatorError
 from .admissibility import (Certificate, TableError, TableVerdict, Witness, certify,
-                            check_pair_exact, check_pair_numeric)
+                            check_pair)
 from .nbody import (NBodyConfig, build as build_nbody, central_config_seeds,
                     pinning_conditions, split_gauge_spectrum)
 from .parsing import AlgebraicSetup, ParseError, load_problem, parse_problem

@@ -26,18 +26,22 @@ integer p, the witness's shift:
 Every other Schwarz triple lacks 1/2, which the point 1 always supplies, and
 with 1/2 in a triple the even-sum rule on its shifts is void.  Case (i) and
 the rational dihedral case are families A and B of the classical table, k =
-+-2 its any-lambda rows, and the Schwarz cases its special rows.  The exact
-check decides membership over the rationals; the numeric check rounds each
-candidate shift and back-substitutes.  Only the exact route can certify an
-obstruction; a numeric miss is reported but proves nothing.
++-2 its any-lambda rows, and the Schwarz cases its special rows.  check_pair
+decides membership by the distance from lambda to the nearest admissible
+value: exactly, for a rational lambda, where only a zero distance admits and
+a miss certifies an obstruction, and within a tolerance otherwise, where a
+miss is reported but proves nothing.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
+from operator import truediv
 
 from .spectrum import RATIONAL_TOL, rationalize
 
@@ -72,6 +76,7 @@ class TableVerdict:
     mode: str  # "exact" | "numeric"
     witnesses: list = field(default_factory=list)
     obstruction: bool = False
+    gap: object = math.inf  # |lambda - the nearest admissible value|
     note: str = ""
 
 
@@ -98,11 +103,6 @@ def exponent_difference(k: int, lam):
     return cmath.sqrt(complex(square)) if root is None else root
 
 
-def _eigenvalue(k: int, delta: Fraction) -> Fraction:
-    """The lambda whose exponent difference at infinity is +-delta."""
-    return (4 * k * k * delta * delta - (k - 2) ** 2) / (8 * k)
-
-
 def _cases(k: int):
     """(case, residue) for each way +-Delta = residue + p admits the pair."""
     cases = [("case (i)", F(1, 2) - F(1, k)), ("dihedral", F(1, 2))]
@@ -117,53 +117,60 @@ def check_degree(k) -> None:
         raise TableError("degree must be a nonzero integer")
 
 
-def check_pair_exact(k: int, lam) -> TableVerdict:
-    """Decide (k, lambda) over the rationals; a miss is an obstruction."""
-    check_degree(k)
-    lam = F(lam)
-    witnesses = [Witness("dihedral", None)] if k in (2, -2) else []
-    delta = exponent_difference(k, lam)
-    if isinstance(delta, Fraction):
-        for case, residue in _cases(k):
-            for p in sorted({delta - residue, -delta - residue}):
-                if p.denominator == 1:
-                    witnesses.append(Witness(case, int(p), residue))
-    matched = bool(witnesses)
-    return TableVerdict(k=k, lam=lam, matched=matched, mode="exact",
-                        witnesses=witnesses, obstruction=not matched)
+def check_pair(k: int, lam) -> TableVerdict:
+    """Decide (k, lambda) by its distance to the nearest admissible value.
 
-
-def check_pair_numeric(k: int, lam) -> TableVerdict:
-    """Decide a float or complex eigenvalue: exactly when spectrum.rationalize
-    reconstructs it as a rational, else by rounding each candidate shift and
-    accepting the lambda it gives within RATIONAL_TOL * max(1, |lambda|).
+    In each case the admissible values are lambda_p = k s^2/2 - (k-2)^2/(8k)
+    for s = residue + p, at distance |k| |s^2 - Delta^2| / 2 from lambda.
+    The shifts tried are, for each sign, the p nearest +-Delta - residue
+    and its two neighbours, and each within r of lambda is a witness.  A
+    rational lambda, or a float or complex one that spectrum.rationalize
+    reconstructs, is decided in integers: r = 0, and a miss is an
+    obstruction.  Any other is decided in floats, in numeric mode, with
+    r = RATIONAL_TOL * max(1, |lambda|), and a miss proves nothing.  The
+    smallest distance is the verdict's gap: for a rational lambda the
+    distance to the nearest admissible value, 0 for k = +-2, and inf where
+    a numeric Delta^2 is not finite (near the end of double range).
     Raises TableError for a lambda that is not finite."""
     check_degree(k)
-    z = complex(lam)
-    if not cmath.isfinite(z):
-        raise TableError(f"lambda must be finite, got {z}")
-    r = rationalize(z)
-    if r is not None:
-        v = check_pair_exact(k, r)
-        v.note = f"lambda reconstructed as {r}"
-        return v
-
+    z, note = lam, ""
+    if not isinstance(lam, Rational):
+        z = complex(lam)
+        if not cmath.isfinite(z):
+            raise TableError(f"lambda must be finite, got {z}")
+        lam = rationalize(z)
+        note = "" if lam is None else f"lambda reconstructed as {lam}"
+    exact = lam is not None
+    lam = F(lam) if exact else z
+    # hypot, where abs(lam) would raise past the largest double
+    radius = 0 if exact else RATIONAL_TOL * max(1.0, math.hypot(lam.real, lam.imag))
     witnesses = [Witness("dihedral", None)] if k in (2, -2) else []
-    delta = exponent_difference(k, z)
-    scale = max(1.0, abs(z))
-    for case, residue in _cases(k):
-        for sgn in (1, -1):
-            guess = round((sgn * delta - complex(residue)).real)
-            for p in (guess - 1, guess, guess + 1):
-                if abs(complex(_eigenvalue(k, residue + p)) - z) <= RATIONAL_TOL * scale:
-                    w = Witness(case, p, residue)
-                    if w not in witnesses:
-                        witnesses.append(w)
-                    break
+    gap = (F(0) if exact else 0.0) if witnesses else math.inf
+    square = ((k - 2) ** 2 + 8 * k * lam) / (4 * k * k)  # Delta^2
+    if exact:  # Delta^2 = n/d; root/den is within 1/4 below Re Delta, and Delta if rational
+        n, d = square.numerator, square.denominator
+        root, den, over = isqrt(16 * max(n, 0) * d), 4 * d, F
+    else:
+        n, d, root, den, over = square, 1, cmath.sqrt(square).real, 1, truediv
+    halves = [divmod(sign * root, den) for sign in (1, -1)]
+    # a finite Delta^2 keeps s^2 and |s^2 - Delta^2| within a few |Delta^2|:
+    # nothing below overflows
+    for case, residue in _cases(k) if exact or cmath.isfinite(square) else ():
+        u, v = (residue.numerator, residue.denominator) if exact else (float(residue), 1)
+        nearest = {int(q) + round(rest / den - u / v) for q, rest in halves}
+        # |k| size / scale is |lambda_p - lambda|, and size an integer for a rational lambda
+        size = {p: abs((u + v * p) ** 2 * d - n * v * v)
+                for p in sorted({q + j for q in nearest for j in (-1, 0, 1)})}
+        scale = 2 * v * v * d
+        gap = min(gap, over(abs(k) * min(size.values()), scale))
+        witnesses += [Witness(case, p, residue) for p, t in size.items()
+                      if abs(k) * t <= radius * scale]
     matched = bool(witnesses)
-    note = "" if matched else "numeric mode: a miss is not a certificate"
-    return TableVerdict(k=k, lam=z, matched=matched, mode="numeric",
-                        witnesses=witnesses, obstruction=False, note=note)
+    if not (matched or exact):
+        note = "numeric mode: a miss is not a certificate"
+    return TableVerdict(k=k, lam=lam, matched=matched, mode="exact" if exact else "numeric",
+                        witnesses=witnesses, obstruction=exact and not matched,
+                        gap=gap, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from .calculus import PointCalculus
 from .dynamics import CriticalSetError, integrate
 from .expr import ExprError
-from .admissibility import TableError, check_pair_exact, check_pair_numeric
+from .admissibility import TableError, check_pair
 from .nbody import NBodyConfig, build as build_nbody
 from .parsing import ParseError, load_problem
 from .pipeline import (EXIT_ERROR, EXIT_OK, EXIT_USAGE, OPTION_RANGES, POSITIVE_INT,
@@ -190,15 +190,12 @@ def cmd_darboux(args) -> int:
 
 def cmd_check_table(args) -> int:
     try:
-        if isinstance(args.lam, Fraction) and not args.numeric:
-            verdict = check_pair_exact(args.k, args.lam)
-        else:
-            verdict = check_pair_numeric(args.k, complex(args.lam))
+        verdict = check_pair(args.k, complex(args.lam) if args.numeric else args.lam)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {"k": verdict.k, "obstruction_if_hypotheses_hold": verdict.obstruction,
-              **table_entry(verdict)}
+              "gap": verdict.gap, **table_entry(verdict)}
     _emit(report_json(report), args.out)
     return EXIT_OK
 

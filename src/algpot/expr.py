@@ -511,7 +511,7 @@ class RowTest(NamedTuple):
     list), minus the input variable `minus` (its index in var_order, by
     Python's -) when one is given.  A kernel with row tests is a scan of
     the Darboux line search's halvings, each point x + SCALES[k] * step
-    from a given k on, called as kernel(x, step, k, res): at each it
+    from a given k on, called as on_list(x, step, k, res): at each it
     decides its rows in the order of the outputs they read, computing
     before each only what it reads (compile_arrays), and goes on to the
     next halving where a row whose absolute is not below res (rows_below)
@@ -581,11 +581,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str], finite: Sequence
     in the order given, and the first vanishing denominator that the
     kernel reaches raises PoleError with its printed form; a kernel with
     row tests is a scan of the line search's halvings, in demand order
-    (see RowTest below).  A non-zero coefficient outside double range
-    raises ExprError at compile time.
+    (see RowTest below), on lists only: it is its own on_list.  A non-zero
+    coefficient outside double range raises ExprError at compile time.
 
-    The kernel reads its input as complex, turns it into a list of Python
-    complex once, passes it to on_list, and computes in Python complex
+    A kernel without row tests reads its input as complex and passes it to
+    on_list as a list of Python complex; a kernel computes in Python complex
     arithmetic from then on, every operand complex, the coefficients
     included.  Each value comes from the same operations in the same order
     whatever the target: the normal form's terms, in dict order, summed
@@ -611,11 +611,11 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str], finite: Sequence
     A RowTest's value is the output it names, minus its input variable by
     Python's subtraction when it has one.  A kernel with row tests is a
     scan of the Darboux line search's halvings: it is called as
-    kernel(x, step, k, res) and on_list(x, step, k, res), x a point and
-    step a step (lists of Python complex for on_list), and tries the
-    halvings k, k + 1, ... below HALVINGS in turn, at each reading each
-    coordinate that it computes with as x[i] + SCALES[k] * step[i], by
-    Python's complex arithmetic, at first use: the coordinate of NumPy's
+    on_list(x, step, k, res), x a point and step a step, lists of Python
+    complex, and tries the halvings k, k + 1, ... below HALVINGS in turn,
+    at each reading each coordinate that it computes with as
+    x[i] + SCALES[k] * step[i], by Python's complex arithmetic, at first
+    use: the coordinate of NumPy's
     x + SCALES[k] * step, bit for bit but for the sign of a zero where the
     product underflows (NumPy's may be fused), which changes no absolute.
     A step of STAY, the one halving k = HALVINGS - 1, reads x itself.  The
@@ -841,10 +841,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str], finite: Sequence
                   + "".join(f"            {line}\n" for line in lines)
                   + f"            return k, {result}\n"
                   + "        except (OverflowError, ZeroDivisionError):\n            pass\n"
-                  + f"    return {HALVINGS}, None\n"
-                  + "def kernel(x, step, k, res):\n"
-                  + "    return on_list(asarray(x, complex).tolist(), "
-                  + "asarray(step, complex).tolist(), k, res)\n")
+                  + f"    return {HALVINGS}, None\n")
     else:
         source = "def on_list(x):\n" + "".join(f"    {line}\n" for line in lines)
         source += f"    return {result}\n"
@@ -854,7 +851,7 @@ def compile_arrays(targets: Sequence, var_order: Sequence[str], finite: Sequence
     for text in [source] + functions:
         exec(text, namespace)
     source += "".join(functions)
-    kernel = namespace["kernel"]
+    kernel = namespace["on_list" if tests else "kernel"]
     kernel.on_list = namespace["on_list"]
     kernel.row_tests = tuple(namespace.get(f"row_test{j}") for j in rows.values())
     kernel.source = source

@@ -20,8 +20,7 @@ import numpy as np
 
 from .calculus import PointCalculus, check_calculus, detect_homogeneity, validate
 from .darboux import N_RANDOM, DarbouxReport, DarbouxResult, solve_darboux
-from .admissibility import (Certificate, TableVerdict, certify, check_pair_exact,
-                            check_pair_numeric)
+from .admissibility import Certificate, TableVerdict, certify, check_pair
 from .nbody import NBodyConfig, central_config_seeds, pinning_conditions, split_gauge_spectrum
 from .parsing import AlgebraicSetup
 from .spectrum import eigen
@@ -266,11 +265,8 @@ def analyze(setup: AlgebraicSetup, options: AnalysisOptions | None = None,
         for cl in spec.clusters:
             vrow = {"eigenvalue": cl.value, "multiplicity": cl.multiplicity, "table": None}
             if k is not None and not rep.degenerate:
-                if cl.rational is not None:
-                    verdict = check_pair_exact(k, cl.rational)
-                else:
-                    verdict = check_pair_numeric(k, cl.value)
-                vrow["table"] = table_entry(verdict)
+                lam = cl.value if cl.rational is None else cl.rational
+                vrow["table"] = table_entry(check_pair(k, lam))
             verdict_rows.append(vrow)
 
         entry["verdicts"] = verdict_rows

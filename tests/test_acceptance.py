@@ -15,7 +15,7 @@ from algpot.calculus import PointCalculus, detect_homogeneity
 from algpot.darboux import solve_darboux
 from algpot.dynamics import homothetic_orbit, integrate
 from algpot.expr import RatExpr
-from algpot.admissibility import check_pair_exact
+from algpot.admissibility import check_pair
 from algpot.nbody import (NBodyConfig, build, central_config_seeds,
                           pinning_conditions)
 from algpot.pipeline import AnalysisOptions, analyze, report_json
@@ -112,7 +112,7 @@ def test_criterion_2_table_vs_enumeration():
             brute = brute_admissible_a(k)
             for a in range(-A_BOUND, A_BOUND + 1):
                 want = True if brute is None else (a in brute)
-                got = check_pair_exact(k, Fraction(a, 24)).matched
+                got = check_pair(k, Fraction(a, 24)).matched
                 if got != want:
                     disagreements.append((k, a, got, want))
         elapsed = time.monotonic() - t0
@@ -127,7 +127,7 @@ def test_criterion_3_trivial_eigenvalue_law():
         for k in range(-50, 51):
             if k == 0:
                 continue
-            verdict = check_pair_exact(k, Fraction(k - 1))
+            verdict = check_pair(k, Fraction(k - 1))
             assert verdict.matched, f"k={k}"
             if k not in (2, -2):
                 assert any(w.case == "case (i)" and w.p == 1

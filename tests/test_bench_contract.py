@@ -22,8 +22,8 @@ instrument = load_instrument()
 
 # Wrap points whose layer algpot no longer has, while bench/ still lists them
 # (it changes only with the benchmark); the benchmark reports each as missing
-# and its metrics read 0.  The admissibility decision is two module
-# functions, so the class that held the table's checks is gone.  Monodromy
+# and its metrics read 0.  The admissibility decision is one module
+# function, so the class that held the table's checks is gone.  Monodromy
 # is continued by Taylor series, so the companion matrix of the ODE
 # transport has no caller left.  The constrained flow solves for dw/dq by
 # triangular substitution, so the calculus has no w_derivative.  The

@@ -57,6 +57,44 @@ def test_check_table_numeric_mode(capsys):
     assert "not a certificate" in out["note"]
 
 
+def test_check_table_prints_the_gap(capsys):
+    # the distance to the nearest admissible value: 0 on family A at
+    # p = 10^20, where rounding Delta in floats would miss p, and 1/7 from it
+    p = 10 ** 20
+    lam = p * (3 * p + 1) // 2
+    for value, matched, gap in ((f"{lam}", True, "0"), (f"{7 * lam + 1}/7", False, "1/7")):
+        assert main(["check-table", "--k", "3", f"--lambda={value}"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["matched"], out["obstruction_if_hypotheses_hold"], out["gap"]) == (
+            matched, not matched, gap)
+    assert main(["check-table", "--k", "3", "--lambda", "0.123456789", "--numeric"]) == 0
+    assert 0 < json.loads(capsys.readouterr().out)["gap"] < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "3", "--lambda=1e308+1i"], ["--k", "3", "--lambda=-1e308+1i"],
+    ["--k", "3", "--lambda=1.7e308+0.5i"], ["--k", "3", "--lambda=1e308+1e308i", "--numeric"],
+    ["--k=-1", "--lambda=1e308+1i"]])
+def test_check_table_beyond_double_range_is_a_numeric_miss(argv, capsys):
+    # Delta^2 overflows there, where rounding Delta was a traceback with
+    # exit 1: now a miss that proves nothing, with gap inf
+    assert main(["check-table", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["mode"], out["matched"], out["obstruction_if_hypotheses_hold"]) == (
+        "numeric", False, False)
+    assert out["gap"] == float("inf")
+
+
+@pytest.mark.parametrize("argv", [["--k", "1", "--lambda=1.7e308"],
+                                  ["--k=-1", "--lambda=-1.7e308"],
+                                  ["--k", "1", "--lambda=1.7e308", "--numeric"]])
+def test_check_table_decides_an_exact_lambda_near_the_end_of_double_range(argv, capsys):
+    # Delta^2 = 2 lambda has no double here, which was a traceback with exit 1
+    assert main(["check-table", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mode"] == "exact" and out["obstruction_if_hypotheses_hold"] is True
+
+
 def test_check_table_rejects_k_zero(capsys):
     code = main(["check-table", "--k", "0", "--lambda", "1"])
     assert code == 2

@@ -255,13 +255,14 @@ def test_a_row_test_stops_the_kernel_at_the_first_row_that_fails():
     # on to the next halving, as a pole does; where every row passes the
     # scan returns the halving and the outputs in target order
     kernel = compile_arrays(SCANNED, ["x", "y"])
+    assert kernel.on_list is kernel  # a scan takes lists only
     assert kernel.row_tests[0] is not None and kernel.row_tests[1] is None
     x, y = 0.5 + 0.25j, -0.5 + 0.25j
     k, values = scanned_at(kernel, [x, y], 10.0)
     assert k == HALVINGS - 1 and all(type(v) is complex for v in values)
     assert values[3] == (x + y) - y and values[4] == values[0]
     assert values[0] == x * x * x * (y * y * y) / (x + 1) and values[2] == 1 / (x - 1)
-    assert kernel(np.array([x, y]), np.zeros(2), HALVINGS - 1, 10.0) == (k, values)
+    assert kernel([x, y], [0j, 0j], HALVINGS - 1, 10.0) == (k, values)
     # the bound is strict: a row equal to it fails, and so does a nan
     assert scanned_at(kernel, [x, y], abs(values[0])) == (HALVINGS, None)
     assert scanned_at(kernel, [x, y], abs(values[3])) == (HALVINGS - 1, 0)
@@ -410,7 +411,7 @@ def test_a_failing_row_stops_the_kernel_before_any_output_it_does_not_read():
     kernel = compile_arrays(SCANNED, ["x", "y"])
     y = -0.5 + 0.25j
     assert scanned_at(kernel, [1.0 + 0j, y], 0.5) == (HALVINGS - 1, 0)
-    assert kernel(np.array([1.0, y]), np.zeros(2), HALVINGS - 1, 0.5) == (HALVINGS - 1, 0)
+    assert kernel([1.0 + 0j, y], [0j, 0j], HALVINGS - 1, 0.5) == (HALVINGS - 1, 0)
     assert scanned_at(kernel, [1.0 + 0j, y], 10.0) == (HALVINGS, None)
     # at a regular point the outputs keep the bits of the same targets
     # compiled without the row tests

@@ -749,7 +749,7 @@ def test_each_trial_row_is_decided_after_only_the_values_it_reads():
     # Hessian's ten denominators r_ij^3 come after the last decision
     pc = trial_calculus("nbody5x2")
     source = pc._trial_kernel.kernel.source
-    source = source[:source.index("def kernel(")]  # on_list, not the rows' own tests
+    source = source.split("def row_test")[0]  # on_list, not the rows' own tests
     lines = source.splitlines()
     tests = line_numbers(source, r"\s+if not abs\(")
     denominators = line_numbers(source, r"\s+d\d+ = ")
@@ -799,7 +799,7 @@ def test_kernels_without_row_tests_compute_in_target_order():
             assert order == sorted(order), setup.label
             checked += len(order)
         source = pc._trial_kernel.kernel.source
-        source = source[:source.index("def kernel(")]
+        source = source.split("def row_test")[0]
         k = pc._trial_kernel.rows.start - 2  # V's Hessian, then the generators'
         hessians = line_numbers(source, rf" +a({k}|{k + 1}) = ")
         decisions = line_numbers(source, r" +if not abs\(")
@@ -1225,7 +1225,7 @@ def test_slot_lists_hold_only_live_partials():
     assert all(e.constant_value() is None for _, _, e in pc._vhess)
     k = pc._trial_kernel.rows.start - 2  # V's Hessian, then the generators'
     source = pc._trial_kernel.kernel.source
-    source = source[:source.index("def kernel(")]
+    source = source.split("def row_test")[0]
     # one statement per live entry, writing both places of an off-diagonal
     # pair and a diagonal place once; the three live partials are the
     # diagonal second derivatives in the distances r_ij
