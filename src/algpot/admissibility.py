@@ -95,12 +95,18 @@ def exponent_difference(k: int, lam):
 
     An exact Fraction when lambda is rational and Delta^2 a rational square,
     a complex number otherwise (lambda complex, Delta irrational or imaginary).
+    TableError when Delta^2 is irrational and has no double.
     """
     if isinstance(lam, complex):
         return cmath.sqrt(((k - 2) ** 2 + 8 * k * lam) / (4 * k * k))
     square = ((k - 2) ** 2 + 8 * k * F(lam)) / (4 * k * k)
     root = rational_sqrt(square)
-    return cmath.sqrt(complex(square)) if root is None else root
+    if root is not None:
+        return root
+    try:
+        return cmath.sqrt(complex(square))
+    except OverflowError:
+        raise TableError("Delta^2 is irrational and outside double range") from None
 
 
 def _cases(k: int):

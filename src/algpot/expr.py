@@ -123,6 +123,18 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
+def _ppow(a: Poly, e: int) -> Poly:
+    """a^e for e >= 1: a single term's exponents scale and its coefficient
+    is raised at once (the zero polynomial stays zero); a longer polynomial
+    is multiplied out e times."""
+    if len(a) <= 1:
+        return {tuple((n, k * e) for n, k in m): Fraction(c) ** e for m, c in a.items()}
+    out = dict(_PONE)
+    for _ in range(e):
+        out = _pmul(out, a)
+    return out
+
+
 def _pscale(a: Poly, c: Fraction) -> Poly:
     if not c:
         return {}
@@ -416,11 +428,7 @@ class RatExpr:
                 raise ZeroDenominatorError("zero raised to a negative power")
             base = RatExpr(dict(self.den), dict(self.num))
             e = -e
-        num, den = dict(_PONE), dict(_PONE)
-        for _ in range(e):
-            num = _pmul(num, base.num)
-            den = _pmul(den, base.den)
-        return RatExpr(num, den)
+        return RatExpr(_ppow(base.num, e), _ppow(base.den, e))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -13,23 +13,37 @@ out (the generator may use the base coordinates and every extension variable
 declared up to and including this line), and one final ``potential`` line
 gives the potential as a rational expression in everything declared.
 
-Expression grammar (whitespace insensitive, ``#`` starts a comment):
+Expression grammar (``#`` starts a comment that runs to the end of its line):
 
     expr     := term (('+' | '-') term)*
     term     := unary (('*' | '/') unary)*
-    unary    := '-' unary | power
-    power    := atom ('^' exponent)*
+    unary    := '-' unary | atom ('^' exponent)*
     exponent := INT | '-' INT | '(' '-'? INT ')'
     atom     := INT | NAME | '(' expr ')'
 
 Integer literals combined with '/' give exact rationals; '^' accepts only
-(possibly negative) integer literals.
+(possibly negative) integer literals, and chained powers associate to the
+left.
+
+Tokens are read by one regular expression (``_TOKEN``):
+
+- INT is a run of decimal digits (``\\d``: any Unicode decimal digit);
+- NAME is a letter or ``_`` followed by word characters (``_`` and what
+  ``str.isalnum`` admits), and the names that ``vars`` and ``ext`` declare
+  follow the same rule;
+- the operators are ``+ - * / ^ ( ) :``;
+- spaces, tabs and carriage returns separate tokens, and newlines count lines.
+
+Any other character, a digit that is not decimal such as a superscript
+among them, is an ``unexpected character``.  Malformed input raises
+ParseError, input nested deeper than Python's recursion limit included; a
+zero raised to a negative power raises ZeroDenominatorError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import RatExpr, outside_double
 
@@ -51,49 +65,31 @@ class Token:
     col: int
 
 
+# The alternatives are tried in order, so a word that starts with a decimal
+# digit reads as an integer and then a word.
+_TOKEN = re.compile(
+    r"[ \t\r]+|#.*|(?P<NL>\n)|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<OP>[-+*/^():])|(?P<BAD>.)")
+
+
+def _is_name(word: str) -> bool:
+    """A letter or '_' followed by word characters ('_' or str.isalnum)."""
+    return (word[:1].isalpha() or word[:1] == "_") and word.replace("_", "a").isalnum()
+
+
 def _tokenize(text: str, first_line: int = 1) -> list:
     toks = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^():":
-            toks.append(Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(Token("EOF", "", line, col))
+    line, line_start = first_line, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind:
+            word, col = m.group(), m.start() - line_start + 1
+            if kind == "BAD" or kind == "NAME" and not _is_name(word):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            toks.append(Token(kind, word, line, col))
+    # a comment that ends the input leaves the end where the comment starts
+    toks.append(Token("EOF", "", line, len(text[line_start:].partition("#")[0]) + 1))
     return toks
 
 
@@ -103,114 +99,90 @@ class _ExprParser:
         self.pos = 0
         self.allowed = allowed_names
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
+    def take(self, ops: str):
+        """The next token, consumed, when it is one of the operators ops."""
         t = self.toks[self.pos]
-        self.pos += 1
-        return t
+        if t.kind == "OP" and t.text in ops:
+            self.pos += 1
+            return t
+        return None
 
-    def expect_op(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind != "OP" or t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next()
+    def error(self, message: str) -> ParseError:
+        """message at the next token; {found} in it reads that token."""
+        t = self.toks[self.pos]
+        return ParseError(message.format(found=repr(t.text or "end of input")), t.line, t.col)
+
+    def expect(self, op: str):
+        if not self.take(op):
+            raise self.error(f"expected {op!r}, found {{found}}")
 
     def parse(self) -> RatExpr:
         e = self.expr()
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        if self.toks[self.pos].kind != "EOF":
+            raise self.error("unexpected trailing input {found}")
         return e
 
     def expr(self) -> RatExpr:
         e = self.term()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in "+-":
-                self.next()
-                rhs = self.term()
-                e = e + rhs if t.text == "+" else e - rhs
-            else:
-                return e
+        while t := self.take("+-"):
+            rhs = self.term()
+            e = e + rhs if t.text == "+" else e - rhs
+        return e
 
     def term(self) -> RatExpr:
         e = self.unary()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in "*/":
-                self.next()
-                rhs = self.unary()
-                if t.text == "*":
-                    e = e * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", t.line, t.col)
-                    e = e / rhs
+        while t := self.take("*/"):
+            rhs = self.unary()
+            if t.text == "*":
+                e = e * rhs
+            elif rhs.is_zero:
+                raise ParseError("division by zero", t.line, t.col)
             else:
-                return e
+                e = e / rhs
+        return e
 
     def unary(self) -> RatExpr:
-        t = self.peek()
-        if t.kind == "OP" and t.text == "-":
-            self.next()
+        if self.take("-"):
             return -self.unary()
-        return self.power()
-
-    def power(self) -> RatExpr:
         e = self.atom()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text == "^":
-                self.next()
-                e = e ** self.exponent()
-            else:
-                return e
+        while self.take("^"):
+            e = e ** self.exponent()
+        return e
 
     def exponent(self) -> int:
-        t = self.peek()
-        neg = False
-        parens = False
-        if t.kind == "OP" and t.text == "(":
-            self.next()
-            parens = True
-            t = self.peek()
-        if t.kind == "OP" and t.text == "-":
-            self.next()
-            neg = True
-            t = self.peek()
+        parens = self.take("(")
+        sign = -1 if self.take("-") else 1
+        t = self.toks[self.pos]
         if t.kind != "INT":
-            raise ParseError("exponent must be an integer literal", t.line, t.col)
-        self.next()
-        e = int(t.text)
+            raise self.error("exponent must be an integer literal")
+        self.pos += 1
         if parens:
-            self.expect_op(")")
-        return -e if neg else e
+            self.expect(")")
+        return sign * int(t.text)
 
     def atom(self) -> RatExpr:
-        t = self.next()
-        if t.kind == "INT":
-            return RatExpr.const(Fraction(int(t.text)))
-        if t.kind == "NAME":
-            if self.allowed is not None and t.text not in self.allowed:
-                raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
-            return RatExpr.var(t.text)
-        if t.kind == "OP" and t.text == "(":
+        if self.take("("):
             e = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        raise ParseError(
-            f"expected a number, variable or '(', found {t.text or 'end of input'!r}",
-            t.line,
-            t.col,
-        )
+        t = self.toks[self.pos]
+        if t.kind == "INT":
+            self.pos += 1
+            return RatExpr.const(int(t.text))
+        if t.kind != "NAME":
+            raise self.error("expected a number, variable or '(', found {found}")
+        if self.allowed is not None and t.text not in self.allowed:
+            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
+        self.pos += 1
+        return RatExpr.var(t.text)
 
 
 def parse_expression(text: str, allowed_names=None, first_line: int = 1) -> RatExpr:
     """Parse a single expression; allowed_names=None skips the scope check."""
-    toks = _tokenize(text, first_line)
-    return _ExprParser(toks, allowed_names).parse()
+    try:
+        return _ExprParser(_tokenize(text, first_line), allowed_names).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", first_line, 1) from None
 
 
 @dataclass(frozen=True)
@@ -244,9 +216,7 @@ class AlgebraicSetup:
 
 
 def _check_name(name: str, seen: set, line_no: int):
-    if not (name[0].isalpha() or name[0] == "_") or not all(
-        c.isalnum() or c == "_" for c in name
-    ):
+    if not _is_name(name):
         raise ParseError(f"invalid variable name {name!r}", line_no, 1)
     if name in _KEYWORDS:
         raise ParseError(f"variable name {name!r} is a keyword", line_no, 1)

@@ -106,6 +106,18 @@ def test_ve_rejects_k_zero(capsys):
     assert "degree must be a nonzero integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--k", "1", "--lambda=1.7e308"],
+                                  ["--k", "1", "--lambda=1.7e308", "--monodromy"],
+                                  ["--k=-1", "--lambda=-1.7e308"]])
+def test_ve_of_an_irrational_delta_without_a_double_is_a_usage_error(argv, capsys):
+    # Delta^2 = 2 lambda has no double here, and complex() of it was an
+    # OverflowError with a traceback and exit 1
+    assert main(["ve", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Delta^2 is irrational and outside double range\n"
+
+
 def test_ve_reports_exact_fractions(capsys):
     code = main(["ve", "--k", "3", "--lambda", "1"])
     out = json.loads(capsys.readouterr().out)
@@ -322,6 +334,20 @@ def test_parse_error_is_an_error(tmp_path, capsys):
     bad.write_text("vars q1\npotential q1 +\n")
     code = main(["analyze", str(bad)])
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("potential, message", [
+    ("q1^\u00b2", "line 2, col 4: unexpected character"),
+    ("(" * 1200 + "q1" + ")" * 1200, "line 2, col 1: expression nested too deeply"),
+    ("-" * 1200 + "q1", "line 2, col 1: expression nested too deeply")])
+def test_a_malformed_problem_file_exits_without_a_traceback(potential, message, tmp_path):
+    # each was a traceback with exit 1, EXIT_VALIDATION's code
+    bad = tmp_path / "bad.prob"
+    bad.write_text(f"vars q1\npotential {potential}\n", encoding="utf-8")
+    proc = run_cli(["analyze", str(bad)])
+    assert proc.returncode == EXIT_ERROR and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"problem file error: {message}")
 
 
 @pytest.mark.parametrize("masses, why", [("1,1e400,1", "too large"),
